@@ -1,9 +1,15 @@
-"""Stage-oriented command line, with cache artifacts keyed by config fingerprint.
+"""Stage-oriented command line over one ``PipelineContext``, with cache artifacts
+keyed by config fingerprint.
 
-Every stage reads the artifacts of its upstream stage from
-``<cache_dir>/<fingerprint>/`` and refuses to run if they are missing, so
-artifacts produced under different hyperparameters can never mix.  Exit
-codes: 0 success, 1 stage failure, 2 usage error.
+Each command seeds a :class:`~hisekt.evaluation.PipelineContext` with the
+artifacts already in ``<cache_dir>/<fingerprint>/`` (dataset, IRT model,
+graph, and run 0's sampled and scored walks); a stage whose artifact is
+missing computes it on that context and writes it.  ``pipeline`` passes one
+context through every stage, and ``evaluate`` runs the experiment on the
+cached stages, so no walk is sampled or scored twice.  A single-stage command
+refuses to run if an upstream artifact is missing, so artifacts produced under
+different hyperparameters can never mix.  Exit codes: 0 success, 1 stage
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,21 +22,15 @@ from pathlib import Path
 
 from . import dataset as dataset_mod
 from . import irt as irt_mod
-from . import pathscore, predict, retrieval
+from . import pathscore
 from .config import RunConfig, fingerprint, load_config_file, resolve_config
 from .errors import HisektError, StageDependencyError
-from .evaluation import run_experiment
-from .llm import LlmClient, map_bounded
-from .mrhin import (
-    TEMPLATES,
-    Mrhin,
-    read_graph,
-    read_instances,
-    sample_instances,
-    write_graph,
-    write_instances,
-)
-from .seeding import derive_seed
+from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of, target_key
+from .mrhin import read_graph, read_instances, write_graph, write_instances
+
+# Not called here: the benchmark's tracer patches these names on this module.
+from .llm import map_bounded  # noqa: F401
+from .mrhin import sample_instances  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -71,202 +71,132 @@ def _cache_hit(stage: str, path: Path) -> bool:
     return False
 
 
-def _client_from(cfg: RunConfig) -> LlmClient:
-    return LlmClient(
-        endpoint=cfg.llm_endpoint,
-        model_name=cfg.llm_model,
-        timeout=cfg.llm_timeout,
-        max_retries=cfg.llm_max_retries,
-        max_in_flight=cfg.llm_max_in_flight,
-        backend=cfg.llm_backend,
+def _pending(ctx: PipelineContext, stage: str, *upstream: str) -> Path | None:
+    """The stage's artifact path if it still has to be written, once its upstream artifacts exist."""
+    out = _artifact(ctx.cfg, stage)
+    if _cache_hit(stage, out):
+        return None
+    for name in upstream:
+        _require(ctx.cfg, stage, name)
+    return out
+
+
+def _context(cfg: RunConfig, stage: str) -> PipelineContext:
+    """A context seeded with the cached artifacts of the stages before ``stage``."""
+    upstream = STAGE_ORDER[: STAGE_ORDER.index(stage)]
+
+    def cached(name, reader):
+        path = _artifact(cfg, name)
+        return reader(path) if name in upstream and path.exists() else None
+
+    scored = cached("score-paths", pathscore.read_scored)
+    return PipelineContext(
+        cfg,
+        data=cached("ingest", dataset_mod.load),
+        model=cached("fit-irt", irt_mod.load),
+        graph=cached("build-hin", read_graph),
+        walks=cached("sample-paths", read_instances) if scored is None else None,
+        scored=scored,
     )
 
 
-def _run_seed(cfg: RunConfig) -> int:
-    # Match run 0 of the evaluate stage so single-stage artifacts agree with it.
-    return derive_seed(cfg.seed, "run", 0)
+def _flatten(grouped: dict[str, dict[str, list]]) -> list:
+    return [item for per_template in grouped.values() for group in per_template.values() for item in group]
 
 
-def stage_ingest(cfg: RunConfig) -> None:
-    out = _artifact(cfg, "ingest")
-    if _cache_hit("ingest", out):
-        return
-    d = dataset_mod.split(dataset_mod.ingest(cfg.data), cfg.seed)
-    out.write_text(dataset_mod.serialize(d), encoding="utf-8")
-    print(f"ingest: {len(d)} interactions -> {out}")
+def stage_ingest(ctx: PipelineContext) -> None:
+    out = _pending(ctx, "ingest")
+    if out:
+        out.write_text(dataset_mod.serialize(ctx.dataset), encoding="utf-8")
+        print(f"ingest: {len(ctx.dataset)} interactions -> {out}")
 
 
-def stage_fit_irt(cfg: RunConfig) -> None:
-    out = _artifact(cfg, "fit-irt")
-    if _cache_hit("fit-irt", out):
-        return
-    d = dataset_mod.load(_require(cfg, "fit-irt", "ingest"))
-    m = irt_mod.fit(d)
-    out.write_text(irt_mod.serialize(m), encoding="utf-8")
-    print(f"fit-irt: {len(m.theta)} students, {len(m.diff)} questions -> {out}")
+def stage_fit_irt(ctx: PipelineContext) -> None:
+    out = _pending(ctx, "fit-irt", "ingest")
+    if out:
+        m = ctx.irt
+        out.write_text(irt_mod.serialize(m), encoding="utf-8")
+        print(f"fit-irt: {len(m.theta)} students, {len(m.diff)} questions -> {out}")
 
 
-def stage_build_hin(cfg: RunConfig) -> None:
-    out = _artifact(cfg, "build-hin")
-    if _cache_hit("build-hin", out):
-        return
-    d = dataset_mod.load(_require(cfg, "build-hin", "ingest"))
-    m = irt_mod.load(_require(cfg, "build-hin", "fit-irt"))
-    g = Mrhin.build(d, m)
-    write_graph(g, out)
-    print(f"build-hin: {len(g.nodes())} nodes, {g.edge_count()} edges -> {out}")
+def stage_build_hin(ctx: PipelineContext) -> None:
+    out = _pending(ctx, "build-hin", "ingest", "fit-irt")
+    if out:
+        g = ctx.graph
+        write_graph(g, out)
+        print(f"build-hin: {len(g.nodes())} nodes, {g.edge_count()} edges -> {out}")
 
 
-def stage_sample_paths(cfg: RunConfig) -> None:
-    out = _artifact(cfg, "sample-paths")
-    if _cache_hit("sample-paths", out):
-        return
-    d = dataset_mod.load(_require(cfg, "sample-paths", "ingest"))
-    g = read_graph(_require(cfg, "sample-paths", "build-hin"))
-    walk_seed = derive_seed(_run_seed(cfg), "walks")
-    instances = []
-    for qid in sorted({i.question_id for i in d.iter_split("test")}):
-        for name in TEMPLATES:
-            instances.extend(
-                sample_instances(
-                    g, TEMPLATES[name], qid, n=cfg.n_walks, walk_len=cfg.walk_len, seed=walk_seed
+def stage_sample_paths(ctx: PipelineContext) -> None:
+    out = _pending(ctx, "sample-paths", "ingest", "build-hin")
+    if out:
+        instances = _flatten(ctx.instances(run_seed_of(ctx.cfg, 0)))
+        write_instances(instances, out)
+        print(f"sample-paths: {len(instances)} instances -> {out}")
+
+
+def stage_score_paths(ctx: PipelineContext) -> None:
+    out = _pending(ctx, "score-paths", "sample-paths", "build-hin")
+    if out:
+        scored = _flatten(ctx.scored(run_seed_of(ctx.cfg, 0)))
+        pathscore.write_scored(scored, out)
+        print(f"score-paths: {len(scored)} scored ({ctx.cfg.score_backend}) -> {out}")
+
+
+def _peer_key(key: tuple[str, str, int]) -> str:
+    return "|".join(map(str, key))
+
+
+def stage_retrieve(ctx: PipelineContext) -> None:
+    out = _pending(ctx, "retrieve", "ingest", "fit-irt", "score-paths")
+    if out:
+        sim, peers = retrieve_peers(ctx, None, run_seed_of(ctx.cfg, 0))
+        payload = {
+            "similarity": {
+                "mu": list(sim.mu),
+                "sigma": [list(row) for row in sim.sigma],
+                "shrinkage_lambda": sim.shrinkage_lambda,
+                "pair_sample_size": sim.pair_sample_size,
+            },
+            "peers": {_peer_key(key): p for key, p in peers.items()},
+        }
+        out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        print(f"retrieve: peers for {len(peers)} targets -> {out}")
+
+
+def stage_predict(ctx: PipelineContext) -> None:
+    out = _pending(ctx, "predict", "ingest", "fit-irt", "retrieve")
+    if out:
+        stored = json.loads(_artifact(ctx.cfg, "retrieve").read_text(encoding="utf-8"))["peers"]
+        tests = ctx.test_targets()
+        peers = {target_key(i): stored.get(_peer_key(target_key(i)), []) for i in tests}
+        predictions = predict_targets(ctx, None, peers)
+        lines = []
+        for i in tests:
+            pred = predictions[target_key(i)]
+            lines.append(
+                json.dumps(
+                    {
+                        "student": i.student_id,
+                        "question": i.question_id,
+                        "timestamp": i.timestamp,
+                        "label": 1 if i.correct else 0,
+                        "outcome": pred.outcome,
+                        "confidence": pred.confidence,
+                        "p_correct": pred.p_correct,
+                        "report": pred.report,
+                    },
+                    sort_keys=True,
                 )
             )
-    write_instances(instances, out)
-    print(f"sample-paths: {len(instances)} instances -> {out}")
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"predict: {len(lines)} predictions -> {out}")
 
 
-def stage_score_paths(cfg: RunConfig) -> None:
-    out = _artifact(cfg, "score-paths")
-    if _cache_hit("score-paths", out):
-        return
-    instances = read_instances(_require(cfg, "score-paths", "sample-paths"))
-    g = read_graph(_require(cfg, "score-paths", "build-hin"))
-    if cfg.score_backend == "llm":
-        client = _client_from(cfg)
-        scores = map_bounded(
-            lambda p: pathscore.score_llm(p, client, g),
-            dict(enumerate(instances)),
-            client.max_in_flight,
-        )
-        scored = [pathscore.ScoredInstance(p, scores[k]) for k, p in enumerate(instances)]
-    else:
-        scored = pathscore.score_all(instances, g)
-    pathscore.write_scored(scored, out)
-    print(f"score-paths: {len(scored)} scored ({cfg.score_backend}) -> {out}")
-
-
-def _retained_from_cache(cfg: RunConfig, stage: str):
-    scored = pathscore.read_scored(_require(cfg, stage, "score-paths"))
-    by_q: dict[str, dict[str, list[pathscore.ScoredInstance]]] = {}
-    for s in scored:
-        by_q.setdefault(s.instance.target_question, {}).setdefault(s.instance.template.name, []).append(s)
-    run_seed = _run_seed(cfg)
-    retained: dict[str, list[pathscore.ScoredInstance]] = {}
-    for qid in sorted(by_q):
-        rows: list[pathscore.ScoredInstance] = []
-        for name in TEMPLATES:
-            group = by_q[qid].get(name, [])
-            rows.extend(
-                pathscore.select_top_k(
-                    group, cfg.top_k, cfg.path_select, seed=derive_seed(run_seed, "topk", qid, name)
-                )
-            )
-        retained[qid] = rows
-    return retained
-
-
-def stage_retrieve(cfg: RunConfig) -> None:
-    out = _artifact(cfg, "retrieve")
-    if _cache_hit("retrieve", out):
-        return
-    d = dataset_mod.load(_require(cfg, "retrieve", "ingest"))
-    m = irt_mod.load(_require(cfg, "retrieve", "fit-irt"))
-    retained = _retained_from_cache(cfg, "retrieve")
-    run_seed = _run_seed(cfg)
-
-    pair_pool = None
-    if cfg.pair_source == "paths":
-        from .evaluation import _path_pair_pool
-
-        pair_pool = _path_pair_pool(retained, d) or None
-    sim = retrieval.fit_similarity(
-        d, m, cfg.pair_sample, seed=derive_seed(run_seed, "pairs"), c=cfg.c, pair_pool=pair_pool
-    )
-
-    peers_out = {}
-    for i in sorted(d.iter_split("test"), key=lambda x: (x.student_id, x.timestamp, x.question_id)):
-        cands = retrieval.build_candidates(retained.get(i.question_id, []), i.student_id)
-        peers = retrieval.top_s(
-            cands,
-            sim,
-            m,
-            d,
-            cfg.top_s,
-            mode=cfg.retrieval_mode,
-            c=cfg.c,
-            seed=derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp),
-        )
-        peers_out[f"{i.student_id}|{i.question_id}|{i.timestamp}"] = peers
-    payload = {
-        "similarity": {
-            "mu": list(sim.mu),
-            "sigma": [list(row) for row in sim.sigma],
-            "shrinkage_lambda": sim.shrinkage_lambda,
-            "pair_sample_size": sim.pair_sample_size,
-        },
-        "peers": peers_out,
-    }
-    out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    print(f"retrieve: peers for {len(peers_out)} targets -> {out}")
-
-
-def stage_predict(cfg: RunConfig) -> None:
-    out = _artifact(cfg, "predict")
-    if _cache_hit("predict", out):
-        return
-    d = dataset_mod.load(_require(cfg, "predict", "ingest"))
-    m = irt_mod.load(_require(cfg, "predict", "fit-irt"))
-    peers_map = json.loads(_require(cfg, "predict", "retrieve").read_text(encoding="utf-8"))["peers"]
-    client = _client_from(cfg)
-    mask: set[str] = set()
-    if cfg.mask_simu:
-        mask.add(predict.MASK_SIMU)
-    if cfg.mask_irt:
-        mask.add(predict.MASK_IRT)
-    tests = sorted(d.iter_split("test"), key=lambda x: (x.student_id, x.timestamp, x.question_id))
-    bundles = {}
-    for i in tests:
-        key = f"{i.student_id}|{i.question_id}|{i.timestamp}"
-        peers = [] if cfg.mask_simu else peers_map.get(key, [])
-        bundles[key] = predict.build_prompt(i.student_id, i.question_id, peers, m, d, mask, cfg.window)
-    predictions = map_bounded(lambda b: predict.predict(b, client), bundles, client.max_in_flight)
-    lines = []
-    for i in tests:
-        key = f"{i.student_id}|{i.question_id}|{i.timestamp}"
-        pred = predictions[key]
-        lines.append(
-            json.dumps(
-                {
-                    "student": i.student_id,
-                    "question": i.question_id,
-                    "timestamp": i.timestamp,
-                    "label": 1 if i.correct else 0,
-                    "outcome": pred.outcome,
-                    "confidence": pred.confidence,
-                    "p_correct": pred.p_correct,
-                    "report": pred.report,
-                },
-                sort_keys=True,
-            )
-        )
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"predict: {len(lines)} predictions -> {out}")
-
-
-def stage_evaluate(cfg: RunConfig, out_path: str | None = None) -> None:
+def stage_evaluate(ctx: PipelineContext, out_path: str | None = None) -> None:
+    cfg = ctx.cfg
     _require(cfg, "evaluate", "predict")
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, ctx)
     report_json = _artifact(cfg, "evaluate")
     report_json.write_text(report.to_json(), encoding="utf-8")
     table_path = report_json.with_suffix(".txt")
@@ -351,13 +281,15 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         if args.command in STAGE_FUNCS:
-            STAGE_FUNCS[args.command](cfg)
-        elif args.command == "evaluate":
-            stage_evaluate(cfg, out_path=args.out)
-        elif args.command == "pipeline":
-            for name in STAGE_ORDER[:-1]:
-                STAGE_FUNCS[name](cfg)
-            stage_evaluate(cfg, out_path=args.out)
+            # a stage whose artifact is cached only reports the hit: loading its inputs is wasted
+            hit = _artifact(cfg, args.command).exists()
+            STAGE_FUNCS[args.command](PipelineContext(cfg) if hit else _context(cfg, args.command))
+        else:
+            ctx = _context(cfg, "evaluate")
+            if args.command == "pipeline":
+                for name in STAGE_ORDER[:-1]:
+                    STAGE_FUNCS[name](ctx)
+            stage_evaluate(ctx, out_path=args.out)
         return 0
     except HisektError as exc:
         stage = getattr(exc, "stage", args.command)

@@ -34,7 +34,15 @@ class PredictionError(HisektError):
 
 
 class TransportError(HisektError):
-    """Raised on network-level failure talking to an LLM endpoint."""
+    """Raised on network-level failure talking to an LLM endpoint.
+
+    ``retryable`` is False when repeating the request cannot help, such as an
+    HTTP 4xx reply other than 408 (timeout) or 429 (rate limit).
+    """
+
+    def __init__(self, message: str, retryable: bool = True):
+        super().__init__(message)
+        self.retryable = retryable
 
 
 class UndefinedMetricError(HisektError):

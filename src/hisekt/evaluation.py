@@ -4,6 +4,10 @@ Variants reuse the exact operation modes defined upstream so they cannot
 drift from the main path: ``msr`` and ``msl`` switch Top-K selection to
 random / lowest, ``rsimu`` switches peer retrieval to random, ``simu`` and
 ``irt`` mask prompt blocks.
+
+``run_variant`` is two steps plus the metrics: ``retrieve_peers`` and
+``predict_targets``.  The CLI's ``retrieve`` and ``predict`` stages write
+their artifacts from the same two steps on a seeded ``PipelineContext``.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ import dataclasses
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import dataset as dataset_mod
 from . import irt as irt_mod
 from . import pathscore, predict, retrieval
 from .config import RunConfig, fingerprint
+from .dataset import Interaction
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
 from .mrhin import TEMPLATES, Mrhin, PathInstance, sample_instances
@@ -119,18 +124,46 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def run_seed_of(cfg: RunConfig, r: int) -> int:
+    return derive_seed(cfg.seed, "run", r)
+
+
+def target_key(i: Interaction) -> tuple[str, str, int]:
+    return (i.student_id, i.question_id, i.timestamp)
+
+
+def _by_target(items: Iterable, instance_of: Callable[[object], PathInstance]) -> dict[str, dict[str, list]]:
+    """Group run-0 walks or scored walks as {target question: {template name: [item, ...]}}."""
+    out: dict[str, dict[str, list]] = {}
+    for item in items:
+        p = instance_of(item)
+        out.setdefault(p.target_question, {name: [] for name in TEMPLATES})[p.template.name].append(item)
+    return out
+
+
 class PipelineContext:
-    """Lazily built, memoized stage artifacts shared across variants and runs."""
+    """Lazily built, memoized stage artifacts shared across variants and runs.
+
+    Any stage computed elsewhere (for example a cached CLI artifact) can be
+    passed in: ``data``, ``model`` and ``graph`` directly, ``walks`` and
+    ``scored`` as run 0's sampled and scored instances in any order.
+    """
 
     def __init__(self, cfg: RunConfig, data: dataset_mod.Dataset | None = None,
-                 model: irt_mod.IrtModel | None = None):
+                 model: irt_mod.IrtModel | None = None, graph: Mrhin | None = None,
+                 walks: Iterable[PathInstance] | None = None,
+                 scored: Iterable[pathscore.ScoredInstance] | None = None):
         self.cfg = cfg
         self._dataset = data
         self._irt = model
-        self._graph: Mrhin | None = None
+        self._graph = graph
         self._instances: dict[int, dict[str, dict[str, list[PathInstance]]]] = {}
         self._scored: dict[int, dict[str, dict[str, list[pathscore.ScoredInstance]]]] = {}
         self._client: LlmClient | None = None
+        if walks is not None:
+            self._instances[run_seed_of(cfg, 0)] = _by_target(walks, lambda p: p)
+        if scored is not None:
+            self._scored[run_seed_of(cfg, 0)] = _by_target(scored, lambda s: s.instance)
 
     @property
     def dataset(self) -> dataset_mod.Dataset:
@@ -166,6 +199,10 @@ class PipelineContext:
 
     def target_questions(self) -> list[str]:
         return sorted({i.question_id for i in self.dataset.iter_split("test")})
+
+    def test_targets(self) -> list[Interaction]:
+        """The test split in prediction order: by student, then time, then question."""
+        return sorted(self.dataset.iter_split("test"), key=lambda i: (i.student_id, i.timestamp, i.question_id))
 
     def share_stage_caches(self, other: "PipelineContext") -> None:
         """Adopt another context's sampled/scored instances (valid when only
@@ -258,17 +295,26 @@ def _path_pair_pool(
     return sorted(pool)
 
 
-def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int) -> VariantMetrics:
-    """Execute retrieval + prediction over the test split for one variant."""
-    cfg = ctx.cfg
-    select_mode = {"msr": "random", "msl": "lowest"}.get(variant, cfg.path_select)
-    retrieval_mode = "random" if variant == "rsimu" else cfg.retrieval_mode
+def _mask(cfg: RunConfig, variant: str | None) -> set[str]:
     mask: set[str] = set()
     if cfg.mask_simu or variant == "simu":
         mask.add(predict.MASK_SIMU)
     if cfg.mask_irt or variant == "irt":
         mask.add(predict.MASK_IRT)
+    return mask
 
+
+def retrieve_peers(
+    ctx: PipelineContext, variant: str | None, run_seed: int
+) -> tuple[retrieval.SimilarityModel, dict[tuple[str, str, int], list[str]]]:
+    """Top-K walks, similarity fit and Top-S peers of every test target for one variant.
+
+    Peers are keyed by :func:`target_key` in test order; they are empty when
+    the variant masks the similar-student block.
+    """
+    cfg = ctx.cfg
+    select_mode = {"msr": "random", "msl": "lowest"}.get(variant, cfg.path_select)
+    retrieval_mode = "random" if variant == "rsimu" else cfg.retrieval_mode
     d = ctx.dataset
     m = ctx.irt
     retained = _retain_top_k(ctx.scored(run_seed), cfg.top_k, select_mode, run_seed)
@@ -283,38 +329,49 @@ def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int) -> Var
         d, m, cfg.pair_sample, seed=derive_seed(run_seed, "pairs"), c=cfg.c, pair_pool=pair_pool
     )
 
-    tests = sorted(d.iter_split("test"), key=lambda i: (i.student_id, i.timestamp, i.question_id))
-    bundles: dict[tuple, predict.PromptBundle] = {}
-    for i in tests:
-        peers: list[str] = []
-        if predict.MASK_SIMU not in mask:
-            cands = retrieval.build_candidates(retained.get(i.question_id, []), i.student_id)
-            peers = retrieval.top_s(
-                cands,
-                sim,
-                m,
-                d,
-                cfg.top_s,
-                mode=retrieval_mode,
-                c=cfg.c,
-                seed=derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp),
-            )
-        key = (i.student_id, i.question_id, i.timestamp)
-        bundles[key] = predict.build_prompt(i.student_id, i.question_id, peers, m, d, mask, cfg.window)
+    masked = predict.MASK_SIMU in _mask(cfg, variant)
+    peers: dict[tuple[str, str, int], list[str]] = {}
+    for i in ctx.test_targets():
+        peers[target_key(i)] = [] if masked else retrieval.top_s(
+            retrieval.build_candidates(retained.get(i.question_id, []), i.student_id),
+            sim,
+            m,
+            d,
+            cfg.top_s,
+            mode=retrieval_mode,
+            c=cfg.c,
+            seed=derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp),
+        )
+    return sim, peers
 
+
+def predict_targets(
+    ctx: PipelineContext, variant: str | None, peers: Mapping[tuple[str, str, int], Sequence[str]]
+) -> dict[tuple[str, str, int], predict.Prediction]:
+    """Build each target's prompt with its peers and ask the LLM; keyed like ``peers``."""
+    cfg = ctx.cfg
+    mask = _mask(cfg, variant)
+    d = ctx.dataset
+    m = ctx.irt
+    bundles = {
+        key: predict.build_prompt(key[0], key[1], p, m, d, mask, cfg.window) for key, p in peers.items()
+    }
     client = ctx.client
     # predictions are keyed by interaction, so pool completion order is irrelevant
-    predictions = map_bounded(lambda b: predict.predict(b, client), bundles, client.max_in_flight)
+    return map_bounded(lambda b: predict.predict(b, client), bundles, client.max_in_flight)
 
-    labels: list[int] = []
-    scores: list[float] = []
-    outcomes: list[int] = []
-    for i in tests:
-        pred = predictions[(i.student_id, i.question_id, i.timestamp)]
-        labels.append(1 if i.correct else 0)
-        scores.append(pred.p_correct)
-        outcomes.append(1 if pred.outcome == "correct" else 0)
-    return VariantMetrics(acc=accuracy(labels, outcomes), auc=auc(labels, scores), n=len(labels))
+
+def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int) -> VariantMetrics:
+    """Execute retrieval + prediction over the test split for one variant."""
+    _, peers = retrieve_peers(ctx, variant, run_seed)
+    predictions = predict_targets(ctx, variant, peers)
+    tests = ctx.test_targets()
+    preds = [predictions[target_key(i)] for i in tests]
+    labels = [1 if i.correct else 0 for i in tests]
+    outcomes = [1 if p.outcome == "correct" else 0 for p in preds]
+    return VariantMetrics(
+        acc=accuracy(labels, outcomes), auc=auc(labels, [p.p_correct for p in preds]), n=len(labels)
+    )
 
 
 def run_experiment(cfg: RunConfig, ctx: PipelineContext | None = None) -> EvalReport:
@@ -329,7 +386,7 @@ def run_experiment(cfg: RunConfig, ctx: PipelineContext | None = None) -> EvalRe
     sums: dict[str, list[float]] = {}
     counts: dict[str, int] = {}
     for r in range(cfg.runs):
-        run_seed = derive_seed(cfg.seed, "run", r)
+        run_seed = run_seed_of(cfg, r)
         for variant in variant_list:
             name = variant or "full"
             metrics = run_variant(ctx, variant, run_seed)

@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "HISEKT_LLM_API_KEY"
 DEFAULT_MAX_IN_FLIGHT = 8
 BACKOFF_BASE_SECONDS = 0.5
+RETRYABLE_4XX = (408, 429)  # request timeout, rate limit: the only client errors worth repeating
 
 
 class MockTransport:
@@ -63,7 +64,7 @@ class LlmClient:
             self.transport = MockTransport()
 
     def complete(self, prompt: str) -> str:
-        """Single completion round trip; transport errors retry with backoff."""
+        """Single completion round trip; retryable transport errors retry with backoff."""
         if self.backend == "mock":
             return self.transport(prompt)
         last_error: Exception | None = None
@@ -71,6 +72,8 @@ class LlmClient:
             try:
                 return self._http_complete(prompt)
             except TransportError as exc:
+                if not exc.retryable:
+                    raise
                 last_error = exc
                 time.sleep(BACKOFF_BASE_SECONDS * 2**attempt)
         raise TransportError(f"llm endpoint unreachable after retries: {last_error}")
@@ -91,6 +94,9 @@ class LlmClient:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 payload = json.loads(response.read().decode("utf-8"))
+        except urllib.error.HTTPError as exc:
+            retryable = not 400 <= exc.code < 500 or exc.code in RETRYABLE_4XX
+            raise TransportError(f"request to {self.endpoint} failed: {exc}", retryable) from exc
         except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
             raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
         try:

@@ -22,7 +22,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ScoringError
 from .llm import LlmClient
@@ -61,18 +61,21 @@ def _question_nodes(p: PathInstance) -> list[str]:
     return [node_id for kind, node_id in p.nodes if kind == "Q"]
 
 
-def centrality(p: PathInstance, g: Mrhin) -> float:
-    """Closeness of the path's distinct questions to the target question."""
-    q_set = sorted(set(_question_nodes(p)))
+def _closeness(p: PathInstance, hops: Callable[[str], int]) -> float:
+    """5 * (1 - mean of min(hops(q), L) / L over the distinct path questions q), clamped; L = edge count."""
     length = p.edge_count
     if length == 0:
         return MAX_DIMENSION_SCORE
-    q0 = ("Q", p.target_question)
-    total = 0.0
-    for q in q_set:
-        total += graph_distance(g, q0, ("Q", q), cap=length) / length
-    raw = 1.0 - total / len(q_set)
+    q_set = sorted(set(_question_nodes(p)))
+    raw = 1.0 - sum(min(hops(q), length) / length for q in q_set) / len(q_set)
     return MAX_DIMENSION_SCORE * min(max(raw, 0.0), 1.0)
+
+
+def centrality(p: PathInstance, g: Mrhin) -> float:
+    """Closeness of the path's distinct questions to the target question."""
+    q0 = ("Q", p.target_question)
+    cap = p.edge_count
+    return _closeness(p, lambda q: graph_distance(g, q0, ("Q", q), cap=cap))
 
 
 def kc_relevance(p: PathInstance, kc_of: Mapping[str, frozenset[str]]) -> float:
@@ -215,38 +218,14 @@ def _prompt_annotations(text: str) -> tuple[dict[str, frozenset[str]], dict[str,
 def mock_score_reply(prompt: str) -> str:
     """Deterministic scoring reply computed from the prompt alone.
 
-    Reproduces the reference formulas using only information rendered into
-    the prompt, so an offline run of the LLM backend matches the formula
-    scorer bit for bit.
+    Applies the reference formulas to the path, KC sets and hop counts
+    rendered into the prompt, so an offline run of the LLM backend matches the
+    formula scorer bit for bit.
     """
     p = parse_scoring_prompt(prompt)
     kc_of, hops = _prompt_annotations(prompt)
-    length = p.edge_count
-    q_set = sorted(set(_question_nodes(p)))
-    raw = 1.0 - sum(min(hops[q], length) / length for q in q_set) / len(q_set) if length else 1.0
-    c = MAX_DIMENSION_SCORE * min(max(raw, 0.0), 1.0)
-    r = kc_relevance(p, kc_of)
-    i = informativeness(p)
-    dv = _diversity_from_prompt(prompt)
-    return f"{{{c!r}, {r!r}, {i!r}, {dv!r}}}"
-
-
-def _diversity_from_prompt(text: str) -> float:
-    counts = {cat: 0 for cat in LEVEL_CATEGORIES}
-    total = 0
-    for line in text.splitlines():
-        m = re.match(r"^  \d+\. ([AD]):(\w+)$", line)
-        if m:
-            counts[f"{m.group(1)}_{m.group(2)}"] += 1
-            total += 1
-    if total == 0:
-        return 0.0
-    entropy = 0.0
-    for c in counts.values():
-        if c:
-            freq = c / total
-            entropy -= freq * math.log(freq)
-    return MAX_DIMENSION_SCORE * entropy / math.log(len(LEVEL_CATEGORIES))
+    c = _closeness(p, hops.__getitem__)
+    return f"{{{c!r}, {kc_relevance(p, kc_of)!r}, {informativeness(p)!r}, {diversity(p)!r}}}"
 
 
 def score_llm(p: PathInstance, client: LlmClient, g: Mrhin) -> PathScore:

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from hisekt import pathscore
 from hisekt.cli import main
 from hisekt.config import fingerprint, load_config_file, resolve_config
 from hisekt.errors import HisektError
+from hisekt.evaluation import accuracy, auc, run_experiment
 from hisekt.synth import planted_csv
 
 
@@ -147,3 +149,44 @@ class TestCliStages:
             assert row["outcome"] in ("correct", "wrong")
             assert 0.0 <= row["p_correct"] <= 1.0
             assert row["label"] in (0, 1)
+
+    def test_warm_pipeline_scores_no_walks(self, config_file, tmp_path, monkeypatch, capsys):
+        calls = []
+        score_llm = pathscore.score_llm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return score_llm(*args, **kwargs)
+
+        monkeypatch.setattr(pathscore, "score_llm", counting)
+        argv = ["pipeline", "--config", str(config_file), "--score-backend", "llm"]
+        assert main([*argv, "--out", str(tmp_path / "cold.json")]) == 0
+        cfg = resolve_config(load_config_file(config_file), {"score_backend": "llm"})
+        walks = (Path(cfg.cache_dir) / fingerprint(cfg) / "paths.jsonl").read_text().splitlines()
+        assert len(calls) == len(walks) > 0  # each walk is scored once, by score-paths
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path / "warm.json")]) == 0
+        assert calls == []
+        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
+
+    def test_report_is_computed_from_the_predictions_next_to_it(self, config_file, tmp_path, capsys):
+        assert main(["pipeline", "--config", str(config_file)]) == 0
+        cfg = resolve_config(load_config_file(config_file), {})
+        cache = Path(cfg.cache_dir) / fingerprint(cfg)
+        files = sorted(tmp_path.rglob("*"))
+        report = (cache / "report.json").read_text(encoding="utf-8")
+        assert run_experiment(cfg).to_json() == report
+        assert sorted(tmp_path.rglob("*")) == files  # the library path writes nothing
+
+        rows = [json.loads(line) for line in (cache / "predictions.jsonl").read_text().splitlines()]
+        labels = [row["label"] for row in rows]
+        full = [r for r in json.loads(report)["runs"] if r["run"] == 0 and r["variant"] == "full"]
+        assert full == [
+            {
+                "run": 0,
+                "variant": "full",
+                "acc": accuracy(labels, [1 if row["outcome"] == "correct" else 0 for row in rows]),
+                "auc": auc(labels, [row["p_correct"] for row in rows]),
+                "n": len(rows),
+            }
+        ]
