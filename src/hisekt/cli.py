@@ -23,7 +23,7 @@ from pathlib import Path
 from . import dataset as dataset_mod
 from . import irt as irt_mod
 from . import pathscore
-from .config import RunConfig, fingerprint, load_config_file, resolve_config
+from .config import CHOICES, FIELD_NAMES, RunConfig, fingerprint, load_config_file, resolve_config
 from .errors import HisektError, StageDependencyError
 from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of, target_key
 from .mrhin import read_graph, read_instances, write_graph, write_instances
@@ -234,16 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--scaling-c", dest="c", type=float)
     shared.add_argument("--window", type=int)
     shared.add_argument("--pair-sample", dest="pair_sample", type=int)
-    shared.add_argument("--pair-source", dest="pair_source", choices=("random", "paths"))
-    shared.add_argument("--score-backend", dest="score_backend", choices=("formula", "llm"))
-    shared.add_argument("--llm-backend", dest="llm_backend", choices=("mock", "http"))
+    shared.add_argument("--pair-source", dest="pair_source", choices=CHOICES["pair_source"])
+    shared.add_argument("--score-backend", dest="score_backend", choices=CHOICES["score_backend"])
+    shared.add_argument("--llm-backend", dest="llm_backend", choices=CHOICES["llm_backend"])
     shared.add_argument("--llm-endpoint", dest="llm_endpoint")
     shared.add_argument("--llm-model", dest="llm_model")
-    shared.add_argument("--retrieval-mode", dest="retrieval_mode", choices=("similar", "random"))
-    shared.add_argument("--path-select", dest="path_select", choices=("top", "random", "lowest"))
-    shared.add_argument("--mask-simu", dest="mask_simu", action="store_const", const=True)
-    shared.add_argument("--mask-irt", dest="mask_irt", action="store_const", const=True)
-    shared.add_argument("--variants", help="comma list from msr,msl,simu,rsimu,irt")
+    shared.add_argument("--variants", help=f"comma list from {','.join(CHOICES['variants'])}")
 
     parser = argparse.ArgumentParser(prog="hisekt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,16 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "data", "cache_dir", "out_dir", "seed", "runs", "n_walks", "walk_len",
-            "top_k", "top_s", "c", "window", "pair_sample", "pair_source",
-            "score_backend", "llm_backend", "llm_endpoint", "llm_model",
-            "retrieval_mode", "path_select", "mask_simu", "mask_irt", "variants",
-        )
-        if getattr(args, key, None) is not None
-    }
+    overrides = {key: value for key, value in vars(args).items() if key in FIELD_NAMES}
     return resolve_config(file_values, overrides)
 
 

@@ -1,4 +1,7 @@
-"""Run configuration: defaults, key=value config files, flag merging, fingerprint."""
+"""Run configuration: defaults, key=value config files, flag merging, fingerprint.
+
+``ABLATIONS`` is the one definition of what each ablation variant changes.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import HisektError
+from .predict import MASK_IRT, MASK_SIMU
 
 
 @dataclass(frozen=True)
@@ -26,24 +30,37 @@ class RunConfig:
     c: float = 2.0
     window: int = 20
     pair_sample: int = 10_000
-    pair_source: str = "random"  # random | paths
+    pair_source: str = "random"
     seed: int = 7
     runs: int = 1
-    score_backend: str = "formula"  # formula | llm
-    llm_backend: str = "mock"  # mock | http
+    score_backend: str = "formula"
+    llm_backend: str = "mock"
     llm_endpoint: str = ""
     llm_model: str = "mock"
     llm_timeout: float = 30.0
     llm_max_retries: int = 3
     llm_max_in_flight: int = 8
-    retrieval_mode: str = "similar"  # similar | random
-    path_select: str = "top"  # top | random | lowest
-    mask_simu: bool = False
-    mask_irt: bool = False
     variants: tuple[str, ...] = ()
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+# variant (None: the full model) -> (Top-K selection mode, peer retrieval mode, prompt mask)
+ABLATIONS: dict[str | None, tuple[str, str, frozenset[str]]] = {
+    None: ("top", "similar", frozenset()),
+    "msr": ("random", "similar", frozenset()),
+    "msl": ("lowest", "similar", frozenset()),
+    "simu": ("top", "similar", frozenset({MASK_SIMU})),
+    "rsimu": ("top", "random", frozenset()),
+    "irt": ("top", "similar", frozenset({MASK_IRT})),
+}
+CHOICES = {
+    "pair_source": ("random", "paths"),
+    "score_backend": ("formula", "llm"),
+    "llm_backend": ("mock", "http"),
+    "variants": tuple(v for v in ABLATIONS if v),
+}
 
 
 def _coerce(name: str, raw, current):
@@ -54,14 +71,6 @@ def _coerce(name: str, raw, current):
         if isinstance(raw, str):
             return tuple(v.strip() for v in raw.split(",") if v.strip())
         return tuple(raw)
-    if isinstance(current, bool):
-        if isinstance(raw, bool):
-            return raw
-        if str(raw).lower() in ("true", "1", "yes"):
-            return True
-        if str(raw).lower() in ("false", "0", "no"):
-            return False
-        raise HisektError(f"config field {name!r}: expected a boolean, got {raw!r}")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -81,7 +90,7 @@ def load_config_file(path: str | Path) -> dict:
             raise HisektError(f"{path}:{line_no}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _FIELD_NAMES:
+        if key not in FIELD_NAMES:
             raise HisektError(f"{path}:{line_no}: unknown config key {key!r}")
         raw = raw.strip("\"'")
         values[key] = _coerce(key, raw, getattr(defaults, key))
@@ -89,19 +98,24 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(file_values: Mapping | None = None, overrides: Mapping | None = None) -> RunConfig:
-    """Defaults, then config file, then explicit flag overrides (flags win)."""
+    """Defaults, then config file, then explicit flag overrides (flags win); checks ``CHOICES``."""
     defaults = RunConfig()
     merged = {}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _FIELD_NAMES:
+            if key not in FIELD_NAMES:
                 raise HisektError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, value, getattr(defaults, key))
     cfg = dataclasses.replace(defaults, **merged)
     if not cfg.data:
         raise HisektError("config is missing the input data path (set data= or --data)")
+    for key, allowed in CHOICES.items():
+        values = cfg.variants if key == "variants" else (getattr(cfg, key),)
+        for value in values:
+            if value not in allowed:
+                raise HisektError(f"config field {key!r}: {value!r} is not one of {', '.join(allowed)}")
     return cfg
 
 

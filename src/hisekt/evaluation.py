@@ -1,9 +1,9 @@
 """Metrics, ablation variants, and the end-to-end experiment runner.
 
-Variants reuse the exact operation modes defined upstream so they cannot
-drift from the main path: ``msr`` and ``msl`` switch Top-K selection to
-random / lowest, ``rsimu`` switches peer retrieval to random, ``simu`` and
-``irt`` mask prompt blocks.
+A variant runs the main path with the Top-K selection mode, peer retrieval
+mode and prompt mask that :data:`~hisekt.config.ABLATIONS` gives it:
+``msr`` and ``msl`` select random / lowest walks, ``rsimu`` draws peers at
+random, ``simu`` and ``irt`` mask prompt blocks.
 
 ``run_variant`` is two steps plus the metrics: ``retrieve_peers`` and
 ``predict_targets``.  The CLI's ``retrieve`` and ``predict`` stages write
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import dataset as dataset_mod
 from . import irt as irt_mod
 from . import pathscore, predict, retrieval
-from .config import RunConfig, fingerprint
+from .config import ABLATIONS, CHOICES, RunConfig, fingerprint
 from .dataset import Interaction
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
@@ -29,8 +29,6 @@ from .mrhin import TEMPLATES, Mrhin, PathInstance, sample_instances
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
-
-VARIANT_NAMES = ("msr", "msl", "simu", "rsimu", "irt")
 
 
 def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
@@ -295,15 +293,6 @@ def _path_pair_pool(
     return sorted(pool)
 
 
-def _mask(cfg: RunConfig, variant: str | None) -> set[str]:
-    mask: set[str] = set()
-    if cfg.mask_simu or variant == "simu":
-        mask.add(predict.MASK_SIMU)
-    if cfg.mask_irt or variant == "irt":
-        mask.add(predict.MASK_IRT)
-    return mask
-
-
 def retrieve_peers(
     ctx: PipelineContext, variant: str | None, run_seed: int
 ) -> tuple[retrieval.SimilarityModel, dict[tuple[str, str, int], list[str]]]:
@@ -313,8 +302,7 @@ def retrieve_peers(
     the variant masks the similar-student block.
     """
     cfg = ctx.cfg
-    select_mode = {"msr": "random", "msl": "lowest"}.get(variant, cfg.path_select)
-    retrieval_mode = "random" if variant == "rsimu" else cfg.retrieval_mode
+    select_mode, peer_mode, mask = ABLATIONS[variant]
     d = ctx.dataset
     m = ctx.irt
     retained = _retain_top_k(ctx.scored(run_seed), cfg.top_k, select_mode, run_seed)
@@ -329,7 +317,7 @@ def retrieve_peers(
         d, m, cfg.pair_sample, seed=derive_seed(run_seed, "pairs"), c=cfg.c, pair_pool=pair_pool
     )
 
-    masked = predict.MASK_SIMU in _mask(cfg, variant)
+    masked = predict.MASK_SIMU in mask
     peers: dict[tuple[str, str, int], list[str]] = {}
     for i in ctx.test_targets():
         peers[target_key(i)] = [] if masked else retrieval.top_s(
@@ -338,7 +326,7 @@ def retrieve_peers(
             m,
             d,
             cfg.top_s,
-            mode=retrieval_mode,
+            mode=peer_mode,
             c=cfg.c,
             seed=derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp),
         )
@@ -349,12 +337,11 @@ def predict_targets(
     ctx: PipelineContext, variant: str | None, peers: Mapping[tuple[str, str, int], Sequence[str]]
 ) -> dict[tuple[str, str, int], predict.Prediction]:
     """Build each target's prompt with its peers and ask the LLM; keyed like ``peers``."""
-    cfg = ctx.cfg
-    mask = _mask(cfg, variant)
+    _, _, mask = ABLATIONS[variant]
     d = ctx.dataset
     m = ctx.irt
     bundles = {
-        key: predict.build_prompt(key[0], key[1], p, m, d, mask, cfg.window) for key, p in peers.items()
+        key: predict.build_prompt(key[0], key[1], p, m, d, mask, ctx.cfg.window) for key, p in peers.items()
     }
     client = ctx.client
     # predictions are keyed by interaction, so pool completion order is irrelevant
@@ -379,8 +366,8 @@ def run_experiment(cfg: RunConfig, ctx: PipelineContext | None = None) -> EvalRe
     ctx = ctx or PipelineContext(cfg)
     variant_list = [None] + [v for v in cfg.variants if v]
     for v in variant_list[1:]:
-        if v not in VARIANT_NAMES:
-            raise ValueError(f"unknown variant {v!r}; pick from {VARIANT_NAMES}")
+        if v not in CHOICES["variants"]:
+            raise ValueError(f"unknown variant {v!r}; pick from {CHOICES['variants']}")
 
     rows: list[dict] = []
     sums: dict[str, list[float]] = {}

@@ -68,14 +68,16 @@ class LlmClient:
         if self.backend == "mock":
             return self.transport(prompt)
         last_error: Exception | None = None
-        for attempt in range(max(self.max_retries, 1)):
+        attempts = max(self.max_retries, 1)
+        for attempt in range(attempts):
             try:
                 return self._http_complete(prompt)
             except TransportError as exc:
                 if not exc.retryable:
                     raise
                 last_error = exc
-                time.sleep(BACKOFF_BASE_SECONDS * 2**attempt)
+                if attempt + 1 < attempts:  # no wait after the last attempt: it would only delay the error
+                    time.sleep(BACKOFF_BASE_SECONDS * 2**attempt)
         raise TransportError(f"llm endpoint unreachable after retries: {last_error}")
 
     def _http_complete(self, prompt: str) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .dataset import Dataset
 from .errors import PredictionError
@@ -360,8 +360,21 @@ def _parse_history_row(line: str) -> dict:
 # -- prediction backends ------------------------------------------------------
 
 
-def _mock_probability(fields: Mapping) -> tuple[float, float, float | None, int]:
-    """(p_correct, base, peer_mean, peers_used) from parsed or structured fields."""
+def mock_predict(p: PromptBundle) -> Prediction:
+    """Deterministic offline prediction: the mock backend's parsed reply to ``p.text``."""
+    return _parse_reply(mock_prediction_reply(p.text))
+
+
+def mock_prediction_reply(prompt: str) -> str:
+    """Answer a rendered prediction prompt deterministically (mock transport).
+
+    The base probability is the response-model value for the target pair; the
+    mean peer accuracy on the target KC pulls it with weight 0.3 when a peer
+    block is present.  With ability/difficulty masked, the student's own
+    accuracy on the target KC stands in for the base.  Only the prompt text is
+    read, so a mask hides from the mock exactly what it hides from an LLM.
+    """
+    fields = parse_prompt(prompt)
     theta = fields.get("theta")
     a = fields.get("discrimination")
     b = fields.get("difficulty")
@@ -379,14 +392,11 @@ def _mock_probability(fields: Mapping) -> tuple[float, float, float | None, int]
                 acc = peer.get("overall_accuracy")
             if acc is not None:
                 peer_values.append(acc)
+    p, peer_mean = base, None
     if peer_values:
         peer_mean = sum(peer_values) / len(peer_values)
         p = (1.0 - PEER_WEIGHT) * base + PEER_WEIGHT * peer_mean
-        return p, base, peer_mean, len(peer_values)
-    return base, base, None, 0
 
-
-def _mock_report(fields: Mapping, p: float, base: float, peer_mean: float | None, n_peers: int) -> str:
     student = fields.get("target_student", "?")
     question = fields.get("question_id", "?")
     kc = fields.get("target_kc", "?")
@@ -395,64 +405,13 @@ def _mock_report(fields: Mapping, p: float, base: float, peer_mean: float | None
     first = f"The baseline success estimate for student {student} on question {question} is {base:.4f}."
     if peer_mean is not None:
         second = (
-            f"A panel of {n_peers} similar students averages {peer_mean:.4f} accuracy"
+            f"A panel of {len(peer_values)} similar students averages {peer_mean:.4f} accuracy"
             f" on concept {kc}, moving the estimate to {p:.4f}."
         )
     else:
         second = f"No similar-student evidence was available, so the estimate stays at {p:.4f}."
     third = f"The predicted outcome is {outcome} with confidence {confidence:.4f}."
-    return f"{first} {second} {third}"
-
-
-def _fields_from_bundle(p: PromptBundle) -> dict:
-    masked_irt = MASK_IRT in p.ablation_mask
-    fields: dict = {
-        "target_student": p.target_student,
-        "question_id": p.question_id,
-        "target_kc": p.target_kc,
-        "student_kc_accuracy": p.student_kc_accuracy,
-        "theta": None if masked_irt else p.theta,
-        "discrimination": None if masked_irt else p.discrimination,
-        "difficulty": None if masked_irt else p.difficulty,
-        "peers": None,
-    }
-    if MASK_SIMU not in p.ablation_mask and p.peers is not None:
-        fields["peers"] = [
-            {
-                "target_kc_accuracy": peer.target_kc_accuracy,
-                "overall_accuracy": peer.overall_accuracy,
-            }
-            for peer in p.peers
-        ]
-    return fields
-
-
-def mock_predict(p: PromptBundle, m: IrtModel | None = None) -> Prediction:
-    """Deterministic offline prediction from the bundle's visible fields.
-
-    The base probability is the response-model value for the target pair; the
-    mean peer accuracy on the target KC pulls it with weight 0.3 when a peer
-    block is present.  With ability/difficulty masked, the student's own
-    accuracy on the target KC stands in for the base.  ``m`` is accepted for
-    signature parity; all values are read from the bundle, which the model
-    populated.
-    """
-    del m
-    fields = _fields_from_bundle(p)
-    prob, base, peer_mean, n_peers = _mock_probability(fields)
-    outcome = "correct" if prob >= 0.5 else "wrong"
-    confidence = max(prob, 1.0 - prob)
-    report = _mock_report(fields, prob, base, peer_mean, n_peers)
-    return Prediction.build(outcome, confidence, report)
-
-
-def mock_prediction_reply(prompt: str) -> str:
-    """Answer a rendered prediction prompt deterministically (mock transport)."""
-    fields = parse_prompt(prompt)
-    prob, base, peer_mean, n_peers = _mock_probability(fields)
-    outcome = "correct" if prob >= 0.5 else "wrong"
-    confidence = max(prob, 1.0 - prob)
-    report = _mock_report(fields, prob, base, peer_mean, n_peers)
+    report = f"{first} {second} {third}"
     return "\n".join(
         [REPLY_OPEN, f"outcome: {outcome}", f"confidence: {confidence!r}", f"report: {report}", REPLY_CLOSE]
     )

@@ -78,9 +78,27 @@ class TestConfig:
             resolve_config(load_config_file(config_file), {})
         )
 
-    def test_boolean_coercion(self, config_file):
-        cfg = resolve_config(load_config_file(config_file), {"mask_irt": "true"})
-        assert cfg.mask_irt is True
+    @pytest.mark.parametrize(
+        "key, value, bad",
+        [
+            ("score_backend", "llm2", "llm2"),
+            ("llm_backend", "htp", "htp"),
+            ("pair_source", "pathz", "pathz"),
+            ("variants", "msr,bogus", "bogus"),
+        ],
+    )
+    def test_bad_enumerated_value_in_file_rejected(self, config_file, key, value, bad):
+        with config_file.open("a", encoding="utf-8") as f:
+            f.write(f"{key} = {value}\n")
+        with pytest.raises(HisektError, match=f"{key}.*'{bad}'"):
+            resolve_config(load_config_file(config_file), {})
+
+    @pytest.mark.parametrize("key", ["retrieval_mode", "path_select", "mask_simu", "mask_irt"])
+    def test_removed_ablation_keys_rejected(self, config_file, key):
+        with config_file.open("a", encoding="utf-8") as f:
+            f.write(f"{key} = random\n")
+        with pytest.raises(HisektError, match="unknown config key"):
+            load_config_file(config_file)
 
 
 class TestCliStages:
@@ -123,6 +141,12 @@ class TestCliStages:
 
     def test_unknown_flag_is_usage_error(self, config_file):
         assert main(["pipeline", "--config", str(config_file), "--frobnicate"]) == 2
+
+    def test_unknown_variant_fails_before_any_stage(self, config_file, tmp_path, capsys):
+        code = main(["pipeline", "--config", str(config_file), "--variants", "bogus"])
+        assert code == 1
+        assert "error in stage pipeline" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_unknown_command_is_usage_error(self):
         assert main(["explode"]) == 2

@@ -14,10 +14,14 @@ from hisekt.evaluation import (
     VariantMetrics,
     accuracy,
     auc,
+    predict_targets,
+    retrieve_peers,
     run_experiment,
+    run_seed_of,
     run_variant,
     unimodal_or_plateau,
 )
+from hisekt.llm import LlmClient, MockTransport
 from hisekt.mrhin import TEMPLATES, PathInstance
 from hisekt.pathscore import PathScore, ScoredInstance, select_top_k
 from hisekt.seeding import derive_seed
@@ -175,12 +179,28 @@ class TestRunExperiment:
         assert a.to_json() == b.to_json()
         assert a.config_fingerprint == fingerprint(cfg)
 
-    def test_simu_variant_is_noop_when_base_already_masks_peers(self, planted_file):
-        cfg = small_cfg(planted_file, mask_simu=True, variants=("simu",))
-        report = run_experiment(cfg)
-        v = report.per_variant["simu"]
-        assert v.acc == pytest.approx(report.acc)
-        assert v.auc == pytest.approx(report.auc)
+    def test_every_variant_hides_exactly_its_prompt_blocks(self, planted_file):
+        ctx = PipelineContext(small_cfg(planted_file))
+        prompts = []
+        mock = MockTransport()
+
+        def recording(prompt):
+            prompts.append(prompt)
+            return mock(prompt)
+
+        ctx._client = LlmClient(backend="mock", transport=recording, max_in_flight=1)
+        run_seed = run_seed_of(ctx.cfg, 0)
+        for variant in (None, "msr", "msl", "simu", "rsimu", "irt"):
+            prompts.clear()
+            _, peers = retrieve_peers(ctx, variant, run_seed)
+            predictions = predict_targets(ctx, variant, peers)
+            assert len(prompts) == len(predictions) == len(ctx.test_targets()) > 0
+            has_peers = variant != "simu"
+            assert any("\npeer: " in text for text in prompts) == has_peers
+            for text in prompts:
+                assert ("=== SIMILAR STUDENTS ===" in text) == has_peers
+                for irt_field in ("ability: ", "difficulty: ", "discrimination: "):
+                    assert (irt_field in text) == (variant != "irt"), (variant, irt_field)
 
     def test_unknown_variant_rejected(self, planted_file):
         cfg = small_cfg(planted_file, variants=("bogus",))

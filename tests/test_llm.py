@@ -41,4 +41,4 @@ class TestHttpRetries:
         with pytest.raises(TransportError, match="after retries"):
             http_client().complete("prompt")
         assert len(requests) == 3
-        assert sleeps == [0.5, 1.0, 2.0]
+        assert sleeps == [0.5, 1.0]  # no wait after the last attempt
