@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import HisektError
+from .errors import ConfigError, HisektError
 from .predict import MASK_IRT, MASK_SIMU
 
 
@@ -111,12 +111,17 @@ def resolve_config(file_values: Mapping | None = None, overrides: Mapping | None
     cfg = dataclasses.replace(defaults, **merged)
     if not cfg.data:
         raise HisektError("config is missing the input data path (set data= or --data)")
+    check_choices(cfg)
+    return cfg
+
+
+def check_choices(cfg: RunConfig) -> None:
+    """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``."""
     for key, allowed in CHOICES.items():
         values = cfg.variants if key == "variants" else (getattr(cfg, key),)
         for value in values:
             if value not in allowed:
-                raise HisektError(f"config field {key!r}: {value!r} is not one of {', '.join(allowed)}")
-    return cfg
+                raise ConfigError(f"config field {key!r}: {value!r} is not one of {', '.join(allowed)}")
 
 
 def fingerprint(cfg: RunConfig) -> str:

@@ -5,6 +5,10 @@ class HisektError(Exception):
     """Base class for all pipeline errors."""
 
 
+class ConfigError(HisektError, ValueError):
+    """Raised when a configuration field holds a value outside its allowed set."""
+
+
 class IngestError(HisektError):
     """Raised when an input file cannot be parsed; message carries the row number."""
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import dataset as dataset_mod
 from . import irt as irt_mod
 from . import pathscore, predict, retrieval
-from .config import ABLATIONS, CHOICES, RunConfig, fingerprint
+from .config import ABLATIONS, RunConfig, check_choices, fingerprint
 from .dataset import Interaction
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
@@ -145,12 +145,14 @@ class PipelineContext:
     Any stage computed elsewhere (for example a cached CLI artifact) can be
     passed in: ``data``, ``model`` and ``graph`` directly, ``walks`` and
     ``scored`` as run 0's sampled and scored instances in any order.
+    ``cfg`` is checked against ``config.CHOICES`` before anything is built.
     """
 
     def __init__(self, cfg: RunConfig, data: dataset_mod.Dataset | None = None,
                  model: irt_mod.IrtModel | None = None, graph: Mrhin | None = None,
                  walks: Iterable[PathInstance] | None = None,
                  scored: Iterable[pathscore.ScoredInstance] | None = None):
+        check_choices(cfg)
         self.cfg = cfg
         self._dataset = data
         self._irt = model
@@ -364,10 +366,7 @@ def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int) -> Var
 def run_experiment(cfg: RunConfig, ctx: PipelineContext | None = None) -> EvalReport:
     """Base configuration plus requested variants, averaged over ``cfg.runs`` seeds."""
     ctx = ctx or PipelineContext(cfg)
-    variant_list = [None] + [v for v in cfg.variants if v]
-    for v in variant_list[1:]:
-        if v not in CHOICES["variants"]:
-            raise ValueError(f"unknown variant {v!r}; pick from {CHOICES['variants']}")
+    variant_list = [None, *cfg.variants]
 
     rows: list[dict] = []
     sums: dict[str, list[float]] = {}

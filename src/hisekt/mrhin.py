@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .dataset import Dataset
 from .irt import IrtModel
-from .seeding import derive_rng
+from .seeding import derive_rng, stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -94,6 +93,7 @@ class PathInstance:
     template: MetaPathTemplate
     nodes: tuple[Node, ...]
     target_kc: str
+    _tie_key: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def target_question(self) -> str:
@@ -103,12 +103,31 @@ class PathInstance:
     def edge_count(self) -> int:
         return len(self.nodes) - 1
 
+    @property
+    def tie_key(self) -> int:
+        """Stable hash of the node sequence that orders equal Top-K totals; computed once."""
+        key = self._tie_key
+        if key is None:
+            key = stable_hash(*(f"{k}:{i}" for k, i in self.nodes))
+            object.__setattr__(self, "_tie_key", key)
+        return key
+
 
 class Mrhin:
-    """Immutable typed graph with kind-filtered adjacency."""
+    """Immutable typed graph with kind-filtered adjacency.
+
+    Two per-node results are memoized on the graph, since scoring asks for
+    them once per path question: the hop map of :meth:`hops_from` (one
+    breadth-first search per source node) and the KC set of
+    :meth:`question_kcs`.  Each is built in full before it is stored, so
+    threads that read the same graph never see a partial entry; two threads
+    may both compute an entry, and they store equal values.
+    """
 
     def __init__(self, adjacency: Mapping[Node, Mapping[str, tuple[Node, ...]]]):
         self._adj = {n: dict(kinds) for n, kinds in adjacency.items()}
+        self._hops: dict[Node, dict[Node, int]] = {}
+        self._kcs: dict[str, frozenset[str]] = {}
 
     @classmethod
     def build(cls, d: Dataset, m: IrtModel) -> "Mrhin":
@@ -169,28 +188,42 @@ class Mrhin:
         return sum(len(nbrs) for kinds in self._adj.values() for nbrs in kinds.values()) // 2
 
     def question_kcs(self, question_id: str) -> frozenset[str]:
-        return frozenset(n[1] for n in self.neighbors(("Q", question_id), "K"))
+        kcs = self._kcs.get(question_id)
+        if kcs is None:
+            kcs = frozenset(n[1] for n in self.neighbors(("Q", question_id), "K"))
+            self._kcs[question_id] = kcs
+        return kcs
+
+    def hops_from(self, source: Node) -> Mapping[Node, int]:
+        """Shortest hop count from ``source`` to every node it reaches (one BFS, memoized)."""
+        hops = self._hops.get(source)
+        if hops is None:
+            if source not in self._adj:
+                raise ValueError(f"{source} is not a graph node")
+            hops = {source: 0}
+            frontier = [source]
+            depth = 0
+            while frontier:
+                depth += 1
+                reached = []
+                for node in frontier:
+                    for nbrs in self._adj.get(node, {}).values():
+                        for nbr in nbrs:
+                            if nbr not in hops:
+                                hops[nbr] = depth
+                                reached.append(nbr)
+                frontier = reached
+            self._hops[source] = hops
+        return hops
 
 
 def graph_distance(g: Mrhin, x: Node, y: Node, cap: int = DEFAULT_WALK_LEN) -> int:
-    """Breadth-first shortest hop count between two nodes, saturating at ``cap``."""
+    """Shortest hop count between two nodes, saturating at ``cap``."""
     if not g.has_node(x) or not g.has_node(y):
         raise ValueError("both endpoints must be graph nodes")
     if x == y:
         return 0
-    seen = {x}
-    frontier = deque([(x, 0)])
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth >= cap:
-            continue
-        for nbr in g.neighbors(node):
-            if nbr == y:
-                return depth + 1
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append((nbr, depth + 1))
-    return cap
+    return min(g.hops_from(x).get(y, cap), cap)
 
 
 def sample_instances(
@@ -223,17 +256,17 @@ def sample_instances(
 
     kept: list[PathInstance] = []
     min_full_cycle = len(template.kinds)
+    next_kinds = [template.kind_at(position) for position in range(1, walk_len)]
     for attempt in range(RESAMPLE_FACTOR * n):
         rng = derive_rng(seed, template.name, q0, attempt)
         walk: list[Node] = [start]
         dead_end = False
-        for position in range(1, walk_len):
-            next_kind = template.kind_at(position)
+        for next_kind in next_kinds:
             nbrs = g.neighbors(walk[-1], next_kind)
             if not nbrs:
                 dead_end = True
                 break
-            walk.append(nbrs[rng.randrange(len(nbrs))])
+            walk.append(rng.choice(nbrs))
         if dead_end and len(walk) < min_full_cycle:
             continue
         kept.append(PathInstance(template=template, nodes=tuple(walk), target_kc=target_kc))

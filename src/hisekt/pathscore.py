@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ScoringError
 from .llm import LlmClient
 from .mrhin import TEMPLATES, Mrhin, PathInstance, graph_distance
-from .seeding import derive_rng, stable_hash
+from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
 
@@ -314,10 +314,6 @@ def read_scored(source) -> list[ScoredInstance]:
 # -- selection ---------------------------------------------------------------
 
 
-def _tie_key(s: ScoredInstance) -> int:
-    return stable_hash(*(f"{k}:{i}" for k, i in s.instance.nodes))
-
-
 def select_top_k(
     scored: Sequence[ScoredInstance],
     k: int,
@@ -335,12 +331,12 @@ def select_top_k(
     if not scored:
         return []
     if mode == "top":
-        ranked = sorted(scored, key=lambda s: (-s.score.total, _tie_key(s)))
+        ranked = sorted(scored, key=lambda s: (-s.score.total, s.instance.tie_key))
     elif mode == "lowest":
-        ranked = sorted(scored, key=lambda s: (s.score.total, _tie_key(s)))
+        ranked = sorted(scored, key=lambda s: (s.score.total, s.instance.tie_key))
     elif mode == "random":
         rng = derive_rng(seed, "select_top_k")
-        pool = sorted(scored, key=_tie_key)
+        pool = sorted(scored, key=lambda s: s.instance.tie_key)
         return pool if k >= len(pool) else rng.sample(pool, k)
     else:
         raise ValueError(f"unknown selection mode {mode!r}")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hisekt.config import RunConfig, fingerprint
-from hisekt.errors import UndefinedMetricError
+from hisekt.errors import HisektError, UndefinedMetricError
 from hisekt.evaluation import (
     PipelineContext,
     VariantMetrics,
@@ -205,6 +205,25 @@ class TestRunExperiment:
     def test_unknown_variant_rejected(self, planted_file):
         cfg = small_cfg(planted_file, variants=("bogus",))
         with pytest.raises(ValueError):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("pair_source", "pathz"),
+            ("score_backend", "llm2"),
+            ("llm_backend", "grpc"),
+            ("variants", ("msr", "bogus")),
+        ],
+        ids=["pair_source", "score_backend", "llm_backend", "variants"],
+    )
+    def test_bad_enumerated_value_rejected_on_library_path(self, planted_file, key, bad):
+        # a RunConfig built directly never passes through resolve_config
+        cfg = small_cfg(planted_file, **{key: bad})
+        with pytest.raises(HisektError, match=key) as err:
+            PipelineContext(cfg)
+        assert isinstance(err.value, ValueError)
+        with pytest.raises(HisektError, match=key):
             run_experiment(cfg)
 
     def test_share_stage_caches_gives_identical_sampling(self, planted_file):

@@ -1,3 +1,9 @@
+import hashlib
+import json
+import sys
+import threading
+from collections import deque
+
 import pytest
 from scipy.stats import chisquare
 
@@ -32,6 +38,43 @@ from graph_fixture import (
 @pytest.fixture
 def fixture_graph():
     return build_fixture_graph()
+
+
+def capped_bfs(g, x, y, cap):
+    """Reference: a fresh breadth-first search per pair that stops at depth ``cap``."""
+    if x == y:
+        return 0
+    seen = {x}
+    frontier = deque([(x, 0)])
+    while frontier:
+        node, depth = frontier.popleft()
+        if depth >= cap:
+            continue
+        for nbr in g.neighbors(node):
+            if nbr == y:
+                return depth + 1
+            if nbr not in seen:
+                seen.add(nbr)
+                frontier.append((nbr, depth + 1))
+    return cap
+
+
+def ring_graph(n=40):
+    """Questions on a ring, each linked to the next by one student, with shared KCs and levels."""
+    qs = [f"Q{i:02d}" for i in range(n)]
+    students = [f"S{i:02d}" for i in range(n)]
+    pairs = [(s, qs[i]) for i, s in enumerate(students)] + [(s, qs[(i + 1) % n]) for i, s in enumerate(students)]
+    levels = (Level.LOW, Level.MEDIUM, Level.HIGH)
+    m = make_model({s: levels[i % 3] for i, s in enumerate(students)}, {q: levels[i % 3] for i, q in enumerate(qs)})
+    return Mrhin.build(make_dataset(pairs, {q: f"K{i % 7}" for i, q in enumerate(qs)}), m)
+
+
+def two_component_graph():
+    # QX shares no KC, difficulty level, or student with Q1, so the two
+    # components are disjoint.
+    m = make_model({"S1": Level.MEDIUM}, {"Q1": Level.MEDIUM, "QX": Level.HIGH})
+    d = make_dataset([("S1", "Q1")], {"Q1": "K1", "QX": "K9"}, extra=[("S1", "QX", "val")])
+    return Mrhin.build(d, m)
 
 
 class TestTemplates:
@@ -119,6 +162,55 @@ class TestGraphDistance:
         g = Mrhin.build(d, m)
         assert graph_distance(g, ("Q", "Q1"), ("Q", "QX"), cap=20) == 20
 
+    @pytest.mark.parametrize("make_graph", [build_fixture_graph, two_component_graph])
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 5, 20])
+    def test_equals_capped_bfs_for_every_pair(self, make_graph, cap):
+        g = make_graph()
+        nodes = g.nodes()
+        for x in nodes:
+            for y in nodes:
+                assert graph_distance(g, x, y, cap=cap) == capped_bfs(g, x, y, cap), (x, y, cap)
+
+    def test_unknown_endpoint_rejected(self, fixture_graph):
+        with pytest.raises(ValueError):
+            graph_distance(fixture_graph, ("Q", "Q1"), ("Q", "NOPE"))
+        with pytest.raises(ValueError):
+            fixture_graph.hops_from(("Q", "NOPE"))
+
+    def test_concurrent_first_reads_agree_with_reference(self):
+        # Eight threads start together on a fresh graph and ask for the same
+        # sources in the same order, so most hop maps are requested while
+        # another thread is still building them.  A map published before its
+        # search finishes shows up here as a saturated distance.
+        reference = ring_graph()
+        sources = reference.nodes("Q")
+        nodes = reference.nodes()
+        expected = {(x, y): capped_bfs(reference, x, y, 5) for x in sources for y in nodes}
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                g = ring_graph()
+                barrier = threading.Barrier(8, timeout=60)
+                results = {}
+
+                def worker(index):
+                    barrier.wait()
+                    targets = nodes[index:] + nodes[:index]
+                    results[index] = {(x, y): graph_distance(g, x, y, cap=5) for x in sources for y in targets}
+
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(results) == list(range(8))
+                for got in results.values():
+                    assert got == expected
+        finally:
+            sys.setswitchinterval(old_interval)
+
     def test_symmetry(self, fixture_graph):
         nodes = fixture_graph.nodes()
         for x in nodes[::3]:
@@ -174,6 +266,17 @@ class TestSampling:
         c = sample_instances(fixture_graph, TEMPLATES["Q-K-Q-U-Q"], "Q1", n=50, walk_len=20, seed=10)
         assert a == b
         assert a != c
+
+    def test_walk_stream_is_pinned(self, fixture_graph):
+        # Digest of every template's walks from every fixture question.  The
+        # fixture has hand-set levels and no IRT fit, so only a change to the
+        # sampler's draws or their order can move it.
+        digest = hashlib.sha256()
+        for name, template in TEMPLATES.items():
+            for _, q in fixture_graph.nodes("Q"):
+                for p in sample_instances(fixture_graph, template, q, n=20, walk_len=20, seed=11):
+                    digest.update(json.dumps([name, p.target_kc, p.nodes]).encode() + b"\n")
+        assert digest.hexdigest() == "bf70d5a77062444bad607ae6457c8477d169dbb2551543a43c96f8d7e5564b64"
 
     def test_no_completable_cycle_returns_empty(self):
         # QLONE has no train answerers, so Q-U-Q cannot leave it.

@@ -23,6 +23,7 @@ from hisekt.pathscore import (
 from graph_fixture import build_fixture_graph, make_dataset, make_model
 from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
+from hisekt.seeding import derive_rng, stable_hash
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +317,51 @@ class TestSelectTopK:
             select_top_k(scored, 0, "top")
         with pytest.raises(ValueError):
             select_top_k(scored, 1, "best")
+
+
+def reference_top_k(scored, k, mode, seed=0):
+    """Top-K with the tie key recomputed from the node sequence on every comparison."""
+
+    def tie(s):
+        return stable_hash(*(f"{kind}:{i}" for kind, i in s.instance.nodes))
+
+    if mode == "random":
+        pool = sorted(scored, key=tie)
+        return pool if k >= len(pool) else derive_rng(seed, "select_top_k").sample(pool, k)
+    sign = -1 if mode == "top" else 1
+    return sorted(scored, key=lambda s: (sign * s.score.total, tie(s)))[:k]
+
+
+class TestSelectTopKTieOrder:
+    @pytest.fixture(scope="class")
+    def groups(self, g):
+        # walks of one template from one question, with totals drawn from
+        # three values so most of each group ties with its neighbours
+        out = []
+        for name in ("Q-K-Q", "Q-U-Q-D-Q", "Q-K-Q-U-A-U-Q"):
+            walks = sample_instances(g, TEMPLATES[name], "Q2", n=40, walk_len=9, seed=5)
+            out.append([
+                ScoredInstance(p, PathScore.build(*([(i % 3) * 1.25] * 4))) for i, p in enumerate(walks)
+            ])
+        return out
+
+    @pytest.mark.parametrize("mode", ["top", "lowest", "random"])
+    @pytest.mark.parametrize("k", [1, 5, 39, 100])
+    def test_matches_recomputed_hash_order(self, groups, mode, k):
+        for group in groups:
+            for seed in (0, 3):
+                expected = reference_top_k(group, k, mode, seed)
+                # twice: once computing each instance's key, once reading it back
+                for _ in range(2):
+                    got = select_top_k(list(reversed(group)), k, mode, seed=seed)
+                    assert [s.instance.nodes for s in got] == [s.instance.nodes for s in expected]
+
+    def test_tie_key_is_the_node_sequence_hash(self, groups):
+        for s in groups[0]:
+            assert s.instance.tie_key == stable_hash(*(f"{kind}:{i}" for kind, i in s.instance.nodes))
+            copy = PathInstance(s.instance.template, s.instance.nodes, s.instance.target_kc)
+            assert copy == s.instance and hash(copy) == hash(s.instance)
+            assert "tie_key" not in repr(s.instance)
 
 
 class TestScoredStore:
