@@ -6,8 +6,8 @@ from .errors import HisektError
 from .evaluation import EvalReport, PipelineContext, accuracy, auc, run_experiment
 from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
-from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, PathInstance, graph_distance, sample_instances
-from .pathscore import PathScore, ScoredInstance, score, select_top_k
+from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, PathInstance, WalkGroup, graph_distance, sample_instances
+from .pathscore import PathScore, ScoredGroup, ScoredInstance, score, select_top_k
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
 # package attribute `predict` keeps naming the module.
@@ -43,9 +43,11 @@ __all__ = [
     "Prediction",
     "PromptBundle",
     "RunConfig",
+    "ScoredGroup",
     "ScoredInstance",
     "SimilarityModel",
     "TEMPLATES",
+    "WalkGroup",
     "accuracy",
     "auc",
     "build_candidates",

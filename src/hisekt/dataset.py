@@ -59,6 +59,7 @@ class Dataset:
         self.duplicate_rows = duplicate_rows
         if self.splits is not None and len(self.splits) != len(self.interactions):
             raise ValueError("split labels must align one-to-one with interactions")
+        self._split_cache: dict[str, tuple[Interaction, ...]] = {}
         self._by_student_cache: dict[str | None, dict[str, tuple[Interaction, ...]]] = {}
         self._by_question_cache: dict[str | None, dict[str, tuple[Interaction, ...]]] = {}
         self._question_kcs: dict[str, frozenset[str]] | None = None
@@ -102,7 +103,9 @@ class Dataset:
             raise ValueError("dataset has no split assignment; call split() first")
         if label not in SPLIT_LABELS:
             raise ValueError(f"unknown split label {label!r}")
-        return tuple(i for i, s in zip(self.interactions, self.splits) if s == label)
+        if label not in self._split_cache:
+            self._split_cache[label] = tuple(i for i, s in zip(self.interactions, self.splits) if s == label)
+        return self._split_cache[label]
 
     def by_student(self, split: str | None = None) -> Mapping[str, tuple[Interaction, ...]]:
         """Student id -> time-ordered interactions, optionally restricted to one split."""
@@ -175,6 +178,12 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
     ``split`` column written by :func:`serialize`) are ignored, which makes
     ingestion idempotent across a serialize round trip.
     """
+    return _read(source)[0]
+
+
+def _read(source: str | Path | IO[str]) -> tuple[Dataset, dict[tuple[str, str, int], str]]:
+    """:func:`ingest` in one pass that also collects each parsed row's non-empty
+    ``split`` label by (student, question, timestamp), the last row winning."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
@@ -187,6 +196,7 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
         close = False
 
     parsed: list[Interaction] = []
+    label_of: dict[tuple[str, str, int], str] = {}
     dropped = 0
     duplicates = 0
     seen: set[tuple[str, str, int]] = set()
@@ -206,6 +216,8 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
                 dropped += 1
                 continue
             key = (interaction.student_id, interaction.question_id, interaction.timestamp)
+            if row.get("split"):
+                label_of[key] = row["split"]
             if key in seen:
                 duplicates += 1
                 continue
@@ -230,7 +242,7 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
         len({i.student_id for i in kept}),
         len({i.question_id for i in kept}),
     )
-    return Dataset(kept, dropped_rows=dropped, duplicate_rows=duplicates)
+    return Dataset(kept, dropped_rows=dropped, duplicate_rows=duplicates), label_of
 
 
 def split(d: Dataset, seed: int) -> Dataset:
@@ -282,21 +294,8 @@ def serialize(d: Dataset) -> str:
 
 def load(source: str | Path | IO[str]) -> Dataset:
     """Read a dataset previously written by :func:`serialize`, restoring splits."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    d = ingest(io.StringIO(text))
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames and "split" in reader.fieldnames:
-        label_of: dict[tuple[str, str, int], str] = {}
-        for row in reader:
-            parsed = _parse_row(row, 0)
-            if parsed is not None and row.get("split"):
-                label_of[(parsed.student_id, parsed.question_id, parsed.timestamp)] = row["split"]
-        if label_of:
-            labels = [
-                label_of[(i.student_id, i.question_id, i.timestamp)] for i in d.interactions
-            ]
-            return Dataset(d.interactions, labels, d.dropped_rows, d.duplicate_rows)
-    return d
+    d, label_of = _read(source)
+    if not label_of:
+        return d
+    labels = [label_of[(i.student_id, i.question_id, i.timestamp)] for i in d.interactions]
+    return Dataset(d.interactions, labels, d.dropped_rows, d.duplicate_rows)

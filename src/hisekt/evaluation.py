@@ -25,7 +25,7 @@ from .config import ABLATIONS, RunConfig, check_choices, fingerprint
 from .dataset import Interaction
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
-from .mrhin import TEMPLATES, Mrhin, PathInstance, sample_instances
+from .mrhin import TEMPLATES, Mrhin, PathInstance, WalkGroup, sample_instances
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -130,22 +130,26 @@ def target_key(i: Interaction) -> tuple[str, str, int]:
     return (i.student_id, i.question_id, i.timestamp)
 
 
-def _by_target(items: Iterable, instance_of: Callable[[object], PathInstance]) -> dict[str, dict[str, list]]:
-    """Group run-0 walks or scored walks as {target question: {template name: [item, ...]}}."""
-    out: dict[str, dict[str, list]] = {}
+def _by_target(items: Iterable, instance_of: Callable[[object], PathInstance],
+               group: Callable[[list], object]) -> dict[str, dict[str, object]]:
+    """Group run-0 walks or scored walks as {target question: {template name: group(items)}}."""
+    buckets: dict[str, dict[str, list]] = {}
     for item in items:
         p = instance_of(item)
-        out.setdefault(p.target_question, {name: [] for name in TEMPLATES})[p.template.name].append(item)
-    return out
+        buckets.setdefault(p.target_question, {}).setdefault(p.template.name, []).append(item)
+    return {qid: {name: group(rows) for name, rows in per_template.items()} for qid, per_template in buckets.items()}
 
 
 class PipelineContext:
     """Lazily built, memoized stage artifacts shared across variants and runs.
 
-    Any stage computed elsewhere (for example a cached CLI artifact) can be
-    passed in: ``data``, ``model`` and ``graph`` directly, ``walks`` and
-    ``scored`` as run 0's sampled and scored instances in any order.
-    ``cfg`` is checked against ``config.CHOICES`` before anything is built.
+    Sampled walks are held per (target question, template) as
+    :class:`~hisekt.mrhin.WalkGroup` and scored walks as
+    :class:`~hisekt.pathscore.ScoredGroup`.  Any stage computed elsewhere (for
+    example a cached CLI artifact) can be passed in: ``data``, ``model`` and
+    ``graph`` directly, ``walks`` and ``scored`` as run 0's sampled and scored
+    instances in any order, which are grouped on the graph.  ``cfg`` is
+    checked against ``config.CHOICES`` before anything is built.
     """
 
     def __init__(self, cfg: RunConfig, data: dataset_mod.Dataset | None = None,
@@ -157,13 +161,15 @@ class PipelineContext:
         self._dataset = data
         self._irt = model
         self._graph = graph
-        self._instances: dict[int, dict[str, dict[str, list[PathInstance]]]] = {}
-        self._scored: dict[int, dict[str, dict[str, list[pathscore.ScoredInstance]]]] = {}
+        self._instances: dict[int, dict[str, dict[str, WalkGroup]]] = {}
+        self._scored: dict[int, dict[str, dict[str, pathscore.ScoredGroup]]] = {}
         self._client: LlmClient | None = None
         if walks is not None:
-            self._instances[run_seed_of(cfg, 0)] = _by_target(walks, lambda p: p)
+            self._instances[run_seed_of(cfg, 0)] = _by_target(
+                walks, lambda p: p, lambda rows: WalkGroup.of(self.graph, rows))
         if scored is not None:
-            self._scored[run_seed_of(cfg, 0)] = _by_target(scored, lambda s: s.instance)
+            self._scored[run_seed_of(cfg, 0)] = _by_target(
+                scored, lambda s: s.instance, lambda rows: pathscore.ScoredGroup.of(self.graph, rows))
 
     @property
     def dataset(self) -> dataset_mod.Dataset:
@@ -213,10 +219,10 @@ class PipelineContext:
         self._instances = other._instances
         self._scored = other._scored
 
-    def instances(self, run_seed: int) -> dict[str, dict[str, list[PathInstance]]]:
+    def instances(self, run_seed: int) -> dict[str, dict[str, WalkGroup]]:
         if run_seed not in self._instances:
             walk_seed = derive_seed(run_seed, "walks")
-            out: dict[str, dict[str, list[PathInstance]]] = {}
+            out: dict[str, dict[str, WalkGroup]] = {}
             for qid in self.target_questions():
                 out[qid] = {}
                 for name in TEMPLATES:
@@ -231,10 +237,10 @@ class PipelineContext:
             self._instances[run_seed] = out
         return self._instances[run_seed]
 
-    def scored(self, run_seed: int) -> dict[str, dict[str, list[pathscore.ScoredInstance]]]:
+    def scored(self, run_seed: int) -> dict[str, dict[str, pathscore.ScoredGroup]]:
         if run_seed not in self._scored:
             instances = self.instances(run_seed)
-            out: dict[str, dict[str, list[pathscore.ScoredInstance]]] = {}
+            out: dict[str, dict[str, pathscore.ScoredGroup]] = {}
             for qid, per_template in instances.items():
                 out[qid] = {}
                 for name, group in per_template.items():
@@ -245,9 +251,8 @@ class PipelineContext:
                             dict(enumerate(group)),
                             self.client.max_in_flight,
                         )
-                        out[qid][name] = [
-                            pathscore.ScoredInstance(p, scores[k]) for k, p in enumerate(group)
-                        ]
+                        out[qid][name] = pathscore.ScoredGroup.from_scores(
+                            group, [scores[k] for k in range(len(group))], "llm")
                     else:
                         out[qid][name] = pathscore.score_all(group, self.graph)
             self._scored[run_seed] = out
@@ -255,7 +260,7 @@ class PipelineContext:
 
 
 def _retain_top_k(
-    scored: Mapping[str, Mapping[str, list[pathscore.ScoredInstance]]],
+    scored: Mapping[str, Mapping[str, pathscore.ScoredGroup]],
     k: int,
     mode: str,
     run_seed: int,

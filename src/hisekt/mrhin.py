@@ -10,6 +10,13 @@ A meta-path template is a kind sequence starting and ending at Q.  Sampled
 walks follow the template's kind pattern cyclically - the terminal Q of one
 cycle seeds the next - until they reach the requested node count, choosing
 uniformly among the neighbors of the required next kind at each step.
+
+The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
+order is node order, and keeps a per-kind int adjacency for sampling.  The
+walks of one (target question, template) pair are a :class:`WalkGroup`: one
+int array with a row per walk, padded with ``PAD`` after a truncated walk's
+last node.  A row is decoded to a :class:`PathInstance` only when it is read
+as one.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .dataset import Dataset
 from .irt import IrtModel
@@ -35,6 +44,8 @@ EDGE_KINDS = frozenset({frozenset(("Q", "U")), frozenset(("Q", "K")),
 DEFAULT_NUM_WALKS = 100
 DEFAULT_WALK_LEN = 20
 RESAMPLE_FACTOR = 10
+PAD = -1  # fills a walk row after the last node of a truncated walk
+UNREACHABLE = 2**31 - 1  # hop count of a node no path reaches; above any cap
 
 
 @dataclass(frozen=True)
@@ -108,16 +119,25 @@ class PathInstance:
         """Stable hash of the node sequence that orders equal Top-K totals; computed once."""
         key = self._tie_key
         if key is None:
-            key = stable_hash(*(f"{k}:{i}" for k, i in self.nodes))
+            key = stable_hash(*map(node_token, self.nodes))
             object.__setattr__(self, "_tie_key", key)
         return key
+
+
+def node_token(node: Node) -> str:
+    """The ``kind:id`` string that artifacts and tie keys use for a node."""
+    return f"{node[0]}:{node[1]}"
 
 
 class Mrhin:
     """Immutable typed graph with kind-filtered adjacency.
 
+    Node int ``i`` is node ``node_ids[i]``, of kind ``kinds[i]``, written
+    ``tokens[i]`` (``kind:id``) in artifacts and tie keys; ``int_adj[kind][i]``
+    are its neighbors of that kind as ints.
+
     Two per-node results are memoized on the graph, since scoring asks for
-    them once per path question: the hop map of :meth:`hops_from` (one
+    them once per target question: the hop array of :meth:`hops_from` (one
     breadth-first search per source node) and the KC set of
     :meth:`question_kcs`.  Each is built in full before it is stored, so
     threads that read the same graph never see a partial entry; two threads
@@ -126,7 +146,17 @@ class Mrhin:
 
     def __init__(self, adjacency: Mapping[Node, Mapping[str, tuple[Node, ...]]]):
         self._adj = {n: dict(kinds) for n, kinds in adjacency.items()}
-        self._hops: dict[Node, dict[Node, int]] = {}
+        self.node_ids: tuple[Node, ...] = tuple(sorted(self._adj))
+        self._index = {node: i for i, node in enumerate(self.node_ids)}
+        self.kinds = tuple(kind for kind, _ in self.node_ids)
+        self.tokens = tuple(map(node_token, self.node_ids))
+        # per kind, the int neighbors of that kind of every node, sorted like
+        # the node tuples, so a draw by position picks the same neighbor
+        self.int_adj: dict[str, tuple[tuple[int, ...], ...]] = {
+            kind: tuple(tuple(self._index[n] for n in self._adj[node].get(kind, ())) for node in self.node_ids)
+            for kind in NODE_KINDS
+        }
+        self._hops: dict[int, tuple[int, ...]] = {}
         self._kcs: dict[str, frozenset[str]] = {}
 
     @classmethod
@@ -172,6 +202,13 @@ class Mrhin:
     def has_node(self, node: Node) -> bool:
         return node in self._adj
 
+    def index(self, node: Node) -> int:
+        """The node's int id."""
+        try:
+            return self._index[node]
+        except KeyError:
+            raise ValueError(f"{node} is not a graph node") from None
+
     def neighbors(self, node: Node, kind: str | None = None) -> tuple[Node, ...]:
         kinds = self._adj.get(node, {})
         if kind is not None:
@@ -194,26 +231,28 @@ class Mrhin:
             self._kcs[question_id] = kcs
         return kcs
 
-    def hops_from(self, source: Node) -> Mapping[Node, int]:
-        """Shortest hop count from ``source`` to every node it reaches (one BFS, memoized)."""
-        hops = self._hops.get(source)
+    def hops_from(self, source: Node) -> tuple[int, ...]:
+        """Shortest hop count from ``source`` to every node, by node int, ``UNREACHABLE``
+        where no path leads (one BFS, memoized)."""
+        start = self.index(source)
+        hops = self._hops.get(start)
         if hops is None:
-            if source not in self._adj:
-                raise ValueError(f"{source} is not a graph node")
-            hops = {source: 0}
-            frontier = [source]
+            found = [UNREACHABLE] * len(self.node_ids)
+            found[start] = 0
+            frontier = [start]
             depth = 0
             while frontier:
                 depth += 1
                 reached = []
                 for node in frontier:
-                    for nbrs in self._adj.get(node, {}).values():
-                        for nbr in nbrs:
-                            if nbr not in hops:
-                                hops[nbr] = depth
+                    for nbrs_of in self.int_adj.values():
+                        for nbr in nbrs_of[node]:
+                            if found[nbr] == UNREACHABLE:
+                                found[nbr] = depth
                                 reached.append(nbr)
                 frontier = reached
-            self._hops[source] = hops
+            hops = tuple(found)
+            self._hops[start] = hops
         return hops
 
 
@@ -223,7 +262,65 @@ def graph_distance(g: Mrhin, x: Node, y: Node, cap: int = DEFAULT_WALK_LEN) -> i
         raise ValueError("both endpoints must be graph nodes")
     if x == y:
         return 0
-    return min(g.hops_from(x).get(y, cap), cap)
+    return min(g.hops_from(x)[g.index(y)], cap)
+
+
+class WalkGroup(Sequence[PathInstance]):
+    """Walks of one template from one target question toward one target KC.
+
+    ``rows`` holds one walk per row as graph node ints (``n x walk_len``),
+    padded with ``PAD`` after the last node of a truncated walk.  Indexing or
+    iterating decodes rows to :class:`PathInstance`; :attr:`tie_keys` holds
+    each walk's ``PathInstance.tie_key``, computed once per group.
+    """
+
+    def __init__(self, graph: Mrhin, template: MetaPathTemplate, target_question: str, target_kc: str,
+                 rows: np.ndarray):
+        self.graph = graph
+        self.template = template
+        self.target_question = target_question
+        self.target_kc = target_kc
+        self.rows = rows
+        self._tie_keys: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, g: Mrhin, instances: Sequence[PathInstance]) -> "WalkGroup":
+        """Intern a non-empty list of instances that share a template, target question and target KC."""
+        first = instances[0]
+        shared = (first.template, first.nodes[0], first.target_kc)
+        if any((p.template, p.nodes[0], p.target_kc) != shared for p in instances):
+            raise ValueError("a walk group needs one template, target question and target KC")
+        try:
+            walks = [[g._index[node] for node in p.nodes] for p in instances]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} is not a graph node") from None
+        width = max(map(len, walks))
+        rows = np.array([walk + [PAD] * (width - len(walk)) for walk in walks], dtype=np.int32)
+        return cls(g, first.template, first.target_question, first.target_kc, rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> PathInstance:
+        ids = self.graph.node_ids
+        return PathInstance(self.template, tuple(ids[x] for x in _unpadded(self.rows[i].tolist())), self.target_kc)
+
+    def walks(self) -> list[list[int]]:
+        """Each walk's node ints, without padding."""
+        return [_unpadded(row) for row in self.rows.tolist()]
+
+    @property
+    def tie_keys(self) -> np.ndarray:
+        keys = self._tie_keys
+        if keys is None:
+            tokens = self.graph.tokens
+            keys = np.array([stable_hash(*[tokens[x] for x in walk]) for walk in self.walks()], dtype=np.int64)
+            self._tie_keys = keys
+        return keys
+
+
+def _unpadded(row: list[int]) -> list[int]:
+    return row[: row.index(PAD)] if PAD in row else row
 
 
 def sample_instances(
@@ -234,14 +331,16 @@ def sample_instances(
     walk_len: int = DEFAULT_WALK_LEN,
     seed: int = 0,
     target_kc: str | None = None,
-) -> list[PathInstance]:
+) -> WalkGroup:
     """Sample up to ``n`` template-conformant walks of ``walk_len`` nodes from ``q0``.
 
     A walk that hits a node with no neighbor of the required next kind is
     kept truncated if it already completed one full template cycle, otherwise
     discarded and resampled; sampling stops after 10n attempts.  Each attempt
     draws its own RNG from (seed, template, q0, attempt index), so parallel
-    and serial sampling agree and reruns are byte-identical.
+    and serial sampling agree and reruns are byte-identical.  Each step is one
+    ``rng.choice`` over the sorted neighbor ints, which picks the same
+    neighbor as a draw over the sorted neighbor nodes.
     """
     start: Node = ("Q", q0)
     if not g.has_node(start):
@@ -254,27 +353,31 @@ def sample_instances(
     elif target_kc not in kcs:
         raise ValueError(f"target KC {target_kc!r} does not belong to question {q0!r}")
 
-    kept: list[PathInstance] = []
+    rows: list[list[int]] = []
     min_full_cycle = len(template.kinds)
-    next_kinds = [template.kind_at(position) for position in range(1, walk_len)]
+    steps = [g.int_adj[template.kind_at(position)] for position in range(1, walk_len)]
+    width = len(steps) + 1
+    first = g.index(start)
     for attempt in range(RESAMPLE_FACTOR * n):
         rng = derive_rng(seed, template.name, q0, attempt)
-        walk: list[Node] = [start]
-        dead_end = False
-        for next_kind in next_kinds:
-            nbrs = g.neighbors(walk[-1], next_kind)
+        walk = [first]
+        node = first
+        for nbrs_of in steps:
+            nbrs = nbrs_of[node]
             if not nbrs:
-                dead_end = True
                 break
-            walk.append(rng.choice(nbrs))
-        if dead_end and len(walk) < min_full_cycle:
-            continue
-        kept.append(PathInstance(template=template, nodes=tuple(walk), target_kc=target_kc))
-        if len(kept) == n:
+            node = rng.choice(nbrs)
+            walk.append(node)
+        if len(walk) < width:
+            if len(walk) < min_full_cycle:
+                continue
+            walk += [PAD] * (width - len(walk))
+        rows.append(walk)
+        if len(rows) == n:
             break
-    if not kept:
+    if not rows:
         logger.info("no conformant walk for template %s from %s", template.name, q0)
-    return kept
+    return WalkGroup(g, template, q0, target_kc, np.array(rows, dtype=np.int32).reshape(len(rows), width))
 
 
 def validate_instance(g: Mrhin, inst: PathInstance) -> None:
@@ -300,12 +403,8 @@ def validate_instance(g: Mrhin, inst: PathInstance) -> None:
 def write_graph(g: Mrhin, sink: str | Path | IO[str]) -> None:
     """JSON adjacency artifact for the graph-build stage."""
     payload = {
-        f"{kind}:{node_id}": {
-            k: [f"{nk}:{ni}" for nk, ni in g.neighbors((kind, node_id), k)]
-            for k in NODE_KINDS
-            if g.neighbors((kind, node_id), k)
-        }
-        for kind, node_id in g.nodes()
+        node_token(node): {k: list(map(node_token, g.neighbors(node, k))) for k in NODE_KINDS if g.neighbors(node, k)}
+        for node in g.nodes()
     }
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if isinstance(sink, (str, Path)):
@@ -373,7 +472,7 @@ def read_instances(source: str | Path | IO[str]) -> list[PathInstance]:
         out.append(
             PathInstance(
                 template=TEMPLATES[rec["template"]],
-                nodes=tuple((k, i) for k, i in rec["nodes"]),
+                nodes=tuple(map(tuple, rec["nodes"])),
                 target_kc=rec["target_kc"],
             )
         )

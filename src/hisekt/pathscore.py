@@ -12,6 +12,16 @@ Each dimension is normalized to [0, 5] so the total lands in [0, 20]:
 
 The formula scorer is the deterministic reference; an LLM backend can score
 the same rendered path and is validated against it.
+
+Walks are scored a group at a time (:func:`score_all` on a
+:class:`~hisekt.mrhin.WalkGroup`): each walk's node ints index the target
+question's hop array and a per-group "covers the target KC" flag, and the
+group's scores are one float array with a row per walk.  The same per-walk
+function scores a single path with tables built from its own nodes, which is
+how the per-instance functions and the mock LLM reply (from the hops and KC
+sets annotated in the prompt) use it, so each formula exists once.
+:func:`select_top_k` ranks a group by (total, tie key) on its arrays and
+decodes only the kept rows.
 """
 
 from __future__ import annotations
@@ -22,11 +32,13 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ScoringError
 from .llm import LlmClient
-from .mrhin import TEMPLATES, Mrhin, PathInstance, graph_distance
+from .mrhin import TEMPLATES, Mrhin, Node, PathInstance, WalkGroup, graph_distance
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -57,87 +69,142 @@ class ScoredInstance:
     score: PathScore
 
 
-def _question_nodes(p: PathInstance) -> list[str]:
-    return [node_id for kind, node_id in p.nodes if kind == "Q"]
+class ScoredGroup(Sequence[ScoredInstance]):
+    """A walk group with its scores: one row per walk of (centrality,
+    kc_relevance, informativeness, diversity, total), all from one backend.
+    Indexing or iterating decodes a row to a :class:`ScoredInstance`, once per row."""
+
+    def __init__(self, walks: WalkGroup, scores: np.ndarray, backend: str):
+        self.walks = walks
+        self.scores = scores
+        self.backend = backend
+        self._decoded: dict[int, ScoredInstance] = {}
+
+    @classmethod
+    def of(cls, g: Mrhin, scored: Sequence[ScoredInstance]) -> "ScoredGroup":
+        """Intern scored instances that share a template, target question, target KC and backend."""
+        walks = WalkGroup.of(g, [s.instance for s in scored])
+        return cls.from_scores(walks, [s.score for s in scored], scored[0].score.backend)
+
+    @classmethod
+    def from_scores(cls, walks: WalkGroup, scores: Sequence[PathScore], backend: str) -> "ScoredGroup":
+        """The group with one given score per walk, in walk order."""
+        if any(s.backend != backend for s in scores):
+            raise ValueError(f"a scored group holds scores of one backend, {backend!r}")
+        table = [(s.centrality, s.kc_relevance, s.informativeness, s.diversity, s.total) for s in scores]
+        return cls(walks, np.array(table, dtype=np.float64).reshape(len(table), 5), backend)
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i: int) -> ScoredInstance:
+        # every variant and every rerun reads the kept rows again: decode each once
+        row = self._decoded.get(int(i))
+        if row is None:
+            row = ScoredInstance(self.walks[i], PathScore(*self.scores[i].tolist(), self.backend))
+            self._decoded[int(i)] = row
+        return row
 
 
-def _closeness(p: PathInstance, hops: Callable[[str], int]) -> float:
-    """5 * (1 - mean of min(hops(q), L) / L over the distinct path questions q), clamped; L = edge count."""
-    length = p.edge_count
+# -- the formulas --------------------------------------------------------------
+
+_LEVEL_INDEX = {tuple(category.split("_")): i for i, category in enumerate(LEVEL_CATEGORIES)}
+_LOG_CATEGORIES = math.log(len(LEVEL_CATEGORIES))
+_COUNTED_KINDS = frozenset(("U", "Q", "K"))
+_LEVEL_KINDS = frozenset(("A", "D"))
+
+
+def _score_walk(walk: list[int], nodes: Sequence[Node], kinds: Sequence[str], hops: Sequence[int],
+                covers: Sequence[bool], kstar: int | None) -> tuple[float, float, float, float, float]:
+    """The four dimensions and the total of one walk.
+
+    ``walk`` holds node indices, ``walk[0]`` being the target question.  Node
+    ``x`` is ``nodes[x]`` of kind ``kinds[x]``, ``hops[x]`` hops from the
+    target question; ``covers[x]`` tells whether it is a question covering
+    the target KC, whose index is ``kstar`` (``None`` if not a node here).
+    Indices follow sorted (kind, id) order, so the questions are summed in
+    sorted id order.
+    """
+    length = len(walk) - 1
+    questions = sorted({x for x in walk if kinds[x] == "Q"})
+
+    # centrality: 5 * (1 - mean over distinct questions of min(hops, L) / L), clamped
     if length == 0:
-        return MAX_DIMENSION_SCORE
-    q_set = sorted(set(_question_nodes(p)))
-    raw = 1.0 - sum(min(hops(q), length) / length for q in q_set) / len(q_set)
-    return MAX_DIMENSION_SCORE * min(max(raw, 0.0), 1.0)
+        centrality = MAX_DIMENSION_SCORE
+    else:
+        raw = 1.0 - sum([min(hops[q], length) / length for q in questions]) / len(questions)
+        centrality = MAX_DIMENSION_SCORE * min(max(raw, 0.0), 1.0)
+
+    # kc_relevance: share of the distinct questions that cover the target KC
+    kc_relevance = MAX_DIMENSION_SCORE * sum(1 for q in questions if covers[q]) / len(questions)
+
+    # informativeness: distinct share of U/Q/K occurrences, repeat visits to q0 and K* dropped
+    counted = [x for x in walk if kinds[x] in _COUNTED_KINDS]
+    repeats = walk.count(walk[0]) - 1 + max(walk.count(kstar) - 1, 0)
+    informativeness = MAX_DIMENSION_SCORE * len(set(counted)) / (len(counted) - repeats)
+
+    # diversity: normalized entropy of A/D level occurrences over the six categories
+    counts = [0] * len(LEVEL_CATEGORIES)
+    for level in [nodes[x] for x in walk if kinds[x] in _LEVEL_KINDS]:
+        counts[_LEVEL_INDEX[level]] += 1
+    total = sum(counts)
+    entropy = 0.0
+    for c in counts:
+        if c:
+            freq = c / total
+            entropy -= freq * math.log(freq)
+    diversity = MAX_DIMENSION_SCORE * entropy / _LOG_CATEGORIES if total else 0.0
+
+    return (centrality, kc_relevance, informativeness, diversity,
+            centrality + kc_relevance + informativeness + diversity)
+
+
+def score_all(walks: WalkGroup, g: Mrhin) -> ScoredGroup:
+    """Formula scores of a walk group, reading hops and KC coverage by node int."""
+    hops = g.hops_from(("Q", walks.target_question))
+    kstar = g.index(("K", walks.target_kc))
+    covers = [False] * len(g.node_ids)
+    for q in g.int_adj["Q"][kstar]:
+        covers[q] = True
+    table = [_score_walk(walk, g.node_ids, g.kinds, hops, covers, kstar) for walk in walks.walks()]
+    return ScoredGroup(walks, np.array(table, dtype=np.float64).reshape(len(table), 5), "formula")
+
+
+def _score_path(path: Sequence[Node], target_kc: str, hop_of: Mapping[str, int],
+                kc_of: Mapping[str, frozenset[str]]) -> tuple[float, float, float, float, float]:
+    """One path's four dimensions and total, given each path question's hop
+    count from the target question and KC set (0 hops and no KC if absent)."""
+    nodes = sorted(set(path))
+    index = {node: i for i, node in enumerate(nodes)}
+    hops = [hop_of.get(node_id, 0) for _, node_id in nodes]
+    covers = [kind == "Q" and target_kc in kc_of.get(node_id, ()) for kind, node_id in nodes]
+    walk = [index[node] for node in path]
+    return _score_walk(walk, nodes, [kind for kind, _ in nodes], hops, covers, index.get(("K", target_kc)))
 
 
 def centrality(p: PathInstance, g: Mrhin) -> float:
     """Closeness of the path's distinct questions to the target question."""
-    q0 = ("Q", p.target_question)
-    cap = p.edge_count
-    return _closeness(p, lambda q: graph_distance(g, q0, ("Q", q), cap=cap))
+    return score(p, g).centrality
 
 
 def kc_relevance(p: PathInstance, kc_of: Mapping[str, frozenset[str]]) -> float:
     """Fraction of distinct path questions that cover the target KC."""
-    q_set = set(_question_nodes(p))
-    hits = sum(1 for q in q_set if p.target_kc in kc_of.get(q, frozenset()))
-    return MAX_DIMENSION_SCORE * hits / len(q_set)
+    return _score_path(p.nodes, p.target_kc, {}, kc_of)[1]
 
 
 def informativeness(p: PathInstance) -> float:
     """Distinct fraction of U/Q/K occurrences, with repeats of q0 and the target KC ignored."""
-    q0 = ("Q", p.target_question)
-    kstar = ("K", p.target_kc)
-    kept: list[tuple[str, str]] = []
-    seen_q0 = False
-    seen_kstar = False
-    for node in p.nodes:
-        if node[0] not in ("U", "Q", "K"):
-            continue
-        if node == q0:
-            if seen_q0:
-                continue
-            seen_q0 = True
-        elif node == kstar:
-            if seen_kstar:
-                continue
-            seen_kstar = True
-        kept.append(node)
-    return MAX_DIMENSION_SCORE * len(set(kept)) / len(kept)
+    return _score_path(p.nodes, p.target_kc, {}, {})[2]
 
 
 def diversity(p: PathInstance) -> float:
     """Normalized entropy of A/D level occurrences over the six level categories."""
-    counts = {cat: 0 for cat in LEVEL_CATEGORIES}
-    total = 0
-    for kind, node_id in p.nodes:
-        if kind in ("A", "D"):
-            counts[f"{kind}_{node_id}"] += 1
-            total += 1
-    if total == 0:
-        return 0.0
-    entropy = 0.0
-    for c in counts.values():
-        if c:
-            freq = c / total
-            entropy -= freq * math.log(freq)
-    return MAX_DIMENSION_SCORE * entropy / math.log(len(LEVEL_CATEGORIES))
+    return _score_path(p.nodes, p.target_kc, {}, {})[3]
 
 
 def score(p: PathInstance, g: Mrhin) -> PathScore:
-    """Deterministic reference score across all four dimensions."""
-    return PathScore.build(
-        centrality(p, g),
-        kc_relevance(p, {q: g.question_kcs(q) for q in set(_question_nodes(p))}),
-        informativeness(p),
-        diversity(p),
-        backend="formula",
-    )
-
-
-def score_all(instances: Iterable[PathInstance], g: Mrhin) -> list[ScoredInstance]:
-    return [ScoredInstance(p, score(p, g)) for p in instances]
+    """All four dimensions of one path on the graph, scored as a group of one."""
+    return score_all(WalkGroup.of(g, [p]), g)[0].score
 
 
 # -- LLM scoring backend -----------------------------------------------------
@@ -181,51 +248,35 @@ def is_scoring_prompt(text: str) -> bool:
     return text.startswith(SCORING_PROMPT_HEADER)
 
 
-def parse_scoring_prompt(text: str) -> PathInstance:
-    """Rebuild the path instance encoded in a scoring prompt (used by the mock backend)."""
-    from .mrhin import MetaPathTemplate  # local: only the node sequence matters here
-
-    target_q = ""
+def _parse_scoring_prompt(text: str) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
+    """The path, target KC, and each question's hop count and KC set written in a scoring prompt."""
     target_kc = ""
-    nodes: list[tuple[str, str]] = []
+    nodes: list[Node] = []
+    hop_of: dict[str, int] = {}
+    kc_of: dict[str, frozenset[str]] = {}
     for line in text.splitlines():
-        if line.startswith("target_question: "):
-            target_q = line.split(": ", 1)[1]
-        elif line.startswith("target_kc: "):
+        if line.startswith("target_kc: "):
             target_kc = line.split(": ", 1)[1]
         elif re.match(r"^  \d+\. ", line):
-            body = line.split(". ", 1)[1]
-            head = body.split(" | ", 1)[0]
+            head, *notes = line.split(". ", 1)[1].split(" | ")
             kind, node_id = head.split(":", 1)
             nodes.append((kind, node_id))
-    del target_q
-    template = MetaPathTemplate("Q-K-Q", ("Q", "K", "Q"))  # placeholder, unused by the formulas
-    return PathInstance(template=template, nodes=tuple(nodes), target_kc=target_kc)
-
-
-def _prompt_annotations(text: str) -> tuple[dict[str, frozenset[str]], dict[str, int]]:
-    """Per-question KC sets and hop counts recovered from a scoring prompt."""
-    kc_of: dict[str, frozenset[str]] = {}
-    hops: dict[str, int] = {}
-    for line in text.splitlines():
-        m = re.match(r"^  \d+\. Q:(.+?) \| kcs: (.*?) \| difficulty_level: .+? \| hops_from_target: (\d+)$", line)
-        if m:
-            kc_of[m.group(1)] = frozenset(k for k in m.group(2).split(";") if k)
-            hops[m.group(1)] = int(m.group(3))
-    return kc_of, hops
+            if kind == "Q":
+                fields = dict(note.split(": ", 1) for note in notes)
+                hop_of[node_id] = int(fields["hops_from_target"])
+                kc_of[node_id] = frozenset(k for k in fields["kcs"].split(";") if k)
+    return nodes, target_kc, hop_of, kc_of
 
 
 def mock_score_reply(prompt: str) -> str:
     """Deterministic scoring reply computed from the prompt alone.
 
-    Applies the reference formulas to the path, KC sets and hop counts
-    rendered into the prompt, so an offline run of the LLM backend matches the
-    formula scorer bit for bit.
+    Applies the formulas to the path, KC sets and hop counts rendered into
+    the prompt, so an offline run of the LLM backend matches the formula
+    scorer bit for bit.
     """
-    p = parse_scoring_prompt(prompt)
-    kc_of, hops = _prompt_annotations(prompt)
-    c = _closeness(p, hops.__getitem__)
-    return f"{{{c!r}, {kc_relevance(p, kc_of)!r}, {informativeness(p)!r}, {diversity(p)!r}}}"
+    c, r, i, dv, _ = _score_path(*_parse_scoring_prompt(prompt))
+    return f"{{{c!r}, {r!r}, {i!r}, {dv!r}}}"
 
 
 def score_llm(p: PathInstance, client: LlmClient, g: Mrhin) -> PathScore:
@@ -292,7 +343,7 @@ def read_scored(source) -> list[ScoredInstance]:
         rec = json.loads(line)
         inst = PathInstance(
             template=TEMPLATES[rec["template"]],
-            nodes=tuple((k, i) for k, i in rec["nodes"]),
+            nodes=tuple(map(tuple, rec["nodes"])),
             target_kc=rec["target_kc"],
         )
         out.append(
@@ -315,7 +366,7 @@ def read_scored(source) -> list[ScoredInstance]:
 
 
 def select_top_k(
-    scored: Sequence[ScoredInstance],
+    scored: ScoredGroup | Sequence[ScoredInstance],
     k: int,
     mode: str = "top",
     seed: int = 0,
@@ -324,20 +375,26 @@ def select_top_k(
 
     ``top`` keeps the highest totals, ``lowest`` the lowest, ``random`` a
     uniform sample without replacement under ``seed``.  Equal totals are
-    ordered by a stable hash of the node sequence so reruns agree.
+    ordered by a stable hash of the node sequence so reruns agree.  A
+    :class:`ScoredGroup` is ranked on its arrays and only the kept rows are
+    decoded.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not scored:
+    if not len(scored):
         return []
+    if isinstance(scored, ScoredGroup):
+        totals, keys = scored.scores[:, 4], scored.walks.tie_keys
+    else:
+        totals = np.array([s.score.total for s in scored])
+        keys = np.array([s.instance.tie_key for s in scored], dtype=np.int64)
     if mode == "top":
-        ranked = sorted(scored, key=lambda s: (-s.score.total, s.instance.tie_key))
+        kept = np.lexsort((keys, -totals))[:k]
     elif mode == "lowest":
-        ranked = sorted(scored, key=lambda s: (s.score.total, s.instance.tie_key))
+        kept = np.lexsort((keys, totals))[:k]
     elif mode == "random":
-        rng = derive_rng(seed, "select_top_k")
-        pool = sorted(scored, key=lambda s: s.instance.tie_key)
-        return pool if k >= len(pool) else rng.sample(pool, k)
+        pool = np.argsort(keys, kind="stable").tolist()
+        kept = pool if k >= len(pool) else derive_rng(seed, "select_top_k").sample(pool, k)
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
-    return ranked[: min(k, len(ranked))]
+    return [scored[i] for i in kept]

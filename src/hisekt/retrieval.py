@@ -131,7 +131,8 @@ def encode(
     acc_s = stats.kc_accuracy.get(s, {})
     shared_kcs = acc_u.keys() & acc_s.keys()
     if shared_kcs:
-        z2 = (c / len(shared_kcs)) * sum(abs(acc_u[k] - acc_s[k]) for k in shared_kcs)
+        # summed in KC order: set order follows the per-process string hash
+        z2 = (c / len(shared_kcs)) * sum(abs(acc_u[k] - acc_s[k]) for k in sorted(shared_kcs))
     else:
         z2 = c
 

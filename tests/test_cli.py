@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from hisekt import pathscore
+from hisekt import cli, pathscore
 from hisekt.cli import main
 from hisekt.config import fingerprint, load_config_file, resolve_config
 from hisekt.errors import HisektError
-from hisekt.evaluation import accuracy, auc, run_experiment
+from hisekt.evaluation import PipelineContext, _retain_top_k, accuracy, auc, run_experiment, run_seed_of
 from hisekt.synth import planted_csv
 
 
@@ -214,3 +214,18 @@ class TestCliStages:
                 "n": len(rows),
             }
         ]
+
+    @pytest.mark.parametrize("backend", ["formula", "llm"])
+    def test_cached_scored_walks_keep_the_same_top_k(self, config_file, capsys, backend):
+        for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths"):
+            assert main([stage, "--config", str(config_file), "--score-backend", backend]) == 0
+        capsys.readouterr()
+        cfg = resolve_config(load_config_file(config_file), {"score_backend": backend})
+        run_seed = run_seed_of(cfg, 0)
+        seeded = cli._context(cfg, "retrieve").scored(run_seed)
+        fresh = PipelineContext(cfg).scored(run_seed)
+        # scored.jsonl is sorted by node sequence, so its groups hold the walks
+        # in another order than sampling left them
+        assert any(list(seeded[q].get(name, ())) != list(group) for q in fresh for name, group in fresh[q].items())
+        for mode in ("top", "lowest", "random"):
+            assert _retain_top_k(seeded, cfg.top_k, mode, run_seed) == _retain_top_k(fresh, cfg.top_k, mode, run_seed)

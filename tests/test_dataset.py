@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hisekt import dataset as dataset_mod
 from hisekt.dataset import (
     MIN_QUESTION_ANSWERS,
     MIN_STUDENT_INTERACTIONS,
@@ -148,6 +149,30 @@ def test_load_restores_split_labels():
     restored = load(io.StringIO(serialize(d)))
     assert restored.splits == d.splits
     assert restored.interactions == d.interactions
+
+
+def test_load_parses_each_row_once(monkeypatch):
+    rows = grid_rows([f"S{i}" for i in range(10)], [f"Q{j}" for j in range(10)])
+    text = serialize(split(_ingest(rows), seed=5))
+    parse_row = dataset_mod._parse_row
+    calls = []
+
+    def counted(row, line_no):
+        calls.append(line_no)
+        return parse_row(row, line_no)
+
+    monkeypatch.setattr(dataset_mod, "_parse_row", counted)
+    load(io.StringIO(text))
+    assert len(calls) == len(rows)
+
+
+def test_iter_split_is_built_once_per_label():
+    rows = grid_rows([f"S{i}" for i in range(10)], [f"Q{j}" for j in range(10)])
+    d = split(_ingest(rows), seed=5)
+    train = d.iter_split("train")
+    assert d.iter_split("train") is train
+    assert train == tuple(i for i, s in zip(d.interactions, d.splits) if s == "train")
+    assert d.iter_split("test") == tuple(i for i, s in zip(d.interactions, d.splits) if s == "test")
 
 
 def test_multi_kc_questions_parse_as_sets():

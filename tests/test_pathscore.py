@@ -1,11 +1,16 @@
+import hashlib
+import json
 import math
 
 import pytest
 
+from hisekt.config import RunConfig
 from hisekt.errors import ScoringError
+from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.llm import LlmClient, scripted_client
-from hisekt.mrhin import TEMPLATES, PathInstance, sample_instances
+from hisekt.mrhin import TEMPLATES, PathInstance, WalkGroup, graph_distance, sample_instances
 from hisekt.pathscore import (
+    LEVEL_CATEGORIES,
     PathScore,
     ScoredInstance,
     centrality,
@@ -24,6 +29,7 @@ from graph_fixture import build_fixture_graph, make_dataset, make_model
 from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
 from hisekt.seeding import derive_rng, stable_hash
+from hisekt.synth import planted_csv
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +380,115 @@ class TestScoredStore:
         assert sorted(loaded, key=lambda s: s.instance.nodes) == sorted(
             scored, key=lambda s: s.instance.nodes
         )
+
+
+def reference_score(p, g):
+    """The four formulas applied to one instance's node tuples, one dimension at a time."""
+    length = p.edge_count
+    questions = [node_id for kind, node_id in p.nodes if kind == "Q"]
+    q_set = sorted(set(questions))
+    if length == 0:
+        c = 5.0
+    else:
+        q0 = ("Q", p.target_question)
+        raw = 1.0 - sum(
+            min(graph_distance(g, q0, ("Q", q), cap=length), length) / length for q in q_set
+        ) / len(q_set)
+        c = 5.0 * min(max(raw, 0.0), 1.0)
+
+    r = 5.0 * sum(1 for q in set(questions) if p.target_kc in g.question_kcs(q)) / len(set(questions))
+
+    kept, seen_q0, seen_kstar = [], False, False
+    for node in p.nodes:
+        if node[0] not in ("U", "Q", "K"):
+            continue
+        if node == ("Q", p.target_question):
+            if seen_q0:
+                continue
+            seen_q0 = True
+        elif node == ("K", p.target_kc):
+            if seen_kstar:
+                continue
+            seen_kstar = True
+        kept.append(node)
+    i = 5.0 * len(set(kept)) / len(kept)
+
+    counts = {cat: 0 for cat in LEVEL_CATEGORIES}
+    total = 0
+    for kind, node_id in p.nodes:
+        if kind in ("A", "D"):
+            counts[f"{kind}_{node_id}"] += 1
+            total += 1
+    entropy = 0.0
+    for n in counts.values():
+        if n:
+            freq = n / total
+            entropy -= freq * math.log(freq)
+    dv = 5.0 * entropy / math.log(len(LEVEL_CATEGORIES)) if total else 0.0
+    return PathScore.build(c, r, i, dv)
+
+
+def edge_case_graph():
+    """Q0 and Q1 share student S1 and level D:Low (2 hops); Q2 is 4 hops from
+    Q0, through S1, Q1 and S2; QFAR, with its own KC and level, no path."""
+    d = make_dataset(
+        [("S1", "Q0"), ("S1", "Q1"), ("S2", "Q1"), ("S2", "Q2")],
+        {"Q0": "K1", "Q1": "K2;K1", "Q2": "K3", "QFAR": "K9"},
+        extra=[("S1", "QFAR", "val")],
+    )
+    m = make_model(
+        {"S1": Level.LOW, "S2": Level.HIGH},
+        {"Q0": Level.LOW, "Q1": Level.LOW, "Q2": Level.MEDIUM, "QFAR": Level.HIGH},
+    )
+    return Mrhin.build(d, m)
+
+
+class TestGroupScorer:
+    def test_scores_are_pinned(self, g):
+        # Digest of the formula scores of every template's walks from every
+        # fixture question, recorded before walks were scored as groups.
+        digest = hashlib.sha256()
+        for name, template in TEMPLATES.items():
+            for _, q in g.nodes("Q"):
+                for s in score_all(sample_instances(g, template, q, n=20, walk_len=20, seed=11), g):
+                    fields = [s.score.centrality, s.score.kc_relevance, s.score.informativeness,
+                              s.score.diversity, s.score.total]
+                    digest.update(json.dumps([name, q, *fields]).encode() + b"\n")
+        assert digest.hexdigest() == "1422981d6260cba88b3b0d03d3b54028bc2d739dda2cb4847073c1037e712f04"
+
+    def test_edge_cases_match_reference(self):
+        g = edge_case_graph()
+        walks = [
+            "Q:Q0 U:S1 Q:Q1 U:S2 Q:Q2 U:S2 Q:Q1",  # full width
+            "Q:Q0 U:S1 Q:Q1",  # truncated: padded in the group
+            "Q:Q0 U:S1 Q:Q2",  # 4 hops, beyond the cap L = 2
+            "Q:Q0 K:K9 Q:QFAR K:K9 Q:QFAR",  # unreachable question
+            "Q:Q0 U:S1 Q:Q1 U:S1 Q:Q0",  # no A/D node
+            "Q:Q0 K:K1 Q:Q0 K:K1 Q:Q0 K:K1 Q:Q1",  # repeats of q0 and K*
+            "Q:Q0 D:Low Q:Q1 U:S1 A:Low U:S2 Q:Q2 D:Medium Q:Q2",
+            "Q:Q0",  # no edge at all
+        ]
+        instances = [
+            PathInstance(TEMPLATES["Q-U-Q"], tuple(tuple(token.split(":")) for token in w.split()), "K1") for w in walks
+        ]
+        group = WalkGroup.of(g, instances)
+        assert group.rows.shape == (len(walks), 9)
+        scored = score_all(group, g)
+        for p, got in zip(instances, scored):
+            assert got.instance == p
+            assert got.score == reference_score(p, g), p.nodes
+            assert score(p, g) == got.score
+
+    def test_every_planted_walk_matches_reference(self, tmp_path):
+        # criterion-6 configuration on the acceptance fixture, first run
+        path = tmp_path / "planted.csv"
+        path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+        cfg = RunConfig(data=str(path), seed=7, n_walks=100, walk_len=20, top_k=5, top_s=3, pair_source="paths")
+        ctx = PipelineContext(cfg)
+        checked = 0
+        for per_template in ctx.scored(run_seed_of(cfg, 0)).values():
+            for group in per_template.values():
+                for s in group:
+                    assert s.score == reference_score(s.instance, ctx.graph), s.instance.nodes
+                    checked += 1
+        assert checked == 65_800

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hisekt
 from hisekt.errors import ModelError
 from hisekt.irt import Level
 from hisekt.mrhin import TEMPLATES, PathInstance
@@ -138,6 +144,37 @@ class TestEncode:
         arr = z.as_array()
         assert np.all(arr >= 0.0)
         assert z.z3 <= 1.0 and z.z4 <= 1.0 and z.z5 <= 1.0
+
+    def test_features_do_not_depend_on_the_string_hash_seed(self):
+        # The shared-KC set iterates in string-hash order, which changes with
+        # PYTHONHASHSEED; the accuracy-gap sum must not follow that order.
+        script = "\n".join([
+            "import hashlib, io, itertools",
+            "from hisekt.dataset import ingest, split",
+            "from hisekt.irt import IrtModel",
+            "from hisekt.retrieval import encode",
+            "from hisekt.synth import planted_csv",
+            "d = split(ingest(io.StringIO(planted_csv(seed=1)[0])), 0)",
+            "m = IrtModel({s: 0.01 * i for i, s in enumerate(d.students())}, {}, {}, {}, {}, 0.0, 1.0, 0.0, 1.0)",
+            "digest = hashlib.sha256()",
+            "for u, s in itertools.combinations(d.students(), 2):",
+            "    digest.update(repr(encode(u, s, 1, m, d)).encode())",
+            "print(digest.hexdigest())",
+        ])
+        src = str(Path(hisekt.__file__).resolve().parent.parent)
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for hash_seed in ("0", "1")
+        ]
+        digests = [run.communicate(timeout=120)[0].strip() for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestFitSimilarity:
