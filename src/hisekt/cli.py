@@ -1,20 +1,24 @@
 """Stage-oriented command line over one ``PipelineContext``, with cache artifacts
-keyed by config fingerprint.
+keyed by the config fingerprint and the input's bytes.
 
-Each command seeds a :class:`~hisekt.evaluation.PipelineContext` with the
-artifacts already in ``<cache_dir>/<fingerprint>/`` (dataset, IRT model,
-graph, and run 0's sampled and scored walks); a stage whose artifact is
-missing computes it on that context and writes it.  ``pipeline`` passes one
-context through every stage, and ``evaluate`` runs the experiment on the
-cached stages, so no walk is sampled or scored twice.  A single-stage command
-refuses to run if an upstream artifact is missing, so artifacts produced under
-different hyperparameters can never mix.  Exit codes: 0 success, 1 stage
-failure, 2 usage error.
+Each command works in ``<cache_dir>/<fingerprint>-<input sha256>/`` on a
+:class:`~hisekt.evaluation.PipelineContext` that reads each artifact there
+(dataset, IRT model, graph, run 0's sampled and scored walks, retrieval and
+predictions) only when a stage first needs it; a stage whose artifact is
+missing computes it on that context and writes it.  So ``pipeline`` samples,
+scores and predicts each target once, ``evaluate`` reuses the ``predict``
+stage's run-0 predictions, and a warm ``pipeline`` parses only the artifacts
+its report needs.  A single-stage command refuses to run if an upstream
+artifact is missing, so artifacts produced under different hyperparameters or
+inputs can never mix.  Exit codes: 0 success, 1 stage failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
+import hashlib
 import json
 import logging
 import sys
@@ -24,9 +28,12 @@ from . import dataset as dataset_mod
 from . import irt as irt_mod
 from . import pathscore
 from .config import CHOICES, FIELD_NAMES, RunConfig, fingerprint, load_config_file, resolve_config
-from .errors import HisektError, StageDependencyError
-from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of, target_key
-from .mrhin import read_graph, read_instances, write_graph, write_instances
+from .errors import HisektError, IngestError, StageDependencyError
+from .evaluation import (PipelineContext, group_by_target, predict_targets, retrieve_peers, run_experiment,
+                         run_seed_of, target_key)
+from .mrhin import WalkGroup, read_graph, read_instances, write_graph, write_instances
+from .pathscore import ScoredGroup
+from .predict import Prediction
 
 # Not called here: the benchmark's tracer patches these names on this module.
 from .llm import map_bounded  # noqa: F401
@@ -48,20 +55,19 @@ STAGE_ORDER = tuple(ARTIFACTS)
 
 
 def _cache_dir(cfg: RunConfig) -> Path:
-    root = Path(cfg.cache_dir) / fingerprint(cfg)
+    """``<cache_dir>/<config fingerprint>-<input sha256>/``, created if missing; reads the input once."""
+    try:
+        digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
+    except OSError as exc:
+        raise IngestError(f"cannot open {Path(cfg.data)}: {exc}") from exc
+    root = Path(cfg.cache_dir) / f"{fingerprint(cfg)}-{digest}"
     root.mkdir(parents=True, exist_ok=True)
     return root
 
 
-def _artifact(cfg: RunConfig, stage: str) -> Path:
-    return _cache_dir(cfg) / ARTIFACTS[stage]
-
-
-def _require(cfg: RunConfig, stage: str, upstream: str) -> Path:
-    path = _artifact(cfg, upstream)
-    if not path.exists():
+def _require(root: Path, stage: str, upstream: str) -> None:
+    if not (root / ARTIFACTS[upstream]).exists():
         raise StageDependencyError(stage, upstream)
-    return path
 
 
 def _cache_hit(stage: str, path: Path) -> bool:
@@ -71,84 +77,96 @@ def _cache_hit(stage: str, path: Path) -> bool:
     return False
 
 
-def _pending(ctx: PipelineContext, stage: str, *upstream: str) -> Path | None:
+def _pending(root: Path, stage: str, *upstream: str) -> Path | None:
     """The stage's artifact path if it still has to be written, once its upstream artifacts exist."""
-    out = _artifact(ctx.cfg, stage)
+    out = root / ARTIFACTS[stage]
     if _cache_hit(stage, out):
         return None
     for name in upstream:
-        _require(ctx.cfg, stage, name)
+        _require(root, stage, name)
     return out
-
-
-def _context(cfg: RunConfig, stage: str) -> PipelineContext:
-    """A context seeded with the cached artifacts of the stages before ``stage``."""
-    upstream = STAGE_ORDER[: STAGE_ORDER.index(stage)]
-
-    def cached(name, reader):
-        path = _artifact(cfg, name)
-        return reader(path) if name in upstream and path.exists() else None
-
-    scored = cached("score-paths", pathscore.read_scored)
-    return PipelineContext(
-        cfg,
-        data=cached("ingest", dataset_mod.load),
-        model=cached("fit-irt", irt_mod.load),
-        graph=cached("build-hin", read_graph),
-        walks=cached("sample-paths", read_instances) if scored is None else None,
-        scored=scored,
-    )
-
-
-def _flatten(grouped: dict[str, dict[str, list]]) -> list:
-    return [item for per_template in grouped.values() for group in per_template.values() for item in group]
-
-
-def stage_ingest(ctx: PipelineContext) -> None:
-    out = _pending(ctx, "ingest")
-    if out:
-        out.write_text(dataset_mod.serialize(ctx.dataset), encoding="utf-8")
-        print(f"ingest: {len(ctx.dataset)} interactions -> {out}")
-
-
-def stage_fit_irt(ctx: PipelineContext) -> None:
-    out = _pending(ctx, "fit-irt", "ingest")
-    if out:
-        m = ctx.irt
-        out.write_text(irt_mod.serialize(m), encoding="utf-8")
-        print(f"fit-irt: {len(m.theta)} students, {len(m.diff)} questions -> {out}")
-
-
-def stage_build_hin(ctx: PipelineContext) -> None:
-    out = _pending(ctx, "build-hin", "ingest", "fit-irt")
-    if out:
-        g = ctx.graph
-        write_graph(g, out)
-        print(f"build-hin: {len(g.nodes())} nodes, {g.edge_count()} edges -> {out}")
-
-
-def stage_sample_paths(ctx: PipelineContext) -> None:
-    out = _pending(ctx, "sample-paths", "ingest", "build-hin")
-    if out:
-        instances = _flatten(ctx.instances(run_seed_of(ctx.cfg, 0)))
-        write_instances(instances, out)
-        print(f"sample-paths: {len(instances)} instances -> {out}")
-
-
-def stage_score_paths(ctx: PipelineContext) -> None:
-    out = _pending(ctx, "score-paths", "sample-paths", "build-hin")
-    if out:
-        scored = _flatten(ctx.scored(run_seed_of(ctx.cfg, 0)))
-        pathscore.write_scored(scored, out)
-        print(f"score-paths: {len(scored)} scored ({ctx.cfg.score_backend}) -> {out}")
 
 
 def _peer_key(key: tuple[str, str, int]) -> str:
     return "|".join(map(str, key))
 
 
-def stage_retrieve(ctx: PipelineContext) -> None:
-    out = _pending(ctx, "retrieve", "ingest", "fit-irt", "score-paths")
+def _read_peers(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], list[str]]:
+    stored = json.loads(path.read_text(encoding="utf-8"))["peers"]
+    return {target_key(i): stored.get(_peer_key(target_key(i)), []) for i in ctx.test_targets()}
+
+
+def _read_predictions(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], Prediction]:
+    rows = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+    return {(r["student"], r["question"], r["timestamp"]): Prediction(r["outcome"], r["confidence"], r["report"],
+                                                                       r["p_correct"]) for r in rows}
+
+
+# context stage -> (command that writes its artifact, reader of the artifact)
+READERS = {
+    "dataset": ("ingest", lambda path, ctx: dataset_mod.load(path)),
+    "irt": ("fit-irt", lambda path, ctx: irt_mod.load(path)),
+    "graph": ("build-hin", lambda path, ctx: read_graph(path)),
+    "walks": ("sample-paths", lambda path, ctx: group_by_target(read_instances(path), WalkGroup.of, ctx.graph)),
+    "scored": ("score-paths",
+               lambda path, ctx: group_by_target(pathscore.read_scored(path), ScoredGroup.of, ctx.graph)),
+    "peers": ("retrieve", _read_peers),
+    "predictions": ("predict", _read_predictions),
+}
+
+
+def _context(cfg: RunConfig, root: Path) -> PipelineContext:
+    """A context that reads each artifact cached under ``root`` when a stage first needs it."""
+    readers = {stage: functools.partial(read, root / ARTIFACTS[command])
+               for stage, (command, read) in READERS.items() if (root / ARTIFACTS[command]).exists()}
+    return PipelineContext(cfg, readers)
+
+
+def _flatten(grouped: dict[str, dict[str, list]]) -> list:
+    return [item for per_template in grouped.values() for group in per_template.values() for item in group]
+
+
+def stage_ingest(ctx: PipelineContext, root: Path) -> None:
+    out = _pending(root, "ingest")
+    if out:
+        out.write_text(dataset_mod.serialize(ctx.dataset), encoding="utf-8")
+        print(f"ingest: {len(ctx.dataset)} interactions -> {out}")
+
+
+def stage_fit_irt(ctx: PipelineContext, root: Path) -> None:
+    out = _pending(root, "fit-irt", "ingest")
+    if out:
+        m = ctx.irt
+        out.write_text(irt_mod.serialize(m), encoding="utf-8")
+        print(f"fit-irt: {len(m.theta)} students, {len(m.diff)} questions -> {out}")
+
+
+def stage_build_hin(ctx: PipelineContext, root: Path) -> None:
+    out = _pending(root, "build-hin", "ingest", "fit-irt")
+    if out:
+        g = ctx.graph
+        write_graph(g, out)
+        print(f"build-hin: {len(g.nodes())} nodes, {g.edge_count()} edges -> {out}")
+
+
+def stage_sample_paths(ctx: PipelineContext, root: Path) -> None:
+    out = _pending(root, "sample-paths", "ingest", "build-hin")
+    if out:
+        instances = _flatten(ctx.instances(run_seed_of(ctx.cfg, 0)))
+        write_instances(instances, out)
+        print(f"sample-paths: {len(instances)} instances -> {out}")
+
+
+def stage_score_paths(ctx: PipelineContext, root: Path) -> None:
+    out = _pending(root, "score-paths", "sample-paths", "build-hin")
+    if out:
+        scored = _flatten(ctx.scored(run_seed_of(ctx.cfg, 0)))
+        pathscore.write_scored(scored, out)
+        print(f"score-paths: {len(scored)} scored ({ctx.cfg.score_backend}) -> {out}")
+
+
+def stage_retrieve(ctx: PipelineContext, root: Path) -> None:
+    out = _pending(root, "retrieve", "ingest", "fit-irt", "score-paths")
     if out:
         sim, peers = retrieve_peers(ctx, None, run_seed_of(ctx.cfg, 0))
         payload = {
@@ -164,40 +182,23 @@ def stage_retrieve(ctx: PipelineContext) -> None:
         print(f"retrieve: peers for {len(peers)} targets -> {out}")
 
 
-def stage_predict(ctx: PipelineContext) -> None:
-    out = _pending(ctx, "predict", "ingest", "fit-irt", "retrieve")
+def stage_predict(ctx: PipelineContext, root: Path) -> None:
+    out = _pending(root, "predict", "ingest", "fit-irt", "retrieve")
     if out:
-        stored = json.loads(_artifact(ctx.cfg, "retrieve").read_text(encoding="utf-8"))["peers"]
-        tests = ctx.test_targets()
-        peers = {target_key(i): stored.get(_peer_key(target_key(i)), []) for i in tests}
-        predictions = predict_targets(ctx, None, peers)
-        lines = []
-        for i in tests:
-            pred = predictions[target_key(i)]
-            lines.append(
-                json.dumps(
-                    {
-                        "student": i.student_id,
-                        "question": i.question_id,
-                        "timestamp": i.timestamp,
-                        "label": 1 if i.correct else 0,
-                        "outcome": pred.outcome,
-                        "confidence": pred.confidence,
-                        "p_correct": pred.p_correct,
-                        "report": pred.report,
-                    },
-                    sort_keys=True,
-                )
-            )
+        predictions = predict_targets(ctx, None, run_seed_of(ctx.cfg, 0))
+        lines = [
+            json.dumps({"student": i.student_id, "question": i.question_id, "timestamp": i.timestamp,
+                        "label": int(i.correct), **dataclasses.asdict(predictions[target_key(i)])}, sort_keys=True)
+            for i in ctx.test_targets()
+        ]
         out.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"predict: {len(lines)} predictions -> {out}")
 
 
-def stage_evaluate(ctx: PipelineContext, out_path: str | None = None) -> None:
-    cfg = ctx.cfg
-    _require(cfg, "evaluate", "predict")
-    report = run_experiment(cfg, ctx)
-    report_json = _artifact(cfg, "evaluate")
+def stage_evaluate(ctx: PipelineContext, root: Path, out_path: str | None = None) -> None:
+    _require(root, "evaluate", "predict")
+    report = run_experiment(ctx.cfg, ctx)
+    report_json = root / ARTIFACTS["evaluate"]
     report_json.write_text(report.to_json(), encoding="utf-8")
     table_path = report_json.with_suffix(".txt")
     table_path.write_text(report.to_table(), encoding="utf-8")
@@ -267,16 +268,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
+        root = _cache_dir(cfg)
+        ctx = _context(cfg, root)
         if args.command in STAGE_FUNCS:
-            # a stage whose artifact is cached only reports the hit: loading its inputs is wasted
-            hit = _artifact(cfg, args.command).exists()
-            STAGE_FUNCS[args.command](PipelineContext(cfg) if hit else _context(cfg, args.command))
+            STAGE_FUNCS[args.command](ctx, root)
         else:
-            ctx = _context(cfg, "evaluate")
             if args.command == "pipeline":
                 for name in STAGE_ORDER[:-1]:
-                    STAGE_FUNCS[name](ctx)
-            stage_evaluate(ctx, out_path=args.out)
+                    STAGE_FUNCS[name](ctx, root)
+            stage_evaluate(ctx, root, out_path=args.out)
         return 0
     except HisektError as exc:
         stage = getattr(exc, "stage", args.command)

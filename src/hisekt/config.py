@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from . import llm, mrhin, predict, retrieval
 from .errors import ConfigError, HisektError
-from .predict import MASK_IRT, MASK_SIMU
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,13 @@ class RunConfig:
     data: str = ""
     cache_dir: str = "cache"
     out_dir: str = "out"
-    n_walks: int = 100
-    walk_len: int = 20
+    n_walks: int = mrhin.DEFAULT_NUM_WALKS
+    walk_len: int = mrhin.DEFAULT_WALK_LEN
     top_k: int = 10
     top_s: int = 3
-    c: float = 2.0
-    window: int = 20
-    pair_sample: int = 10_000
+    c: float = retrieval.DEFAULT_SCALING
+    window: int = predict.DEFAULT_WINDOW
+    pair_sample: int = retrieval.DEFAULT_PAIR_SAMPLE
     pair_source: str = "random"
     seed: int = 7
     runs: int = 1
@@ -39,7 +39,7 @@ class RunConfig:
     llm_model: str = "mock"
     llm_timeout: float = 30.0
     llm_max_retries: int = 3
-    llm_max_in_flight: int = 8
+    llm_max_in_flight: int = llm.DEFAULT_MAX_IN_FLIGHT
     variants: tuple[str, ...] = ()
 
 
@@ -51,9 +51,9 @@ ABLATIONS: dict[str | None, tuple[str, str, frozenset[str]]] = {
     None: ("top", "similar", frozenset()),
     "msr": ("random", "similar", frozenset()),
     "msl": ("lowest", "similar", frozenset()),
-    "simu": ("top", "similar", frozenset({MASK_SIMU})),
+    "simu": ("top", "similar", frozenset({predict.MASK_SIMU})),
     "rsimu": ("top", "random", frozenset()),
-    "irt": ("top", "similar", frozenset({MASK_IRT})),
+    "irt": ("top", "similar", frozenset({predict.MASK_IRT})),
 }
 CHOICES = {
     "pair_source": ("random", "paths"),

@@ -5,9 +5,13 @@ mode and prompt mask that :data:`~hisekt.config.ABLATIONS` gives it:
 ``msr`` and ``msl`` select random / lowest walks, ``rsimu`` draws peers at
 random, ``simu`` and ``irt`` mask prompt blocks.
 
-``run_variant`` is two steps plus the metrics: ``retrieve_peers`` and
-``predict_targets``.  The CLI's ``retrieve`` and ``predict`` stages write
-their artifacts from the same two steps on a seeded ``PipelineContext``.
+:class:`PipelineContext` holds one dict of stage results, each keyed by
+:func:`stage_keys` on what its stage reads.  So every variant, config and CLI
+command on one context runs only the stages whose inputs changed: ``full``,
+``simu``, ``rsimu`` and ``irt`` share one Top-K pass, ``irt`` reuses the
+peers of ``full``, and a repeated ``run_experiment`` is lookups only.
+``retrieve_peers``, ``predict_targets`` and ``run_variant`` read that dict;
+the CLI's ``retrieve`` and ``predict`` stages write their artifacts from it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .config import ABLATIONS, RunConfig, check_choices, fingerprint
 from .dataset import Interaction
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
-from .mrhin import TEMPLATES, Mrhin, PathInstance, WalkGroup, sample_instances
+from .mrhin import TEMPLATES, Mrhin, WalkGroup, sample_instances
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -130,133 +134,115 @@ def target_key(i: Interaction) -> tuple[str, str, int]:
     return (i.student_id, i.question_id, i.timestamp)
 
 
-def _by_target(items: Iterable, instance_of: Callable[[object], PathInstance],
-               group: Callable[[list], object]) -> dict[str, dict[str, object]]:
-    """Group run-0 walks or scored walks as {target question: {template name: group(items)}}."""
+def stage_keys(cfg: RunConfig, run_seed: int, variant: str | None = None) -> dict[str, tuple]:
+    """The memo key of every stage (and of the LLM client) for one config, run and variant: the
+    stage's name, the ``RunConfig`` fields and ``ABLATIONS`` columns it reads, and the keys of the
+    stages it reads."""
+    select_mode, peer_mode, mask = ABLATIONS[variant]
+    replies = (cfg.llm_backend, cfg.llm_endpoint, cfg.llm_model)
+    data = (cfg.data, cfg.seed)
+    run = (*data, run_seed)
+    walks = ("walks", run, cfg.n_walks, cfg.walk_len)
+    scored = ("scored", walks, cfg.score_backend, replies if cfg.score_backend == "llm" else None)
+    retained = ("retained", scored, select_mode, cfg.top_k)
+    similarity = ("similarity", run, cfg.pair_source, cfg.pair_sample, cfg.c,
+                  retained if cfg.pair_source == "paths" else None)
+    peers = ("peers", run) if predict.MASK_SIMU in mask else (
+        "peers", retained, peer_mode, cfg.top_s, similarity if peer_mode == "similar" else None)
+    return {
+        "dataset": ("dataset", data), "irt": ("irt", data), "graph": ("graph", data),
+        "walks": walks, "scored": scored, "retained": retained, "similarity": similarity,
+        "peers": peers, "predictions": ("predictions", peers, mask, cfg.window, replies),
+        "client": ("client", *replies, cfg.llm_timeout, cfg.llm_max_retries, cfg.llm_max_in_flight),
+    }
+
+
+def group_by_target(items: Iterable, of: Callable, g: Mrhin) -> dict[str, dict[str, Sequence]]:
+    """Walks or scored walks in any order (say, from a CLI artifact) grouped as the ``walks`` or
+    ``scored`` stage holds them, {target question: {template: of(g, rows)}}, with ``of`` the
+    ``WalkGroup.of`` or ``ScoredGroup.of`` constructor."""
     buckets: dict[str, dict[str, list]] = {}
     for item in items:
-        p = instance_of(item)
+        p = getattr(item, "instance", item)
         buckets.setdefault(p.target_question, {}).setdefault(p.template.name, []).append(item)
-    return {qid: {name: group(rows) for name, rows in per_template.items()} for qid, per_template in buckets.items()}
+    return {qid: {name: of(g, rows) for name, rows in per_template.items()} for qid, per_template in buckets.items()}
 
 
 class PipelineContext:
-    """Lazily built, memoized stage artifacts shared across variants and runs.
+    """One memo of stage results, shared by every config, variant and run over one input.
 
-    Sampled walks are held per (target question, template) as
-    :class:`~hisekt.mrhin.WalkGroup` and scored walks as
-    :class:`~hisekt.pathscore.ScoredGroup`.  Any stage computed elsewhere (for
-    example a cached CLI artifact) can be passed in: ``data``, ``model`` and
-    ``graph`` directly, ``walks`` and ``scored`` as run 0's sampled and scored
-    instances in any order, which are grouped on the graph.  ``cfg`` is
-    checked against ``config.CHOICES`` before anything is built.
+    ``get(stage, cfg, run_seed, variant)`` returns the entry under ``stage_keys``;
+    ``cfg`` defaults to the context's own (checked against ``config.CHOICES``)
+    and ``run_seed`` to its run 0.  A missing entry is computed, or read by
+    ``readers[stage](ctx)`` if the key is that of the context's own config,
+    run 0 and the full model: that is how the CLI reuses its cached artifacts.
     """
 
-    def __init__(self, cfg: RunConfig, data: dataset_mod.Dataset | None = None,
-                 model: irt_mod.IrtModel | None = None, graph: Mrhin | None = None,
-                 walks: Iterable[PathInstance] | None = None,
-                 scored: Iterable[pathscore.ScoredInstance] | None = None):
+    def __init__(self, cfg: RunConfig, readers: Mapping[str, Callable[["PipelineContext"], object]] | None = None):
         check_choices(cfg)
         self.cfg = cfg
-        self._dataset = data
-        self._irt = model
-        self._graph = graph
-        self._instances: dict[int, dict[str, dict[str, WalkGroup]]] = {}
-        self._scored: dict[int, dict[str, dict[str, pathscore.ScoredGroup]]] = {}
-        self._client: LlmClient | None = None
-        if walks is not None:
-            self._instances[run_seed_of(cfg, 0)] = _by_target(
-                walks, lambda p: p, lambda rows: WalkGroup.of(self.graph, rows))
-        if scored is not None:
-            self._scored[run_seed_of(cfg, 0)] = _by_target(
-                scored, lambda s: s.instance, lambda rows: pathscore.ScoredGroup.of(self.graph, rows))
+        self._memo: dict[tuple, object] = {}
+        own = stage_keys(cfg, run_seed_of(cfg, 0))
+        self._readers = {own[stage]: read for stage, read in (readers or {}).items()}
+
+    def get(self, stage: str, cfg: RunConfig | None = None, run_seed: int | None = None, variant: str | None = None):
+        cfg = cfg or self.cfg
+        run_seed = run_seed_of(cfg, 0) if run_seed is None else run_seed
+        key = stage_keys(cfg, run_seed, variant)[stage]
+        if key not in self._memo:
+            read = self._readers.pop(key, None)
+            self._memo[key] = read(self) if read else _COMPUTE[stage](self, cfg, run_seed, variant)
+        return self._memo[key]
 
     @property
     def dataset(self) -> dataset_mod.Dataset:
-        if self._dataset is None:
-            d = dataset_mod.ingest(self.cfg.data)
-            self._dataset = dataset_mod.split(d, self.cfg.seed)
-        return self._dataset
+        return self.get("dataset")
 
     @property
     def irt(self) -> irt_mod.IrtModel:
-        if self._irt is None:
-            self._irt = irt_mod.fit(self.dataset)
-        return self._irt
+        return self.get("irt")
 
     @property
     def graph(self) -> Mrhin:
-        if self._graph is None:
-            self._graph = Mrhin.build(self.dataset, self.irt)
-        return self._graph
+        return self.get("graph")
 
-    @property
-    def client(self) -> LlmClient:
-        if self._client is None:
-            self._client = LlmClient(
-                endpoint=self.cfg.llm_endpoint,
-                model_name=self.cfg.llm_model,
-                timeout=self.cfg.llm_timeout,
-                max_retries=self.cfg.llm_max_retries,
-                max_in_flight=self.cfg.llm_max_in_flight,
-                backend=self.cfg.llm_backend,
-            )
-        return self._client
-
-    def target_questions(self) -> list[str]:
-        return sorted({i.question_id for i in self.dataset.iter_split("test")})
-
-    def test_targets(self) -> list[Interaction]:
+    def test_targets(self, cfg: RunConfig | None = None) -> list[Interaction]:
         """The test split in prediction order: by student, then time, then question."""
-        return sorted(self.dataset.iter_split("test"), key=lambda i: (i.student_id, i.timestamp, i.question_id))
+        tests = self.get("dataset", cfg).iter_split("test")
+        return sorted(tests, key=lambda i: (i.student_id, i.timestamp, i.question_id))
 
-    def share_stage_caches(self, other: "PipelineContext") -> None:
-        """Adopt another context's sampled/scored instances (valid when only
-        selection-stage settings such as top_k differ between the configs)."""
-        self._dataset = other._dataset
-        self._irt = other._irt
-        self._graph = other._graph
-        self._instances = other._instances
-        self._scored = other._scored
+    def instances(self, run_seed: int, cfg: RunConfig | None = None) -> dict[str, dict[str, WalkGroup]]:
+        return self.get("walks", cfg, run_seed)
 
-    def instances(self, run_seed: int) -> dict[str, dict[str, WalkGroup]]:
-        if run_seed not in self._instances:
-            walk_seed = derive_seed(run_seed, "walks")
-            out: dict[str, dict[str, WalkGroup]] = {}
-            for qid in self.target_questions():
-                out[qid] = {}
-                for name in TEMPLATES:
-                    out[qid][name] = sample_instances(
-                        self.graph,
-                        TEMPLATES[name],
-                        qid,
-                        n=self.cfg.n_walks,
-                        walk_len=self.cfg.walk_len,
-                        seed=walk_seed,
-                    )
-            self._instances[run_seed] = out
-        return self._instances[run_seed]
+    def scored(self, run_seed: int, cfg: RunConfig | None = None) -> dict[str, dict[str, pathscore.ScoredGroup]]:
+        return self.get("scored", cfg, run_seed)
 
-    def scored(self, run_seed: int) -> dict[str, dict[str, pathscore.ScoredGroup]]:
-        if run_seed not in self._scored:
-            instances = self.instances(run_seed)
-            out: dict[str, dict[str, pathscore.ScoredGroup]] = {}
-            for qid, per_template in instances.items():
-                out[qid] = {}
-                for name, group in per_template.items():
-                    if self.cfg.score_backend == "llm":
-                        # keyed by walk index: pool completion order cannot reorder results
-                        scores = map_bounded(
-                            lambda p: pathscore.score_llm(p, self.client, self.graph),
-                            dict(enumerate(group)),
-                            self.client.max_in_flight,
-                        )
-                        out[qid][name] = pathscore.ScoredGroup.from_scores(
-                            group, [scores[k] for k in range(len(group))], "llm")
-                    else:
-                        out[qid][name] = pathscore.score_all(group, self.graph)
-            self._scored[run_seed] = out
-        return self._scored[run_seed]
+
+def _walks(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
+    g = ctx.get("graph", cfg)
+    walk_seed = derive_seed(run_seed, "walks")
+    return {
+        qid: {
+            name: sample_instances(g, template, qid, n=cfg.n_walks, walk_len=cfg.walk_len, seed=walk_seed)
+            for name, template in TEMPLATES.items()
+        }
+        for qid in sorted({i.question_id for i in ctx.get("dataset", cfg).iter_split("test")})
+    }
+
+
+def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
+    g, client = ctx.get("graph", cfg), ctx.get("client", cfg)
+
+    def score(group: WalkGroup) -> pathscore.ScoredGroup:
+        if cfg.score_backend == "formula":
+            return pathscore.score_all(group, g)
+        # keyed by walk index: pool completion order cannot reorder results
+        scores = map_bounded(lambda p: pathscore.score_llm(p, client, g), dict(enumerate(group)),
+                             client.max_in_flight)
+        return pathscore.ScoredGroup.from_scores(group, [scores[k] for k in range(len(group))], "llm")
+
+    walks = ctx.instances(run_seed, cfg)
+    return {qid: {name: score(group) for name, group in per_template.items()} for qid, per_template in walks.items()}
 
 
 def _retain_top_k(
@@ -277,89 +263,98 @@ def _retain_top_k(
     return retained
 
 
+def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
+    """{target question: {student: times on the question's retained walks}}, counted once per question."""
+    retained = _retain_top_k(ctx.scored(run_seed, cfg), cfg.top_k, ABLATIONS[variant][0], run_seed)
+    return {qid: retrieval.student_counts(rows) for qid, rows in retained.items()}
+
+
 def _path_pair_pool(
-    retained: Mapping[str, list[pathscore.ScoredInstance]],
+    counts: Mapping[str, Mapping[str, int]],
     d: dataset_mod.Dataset,
-) -> list[tuple[str, str, int]]:
-    """(answerer, candidate, f) triples mirroring the deployment pair distribution."""
+) -> list[tuple[str, str, int]] | None:
+    """(answerer, candidate, f) triples mirroring the deployment pair distribution; None if there are none."""
     by_question = d.by_question("train")
     pool: set[tuple[str, str, int]] = set()
-    for qid, rows in retained.items():
-        if not rows:
-            continue
-        counts: dict[str, int] = {}
-        for scored in rows:
-            for kind, nid in scored.instance.nodes:
-                if kind == "U":
-                    counts[nid] = counts.get(nid, 0) + 1
+    for qid, per_student in counts.items():
         answerers = sorted({i.student_id for i in by_question.get(qid, ())})
         for u in answerers:
-            for sid, f in counts.items():
+            for sid, f in per_student.items():
                 if sid != u:
                     pool.add((u, sid, f))
-    return sorted(pool)
+    if not pool:
+        logger.warning("empty path pair pool; falling back to random pairs")
+    return sorted(pool) or None
 
 
-def retrieve_peers(
-    ctx: PipelineContext, variant: str | None, run_seed: int
-) -> tuple[retrieval.SimilarityModel, dict[tuple[str, str, int], list[str]]]:
-    """Top-K walks, similarity fit and Top-S peers of every test target for one variant.
-
-    Peers are keyed by :func:`target_key` in test order; they are empty when
-    the variant masks the similar-student block.
-    """
-    cfg = ctx.cfg
-    select_mode, peer_mode, mask = ABLATIONS[variant]
-    d = ctx.dataset
-    m = ctx.irt
-    retained = _retain_top_k(ctx.scored(run_seed), cfg.top_k, select_mode, run_seed)
-
-    pair_pool = None
-    if cfg.pair_source == "paths":
-        pair_pool = _path_pair_pool(retained, d)
-        if not pair_pool:
-            logger.warning("empty path pair pool; falling back to random pairs")
-            pair_pool = None
-    sim = retrieval.fit_similarity(
-        d, m, cfg.pair_sample, seed=derive_seed(run_seed, "pairs"), c=cfg.c, pair_pool=pair_pool
+def _similarity(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
+    d = ctx.get("dataset", cfg)
+    pool = _path_pair_pool(ctx.get("retained", cfg, run_seed, variant), d) if cfg.pair_source == "paths" else None
+    return retrieval.fit_similarity(
+        d, ctx.get("irt", cfg), cfg.pair_sample, seed=derive_seed(run_seed, "pairs"), c=cfg.c, pair_pool=pool
     )
 
-    masked = predict.MASK_SIMU in mask
+
+def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
+    _, peer_mode, mask = ABLATIONS[variant]
+    tests = ctx.test_targets(cfg)
+    if predict.MASK_SIMU in mask:
+        return {target_key(i): [] for i in tests}
+    d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
+    counts = ctx.get("retained", cfg, run_seed, variant)
+    sim = ctx.get("similarity", cfg, run_seed, variant) if peer_mode == "similar" else None
     peers: dict[tuple[str, str, int], list[str]] = {}
-    for i in ctx.test_targets():
-        peers[target_key(i)] = [] if masked else retrieval.top_s(
-            retrieval.build_candidates(retained.get(i.question_id, []), i.student_id),
-            sim,
-            m,
-            d,
-            cfg.top_s,
-            mode=peer_mode,
-            c=cfg.c,
-            seed=derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp),
-        )
-    return sim, peers
+    for i in tests:
+        cands = retrieval.candidates_of(counts.get(i.question_id, {}), i.student_id, i.question_id)
+        seed = derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp)
+        peers[target_key(i)] = retrieval.top_s(cands, sim, m, d, cfg.top_s, mode=peer_mode, c=cfg.c, seed=seed)
+    return peers
 
 
-def predict_targets(
-    ctx: PipelineContext, variant: str | None, peers: Mapping[tuple[str, str, int], Sequence[str]]
-) -> dict[tuple[str, str, int], predict.Prediction]:
-    """Build each target's prompt with its peers and ask the LLM; keyed like ``peers``."""
-    _, _, mask = ABLATIONS[variant]
-    d = ctx.dataset
-    m = ctx.irt
-    bundles = {
-        key: predict.build_prompt(key[0], key[1], p, m, d, mask, ctx.cfg.window) for key, p in peers.items()
-    }
-    client = ctx.client
+def _predictions(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
+    mask = ABLATIONS[variant][2]
+    d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
+    peers = ctx.get("peers", cfg, run_seed, variant)
+    bundles = {key: predict.build_prompt(key[0], key[1], p, m, d, mask, cfg.window) for key, p in peers.items()}
+    client = ctx.get("client", cfg)
     # predictions are keyed by interaction, so pool completion order is irrelevant
     return map_bounded(lambda b: predict.predict(b, client), bundles, client.max_in_flight)
 
 
-def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int) -> VariantMetrics:
-    """Execute retrieval + prediction over the test split for one variant."""
-    _, peers = retrieve_peers(ctx, variant, run_seed)
-    predictions = predict_targets(ctx, variant, peers)
-    tests = ctx.test_targets()
+_COMPUTE: dict[str, Callable[[PipelineContext, RunConfig, int, str | None], object]] = {
+    "dataset": lambda ctx, cfg, *_: dataset_mod.split(dataset_mod.ingest(cfg.data), cfg.seed),
+    "irt": lambda ctx, cfg, *_: irt_mod.fit(ctx.get("dataset", cfg)),
+    "graph": lambda ctx, cfg, *_: Mrhin.build(ctx.get("dataset", cfg), ctx.get("irt", cfg)),
+    "walks": _walks,
+    "scored": _scored,
+    "retained": _retained,
+    "similarity": _similarity,
+    "peers": _peers,
+    "predictions": _predictions,
+    "client": lambda ctx, cfg, *_: LlmClient(cfg.llm_endpoint, cfg.llm_model, cfg.llm_timeout, cfg.llm_max_retries,
+                                             cfg.llm_max_in_flight, cfg.llm_backend),
+}
+
+
+def retrieve_peers(
+    ctx: PipelineContext, variant: str | None, run_seed: int, cfg: RunConfig | None = None
+) -> tuple[retrieval.SimilarityModel, dict[tuple[str, str, int], list[str]]]:
+    """Similarity model and Top-S peers (by :func:`target_key`, in test order) for one variant."""
+    return ctx.get("similarity", cfg, run_seed, variant), ctx.get("peers", cfg, run_seed, variant)
+
+
+def predict_targets(
+    ctx: PipelineContext, variant: str | None, run_seed: int, cfg: RunConfig | None = None
+) -> dict[tuple[str, str, int], predict.Prediction]:
+    """Each test target's prediction from its prompt with the variant's peers and mask, keyed like the peers."""
+    return ctx.get("predictions", cfg, run_seed, variant)
+
+
+def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int,
+                cfg: RunConfig | None = None) -> VariantMetrics:
+    """ACC and AUC of one variant's predictions over the test split."""
+    predictions = predict_targets(ctx, variant, run_seed, cfg)
+    tests = ctx.test_targets(cfg)
     preds = [predictions[target_key(i)] for i in tests]
     labels = [1 if i.correct else 0 for i in tests]
     outcomes = [1 if p.outcome == "correct" else 0 for p in preds]
@@ -369,7 +364,12 @@ def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int) -> Var
 
 
 def run_experiment(cfg: RunConfig, ctx: PipelineContext | None = None) -> EvalReport:
-    """Base configuration plus requested variants, averaged over ``cfg.runs`` seeds."""
+    """Base configuration plus requested variants, averaged over ``cfg.runs`` seeds.
+
+    Every setting comes from ``cfg``.  ``ctx`` may have been built for another
+    config over the same input: each stage whose key matches is reused.
+    """
+    check_choices(cfg)
     ctx = ctx or PipelineContext(cfg)
     variant_list = [None, *cfg.variants]
 
@@ -380,7 +380,7 @@ def run_experiment(cfg: RunConfig, ctx: PipelineContext | None = None) -> EvalRe
         run_seed = run_seed_of(cfg, r)
         for variant in variant_list:
             name = variant or "full"
-            metrics = run_variant(ctx, variant, run_seed)
+            metrics = run_variant(ctx, variant, run_seed, cfg)
             rows.append(
                 {"run": r, "variant": name, "acc": metrics.acc, "auc": metrics.auc, "n": metrics.n}
             )

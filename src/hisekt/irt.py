@@ -113,16 +113,8 @@ class IrtModel:
     cold_start_students: frozenset[str] = field(default_factory=frozenset)
     cold_start_questions: frozenset[str] = field(default_factory=frozenset)
 
-    def probability_for(self, student_id: str, question_id: str) -> float:
-        return probability(
-            self.theta[student_id], self.disc[question_id], self.diff[question_id]
-        )
-
     def has_question(self, question_id: str) -> bool:
         return question_id in self.diff
-
-    def has_student(self, student_id: str) -> bool:
-        return student_id in self.theta
 
 
 # -- penalized likelihood -------------------------------------------------

@@ -18,7 +18,6 @@ import io
 import math
 from dataclasses import dataclass
 
-from .dataset import Dataset, ingest, split
 from .seeding import derive_rng
 
 
@@ -152,10 +151,3 @@ def planted_csv(
             logit = theta[sid] + aff[(c, kc_of[qid])] - question_diff[qid]
             rows.append((sid, qid, kc_of[qid], int(rng.random() < _sigmoid(logit)), ts))
     return _rows_to_csv(rows), PlantedTruth(band_of, theta, question_band, question_diff, kc_of, aff)
-
-
-def planted_dataset(seed: int = 0, **kwargs) -> tuple[Dataset, PlantedTruth]:
-    """Planted population already ingested and split."""
-    csv_text, truth = planted_csv(seed=seed, **kwargs)
-    d = split(ingest(io.StringIO(csv_text)), seed)
-    return d, truth

@@ -1,5 +1,5 @@
 import json
-from pathlib import Path
+from collections import Counter
 
 import pytest
 
@@ -8,22 +8,27 @@ from hisekt.cli import main
 from hisekt.config import fingerprint, load_config_file, resolve_config
 from hisekt.errors import HisektError
 from hisekt.evaluation import PipelineContext, _retain_top_k, accuracy, auc, run_experiment, run_seed_of
+from hisekt.llm import LlmClient
+from hisekt.predict import is_prediction_prompt
 from hisekt.synth import planted_csv
 
 
 @pytest.fixture(scope="module")
 def data_file(tmp_path_factory):
-    csv, _ = planted_csv(
-        n_bands=3, students_per_band=12, questions_per_band=10, band_gap=2.0,
-        cross_rate=0.05, affinity=2.0, seed=3,
-    )
     path = tmp_path_factory.mktemp("data") / "interactions.csv"
-    path.write_text(csv, encoding="utf-8")
+    path.write_text(small_planted_csv(seed=3), encoding="utf-8")
     return path
 
 
-@pytest.fixture
-def config_file(tmp_path, data_file):
+def small_planted_csv(seed: int) -> str:
+    csv, _ = planted_csv(
+        n_bands=3, students_per_band=12, questions_per_band=10, band_gap=2.0,
+        cross_rate=0.05, affinity=2.0, seed=seed,
+    )
+    return csv
+
+
+def write_config(tmp_path, data_file):
     path = tmp_path / "run.toml"
     path.write_text(
         "\n".join(
@@ -45,6 +50,11 @@ def config_file(tmp_path, data_file):
         encoding="utf-8",
     )
     return path
+
+
+@pytest.fixture
+def config_file(tmp_path, data_file):
+    return write_config(tmp_path, data_file)
 
 
 class TestConfig:
@@ -157,7 +167,7 @@ class TestCliStages:
         stdout = capsys.readouterr().out
         assert "predictions" in stdout
         cfg = resolve_config(load_config_file(config_file), {})
-        cache = Path(cfg.cache_dir) / fingerprint(cfg)
+        cache = cli._cache_dir(cfg)
         for name in ("dataset.csv", "irt.tsv", "graph.json", "paths.jsonl", "scored.jsonl", "retrieval.json", "predictions.jsonl"):
             assert (cache / name).exists()
 
@@ -166,7 +176,7 @@ class TestCliStages:
             assert main([stage, "--config", str(config_file)]) == 0
         capsys.readouterr()
         cfg = resolve_config(load_config_file(config_file), {})
-        cache = Path(cfg.cache_dir) / fingerprint(cfg)
+        cache = cli._cache_dir(cfg)
         rows = [json.loads(line) for line in (cache / "predictions.jsonl").read_text().splitlines()]
         assert rows
         for row in rows:
@@ -186,7 +196,7 @@ class TestCliStages:
         argv = ["pipeline", "--config", str(config_file), "--score-backend", "llm"]
         assert main([*argv, "--out", str(tmp_path / "cold.json")]) == 0
         cfg = resolve_config(load_config_file(config_file), {"score_backend": "llm"})
-        walks = (Path(cfg.cache_dir) / fingerprint(cfg) / "paths.jsonl").read_text().splitlines()
+        walks = (cli._cache_dir(cfg) / "paths.jsonl").read_text().splitlines()
         assert len(calls) == len(walks) > 0  # each walk is scored once, by score-paths
         calls.clear()
         assert main([*argv, "--out", str(tmp_path / "warm.json")]) == 0
@@ -196,7 +206,7 @@ class TestCliStages:
     def test_report_is_computed_from_the_predictions_next_to_it(self, config_file, tmp_path, capsys):
         assert main(["pipeline", "--config", str(config_file)]) == 0
         cfg = resolve_config(load_config_file(config_file), {})
-        cache = Path(cfg.cache_dir) / fingerprint(cfg)
+        cache = cli._cache_dir(cfg)
         files = sorted(tmp_path.rglob("*"))
         report = (cache / "report.json").read_text(encoding="utf-8")
         assert run_experiment(cfg).to_json() == report
@@ -222,10 +232,54 @@ class TestCliStages:
         capsys.readouterr()
         cfg = resolve_config(load_config_file(config_file), {"score_backend": backend})
         run_seed = run_seed_of(cfg, 0)
-        seeded = cli._context(cfg, "retrieve").scored(run_seed)
+        seeded = cli._context(cfg, cli._cache_dir(cfg)).scored(run_seed)
         fresh = PipelineContext(cfg).scored(run_seed)
         # scored.jsonl is sorted by node sequence, so its groups hold the walks
         # in another order than sampling left them
         assert any(list(seeded[q].get(name, ())) != list(group) for q in fresh for name, group in fresh[q].items())
         for mode in ("top", "lowest", "random"):
             assert _retain_top_k(seeded, cfg.top_k, mode, run_seed) == _retain_top_k(fresh, cfg.top_k, mode, run_seed)
+
+    def test_cold_pipeline_prompts_once_and_warm_pipeline_reads_only_what_the_report_needs(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        prompts = []
+        complete = LlmClient.complete
+        read_scored = pathscore.read_scored
+        reads = []
+
+        def recording(client, prompt):
+            prompts.append(prompt)
+            return complete(client, prompt)
+
+        monkeypatch.setattr(LlmClient, "complete", recording)
+        monkeypatch.setattr(pathscore, "read_scored", lambda source: reads.append(source) or read_scored(source))
+        argv = ["pipeline", "--config", str(config_file), "--score-backend", "llm"]
+        assert main([*argv, "--out", str(tmp_path / "cold.json")]) == 0
+        cfg = resolve_config(load_config_file(config_file), {"score_backend": "llm"})
+        rows = (cli._cache_dir(cfg) / "predictions.jsonl").read_text().splitlines()
+        asked = Counter(p for p in prompts if is_prediction_prompt(p))
+        assert len(asked) == len(rows) > 0
+        assert set(asked.values()) == {1}  # evaluate reuses the predict stage's predictions
+        prompts.clear()
+        assert main([*argv, "--out", str(tmp_path / "warm.json")]) == 0
+        assert prompts == [] and reads == []
+        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
+
+    def test_rewritten_input_is_recomputed(self, tmp_path, capsys):
+        data = tmp_path / "interactions.csv"
+        config = write_config(tmp_path, data)
+        reports, outputs = [], []
+        for seed in (3, 4):
+            data.write_text(small_planted_csv(seed), encoding="utf-8")  # same path, new bytes
+            out = tmp_path / f"report-{seed}.json"
+            assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+            outputs.append(capsys.readouterr().out)
+        assert "cache hit" not in outputs[1]
+        assert reports[0] != reports[1]
+
+    def test_missing_input_is_an_ingest_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["ingest", "--data", str(missing), "--cache-dir", str(tmp_path / "cache")]) == 1
+        assert f"cannot open {missing}" in capsys.readouterr().err

@@ -1,30 +1,29 @@
 import dataclasses
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hisekt import evaluation, pathscore, predict, retrieval
 from hisekt.config import RunConfig, fingerprint
 from hisekt.errors import HisektError, UndefinedMetricError
 from hisekt.evaluation import (
     PipelineContext,
-    VariantMetrics,
     accuracy,
     auc,
     predict_targets,
     retrieve_peers,
     run_experiment,
     run_seed_of,
-    run_variant,
     unimodal_or_plateau,
 )
-from hisekt.llm import LlmClient, MockTransport
+from hisekt.llm import MockTransport
 from hisekt.mrhin import TEMPLATES, PathInstance
 from hisekt.pathscore import PathScore, ScoredInstance, select_top_k
-from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
 
@@ -188,12 +187,13 @@ class TestRunExperiment:
             prompts.append(prompt)
             return mock(prompt)
 
-        ctx._client = LlmClient(backend="mock", transport=recording, max_in_flight=1)
+        client = ctx.get("client")
+        client.transport, client.max_in_flight = recording, 1
         run_seed = run_seed_of(ctx.cfg, 0)
         for variant in (None, "msr", "msl", "simu", "rsimu", "irt"):
             prompts.clear()
             _, peers = retrieve_peers(ctx, variant, run_seed)
-            predictions = predict_targets(ctx, variant, peers)
+            predictions = predict_targets(ctx, variant, run_seed)
             assert len(prompts) == len(predictions) == len(ctx.test_targets()) > 0
             has_peers = variant != "simu"
             assert any("\npeer: " in text for text in prompts) == has_peers
@@ -226,18 +226,6 @@ class TestRunExperiment:
         with pytest.raises(HisektError, match=key):
             run_experiment(cfg)
 
-    def test_share_stage_caches_gives_identical_sampling(self, planted_file):
-        cfg = small_cfg(planted_file)
-        ctx1 = PipelineContext(cfg)
-        run_seed = derive_seed(cfg.seed, "run", 0)
-        base = run_variant(ctx1, None, run_seed)
-        cfg2 = dataclasses.replace(cfg, top_k=2)
-        ctx2 = PipelineContext(cfg2)
-        ctx2.share_stage_caches(ctx1)
-        other = run_variant(ctx2, None, run_seed)
-        assert ctx2._instances is ctx1._instances
-        assert isinstance(other, VariantMetrics)
-
     def test_json_report_is_parseable(self, planted_file):
         cfg = small_cfg(planted_file)
         report = run_experiment(cfg)
@@ -245,3 +233,60 @@ class TestRunExperiment:
         assert payload["config_fingerprint"] == report.config_fingerprint
         table = report.to_table()
         assert "full" in table and "AUC" in table
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls of each stage's work function, counted by name."""
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [
+        (evaluation, "sample_instances"), (pathscore, "score_all"), (evaluation, "_retain_top_k"),
+        (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s"), (predict, "predict"),
+    ]:
+        count(owner, name)
+    return calls
+
+
+class TestStageMemo:
+    @pytest.mark.parametrize(
+        "change",
+        [dict(top_k=1, variants=()), dict(top_s=1), dict(n_walks=6), dict(variants=("msr", "irt"))],
+        ids=["top_k", "top_s", "n_walks", "variants"],
+    )
+    def test_other_config_on_a_used_context_equals_a_fresh_run(self, planted_file, change):
+        cfg = small_cfg(planted_file, variants=("msl", "rsimu"))
+        ctx = PipelineContext(cfg)
+        run_experiment(cfg, ctx)
+        other = dataclasses.replace(cfg, **change)
+        assert run_experiment(other, ctx).to_json() == run_experiment(other).to_json()
+
+    def test_each_stage_runs_once_per_distinct_input(self, planted_file, stage_calls):
+        variants = ("msr", "msl", "simu", "rsimu")
+        cfg = small_cfg(planted_file, variants=variants)
+        ctx = PipelineContext(cfg)
+        run_experiment(cfg, ctx)
+        # full, simu and rsimu select the same Top-K walks; simu needs no peers at all
+        assert stage_calls["_retain_top_k"] == stage_calls["fit_similarity"] == 3
+
+        stage_calls.clear()
+        run_experiment(dataclasses.replace(cfg, variants=(*variants, "irt")), ctx)
+        assert stage_calls == Counter({"predict": len(ctx.test_targets())})  # irt only masks full's prompts
+
+        stage_calls.clear()
+        run_experiment(cfg, ctx)
+        assert stage_calls == Counter()
+
+        run_experiment(dataclasses.replace(cfg, top_s=1), ctx)
+        assert stage_calls["top_s"] > 0 and stage_calls["predict"] > 0
+        for name in ("sample_instances", "score_all", "_retain_top_k", "select_top_k", "fit_similarity"):
+            assert stage_calls[name] == 0, name
