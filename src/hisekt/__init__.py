@@ -18,7 +18,9 @@ from .retrieval import (
     SimilarityModel,
     build_candidates,
     distance,
+    distances,
     encode,
+    encode_many,
     fit_similarity,
     top_s,
 )
@@ -54,7 +56,9 @@ __all__ = [
     "build_prompt",
     "discretize",
     "distance",
+    "distances",
     "encode",
+    "encode_many",
     "fingerprint",
     "fit",
     "fit_similarity",

@@ -112,9 +112,23 @@ class IrtModel:
     rounds: int = 0
     cold_start_students: frozenset[str] = field(default_factory=frozenset)
     cold_start_questions: frozenset[str] = field(default_factory=frozenset)
+    _theta_rows: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def has_question(self, question_id: str) -> bool:
         return question_id in self.diff
+
+    def theta_array(self, students: tuple[str, ...]) -> np.ndarray:
+        """theta of each of ``students`` in order, 0.0 where the model has none.
+
+        Memoized per student tuple, so ``theta`` must not change after the
+        first call.
+        """
+        rows = self._theta_rows.get(students)
+        if rows is None:
+            rows = np.array([self.theta.get(s, 0.0) for s in students], dtype=float)
+            self._theta_rows[students] = rows
+        return rows
 
 
 # -- penalized likelihood -------------------------------------------------

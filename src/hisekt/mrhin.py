@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -31,7 +32,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .irt import IrtModel
-from .seeding import derive_rng, stable_hash
+from .seeding import hash_joined, seeds_after
 
 logger = logging.getLogger(__name__)
 
@@ -119,7 +120,7 @@ class PathInstance:
         """Stable hash of the node sequence that orders equal Top-K totals; computed once."""
         key = self._tie_key
         if key is None:
-            key = stable_hash(*map(node_token, self.nodes))
+            key = hash_joined(node_token(node).encode("utf-8") for node in self.nodes)
             object.__setattr__(self, "_tie_key", key)
         return key
 
@@ -132,9 +133,10 @@ def node_token(node: Node) -> str:
 class Mrhin:
     """Immutable typed graph with kind-filtered adjacency.
 
-    Node int ``i`` is node ``node_ids[i]``, of kind ``kinds[i]``, written
-    ``tokens[i]`` (``kind:id``) in artifacts and tie keys; ``int_adj[kind][i]``
-    are its neighbors of that kind as ints.
+    Node int ``i`` is node ``node_ids[i]``, of kind ``kinds[i]``; its
+    ``kind:id`` token, which artifacts write and tie keys hash, is
+    ``token_bytes[i]`` in UTF-8; ``int_adj[kind][i]`` are its neighbors of
+    that kind as ints.
 
     Two per-node results are memoized on the graph, since scoring asks for
     them once per target question: the hop array of :meth:`hops_from` (one
@@ -149,7 +151,7 @@ class Mrhin:
         self.node_ids: tuple[Node, ...] = tuple(sorted(self._adj))
         self._index = {node: i for i, node in enumerate(self.node_ids)}
         self.kinds = tuple(kind for kind, _ in self.node_ids)
-        self.tokens = tuple(map(node_token, self.node_ids))
+        self.token_bytes = tuple(node_token(node).encode("utf-8") for node in self.node_ids)
         # per kind, the int neighbors of that kind of every node, sorted like
         # the node tuples, so a draw by position picks the same neighbor
         self.int_adj: dict[str, tuple[tuple[int, ...], ...]] = {
@@ -313,8 +315,8 @@ class WalkGroup(Sequence[PathInstance]):
     def tie_keys(self) -> np.ndarray:
         keys = self._tie_keys
         if keys is None:
-            tokens = self.graph.tokens
-            keys = np.array([stable_hash(*[tokens[x] for x in walk]) for walk in self.walks()], dtype=np.int64)
+            tokens = self.graph.token_bytes
+            keys = np.array([hash_joined([tokens[x] for x in walk]) for walk in self.walks()], dtype=np.int64)
             self._tie_keys = keys
         return keys
 
@@ -337,10 +339,10 @@ def sample_instances(
     A walk that hits a node with no neighbor of the required next kind is
     kept truncated if it already completed one full template cycle, otherwise
     discarded and resampled; sampling stops after 10n attempts.  Each attempt
-    draws its own RNG from (seed, template, q0, attempt index), so parallel
-    and serial sampling agree and reruns are byte-identical.  Each step is one
-    ``rng.choice`` over the sorted neighbor ints, which picks the same
-    neighbor as a draw over the sorted neighbor nodes.
+    seeds its own RNG with ``derive_seed(seed, template, q0, attempt index)``,
+    so parallel and serial sampling agree and reruns are byte-identical.  Each
+    step draws like ``rng.choice`` over the sorted neighbor ints, which picks
+    the same neighbor as a draw over the sorted neighbor nodes.
     """
     start: Node = ("Q", q0)
     if not g.has_node(start):
@@ -358,15 +360,25 @@ def sample_instances(
     steps = [g.int_adj[template.kind_at(position)] for position in range(1, walk_len)]
     width = len(steps) + 1
     first = g.index(start)
+    seed_of = seeds_after(seed, template.name, q0)
+    rng = random.Random()
+    getrandbits = rng.getrandbits
     for attempt in range(RESAMPLE_FACTOR * n):
-        rng = derive_rng(seed, template.name, q0, attempt)
+        rng.seed(seed_of(attempt))  # the state of random.Random(seed_of(attempt))
         walk = [first]
         node = first
         for nbrs_of in steps:
             nbrs = nbrs_of[node]
             if not nbrs:
                 break
-            node = rng.choice(nbrs)
+            # rng.choice(nbrs) without its call overhead: CPython's Random._randbelow
+            # draws bit_length(count) bits until the draw is below count
+            count = len(nbrs)
+            bits = count.bit_length()
+            r = getrandbits(bits)
+            while r >= count:
+                r = getrandbits(bits)
+            node = nbrs[r]
             walk.append(node)
         if len(walk) < width:
             if len(walk) < min_full_cycle:

@@ -6,13 +6,28 @@ shared-question count, shared-KC count, and path co-occurrence frequency.
 A similarity model holds the mean and a shrinkage-regularized covariance of
 those features over sampled pairs; candidates are ranked by ascending
 Mahalanobis distance.
+
+Pairs are encoded and ranked in blocks.  :class:`StudentTables`, built once
+per dataset, gives every student a row position, a students x KCs train
+accuracy matrix with a has-KC mask (columns in sorted KC order) and a packed
+students x questions incidence matrix; theta comes from
+``IrtModel.theta_array``.  :func:`encode_many` is the one place the five
+formulas live, and :func:`encode` is its one-row call.  Its arithmetic
+matches a per-pair Python loop bit for bit: the accuracy gap is summed
+column by column in sorted KC order, left to right, and the three decays are
+read from a table of Python floats ``(1.0 + i) ** (-c)`` filled on demand.
+:func:`distances` solves every row against the Cholesky factor in one
+batched ``np.linalg.solve``, the same one-right-hand-side solve per row as
+:func:`distance`.  :func:`top_s` encodes and ranks a target's candidates as
+one block, and :func:`fit_similarity` its sampled pairs; random pairs are
+drawn as indices into the nested-loop pair order and never listed.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,28 +83,69 @@ class SimilarityModel:
         return self._chol
 
 
-class _TrainStats:
-    """Per-student train-split summaries reused across encodings."""
+# popcount of each byte value, for shared-question counts over packed incidence rows
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+class StudentTables:
+    """Train-split summaries of every student of a dataset, one row each.
+
+    ``position[s]`` is student ``s``'s row; every id of ``d.students()`` has
+    one, students without train rows included.  ``kc_accuracy[i, k]`` is row
+    ``i``'s train accuracy on the k-th KC in sorted order where
+    ``has_kc[i, k]``, else 0.0.  ``questions`` is the students x questions
+    train incidence, packed eight questions per byte.
+    """
 
     def __init__(self, d: Dataset):
-        self.questions: dict[str, frozenset[str]] = {}
-        self.kc_accuracy: dict[str, dict[str, float]] = {}
-        for student, rows in d.by_student("train").items():
-            self.questions[student] = frozenset(i.question_id for i in rows)
-            totals: dict[str, int] = {}
-            rights: dict[str, int] = {}
-            for i in rows:
+        self.students = d.students()
+        self.position = {s: i for i, s in enumerate(self.students)}
+        kc_col = {k: j for j, k in enumerate(d.kcs())}
+        q_col = {q: j for j, q in enumerate(d.questions())}
+        n = len(self.students)
+        answered: list[tuple[int, int]] = []
+        cells: list[int] = []
+        rights: list[bool] = []
+        for student, history in d.by_student("train").items():
+            row = self.position[student]
+            for i in history:
+                answered.append((row, q_col[i.question_id]))
                 for kc in i.kc_ids:
-                    totals[kc] = totals.get(kc, 0) + 1
-                    rights[kc] = rights.get(kc, 0) + (1 if i.correct else 0)
-            self.kc_accuracy[student] = {kc: rights[kc] / totals[kc] for kc in totals}
+                    cells.append(row * len(kc_col) + kc_col[kc])
+                    rights.append(i.correct)
+        totals = np.bincount(cells, minlength=n * len(kc_col)).reshape(n, len(kc_col))
+        right = np.bincount(cells, weights=rights, minlength=totals.size).reshape(totals.shape)
+        self.has_kc = totals > 0
+        self.kc_accuracy = np.divide(right, totals, out=np.zeros(totals.shape), where=self.has_kc)
+        # set each answered question's bit in place, as np.packbits orders them (first = high bit)
+        self.questions = np.zeros((n, (len(q_col) + 7) // 8), dtype=np.uint8)
+        rows, cols = np.array(answered, dtype=np.intp).reshape(-1, 2).T
+        np.bitwise_or.at(self.questions, (rows, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
+        self._decay: dict[float, np.ndarray] = {}
+
+    def positions(self, ids: Iterable[str]) -> np.ndarray:
+        try:
+            return np.array([self.position[sid] for sid in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a student of the dataset") from None
+
+    def decay(self, counts: np.ndarray, c: float) -> np.ndarray:
+        """``(1.0 + n) ** (-c)`` for each count ``n``, read from a table of Python floats."""
+        if counts.size and counts.min() < 0:
+            raise ValueError("counts must be non-negative")
+        top = int(counts.max(initial=0))
+        table = self._decay.get(c)
+        if table is None or len(table) <= top:
+            table = np.array([(1.0 + n) ** (-c) for n in range(2 * top + 2)])
+            self._decay[c] = table  # replaced whole, so a concurrent reader sees an old or a new table
+        return table[counts]
 
 
-def _train_stats(d: Dataset) -> _TrainStats:
-    cached = getattr(d, "_pair_feature_stats", None)
+def student_tables(d: Dataset) -> StudentTables:
+    cached = getattr(d, "_student_tables", None)
     if cached is None:
-        cached = _TrainStats(d)
-        d._pair_feature_stats = cached  # memoized on the immutable dataset
+        cached = StudentTables(d)
+        d._student_tables = cached  # memoized on the immutable dataset
     return cached
 
 
@@ -117,6 +173,45 @@ def build_candidates(paths: Sequence[ScoredInstance], u_target: str) -> Candidat
     return candidates_of(student_counts(paths), u_target, target_question)
 
 
+def encode_many(
+    u: Sequence[int] | np.ndarray,
+    s: Sequence[int] | np.ndarray,
+    f: Sequence[int] | np.ndarray,
+    m: IrtModel,
+    d: Dataset,
+    c: float = DEFAULT_SCALING,
+) -> np.ndarray:
+    """Features of the pairs ``(u[r], s[r])`` with co-occurrence ``f[r]``, one row each (n x 5).
+
+    ``u`` and ``s`` are row positions of :func:`student_tables`; the
+    features are symmetric in them.  Accuracies and shared counts come from
+    train-split interactions only.  With no shared KC the accuracy-gap
+    feature takes its worst value ``c``, since absent shared evidence should
+    not read as similarity.
+    """
+    t = student_tables(d)
+    u = np.asarray(u, dtype=np.intp)
+    s = np.asarray(s, dtype=np.intp)
+    if np.any(u == s):
+        raise ValueError("cannot encode a student against itself")
+    theta = m.theta_array(t.students)
+    z1 = np.abs(theta[u] - theta[s])
+
+    shared = t.has_kc[u] & t.has_kc[s]
+    gap = np.abs(t.kc_accuracy[u] - t.kc_accuracy[s])
+    total = np.zeros(len(u))
+    # one column at a time in sorted KC order: the running sum of a per-pair
+    # loop, which a reduction along the row would not reproduce bit for bit
+    for k in np.flatnonzero(shared.any(axis=0)):
+        total = np.where(shared[:, k], total + gap[:, k], total)
+    n_kcs = shared.sum(axis=1)
+    z2 = np.where(n_kcs > 0, (c / np.maximum(n_kcs, 1)) * total, c)
+
+    n_q = _POPCOUNT[t.questions[u] & t.questions[s]].sum(axis=1)
+    return np.column_stack(
+        [z1, z2, t.decay(n_q, c), t.decay(n_kcs, c), t.decay(np.asarray(f, dtype=np.int64), c)])
+
+
 def encode(
     u: str,
     s: str,
@@ -125,33 +220,9 @@ def encode(
     d: Dataset,
     c: float = DEFAULT_SCALING,
 ) -> FeatureVector:
-    """Five-dimensional pair features; symmetric in (u, s).
-
-    Accuracies and shared counts come from train-split interactions only.
-    With no shared KC the accuracy-gap feature takes its worst value ``c``,
-    since absent shared evidence should not read as similarity.
-    """
-    if u == s:
-        raise ValueError("cannot encode a student against itself")
-    stats = _train_stats(d)
-    theta_u = m.theta.get(u, 0.0)
-    theta_s = m.theta.get(s, 0.0)
-    z1 = abs(theta_u - theta_s)
-
-    acc_u = stats.kc_accuracy.get(u, {})
-    acc_s = stats.kc_accuracy.get(s, {})
-    shared_kcs = acc_u.keys() & acc_s.keys()
-    if shared_kcs:
-        # summed in KC order: set order follows the per-process string hash
-        z2 = (c / len(shared_kcs)) * sum(abs(acc_u[k] - acc_s[k]) for k in sorted(shared_kcs))
-    else:
-        z2 = c
-
-    n_q = len(stats.questions.get(u, frozenset()) & stats.questions.get(s, frozenset()))
-    z3 = (1.0 + n_q) ** (-c)
-    z4 = (1.0 + len(shared_kcs)) ** (-c)
-    z5 = (1.0 + f) ** (-c)
-    return FeatureVector(z1, z2, z3, z4, z5)
+    """Five-dimensional pair features of two students: one row of :func:`encode_many`."""
+    t = student_tables(d)
+    return FeatureVector(*map(float, encode_many(t.positions([u]), t.positions([s]), [f], m, d, c)[0]))
 
 
 def _shrink(sample_cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -187,25 +258,28 @@ def fit_similarity(
     observed in retained path instances, sampled without replacement.
     """
     rng = derive_rng(seed, "fit_similarity")
+    t = student_tables(d)
     if pair_pool is not None:
         pool = sorted(set(pair_pool))
         if not pool:
             raise ModelError("empty pair pool for similarity fit")
         chosen = pool if len(pool) <= sample_pairs else rng.sample(pool, sample_pairs)
+        u, s = t.positions(p[0] for p in chosen), t.positions(p[1] for p in chosen)
+        f = [p[2] for p in chosen]
     else:
-        students = d.students()
-        if len(students) < 2:
+        n = len(t.students)
+        if n < 2:
             raise ModelError("need at least two students to fit a similarity model")
-        all_pairs = [
-            (students[i], students[j], 0)
-            for i in range(len(students))
-            for j in range(i + 1, len(students))
-        ]
-        chosen = all_pairs if len(all_pairs) <= sample_pairs else rng.sample(all_pairs, sample_pairs)
+        n_pairs = n * (n - 1) // 2
+        # rng.sample reads only len() and indexing, so sampling indices picks
+        # the pairs that sampling the listed pairs would
+        index = np.arange(n_pairs) if n_pairs <= sample_pairs else rng.sample(range(n_pairs), sample_pairs)
+        u, s = pair_at(np.asarray(index, dtype=np.int64), n)
+        f = np.zeros(len(u), dtype=np.int64)
 
-    features = np.array([encode(u, s, f, m, d, c).as_array() for u, s, f in chosen])
+    features = encode_many(u, s, f, m, d, c)
     mu, sigma, lam = _fit_from_features(features)
-    model = SimilarityModel(mu=mu, sigma=sigma, shrinkage_lambda=lam, pair_sample_size=len(chosen))
+    model = SimilarityModel(mu=mu, sigma=sigma, shrinkage_lambda=lam, pair_sample_size=len(features))
     model.cholesky()  # assert positive definiteness now
     return model
 
@@ -220,13 +294,26 @@ def _fit_from_features(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     return mu, sigma, lam
 
 
+def pair_at(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j), i < j, of the index-th pair in the order ``for i: for j > i`` over n items."""
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * n - rows * (rows + 1) // 2  # index of each row's first pair
+    i = np.searchsorted(starts, index, side="right") - 1
+    return i, index - starts[i] + i + 1
+
+
+def distances(z: np.ndarray, sm: SimilarityModel) -> np.ndarray:
+    """Mahalanobis distance of each row of ``z`` (n x 5), solved against the Cholesky factor, no explicit inverse."""
+    delta = np.asarray(z, dtype=float) - sm.mu
+    # Solve L y = delta row by row (one right-hand side each); the squared distance is ||y||^2.
+    y = np.linalg.solve(sm.cholesky(), delta[..., None])[..., 0]
+    # a 1 x 5 by 5 x 1 product per row sums like np.dot(y, y)
+    return np.sqrt(np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0])
+
+
 def distance(z: FeatureVector, sm: SimilarityModel) -> float:
-    """sqrt((z - mu)^T Sigma^-1 (z - mu)) via a triangular solve, no explicit inverse."""
-    delta = z.as_array() - sm.mu
-    chol = sm.cholesky()
-    # Solve L y = delta; the squared distance is ||y||^2.
-    y = np.linalg.solve(chol, delta)
-    return float(np.sqrt(np.dot(y, y)))
+    """sqrt((z - mu)^T Sigma^-1 (z - mu)): one row of :func:`distances`."""
+    return float(distances(z.as_array()[None, :], sm)[0])
 
 
 def top_s(
@@ -246,14 +333,12 @@ def top_s(
     if not ids:
         return []
     if mode == "similar":
-        ranked = sorted(
-            ids,
-            key=lambda sid: (
-                distance(encode(cands.target_student, sid, cands.candidates[sid], m, d, c), sm),
-                sid,
-            ),
-        )
-        return ranked[: min(s, len(ranked))]
+        t = student_tables(d)
+        u = np.full(len(ids), t.positions([cands.target_student])[0])
+        f = [cands.candidates[sid] for sid in ids]
+        dist = distances(encode_many(u, t.positions(ids), f, m, d, c), sm)
+        # ids are sorted and the sort is stable: order by (distance, id)
+        return [ids[i] for i in np.argsort(dist, kind="stable")[:s]]
     if mode == "random":
         rng = derive_rng(seed, "top_s", cands.target_student, cands.target_question)
         if s >= len(ids):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import sys
 import threading
@@ -7,7 +8,9 @@ from collections import deque
 import pytest
 from scipy.stats import chisquare
 
+from hisekt.dataset import ingest, split
 from hisekt.mrhin import (
+    RESAMPLE_FACTOR,
     TEMPLATES,
     EDGE_KINDS,
     MetaPathTemplate,
@@ -21,6 +24,8 @@ from hisekt.mrhin import (
     write_instances,
 )
 from hisekt.irt import Level
+from hisekt.seeding import derive_rng, derive_seed, seeds_after
+from hisekt.synth import planted_csv
 
 from graph_fixture import (
     ABILITY,
@@ -327,6 +332,57 @@ class TestSampling:
         assert inst.target_kc == "K1"  # Q5 covers K1 and K2
         with pytest.raises(ValueError):
             sample_instances(fixture_graph, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0, target_kc="K9")
+
+    def test_draws_equal_random_choice_for_1_to_70_neighbors(self):
+        # Q01..Q70 and S00..S69, with an edge where j < n: question Qn has n
+        # students and student Sj has 70 - j questions, so Q-U-Q walks draw
+        # among every count of neighbors from 1 to 70.
+        questions = [("Q", f"Q{n:02d}") for n in range(1, 71)]
+        students = [("U", f"S{j:02d}") for j in range(70)]
+        adjacency = {q: {"U": tuple(students[: int(q[1][1:])]), "K": (("K", "K1"),)} for q in questions}
+        adjacency.update({u: {"Q": tuple(q for q in questions if int(q[1][1:]) > int(u[1][1:]))} for u in students})
+        adjacency[("K", "K1")] = {"Q": tuple(questions)}
+        g = Mrhin(adjacency)
+        template = TEMPLATES["Q-U-Q"]
+        for seed in range(4):
+            for _, q0 in questions:
+                got = [p.nodes for p in sample_instances(g, template, q0, n=5, walk_len=20, seed=seed)]
+                assert got == choice_walks(g, template, q0, 5, 20, seed)
+
+    def test_attempt_seeds_hash_their_prefix_once(self):
+        seed_of = seeds_after(11, "Q-K-Q-U-Q", "Q5")
+        for attempt in range(1000):
+            assert seed_of(attempt) == derive_seed(11, "Q-K-Q-U-Q", "Q5", attempt)
+        assert seeds_after()(3) == derive_seed(3)
+
+
+def choice_walks(g, template, q0, n, walk_len, seed):
+    """The walks of ``sample_instances``, drawn node by node with ``Random.choice``."""
+    walks = []
+    for attempt in range(RESAMPLE_FACTOR * n):
+        rng = derive_rng(seed, template.name, q0, attempt)
+        walk = [("Q", q0)]
+        for position in range(1, walk_len):
+            nbrs = g.neighbors(walk[-1], template.kind_at(position))
+            if not nbrs:
+                break
+            walk.append(rng.choice(nbrs))
+        if len(walk) < min(walk_len, len(template.kinds)):
+            continue
+        walks.append(tuple(walk))
+        if len(walks) == n:
+            break
+    return walks
+
+
+def test_group_tie_keys_equal_each_walks_tie_key():
+    d = split(ingest(io.StringIO(planted_csv(seed=1)[0])), 0)
+    g = Mrhin.build(d, make_model({s: Level.MEDIUM for s in d.students()},
+                                  {q: Level.MEDIUM for q in d.questions()}))
+    for _, q in g.nodes("Q"):
+        for template in TEMPLATES.values():
+            group = sample_instances(g, template, q, n=10, walk_len=20, seed=1)
+            assert group.tie_keys.tolist() == [p.tie_key for p in group]
 
 
 class TestStores:

@@ -1,14 +1,18 @@
+import io
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hisekt
+from hisekt.dataset import ingest, split
 from hisekt.errors import ModelError
-from hisekt.irt import Level
+from hisekt.irt import IrtModel, Level
 from hisekt.mrhin import TEMPLATES, PathInstance
 from hisekt.pathscore import PathScore, ScoredInstance
 from hisekt.retrieval import (
@@ -18,10 +22,16 @@ from hisekt.retrieval import (
     _fit_from_features,
     build_candidates,
     distance,
+    distances,
     encode,
+    encode_many,
     fit_similarity,
+    pair_at,
+    student_tables,
     top_s,
 )
+from hisekt.seeding import derive_rng
+from hisekt.synth import planted_csv
 
 from graph_fixture import make_dataset, make_model
 
@@ -341,3 +351,137 @@ class TestTopS:
             top_s(self.cands, self.sm, self.m, self.d, 0)
         with pytest.raises(ValueError):
             top_s(self.cands, self.sm, self.m, self.d, 1, mode="best")
+
+
+# -- blocks against the per-pair loop they replaced ---------------------------
+
+
+class LoopEncoder:
+    """The per-pair encoder the block functions replaced, kept as their reference."""
+
+    def __init__(self, d):
+        self.questions = {}
+        self.kc_accuracy = {}
+        for student, rows in d.by_student("train").items():
+            self.questions[student] = frozenset(i.question_id for i in rows)
+            totals, rights = {}, {}
+            for i in rows:
+                for kc in i.kc_ids:
+                    totals[kc] = totals.get(kc, 0) + 1
+                    rights[kc] = rights.get(kc, 0) + (1 if i.correct else 0)
+            self.kc_accuracy[student] = {kc: rights[kc] / totals[kc] for kc in totals}
+
+    def encode(self, u, s, f, m, c=2.0):
+        theta_u = m.theta.get(u, 0.0)
+        theta_s = m.theta.get(s, 0.0)
+        z1 = abs(theta_u - theta_s)
+        acc_u = self.kc_accuracy.get(u, {})
+        acc_s = self.kc_accuracy.get(s, {})
+        shared_kcs = acc_u.keys() & acc_s.keys()
+        if shared_kcs:
+            # a running sum in KC order (sum() of floats compensates on Python 3.12+)
+            total = 0.0
+            for k in sorted(shared_kcs):
+                total += abs(acc_u[k] - acc_s[k])
+            z2 = (c / len(shared_kcs)) * total
+        else:
+            z2 = c
+        n_q = len(self.questions.get(u, frozenset()) & self.questions.get(s, frozenset()))
+        return [z1, z2, (1.0 + n_q) ** (-c), (1.0 + len(shared_kcs)) ** (-c), (1.0 + f) ** (-c)]
+
+
+def loop_distance(z, sm):
+    y = np.linalg.solve(sm.cholesky(), np.asarray(z) - sm.mu)
+    return float(np.sqrt(np.dot(y, y)))
+
+
+@pytest.fixture(scope="module", params=[(1, {}), (2, {}), (3, {}), (1, {"kcs_per_band": 10, "questions_per_band": 70})],
+                ids=["seed1", "seed2", "seed3", "30kcs"])
+def planted(request):
+    """A planted dataset, a hand-set theta for all students but the first, and the loop encoder.
+
+    With 10 KCs of 7 questions per band, same-band pairs share 10 KCs with
+    accuracies such as 3/7: enough that a numpy reduction along the row, which
+    adds 8 or more items in another order, would round differently.
+    """
+    seed, shape = request.param
+    d = split(ingest(io.StringIO(planted_csv(seed=seed, **shape)[0])), 0)
+    rng = random.Random(seed)
+    theta = {sid: rng.gauss(0.0, 1.0) for sid in d.students()[1:]}
+    m = IrtModel(theta, {}, {}, {}, {}, 0.0, 1.0, 0.0, 1.0)
+    return d, m, LoopEncoder(d)
+
+
+class TestBlocksEqualTheLoop:
+    def test_encode_many_rows(self, planted):
+        d, m, loop = planted
+        students = student_tables(d).students
+        pairs = [(a, b) for a in range(len(students)) for b in range(len(students)) if a != b]
+        f = [(7 * a + 3 * b) % 300 for a, b in pairs]
+        for c in (2.0, 0.5):
+            got = encode_many([a for a, _ in pairs], [b for _, b in pairs], f, m, d, c)
+            expected = [loop.encode(students[a], students[b], ff, m, c) for (a, b), ff in zip(pairs, f)]
+            assert got.tobytes() == np.array(expected).tobytes()
+        u, s = students[0], students[-1]
+        assert encode(u, s, 4, m, d).as_array().tobytes() == np.array(loop.encode(u, s, 4, m)).tobytes()
+
+    def test_distances(self, planted):
+        d, m, loop = planted
+        sm = fit_similarity(d, m, seed=1)
+        students = d.students()
+        rows = [loop.encode(u, s, (len(u) * i) % 50, m) for i, u in enumerate(students) for s in students if s != u]
+        rows = np.vstack([rows, np.random.default_rng(0).normal(size=(5_000, 5))])
+        expected = [loop_distance(z, sm) for z in rows]
+        assert distances(rows, sm).tobytes() == np.array(expected).tobytes()
+        assert distance(FeatureVector(*rows[0]), sm) == expected[0]
+
+    def test_top_s_ranking(self, planted):
+        d, m, loop = planted
+        sm = fit_similarity(d, m, seed=2)
+        targets = sorted({(i.student_id, i.question_id) for i in d.iter_split("test")})[::7]
+        for u, q in targets:
+            cands = CandidateSet(u, q, {s: 1 + (len(s) + len(q)) % 4 for s in d.students() if s != u})
+            ranked = sorted(
+                cands.candidates,
+                key=lambda s: (loop_distance(loop.encode(u, s, cands.candidates[s], m), sm), s),
+            )
+            assert top_s(cands, sm, m, d, 5) == ranked[:5]
+
+
+class TestRandomPairs:
+    @pytest.mark.parametrize("n,k", [(30, 400), (400, 10_000), (700, 10_000)])
+    def test_index_draw_picks_the_listed_pairs_draw(self, n, k):
+        listed = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        expected = derive_rng(5, "fit_similarity").sample(listed, k)
+        index = derive_rng(5, "fit_similarity").sample(range(len(listed)), k)
+        i, j = pair_at(np.array(index), n)
+        assert list(zip(i.tolist(), j.tolist())) == expected
+        i, j = pair_at(np.arange(len(listed)), n)
+        assert list(zip(i.tolist(), j.tolist())) == listed
+
+    def test_fit_equals_a_fit_on_the_listed_pairs(self):
+        students = [f"S{n:02d}" for n in range(30)]
+        kc_of = {f"Q{j}": f"K{j % 3}" for j in range(8)}
+        pairs = [(s, q) for n, s in enumerate(students) for j, q in enumerate(kc_of) if (n + j) % 3]
+        d = make_dataset(pairs, kc_of)
+        m = make_model({s: Level.MEDIUM for s in students}, {q: Level.MEDIUM for q in kc_of})
+        m.theta.update({s: 0.1 * n for n, s in enumerate(students)})
+        listed = [(u, s, 0) for n, u in enumerate(students) for s in students[n + 1:]]
+        a = fit_similarity(d, m, sample_pairs=400, seed=3)
+        b = fit_similarity(d, m, sample_pairs=400, seed=3, pair_pool=listed)
+        assert a.mu.tobytes() == b.mu.tobytes() and a.sigma.tobytes() == b.sigma.tobytes()
+
+    def test_memory_does_not_grow_with_the_pair_count(self):
+        # 1,000 students make 499,500 pairs; listing them took over 30 MB
+        students = [f"S{n:04d}" for n in range(1_000)]
+        kc_of = {f"Q{j}": f"K{j % 5}" for j in range(20)}
+        d = make_dataset([(s, f"Q{(n + j) % 20}") for n, s in enumerate(students) for j in range(3)], kc_of)
+        m = IrtModel({s: 0.001 * n for n, s in enumerate(students)}, {}, {}, {}, {}, 0.0, 1.0, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            sm = fit_similarity(d, m, sample_pairs=10_000, seed=0)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert sm.pair_sample_size == 10_000
+        assert peak_mb < 8.0
