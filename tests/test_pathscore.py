@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
 from hisekt.config import RunConfig
 from hisekt.errors import ScoringError
 from hisekt.evaluation import PipelineContext, run_seed_of
-from hisekt.llm import LlmClient, scripted_client
+from hisekt.llm import LlmClient, map_bounded, scripted_client
 from hisekt.mrhin import TEMPLATES, PathInstance, WalkGroup, graph_distance, sample_instances
 from hisekt.pathscore import (
     LEVEL_CATEGORIES,
@@ -18,6 +19,7 @@ from hisekt.pathscore import (
     informativeness,
     kc_relevance,
     read_scored,
+    render_scoring_prompt,
     score,
     score_all,
     score_llm,
@@ -492,3 +494,94 @@ class TestGroupScorer:
                     assert s.score == reference_score(s.instance, ctx.graph), s.instance.nodes
                     checked += 1
         assert checked == 65_800
+
+
+def reference_scoring_prompt(p, g):
+    """The scoring prompt rendered line by line, one ``graph_distance`` per question node."""
+    lines = [
+        "### PATH QUALITY SCORING TASK ###",
+        f"target_question: {p.target_question}",
+        f"target_kc: {p.target_kc}",
+        "path:",
+    ]
+    length = p.edge_count
+    for idx, (kind, node_id) in enumerate(p.nodes, start=1):
+        entry = f"  {idx}. {kind}:{node_id}"
+        if kind == "Q":
+            kcs = ";".join(sorted(g.question_kcs(node_id)))
+            level = g.neighbors(("Q", node_id), "D")
+            level_label = level[0][1] if level else "Medium"
+            hops = graph_distance(g, ("Q", p.target_question), ("Q", node_id), cap=max(length, 1))
+            entry += f" | kcs: {kcs} | difficulty_level: {level_label} | hops_from_target: {hops}"
+        elif kind == "U":
+            level = g.neighbors(("U", node_id), "A")
+            entry += f" | ability_level: {level[0][1] if level else 'Medium'}"
+        lines.append(entry)
+    lines += [
+        "",
+        "Score this path on four dimensions, each from 0 to 5:",
+        "1. centrality: question nodes remain close to the target question, forming a star around it.",
+        "2. kc_relevance: the questions on the path cover the target knowledge concept.",
+        "3. informativeness: steps keep introducing new students, questions, and concepts"
+        " (repeat visits to the target question or target concept are not penalized).",
+        "4. diversity: ability and difficulty level nodes cover the six level categories evenly.",
+        "Reply with exactly four numbers in braces: {centrality, kc_relevance, informativeness, diversity}",
+    ]
+    return "\n".join(lines)
+
+
+class TestScoringPrompt:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_planted_prompt_equals_the_reference(self, tmp_path, seed):
+        # the staged CLI's walk configuration on the acceptance fixture
+        path = tmp_path / "planted.csv"
+        path.write_text(planted_csv(seed=seed)[0], encoding="utf-8")
+        cfg = RunConfig(data=str(path), seed=7, n_walks=20, walk_len=12)
+        ctx = PipelineContext(cfg)
+        checked = 0
+        for per_template in ctx.instances(run_seed_of(cfg, 0)).values():
+            for group in per_template.values():
+                for p in group:
+                    assert render_scoring_prompt(p, ctx.graph) == reference_scoring_prompt(p, ctx.graph), p.nodes
+                    checked += 1
+        assert checked == 13_160
+
+    def test_edge_case_prompts_equal_the_reference(self, g):
+        # capped and unreachable hop counts, no A/D node, a walk with no edge
+        eg = edge_case_graph()
+        walks = ["Q:Q0 U:S1 Q:Q2", "Q:Q0 K:K9 Q:QFAR K:K9 Q:QFAR", "Q:Q0 U:S1 Q:Q1 U:S1 Q:Q0",
+                 "Q:Q0 D:Low Q:Q1 U:S1 A:Low U:S2 Q:Q2 D:Medium Q:Q2", "Q:Q0"]
+        for w in walks:
+            p = PathInstance(TEMPLATES["Q-U-Q"], tuple(tuple(token.split(":")) for token in w.split()), "K1")
+            assert render_scoring_prompt(p, eg) == reference_scoring_prompt(p, eg)
+        for inst in sample_instances(g, TEMPLATES["Q-K-Q-U-Q-D-Q-U-A-U-Q"], "Q5", n=20, walk_len=20, seed=4):
+            assert render_scoring_prompt(inst, g) == reference_scoring_prompt(inst, g)
+
+    def test_concurrent_first_renders_equal_the_reference(self):
+        # eight workers render on a fresh graph at once, so most prompts are rendered while
+        # another thread is still building the graph's node annotations
+        walks = [p for name in ("Q-U-A-U-Q", "Q-K-Q-D-Q") for p in
+                 sample_instances(build_fixture_graph(), TEMPLATES[name], "Q2", n=30, walk_len=12, seed=6)]
+        reference = build_fixture_graph()
+        expected = {i: reference_scoring_prompt(p, reference) for i, p in enumerate(walks)}
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                fresh = build_fixture_graph()
+                got = map_bounded(lambda p: render_scoring_prompt(p, fresh), dict(enumerate(walks)), 8)
+                assert got == expected
+        finally:
+            sys.setswitchinterval(old_interval)
+
+    def test_node_annotations_are_built_once_per_graph(self, monkeypatch):
+        g = build_fixture_graph()
+        walks = sample_instances(g, TEMPLATES["Q-U-A-U-Q"], "Q1", n=20, walk_len=20, seed=5)
+        first = render_scoring_prompt(walks[0], g)
+        lookups = []
+        for name in ("neighbors", "question_kcs"):
+            monkeypatch.setattr(g, name, lambda *args, name=name: lookups.append(name))
+        assert render_scoring_prompt(walks[0], g) == first
+        assert [render_scoring_prompt(p, g) for p in walks] == [reference_scoring_prompt(p, build_fixture_graph())
+                                                                 for p in walks]
+        assert lookups == []
