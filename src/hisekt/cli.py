@@ -1,16 +1,21 @@
 """Stage-oriented command line over one ``PipelineContext``, with cache artifacts
 keyed by the config fingerprint and the input's bytes.
 
-Each command works in ``<cache_dir>/<fingerprint>-<input sha256>/`` on a
-:class:`~hisekt.evaluation.PipelineContext` that reads each artifact there
-(dataset, IRT model, graph, run 0's sampled and scored walks, retrieval and
+Each command works in ``<cache_dir>/<fingerprint>-<input sha256>/``, so
+artifacts produced under different hyperparameters or inputs never share a
+directory.  :data:`STAGES` gives each stage command its artifact there, the
+context stage that artifact holds, the commands whose artifacts it needs, and
+the artifact's writer and reader.  A command runs on a
+:class:`~hisekt.evaluation.PipelineContext` that reads each artifact (dataset,
+IRT model, graph, run 0's sampled and scored walks, retrieval and
 predictions) only when a stage first needs it; a stage whose artifact is
-missing computes it on that context and writes it.  So ``pipeline`` samples,
-scores and predicts each target once, ``evaluate`` reuses the ``predict``
-stage's run-0 predictions, and a warm ``pipeline`` parses only the artifacts
-its report needs.  A single-stage command refuses to run if an upstream
-artifact is missing, so artifacts produced under different hyperparameters or
-inputs can never mix.  Exit codes: 0 success, 1 stage failure, 2 usage error.
+missing computes it on that context and writes it to a temporary file, renamed
+into place once complete, so a run stopped mid-write leaves no partial
+artifact.  So ``pipeline`` samples, scores and predicts each target once,
+``evaluate`` reuses the ``predict`` stage's run-0 predictions, and a warm
+``pipeline`` parses only the artifacts its report needs.  A single-stage
+command refuses to run if an upstream artifact is missing.  Exit codes: 0
+success, 1 stage failure (a corrupt artifact included), 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,18 +26,18 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import dataset as dataset_mod
 from . import irt as irt_mod
 from . import pathscore
 from .config import CHOICES, FIELD_NAMES, RunConfig, fingerprint, load_config_file, resolve_config
 from .errors import HisektError, IngestError, StageDependencyError
-from .evaluation import (PipelineContext, group_by_target, predict_targets, retrieve_peers, run_experiment,
-                         run_seed_of, target_key)
-from .mrhin import WalkGroup, read_graph, read_instances, write_graph, write_instances
-from .pathscore import ScoredGroup
+from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of, target_key
+from .mrhin import read_graph, read_json_lines, read_walks, write_graph, write_walks
 from .predict import Prediction
 
 # Not called here: the benchmark's tracer patches these names on this module.
@@ -40,18 +45,6 @@ from .llm import map_bounded  # noqa: F401
 from .mrhin import sample_instances  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-ARTIFACTS = {
-    "ingest": "dataset.csv",
-    "fit-irt": "irt.tsv",
-    "build-hin": "graph.json",
-    "sample-paths": "paths.jsonl",
-    "score-paths": "scored.jsonl",
-    "retrieve": "retrieval.json",
-    "predict": "predictions.jsonl",
-    "evaluate": "report.json",
-}
-STAGE_ORDER = tuple(ARTIFACTS)
 
 
 def _cache_dir(cfg: RunConfig) -> Path:
@@ -65,11 +58,6 @@ def _cache_dir(cfg: RunConfig) -> Path:
     return root
 
 
-def _require(root: Path, stage: str, upstream: str) -> None:
-    if not (root / ARTIFACTS[upstream]).exists():
-        raise StageDependencyError(stage, upstream)
-
-
 def _cache_hit(stage: str, path: Path) -> bool:
     if path.exists():
         print(f"{stage}: cache hit ({path})")
@@ -77,18 +65,67 @@ def _cache_hit(stage: str, path: Path) -> bool:
     return False
 
 
-def _pending(root: Path, stage: str, *upstream: str) -> Path | None:
-    """The stage's artifact path if it still has to be written, once its upstream artifacts exist."""
-    out = root / ARTIFACTS[stage]
-    if _cache_hit(stage, out):
-        return None
-    for name in upstream:
-        _require(root, stage, name)
-    return out
+def _replace(path: Path, write: Callable[[Path], object]):
+    """``write`` a temporary file next to ``path``, then rename it to ``path``: a run stopped
+    mid-write leaves no partial file for the next run to take as a cache hit."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        result = write(tmp)
+        os.replace(tmp, path)
+        return result
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    _replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _peer_key(key: tuple[str, str, int]) -> str:
     return "|".join(map(str, key))
+
+
+# -- each stage's artifact writer (returns its progress line) and reader -------
+
+
+def _write_dataset(ctx: PipelineContext, path: Path) -> str:
+    path.write_text(dataset_mod.serialize(ctx.dataset), encoding="utf-8")
+    return f"{len(ctx.dataset)} interactions"
+
+
+def _write_irt(ctx: PipelineContext, path: Path) -> str:
+    m = ctx.irt
+    path.write_text(irt_mod.serialize(m), encoding="utf-8")
+    return f"{len(m.theta)} students, {len(m.diff)} questions"
+
+
+def _write_graph(ctx: PipelineContext, path: Path) -> str:
+    g = ctx.graph
+    write_graph(g, path)
+    return f"{len(g.nodes())} nodes, {g.edge_count()} edges"
+
+
+def _write_walks(ctx: PipelineContext, path: Path) -> str:
+    return f"{write_walks(ctx.instances(run_seed_of(ctx.cfg, 0)), path)} instances"
+
+
+def _write_scored(ctx: PipelineContext, path: Path) -> str:
+    return f"{pathscore.write_scored(ctx.scored(run_seed_of(ctx.cfg, 0)), path)} scored ({ctx.cfg.score_backend})"
+
+
+def _write_peers(ctx: PipelineContext, path: Path) -> str:
+    sim, peers = retrieve_peers(ctx, None, run_seed_of(ctx.cfg, 0))
+    payload = {
+        "similarity": {
+            "mu": list(sim.mu),
+            "sigma": [list(row) for row in sim.sigma],
+            "shrinkage_lambda": sim.shrinkage_lambda,
+            "pair_sample_size": sim.pair_sample_size,
+        },
+        "peers": {_peer_key(key): p for key, p in peers.items()},
+    }
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    return f"peers for {len(peers)} targets"
 
 
 def _read_peers(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], list[str]]:
@@ -96,128 +133,90 @@ def _read_peers(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], 
     return {target_key(i): stored.get(_peer_key(target_key(i)), []) for i in ctx.test_targets()}
 
 
+def _write_predictions(ctx: PipelineContext, path: Path) -> str:
+    predictions = predict_targets(ctx, None, run_seed_of(ctx.cfg, 0))
+    lines = [
+        json.dumps({"student": i.student_id, "question": i.question_id, "timestamp": i.timestamp,
+                    "label": int(i.correct), **dataclasses.asdict(predictions[target_key(i)])}, sort_keys=True)
+        for i in ctx.test_targets()
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"{len(lines)} predictions"
+
+
 def _read_predictions(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], Prediction]:
-    rows = map(json.loads, path.read_text(encoding="utf-8").splitlines())
-    return {(r["student"], r["question"], r["timestamp"]): Prediction(r["outcome"], r["confidence"], r["report"],
-                                                                       r["p_correct"]) for r in rows}
+    return dict(read_json_lines(path, lambda r: ((r["student"], r["question"], r["timestamp"]),
+                                                 Prediction(r["outcome"], r["confidence"], r["report"], r["p_correct"]))))
 
 
-# context stage -> (command that writes its artifact, reader of the artifact)
-READERS = {
-    "dataset": ("ingest", lambda path, ctx: dataset_mod.load(path)),
-    "irt": ("fit-irt", lambda path, ctx: irt_mod.load(path)),
-    "graph": ("build-hin", lambda path, ctx: read_graph(path)),
-    "walks": ("sample-paths", lambda path, ctx: group_by_target(read_instances(path), WalkGroup.of, ctx.graph)),
-    "scored": ("score-paths",
-               lambda path, ctx: group_by_target(pathscore.read_scored(path), ScoredGroup.of, ctx.graph)),
-    "peers": ("retrieve", _read_peers),
-    "predictions": ("predict", _read_predictions),
+class Stage(NamedTuple):
+    artifact: str  # file name in the cache directory
+    holds: str  # the context stage the artifact holds
+    upstream: tuple[str, ...]  # commands whose artifacts this one needs
+    write: Callable[[PipelineContext, Path], str]
+    read: Callable[[Path, PipelineContext], object]
+
+
+STAGES = {
+    "ingest": Stage("dataset.csv", "dataset", (), _write_dataset, lambda path, ctx: dataset_mod.load(path)),
+    "fit-irt": Stage("irt.tsv", "irt", ("ingest",), _write_irt, lambda path, ctx: irt_mod.load(path)),
+    "build-hin": Stage("graph.json", "graph", ("ingest", "fit-irt"), _write_graph, lambda path, ctx: read_graph(path)),
+    "sample-paths": Stage("paths.jsonl", "walks", ("ingest", "build-hin"), _write_walks,
+                          lambda path, ctx: read_walks(path, ctx.graph)),
+    "score-paths": Stage("scored.jsonl", "scored", ("sample-paths", "build-hin"), _write_scored,
+                         lambda path, ctx: pathscore.read_scored(path, ctx.graph)),
+    "retrieve": Stage("retrieval.json", "peers", ("ingest", "fit-irt", "score-paths"), _write_peers, _read_peers),
+    "predict": Stage("predictions.jsonl", "predictions", ("ingest", "fit-irt", "retrieve"), _write_predictions,
+                     _read_predictions),
 }
+
+
+def _require(root: Path, command: str, upstream: tuple[str, ...]) -> None:
+    for name in upstream:
+        if not (root / STAGES[name].artifact).exists():
+            raise StageDependencyError(command, name)
+
+
+def run_stage(command: str, ctx: PipelineContext, root: Path) -> None:
+    """Write the command's artifact from ``ctx`` unless it is cached; refuse if an upstream one is missing."""
+    stage = STAGES[command]
+    out = root / stage.artifact
+    if _cache_hit(command, out):
+        return
+    _require(root, command, stage.upstream)
+    summary = _replace(out, lambda tmp: stage.write(ctx, tmp))
+    print(f"{command}: {summary} -> {out}")
+
+
+STAGE_FUNCS = {command: functools.partial(run_stage, command) for command in STAGES}
+
+
+def _read(stage: Stage, path: Path, ctx: PipelineContext):
+    """``stage.read`` of its artifact, a malformed one raising IngestError that names the file."""
+    try:
+        return stage.read(path, ctx)
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise IngestError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _context(cfg: RunConfig, root: Path) -> PipelineContext:
     """A context that reads each artifact cached under ``root`` when a stage first needs it."""
-    readers = {stage: functools.partial(read, root / ARTIFACTS[command])
-               for stage, (command, read) in READERS.items() if (root / ARTIFACTS[command]).exists()}
+    readers = {stage.holds: functools.partial(_read, stage, root / stage.artifact)
+               for stage in STAGES.values() if (root / stage.artifact).exists()}
     return PipelineContext(cfg, readers)
 
 
-def _flatten(grouped: dict[str, dict[str, list]]) -> list:
-    return [item for per_template in grouped.values() for group in per_template.values() for item in group]
-
-
-def stage_ingest(ctx: PipelineContext, root: Path) -> None:
-    out = _pending(root, "ingest")
-    if out:
-        out.write_text(dataset_mod.serialize(ctx.dataset), encoding="utf-8")
-        print(f"ingest: {len(ctx.dataset)} interactions -> {out}")
-
-
-def stage_fit_irt(ctx: PipelineContext, root: Path) -> None:
-    out = _pending(root, "fit-irt", "ingest")
-    if out:
-        m = ctx.irt
-        out.write_text(irt_mod.serialize(m), encoding="utf-8")
-        print(f"fit-irt: {len(m.theta)} students, {len(m.diff)} questions -> {out}")
-
-
-def stage_build_hin(ctx: PipelineContext, root: Path) -> None:
-    out = _pending(root, "build-hin", "ingest", "fit-irt")
-    if out:
-        g = ctx.graph
-        write_graph(g, out)
-        print(f"build-hin: {len(g.nodes())} nodes, {g.edge_count()} edges -> {out}")
-
-
-def stage_sample_paths(ctx: PipelineContext, root: Path) -> None:
-    out = _pending(root, "sample-paths", "ingest", "build-hin")
-    if out:
-        instances = _flatten(ctx.instances(run_seed_of(ctx.cfg, 0)))
-        write_instances(instances, out)
-        print(f"sample-paths: {len(instances)} instances -> {out}")
-
-
-def stage_score_paths(ctx: PipelineContext, root: Path) -> None:
-    out = _pending(root, "score-paths", "sample-paths", "build-hin")
-    if out:
-        scored = _flatten(ctx.scored(run_seed_of(ctx.cfg, 0)))
-        pathscore.write_scored(scored, out)
-        print(f"score-paths: {len(scored)} scored ({ctx.cfg.score_backend}) -> {out}")
-
-
-def stage_retrieve(ctx: PipelineContext, root: Path) -> None:
-    out = _pending(root, "retrieve", "ingest", "fit-irt", "score-paths")
-    if out:
-        sim, peers = retrieve_peers(ctx, None, run_seed_of(ctx.cfg, 0))
-        payload = {
-            "similarity": {
-                "mu": list(sim.mu),
-                "sigma": [list(row) for row in sim.sigma],
-                "shrinkage_lambda": sim.shrinkage_lambda,
-                "pair_sample_size": sim.pair_sample_size,
-            },
-            "peers": {_peer_key(key): p for key, p in peers.items()},
-        }
-        out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        print(f"retrieve: peers for {len(peers)} targets -> {out}")
-
-
-def stage_predict(ctx: PipelineContext, root: Path) -> None:
-    out = _pending(root, "predict", "ingest", "fit-irt", "retrieve")
-    if out:
-        predictions = predict_targets(ctx, None, run_seed_of(ctx.cfg, 0))
-        lines = [
-            json.dumps({"student": i.student_id, "question": i.question_id, "timestamp": i.timestamp,
-                        "label": int(i.correct), **dataclasses.asdict(predictions[target_key(i)])}, sort_keys=True)
-            for i in ctx.test_targets()
-        ]
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"predict: {len(lines)} predictions -> {out}")
-
-
 def stage_evaluate(ctx: PipelineContext, root: Path, out_path: str | None = None) -> None:
-    _require(root, "evaluate", "predict")
+    _require(root, "evaluate", ("predict",))
     report = run_experiment(ctx.cfg, ctx)
-    report_json = root / ARTIFACTS["evaluate"]
-    report_json.write_text(report.to_json(), encoding="utf-8")
-    table_path = report_json.with_suffix(".txt")
-    table_path.write_text(report.to_table(), encoding="utf-8")
+    report_json = root / "report.json"
+    _write_text(report_json, report.to_json())
+    _write_text(report_json.with_suffix(".txt"), report.to_table())
     if out_path:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_path).write_text(report.to_json(), encoding="utf-8")
+        _write_text(Path(out_path), report.to_json())
     print(report.to_table(), end="")
     print(f"evaluate: report -> {report_json}")
-
-
-STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "fit-irt": stage_fit_irt,
-    "build-hin": stage_build_hin,
-    "sample-paths": stage_sample_paths,
-    "score-paths": stage_score_paths,
-    "retrieve": stage_retrieve,
-    "predict": stage_predict,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="hisekt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGE_ORDER[:-1]:
+    for name in STAGES:
         sub.add_parser(name, parents=[shared], help=f"run the {name} stage")
     evaluate = sub.add_parser("evaluate", parents=[shared], help="compute metrics and variants")
     evaluate.add_argument("--out", help="also write the report JSON here")
@@ -274,7 +273,7 @@ def main(argv=None) -> int:
             STAGE_FUNCS[args.command](ctx, root)
         else:
             if args.command == "pipeline":
-                for name in STAGE_ORDER[:-1]:
+                for name in STAGE_FUNCS:
                     STAGE_FUNCS[name](ctx, root)
             stage_evaluate(ctx, root, out_path=args.out)
         return 0

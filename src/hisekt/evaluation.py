@@ -20,7 +20,7 @@ import dataclasses
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import dataset as dataset_mod
 from . import irt as irt_mod
@@ -155,17 +155,6 @@ def stage_keys(cfg: RunConfig, run_seed: int, variant: str | None = None) -> dic
         "peers": peers, "predictions": ("predictions", peers, mask, cfg.window, replies),
         "client": ("client", *replies, cfg.llm_timeout, cfg.llm_max_retries, cfg.llm_max_in_flight),
     }
-
-
-def group_by_target(items: Iterable, of: Callable, g: Mrhin) -> dict[str, dict[str, Sequence]]:
-    """Walks or scored walks in any order (say, from a CLI artifact) grouped as the ``walks`` or
-    ``scored`` stage holds them, {target question: {template: of(g, rows)}}, with ``of`` the
-    ``WalkGroup.of`` or ``ScoredGroup.of`` constructor."""
-    buckets: dict[str, dict[str, list]] = {}
-    for item in items:
-        p = getattr(item, "instance", item)
-        buckets.setdefault(p.target_question, {}).setdefault(p.template.name, []).append(item)
-    return {qid: {name: of(g, rows) for name, rows in per_template.items()} for qid, per_template in buckets.items()}
 
 
 class PipelineContext:

@@ -16,7 +16,9 @@ order is node order, and keeps a per-kind int adjacency for sampling.  The
 walks of one (target question, template) pair are a :class:`WalkGroup`: one
 int array with a row per walk, padded with ``PAD`` after a truncated walk's
 last node.  A row is decoded to a :class:`PathInstance` only when it is read
-as one.
+as one.  Walk files (``paths.jsonl``, and ``scored.jsonl`` through
+:mod:`hisekt.pathscore`) are written from groups and read back into groups,
+one JSON line per walk.
 """
 
 from __future__ import annotations
@@ -26,17 +28,19 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .dataset import Dataset
+from .errors import IngestError
 from .irt import IrtModel
 from .seeding import hash_joined, seeds_after
 
 logger = logging.getLogger(__name__)
 
 Node = tuple[str, str]  # (kind, id)
+T = TypeVar("T")
 
 NODE_KINDS = ("U", "Q", "K", "A", "D")
 EDGE_KINDS = frozenset({frozenset(("Q", "U")), frozenset(("Q", "K")),
@@ -198,7 +202,7 @@ class Mrhin:
 
     def nodes(self, kind: str | None = None) -> tuple[Node, ...]:
         if kind is None:
-            return tuple(sorted(self._adj))
+            return self.node_ids
         return tuple(sorted(n for n in self._adj if n[0] == kind))
 
     def has_node(self, node: Node) -> bool:
@@ -296,9 +300,7 @@ class WalkGroup(Sequence[PathInstance]):
             walks = [[g._index[node] for node in p.nodes] for p in instances]
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]} is not a graph node") from None
-        width = max(map(len, walks))
-        rows = np.array([walk + [PAD] * (width - len(walk)) for walk in walks], dtype=np.int32)
-        return cls(g, first.template, first.target_question, first.target_kc, rows)
+        return cls(g, first.template, first.target_question, first.target_kc, _padded(walks))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -319,6 +321,12 @@ class WalkGroup(Sequence[PathInstance]):
             keys = np.array([hash_joined([tokens[x] for x in walk]) for walk in self.walks()], dtype=np.int64)
             self._tie_keys = keys
         return keys
+
+
+def _padded(walks: list[list[int]]) -> np.ndarray:
+    """One int row per walk, as wide as the longest, padded with ``PAD``."""
+    width = max(map(len, walks))
+    return np.array([walk + [PAD] * (width - len(walk)) for walk in walks], dtype=np.int32)
 
 
 def _unpadded(row: list[int]) -> list[int]:
@@ -412,25 +420,17 @@ def validate_instance(g: Mrhin, inst: PathInstance) -> None:
 # -- graph store -------------------------------------------------------------
 
 
-def write_graph(g: Mrhin, sink: str | Path | IO[str]) -> None:
+def write_graph(g: Mrhin, path: str | Path) -> None:
     """JSON adjacency artifact for the graph-build stage."""
     payload = {
         node_token(node): {k: list(map(node_token, g.neighbors(node, k))) for k in NODE_KINDS if g.neighbors(node, k)}
         for node in g.nodes()
     }
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
-def read_graph(source: str | Path | IO[str]) -> Mrhin:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    payload = json.loads(text)
+def read_graph(path: str | Path) -> Mrhin:
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
 
     def decode(token: str) -> Node:
         kind, node_id = token.split(":", 1)
@@ -443,49 +443,81 @@ def read_graph(source: str | Path | IO[str]) -> Mrhin:
     return Mrhin(adjacency)
 
 
-# -- instance store ---------------------------------------------------------
+# -- walk store ----------------------------------------------------------------
+#
+# A walk file holds one JSON record per walk, {"nodes": [[kind, id], ...], "target_kc",
+# "target_q", "template"} plus any fields its writer adds, sorted by target question, then
+# template name, then node sequence.
 
 
-def write_instances(instances: Iterable[PathInstance], sink: str | Path | IO[str]) -> None:
-    """One JSON record per instance, grouped by target question for cache scans."""
-    records = sorted(
-        instances,
-        key=lambda p: (p.target_question, p.template.name, p.nodes),
-    )
-    lines = [
-        json.dumps(
-            {
-                "target_q": p.target_question,
-                "template": p.template.name,
-                "target_kc": p.target_kc,
-                "nodes": [[k, i] for k, i in p.nodes],
-            },
-            sort_keys=True,
-        )
-        for p in records
-    ]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+def write_walks(grouped: Mapping[str, Mapping[str, WalkGroup]], path: str | Path,
+                fields: Callable[[str, str, int], dict] | None = None) -> int:
+    """Write {target question: {template: WalkGroup}} as one line per walk, each record
+    extended by ``fields(question, template, row)`` if given; returns the number of walks.
+
+    A group's walks go in the order of their int rows, which is node order."""
+    lines = []
+    for qid in sorted(grouped):
+        for name in sorted(grouped[qid]):
+            group = grouped[qid][name]
+            ids, walks = group.graph.node_ids, group.walks()
+            for i in sorted(range(len(walks)), key=walks.__getitem__):
+                record = {"target_q": qid, "template": name, "target_kc": group.target_kc,
+                          "nodes": [list(ids[x]) for x in walks[i]]}
+                if fields:
+                    record.update(fields(qid, name, i))
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
+    return len(lines)
 
 
-def read_instances(source: str | Path | IO[str]) -> list[PathInstance]:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    out: list[PathInstance] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(
-            PathInstance(
-                template=TEMPLATES[rec["template"]],
-                nodes=tuple(map(tuple, rec["nodes"])),
-                target_kc=rec["target_kc"],
-            )
-        )
+def read_json_lines(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
+    """``decode`` of each non-blank JSON line of the file; raises IngestError naming the
+    file and line of a line that is not JSON or that ``decode`` rejects."""
+    out = []
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            if line.strip():
+                try:
+                    out.append(decode(json.loads(line)))
+                except (KeyError, ValueError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+                    raise IngestError(f"{path} line {line_no}: {type(exc).__name__}: {exc}") from None
     return out
+
+
+def read_walks(path: str | Path, g: Mrhin, fields: Sequence[str] = (),
+               make: Callable[[WalkGroup, list[tuple]], object] = lambda walks, rows: walks) -> dict[str, dict]:
+    """{target question: {template: group}} from a :func:`write_walks` file on graph ``g``, each
+    group being ``make(walks, rows)`` of its :class:`WalkGroup` and its walks' values of
+    ``fields``, in row order (by default the walk group itself).
+
+    Raises IngestError naming the file and line of a record whose template is unknown, whose
+    node is not in ``g`` or that does not start at its target question, or whose target KC
+    differs from that of earlier walks of its group.
+    """
+    index = g._index
+    kc_of: dict[tuple[str, str], str] = {}
+
+    def decode(rec: dict) -> tuple[str, str, list[int], tuple]:
+        qid, name, kc, nodes = rec["target_q"], rec["template"], rec["target_kc"], rec["nodes"]
+        if name not in TEMPLATES:
+            raise ValueError(f"unknown template {name!r}")
+        if kc_of.setdefault((qid, name), kc) != kc:
+            raise ValueError(f"target KC {kc!r}, but earlier {name} walks from {qid} have {kc_of[qid, name]!r}")
+        walk = [index.get(tuple(node), PAD) for node in nodes]
+        if PAD in walk:
+            raise ValueError(f"{nodes[walk.index(PAD)]} is not a graph node")
+        if walk[:1] != [index.get(("Q", qid))]:
+            raise ValueError(f"the walk does not start at its target question {qid}")
+        return qid, name, walk, tuple(rec[key] for key in fields)
+
+    buckets: dict[str, dict[str, tuple[list[list[int]], list[tuple]]]] = {}
+    for qid, name, walk, values in read_json_lines(path, decode):
+        walks, rows = buckets.setdefault(qid, {}).setdefault(name, ([], []))
+        walks.append(walk)
+        rows.append(values)
+    return {
+        qid: {name: make(WalkGroup(g, TEMPLATES[name], qid, kc_of[qid, name], _padded(walks)), rows)
+              for name, (walks, rows) in per_template.items()}
+        for qid, per_template in buckets.items()
+    }

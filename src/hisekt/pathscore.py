@@ -26,20 +26,19 @@ decodes only the kept rows.
 
 from __future__ import annotations
 
-import json
 import math
 import logging
 import re
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ScoringError
+from .errors import IngestError, ScoringError
 from .llm import LlmClient
-from .mrhin import TEMPLATES, Mrhin, Node, PathInstance, WalkGroup
+from .mrhin import Mrhin, Node, PathInstance, WalkGroup, read_walks, write_walks
 from .seeding import derive_rng
 
 # Not called here: the benchmark's tracer patches this name on this module.
@@ -83,12 +82,6 @@ class ScoredGroup(Sequence[ScoredInstance]):
         self.scores = scores
         self.backend = backend
         self._decoded: dict[int, ScoredInstance] = {}
-
-    @classmethod
-    def of(cls, g: Mrhin, scored: Sequence[ScoredInstance]) -> "ScoredGroup":
-        """Intern scored instances that share a template, target question, target KC and backend."""
-        walks = WalkGroup.of(g, [s.instance for s in scored])
-        return cls.from_scores(walks, [s.score for s in scored], scored[0].score.backend)
 
     @classmethod
     def from_scores(cls, walks: WalkGroup, scores: Sequence[PathScore], backend: str) -> "ScoredGroup":
@@ -326,66 +319,31 @@ def score_llm(p: PathInstance, client: LlmClient, g: Mrhin) -> PathScore:
 
 # -- scored store --------------------------------------------------------------
 
-
-def write_scored(scored: Iterable[ScoredInstance], sink) -> None:
-    """One JSON record per scored instance: the instance plus its five score fields."""
-    records = sorted(
-        scored, key=lambda s: (s.instance.target_question, s.instance.template.name, s.instance.nodes)
-    )
-    lines = [
-        json.dumps(
-            {
-                "target_q": s.instance.target_question,
-                "template": s.instance.template.name,
-                "target_kc": s.instance.target_kc,
-                "nodes": [[k, i] for k, i in s.instance.nodes],
-                "centrality": s.score.centrality,
-                "kc_relevance": s.score.kc_relevance,
-                "informativeness": s.score.informativeness,
-                "diversity": s.score.diversity,
-                "total": s.score.total,
-                "backend": s.score.backend,
-            },
-            sort_keys=True,
-        )
-        for s in records
-    ]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+SCORE_FIELDS = ("centrality", "kc_relevance", "informativeness", "diversity", "total")
 
 
-def read_scored(source) -> list[ScoredInstance]:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    out: list[ScoredInstance] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        inst = PathInstance(
-            template=TEMPLATES[rec["template"]],
-            nodes=tuple(map(tuple, rec["nodes"])),
-            target_kc=rec["target_kc"],
-        )
-        out.append(
-            ScoredInstance(
-                inst,
-                PathScore(
-                    rec["centrality"],
-                    rec["kc_relevance"],
-                    rec["informativeness"],
-                    rec["diversity"],
-                    rec["total"],
-                    rec["backend"],
-                ),
-            )
-        )
-    return out
+def write_scored(grouped: Mapping[str, Mapping[str, ScoredGroup]], path: str | Path) -> int:
+    """The scored groups' walks as :func:`~hisekt.mrhin.write_walks` writes them, each record
+    with its five score fields and backend added; returns the number of walks."""
+    def fields(qid: str, name: str, i: int) -> dict:
+        group = grouped[qid][name]
+        return {**dict(zip(SCORE_FIELDS, group.scores[i].tolist())), "backend": group.backend}
+
+    return write_walks({qid: {name: group.walks for name, group in per_template.items()}
+                        for qid, per_template in grouped.items()}, path, fields)
+
+
+def read_scored(path: str | Path, g: Mrhin) -> dict[str, dict[str, ScoredGroup]]:
+    """The scored groups of a :func:`write_scored` file on graph ``g``; raises IngestError where
+    :func:`~hisekt.mrhin.read_walks` does or where one group holds scores of two backends."""
+    def scored(walks: WalkGroup, rows: list[tuple]) -> ScoredGroup:
+        backends = sorted({row[-1] for row in rows})
+        if len(backends) > 1:
+            raise IngestError(f"{path}: the {walks.template.name} walks from {walks.target_question} "
+                              f"were scored by backends {backends}")
+        return ScoredGroup(walks, np.array([row[:-1] for row in rows], dtype=np.float64), backends[0])
+
+    return read_walks(path, g, (*SCORE_FIELDS, "backend"), scored)
 
 
 # -- selection ---------------------------------------------------------------

@@ -253,7 +253,7 @@ class TestCliStages:
             return complete(client, prompt)
 
         monkeypatch.setattr(LlmClient, "complete", recording)
-        monkeypatch.setattr(pathscore, "read_scored", lambda source: reads.append(source) or read_scored(source))
+        monkeypatch.setattr(pathscore, "read_scored", lambda path, g: reads.append(path) or read_scored(path, g))
         argv = ["pipeline", "--config", str(config_file), "--score-backend", "llm"]
         assert main([*argv, "--out", str(tmp_path / "cold.json")]) == 0
         cfg = resolve_config(load_config_file(config_file), {"score_backend": "llm"})
@@ -283,3 +283,35 @@ class TestCliStages:
         missing = tmp_path / "missing.csv"
         assert main(["ingest", "--data", str(missing), "--cache-dir", str(tmp_path / "cache")]) == 1
         assert f"cannot open {missing}" in capsys.readouterr().err
+
+    def test_writer_stopped_partway_leaves_no_artifact(self, config_file, monkeypatch, capsys):
+        for stage in ("ingest", "fit-irt", "build-hin"):
+            assert main([stage, "--config", str(config_file)]) == 0
+        write_walks = cli.write_walks
+
+        def stopped(grouped, path):
+            path.write_text('{"nodes": [["Q", ', encoding="utf-8")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "write_walks", stopped)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sample-paths", "--config", str(config_file)])
+        cache = cli._cache_dir(resolve_config(load_config_file(config_file), {}))
+        assert sorted(p.name for p in cache.iterdir()) == ["dataset.csv", "graph.json", "irt.tsv"]
+        monkeypatch.setattr(cli, "write_walks", write_walks)
+        capsys.readouterr()
+        assert main(["sample-paths", "--config", str(config_file)]) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert (cache / "paths.jsonl").read_text(encoding="utf-8").count("\n") > 0
+
+    def test_cut_artifact_is_a_stage_failure(self, config_file, capsys):
+        for stage in ("ingest", "fit-irt", "build-hin", "sample-paths"):
+            assert main([stage, "--config", str(config_file)]) == 0
+        paths = cli._cache_dir(resolve_config(load_config_file(config_file), {})) / "paths.jsonl"
+        lines = paths.read_text(encoding="utf-8").splitlines()
+        paths.write_text("\n".join(lines[:99]) + "\n" + lines[99][:40], encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score-paths", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert f"error in stage score-paths: {paths} line 100: " in err
+        assert not paths.with_name("scored.jsonl").exists()

@@ -17,12 +17,13 @@ from hisekt.mrhin import (
     Mrhin,
     graph_distance,
     read_graph,
-    read_instances,
+    read_walks,
     sample_instances,
     validate_instance,
     write_graph,
-    write_instances,
+    write_walks,
 )
+from hisekt.errors import IngestError
 from hisekt.irt import Level
 from hisekt.seeding import derive_rng, derive_seed, seeds_after
 from hisekt.synth import planted_csv
@@ -386,16 +387,43 @@ def test_group_tie_keys_equal_each_walks_tie_key():
 
 
 class TestStores:
-    def test_instance_store_round_trip(self, fixture_graph, tmp_path):
-        instances = []
-        for name in ("Q-K-Q", "Q-U-A-U-Q"):
-            instances += sample_instances(fixture_graph, TEMPLATES[name], "Q1", n=10, walk_len=9, seed=4)
+    @pytest.fixture
+    def grouped(self, fixture_graph):
+        return {q: {name: sample_instances(fixture_graph, TEMPLATES[name], q, n=10, walk_len=9, seed=4)
+                    for name in ("Q-K-Q", "Q-U-A-U-Q")} for q in ("Q1", "Q2")}
+
+    def test_walk_store_round_trip(self, fixture_graph, grouped, tmp_path):
         path = tmp_path / "paths.jsonl"
-        write_instances(instances, path)
-        loaded = read_instances(path)
-        assert sorted(loaded, key=lambda p: (p.template.name, p.nodes)) == sorted(
-            instances, key=lambda p: (p.template.name, p.nodes)
-        )
+        write_walks(grouped, path)
+        loaded = read_walks(path, fixture_graph)
+        assert sorted(loaded) == sorted(grouped)
+        for q, per_template in grouped.items():
+            assert sorted(loaded[q]) == sorted(per_template)
+            for name, group in per_template.items():
+                got = loaded[q][name]
+                assert (got.template, got.target_question, got.target_kc) == (
+                    group.template, group.target_question, group.target_kc)
+                # rows come back in node order
+                assert got.walks() == sorted(group.walks())
+                assert list(got) == sorted(group, key=lambda p: p.nodes)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(target_kc="K9"), "target KC"),
+        (lambda r: r["nodes"].append(["U", "NOPE"]), "not a graph node"),
+        (lambda r: r.update(template="Q-Z-Q"), "unknown template"),
+        (lambda r: r.update(target_q="Q2"), "target question"),
+        (lambda r: r.pop("nodes"), "KeyError: 'nodes'"),
+    ])
+    def test_walk_store_rejects_bad_records_by_line(self, fixture_graph, grouped, tmp_path, edit, message):
+        path = tmp_path / "paths.jsonl"
+        write_walks(grouped, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[3])
+        edit(record)
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=f"paths.jsonl line 4: .*{message}"):
+            read_walks(path, fixture_graph)
 
     def test_graph_store_round_trip(self, fixture_graph, tmp_path):
         path = tmp_path / "graph.json"

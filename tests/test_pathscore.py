@@ -2,14 +2,16 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
 from hisekt.config import RunConfig
-from hisekt.errors import ScoringError
+from hisekt.errors import IngestError, ScoringError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.llm import LlmClient, map_bounded, scripted_client
-from hisekt.mrhin import TEMPLATES, PathInstance, WalkGroup, graph_distance, sample_instances
+from hisekt.mrhin import (TEMPLATES, PathInstance, WalkGroup, graph_distance, read_walks, sample_instances,
+                          write_walks)
 from hisekt.pathscore import (
     LEVEL_CATEGORIES,
     PathScore,
@@ -372,16 +374,71 @@ class TestSelectTopKTieOrder:
             assert "tie_key" not in repr(s.instance)
 
 
+def reference_walk_file(items):
+    """The per-instance writer of ``paths.jsonl`` / ``scored.jsonl`` that the group writers
+    replaced: one record per walk or scored walk, plus its five score fields and backend if
+    scored, sorted by target question, template name and node sequence."""
+    def instance(item):
+        return getattr(item, "instance", item)
+
+    def record(item):
+        p = instance(item)
+        rec = {"target_q": p.target_question, "template": p.template.name, "target_kc": p.target_kc,
+               "nodes": [[k, i] for k, i in p.nodes]}
+        if isinstance(item, ScoredInstance):
+            s = item.score
+            rec.update(centrality=s.centrality, kc_relevance=s.kc_relevance, informativeness=s.informativeness,
+                       diversity=s.diversity, total=s.total, backend=s.backend)
+        return json.dumps(rec, sort_keys=True)
+
+    ordered = sorted(items, key=lambda item: (instance(item).target_question, instance(item).template.name,
+                                               instance(item).nodes))
+    lines = [record(item) for item in ordered]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 class TestScoredStore:
-    def test_round_trip(self, g, tmp_path):
-        instances = sample_instances(g, TEMPLATES["Q-K-Q-U-Q"], "Q1", n=20, walk_len=20, seed=7)
-        scored = score_all(instances, g)
+    @pytest.fixture
+    def grouped(self, g):
+        return {"Q1": {name: score_all(sample_instances(g, TEMPLATES[name], "Q1", n=20, walk_len=20, seed=7), g)
+                       for name in ("Q-K-Q-U-Q", "Q-U-Q")}}
+
+    def test_round_trip(self, g, grouped, tmp_path):
         target = tmp_path / "scored.jsonl"
-        write_scored(scored, target)
-        loaded = read_scored(target)
-        assert sorted(loaded, key=lambda s: s.instance.nodes) == sorted(
-            scored, key=lambda s: s.instance.nodes
-        )
+        write_scored(grouped, target)
+        loaded = read_scored(target, g)
+        assert list(loaded) == ["Q1"] and sorted(loaded["Q1"]) == sorted(grouped["Q1"])
+        for name, group in grouped["Q1"].items():
+            got = loaded["Q1"][name]
+            assert got.backend == "formula"
+            assert list(got) == sorted(group, key=lambda s: s.instance.nodes)
+
+    def test_one_backend_per_group(self, g, grouped, tmp_path):
+        target = tmp_path / "scored.jsonl"
+        write_scored(grouped, target)
+        lines = target.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace('"backend": "formula"', '"backend": "llm"')
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="backends"):
+            read_scored(target, g)
+
+    def test_walk_files_equal_the_per_instance_writer(self, tmp_path):
+        data = tmp_path / "planted.csv"
+        data.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+        cfg = RunConfig(data=str(data), seed=7, n_walks=10, walk_len=12, llm_backend="mock")
+        ctx = PipelineContext(cfg)
+        run_seed = run_seed_of(cfg, 0)
+        cases = [(ctx.instances(run_seed), write_walks, read_walks)]
+        for backend in ("formula", "llm"):
+            cases.append((ctx.scored(run_seed, replace(cfg, score_backend=backend)), write_scored, read_scored))
+        for grouped, write, read in cases:
+            path, again = tmp_path / "walks.jsonl", tmp_path / "again.jsonl"
+            write(grouped, path)
+            flat = [item for per_template in grouped.values() for group in per_template.values() for item in group]
+            assert path.read_text(encoding="utf-8") == reference_walk_file(flat)
+            # read back into groups and written again: the same bytes
+            write(read(path, ctx.graph), again)
+            assert again.read_bytes() == path.read_bytes()
 
 
 def reference_score(p, g):
