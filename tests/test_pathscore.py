@@ -4,22 +4,23 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hisekt.config import RunConfig
 from hisekt.errors import IngestError, ScoringError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.llm import LlmClient, map_bounded, scripted_client
-from hisekt.mrhin import (TEMPLATES, PathInstance, WalkGroup, graph_distance, read_walks, sample_instances,
+from hisekt.mrhin import (PAD, TEMPLATES, PathInstance, WalkGroup, graph_distance, read_walks, sample_instances,
                           write_walks)
 from hisekt.pathscore import (
     LEVEL_CATEGORIES,
     PathScore,
     ScoredInstance,
-    centrality,
-    diversity,
-    informativeness,
-    kc_relevance,
+    _score_path,
+    _score_walk,
     read_scored,
     render_scoring_prompt,
     score,
@@ -29,7 +30,8 @@ from hisekt.pathscore import (
     write_scored,
 )
 
-from graph_fixture import build_fixture_graph, make_dataset, make_model
+from graph_fixture import (ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, build_fixture_graph, make_dataset,
+                           make_model)
 from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
 from hisekt.seeding import derive_rng, stable_hash
@@ -50,6 +52,26 @@ def line_graph():
     d = make_dataset([("S1", "Q0"), ("S1", "Q1")], {"Q0": "K1", "Q1": "K1"})
     m = make_model({"S1": Level.MEDIUM}, {"Q0": Level.MEDIUM, "Q1": Level.MEDIUM})
     return Mrhin.build(d, m)
+
+
+def centrality(p, g):
+    """Closeness of the path's distinct questions to the target question."""
+    return score(p, g).centrality
+
+
+def kc_relevance(p, kc_of):
+    """Fraction of distinct path questions that cover the target KC."""
+    return _score_path(p.nodes, p.target_kc, {}, kc_of)[1]
+
+
+def informativeness(p):
+    """Distinct fraction of U/Q/K occurrences, with repeats of q0 and the target KC ignored."""
+    return _score_path(p.nodes, p.target_kc, {}, {})[2]
+
+
+def diversity(p):
+    """Normalized entropy of A/D level occurrences over the six level categories."""
+    return _score_path(p.nodes, p.target_kc, {}, {})[3]
 
 
 class TestCentrality:
@@ -450,9 +472,11 @@ def reference_score(p, g):
         c = 5.0
     else:
         q0 = ("Q", p.target_question)
-        raw = 1.0 - sum(
-            min(graph_distance(g, q0, ("Q", q), cap=length), length) / length for q in q_set
-        ) / len(q_set)
+        # added left to right: built-in sum() compensates its rounding from Python 3.12 on
+        spread = 0.0
+        for q in q_set:
+            spread += min(graph_distance(g, q0, ("Q", q), cap=length), length) / length
+        raw = 1.0 - spread / len(q_set)
         c = 5.0 * min(max(raw, 0.0), 1.0)
 
     r = 5.0 * sum(1 for q in set(questions) if p.target_kc in g.question_kcs(q)) / len(set(questions))
@@ -502,6 +526,27 @@ def edge_case_graph():
     return Mrhin.build(d, m)
 
 
+def dead_end_graph():
+    """The fixture graph plus Q7, which covers K1 and has a difficulty level but no student:
+    a walk that reaches Q7 and must step to a student next stops there."""
+    d = make_dataset(TRAIN_PAIRS, {**KC_OF, "Q7": "K1"}, extra=[("S1", "Q7", "val")])
+    m = make_model(ABILITY, {**DIFFICULTY, "Q7": Level.LOW})
+    return Mrhin.build(d, m)
+
+
+DEAD_END_GRAPH = dead_end_graph()
+
+
+def walk_scores(walks, g):
+    """Each row of a walk group scored alone by ``_score_walk``."""
+    hops = g.hops_from(("Q", walks.target_question))
+    kstar = g.index(("K", walks.target_kc))
+    covers = [False] * len(g.node_ids)
+    for q in g.int_adj["Q"][kstar]:
+        covers[q] = True
+    return [_score_walk(walk, g.node_ids, g.kinds, hops, covers, kstar) for walk in walks.walks()]
+
+
 class TestGroupScorer:
     def test_scores_are_pinned(self, g):
         # Digest of the formula scores of every template's walks from every
@@ -537,6 +582,25 @@ class TestGroupScorer:
             assert got.instance == p
             assert got.score == reference_score(p, g), p.nodes
             assert score(p, g) == got.score
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(TEMPLATES)), q0=st.sampled_from(["Q1", "Q3", "Q5", "Q6", "Q7"]),
+           walk_len=st.integers(2, 20), n=st.integers(0, 12), seed=st.integers(0, 2**16), edgeless=st.booleans())
+    @example(name="Q-U-Q", q0="Q1", walk_len=20, n=0, seed=0, edgeless=False)  # an empty group
+    @example(name="Q-U-Q", q0="Q1", walk_len=2, n=0, seed=0, edgeless=True)  # only a zero-edge row
+    def test_equals_the_walk_scorer_bit_for_bit(self, name, q0, walk_len, n, seed, edgeless):
+        # walks that reach Q7 on a step to a student are truncated and padded; those of fewer
+        # nodes than one template cycle are dropped, so a group can be empty
+        g = DEAD_END_GRAPH
+        sampled = sample_instances(g, TEMPLATES[name], q0, n=n, walk_len=walk_len, seed=seed)
+        rows = sampled.rows
+        if edgeless:
+            rows = np.vstack([rows, [[g.index(("Q", q0))] + [PAD] * (walk_len - 1)]]).astype(np.int32)
+        walks = WalkGroup(g, sampled.template, q0, sampled.target_kc, rows)
+        got = score_all(walks, g)
+        assert got.scores.shape == (len(rows), 5)
+        assert [[x.hex() for x in row] for row in got.scores.tolist()] == \
+            [[x.hex() for x in row] for row in walk_scores(walks, g)]
 
     def test_every_planted_walk_matches_reference(self, tmp_path):
         # criterion-6 configuration on the acceptance fixture, first run
