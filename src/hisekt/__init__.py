@@ -6,7 +6,8 @@ from .errors import HisektError
 from .evaluation import EvalReport, PipelineContext, accuracy, auc, run_experiment
 from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
-from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, PathInstance, WalkGroup, graph_distance, sample_instances
+from .mrhin import (TEMPLATES, MetaPathTemplate, Mrhin, PathInstance, WalkGroup, graph_distance, sample_instances,
+                    sample_walks)
 from .pathscore import PathScore, ScoredGroup, ScoredInstance, score, select_top_k
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
@@ -69,6 +70,7 @@ __all__ = [
     "resolve_config",
     "run_experiment",
     "sample_instances",
+    "sample_walks",
     "score",
     "select_top_k",
     "split",

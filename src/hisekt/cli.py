@@ -37,7 +37,7 @@ from . import pathscore
 from .config import CHOICES, FIELD_NAMES, RunConfig, fingerprint, load_config_file, resolve_config
 from .errors import HisektError, IngestError, StageDependencyError
 from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of, target_key
-from .mrhin import read_graph, read_json_lines, read_walks, write_graph, write_walks
+from .mrhin import WALK_SCHEME, read_graph, read_json_lines, read_walks, write_graph, write_walks
 from .predict import Prediction
 
 # Not called here: the benchmark's tracer patches these names on this module.
@@ -48,12 +48,14 @@ logger = logging.getLogger(__name__)
 
 
 def _cache_dir(cfg: RunConfig) -> Path:
-    """``<cache_dir>/<config fingerprint>-<input sha256>/``, created if missing; reads the input once."""
+    """``<cache_dir>/<config fingerprint>-<input sha256>-<walk scheme>/``, created if missing; reads
+    the input once.  The walk scheme names the draw rule, so walks cached under another rule are
+    not read as this rule's."""
     try:
         digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
     except OSError as exc:
         raise IngestError(f"cannot open {Path(cfg.data)}: {exc}") from exc
-    root = Path(cfg.cache_dir) / f"{fingerprint(cfg)}-{digest}"
+    root = Path(cfg.cache_dir) / f"{fingerprint(cfg)}-{digest}-{WALK_SCHEME}"
     root.mkdir(parents=True, exist_ok=True)
     return root
 

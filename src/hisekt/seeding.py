@@ -9,18 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Iterable
+from typing import Iterable
 
 _SEP = b"\x1f"
 
 
-def _hash_int(h) -> int:
-    return int.from_bytes(h.digest()[:8], "big") >> 1
-
-
 def hash_joined(chunks: Iterable[bytes]) -> int:
     """63-bit integer hash of ``chunks`` joined by ``_SEP``, stable across processes."""
-    return _hash_int(hashlib.sha256(_SEP.join(chunks)))
+    return int.from_bytes(hashlib.sha256(_SEP.join(chunks)).digest()[:8], "big") >> 1
 
 
 def stable_hash(*parts) -> int:
@@ -30,18 +26,6 @@ def stable_hash(*parts) -> int:
 
 def derive_seed(*parts) -> int:
     return stable_hash(*parts)
-
-
-def seeds_after(*prefix) -> Callable[[object], int]:
-    """``lambda last: derive_seed(*prefix, last)`` that hashes ``prefix`` once, not per call."""
-    head = hashlib.sha256(b"".join(str(p).encode("utf-8") + _SEP for p in prefix))
-
-    def seed(last) -> int:
-        h = head.copy()
-        h.update(str(last).encode("utf-8"))
-        return _hash_int(h)
-
-    return seed
 
 
 def derive_rng(*parts) -> random.Random:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +280,20 @@ class TestCliStages:
             outputs.append(capsys.readouterr().out)
         assert "cache hit" not in outputs[1]
         assert reports[0] != reports[1]
+
+    def test_artifacts_of_another_walk_scheme_are_not_read(self, config_file, tmp_path, capsys):
+        # a cache written before the walk scheme was part of the directory name: same
+        # config and input, any artifact of which would fail its stage if it were read
+        cfg = resolve_config(load_config_file(config_file), {})
+        digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
+        stale = tmp_path / "cache" / f"{fingerprint(cfg)}-{digest}"
+        stale.mkdir(parents=True)
+        for stage in cli.STAGES.values():
+            (stale / stage.artifact).write_text("written by another draw rule\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(config_file)]) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert cli._cache_dir(cfg) != stale
+        assert (cli._cache_dir(cfg) / "report.json").read_text(encoding="utf-8") == run_experiment(cfg).to_json()
 
     def test_missing_input_is_an_ingest_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

@@ -250,7 +250,7 @@ def stage_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [
-        (evaluation, "sample_instances"), (pathscore, "score_all"), (evaluation, "_retain_top_k"),
+        (evaluation, "sample_walks"), (pathscore, "score_all"), (evaluation, "_retain_top_k"),
         (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s"), (predict, "predict"),
     ]:
         count(owner, name)
@@ -288,5 +288,5 @@ class TestStageMemo:
 
         run_experiment(dataclasses.replace(cfg, top_s=1), ctx)
         assert stage_calls["top_s"] > 0 and stage_calls["predict"] > 0
-        for name in ("sample_instances", "score_all", "_retain_top_k", "select_top_k", "fit_similarity"):
+        for name in ("sample_walks", "score_all", "_retain_top_k", "select_top_k", "fit_similarity"):
             assert stage_calls[name] == 0, name

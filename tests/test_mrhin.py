@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -5,11 +6,15 @@ import sys
 import threading
 from collections import deque
 
+import numpy as np
 import pytest
-from scipy.stats import chisquare
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2, chisquare
 
 from hisekt.dataset import ingest, split
 from hisekt.mrhin import (
+    PAD,
     RESAMPLE_FACTOR,
     TEMPLATES,
     EDGE_KINDS,
@@ -19,13 +24,14 @@ from hisekt.mrhin import (
     read_graph,
     read_walks,
     sample_instances,
+    sample_walks,
     validate_instance,
     write_graph,
     write_walks,
 )
 from hisekt.errors import IngestError
 from hisekt.irt import Level
-from hisekt.seeding import derive_rng, derive_seed, seeds_after
+from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
 from graph_fixture import (
@@ -276,13 +282,14 @@ class TestSampling:
     def test_walk_stream_is_pinned(self, fixture_graph):
         # Digest of every template's walks from every fixture question.  The
         # fixture has hand-set levels and no IRT fit, so only a change to the
-        # sampler's draws or their order can move it.
+        # sampler's draws or their order can move it.  The scalar reference
+        # ``reference_walks`` gives the same digest.
         digest = hashlib.sha256()
         for name, template in TEMPLATES.items():
             for _, q in fixture_graph.nodes("Q"):
                 for p in sample_instances(fixture_graph, template, q, n=20, walk_len=20, seed=11):
                     digest.update(json.dumps([name, p.target_kc, p.nodes]).encode() + b"\n")
-        assert digest.hexdigest() == "bf70d5a77062444bad607ae6457c8477d169dbb2551543a43c96f8d7e5564b64"
+        assert digest.hexdigest() == "27bbefd59ea2a235fbad089220b649a0d4d102e1da5880bb1189bcc115472baa"
 
     def test_no_completable_cycle_returns_empty(self):
         # QLONE has no train answerers, so Q-U-Q cannot leave it.
@@ -334,46 +341,126 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_instances(fixture_graph, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0, target_kc="K9")
 
-    def test_draws_equal_random_choice_for_1_to_70_neighbors(self):
-        # Q01..Q70 and S00..S69, with an edge where j < n: question Qn has n
-        # students and student Sj has 70 - j questions, so Q-U-Q walks draw
-        # among every count of neighbors from 1 to 70.
-        questions = [("Q", f"Q{n:02d}") for n in range(1, 71)]
-        students = [("U", f"S{j:02d}") for j in range(70)]
-        adjacency = {q: {"U": tuple(students[: int(q[1][1:])]), "K": (("K", "K1"),)} for q in questions}
-        adjacency.update({u: {"Q": tuple(q for q in questions if int(q[1][1:]) > int(u[1][1:]))} for u in students})
-        adjacency[("K", "K1")] = {"Q": tuple(questions)}
-        g = Mrhin(adjacency)
+    def test_draws_equal_scalar_reference_for_1_to_70_neighbors(self):
+        g = one_to_seventy_graph()
         template = TEMPLATES["Q-U-Q"]
         for seed in range(4):
-            for _, q0 in questions:
+            for _, q0 in g.nodes("Q"):
                 got = [p.nodes for p in sample_instances(g, template, q0, n=5, walk_len=20, seed=seed)]
-                assert got == choice_walks(g, template, q0, 5, 20, seed)
+                assert got == reference_walks(g, template, q0, 5, 20, seed)
 
-    def test_attempt_seeds_hash_their_prefix_once(self):
-        seed_of = seeds_after(11, "Q-K-Q-U-Q", "Q5")
-        for attempt in range(1000):
-            assert seed_of(attempt) == derive_seed(11, "Q-K-Q-U-Q", "Q5", attempt)
-        assert seeds_after()(3) == derive_seed(3)
+    def test_first_step_picks_are_uniform_for_1_to_70_neighbors(self):
+        """Multiply-shift maps the high 32 bits of a draw to one of ``deg`` neighbors, each
+        owning floor or ceil of 2**32 / deg of those values: a relative bias of at most
+        deg / 2**32, far below what 3,500 draws per question can show.  So the first-step
+        picks from Qn, over its n students, pass a chi-squared test of uniformity, each
+        question at a Bonferroni level and all questions pooled."""
+        g = one_to_seventy_graph()
+        groups = sample_walks(g, TEMPLATES["Q-U-Q"], [q for _, q in g.nodes("Q")], n=3500, walk_len=2, seed=23)
+        statistic, dof, pvalues = 0.0, 0, []
+        for q0, group in groups.items():
+            students = [g.index(u) for u in g.neighbors(("Q", q0), "U")]
+            picks = np.array([np.count_nonzero(group.rows[:, 1] == u) for u in students])
+            degree = len(students)
+            assert picks.sum() == 3500
+            if degree == 1:
+                continue
+            result = chisquare(picks)
+            statistic += result.statistic
+            dof += degree - 1
+            pvalues.append(result.pvalue)
+        assert min(pvalues) > 0.01 / len(pvalues)
+        assert chi2.sf(statistic, dof) > 0.01
 
 
-def choice_walks(g, template, q0, n, walk_len, seed):
-    """The walks of ``sample_instances``, drawn node by node with ``Random.choice``."""
+def one_to_seventy_graph():
+    """Q01..Q70 and S00..S69, with an edge where j < n: question Qn has n students and
+    student Sj has 70 - j questions, so Q-U-Q walks draw among every count of neighbors
+    from 1 to 70."""
+    questions = [("Q", f"Q{n:02d}") for n in range(1, 71)]
+    students = [("U", f"S{j:02d}") for j in range(70)]
+    adjacency = {q: {"U": tuple(students[: int(q[1][1:])]), "K": (("K", "K1"),)} for q in questions}
+    adjacency.update({u: {"Q": tuple(q for q in questions if int(q[1][1:]) > int(u[1][1:]))} for u in students})
+    adjacency[("K", "K1")] = {"Q": tuple(questions)}
+    return Mrhin(adjacency)
+
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_walks(g, template, q0, n, walk_len, seed):
+    """The walks of ``sample_instances``, one attempt at a time in Python ints: attempt ``a``
+    has the key ``mix(base + a·γ)`` and node ``t`` is neighbor ``((mix(key + t·γ) >> 32) · deg)
+    >> 32`` of the sorted neighbors of the required kind."""
+    gamma = 0x9E3779B97F4A7C15
+    base = derive_seed(seed, template.name, q0)
     walks = []
     for attempt in range(RESAMPLE_FACTOR * n):
-        rng = derive_rng(seed, template.name, q0, attempt)
+        key = splitmix64((base + attempt * gamma) & MASK64)
         walk = [("Q", q0)]
-        for position in range(1, walk_len):
-            nbrs = g.neighbors(walk[-1], template.kind_at(position))
+        for t in range(1, walk_len):
+            nbrs = g.neighbors(walk[-1], template.kind_at(t))
             if not nbrs:
                 break
-            walk.append(rng.choice(nbrs))
+            draw = splitmix64((key + t * gamma) & MASK64)
+            walk.append(nbrs[((draw >> 32) * len(nbrs)) >> 32])
         if len(walk) < min(walk_len, len(template.kinds)):
             continue
         walks.append(tuple(walk))
         if len(walks) == n:
             break
     return walks
+
+
+@functools.cache
+def dead_end_graph():
+    """Q1..Q3 answered by S1..S3; QDEAD shares K1 with them but has no train answerer,
+    so walks through it stop at their next U step, and Q-U-Q from QDEAD never leaves it."""
+    pairs = [(s, q) for s in ("S1", "S2", "S3") for q in ("Q1", "Q2", "Q3")]
+    kc_of = {"Q1": "K1", "Q2": "K1;K2", "Q3": "K2", "QDEAD": "K1"}
+    d = make_dataset(pairs, kc_of, extra=[("S1", "QDEAD", "val")])
+    m = make_model({"S1": Level.LOW, "S2": Level.MEDIUM, "S3": Level.MEDIUM},
+                   {"Q1": Level.LOW, "Q2": Level.MEDIUM, "Q3": Level.HIGH, "QDEAD": Level.MEDIUM})
+    return Mrhin.build(d, m)
+
+
+DEAD_END_QUESTIONS = ("Q1", "Q2", "Q3", "QDEAD")
+
+
+class TestLockstep:
+    @given(
+        name=st.sampled_from(sorted(TEMPLATES)),
+        questions=st.lists(st.sampled_from(DEAD_END_QUESTIONS), min_size=1, max_size=4, unique=True),
+        n=st.integers(1, 12),
+        walk_len=st.integers(1, 14),
+        seed=st.integers(0, 2**40),
+    )
+    @example(name="Q-U-Q", questions=["QDEAD", "Q2"], n=5, walk_len=9, seed=0)  # QDEAD: no conformant walk
+    @example(name="Q-K-Q-U-Q", questions=["Q3", "Q1"], n=12, walk_len=13, seed=2)  # truncated rows
+    @settings(max_examples=60, deadline=None)
+    def test_batched_groups_equal_one_question_calls_and_the_reference(self, name, questions, n, walk_len, seed):
+        g, template = dead_end_graph(), TEMPLATES[name]
+        batched = sample_walks(g, template, questions, n=n, walk_len=walk_len, seed=seed)
+        assert list(batched) == questions
+        for q0 in questions:
+            alone = sample_instances(g, template, q0, n=n, walk_len=walk_len, seed=seed)
+            got = batched[q0]
+            assert (got.template, got.target_question, got.target_kc) == (template, q0, alone.target_kc)
+            assert got.rows.dtype == alone.rows.dtype and got.rows.shape == alone.rows.shape
+            assert np.array_equal(got.rows, alone.rows)
+            assert [p.nodes for p in alone] == reference_walks(g, template, q0, n, walk_len, seed)
+
+    def test_dead_end_graph_gives_truncated_rows_and_an_empty_group(self):
+        g = dead_end_graph()
+        assert len(sample_walks(g, TEMPLATES["Q-U-Q"], ["QDEAD", "Q2"], n=5, walk_len=9, seed=0)["QDEAD"]) == 0
+        rows = sample_walks(g, TEMPLATES["Q-K-Q-U-Q"], ["Q3", "Q1"], n=12, walk_len=13, seed=2)["Q1"].rows
+        assert (rows == PAD).any() and (rows[:, -1] != PAD).any()
 
 
 def test_group_tie_keys_equal_each_walks_tie_key():

