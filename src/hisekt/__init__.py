@@ -17,7 +17,6 @@ from .retrieval import (
     CandidateSet,
     FeatureVector,
     SimilarityModel,
-    build_candidates,
     distance,
     distances,
     encode,
@@ -53,7 +52,6 @@ __all__ = [
     "WalkGroup",
     "accuracy",
     "auc",
-    "build_candidates",
     "build_prompt",
     "discretize",
     "distance",

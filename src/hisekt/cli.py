@@ -49,8 +49,8 @@ logger = logging.getLogger(__name__)
 
 def _cache_dir(cfg: RunConfig) -> Path:
     """``<cache_dir>/<config fingerprint>-<input sha256>-<walk scheme>/``, created if missing; reads
-    the input once.  The walk scheme names the draw rule, so walks cached under another rule are
-    not read as this rule's."""
+    the input once.  The walk scheme names the draw rule and the Top-K tie-key rule, so walks and
+    retrieval results cached under other rules are not read as these rules'."""
     try:
         digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
     except OSError as exc:

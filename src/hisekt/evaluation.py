@@ -22,6 +22,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from . import dataset as dataset_mod
 from . import irt as irt_mod
 from . import pathscore, predict, retrieval
@@ -243,35 +245,29 @@ def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | 
     }
 
 
-def _retain_top_k(
-    scored: Mapping[str, Mapping[str, pathscore.ScoredGroup]],
-    k: int,
-    mode: str,
-    run_seed: int,
-) -> dict[str, list[pathscore.ScoredInstance]]:
-    retained: dict[str, list[pathscore.ScoredInstance]] = {}
-    for qid in sorted(scored):
-        rows: list[pathscore.ScoredInstance] = []
-        for name in TEMPLATES:
-            group = scored[qid].get(name, [])
-            rows.extend(
-                pathscore.select_top_k(group, k, mode, seed=derive_seed(run_seed, "topk", qid, name))
-            )
-        retained[qid] = rows
-    return retained
-
-
 def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
-    """{target question: {student: times on the question's retained walks}}, counted once per question."""
-    retained = _retain_top_k(ctx.scored(run_seed, cfg), cfg.top_k, ABLATIONS[variant][0], run_seed)
-    return {qid: retrieval.student_counts(rows) for qid, rows in retained.items()}
+    """{target question: {student: times on the question's retained walks}}, in order of first
+    appearance over the kept rows of each template (in ``TEMPLATES`` order), each kept in
+    selection order.  Counted on the kept rows' node ints, with no walk decoded."""
+    g, scored, mode = ctx.get("graph", cfg), ctx.scored(run_seed, cfg), ABLATIONS[variant][0]
+    student = pathscore.graph_tables(g).student
+    retained: dict[str, dict[str, int]] = {}
+    for qid in sorted(scored):
+        kept = [pathscore.select_top_k(scored[qid][name], cfg.top_k, mode, seed=derive_seed(run_seed, "topk", qid, name))
+                for name in TEMPLATES if name in scored[qid]]
+        nodes = np.concatenate([group.walks.rows.ravel() for group in kept])
+        students, first, counts = np.unique(nodes[student[nodes]], return_index=True, return_counts=True)
+        order = np.argsort(first)
+        retained[qid] = {g.node_ids[x][1]: n for x, n in zip(students[order].tolist(), counts[order].tolist())}
+    return retained
 
 
 def _path_pair_pool(
     counts: Mapping[str, Mapping[str, int]],
     d: dataset_mod.Dataset,
-) -> list[tuple[str, str, int]] | None:
-    """(answerer, candidate, f) triples mirroring the deployment pair distribution; None if there are none."""
+) -> set[tuple[str, str, int]] | None:
+    """(answerer, candidate, f) triples mirroring the deployment pair distribution; None if there are
+    none.  Unsorted: ``fit_similarity`` sorts the pool it is given."""
     by_question = d.by_question("train")
     pool: set[tuple[str, str, int]] = set()
     for qid, per_student in counts.items():
@@ -282,7 +278,7 @@ def _path_pair_pool(
                     pool.add((u, sid, f))
     if not pool:
         logger.warning("empty path pair pool; falling back to random pairs")
-    return sorted(pool) or None
+    return pool or None
 
 
 def _similarity(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):

@@ -17,6 +17,11 @@ key only.  :func:`sample_walks` therefore advances every attempt of a
 template, from every listed question, in lockstep as numpy arrays, and
 gives the same rows as sampling each question alone.
 
+Equal Top-K totals are ordered by a walk's tie key, which mixes the same
+way: each node has a sha256 key, and a walk's key sums ``mix`` of each
+node's key plus its position times γ, so a group's keys are one array
+expression over its rows (see :attr:`WalkGroup.tie_keys`).
+
 The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
 order is node order, and keeps a per-kind int adjacency, also as CSR arrays
 for sampling.  The walks of one (target question, template) pair are a
@@ -40,7 +45,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import IngestError
 from .irt import IrtModel
-from .seeding import derive_seed, hash_joined
+from .seeding import derive_seed, stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +61,9 @@ DEFAULT_WALK_LEN = 20
 RESAMPLE_FACTOR = 10
 PAD = -1  # fills a walk row after the last node of a truncated walk
 UNREACHABLE = 2**31 - 1  # hop count of a node no path reaches; above any cap
-# Names the walk draw rule, for caches of sampled walks: change it with the rule.
-WALK_SCHEME = "splitmix64"
+# Names the walk draw rule and the tie-key rule, for caches of sampled walks and of what their
+# Top-K order decides: change it with either rule.
+WALK_SCHEME = "splitmix64-mixsum"
 
 # SplitMix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
 # finalizer's constants.  Kept as np.uint64 so that all wrapping arithmetic is on
@@ -66,6 +72,8 @@ GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 _MIX_MULTIPLIERS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _HALF = np.uint64(32)
+_ONE = np.uint64(1)
+_MASK64 = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -136,27 +144,35 @@ class PathInstance:
 
     @property
     def tie_key(self) -> int:
-        """Stable hash of the node sequence that orders equal Top-K totals; computed once."""
+        """The key that orders equal Top-K totals, as :attr:`WalkGroup.tie_keys` gives it, in
+        Python int arithmetic; computed once."""
         key = self._tie_key
         if key is None:
-            key = hash_joined(node_token(node).encode("utf-8") for node in self.nodes)
+            gamma = int(GAMMA)
+            total = sum(_mix_int((node_key(node) + t * gamma) & _MASK64) for t, node in enumerate(self.nodes, 1))
+            key = (total & _MASK64) >> 1
             object.__setattr__(self, "_tie_key", key)
         return key
 
 
 def node_token(node: Node) -> str:
-    """The ``kind:id`` string that artifacts and tie keys use for a node."""
+    """The ``kind:id`` string that artifacts use for a node."""
     return f"{node[0]}:{node[1]}"
+
+
+def node_key(node: Node) -> int:
+    """The 63-bit sha256 key of a node that walk tie keys mix."""
+    return stable_hash(node_token(node))
 
 
 class Mrhin:
     """Immutable typed graph with kind-filtered adjacency.
 
-    Node int ``i`` is node ``node_ids[i]``, of kind ``kinds[i]``; its
-    ``kind:id`` token, which artifacts write and tie keys hash, is
-    ``token_bytes[i]`` in UTF-8; ``int_adj[kind][i]`` are its neighbors of
-    that kind as ints.  ``csr[kind]`` holds the same neighbors as three arrays
-    (degree and offset by node int, and all neighbors in node order).
+    Node int ``i`` is node ``node_ids[i]``, of kind ``kinds[i]``, with the
+    tie-key term ``node_keys[i]`` (:func:`node_key`; ``node_keys[PAD]`` is a
+    0 sentinel); ``int_adj[kind][i]`` are its neighbors of that kind as ints.
+    ``csr[kind]`` holds the same neighbors as three arrays (degree and offset
+    by node int, and all neighbors in node order).
 
     Two per-node results are memoized on the graph, since scoring asks for
     them once per target question: the hop array of :meth:`hops_from` (one
@@ -171,7 +187,7 @@ class Mrhin:
         self.node_ids: tuple[Node, ...] = tuple(sorted(self._adj))
         self._index = {node: i for i, node in enumerate(self.node_ids)}
         self.kinds = tuple(kind for kind, _ in self.node_ids)
-        self.token_bytes = tuple(node_token(node).encode("utf-8") for node in self.node_ids)
+        self.node_keys = np.array([node_key(node) for node in self.node_ids] + [0], dtype=np.uint64)
         # per kind, the int neighbors of that kind of every node, sorted like
         # the node tuples, so a draw by position picks the same neighbor
         self.int_adj: dict[str, tuple[tuple[int, ...], ...]] = {
@@ -299,7 +315,7 @@ class WalkGroup(Sequence[PathInstance]):
     ``rows`` holds one walk per row as graph node ints (``n x walk_len``),
     padded with ``PAD`` after the last node of a truncated walk.  Indexing or
     iterating decodes rows to :class:`PathInstance`; :attr:`tie_keys` holds
-    each walk's ``PathInstance.tie_key``, computed once per group.
+    each walk's ``PathInstance.tie_key``, computed once per group on its rows.
     """
 
     def __init__(self, graph: Mrhin, template: MetaPathTemplate, target_question: str, target_kc: str,
@@ -335,12 +351,22 @@ class WalkGroup(Sequence[PathInstance]):
         """Each walk's node ints, without padding."""
         return [_unpadded(row) for row in self.rows.tolist()]
 
+    def take(self, index: np.ndarray) -> "WalkGroup":
+        """The group of the rows at ``index``, in that order, with their tie keys if computed."""
+        part = WalkGroup(self.graph, self.template, self.target_question, self.target_kc, self.rows[index])
+        if self._tie_keys is not None:
+            part._tie_keys = self._tie_keys[index]
+        return part
+
     @property
     def tie_keys(self) -> np.ndarray:
+        """Each walk's tie key ``(Σ_{t=1..len} mix(node_keys[x_t] + t·γ) mod 2**64) >> 1``, over its
+        nodes ``x_1 .. x_len``, as int64: one sha256 per graph node, none per walk."""
         keys = self._tie_keys
         if keys is None:
-            tokens = self.graph.token_bytes
-            keys = np.array([hash_joined([tokens[x] for x in walk]) for walk in self.walks()], dtype=np.int64)
+            steps = np.arange(1, self.rows.shape[1] + 1, dtype=np.uint64) * GAMMA
+            terms = np.where(self.rows != PAD, mix(self.graph.node_keys[self.rows] + steps), np.uint64(0))
+            keys = (terms.sum(axis=1, dtype=np.uint64) >> _ONE).astype(np.int64)
             self._tie_keys = keys
         return keys
 
@@ -360,6 +386,14 @@ def mix(z: np.ndarray) -> np.ndarray:
     (s1, s2, s3), (m1, m2) = _MIX_SHIFTS, _MIX_MULTIPLIERS
     z = (z ^ (z >> s1)) * m1
     z = (z ^ (z >> s2)) * m2
+    return z ^ (z >> s3)
+
+
+def _mix_int(z: int) -> int:
+    """:func:`mix` of one int in [0, 2**64), in Python int arithmetic."""
+    (s1, s2, s3), (m1, m2) = map(int, _MIX_SHIFTS), map(int, _MIX_MULTIPLIERS)
+    z = ((z ^ (z >> s1)) * m1) & _MASK64
+    z = ((z ^ (z >> s2)) * m2) & _MASK64
     return z ^ (z >> s3)
 
 

@@ -22,8 +22,13 @@ scoring prompt in the mock LLM reply.  A group of one would not serve there:
 on a 2-vCPU VM (Python 3.11, numpy 2.4) an array pass over one path took
 156 us against 26 us, about 1.7 s more over the 13,160 scoring prompts of
 the staged CLI on the acceptance fixture.
-:func:`select_top_k` ranks a group by (total, tie key) on its arrays and
-decodes only the kept rows.
+Top-K selection keeps each group's best (or lowest, or randomly drawn)
+rows by total, equal totals ordered by the walks' tie keys
+(:attr:`~hisekt.mrhin.WalkGroup.tie_keys`, one array expression per group).
+:func:`select_top_k` of a :class:`ScoredGroup` ranks it on its arrays and
+returns the kept rows as a :class:`ScoredGroup`, so no walk is decoded until
+a kept row is read; a list of :class:`ScoredInstance` is ranked the same
+way on each instance's ``tie_key``.
 """
 
 from __future__ import annotations
@@ -78,13 +83,12 @@ class ScoredInstance:
 class ScoredGroup(Sequence[ScoredInstance]):
     """A walk group with its scores: one row per walk of (centrality,
     kc_relevance, informativeness, diversity, total), all from one backend.
-    Indexing or iterating decodes a row to a :class:`ScoredInstance`, once per row."""
+    Indexing or iterating decodes a row to a :class:`ScoredInstance`."""
 
     def __init__(self, walks: WalkGroup, scores: np.ndarray, backend: str):
         self.walks = walks
         self.scores = scores
         self.backend = backend
-        self._decoded: dict[int, ScoredInstance] = {}
 
     @classmethod
     def from_scores(cls, walks: WalkGroup, scores: Sequence[PathScore], backend: str) -> "ScoredGroup":
@@ -98,12 +102,11 @@ class ScoredGroup(Sequence[ScoredInstance]):
         return len(self.scores)
 
     def __getitem__(self, i: int) -> ScoredInstance:
-        # every variant and every rerun reads the kept rows again: decode each once
-        row = self._decoded.get(int(i))
-        if row is None:
-            row = ScoredInstance(self.walks[i], PathScore(*self.scores[i].tolist(), self.backend))
-            self._decoded[int(i)] = row
-        return row
+        return ScoredInstance(self.walks[i], PathScore(*self.scores[i].tolist(), self.backend))
+
+    def take(self, index: np.ndarray) -> "ScoredGroup":
+        """The group of the rows at ``index``, in that order, with their scores and tie keys."""
+        return ScoredGroup(self.walks.take(index), self.scores[index], self.backend)
 
 
 # -- the formulas --------------------------------------------------------------
@@ -164,12 +167,14 @@ def _score_walk(walk: list[int], nodes: Sequence[Node], kinds: Sequence[str], ho
 
 
 class _GraphTables:
-    """A graph's node tables for the array scorer, by node int, each with one more entry
-    (index ``sentinel``, also reached by ``PAD`` = -1) that counts as no node at all."""
+    """A graph's node tables for the array scorer and the retained-student count, by node int,
+    each with one more entry (index ``sentinel``, also reached by ``PAD`` = -1) that counts as no
+    node at all."""
 
     def __init__(self, g: Mrhin):
         self.sentinel = len(g.node_ids)
         self.question = np.array([kind == "Q" for kind in g.kinds] + [False])
+        self.student = np.array([kind == "U" for kind in g.kinds] + [False])
         self.counted = np.array([kind in _COUNTED_KINDS for kind in g.kinds] + [False])
         no_level = len(LEVEL_CATEGORIES)
         self.level = np.array([_LEVEL_INDEX[node] if kind in _LEVEL_KINDS else no_level
@@ -188,6 +193,15 @@ class _GraphTables:
 # graph -> its scoring tables, built in full before they are stored; the tables hold no
 # reference to the graph, which would keep it alive
 _GRAPH_TABLES: weakref.WeakKeyDictionary[Mrhin, _GraphTables] = weakref.WeakKeyDictionary()
+
+
+def graph_tables(g: Mrhin) -> _GraphTables:
+    """The graph's node tables, built on first use."""
+    tables = _GRAPH_TABLES.get(g)
+    if tables is None:
+        tables = _GraphTables(g)
+        _GRAPH_TABLES[g] = tables
+    return tables
 
 
 @functools.lru_cache(maxsize=16)
@@ -213,10 +227,7 @@ def score_all(walks: WalkGroup, g: Mrhin) -> ScoredGroup:
     by column, left to right, and the entropy terms are read from :func:`_entropy_terms`.
     Each score has the bits :func:`_score_walk` gives the row.
     """
-    tables = _GRAPH_TABLES.get(g)
-    if tables is None:
-        tables = _GraphTables(g)
-        _GRAPH_TABLES[g] = tables
+    tables = graph_tables(g)
     rows = walks.rows
     kstar = g.index(("K", walks.target_kc))
     length = (rows != PAD).sum(axis=1) - 1
@@ -419,36 +430,37 @@ def read_scored(path: str | Path, g: Mrhin) -> dict[str, dict[str, ScoredGroup]]
 # -- selection ---------------------------------------------------------------
 
 
+def _ranked(totals: np.ndarray, keys: np.ndarray, k: int, mode: str, seed: int) -> np.ndarray:
+    """Positions of the kept rows, in selection order: see :func:`select_top_k`."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if mode == "top":
+        return np.lexsort((keys, -totals))[:k]
+    if mode == "lowest":
+        return np.lexsort((keys, totals))[:k]
+    if mode == "random":
+        pool = np.argsort(keys, kind="stable")
+        return pool if k >= len(pool) else pool[derive_rng(seed, "select_top_k").sample(range(len(pool)), k)]
+    raise ValueError(f"unknown selection mode {mode!r}")
+
+
 def select_top_k(
     scored: ScoredGroup | Sequence[ScoredInstance],
     k: int,
     mode: str = "top",
     seed: int = 0,
-) -> list[ScoredInstance]:
-    """Keep ``min(k, len(scored))`` instances by total score.
+) -> ScoredGroup | list[ScoredInstance]:
+    """Keep ``min(k, len(scored))`` instances by total score, in selection order.
 
     ``top`` keeps the highest totals, ``lowest`` the lowest, ``random`` a
     uniform sample without replacement under ``seed``.  Equal totals are
-    ordered by a stable hash of the node sequence so reruns agree.  A
-    :class:`ScoredGroup` is ranked on its arrays and only the kept rows are
-    decoded.
+    ordered by the walks' tie keys, so reruns agree.  A :class:`ScoredGroup`
+    is ranked on its arrays, and its kept rows are returned as a
+    :class:`ScoredGroup` with their tie keys, decoded only when read; a list
+    is ranked the same way and gives a list.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not len(scored):
-        return []
     if isinstance(scored, ScoredGroup):
-        totals, keys = scored.scores[:, 4], scored.walks.tie_keys
-    else:
-        totals = np.array([s.score.total for s in scored])
-        keys = np.array([s.instance.tie_key for s in scored], dtype=np.int64)
-    if mode == "top":
-        kept = np.lexsort((keys, -totals))[:k]
-    elif mode == "lowest":
-        kept = np.lexsort((keys, totals))[:k]
-    elif mode == "random":
-        pool = np.argsort(keys, kind="stable").tolist()
-        kept = pool if k >= len(pool) else derive_rng(seed, "select_top_k").sample(pool, k)
-    else:
-        raise ValueError(f"unknown selection mode {mode!r}")
-    return [scored[i] for i in kept]
+        return scored.take(_ranked(scored.scores[:, 4], scored.walks.tie_keys, k, mode, seed))
+    totals = np.array([s.score.total for s in scored], dtype=np.float64)
+    keys = np.array([s.instance.tie_key for s in scored], dtype=np.int64)
+    return [scored[i] for i in _ranked(totals, keys, k, mode, seed)]

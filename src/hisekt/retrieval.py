@@ -34,7 +34,6 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ModelError
 from .irt import IrtModel
-from .pathscore import ScoredInstance
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -149,28 +148,9 @@ def student_tables(d: Dataset) -> StudentTables:
     return cached
 
 
-def student_counts(paths: Sequence[ScoredInstance]) -> dict[str, int]:
-    """How often each student appears across the retained instances of one target question."""
-    target_question = paths[0].instance.target_question if paths else ""
-    counts: dict[str, int] = {}
-    for scored in paths:
-        if scored.instance.target_question != target_question:
-            raise ValueError("all retained instances must share one target question")
-        for kind, node_id in scored.instance.nodes:
-            if kind == "U":
-                counts[node_id] = counts.get(node_id, 0) + 1
-    return counts
-
-
 def candidates_of(counts: Mapping[str, int], u_target: str, target_question: str) -> CandidateSet:
-    """The students of :func:`student_counts` minus the target, with their counts."""
+    """The students counted on a target question's retained walks, minus the target, with their counts."""
     return CandidateSet(u_target, target_question, {sid: f for sid, f in counts.items() if sid != u_target})
-
-
-def build_candidates(paths: Sequence[ScoredInstance], u_target: str) -> CandidateSet:
-    """Distinct students across the retained instances, minus the target, with counts."""
-    target_question = paths[0].instance.target_question if paths else ""
-    return candidates_of(student_counts(paths), u_target, target_question)
 
 
 def encode_many(

@@ -9,19 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable
 
 _SEP = b"\x1f"
 
 
-def hash_joined(chunks: Iterable[bytes]) -> int:
-    """63-bit integer hash of ``chunks`` joined by ``_SEP``, stable across processes."""
-    return int.from_bytes(hashlib.sha256(_SEP.join(chunks)).digest()[:8], "big") >> 1
-
-
 def stable_hash(*parts) -> int:
-    """:func:`hash_joined` of the UTF-8 string forms of ``parts``."""
-    return hash_joined(str(p).encode("utf-8") for p in parts)
+    """63-bit integer hash of the UTF-8 string forms of ``parts`` joined by ``_SEP``, stable
+    across processes."""
+    joined = _SEP.join(str(p).encode("utf-8") for p in parts)
+    return int.from_bytes(hashlib.sha256(joined).digest()[:8], "big") >> 1
 
 
 def derive_seed(*parts) -> int:

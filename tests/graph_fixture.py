@@ -5,9 +5,32 @@ tuples), not through the graph implementation, so tests that use them check
 the implementation against independent bookkeeping.
 """
 
+import hashlib
+
 from hisekt.dataset import Dataset, Interaction
 from hisekt.irt import IrtModel, Level
 from hisekt.mrhin import Mrhin
+
+
+MASK64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_tie_key(nodes):
+    """The Top-K tie key of a node sequence from its definition, in Python ints: over positions
+    t = 1, 2, ..., the sum of splitmix64(key + t·γ) modulo 2**64, shifted right by one, where a
+    node's key is the first 8 bytes (big-endian) of the sha256 of ``kind:id``, shifted right by one."""
+    total = 0
+    for t, (kind, node_id) in enumerate(nodes, start=1):
+        key = int.from_bytes(hashlib.sha256(f"{kind}:{node_id}".encode("utf-8")).digest()[:8], "big") >> 1
+        total += splitmix64((key + t * GAMMA) & MASK64)
+    return (total & MASK64) >> 1
 
 
 def make_model(ability_levels, difficulty_levels):

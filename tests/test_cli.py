@@ -9,9 +9,12 @@ from hisekt import cli, pathscore
 from hisekt.cli import main
 from hisekt.config import fingerprint, load_config_file, resolve_config
 from hisekt.errors import HisektError
-from hisekt.evaluation import PipelineContext, _retain_top_k, accuracy, auc, run_experiment, run_seed_of
+from hisekt.evaluation import PipelineContext, accuracy, auc, run_experiment, run_seed_of
 from hisekt.llm import LlmClient
+from hisekt.mrhin import TEMPLATES
+from hisekt.pathscore import select_top_k
 from hisekt.predict import is_prediction_prompt
+from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
 
@@ -20,6 +23,13 @@ def data_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "interactions.csv"
     path.write_text(small_planted_csv(seed=3), encoding="utf-8")
     return path
+
+
+def kept_rows(scored, k, mode, run_seed):
+    """Each question's kept rows, decoded, in the order the retained stage counts them."""
+    return {qid: [row for name in TEMPLATES if name in scored[qid]
+                  for row in select_top_k(scored[qid][name], k, mode, seed=derive_seed(run_seed, "topk", qid, name))]
+            for qid in sorted(scored)}
 
 
 def small_planted_csv(seed: int) -> str:
@@ -240,7 +250,7 @@ class TestCliStages:
         # in another order than sampling left them
         assert any(list(seeded[q].get(name, ())) != list(group) for q in fresh for name, group in fresh[q].items())
         for mode in ("top", "lowest", "random"):
-            assert _retain_top_k(seeded, cfg.top_k, mode, run_seed) == _retain_top_k(fresh, cfg.top_k, mode, run_seed)
+            assert kept_rows(seeded, cfg.top_k, mode, run_seed) == kept_rows(fresh, cfg.top_k, mode, run_seed)
 
     def test_cold_pipeline_prompts_once_and_warm_pipeline_reads_only_what_the_report_needs(
         self, config_file, tmp_path, monkeypatch, capsys
@@ -282,17 +292,19 @@ class TestCliStages:
         assert reports[0] != reports[1]
 
     def test_artifacts_of_another_walk_scheme_are_not_read(self, config_file, tmp_path, capsys):
-        # a cache written before the walk scheme was part of the directory name: same
-        # config and input, any artifact of which would fail its stage if it were read
+        # caches written before the walk scheme was part of the directory name, and under the
+        # sha256 tie keys: same config and input, any artifact of which would fail its stage
+        # if it were read
         cfg = resolve_config(load_config_file(config_file), {})
         digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
-        stale = tmp_path / "cache" / f"{fingerprint(cfg)}-{digest}"
-        stale.mkdir(parents=True)
-        for stage in cli.STAGES.values():
-            (stale / stage.artifact).write_text("written by another draw rule\n", encoding="utf-8")
+        stale = [tmp_path / "cache" / f"{fingerprint(cfg)}-{digest}{suffix}" for suffix in ("", "-splitmix64")]
+        for root in stale:
+            root.mkdir(parents=True)
+            for stage in cli.STAGES.values():
+                (root / stage.artifact).write_text("written by another draw rule\n", encoding="utf-8")
         assert main(["pipeline", "--config", str(config_file)]) == 0
         assert "cache hit" not in capsys.readouterr().out
-        assert cli._cache_dir(cfg) != stale
+        assert cli._cache_dir(cfg) not in stale
         assert (cli._cache_dir(cfg) / "report.json").read_text(encoding="utf-8") == run_experiment(cfg).to_json()
 
     def test_missing_input_is_an_ingest_error(self, tmp_path, capsys):

@@ -250,10 +250,18 @@ def stage_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [
-        (evaluation, "sample_walks"), (pathscore, "score_all"), (evaluation, "_retain_top_k"),
-        (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s"), (predict, "predict"),
+        (evaluation, "sample_walks"), (pathscore, "score_all"), (pathscore, "select_top_k"),
+        (retrieval, "fit_similarity"), (retrieval, "top_s"), (predict, "predict"),
     ]:
         count(owner, name)
+    # one Top-K pass is one computation of the "retained" stage
+    retained = evaluation._COMPUTE["retained"]
+
+    def counted_retained(*args):
+        calls["retained"] += 1
+        return retained(*args)
+
+    monkeypatch.setitem(evaluation._COMPUTE, "retained", counted_retained)
     return calls
 
 
@@ -276,7 +284,7 @@ class TestStageMemo:
         ctx = PipelineContext(cfg)
         run_experiment(cfg, ctx)
         # full, simu and rsimu select the same Top-K walks; simu needs no peers at all
-        assert stage_calls["_retain_top_k"] == stage_calls["fit_similarity"] == 3
+        assert stage_calls["retained"] == stage_calls["fit_similarity"] == 3
 
         stage_calls.clear()
         run_experiment(dataclasses.replace(cfg, variants=(*variants, "irt")), ctx)
@@ -288,5 +296,5 @@ class TestStageMemo:
 
         run_experiment(dataclasses.replace(cfg, top_s=1), ctx)
         assert stage_calls["top_s"] > 0 and stage_calls["predict"] > 0
-        for name in ("sample_walks", "score_all", "_retain_top_k", "select_top_k", "fit_similarity"):
+        for name in ("sample_walks", "score_all", "retained", "select_top_k", "fit_similarity"):
             assert stage_calls[name] == 0, name

@@ -37,13 +37,17 @@ from hisekt.synth import planted_csv
 from graph_fixture import (
     ABILITY,
     DIFFICULTY,
+    GAMMA,
     KC_OF,
+    MASK64,
     TRAIN_PAIRS,
     build_fixture_graph,
     enumerate_walks,
     fixture_edges,
     make_dataset,
     make_model,
+    reference_tie_key,
+    splitmix64,
 )
 
 
@@ -385,30 +389,20 @@ def one_to_seventy_graph():
     return Mrhin(adjacency)
 
 
-MASK64 = 2**64 - 1
-
-
-def splitmix64(z):
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
 def reference_walks(g, template, q0, n, walk_len, seed):
     """The walks of ``sample_instances``, one attempt at a time in Python ints: attempt ``a``
     has the key ``mix(base + a·γ)`` and node ``t`` is neighbor ``((mix(key + t·γ) >> 32) · deg)
     >> 32`` of the sorted neighbors of the required kind."""
-    gamma = 0x9E3779B97F4A7C15
     base = derive_seed(seed, template.name, q0)
     walks = []
     for attempt in range(RESAMPLE_FACTOR * n):
-        key = splitmix64((base + attempt * gamma) & MASK64)
+        key = splitmix64((base + attempt * GAMMA) & MASK64)
         walk = [("Q", q0)]
         for t in range(1, walk_len):
             nbrs = g.neighbors(walk[-1], template.kind_at(t))
             if not nbrs:
                 break
-            draw = splitmix64((key + t * gamma) & MASK64)
+            draw = splitmix64((key + t * GAMMA) & MASK64)
             walk.append(nbrs[((draw >> 32) * len(nbrs)) >> 32])
         if len(walk) < min(walk_len, len(template.kinds)):
             continue
@@ -463,14 +457,53 @@ class TestLockstep:
         assert (rows == PAD).any() and (rows[:, -1] != PAD).any()
 
 
-def test_group_tie_keys_equal_each_walks_tie_key():
+@functools.cache
+def planted_graph():
+    """The graph of planted seed 1 with every student and question on the medium level."""
     d = split(ingest(io.StringIO(planted_csv(seed=1)[0])), 0)
-    g = Mrhin.build(d, make_model({s: Level.MEDIUM for s in d.students()},
-                                  {q: Level.MEDIUM for q in d.questions()}))
+    return Mrhin.build(d, make_model({s: Level.MEDIUM for s in d.students()},
+                                     {q: Level.MEDIUM for q in d.questions()}))
+
+
+def test_group_tie_keys_equal_each_walks_tie_key():
+    g = planted_graph()
     for _, q in g.nodes("Q"):
         for template in TEMPLATES.values():
             group = sample_instances(g, template, q, n=10, walk_len=20, seed=1)
             assert group.tie_keys.tolist() == [p.tie_key for p in group]
+
+
+class TestTieKeys:
+    @given(
+        name=st.sampled_from(sorted(TEMPLATES)),
+        q0=st.sampled_from(DEAD_END_QUESTIONS),
+        n=st.integers(1, 12),
+        walk_len=st.integers(1, 14),
+        seed=st.integers(0, 2**40),
+    )
+    @example(name="Q-U-Q", q0="QDEAD", n=5, walk_len=9, seed=0)  # an empty group
+    @example(name="Q-K-Q-U-Q", q0="Q1", n=12, walk_len=13, seed=2)  # truncated rows among full ones
+    @settings(max_examples=60, deadline=None)
+    def test_group_keys_equal_each_walks_key_and_the_reference(self, name, q0, n, walk_len, seed):
+        group = sample_instances(dead_end_graph(), TEMPLATES[name], q0, n=n, walk_len=walk_len, seed=seed)
+        keys = group.tie_keys
+        assert keys.dtype == np.int64 and keys.shape == (len(group),)
+        assert keys.tolist() == [p.tie_key for p in group] == [reference_tie_key(p.nodes) for p in group]
+
+    def test_planted_keys_are_pinned_and_distinct(self):
+        g = planted_graph()
+        questions = [q for _, q in g.nodes("Q")]
+        digest = hashlib.sha256()
+        keys, walks = [], set()
+        for template in TEMPLATES.values():
+            groups = sample_walks(g, template, questions, n=100, walk_len=20, seed=1)
+            for q in questions:
+                digest.update(groups[q].tie_keys.astype("<i8").tobytes())
+                keys.extend(groups[q].tie_keys.tolist())
+                walks.update(map(tuple, groups[q].walks()))
+        assert len(keys) == 67_200
+        assert len(set(keys)) == len(walks)  # one key per distinct node sequence
+        assert digest.hexdigest() == "033a2144b69285ddf9cc8ff3aa75dd77eccd4782d9828770cbba789504855f79"
 
 
 class TestStores:

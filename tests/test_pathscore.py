@@ -15,9 +15,11 @@ from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.llm import LlmClient, map_bounded, scripted_client
 from hisekt.mrhin import (PAD, TEMPLATES, PathInstance, WalkGroup, graph_distance, read_walks, sample_instances,
                           write_walks)
+from hisekt import mrhin
 from hisekt.pathscore import (
     LEVEL_CATEGORIES,
     PathScore,
+    ScoredGroup,
     ScoredInstance,
     _score_path,
     _score_walk,
@@ -31,10 +33,10 @@ from hisekt.pathscore import (
 )
 
 from graph_fixture import (ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, build_fixture_graph, make_dataset,
-                           make_model)
+                           make_model, reference_tie_key)
 from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
-from hisekt.seeding import derive_rng, stable_hash
+from hisekt.seeding import derive_rng
 from hisekt.synth import planted_csv
 
 
@@ -355,7 +357,7 @@ def reference_top_k(scored, k, mode, seed=0):
     """Top-K with the tie key recomputed from the node sequence on every comparison."""
 
     def tie(s):
-        return stable_hash(*(f"{kind}:{i}" for kind, i in s.instance.nodes))
+        return reference_tie_key(s.instance.nodes)
 
     if mode == "random":
         pool = sorted(scored, key=tie)
@@ -390,10 +392,42 @@ class TestSelectTopKTieOrder:
 
     def test_tie_key_is_the_node_sequence_hash(self, groups):
         for s in groups[0]:
-            assert s.instance.tie_key == stable_hash(*(f"{kind}:{i}" for kind, i in s.instance.nodes))
+            assert s.instance.tie_key == reference_tie_key(s.instance.nodes)
             copy = PathInstance(s.instance.template, s.instance.nodes, s.instance.target_kc)
             assert copy == s.instance and hash(copy) == hash(s.instance)
             assert "tie_key" not in repr(s.instance)
+
+
+class TestSelectTopKOnGroups:
+    @pytest.fixture(scope="class")
+    def groups(self, g):
+        # each group's formula scores, and its walks with totals drawn from three values
+        out = []
+        for name in ("Q-K-Q", "Q-U-Q-D-Q", "Q-K-Q-U-A-U-Q"):
+            walks = sample_instances(g, TEMPLATES[name], "Q2", n=40, walk_len=9, seed=5)
+            out.append(score_all(walks, g))
+            tied = [PathScore.build(*([(i % 3) * 1.25] * 4)) for i in range(len(walks))]
+            out.append(ScoredGroup.from_scores(walks, tied, "formula"))
+        out.append(score_all(sample_instances(g, TEMPLATES["Q-U-Q"], "Q2", n=0, walk_len=9, seed=5), g))
+        return out
+
+    @pytest.mark.parametrize("mode", ["top", "lowest", "random"])
+    @pytest.mark.parametrize("k", [1, 5, 39, 100])
+    def test_group_path_equals_the_list_path_on_the_decoded_rows(self, groups, mode, k, monkeypatch):
+        expected = {(i, seed): select_top_k(list(group), k, mode, seed=seed)
+                    for i, group in enumerate(groups) for seed in (0, 3)}
+        for group in groups:
+            group.walks.tie_keys  # each group's keys, computed once
+
+        def rehash(z):
+            raise AssertionError("a tie key was computed again")
+
+        monkeypatch.setattr(mrhin, "mix", rehash)
+        for (i, seed), want in expected.items():
+            got = select_top_k(groups[i], k, mode, seed=seed)
+            assert isinstance(got, ScoredGroup) and len(got) == min(k, len(groups[i]))
+            assert list(got) == want
+            assert got.walks.tie_keys.tolist() == [s.instance.tie_key for s in want]
 
 
 def reference_walk_file(items):

@@ -10,17 +10,20 @@ import numpy as np
 import pytest
 
 import hisekt
+from hisekt import evaluation
+from hisekt.config import ABLATIONS, RunConfig
 from hisekt.dataset import ingest, split
 from hisekt.errors import ModelError
+from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.irt import IrtModel, Level
 from hisekt.mrhin import TEMPLATES, PathInstance
-from hisekt.pathscore import PathScore, ScoredInstance
+from hisekt.pathscore import PathScore, ScoredInstance, select_top_k
 from hisekt.retrieval import (
     CandidateSet,
     FeatureVector,
     SimilarityModel,
     _fit_from_features,
-    build_candidates,
+    candidates_of,
     distance,
     distances,
     encode,
@@ -30,10 +33,30 @@ from hisekt.retrieval import (
     student_tables,
     top_s,
 )
-from hisekt.seeding import derive_rng
+from hisekt.seeding import derive_rng, derive_seed
 from hisekt.synth import planted_csv
 
 from graph_fixture import make_dataset, make_model
+
+
+def student_counts(paths):
+    """How often each student appears across the retained instances of one target question, in
+    order of first appearance: the reference the retained stage's array count is held to."""
+    target_question = paths[0].instance.target_question if paths else ""
+    counts = {}
+    for scored in paths:
+        if scored.instance.target_question != target_question:
+            raise ValueError("all retained instances must share one target question")
+        for kind, node_id in scored.instance.nodes:
+            if kind == "U":
+                counts[node_id] = counts.get(node_id, 0) + 1
+    return counts
+
+
+def build_candidates(paths, u_target):
+    """Distinct students across the retained instances, minus the target, with counts."""
+    target_question = paths[0].instance.target_question if paths else ""
+    return candidates_of(student_counts(paths), u_target, target_question)
 
 
 def scored_path(nodes, target_q="Q1", target_kc="K1"):
@@ -70,6 +93,26 @@ class TestBuildCandidates:
     def test_empty_paths_empty_candidates(self):
         cands = build_candidates([], "u1")
         assert cands.candidates == {}
+
+
+@pytest.fixture(scope="module")
+def planted_context(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "planted.csv"
+    path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+    return PipelineContext(RunConfig(data=str(path)))
+
+
+@pytest.mark.parametrize("variant", [None, "msr", "msl"], ids=["top", "random", "lowest"])
+def test_retained_counts_equal_the_reference_on_the_decoded_kept_rows(planted_context, variant):
+    ctx = planted_context
+    cfg, run_seed, mode = ctx.cfg, run_seed_of(ctx.cfg, 0), ABLATIONS[variant][0]
+    scored = ctx.scored(run_seed)
+    retained = evaluation._retained(ctx, cfg, run_seed, variant)
+    assert list(retained) == sorted(scored)
+    for qid, per_template in scored.items():
+        kept = [row for name in TEMPLATES if name in per_template
+                for row in select_top_k(per_template[name], cfg.top_k, mode, seed=derive_seed(run_seed, "topk", qid, name))]
+        assert list(retained[qid].items()) == list(student_counts(kept).items())  # dict order included
 
 
 def pair_dataset(correct_fn=None, questions=10, students=("S1", "S2", "S3", "S4")):
