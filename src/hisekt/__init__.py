@@ -8,16 +8,15 @@ from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
 from .mrhin import (TEMPLATES, MetaPathTemplate, Mrhin, PathInstance, WalkGroup, graph_distance, sample_instances,
                     sample_walks)
-from .pathscore import PathScore, ScoredGroup, ScoredInstance, score, select_top_k
+from .pathscore import PathScore, ScoredGroup, ScoredInstance, score_all, select_top_k
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
 # package attribute `predict` keeps naming the module.
-from .predict import Prediction, PromptBundle, build_prompt, mock_predict
+from .predict import Prediction, PromptBundle, build_prompt
 from .retrieval import (
     CandidateSet,
     FeatureVector,
     SimilarityModel,
-    distance,
     distances,
     encode,
     encode_many,
@@ -54,7 +53,6 @@ __all__ = [
     "auc",
     "build_prompt",
     "discretize",
-    "distance",
     "distances",
     "encode",
     "encode_many",
@@ -63,13 +61,12 @@ __all__ = [
     "fit_similarity",
     "graph_distance",
     "ingest",
-    "mock_predict",
     "probability",
     "resolve_config",
     "run_experiment",
     "sample_instances",
     "sample_walks",
-    "score",
+    "score_all",
     "select_top_k",
     "split",
     "top_s",

@@ -15,7 +15,8 @@ artifact.  So ``pipeline`` samples, scores and predicts each target once,
 ``evaluate`` reuses the ``predict`` stage's run-0 predictions, and a warm
 ``pipeline`` parses only the artifacts its report needs.  A single-stage
 command refuses to run if an upstream artifact is missing.  Exit codes: 0
-success, 1 stage failure (a corrupt artifact included), 2 usage error.
+success, 1 stage failure (a corrupt artifact, or one that lacks a test target,
+included), 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from . import dataset as dataset_mod
 from . import irt as irt_mod
@@ -83,7 +84,8 @@ def _write_text(path: Path, text: str) -> None:
     _replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
-def _peer_key(key: tuple[str, str, int]) -> str:
+def _target_token(key: tuple[str, str, int]) -> str:
+    """``student|question|timestamp``: how artifacts name a test target."""
     return "|".join(map(str, key))
 
 
@@ -124,15 +126,27 @@ def _write_peers(ctx: PipelineContext, path: Path) -> str:
             "shrinkage_lambda": sim.shrinkage_lambda,
             "pair_sample_size": sim.pair_sample_size,
         },
-        "peers": {_peer_key(key): p for key, p in peers.items()},
+        "peers": {_target_token(key): p for key, p in peers.items()},
     }
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return f"peers for {len(peers)} targets"
 
 
+def _per_target(path: Path, ctx: PipelineContext, stored: Mapping[str, object]) -> dict:
+    """{target key: its entry in ``stored``, keyed by :func:`_target_token`} for every test target, in
+    test order; raises IngestError naming the file and the first target it lacks."""
+    out = {}
+    for i in ctx.test_targets():
+        key = target_key(i)
+        token = _target_token(key)
+        if token not in stored:
+            raise IngestError(f"{path}: no entry for test target {token}")
+        out[key] = stored[token]
+    return out
+
+
 def _read_peers(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], list[str]]:
-    stored = json.loads(path.read_text(encoding="utf-8"))["peers"]
-    return {target_key(i): stored.get(_peer_key(target_key(i)), []) for i in ctx.test_targets()}
+    return _per_target(path, ctx, json.loads(path.read_text(encoding="utf-8"))["peers"])
 
 
 def _write_predictions(ctx: PipelineContext, path: Path) -> str:
@@ -147,8 +161,9 @@ def _write_predictions(ctx: PipelineContext, path: Path) -> str:
 
 
 def _read_predictions(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], Prediction]:
-    return dict(read_json_lines(path, lambda r: ((r["student"], r["question"], r["timestamp"]),
-                                                 Prediction(r["outcome"], r["confidence"], r["report"], r["p_correct"]))))
+    stored = dict(read_json_lines(path, lambda r: (_target_token((r["student"], r["question"], r["timestamp"])),
+                                                   Prediction(r["outcome"], r["confidence"], r["report"], r["p_correct"]))))
+    return _per_target(path, ctx, stored)
 
 
 class Stage(NamedTuple):

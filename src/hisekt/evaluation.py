@@ -76,17 +76,6 @@ def accuracy(labels: Sequence[int], outcomes: Sequence[int]) -> float:
     return sum(1 for y, o in zip(labels, outcomes) if y == o) / len(labels)
 
 
-def unimodal_or_plateau(values: Sequence[float], tol: float = 0.01) -> bool:
-    """True if the series rises (within tol) to some peak and never rises after it."""
-    n = len(values)
-    for peak in range(n):
-        rising = all(values[i + 1] >= values[i] - tol for i in range(peak))
-        falling = all(values[i + 1] <= values[i] + tol for i in range(peak, n - 1))
-        if rising and falling:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class VariantMetrics:
     acc: float

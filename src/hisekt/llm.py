@@ -122,19 +122,6 @@ class LlmClient:
             raise TransportError(f"unexpected response shape: {payload!r}") from exc
 
 
-def scripted_client(replies: Iterable[str], **kwargs) -> LlmClient:
-    """Mock client that plays back canned replies in order (test helper)."""
-    queue = list(replies)
-
-    def transport(prompt: str) -> str:
-        del prompt
-        if not queue:
-            raise TransportError("scripted client exhausted")
-        return queue.pop(0)
-
-    return LlmClient(backend="mock", transport=transport, **kwargs)
-
-
 def map_bounded(
     fn: Callable,
     items: Mapping[Hashable, object] | Iterable[tuple[Hashable, object]],

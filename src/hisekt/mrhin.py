@@ -19,8 +19,8 @@ gives the same rows as sampling each question alone.
 
 Equal Top-K totals are ordered by a walk's tie key, which mixes the same
 way: each node has a sha256 key, and a walk's key sums ``mix`` of each
-node's key plus its position times γ, so a group's keys are one array
-expression over its rows (see :attr:`WalkGroup.tie_keys`).
+node's key plus its position times γ.  Tie keys exist only per group, as one
+array expression over its rows (:attr:`WalkGroup.tie_keys`).
 
 The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
 order is node order, and keeps a per-kind int adjacency, also as CSR arrays
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -73,7 +73,6 @@ _MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 _MIX_MULTIPLIERS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _HALF = np.uint64(32)
 _ONE = np.uint64(1)
-_MASK64 = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ class PathInstance:
     template: MetaPathTemplate
     nodes: tuple[Node, ...]
     target_kc: str
-    _tie_key: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def target_question(self) -> str:
@@ -141,18 +139,6 @@ class PathInstance:
     @property
     def edge_count(self) -> int:
         return len(self.nodes) - 1
-
-    @property
-    def tie_key(self) -> int:
-        """The key that orders equal Top-K totals, as :attr:`WalkGroup.tie_keys` gives it, in
-        Python int arithmetic; computed once."""
-        key = self._tie_key
-        if key is None:
-            gamma = int(GAMMA)
-            total = sum(_mix_int((node_key(node) + t * gamma) & _MASK64) for t, node in enumerate(self.nodes, 1))
-            key = (total & _MASK64) >> 1
-            object.__setattr__(self, "_tie_key", key)
-        return key
 
 
 def node_token(node: Node) -> str:
@@ -262,9 +248,6 @@ class Mrhin:
             out.extend(kinds[k])
         return tuple(out)
 
-    def has_edge(self, x: Node, y: Node) -> bool:
-        return y in self._adj.get(x, {}).get(y[0], ())
-
     def edge_count(self) -> int:
         return sum(len(nbrs) for kinds in self._adj.values() for nbrs in kinds.values()) // 2
 
@@ -315,7 +298,7 @@ class WalkGroup(Sequence[PathInstance]):
     ``rows`` holds one walk per row as graph node ints (``n x walk_len``),
     padded with ``PAD`` after the last node of a truncated walk.  Indexing or
     iterating decodes rows to :class:`PathInstance`; :attr:`tie_keys` holds
-    each walk's ``PathInstance.tie_key``, computed once per group on its rows.
+    each walk's Top-K tie key, computed once per group on its rows.
     """
 
     def __init__(self, graph: Mrhin, template: MetaPathTemplate, target_question: str, target_kc: str,
@@ -326,19 +309,6 @@ class WalkGroup(Sequence[PathInstance]):
         self.target_kc = target_kc
         self.rows = rows
         self._tie_keys: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, g: Mrhin, instances: Sequence[PathInstance]) -> "WalkGroup":
-        """Intern a non-empty list of instances that share a template, target question and target KC."""
-        first = instances[0]
-        shared = (first.template, first.nodes[0], first.target_kc)
-        if any((p.template, p.nodes[0], p.target_kc) != shared for p in instances):
-            raise ValueError("a walk group needs one template, target question and target KC")
-        try:
-            walks = [[g._index[node] for node in p.nodes] for p in instances]
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]} is not a graph node") from None
-        return cls(g, first.template, first.target_question, first.target_kc, _padded(walks))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -386,14 +356,6 @@ def mix(z: np.ndarray) -> np.ndarray:
     (s1, s2, s3), (m1, m2) = _MIX_SHIFTS, _MIX_MULTIPLIERS
     z = (z ^ (z >> s1)) * m1
     z = (z ^ (z >> s2)) * m2
-    return z ^ (z >> s3)
-
-
-def _mix_int(z: int) -> int:
-    """:func:`mix` of one int in [0, 2**64), in Python int arithmetic."""
-    (s1, s2, s3), (m1, m2) = map(int, _MIX_SHIFTS), map(int, _MIX_MULTIPLIERS)
-    z = ((z ^ (z >> s1)) * m1) & _MASK64
-    z = ((z ^ (z >> s2)) * m2) & _MASK64
     return z ^ (z >> s3)
 
 
@@ -515,23 +477,6 @@ def _group(g: Mrhin, template: MetaPathTemplate, q0: str, target_kc: str, rows: 
     if not len(rows):
         logger.info("no conformant walk for template %s from %s", template.name, q0)
     return WalkGroup(g, template, q0, target_kc, rows)
-
-
-def validate_instance(g: Mrhin, inst: PathInstance) -> None:
-    """Raise ValueError unless the instance conforms to its template on this graph."""
-    if len(inst.nodes) < len(inst.template.kinds):
-        raise ValueError("instance shorter than one full template cycle")
-    for position, node in enumerate(inst.nodes):
-        expected = inst.template.kind_at(position)
-        if node[0] != expected:
-            raise ValueError(f"node {position} has kind {node[0]}, template expects {expected}")
-        if not g.has_node(node):
-            raise ValueError(f"node {node} is not in the graph")
-    for x, y in zip(inst.nodes, inst.nodes[1:]):
-        if not g.has_edge(x, y):
-            raise ValueError(f"missing edge {x} - {y}")
-    if inst.target_kc not in g.question_kcs(inst.target_question):
-        raise ValueError("target KC does not belong to the target question")
 
 
 # -- graph store -------------------------------------------------------------

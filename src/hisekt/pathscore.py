@@ -25,10 +25,9 @@ the staged CLI on the acceptance fixture.
 Top-K selection keeps each group's best (or lowest, or randomly drawn)
 rows by total, equal totals ordered by the walks' tie keys
 (:attr:`~hisekt.mrhin.WalkGroup.tie_keys`, one array expression per group).
-:func:`select_top_k` of a :class:`ScoredGroup` ranks it on its arrays and
-returns the kept rows as a :class:`ScoredGroup`, so no walk is decoded until
-a kept row is read; a list of :class:`ScoredInstance` is ranked the same
-way on each instance's ``tie_key``.
+:func:`select_top_k` ranks a :class:`ScoredGroup` on its arrays and returns
+the kept rows as a :class:`ScoredGroup`, so no walk is decoded until a kept
+row is read.
 """
 
 from __future__ import annotations
@@ -280,11 +279,6 @@ def _score_path(path: Sequence[Node], target_kc: str, hop_of: Mapping[str, int],
     return _score_walk(walk, nodes, [kind for kind, _ in nodes], hops, covers, index.get(("K", target_kc)))
 
 
-def score(p: PathInstance, g: Mrhin) -> PathScore:
-    """All four dimensions of one path on the graph, scored as a group of one."""
-    return score_all(WalkGroup.of(g, [p]), g)[0].score
-
-
 # -- LLM scoring backend -----------------------------------------------------
 
 
@@ -430,37 +424,26 @@ def read_scored(path: str | Path, g: Mrhin) -> dict[str, dict[str, ScoredGroup]]
 # -- selection ---------------------------------------------------------------
 
 
-def _ranked(totals: np.ndarray, keys: np.ndarray, k: int, mode: str, seed: int) -> np.ndarray:
-    """Positions of the kept rows, in selection order: see :func:`select_top_k`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if mode == "top":
-        return np.lexsort((keys, -totals))[:k]
-    if mode == "lowest":
-        return np.lexsort((keys, totals))[:k]
-    if mode == "random":
-        pool = np.argsort(keys, kind="stable")
-        return pool if k >= len(pool) else pool[derive_rng(seed, "select_top_k").sample(range(len(pool)), k)]
-    raise ValueError(f"unknown selection mode {mode!r}")
-
-
-def select_top_k(
-    scored: ScoredGroup | Sequence[ScoredInstance],
-    k: int,
-    mode: str = "top",
-    seed: int = 0,
-) -> ScoredGroup | list[ScoredInstance]:
-    """Keep ``min(k, len(scored))`` instances by total score, in selection order.
+def select_top_k(scored: ScoredGroup, k: int, mode: str = "top", seed: int = 0) -> ScoredGroup:
+    """Keep ``min(k, len(scored))`` rows by total score, in selection order.
 
     ``top`` keeps the highest totals, ``lowest`` the lowest, ``random`` a
     uniform sample without replacement under ``seed``.  Equal totals are
-    ordered by the walks' tie keys, so reruns agree.  A :class:`ScoredGroup`
-    is ranked on its arrays, and its kept rows are returned as a
-    :class:`ScoredGroup` with their tie keys, decoded only when read; a list
-    is ranked the same way and gives a list.
+    ordered by the walks' tie keys, so reruns agree.  The group is ranked on
+    its arrays, and its kept rows are returned as a :class:`ScoredGroup` with
+    their tie keys, decoded only when read.
     """
-    if isinstance(scored, ScoredGroup):
-        return scored.take(_ranked(scored.scores[:, 4], scored.walks.tie_keys, k, mode, seed))
-    totals = np.array([s.score.total for s in scored], dtype=np.float64)
-    keys = np.array([s.instance.tie_key for s in scored], dtype=np.int64)
-    return [scored[i] for i in _ranked(totals, keys, k, mode, seed)]
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    totals, keys = scored.scores[:, 4], scored.walks.tie_keys
+    if mode == "top":
+        kept = np.lexsort((keys, -totals))[:k]
+    elif mode == "lowest":
+        kept = np.lexsort((keys, totals))[:k]
+    elif mode == "random":
+        kept = np.argsort(keys, kind="stable")
+        if k < len(kept):
+            kept = kept[derive_rng(seed, "select_top_k").sample(range(len(kept)), k)]
+    else:
+        raise ValueError(f"unknown selection mode {mode!r}")
+    return scored.take(kept)

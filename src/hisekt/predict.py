@@ -360,11 +360,6 @@ def _parse_history_row(line: str) -> dict:
 # -- prediction backends ------------------------------------------------------
 
 
-def mock_predict(p: PromptBundle) -> Prediction:
-    """Deterministic offline prediction: the mock backend's parsed reply to ``p.text``."""
-    return _parse_reply(mock_prediction_reply(p.text))
-
-
 def mock_prediction_reply(prompt: str) -> str:
     """Answer a rendered prediction prompt deterministically (mock transport).
 

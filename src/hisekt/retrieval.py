@@ -17,8 +17,8 @@ matches a per-pair Python loop bit for bit: the accuracy gap is summed
 column by column in sorted KC order, left to right, and the three decays are
 read from a table of Python floats ``(1.0 + i) ** (-c)`` filled on demand.
 :func:`distances` solves every row against the Cholesky factor in one
-batched ``np.linalg.solve``, the same one-right-hand-side solve per row as
-:func:`distance`.  :func:`top_s` encodes and ranks a target's candidates as
+batched ``np.linalg.solve``, one right-hand side per row, as a per-row loop
+solves it.  :func:`top_s` encodes and ranks a target's candidates as
 one block, and :func:`fit_similarity` its sampled pairs; random pairs are
 drawn as indices into the nested-loop pair order and never listed.
 """
@@ -289,11 +289,6 @@ def distances(z: np.ndarray, sm: SimilarityModel) -> np.ndarray:
     y = np.linalg.solve(sm.cholesky(), delta[..., None])[..., 0]
     # a 1 x 5 by 5 x 1 product per row sums like np.dot(y, y)
     return np.sqrt(np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0])
-
-
-def distance(z: FeatureVector, sm: SimilarityModel) -> float:
-    """sqrt((z - mu)^T Sigma^-1 (z - mu)): one row of :func:`distances`."""
-    return float(distances(z.as_array()[None, :], sm)[0])
 
 
 def top_s(

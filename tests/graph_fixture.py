@@ -7,9 +7,12 @@ the implementation against independent bookkeeping.
 
 import hashlib
 
+import numpy as np
+
 from hisekt.dataset import Dataset, Interaction
 from hisekt.irt import IrtModel, Level
-from hisekt.mrhin import Mrhin
+from hisekt.mrhin import PAD, Mrhin, WalkGroup
+from hisekt.seeding import derive_rng
 
 
 MASK64 = 2**64 - 1
@@ -31,6 +34,33 @@ def reference_tie_key(nodes):
         key = int.from_bytes(hashlib.sha256(f"{kind}:{node_id}".encode("utf-8")).digest()[:8], "big") >> 1
         total += splitmix64((key + t * GAMMA) & MASK64)
     return (total & MASK64) >> 1
+
+
+def reference_top_k(scored, k, mode, seed=0):
+    """Top-K of a list of scored instances with the tie key recomputed from the node sequence on
+    every comparison."""
+
+    def tie(s):
+        return reference_tie_key(s.instance.nodes)
+
+    if mode == "random":
+        pool = sorted(scored, key=tie)
+        return pool if k >= len(pool) else derive_rng(seed, "select_top_k").sample(pool, k)
+    sign = -1 if mode == "top" else 1
+    return sorted(scored, key=lambda s: (sign * s.score.total, tie(s)))[:k]
+
+
+def group_of(g, instances):
+    """The walk group of a non-empty list of instances that share a template, target question and
+    target KC: one row of node ints per instance, padded with ``PAD``."""
+    first = instances[0]
+    shared = (first.template, first.nodes[0], first.target_kc)
+    if any((p.template, p.nodes[0], p.target_kc) != shared for p in instances):
+        raise ValueError("a walk group needs one template, target question and target KC")
+    rows = np.full((len(instances), max(len(p.nodes) for p in instances)), PAD, dtype=np.int32)
+    for row, p in zip(rows, instances):
+        row[: len(p.nodes)] = [g.index(node) for node in p.nodes]
+    return WalkGroup(g, first.template, first.target_question, first.target_kc, rows)
 
 
 def make_model(ability_levels, difficulty_levels):

@@ -24,23 +24,24 @@ from hisekt.evaluation import (
     PipelineContext,
     auc,
     run_experiment,
-    unimodal_or_plateau,
 )
 from hisekt.irt import fit
 from hisekt.mrhin import TEMPLATES, Mrhin, PathInstance, sample_instances
-from hisekt.pathscore import score
-from hisekt.retrieval import FeatureVector, SimilarityModel, _fit_from_features, distance
+from hisekt.pathscore import score_all
+from hisekt.retrieval import FeatureVector, SimilarityModel, _fit_from_features, distances
 from hisekt.synth import irt_recovery_csv, planted_csv
 
 from graph_fixture import (
     build_fixture_graph,
     enumerate_walks,
     fixture_edges,
+    group_of,
     is_conformant_walk,
     make_dataset,
     make_model,
 )
 from hisekt.irt import Level
+from support import unimodal_or_plateau
 
 
 def report_criterion(name: str, ok: bool, detail: str = ""):
@@ -210,7 +211,7 @@ def test_criterion_3_scoring_oracle_equivalence():
     for template, nodes, target_kc in paths:
         inst = PathInstance(template, nodes, target_kc)
         assert is_conformant_walk(edges, template, nodes, len(nodes)) or len(nodes) == len(template.kinds)
-        got = score(inst, g)
+        got = score_all(group_of(g, [inst]), g)[0].score
         want = oracle_scores(nodes, target_kc, edges, kc_of)
         for label, got_v, want_v in zip(
             ("centrality", "kc_relevance", "informativeness", "diversity"),
@@ -270,9 +271,9 @@ def test_criterion_3_scoring_oracle_equivalence():
 
 def test_criterion_4_mahalanobis_correctness():
     sm = SimilarityModel(mu=np.zeros(5), sigma=np.eye(5), shrinkage_lambda=0.05, pair_sample_size=10)
-    euclid_err = abs(distance(FeatureVector(3.0, 4.0, 0.0, 0.0, 0.0), sm) - 5.0)
+    euclid_err = abs(distances(FeatureVector(3.0, 4.0, 0.0, 0.0, 0.0).as_array()[None, :], sm)[0] - 5.0)
     assert euclid_err <= 1e-12
-    assert abs(distance(FeatureVector(1.0, 1.0, 1.0, 1.0, 1.0), sm) - math.sqrt(5.0)) <= 1e-12
+    assert abs(distances(FeatureVector(1.0, 1.0, 1.0, 1.0, 1.0).as_array()[None, :], sm)[0] - math.sqrt(5.0)) <= 1e-12
 
     rng = np.random.default_rng(3)
     base = rng.normal(size=(300, 5))
@@ -281,7 +282,7 @@ def test_criterion_4_mahalanobis_correctness():
     worst_whiten = 0.0
     for _ in range(40):
         z = rng.normal(size=5)
-        d0 = distance(FeatureVector(*z), SimilarityModel(mu, cov, 0.05, 10))
+        d0 = distances(FeatureVector(*z).as_array()[None, :], SimilarityModel(mu, cov, 0.05, 10))[0]
         axis = int(rng.integers(0, 5))
         gamma = float(rng.uniform(0.2, 5.0))
         delta = float(rng.normal())
@@ -289,10 +290,10 @@ def test_criterion_4_mahalanobis_correctness():
         scale[axis] = gamma
         shift = np.zeros(5)
         shift[axis] = delta
-        d1 = distance(
-            FeatureVector(*(z * scale + shift)),
+        d1 = distances(
+            FeatureVector(*(z * scale + shift)).as_array()[None, :],
             SimilarityModel(mu * scale + shift, cov * np.outer(scale, scale), 0.05, 10),
-        )
+        )[0]
         worst_whiten = max(worst_whiten, abs(d0 - d1))
     assert worst_whiten <= 1e-9
 

@@ -343,3 +343,27 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert f"error in stage score-paths: {paths} line 100: " in err
         assert not paths.with_name("scored.jsonl").exists()
+
+    def test_retrieval_without_a_target_is_a_stage_failure(self, config_file, capsys):
+        for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths", "retrieve"):
+            assert main([stage, "--config", str(config_file)]) == 0
+        retrieval = cli._cache_dir(resolve_config(load_config_file(config_file), {})) / "retrieval.json"
+        payload = json.loads(retrieval.read_text(encoding="utf-8"))
+        dropped = sorted(payload["peers"])[5]
+        del payload["peers"][dropped]
+        retrieval.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config_file)]) == 1
+        assert f"error in stage predict: {retrieval}: no entry for test target {dropped}" in capsys.readouterr().err
+        assert not retrieval.with_name("predictions.jsonl").exists()
+
+    def test_predictions_without_a_target_are_a_stage_failure(self, config_file, capsys):
+        assert main(["pipeline", "--config", str(config_file)]) == 0
+        predictions = cli._cache_dir(resolve_config(load_config_file(config_file), {})) / "predictions.jsonl"
+        lines = predictions.read_text(encoding="utf-8").splitlines()
+        dropped = json.loads(lines[9])
+        predictions.write_text("\n".join(lines[:9] + lines[10:]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config_file)]) == 1
+        target = f"{dropped['student']}|{dropped['question']}|{dropped['timestamp']}"
+        assert f"error in stage evaluate: {predictions}: no entry for test target {target}" in capsys.readouterr().err

@@ -19,12 +19,14 @@ from hisekt.evaluation import (
     retrieve_peers,
     run_experiment,
     run_seed_of,
-    unimodal_or_plateau,
 )
 from hisekt.llm import MockTransport
-from hisekt.mrhin import TEMPLATES, PathInstance
-from hisekt.pathscore import PathScore, ScoredInstance, select_top_k
+from hisekt.mrhin import TEMPLATES, sample_instances
+from hisekt.pathscore import PathScore, ScoredGroup, select_top_k
 from hisekt.synth import planted_csv
+
+from graph_fixture import build_fixture_graph
+from support import unimodal_or_plateau
 
 
 def pairwise_auc(labels, scores):
@@ -121,22 +123,15 @@ class TestUnimodal:
 
 class TestPlantedSelection:
     def test_top_k_picks_planted_high_and_lowest_picks_planted_low(self):
-        # plant two quality tiers and check the selected sets exactly
-        high, low = [], []
-        for i in range(6):
-            inst_h = PathInstance(
-                TEMPLATES["Q-K-Q"], (("Q", "QT"), ("K", "K1"), ("Q", f"QH{i}")), "K1"
-            )
-            inst_l = PathInstance(
-                TEMPLATES["Q-K-Q"], (("Q", "QT"), ("K", "K1"), ("Q", f"QL{i}")), "K1"
-            )
-            high.append(ScoredInstance(inst_h, PathScore.build(4.0, 4.0, 4.0, 4.0)))
-            low.append(ScoredInstance(inst_l, PathScore.build(1.0, 1.0, 1.0, 1.0)))
-        mixed = low[:3] + high[:3] + low[3:] + high[3:]
-        top = select_top_k(mixed, 6, "top")
-        bottom = select_top_k(mixed, 6, "lowest")
-        assert {s.instance.nodes for s in top} == {s.instance.nodes for s in high}
-        assert {s.instance.nodes for s in bottom} == {s.instance.nodes for s in low}
+        # plant two quality tiers on distinct fixture walks, interleaved, and check the selected sets exactly
+        walks = sample_instances(build_fixture_graph(), TEMPLATES["Q-U-Q-K-Q"], "Q1", n=12, walk_len=20, seed=1)
+        tiers = [1.0] * 3 + [4.0] * 3 + [1.0] * 3 + [4.0] * 3
+        mixed = ScoredGroup.from_scores(walks, [PathScore.build(*[tier] * 4) for tier in tiers], "formula")
+        high = {p.nodes for p, tier in zip(walks, tiers) if tier == 4.0}
+        low = {p.nodes for p, tier in zip(walks, tiers) if tier == 1.0}
+        assert len(high) == len(low) == 6
+        assert {s.instance.nodes for s in select_top_k(mixed, 6, "top")} == high
+        assert {s.instance.nodes for s in select_top_k(mixed, 6, "lowest")} == low
 
 
 @pytest.fixture(scope="module")

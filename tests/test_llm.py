@@ -14,8 +14,10 @@ from hisekt import llm
 from hisekt.config import RunConfig
 from hisekt.errors import TransportError
 from hisekt.evaluation import PipelineContext, predict_targets, run_experiment, run_seed_of
-from hisekt.llm import LlmClient, scripted_client
+from hisekt.llm import LlmClient
 from hisekt.synth import planted_csv
+
+from support import scripted_client
 
 
 def failing_endpoint(monkeypatch, code):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hisekt.config import RunConfig
 from hisekt.errors import IngestError, ScoringError
 from hisekt.evaluation import PipelineContext, run_seed_of
-from hisekt.llm import LlmClient, map_bounded, scripted_client
+from hisekt.llm import LlmClient, map_bounded
 from hisekt.mrhin import (PAD, TEMPLATES, PathInstance, WalkGroup, graph_distance, read_walks, sample_instances,
                           write_walks)
 from hisekt import mrhin
@@ -25,19 +25,18 @@ from hisekt.pathscore import (
     _score_walk,
     read_scored,
     render_scoring_prompt,
-    score,
     score_all,
     score_llm,
     select_top_k,
     write_scored,
 )
 
-from graph_fixture import (ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, build_fixture_graph, make_dataset,
-                           make_model, reference_tie_key)
+from graph_fixture import (ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, build_fixture_graph, group_of, make_dataset,
+                           make_model, reference_tie_key, reference_top_k)
 from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
-from hisekt.seeding import derive_rng
 from hisekt.synth import planted_csv
+from support import scripted_client
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ def line_graph():
 
 def centrality(p, g):
     """Closeness of the path's distinct questions to the target question."""
-    return score(p, g).centrality
+    return score_all(group_of(g, [p]), g)[0].score.centrality
 
 
 def kc_relevance(p, kc_of):
@@ -231,8 +230,8 @@ class TestDiversity:
 class TestScore:
     def test_total_is_sum_of_dimensions(self, g):
         insts = sample_instances(g, TEMPLATES["Q-K-Q-U-Q-D-Q"], "Q1", n=25, walk_len=20, seed=6)
-        for inst in insts:
-            s = score(inst, g)
+        for inst, row in zip(insts, score_all(insts, g)):
+            s = row.score
             kc_of = {q: g.question_kcs(q) for q in {n[1] for n in inst.nodes if n[0] == "Q"}}
             assert s.total == pytest.approx(
                 centrality(inst, g) + kc_relevance(inst, kc_of) + informativeness(inst) + diversity(inst),
@@ -250,16 +249,16 @@ class TestScore:
         assert s.total == pytest.approx(14.672878821, abs=1e-6)
 
     def test_scorer_is_pure(self, g):
-        inst = sample_instances(g, TEMPLATES["Q-U-A-U-Q"], "Q2", n=1, walk_len=20, seed=3)[0]
-        assert score(inst, g) == score(inst, g)
+        walks = sample_instances(g, TEMPLATES["Q-U-A-U-Q"], "Q2", n=1, walk_len=20, seed=3)
+        assert list(score_all(walks, g)) == list(score_all(walks, g))
 
 
 class TestLlmScoring:
     def test_mock_backend_matches_formula_exactly(self, g):
         client = LlmClient(backend="mock")
         for name in ("Q-K-Q", "Q-U-A-U-Q", "Q-K-Q-U-Q-D-Q", "Q-K-Q-U-Q-D-Q-U-A-U-Q"):
-            for inst in sample_instances(g, TEMPLATES[name], "Q5", n=10, walk_len=20, seed=2):
-                reference = score(inst, g)
+            for row in score_all(sample_instances(g, TEMPLATES[name], "Q5", n=10, walk_len=20, seed=2), g):
+                inst, reference = row.instance, row.score
                 llm = score_llm(inst, client, g)
                 assert llm.backend == "llm"
                 assert llm.centrality == reference.centrality
@@ -289,81 +288,81 @@ class TestLlmScoring:
         assert err.value.raw_response == "no numbers here"
 
 
-def scored_with_totals(totals):
-    out = []
-    for i, total in enumerate(totals):
-        inst = PathInstance(
-            TEMPLATES["Q-K-Q"], (("Q", f"Q{i}"), ("K", "K1"), ("Q", f"Q{i+1}")), "K1"
-        )
-        quarter = total / 4.0
-        out.append(ScoredInstance(inst, PathScore.build(quarter, quarter, quarter, quarter)))
-    return out
+def scored_with_totals(g, totals):
+    """Distinct Q-U-Q-K-Q walks from Q1 on the fixture graph, row i scored with total ``totals[i]``."""
+    walks = sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q1", n=len(totals), walk_len=20, seed=1)
+    assert len({p.nodes for p in walks}) == len(walks) == len(totals)
+    return ScoredGroup.from_scores(walks, [PathScore.build(*([total / 4.0] * 4)) for total in totals], "formula")
+
+
+def reversed_rows(scored):
+    """The group with its rows in reverse order, tie keys included if computed."""
+    return scored.take(np.arange(len(scored))[::-1])
+
+
+def node_lists(scored):
+    return [s.instance.nodes for s in scored]
 
 
 class TestSelectTopK:
-    def test_top_two(self):
-        scored = scored_with_totals([10.0, 20.0, 15.0])
+    def test_top_two(self, g):
+        scored = scored_with_totals(g, [10.0, 20.0, 15.0])
         picked = select_top_k(scored, 2, "top")
         assert [s.score.total for s in picked] == [20.0, 15.0]
+        assert list(picked) == reference_top_k(list(scored), 2, "top")
 
-    def test_lowest_two(self):
-        scored = scored_with_totals([10.0, 20.0, 15.0])
+    def test_lowest_two(self, g):
+        scored = scored_with_totals(g, [10.0, 20.0, 15.0])
         picked = select_top_k(scored, 2, "lowest")
         assert [s.score.total for s in picked] == [10.0, 15.0]
+        assert list(picked) == reference_top_k(list(scored), 2, "lowest")
 
-    def test_k_larger_than_list(self):
-        scored = scored_with_totals([10.0, 20.0])
-        assert len(select_top_k(scored, 99, "top")) == 2
+    def test_k_larger_than_group(self, g):
+        scored = scored_with_totals(g, [10.0, 20.0])
+        for mode in ("top", "lowest", "random"):
+            picked = select_top_k(scored, 99, mode)
+            assert len(picked) == 2
+            assert list(picked) == reference_top_k(list(scored), 99, mode)
 
-    def test_empty_input(self):
-        assert select_top_k([], 5, "top") == []
+    def test_empty_input(self, g):
+        for mode in ("top", "lowest", "random"):
+            picked = select_top_k(scored_with_totals(g, []), 5, mode)
+            assert isinstance(picked, ScoredGroup) and len(picked) == 0
+            assert picked.scores.shape == (0, 5) and list(picked) == []
 
-    def test_equal_totals_break_ties_stably(self):
-        scored = scored_with_totals([10.0, 10.0, 10.0, 10.0])
+    def test_equal_totals_break_ties_stably(self, g):
+        scored = scored_with_totals(g, [10.0, 10.0, 10.0, 10.0])
         once = select_top_k(scored, 2, "top")
-        again = select_top_k(list(reversed(scored)), 2, "top")
-        assert [s.instance.nodes for s in once] == [s.instance.nodes for s in again]
+        again = select_top_k(reversed_rows(scored), 2, "top")
+        assert node_lists(once) == node_lists(again) == node_lists(reference_top_k(list(scored), 2, "top"))
 
-    def test_random_mode_is_seeded(self):
-        scored = scored_with_totals([float(i) for i in range(12)])
+    def test_random_mode_is_seeded(self, g):
+        scored = scored_with_totals(g, [float(i) for i in range(12)])
         a = select_top_k(scored, 4, "random", seed=5)
         b = select_top_k(scored, 4, "random", seed=5)
         c = select_top_k(scored, 4, "random", seed=6)
-        assert [s.instance.nodes for s in a] == [s.instance.nodes for s in b]
-        assert [s.instance.nodes for s in a] != [s.instance.nodes for s in c]
+        assert node_lists(a) == node_lists(b) == node_lists(reference_top_k(list(scored), 4, "random", seed=5))
+        assert node_lists(a) != node_lists(c)
 
-    def test_top_and_lowest_disjoint_when_possible(self):
-        scored = scored_with_totals([float(i) for i in range(10)])
-        top = {s.instance.nodes for s in select_top_k(scored, 3, "top")}
-        low = {s.instance.nodes for s in select_top_k(scored, 3, "lowest")}
+    def test_top_and_lowest_disjoint_when_possible(self, g):
+        scored = scored_with_totals(g, [float(i) for i in range(10)])
+        top = set(node_lists(select_top_k(scored, 3, "top")))
+        low = set(node_lists(select_top_k(scored, 3, "lowest")))
         assert not top & low
 
-    def test_monotone_ordering(self):
-        scored = scored_with_totals([3.0, 9.0, 1.0, 7.0, 5.0])
+    def test_monotone_ordering(self, g):
+        scored = scored_with_totals(g, [3.0, 9.0, 1.0, 7.0, 5.0])
         tops = [s.score.total for s in select_top_k(scored, 5, "top")]
         lows = [s.score.total for s in select_top_k(scored, 5, "lowest")]
         assert tops == sorted(tops, reverse=True)
         assert lows == sorted(lows)
 
-    def test_invalid_k_and_mode(self):
-        scored = scored_with_totals([1.0])
+    def test_invalid_k_and_mode(self, g):
+        scored = scored_with_totals(g, [1.0])
         with pytest.raises(ValueError):
             select_top_k(scored, 0, "top")
         with pytest.raises(ValueError):
             select_top_k(scored, 1, "best")
-
-
-def reference_top_k(scored, k, mode, seed=0):
-    """Top-K with the tie key recomputed from the node sequence on every comparison."""
-
-    def tie(s):
-        return reference_tie_key(s.instance.nodes)
-
-    if mode == "random":
-        pool = sorted(scored, key=tie)
-        return pool if k >= len(pool) else derive_rng(seed, "select_top_k").sample(pool, k)
-    sign = -1 if mode == "top" else 1
-    return sorted(scored, key=lambda s: (sign * s.score.total, tie(s)))[:k]
 
 
 class TestSelectTopKTieOrder:
@@ -374,9 +373,8 @@ class TestSelectTopKTieOrder:
         out = []
         for name in ("Q-K-Q", "Q-U-Q-D-Q", "Q-K-Q-U-A-U-Q"):
             walks = sample_instances(g, TEMPLATES[name], "Q2", n=40, walk_len=9, seed=5)
-            out.append([
-                ScoredInstance(p, PathScore.build(*([(i % 3) * 1.25] * 4))) for i, p in enumerate(walks)
-            ])
+            tied = [PathScore.build(*([(i % 3) * 1.25] * 4)) for i in range(len(walks))]
+            out.append(ScoredGroup.from_scores(walks, tied, "formula"))
         return out
 
     @pytest.mark.parametrize("mode", ["top", "lowest", "random"])
@@ -384,18 +382,16 @@ class TestSelectTopKTieOrder:
     def test_matches_recomputed_hash_order(self, groups, mode, k):
         for group in groups:
             for seed in (0, 3):
-                expected = reference_top_k(group, k, mode, seed)
-                # twice: once computing each instance's key, once reading it back
+                expected = reference_top_k(list(group), k, mode, seed)
+                # the reversed group twice: once computing its keys, once reading them back
+                backwards = reversed_rows(group)
                 for _ in range(2):
-                    got = select_top_k(list(reversed(group)), k, mode, seed=seed)
-                    assert [s.instance.nodes for s in got] == [s.instance.nodes for s in expected]
+                    got = select_top_k(backwards, k, mode, seed=seed)
+                    assert node_lists(got) == node_lists(expected)
 
     def test_tie_key_is_the_node_sequence_hash(self, groups):
-        for s in groups[0]:
-            assert s.instance.tie_key == reference_tie_key(s.instance.nodes)
-            copy = PathInstance(s.instance.template, s.instance.nodes, s.instance.target_kc)
-            assert copy == s.instance and hash(copy) == hash(s.instance)
-            assert "tie_key" not in repr(s.instance)
+        for group in groups:
+            assert group.walks.tie_keys.tolist() == [reference_tie_key(s.instance.nodes) for s in group]
 
 
 class TestSelectTopKOnGroups:
@@ -413,8 +409,8 @@ class TestSelectTopKOnGroups:
 
     @pytest.mark.parametrize("mode", ["top", "lowest", "random"])
     @pytest.mark.parametrize("k", [1, 5, 39, 100])
-    def test_group_path_equals_the_list_path_on_the_decoded_rows(self, groups, mode, k, monkeypatch):
-        expected = {(i, seed): select_top_k(list(group), k, mode, seed=seed)
+    def test_group_path_equals_the_reference_on_the_decoded_rows(self, groups, mode, k, monkeypatch):
+        expected = {(i, seed): reference_top_k(list(group), k, mode, seed)
                     for i, group in enumerate(groups) for seed in (0, 3)}
         for group in groups:
             group.walks.tie_keys  # each group's keys, computed once
@@ -427,7 +423,7 @@ class TestSelectTopKOnGroups:
             got = select_top_k(groups[i], k, mode, seed=seed)
             assert isinstance(got, ScoredGroup) and len(got) == min(k, len(groups[i]))
             assert list(got) == want
-            assert got.walks.tie_keys.tolist() == [s.instance.tie_key for s in want]
+            assert got.walks.tie_keys.tolist() == [reference_tie_key(s.instance.nodes) for s in want]
 
 
 def reference_walk_file(items):
@@ -610,13 +606,13 @@ class TestGroupScorer:
         instances = [
             PathInstance(TEMPLATES["Q-U-Q"], tuple(tuple(token.split(":")) for token in w.split()), "K1") for w in walks
         ]
-        group = WalkGroup.of(g, instances)
+        group = group_of(g, instances)
         assert group.rows.shape == (len(walks), 9)
         scored = score_all(group, g)
         for p, got in zip(instances, scored):
             assert got.instance == p
             assert got.score == reference_score(p, g), p.nodes
-            assert score(p, g) == got.score
+            assert score_all(group_of(g, [p]), g)[0].score == got.score
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(sorted(TEMPLATES)), q0=st.sampled_from(["Q1", "Q3", "Q5", "Q6", "Q7"]),

@@ -5,19 +5,21 @@ import pytest
 from hisekt.dataset import Dataset, Interaction
 from hisekt.errors import PredictionError
 from hisekt.irt import IrtModel, Level, probability
-from hisekt.llm import LlmClient, scripted_client
+from hisekt.llm import LlmClient
 from hisekt.predict import (
     MASK_IRT,
     MASK_SIMU,
     build_prompt,
     count_sentences,
-    mock_predict,
     mock_prediction_reply,
     parse_prompt,
     predict,
 )
 
+from support import scripted_client
+
 GOLDEN = Path(__file__).parent / "golden"
+MOCK = LlmClient(backend="mock")
 
 
 def golden_inputs():
@@ -167,7 +169,7 @@ class TestMockPredict:
         d, m = golden_inputs()
         m.theta["SA"] = 0.5  # equal to QT difficulty
         bundle = build_prompt("SA", "QT", [], m, d)
-        pred = mock_predict(bundle)
+        pred = predict(bundle, MOCK)
         assert pred.p_correct == pytest.approx(0.5)
         assert pred.outcome == "correct"
         assert pred.confidence == pytest.approx(0.5)
@@ -188,7 +190,7 @@ class TestMockPredict:
         ]
         d2 = Dataset(rows, d.splits)
         bundle = build_prompt("SA", "QT", ["SP"], m, d2)
-        pred = mock_predict(bundle)
+        pred = predict(bundle, MOCK)
         assert pred.p_correct == pytest.approx(0.7 * 0.5 + 0.3 * 0.0)
         assert pred.outcome == "wrong"
         assert pred.confidence == pytest.approx(0.65)
@@ -208,33 +210,33 @@ class TestMockPredict:
         masked = build_prompt("SA", "QT", ["SP"], m, d2, mask=frozenset({MASK_SIMU}))
         peer_acc = bundle.peers[0].target_kc_accuracy
         if peer_acc == pytest.approx(0.5):
-            assert mock_predict(bundle).p_correct == pytest.approx(mock_predict(masked).p_correct)
+            assert predict(bundle, MOCK).p_correct == pytest.approx(predict(masked, MOCK).p_correct)
 
     def test_monotone_in_theta(self):
         d, m = golden_inputs()
         previous = -1.0
         for theta in (-2.0, -0.5, 0.0, 0.5, 2.0):
             m.theta["SA"] = theta
-            p = mock_predict(build_prompt("SA", "QT", [], m, d)).p_correct
+            p = predict(build_prompt("SA", "QT", [], m, d), MOCK).p_correct
             assert p > previous
             previous = p
 
     def test_base_is_response_model_probability(self):
         d, m = golden_inputs()
         bundle = build_prompt("SA", "QT", [], m, d)
-        assert mock_predict(bundle).p_correct == pytest.approx(probability(0.25, 1.5, 0.5))
+        assert predict(bundle, MOCK).p_correct == pytest.approx(probability(0.25, 1.5, 0.5))
 
     def test_irt_mask_falls_back_to_kc_accuracy(self):
         d, m = golden_inputs()
         bundle = build_prompt("SA", "QT", [], m, d, mask=frozenset({MASK_IRT}))
-        assert mock_predict(bundle).p_correct == pytest.approx(bundle.student_kc_accuracy)
+        assert predict(bundle, MOCK).p_correct == pytest.approx(bundle.student_kc_accuracy)
 
     def test_report_has_three_sentences(self):
-        pred = mock_predict(golden_bundle())
+        pred = predict(golden_bundle(), MOCK)
         assert count_sentences(pred.report) == 3
 
     def test_consistency_relation(self):
-        pred = mock_predict(golden_bundle())
+        pred = predict(golden_bundle(), MOCK)
         expected = pred.confidence if pred.outcome == "correct" else 1 - pred.confidence
         assert pred.p_correct == pytest.approx(expected, abs=1e-12)
 
@@ -243,7 +245,7 @@ class TestPredictClient:
     def test_mock_transport_equals_direct_mock(self):
         bundle = golden_bundle()
         via_client = predict(bundle, LlmClient(backend="mock"))
-        direct = mock_predict(bundle)
+        direct = predict(bundle, scripted_client([mock_prediction_reply(bundle.text)]))
         assert via_client.outcome == direct.outcome
         assert via_client.confidence == direct.confidence
         assert via_client.p_correct == direct.p_correct

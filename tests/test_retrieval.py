@@ -20,11 +20,9 @@ from hisekt.mrhin import TEMPLATES, PathInstance
 from hisekt.pathscore import PathScore, ScoredInstance, select_top_k
 from hisekt.retrieval import (
     CandidateSet,
-    FeatureVector,
     SimilarityModel,
     _fit_from_features,
     candidates_of,
-    distance,
     distances,
     encode,
     encode_many,
@@ -314,18 +312,18 @@ def unit_model(mu=None, sigma=None):
 class TestDistance:
     def test_zero_at_mean(self):
         sm = unit_model(mu=[0.3, 0.1, 0.5, 0.2, 0.9])
-        z = FeatureVector(0.3, 0.1, 0.5, 0.2, 0.9)
-        assert distance(z, sm) == pytest.approx(0.0, abs=1e-12)
+        z = np.array([[0.3, 0.1, 0.5, 0.2, 0.9]])
+        assert distances(z, sm)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_covariance_is_euclidean(self):
         sm = unit_model()
-        z = FeatureVector(3.0, 4.0, 0.0, 0.0, 0.0)
-        assert abs(distance(z, sm) - 5.0) < 1e-12
+        z = np.array([[3.0, 4.0, 0.0, 0.0, 0.0]])
+        assert abs(distances(z, sm)[0] - 5.0) < 1e-12
 
     def test_diagonal_whitening(self):
         sm = unit_model(sigma=np.diag([4.0, 1.0, 1.0, 1.0, 1.0]))
-        z = FeatureVector(2.0, 0.0, 0.0, 0.0, 0.0)
-        assert distance(z, sm) == pytest.approx(1.0, abs=1e-12)
+        z = np.array([[2.0, 0.0, 0.0, 0.0, 0.0]])
+        assert distances(z, sm)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(3)
@@ -334,7 +332,7 @@ class TestDistance:
         mu = rng.normal(size=5)
         z = rng.normal(size=5)
         sm = unit_model(mu=mu, sigma=cov)
-        d0 = distance(FeatureVector(*z), sm)
+        d0 = distances(z[None, :], sm)[0]
         for axis in range(5):
             gamma, delta = 3.7, -1.2
             scale = np.ones(5)
@@ -344,12 +342,12 @@ class TestDistance:
             z2 = z * scale + shift
             mu2 = mu * scale + shift
             cov2 = cov * np.outer(scale, scale)
-            d1 = distance(FeatureVector(*z2), unit_model(mu=mu2, sigma=cov2))
+            d1 = distances(z2[None, :], unit_model(mu=mu2, sigma=cov2))[0]
             assert abs(d0 - d1) < 1e-9
 
     def test_positive_away_from_mean(self):
         sm = unit_model()
-        assert distance(FeatureVector(0.1, 0, 0, 0, 0), sm) > 0.0
+        assert distances(np.array([[0.1, 0, 0, 0, 0]]), sm)[0] > 0.0
 
 
 class TestTopS:
@@ -476,7 +474,7 @@ class TestBlocksEqualTheLoop:
         rows = np.vstack([rows, np.random.default_rng(0).normal(size=(5_000, 5))])
         expected = [loop_distance(z, sm) for z in rows]
         assert distances(rows, sm).tobytes() == np.array(expected).tobytes()
-        assert distance(FeatureVector(*rows[0]), sm) == expected[0]
+        assert distances(rows[:1], sm)[0] == expected[0]
 
     def test_top_s_ranking(self, planted):
         d, m, loop = planted
