@@ -49,14 +49,15 @@ logger = logging.getLogger(__name__)
 
 
 def _cache_dir(cfg: RunConfig) -> Path:
-    """``<cache_dir>/<config fingerprint>-<input sha256>-<walk scheme>/``, created if missing; reads
-    the input once.  The walk scheme names the draw rule and the Top-K tie-key rule, so walks and
-    retrieval results cached under other rules are not read as these rules'."""
+    """``<cache_dir>/<config fingerprint>-<input sha256>-<fit scheme>-<walk scheme>/``, created if
+    missing; reads the input once.  The fit scheme names the IRT fitting rule, and the walk scheme
+    the draw rule and the Top-K tie-key rule, so artifacts cached under other rules are not read as
+    these rules'."""
     try:
         digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
     except OSError as exc:
         raise IngestError(f"cannot open {Path(cfg.data)}: {exc}") from exc
-    root = Path(cfg.cache_dir) / f"{fingerprint(cfg)}-{digest}-{WALK_SCHEME}"
+    root = Path(cfg.cache_dir) / f"{fingerprint(cfg)}-{digest}-{irt_mod.FIT_SCHEME}-{WALK_SCHEME}"
     root.mkdir(parents=True, exist_ok=True)
     return root
 

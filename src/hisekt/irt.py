@@ -7,9 +7,19 @@ anchoring, so fitting maximizes a Bernoulli log-likelihood with an L2 penalty
 lambda * (theta^2 + b^2 + log(a)^2) that pins the scale and location.
 Discrimination is parameterized as a = exp(alpha) to stay positive.
 
-Fitting alternates two block updates per round: all thetas with question
-parameters fixed, then all (alpha, b) with abilities fixed.  Each block takes
-one damped Fisher-scoring step, which is deterministic given the data.
+Each fitting round takes one joint step in (theta, alpha, b) from the warm
+start: a Newton step where the negative Hessian is positive definite, else a
+Fisher-scoring step on the expected information, which the penalty keeps
+positive definite.  The ability block of either matrix is diagonal and is
+eliminated through its Schur complement, so a round solves one dense 2Q x 2Q
+system for Q questions.  A backtracking line search keeps the penalized
+objective from decreasing, and alpha is projected onto [-ALPHA_CLAMP,
+ALPHA_CLAMP]: an alpha on the clamp whose gradient points outward is held for
+the round.  The fit stops when the Newton decrement g . step falls below
+DECREMENT_TOL * (1 + |objective|); MAX_ROUNDS is only a guard.  A joint step
+moves along the ridge theta -> c theta, b -> c b, a -> a / c, on which the
+predictor is constant and only the weak penalty acts, and along which
+alternating block updates crawl.  The fit is deterministic given the data.
 """
 
 from __future__ import annotations
@@ -29,13 +39,13 @@ from .dataset import Dataset
 logger = logging.getLogger(__name__)
 
 L2_PENALTY = 0.01
-MAX_ROUNDS = 500
-CONVERGENCE_TOL = 1e-4
+MAX_ROUNDS = 500  # a guard only: the fits stop on the decrement long before it
+DECREMENT_TOL = 1e-12  # relative to 1 + |objective|
+MIN_STEP = 2.0**-30  # smallest line-search step tried
 INIT_CLAMP = 3.0
-STEP_CLAMP = 1.0
 ALPHA_CLAMP = 4.6  # keeps a = exp(alpha) within ~[0.01, 100]
-INNER_STEPS = 25
-INNER_TOL = 1e-6
+# Names the fitting rule in the CLI cache directory, so a model fitted by another rule is not read.
+FIT_SCHEME = "joint-newton"
 
 
 class Level(enum.IntEnum):
@@ -110,6 +120,8 @@ class IrtModel:
     difficulty_sigma: float
     converged: bool = True
     rounds: int = 0
+    clamped_questions: int = 0  # questions whose alpha finished on +-ALPHA_CLAMP
+    decrement: float = 0.0  # Newton decrement g . step at the last round
     cold_start_students: frozenset[str] = field(default_factory=frozenset)
     cold_start_questions: frozenset[str] = field(default_factory=frozenset)
     _theta_rows: dict[tuple[str, ...], np.ndarray] = field(
@@ -144,11 +156,9 @@ def penalized_loglik(
     lam: float = L2_PENALTY,
 ) -> float:
     """L2-penalized Bernoulli log-likelihood over (student, question, correct) triples."""
-    a = np.exp(alpha)
-    z = a[q_idx] * (theta[s_idx] - b[q_idx])
-    p = _sigmoid(z)
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    ll = np.sum(correct * np.log(p) + (1.0 - correct) * np.log(1.0 - p))
+    z = np.exp(alpha)[q_idx] * (theta[s_idx] - b[q_idx])
+    # log sigmoid(z) = -log(1 + e^-z) for a correct answer, log(1 - sigmoid(z)) = -log(1 + e^z) otherwise
+    ll = -np.sum(np.logaddexp(0.0, (1.0 - 2.0 * correct) * z))
     penalty = lam * (np.sum(theta**2) + np.sum(alpha**2) + np.sum(b**2))
     return float(ll - penalty)
 
@@ -175,17 +185,62 @@ def penalized_loglik_grad(
     return g_theta, g_alpha, g_b
 
 
+def _joint_step(theta, alpha, b, s_idx, q_idx, correct, lam, g_theta, g_alpha, g_b, held):
+    """Joint step d = (d_theta, d_alpha, d_b) solving H d = g for the negative Hessian H.
+
+    With z = a (theta - b), dz = dz/d(theta, alpha, b) = (a, z, -a) and p = sigmoid(z), H sums
+    p (1 - p) outer(dz, dz) - (correct - p) d2z over the responses, plus 2 lam on the diagonal;
+    d2z is nonzero only in the alpha rows, (a, z, -a) against (theta, alpha, b).  Without the
+    residual term H is the expected information, positive definite by the penalty.  Either way the
+    ability block is diagonal and is eliminated through its Schur complement, so one dense 2Q x 2Q
+    system is solved; the cross block is N x 2Q.  The observed H is used when that complement
+    is positive definite, else the expected information (a Fisher-scoring step).  The ``held``
+    alphas keep a zero step.
+    """
+    n_s, n_q = len(theta), len(b)
+    a_o = np.exp(alpha)[q_idx]
+    z = a_o * (theta[s_idx] - b[q_idx])
+    p = _sigmoid(z)
+    w = p * (1.0 - p)
+    info_theta = np.bincount(s_idx, weights=w * a_o**2, minlength=n_s) + 2.0 * lam
+    cell = s_idx * n_q + q_idx
+    pairs = np.arange(n_q)
+    free = np.concatenate([~held, np.ones(n_q, dtype=bool)])
+    g_q = np.concatenate([g_alpha, g_b])
+
+    def solve(resid, check: bool):
+        cross = np.hstack([
+            np.bincount(cell, weights=(w * z - resid) * a_o, minlength=n_s * n_q).reshape(n_s, n_q),
+            np.bincount(cell, weights=-w * a_o**2, minlength=n_s * n_q).reshape(n_s, n_q),
+        ])
+        info_q = np.diag(np.concatenate([
+            np.bincount(q_idx, weights=(w * z - resid) * z, minlength=n_q),
+            np.bincount(q_idx, weights=w * a_o**2, minlength=n_q),
+        ]) + 2.0 * lam)
+        info_q[pairs, n_q + pairs] = info_q[n_q + pairs, pairs] = np.bincount(
+            q_idx, weights=(resid - w * z) * a_o, minlength=n_q)
+        scaled = cross / info_theta[:, None]
+        schur = (info_q - cross.T @ scaled)[np.ix_(free, free)]
+        if check:
+            np.linalg.cholesky(schur)  # raises LinAlgError unless positive definite
+        d_q = np.zeros(2 * n_q)
+        d_q[free] = np.linalg.solve(schur, (g_q - scaled.T @ g_theta)[free])
+        return (g_theta - cross @ d_q) / info_theta, d_q[:n_q], d_q[n_q:]
+
+    try:
+        return solve(correct - p, check=True)
+    except np.linalg.LinAlgError:
+        return solve(0.0, check=False)
+
+
 def _clamped_logit(rate: float) -> float:
     rate = min(max(rate, 1e-9), 1.0 - 1e-9)
     return float(np.clip(math.log(rate / (1.0 - rate)), -INIT_CLAMP, INIT_CLAMP))
 
 
-def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
-    """Fit abilities and question parameters on the train split.
-
-    Students and questions that appear only in val/test receive the
-    population-prior fallback theta = b = 0, a = 1, level Medium.
-    """
+def train_arrays(d: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted train students and questions, and each train response's (student, question, correct)
+    as index and 0/1 arrays: the data :func:`penalized_loglik` takes."""
     train = d.iter_split("train")
     students = sorted({i.student_id for i in train})
     questions = sorted({i.question_id for i in train})
@@ -194,6 +249,16 @@ def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
     s_idx = np.fromiter((s_pos[i.student_id] for i in train), dtype=np.int64, count=len(train))
     q_idx = np.fromiter((q_pos[i.question_id] for i in train), dtype=np.int64, count=len(train))
     correct = np.fromiter((1.0 if i.correct else 0.0 for i in train), dtype=float, count=len(train))
+    return students, questions, s_idx, q_idx, correct
+
+
+def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
+    """Fit abilities and question parameters on the train split.
+
+    Students and questions that appear only in val/test receive the
+    population-prior fallback theta = b = 0, a = 1, level Medium.
+    """
+    students, questions, s_idx, q_idx, correct = train_arrays(d)
 
     # Warm start: accuracy logits clamped to +-3, unit discrimination.
     s_total = np.bincount(s_idx, minlength=len(students))
@@ -205,57 +270,34 @@ def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
     alpha = np.zeros(len(questions))
 
     converged = False
-    rounds = 0
+    decrement = math.inf
+    f = penalized_loglik(theta, alpha, b, s_idx, q_idx, correct, lam)
     for rounds in range(1, MAX_ROUNDS + 1):
-        theta_start, alpha_start, b_start = theta.copy(), alpha.copy(), b.copy()
-
-        # Block 1: abilities with question parameters fixed (damped Fisher steps
-        # iterated to block convergence).
-        a = np.exp(alpha)
-        a_o = a[q_idx]
-        for _ in range(INNER_STEPS):
-            p = _sigmoid(a_o * (theta[s_idx] - b[q_idx]))
-            w = p * (1.0 - p)
-            g = np.bincount(s_idx, weights=a_o * (correct - p), minlength=len(students)) - 2.0 * lam * theta
-            info = np.bincount(s_idx, weights=a_o**2 * w, minlength=len(students)) + 2.0 * lam
-            step = np.clip(g / info, -STEP_CLAMP, STEP_CLAMP)
-            theta = theta + step
-            if float(np.max(np.abs(step))) < INNER_TOL:
-                break
-
-        # Block 2: question parameters with abilities fixed, 2x2 Fisher steps per question.
-        for _ in range(INNER_STEPS):
-            a = np.exp(alpha)
-            a_o = a[q_idx]
-            gap = theta[s_idx] - b[q_idx]
-            p = _sigmoid(a_o * gap)
-            w = p * (1.0 - p)
-            resid = correct - p
-            g_alpha = np.bincount(q_idx, weights=a_o * gap * resid, minlength=len(questions)) - 2.0 * lam * alpha
-            g_b = -np.bincount(q_idx, weights=a_o * resid, minlength=len(questions)) - 2.0 * lam * b
-            i_aa = np.bincount(q_idx, weights=w * (a_o * gap) ** 2, minlength=len(questions)) + 2.0 * lam
-            i_bb = np.bincount(q_idx, weights=w * a_o**2, minlength=len(questions)) + 2.0 * lam
-            i_ab = -np.bincount(q_idx, weights=w * a_o**2 * gap, minlength=len(questions))
-            det = i_aa * i_bb - i_ab**2
-            det = np.where(np.abs(det) < 1e-12, 1e-12, det)
-            step_alpha = np.clip((i_bb * g_alpha - i_ab * g_b) / det, -STEP_CLAMP, STEP_CLAMP)
-            step_b = np.clip((-i_ab * g_alpha + i_aa * g_b) / det, -STEP_CLAMP, STEP_CLAMP)
-            alpha = np.clip(alpha + step_alpha, -ALPHA_CLAMP, ALPHA_CLAMP)
-            b = b + step_b
-            if max(float(np.max(np.abs(step_alpha))), float(np.max(np.abs(step_b)))) < INNER_TOL:
-                break
-
-        round_change = max(
-            float(np.max(np.abs(theta - theta_start))),
-            float(np.max(np.abs(alpha - alpha_start))),
-            float(np.max(np.abs(b - b_start))),
-        )
-        if round_change < CONVERGENCE_TOL:
+        g_theta, g_alpha, g_b = penalized_loglik_grad(theta, alpha, b, s_idx, q_idx, correct, lam)
+        # An alpha on its clamp whose gradient points outward is held for this round.
+        held = ((alpha >= ALPHA_CLAMP) & (g_alpha > 0.0)) | ((alpha <= -ALPHA_CLAMP) & (g_alpha < 0.0))
+        d_theta, d_alpha, d_b = _joint_step(
+            theta, alpha, b, s_idx, q_idx, correct, lam, g_theta, g_alpha, g_b, held)
+        decrement = float(g_theta @ d_theta + g_alpha @ d_alpha + g_b @ d_b)
+        if decrement < DECREMENT_TOL * (1.0 + abs(f)):
             converged = True
             break
-
+        # Backtrack until the penalized objective does not decrease.
+        t = 1.0
+        while True:
+            trial = (theta + t * d_theta, np.clip(alpha + t * d_alpha, -ALPHA_CLAMP, ALPHA_CLAMP), b + t * d_b)
+            f_trial = penalized_loglik(*trial, s_idx, q_idx, correct, lam)
+            if f_trial >= f or t < MIN_STEP:
+                break
+            t *= 0.5
+        if f_trial < f:
+            break  # no step keeps the objective: stop, unconverged
+        (theta, alpha, b), f = trial, f_trial
+    clamped = int(np.count_nonzero(np.abs(alpha) >= ALPHA_CLAMP))
     if not converged:
-        logger.warning("irt fit did not converge after %d rounds; returning best iterate", MAX_ROUNDS)
+        logger.warning(
+            "irt fit did not converge after %d rounds: decrement %.3g, %d questions on the alpha clamp; "
+            "returning the last iterate", rounds, decrement, clamped)
 
     theta_map = {s: float(theta[k]) for k, s in enumerate(students)}
     disc_map = {q: float(np.exp(alpha[k])) for k, q in enumerate(questions)}
@@ -294,6 +336,8 @@ def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
         difficulty_sigma=difficulty_sigma,
         converged=converged,
         rounds=rounds,
+        clamped_questions=clamped,
+        decrement=decrement,
         cold_start_students=frozenset(cold_students),
         cold_start_questions=frozenset(cold_questions),
     )
@@ -305,10 +349,10 @@ def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
 def serialize(m: IrtModel) -> str:
     """Tab-separated text artifact: stats header then one row per student/question."""
     buf = io.StringIO()
-    buf.write("# irt model v1\n")
+    buf.write("# irt model v2\n")
     buf.write(f"stats\tability\t{m.ability_mu!r}\t{m.ability_sigma!r}\n")
     buf.write(f"stats\tdifficulty\t{m.difficulty_mu!r}\t{m.difficulty_sigma!r}\n")
-    buf.write(f"meta\tconverged\t{int(m.converged)}\t{m.rounds}\n")
+    buf.write(f"meta\tconverged\t{int(m.converged)}\t{m.rounds}\t{m.clamped_questions}\t{m.decrement!r}\n")
     for s in sorted(m.theta):
         cold = int(s in m.cold_start_students)
         buf.write(f"student\t{s}\t{m.theta[s]!r}\t{m.ability_level[s].label}\t{cold}\n")
@@ -331,7 +375,7 @@ def load(source: str | Path | IO[str]) -> IrtModel:
     ability_level: dict[str, Level] = {}
     difficulty_level: dict[str, Level] = {}
     stats = {"ability": (0.0, 0.0), "difficulty": (0.0, 0.0)}
-    converged, rounds = True, 0
+    converged, rounds, clamped, decrement = True, 0, 0, 0.0
     cold_s: set[str] = set()
     cold_q: set[str] = set()
     for line in text.splitlines():
@@ -343,7 +387,7 @@ def load(source: str | Path | IO[str]) -> IrtModel:
             stats[parts[1]] = (float(parts[2]), float(parts[3]))
         elif kind == "meta":
             converged = bool(int(parts[2]))
-            rounds = int(parts[3])
+            rounds, clamped, decrement = int(parts[3]), int(parts[4]), float(parts[5])
         elif kind == "student":
             theta[parts[1]] = float(parts[2])
             ability_level[parts[1]] = Level.from_label(parts[3])
@@ -367,6 +411,8 @@ def load(source: str | Path | IO[str]) -> IrtModel:
         difficulty_sigma=stats["difficulty"][1],
         converged=converged,
         rounds=rounds,
+        clamped_questions=clamped,
+        decrement=decrement,
         cold_start_students=frozenset(cold_s),
         cold_start_questions=frozenset(cold_q),
     )

@@ -342,6 +342,15 @@ def is_scoring_prompt(text: str) -> bool:
     return text.startswith(SCORING_PROMPT_HEADER)
 
 
+def _numbered_line_body(line: str) -> str | None:
+    """The text after ``"  <digits>. "`` when ``line`` starts so, else None: a path line of a
+    scoring prompt.  Prefix checks, which take less time than a regular expression per line."""
+    if not line.startswith("  "):
+        return None
+    dot = line.find(". ", 2)
+    return line[dot + 2:] if dot > 2 and line[2:dot].isdecimal() else None
+
+
 def _parse_scoring_prompt(text: str) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
     """The path, target KC, and each question's hop count and KC set written in a scoring prompt."""
     target_kc = ""
@@ -351,8 +360,8 @@ def _parse_scoring_prompt(text: str) -> tuple[list[Node], str, dict[str, int], d
     for line in text.splitlines():
         if line.startswith("target_kc: "):
             target_kc = line.split(": ", 1)[1]
-        elif re.match(r"^  \d+\. ", line):
-            head, *notes = line.split(". ", 1)[1].split(" | ")
+        elif (body := _numbered_line_body(line)) is not None:
+            head, *notes = body.split(" | ")
             kind, node_id = head.split(":", 1)
             nodes.append((kind, node_id))
             if kind == "Q":

@@ -307,6 +307,20 @@ class TestCliStages:
         assert cli._cache_dir(cfg) not in stale
         assert (cli._cache_dir(cfg) / "report.json").read_text(encoding="utf-8") == run_experiment(cfg).to_json()
 
+    def test_artifacts_of_another_fit_scheme_are_not_read(self, config_file, tmp_path, capsys):
+        # a cache written before the IRT fitting rule was part of the directory name, when the
+        # model came from block alternation: any artifact of it would fail its stage if read
+        cfg = resolve_config(load_config_file(config_file), {})
+        digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
+        stale = tmp_path / "cache" / f"{fingerprint(cfg)}-{digest}-splitmix64-mixsum"
+        stale.mkdir(parents=True)
+        for stage in cli.STAGES.values():
+            (stale / stage.artifact).write_text("written by another fitting rule\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(config_file)]) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert cli._cache_dir(cfg) != stale
+        assert (cli._cache_dir(cfg) / "report.json").read_text(encoding="utf-8") == run_experiment(cfg).to_json()
+
     def test_missing_input_is_an_ingest_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert main(["ingest", "--data", str(missing), "--cache-dir", str(tmp_path / "cache")]) == 1

@@ -8,6 +8,9 @@ from scipy.stats import spearmanr
 
 from hisekt.dataset import ingest, split
 from hisekt.irt import (
+    ALPHA_CLAMP,
+    DECREMENT_TOL,
+    MAX_ROUNDS,
     Level,
     discretize,
     fit,
@@ -17,8 +20,9 @@ from hisekt.irt import (
     population_stats,
     probability,
     serialize,
+    train_arrays,
 )
-from hisekt.synth import irt_recovery_csv
+from hisekt.synth import irt_recovery_csv, planted_csv
 
 from conftest import grid_rows, rows_to_csv
 
@@ -183,6 +187,87 @@ class TestFit:
         assert m1.theta == m2.theta and m1.diff == m2.diff and m1.disc == m2.disc
 
 
+def _planted_dataset(seed, **kwargs):
+    csv, truth = planted_csv(seed=seed, **kwargs)
+    return split(ingest(io.StringIO(csv)), 0), truth
+
+
+def _fitted_arrays(d, m):
+    """(theta, alpha, b, s_idx, q_idx, correct) of a fitted model, in :func:`train_arrays` order."""
+    students, questions, s_idx, q_idx, correct = train_arrays(d)
+    theta = np.array([m.theta[s] for s in students])
+    alpha = np.log([m.disc[q] for q in questions])
+    b = np.array([m.diff[q] for q in questions])
+    return theta, alpha, b, s_idx, q_idx, correct
+
+
+CONVERGENCE_CASES = {
+    "criterion-1 data": lambda: _synthetic_dataset(500, 100, seed=11)[0],
+    "planted seed 1": lambda: _planted_dataset(1)[0],
+    "planted seed 2": lambda: _planted_dataset(2)[0],
+    "planted seed 3": lambda: _planted_dataset(3)[0],
+    "planted seed 1, 300 per band": lambda: _planted_dataset(1, students_per_band=300)[0],
+}
+
+
+class TestConvergence:
+    @pytest.fixture(scope="class", params=sorted(CONVERGENCE_CASES))
+    def fitted(self, request):
+        d = CONVERGENCE_CASES[request.param]()
+        return d, fit(d)
+
+    def test_converges_below_the_round_cap(self, fitted):
+        d, m = fitted
+        assert m.converged and m.rounds < MAX_ROUNDS
+        f = penalized_loglik(*_fitted_arrays(d, m))
+        assert 0.0 <= m.decrement < DECREMENT_TOL * (1.0 + abs(f))
+
+    def test_kkt_conditions_hold(self, fitted):
+        d, m = fitted
+        theta, alpha, b, s_idx, q_idx, correct = _fitted_arrays(d, m)
+        g_theta, g_alpha, g_b = penalized_loglik_grad(theta, alpha, b, s_idx, q_idx, correct)
+        upper = alpha >= ALPHA_CLAMP - 1e-9
+        lower = alpha <= -ALPHA_CLAMP + 1e-9
+        assert m.clamped_questions == int(np.count_nonzero(upper | lower))
+        # on the clamp the gradient points outward; inside it vanishes
+        assert np.all(g_alpha[upper] > 0.0) and np.all(g_alpha[lower] < 0.0)
+        projected = np.concatenate([g_theta, g_alpha[~(upper | lower)], g_b])
+        assert np.max(np.abs(projected)) < 1e-3
+
+    def test_no_feasible_perturbation_raises_the_objective(self, fitted):
+        d, m = fitted
+        theta, alpha, b, s_idx, q_idx, correct = _fitted_arrays(d, m)
+        best = penalized_loglik(theta, alpha, b, s_idx, q_idx, correct)
+        rng = np.random.default_rng(0)
+        scale = 1e-3
+        for _ in range(20):
+            trial = (
+                theta + rng.normal(0.0, scale, theta.shape),
+                np.clip(alpha + rng.normal(0.0, scale, alpha.shape), -ALPHA_CLAMP, ALPHA_CLAMP),
+                b + rng.normal(0.0, scale, b.shape),
+            )
+            assert penalized_loglik(*trial, s_idx, q_idx, correct) <= best
+
+    @pytest.mark.parametrize("seed, floor", [(1, 0.625), (2, 0.801), (3, 0.798)])
+    def test_planted_bands_rank_at_least_as_well_as_the_capped_block_fit(self, seed, floor):
+        # floors: rho of the 500-round block-alternation fit this fit replaced
+        d, truth = _planted_dataset(seed)
+        m = fit(d)
+        students = sorted(s for s in m.theta if s not in m.cold_start_students)
+        rho = spearmanr([m.theta[s] for s in students], [truth.band_of[s] for s in students]).statistic
+        assert rho >= floor
+
+    def test_warning_names_rounds_decrement_and_clamp(self, monkeypatch, caplog):
+        monkeypatch.setattr("hisekt.irt.MAX_ROUNDS", 3)
+        d, _ = _planted_dataset(1)
+        m = fit(d)
+        assert not m.converged and m.rounds == 3
+        message = caplog.records[-1].getMessage()
+        assert "after 3 rounds" in message
+        assert f"decrement {m.decrement:.3g}" in message
+        assert f"{m.clamped_questions} questions on the alpha clamp" in message
+
+
 class TestGradient:
     def test_analytic_gradient_matches_central_differences(self):
         rng = np.random.default_rng(7)
@@ -228,3 +313,14 @@ class TestSerialization:
         assert m2.difficulty_level == m.difficulty_level
         assert m2.ability_mu == m.ability_mu
         assert m2.converged == m.converged
+        assert m2.rounds == m.rounds
+        assert m2.clamped_questions == m.clamped_questions
+        assert m2.decrement == m.decrement
+
+    def test_round_trip_of_an_unconverged_fit(self, monkeypatch):
+        monkeypatch.setattr("hisekt.irt.MAX_ROUNDS", 2)
+        d, _ = _planted_dataset(1)
+        m = fit(d)
+        m2 = load(io.StringIO(serialize(m)))
+        assert (m2.converged, m2.rounds, m2.clamped_questions, m2.decrement) == (
+            False, 2, m.clamped_questions, m.decrement)

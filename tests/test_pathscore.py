@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from hisekt.pathscore import (
     PathScore,
     ScoredGroup,
     ScoredInstance,
+    _numbered_line_body,
     _score_path,
     _score_walk,
     read_scored,
@@ -737,3 +739,24 @@ class TestScoringPrompt:
         assert [render_scoring_prompt(p, g) for p in walks] == [reference_scoring_prompt(p, build_fixture_graph())
                                                                  for p in walks]
         assert lookups == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet=" .0123456789\u0663\u00b2x|:", max_size=12),
+        st.tuples(
+            st.sampled_from(["", " ", "  ", "   ", "\t ", " \t"]),
+            st.text(alphabet="0123456789\u0663\u00b2\u2167a ", max_size=4),
+            st.sampled_from([". ", ".", " .", ".. ", ". . ", ".\t"]),
+            st.text(max_size=10),
+        ).map("".join),
+    ))
+    @example("  12. Q:Q3 | kcs: K1 | hops_from_target: 2")
+    @example("  . Q:Q3")
+    @example("  1.. Q:Q3")
+    def test_path_line_prefix_check_accepts_what_the_pattern_accepts(self, line):
+        # the prefix checks replaced re.match(r"^  \d+\. ", line)
+        matched = re.match(r"^  \d+\. ", line)
+        body = _numbered_line_body(line)
+        assert (body is not None) == bool(matched)
+        if matched:
+            assert body == line.split(". ", 1)[1]
