@@ -99,7 +99,7 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(file_values: Mapping | None = None, overrides: Mapping | None = None) -> RunConfig:
-    """Defaults, then config file, then explicit flag overrides (flags win); checks ``CHOICES``."""
+    """Defaults, then config file, then explicit flag overrides (flags win); runs ``check_choices``."""
     defaults = RunConfig()
     merged = {}
     for source in (file_values or {}), (overrides or {}):
@@ -117,12 +117,15 @@ def resolve_config(file_values: Mapping | None = None, overrides: Mapping | None
 
 
 def check_choices(cfg: RunConfig) -> None:
-    """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``."""
+    """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``
+    and the history window is not negative."""
     for key, allowed in CHOICES.items():
         values = cfg.variants if key == "variants" else (getattr(cfg, key),)
         for value in values:
             if value not in allowed:
                 raise ConfigError(f"config field {key!r}: {value!r} is not one of {', '.join(allowed)}")
+    if cfg.window < 0:
+        raise ConfigError(f"config field 'window': {cfg.window!r} is negative")
 
 
 def fingerprint(cfg: RunConfig) -> str:

@@ -155,7 +155,7 @@ class PipelineContext:
     """One memo of stage results, shared by every config, variant and run over one input.
 
     ``get(stage, cfg, run_seed, variant)`` returns the entry under ``stage_keys``;
-    ``cfg`` defaults to the context's own (checked against ``config.CHOICES``)
+    ``cfg`` defaults to the context's own (checked by ``config.check_choices``)
     and ``run_seed`` to its run 0.  A missing entry is computed, or read by
     ``readers[stage](ctx)`` if the key is that of the context's own config,
     run 0 and the full model: that is how the CLI reuses its cached artifacts.

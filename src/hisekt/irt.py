@@ -48,6 +48,9 @@ ALPHA_CLAMP = 4.6  # keeps a = exp(alpha) within ~[0.01, 100]
 FIT_SCHEME = "joint-newton"
 
 
+_LEVEL_LABELS = ("Low", "Medium", "High")  # by Level value
+
+
 class Level(enum.IntEnum):
     """Ability/difficulty band; the integer values give the total order Low < Medium < High."""
 
@@ -57,7 +60,7 @@ class Level(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return {Level.LOW: "Low", Level.MEDIUM: "Medium", Level.HIGH: "High"}[self]
+        return _LEVEL_LABELS[self]
 
     @classmethod
     def from_label(cls, label: str) -> "Level":

@@ -6,16 +6,30 @@ remove the similar-students block (``SimU``) or every ability/difficulty/
 discrimination field (``IRT``).  Floats are rendered with ``repr`` so a
 parser recovers every field value exactly; the offline mock backend relies
 on that to answer prompts deterministically from their text alone.
+
+:func:`build_prompt` reads the dataset through :func:`student_facts`, built
+once per dataset and memoized on it: each student's train history, its rows
+and accuracy per KC, and its overall accuracy.  Only dataset facts are kept
+there; abilities, difficulties and levels are read from the (mutable)
+``IrtModel`` on every call.
+
+Two readers invert a rendered prompt.  :func:`parse_prompt` recovers every
+field, as the renderers' full inverse.  The mock backend's reader,
+:func:`_mock_fields`, finds the blocks with ``str.find`` and reads only the
+lines the reply formula uses: the target's id and ability, the question
+block and each peer's two accuracy lines; history rows are skipped unread.
+Both return the same field names, and :func:`mock_reply` is the one formula.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .dataset import Dataset
+from .dataset import Dataset, Interaction
 from .errors import PredictionError
 from .irt import IrtModel, Level, probability
 from .llm import LlmClient
@@ -187,11 +201,39 @@ def is_prediction_prompt(text: str) -> bool:
     return text.startswith(PREDICTION_PROMPT_HEADER)
 
 
-def _kc_accuracy(rows: Sequence, kc: str) -> float | None:
-    hits = [i for i in rows if kc in i.kc_ids]
-    if not hits:
-        return None
-    return sum(1 for i in hits if i.correct) / len(hits)
+@dataclass(frozen=True)
+class StudentFacts:
+    """One student's train-split facts, in time order."""
+
+    history: tuple[tuple[str, tuple[str, ...], bool, int], ...]  # (question, sorted KCs, correct, timestamp)
+    kc_history: Mapping[str, tuple[tuple[str, bool, int], ...]]  # KC -> (question, correct, timestamp)
+    kc_accuracy: Mapping[str, float]  # KC -> accuracy over kc_history
+    overall_accuracy: float  # 0.5 without train rows
+
+
+_NO_FACTS = StudentFacts((), {}, {}, 0.5)
+
+
+def _facts(rows: Sequence[Interaction]) -> StudentFacts:
+    kc_rows: dict[str, list[Interaction]] = defaultdict(list)
+    for i in rows:
+        for kc in i.kc_ids:
+            kc_rows[kc].append(i)
+    return StudentFacts(
+        history=tuple((i.question_id, tuple(sorted(i.kc_ids)), i.correct, i.timestamp) for i in rows),
+        kc_history={kc: tuple((i.question_id, i.correct, i.timestamp) for i in hits) for kc, hits in kc_rows.items()},
+        kc_accuracy={kc: sum(1 for i in hits if i.correct) / len(hits) for kc, hits in kc_rows.items()},
+        overall_accuracy=sum(1 for i in rows if i.correct) / len(rows) if rows else 0.5,
+    )
+
+
+def student_facts(d: Dataset) -> Mapping[str, StudentFacts]:
+    """Student id -> :class:`StudentFacts` of the train split; students without train rows are absent."""
+    cached = getattr(d, "_student_facts", None)
+    if cached is None:
+        cached = {s: _facts(rows) for s, rows in d.by_student("train").items()}
+        d._student_facts = cached  # memoized on the immutable dataset, so it dies with it
+    return cached
 
 
 def build_prompt(
@@ -205,25 +247,28 @@ def build_prompt(
 ) -> PromptBundle:
     """Assemble the three prompt blocks for one (student, question) target.
 
-    ``peers`` is the ordered Top-S list; it may be empty.  A question missing
-    from the model gets the population-prior fallback (difficulty 0,
-    discrimination 1, level Medium) with a visible flag line.
+    ``peers`` is the ordered Top-S list; it may be empty.  ``window`` is the
+    number of the target's latest train rows shown (0 shows none).  A
+    question missing from the model gets the population-prior fallback
+    (difficulty 0, discrimination 1, level Medium) with a visible flag line.
     """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     mask = frozenset(mask)
-    by_student = d.by_student("train")
+    facts = student_facts(d)
     question_kcs = d.question_kcs()
     target_kc = min(question_kcs[q])
+    own = facts.get(u, _NO_FACTS)
 
     history_rows = []
-    for i in by_student.get(u, ())[-window:]:
-        qid = i.question_id
+    for qid, kcs, correct, timestamp in own.history[max(len(own.history) - window, 0):]:
         known = m.has_question(qid)
         history_rows.append(
             HistoryRow(
                 question_id=qid,
-                kcs=tuple(sorted(i.kc_ids)),
-                correct=i.correct,
-                timestamp=i.timestamp,
+                kcs=kcs,
+                correct=correct,
+                timestamp=timestamp,
                 difficulty=m.diff[qid] if known else 0.0,
                 discrimination=m.disc[qid] if known else 1.0,
                 difficulty_level=(m.difficulty_level[qid] if known else Level.MEDIUM).label,
@@ -236,18 +281,15 @@ def build_prompt(
 
     peer_infos = []
     for peer_id in peers:
-        rows = by_student.get(peer_id, ())
-        kc_rows = [i for i in rows if target_kc in i.kc_ids]
+        peer = facts.get(peer_id, _NO_FACTS)
         peer_infos.append(
             PeerInfo(
                 student_id=peer_id,
                 theta=m.theta.get(peer_id, 0.0),
                 ability_level=m.ability_level.get(peer_id, Level.MEDIUM).label,
-                target_kc_accuracy=_kc_accuracy(rows, target_kc),
-                overall_accuracy=(
-                    sum(1 for i in rows if i.correct) / len(rows) if rows else 0.5
-                ),
-                history=tuple((i.question_id, i.correct, i.timestamp) for i in kc_rows),
+                target_kc_accuracy=peer.kc_accuracy.get(target_kc),
+                overall_accuracy=peer.overall_accuracy,
+                history=peer.kc_history.get(target_kc, ()),
             )
         )
 
@@ -259,7 +301,7 @@ def build_prompt(
         question_id=q,
         question_kcs=tuple(sorted(question_kcs[q])),
         target_kc=target_kc,
-        student_kc_accuracy=_kc_accuracy(by_student.get(u, ()), target_kc),
+        student_kc_accuracy=own.kc_accuracy.get(target_kc),
         difficulty=m.diff.get(q, 0.0),
         discrimination=m.disc.get(q, 1.0),
         difficulty_level=m.difficulty_level.get(q, Level.MEDIUM).label,
@@ -269,7 +311,7 @@ def build_prompt(
     )
 
 
-# -- prompt parsing (round trip + mock backend) ------------------------------
+# -- prompt parsing (the renderers' full inverse) -----------------------------
 
 
 def _parse_scalar(raw: str) -> float | None:
@@ -300,7 +342,7 @@ def parse_prompt(text: str) -> dict:
             elif line.startswith("ability_level: "):
                 fields["ability_level"] = line.split(": ", 1)[1]
             elif line.startswith("  - question: "):
-                fields["history"].append(_parse_history_row(line))
+                fields["history"].append(_parse_history_row(line, fields["has_irt"]))
         elif section == "TARGET QUESTION":
             if line.startswith("question_id: "):
                 fields["question_id"] = line.split(": ", 1)[1]
@@ -332,44 +374,99 @@ def parse_prompt(text: str) -> dict:
                     current_peer["target_kc_accuracy"] = _parse_scalar(stripped.split(": ", 1)[1])
                 elif stripped.startswith("overall_accuracy: "):
                     current_peer["overall_accuracy"] = float(stripped.split(": ", 1)[1])
-                elif stripped.startswith("- question: "):
-                    body = dict(
-                        part.split(": ", 1) for part in stripped.lstrip("- ").split(" | ")
-                    )
-                    current_peer["history"].append(
-                        (body["question"], body["correct"] == "1", int(body["timestamp"]))
-                    )
+                elif line.startswith("    - question: "):
+                    body, _, timestamp = line[len("    - question: "):].rpartition(" | timestamp: ")
+                    question, _, correct = body.rpartition(" | correct: ")
+                    current_peer["history"].append((question, correct == "1", int(timestamp)))
     return fields
 
 
-def _parse_history_row(line: str) -> dict:
-    body = dict(part.split(": ", 1) for part in line.strip().lstrip("- ").split(" | "))
+def _parse_history_row(line: str, has_irt: bool) -> dict:
+    """Read a target history row from the right: only its first two values (ids) may hold `` | ``."""
+    body = line[len("  - question: "):]
+    if has_irt:
+        body, _, level = body.rpartition(" | difficulty_level: ")
+        body, _, discrimination = body.rpartition(" | discrimination: ")
+        body, _, difficulty = body.rpartition(" | difficulty: ")
+    body, _, timestamp = body.rpartition(" | timestamp: ")
+    body, _, correct = body.rpartition(" | correct: ")
+    question, _, kcs = body.rpartition(" | kcs: ")
     row = {
-        "question_id": body["question"],
-        "kcs": tuple(body["kcs"].split(";")),
-        "correct": body["correct"] == "1",
-        "timestamp": int(body["timestamp"]),
+        "question_id": question,
+        "kcs": tuple(kcs.split(";")),
+        "correct": correct == "1",
+        "timestamp": int(timestamp),
     }
-    if "difficulty" in body:
-        row["difficulty"] = float(body["difficulty"])
-        row["discrimination"] = float(body["discrimination"])
-        row["difficulty_level"] = body["difficulty_level"]
+    if has_irt:
+        row["difficulty"] = float(difficulty)
+        row["discrimination"] = float(discrimination)
+        row["difficulty_level"] = level
     return row
 
 
 # -- prediction backends ------------------------------------------------------
 
 
-def mock_prediction_reply(prompt: str) -> str:
-    """Answer a rendered prediction prompt deterministically (mock transport).
+_STUDENT_ID_AT = f"{PREDICTION_PROMPT_HEADER}\n=== TARGET STUDENT ===\nstudent_id: "
+_QUESTION_HEADER = "\n=== TARGET QUESTION ===\n"
+_PEERS_HEADER = "\n=== SIMILAR STUDENTS ===\n"
+_TASK_HEADER = "\n=== TASK ===\n"
+_PEER_KC_ACCURACY = "\n  target_kc_accuracy: "
+_PEER_OVERALL_ACCURACY = "\n  overall_accuracy: "
+
+
+def _mock_fields(text: str) -> dict:
+    """The fields of ``parse_prompt`` that :func:`mock_reply` reads, found without reading history rows.
+
+    Headers and peer accuracy lines are found with ``str.find``: each starts a
+    line with a fixed prefix that no other rendered line starts with.  A text
+    not laid out as the renderers lay it out is left to ``parse_prompt``.
+    """
+    question_at = text.find(_QUESTION_HEADER)
+    task_at = text.find(_TASK_HEADER, question_at + 1)
+    if not text.startswith(_STUDENT_ID_AT) or question_at < 0 or task_at < 0:
+        return parse_prompt(text)
+    at = len(_STUDENT_ID_AT)
+    end = text.find("\n", at)
+    fields: dict = {"target_student": text[at:end], "peers": None}
+    if text.startswith("ability: ", end + 1):
+        fields["theta"] = float(text[end + len("\nability: ") : text.find("\n", end + 1)])
+    peers_at = text.find(_PEERS_HEADER, question_at + 1, task_at)
+    question_block = text[question_at + len(_QUESTION_HEADER) : task_at if peers_at < 0 else peers_at]
+    for line in question_block.split("\n"):
+        key, _, raw = line.partition(": ")
+        if key in ("question_id", "target_kc"):
+            fields[key] = raw
+        elif key == "student_accuracy_on_target_kc":
+            fields["student_kc_accuracy"] = _parse_scalar(raw)
+        elif key in ("difficulty", "discrimination"):
+            fields[key] = float(raw)
+    if peers_at >= 0:
+        fields["peers"] = []
+        at = text.find(_PEER_KC_ACCURACY, peers_at, task_at)
+        while at >= 0:
+            at += len(_PEER_KC_ACCURACY)
+            end = text.find("\n", at)
+            overall_at = end + len(_PEER_OVERALL_ACCURACY)  # the line right after
+            overall_end = text.find("\n", overall_at)
+            fields["peers"].append(
+                {
+                    "target_kc_accuracy": _parse_scalar(text[at:end]),
+                    "overall_accuracy": float(text[overall_at:overall_end]),
+                }
+            )
+            at = text.find(_PEER_KC_ACCURACY, overall_end, task_at)
+    return fields
+
+
+def mock_reply(fields: dict) -> str:
+    """The mock's reply to a prompt whose fields are ``fields`` (as ``parse_prompt`` names them).
 
     The base probability is the response-model value for the target pair; the
     mean peer accuracy on the target KC pulls it with weight 0.3 when a peer
     block is present.  With ability/difficulty masked, the student's own
-    accuracy on the target KC stands in for the base.  Only the prompt text is
-    read, so a mask hides from the mock exactly what it hides from an LLM.
+    accuracy on the target KC stands in for the base.
     """
-    fields = parse_prompt(prompt)
     theta = fields.get("theta")
     a = fields.get("discrimination")
     b = fields.get("difficulty")
@@ -410,6 +507,15 @@ def mock_prediction_reply(prompt: str) -> str:
     return "\n".join(
         [REPLY_OPEN, f"outcome: {outcome}", f"confidence: {confidence!r}", f"report: {report}", REPLY_CLOSE]
     )
+
+
+def mock_prediction_reply(prompt: str) -> str:
+    """Answer a rendered prediction prompt deterministically (mock transport).
+
+    Only the prompt text is read, so a mask hides from the mock exactly what
+    it hides from an LLM.
+    """
+    return mock_reply(_mock_fields(prompt))
 
 
 _REPLY_BLOCK = re.compile(re.escape(REPLY_OPEN) + r"\s*(.*?)\s*" + re.escape(REPLY_CLOSE), re.S)

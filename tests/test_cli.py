@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from hisekt import cli, pathscore
+from hisekt import cli, pathscore, predict
 from hisekt.cli import main
-from hisekt.config import fingerprint, load_config_file, resolve_config
-from hisekt.errors import HisektError
+from hisekt.config import RunConfig, fingerprint, load_config_file, resolve_config
+from hisekt.errors import ConfigError, HisektError
 from hisekt.evaluation import PipelineContext, accuracy, auc, run_experiment, run_seed_of
 from hisekt.llm import LlmClient
 from hisekt.mrhin import TEMPLATES
@@ -121,6 +121,40 @@ class TestConfig:
             f.write(f"{key} = random\n")
         with pytest.raises(HisektError, match="unknown config key"):
             load_config_file(config_file)
+
+
+class TestWindow:
+    def test_negative_window_flag_fails_before_any_stage(self, config_file, tmp_path, capsys):
+        assert main(["pipeline", "--config", str(config_file), "--window", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage pipeline" in err and "'window'" in err
+        assert not (tmp_path / "cache").exists()
+
+    def test_negative_window_in_a_run_config(self, data_file):
+        cfg = RunConfig(data=str(data_file), window=-1)
+        with pytest.raises(ConfigError, match="'window'"):
+            PipelineContext(cfg)
+        with pytest.raises(ConfigError, match="'window'"):
+            run_experiment(cfg)
+
+    def test_window_zero_renders_no_history(self, config_file, monkeypatch):
+        texts = []
+        build = predict.build_prompt
+
+        def record(*args):
+            bundle = build(*args)
+            texts.append(bundle.text)
+            return bundle
+
+        monkeypatch.setattr(predict, "build_prompt", record)
+        assert main(["pipeline", "--config", str(config_file), "--window", "0"]) == 0
+        from_cli = len(texts)
+        cfg = resolve_config(load_config_file(config_file), {"window": 0})
+        run_experiment(RunConfig(**{**vars(cfg), "variants": ("irt",)}))
+        assert 0 < from_cli < len(texts)
+        for text in texts:
+            assert "recent_interactions: 0\n=== TARGET QUESTION ===" in text
+            assert "\n  - question: " not in text
 
 
 class TestCliStages:

@@ -1,21 +1,35 @@
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hisekt import predict as predict_mod
+from hisekt.config import RunConfig
 from hisekt.dataset import Dataset, Interaction
 from hisekt.errors import PredictionError
+from hisekt.evaluation import PipelineContext, run_experiment
 from hisekt.irt import IrtModel, Level, probability
 from hisekt.llm import LlmClient
 from hisekt.predict import (
     MASK_IRT,
     MASK_SIMU,
+    PREDICTION_PROMPT_HEADER,
+    HistoryRow,
+    PeerInfo,
+    PromptBundle,
     build_prompt,
     count_sentences,
     mock_prediction_reply,
     parse_prompt,
     predict,
+    student_facts,
 )
+from hisekt.synth import planted_csv
 
+from prompt_reference import reference_build_prompt, reference_mock_reply
 from support import scripted_client
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -116,6 +130,18 @@ class TestPromptStructure:
         bundle = build_prompt("SA", "QT", [], m, d, window=2)
         assert len(bundle.history) == 2
         assert bundle.history[-1].question_id == "QC"
+
+    def test_window_zero_renders_no_rows(self):
+        d, m = golden_inputs()
+        bundle = build_prompt("SA", "QT", ["SP"], m, d, window=0)
+        assert bundle.history == ()
+        assert "recent_interactions: 0\n=== TARGET QUESTION ===" in bundle.text
+        assert "\n  - question: " not in bundle.text
+
+    def test_negative_window_is_rejected(self):
+        d, m = golden_inputs()
+        with pytest.raises(ValueError, match="window"):
+            build_prompt("SA", "QT", [], m, d, window=-1)
 
 
 class TestPromptRoundTrip:
@@ -295,3 +321,175 @@ class TestPredictClient:
         reply = mock_prediction_reply(golden_bundle().text)
         assert reply.startswith("<<<PREDICTION")
         assert reply.rstrip().endswith("PREDICTION>>>")
+
+
+# -- prompts from per-student tables ------------------------------------------
+
+
+def edge_inputs():
+    """The golden inputs plus SN, who has a test row and no train rows."""
+    d, m = golden_inputs()
+    extra = Interaction("SN", "QT", frozenset({"K1"}), True, 5)
+    rows = sorted([*d.interactions, extra], key=lambda i: (i.student_id, i.timestamp))
+    splits = [d.splits[d.interactions.index(i)] if i is not extra else "test" for i in rows]
+    return Dataset(rows, splits), m
+
+
+class TestStudentFacts:
+    def test_bundles_equal_the_row_scan(self):
+        d, m = edge_inputs()
+        peer_lists = ([], ["SP"], ["SN", "SX"], ["SA", "SP", "SN", "SX"])  # SX is in no row
+        masks = (frozenset(), frozenset({MASK_SIMU}), frozenset({MASK_IRT}), frozenset({MASK_SIMU, MASK_IRT}))
+        for cold in (False, True):
+            if cold:
+                del m.diff["QT"], m.disc["QT"], m.difficulty_level["QT"]
+            for u in ("SA", "SP", "SN"):
+                for q in ("QT", "QB", "QC"):
+                    for peers in peer_lists:
+                        for window in (0, 1, 2, 3, 20, 1000):
+                            for mask in masks:
+                                expected = reference_build_prompt(u, q, peers, m, d, mask, window)
+                                assert build_prompt(u, q, peers, m, d, mask, window) == expected
+        assert build_prompt("SA", "QT", [], m, d).cold_start
+
+    def test_model_edits_show_in_the_next_bundle(self):
+        d, m = golden_inputs()
+        before = build_prompt("SA", "QT", ["SP"], m, d)
+        m.theta["SA"] = 1.75
+        m.theta["SP"] = -0.5
+        m.diff["QA"] = 2.0
+        m.diff["QT"] = -1.0
+        m.difficulty_level["QA"] = Level.HIGH
+        after = build_prompt("SA", "QT", ["SP"], m, d)
+        assert after == reference_build_prompt("SA", "QT", ["SP"], m, d)
+        assert after != before
+        assert (after.theta, after.difficulty, after.peers[0].theta) == (1.75, -1.0, -0.5)
+        assert (after.history[0].difficulty, after.history[0].difficulty_level) == (2.0, "High")
+
+    def test_tables_are_built_once_per_dataset(self):
+        d, _ = golden_inputs()
+        assert student_facts(d) is student_facts(d)
+        assert student_facts(golden_inputs()[0]) is not student_facts(d)
+
+    def test_tables_die_with_the_context(self, tmp_path):
+        csv, _ = planted_csv(n_bands=3, students_per_band=12, questions_per_band=10, seed=3)
+        path = tmp_path / "small.csv"
+        path.write_text(csv, encoding="utf-8")
+        ctx = PipelineContext(RunConfig(data=str(path), n_walks=5, walk_len=8, top_k=3, top_s=2, pair_sample=200))
+        run_experiment(ctx.cfg, ctx)
+        dataset = weakref.ref(ctx.dataset)
+        assert student_facts(ctx.dataset)
+        del ctx
+        gc.collect()
+        assert dataset() is None
+
+
+# -- the mock's lean reader ---------------------------------------------------
+
+# str.splitlines breaks a line at each of these, so no rendered id may hold one
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+ids = st.one_of(
+    st.text(alphabet="ab :|;-=", max_size=10),
+    st.text(alphabet=st.characters(exclude_categories=("Cs",), exclude_characters=LINE_BREAKS), max_size=6),
+    st.sampled_from(["a: b", "x | y", "q | correct: 1", ": ", " | ", "peer: p", "=== TASK ==="]),
+)
+reals = st.floats(-1e3, 1e3, allow_nan=False)
+positive = st.floats(1e-3, 1e3)
+accuracies = st.floats(0.0, 1.0)
+labels = st.sampled_from([level.label for level in Level])
+history_rows = st.builds(
+    HistoryRow, ids, st.lists(ids, min_size=1, max_size=3).map(tuple), st.booleans(), st.integers(-10**6, 10**6),
+    reals, positive, labels,
+)
+peer_infos = st.builds(
+    PeerInfo, ids, reals, labels, st.none() | accuracies, accuracies,
+    st.lists(st.tuples(ids, st.booleans(), st.integers(0, 10**6)), max_size=3).map(tuple),
+)
+bundles = st.builds(
+    PromptBundle,
+    target_student=ids, theta=reals, ability_level=labels,
+    history=st.lists(history_rows, max_size=4).map(tuple),
+    question_id=ids, question_kcs=st.lists(ids, min_size=1, max_size=3).map(tuple), target_kc=ids,
+    student_kc_accuracy=st.none() | accuracies, difficulty=reals, discrimination=positive,
+    difficulty_level=labels, cold_start=st.booleans(),
+    peers=st.none() | st.lists(peer_infos, max_size=4).map(tuple),
+    ablation_mask=st.sampled_from([frozenset(), frozenset({MASK_SIMU}), frozenset({MASK_IRT}),
+                                   frozenset({MASK_SIMU, MASK_IRT})]),
+)
+
+
+def assert_lean_read_matches(text):
+    lean = predict_mod._mock_fields(text)
+    full = parse_prompt(text)
+    assert "history" not in lean  # the lean reader ran, not its fallback to parse_prompt
+    for key, value in lean.items():
+        if key == "peers" and value is not None:
+            assert value == [{k: peer[k] for k in ("target_kc_accuracy", "overall_accuracy")} for peer in full["peers"]]
+        else:
+            assert value == full[key], key
+    assert mock_prediction_reply(text) == reference_mock_reply(text)
+
+
+class TestMockReader:
+    @settings(max_examples=300, deadline=None)
+    @given(bundles)
+    def test_reads_what_the_full_parser_reads(self, bundle):
+        assert_lean_read_matches(bundle.text)
+
+    def test_golden_prompts(self):
+        for mask in (frozenset(), frozenset({MASK_SIMU}), frozenset({MASK_IRT}), frozenset({MASK_SIMU, MASK_IRT})):
+            assert_lean_read_matches(golden_bundle(mask).text)
+
+    def test_a_text_not_laid_out_as_rendered_falls_back_to_the_full_parser(self):
+        for text in (PREDICTION_PROMPT_HEADER, golden_bundle().text.replace("=== TASK ===", "=== END ===")):
+            assert mock_prediction_reply(text) == reference_mock_reply(text)
+
+    def test_history_rows_with_separators_in_their_ids(self):
+        d, m = golden_inputs()
+        bundle = build_prompt("SA", "QT", ["SP"], m, d)
+        row = HistoryRow("Q | 1", ("K | 2", "K: 3"), True, 4, 0.5, 1.25, "Low")
+        peer = PeerInfo("P", 0.0, "Low", None, 0.5, (("Q | x", False, 7),))
+        fields = parse_prompt(PromptBundle(**{**vars(bundle), "history": (row,), "peers": (peer,)}).text)
+        assert fields["history"] == [{"question_id": "Q | 1", "kcs": ("K | 2", "K: 3"), "correct": True,
+                                      "timestamp": 4, "difficulty": 0.5, "discrimination": 1.25,
+                                      "difficulty_level": "Low"}]
+        assert fields["peers"][0]["history"] == [("Q | x", False, 7)]
+
+
+PLANTED_ABLATION = dict(seed=7, runs=1, n_walks=100, walk_len=20, top_k=5, top_s=3, pair_source="paths",
+                        variants=("msr", "msl", "simu", "rsimu"))
+
+
+@pytest.fixture(scope="module")
+def planted_prompts(tmp_path_factory):
+    """Every (build_prompt arguments, bundle) of one pass of the planted-ablation config, by planted seed."""
+    calls = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for seed in (1, 2, 3):
+            path = tmp_path_factory.mktemp("planted") / f"seed{seed}.csv"
+            path.write_text(planted_csv(seed=seed)[0], encoding="utf-8")
+            calls[seed] = recorded = []
+
+            def record(*args, _build=build_prompt, _recorded=recorded):
+                bundle = _build(*args)
+                _recorded.append((args, bundle))
+                return bundle
+
+            patch.setattr(predict_mod, "build_prompt", record)
+            run_experiment(RunConfig(data=str(path), **PLANTED_ABLATION))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_planted_prompts_equal_the_row_scan(planted_prompts, seed):
+    calls = planted_prompts[seed]
+    dataset = calls[0][0][4]
+    assert len(calls) == 5 * len(dataset.iter_split("test"))  # 900 on seed 1
+    for args, bundle in planted_prompts[seed]:
+        assert bundle == reference_build_prompt(*args)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_planted_mock_replies_equal_the_full_parse(planted_prompts, seed):
+    for _, bundle in planted_prompts[seed]:
+        assert_lean_read_matches(bundle.text)
