@@ -202,7 +202,11 @@ def run_stage(command: str, ctx: PipelineContext, root: Path) -> None:
     if _cache_hit(command, out):
         return
     _require(root, command, stage.upstream)
-    summary = _replace(out, lambda tmp: stage.write(ctx, tmp))
+    try:
+        summary = _replace(out, lambda tmp: stage.write(ctx, tmp))
+    except HisektError as exc:
+        exc.stage = getattr(exc, "stage", command)  # so `pipeline` names the stage that failed
+        raise
     print(f"{command}: {summary} -> {out}")
 
 

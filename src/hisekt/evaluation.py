@@ -217,16 +217,11 @@ def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | 
         return {qid: {name: pathscore.score_all(group, g) for name, group in per_template.items()}
                 for qid, per_template in walks.items()}
     client = ctx.get("client", cfg)
-
-    def score(key: tuple[str, str, int]) -> pathscore.PathScore:
-        qid, name, k = key
-        return pathscore.score_llm(walks[qid][name][k], client, g)
-
     # one dispatch for the whole stage, keyed by (question, template, walk index): pool
     # completion order cannot reorder results
-    keys = [(qid, name, k) for qid, per_template in walks.items()
-            for name, group in per_template.items() for k in range(len(group))]
-    scores = map_bounded(score, zip(keys, keys), client.in_flight)
+    items = [((qid, name, k), (group, k)) for qid, per_template in walks.items()
+             for name, group in per_template.items() for k in range(len(group))]
+    scores = map_bounded(lambda item: pathscore.score_llm(*item, client), items, client.in_flight)
     return {
         qid: {name: pathscore.ScoredGroup.from_scores(group, [scores[qid, name, k] for k in range(len(group))], "llm")
               for name, group in per_template.items()}

@@ -42,15 +42,19 @@ RETRYABLE_4XX = (408, 429)  # request timeout, rate limit: the only client error
 class MockTransport:
     """Answers prompts offline by recomputing the deterministic reference logic."""
 
-    def __call__(self, prompt: str) -> str:
-        # local imports: llm is a dependency of both prompt-owning modules
-        from .pathscore import is_scoring_prompt, mock_score_reply
-        from .predict import is_prediction_prompt, mock_prediction_reply
+    def __init__(self):
+        # imported once here, not per prompt: an import statement costs microseconds, and the
+        # scoring stage sends one prompt per walk; not at module level, since llm is a
+        # dependency of both prompt-owning modules
+        from . import pathscore, predict
 
-        if is_scoring_prompt(prompt):
-            return mock_score_reply(prompt)
-        if is_prediction_prompt(prompt):
-            return mock_prediction_reply(prompt)
+        self._pathscore, self._predict = pathscore, predict
+
+    def __call__(self, prompt: str) -> str:
+        if self._pathscore.is_scoring_prompt(prompt):
+            return self._pathscore.mock_score_reply(prompt)
+        if self._predict.is_prediction_prompt(prompt):
+            return self._predict.mock_prediction_reply(prompt)
         raise TransportError("mock transport cannot answer this prompt")
 
 

@@ -37,8 +37,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -315,7 +316,11 @@ class WalkGroup(Sequence[PathInstance]):
 
     def __getitem__(self, i: int) -> PathInstance:
         ids = self.graph.node_ids
-        return PathInstance(self.template, tuple(ids[x] for x in _unpadded(self.rows[i].tolist())), self.target_kc)
+        return PathInstance(self.template, tuple(ids[x] for x in self.walk(i)), self.target_kc)
+
+    def walk(self, i: int) -> list[int]:
+        """Walk ``i``'s node ints, without padding."""
+        return _unpadded(self.rows[i].tolist())
 
     def walks(self) -> list[list[int]]:
         """Each walk's node ints, without padding."""
@@ -509,28 +514,44 @@ def read_graph(path: str | Path) -> Mrhin:
 #
 # A walk file holds one JSON record per walk, {"nodes": [[kind, id], ...], "target_kc",
 # "target_q", "template"} plus any fields its writer adds, sorted by target question, then
-# template name, then node sequence.
+# template name, then node sequence.  Each line is the text ``json.dumps(record,
+# sort_keys=True)`` gives, assembled from JSON fragments instead of dumped per walk: each node's
+# ``[kind, id]`` is dumped once per graph, the target KC, question and template once per group,
+# and the added fields come as per-group columns of JSON values.  Lines go to the file group by
+# group, so the file's text is never held whole.
 
 
 def write_walks(grouped: Mapping[str, Mapping[str, WalkGroup]], path: str | Path,
-                fields: Callable[[str, str, int], dict] | None = None) -> int:
-    """Write {target question: {template: WalkGroup}} as one line per walk, each record
-    extended by ``fields(question, template, row)`` if given; returns the number of walks.
+                columns: Callable[[str, str], Mapping[str, Sequence[str]]] | None = None) -> int:
+    """Write {target question: {template: WalkGroup}} as one line per walk; returns the number
+    of walks.  ``columns(question, template)``, if given, adds fields to that group's records:
+    {field name: the JSON text of its value on each row, in row order}.
 
     A group's walks go in the order of their int rows, which is node order."""
-    lines = []
-    for qid in sorted(grouped):
-        for name in sorted(grouped[qid]):
-            group = grouped[qid][name]
-            ids, walks = group.graph.node_ids, group.walks()
-            for i in sorted(range(len(walks)), key=walks.__getitem__):
-                record = {"target_q": qid, "template": name, "target_kc": group.target_kc,
-                          "nodes": [list(ids[x]) for x in walks[i]]}
-                if fields:
-                    record.update(fields(qid, name, i))
-                lines.append(json.dumps(record, sort_keys=True) + "\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
-    return len(lines)
+    count = 0
+    node_json: dict[Mrhin, tuple[str, ...]] = {}
+    with open(path, "w", encoding="utf-8") as out:
+        for qid in sorted(grouped):
+            for name in sorted(grouped[qid]):
+                group = grouped[qid][name]
+                nodes = node_json.get(group.graph)
+                if nodes is None:
+                    nodes = node_json[group.graph] = tuple(json.dumps(list(node)) for node in group.graph.node_ids)
+                walks = group.walks()
+                order = sorted(range(len(walks)), key=walks.__getitem__)
+                fields: dict[str, Iterable[str]] = {
+                    "nodes": ["[" + ", ".join(map(nodes.__getitem__, walks[i])) + "]" for i in order],
+                    "target_kc": repeat(json.dumps(group.target_kc)),
+                    "target_q": repeat(json.dumps(qid)),
+                    "template": repeat(json.dumps(name)),
+                }
+                for key, values in (columns(qid, name) if columns else {}).items():
+                    fields[key] = [values[i] for i in order]
+                keys = sorted(fields)
+                line = "{{" + ", ".join(f"{json.dumps(key)}: {{}}" for key in keys) + "}}\n"
+                out.writelines(map(line.format, *(fields[key] for key in keys)))
+                count += len(order)
+    return count
 
 
 def read_json_lines(path: str | Path, decode: Callable[[dict], T]) -> list[T]:

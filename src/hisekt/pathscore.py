@@ -17,11 +17,16 @@ The formulas have two implementations that share no code and give the same
 bits.  :func:`score_all` scores a :class:`~hisekt.mrhin.WalkGroup` from its
 int rows in one pass of numpy column operations, with no loop over walks.
 :func:`_score_walk` scores one walk in plain Python; it is the reference the
-tests hold the array pass to, and it scores the one path parsed from a
-scoring prompt in the mock LLM reply.  A group of one would not serve there:
-on a 2-vCPU VM (Python 3.11, numpy 2.4) an array pass over one path took
-156 us against 26 us, about 1.7 s more over the 13,160 scoring prompts of
-the staged CLI on the acceptance fixture.
+tests hold the array pass to, and it scores the one path the mock LLM reply
+reads from a scoring prompt.  A group of one would not serve there: on a
+2-vCPU VM (Python 3.11, numpy 2.4) an array pass over one path takes
+146-155 us against 29-31 us for :func:`_score_path`, about 1.6 s more over
+the 13,160 scoring prompts of the staged CLI on the acceptance fixture.
+
+The LLM backend renders each walk's scoring prompt from its group's int rows
+and a table of path lines per graph, target question and hop cap; the mock
+reads each path line back by its node kind (:func:`_read_scoring_prompt`).
+
 Top-K selection keeps each group's best (or lowest, or randomly drawn)
 rows by total, equal totals ordered by the walks' tie keys
 (:attr:`~hisekt.mrhin.WalkGroup.tie_keys`, one array expression per group).
@@ -33,6 +38,7 @@ row is read.
 from __future__ import annotations
 
 import functools
+import json
 import logging
 import math
 import re
@@ -43,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IngestError, ScoringError
+from .errors import IngestError, ScoringError, TransportError
 from .llm import LlmClient
 from .mrhin import PAD, Mrhin, Node, PathInstance, WalkGroup, read_walks, write_walks
 from .seeding import derive_rng
@@ -282,16 +288,16 @@ def _score_path(path: Sequence[Node], target_kc: str, hop_of: Mapping[str, int],
 # -- LLM scoring backend -----------------------------------------------------
 
 
-# graph -> each node's prompt entry without its hop count, by node int; built in full before it is
-# stored, so threads scoring on one graph never see a partial entry
-_NODE_ENTRIES: weakref.WeakKeyDictionary[Mrhin, tuple[str, ...]] = weakref.WeakKeyDictionary()
+class _PromptLines:
+    """A graph's scoring-prompt path lines, by node int, without their ``"  N. "`` numbers.
 
+    :attr:`entries` holds ``kind:id`` plus the fixed annotations of every node: KCs and
+    difficulty level of a question, ability level of a student.  :meth:`lines` adds each
+    question's hop count from one target question, capped, as a walk's prompt shows it.  Each
+    table is built in full before it is stored, so threads scoring on one graph never see a
+    partial one.  No table holds a reference to the graph, which would keep it alive."""
 
-def _node_entries(g: Mrhin) -> tuple[str, ...]:
-    """``kind:id`` plus the fixed annotations of every node: KCs and difficulty level of a
-    question, ability level of a student."""
-    entries = _NODE_ENTRIES.get(g)
-    if entries is None:
+    def __init__(self, g: Mrhin):
         def entry(node: Node) -> str:
             kind, node_id = node
             if kind == "Q":
@@ -303,72 +309,106 @@ def _node_entries(g: Mrhin) -> tuple[str, ...]:
                 return f"U:{node_id} | ability_level: {level[0][1] if level else 'Medium'}"
             return f"{kind}:{node_id}"
 
-        entries = tuple(entry(node) for node in g.node_ids)
-        _NODE_ENTRIES[g] = entries
-    return entries
+        self.entries = tuple(entry(node) for node in g.node_ids)
+        self._lines: dict[tuple[str, int], tuple[str, ...]] = {}
+
+    def lines(self, g: Mrhin, question_id: str, cap: int) -> tuple[str, ...]:
+        """Every node's path line in a prompt whose target question is ``question_id`` and
+        whose hop counts are capped at ``cap``."""
+        key = (question_id, cap)
+        found = self._lines.get(key)
+        if found is None:
+            hops = g.hops_from(("Q", question_id))
+            found = tuple(f"{entry} | hops_from_target: {min(hop, cap)}" if kind == "Q" else entry
+                          for entry, kind, hop in zip(self.entries, g.kinds, hops))
+            self._lines[key] = found
+        return found
 
 
-def render_scoring_prompt(p: PathInstance, g: Mrhin) -> str:
-    """Serialize the path with KC/level/hop annotations plus the four rubrics."""
-    entries = _node_entries(g)
-    hops = g.hops_from(("Q", p.target_question))
-    cap = max(p.edge_count, 1)
-    lines = [
-        SCORING_PROMPT_HEADER,
-        f"target_question: {p.target_question}",
-        f"target_kc: {p.target_kc}",
-        "path:",
-    ]
-    for idx, node in enumerate(p.nodes, start=1):
-        x = g.index(node)
-        entry = f"  {idx}. {entries[x]}"
-        if node[0] == "Q":
-            entry += f" | hops_from_target: {min(hops[x], cap)}"
-        lines.append(entry)
-    lines += [
-        "",
-        "Score this path on four dimensions, each from 0 to 5:",
-        "1. centrality: question nodes remain close to the target question, forming a star around it.",
-        "2. kc_relevance: the questions on the path cover the target knowledge concept.",
-        "3. informativeness: steps keep introducing new students, questions, and concepts"
-        " (repeat visits to the target question or target concept are not penalized).",
-        "4. diversity: ability and difficulty level nodes cover the six level categories evenly.",
-        "Reply with exactly four numbers in braces: {centrality, kc_relevance, informativeness, diversity}",
-    ]
-    return "\n".join(lines)
+# graph -> its prompt lines
+_PROMPT_LINES: weakref.WeakKeyDictionary[Mrhin, _PromptLines] = weakref.WeakKeyDictionary()
+
+_RUBRIC = "\n".join([
+    "Score this path on four dimensions, each from 0 to 5:",
+    "1. centrality: question nodes remain close to the target question, forming a star around it.",
+    "2. kc_relevance: the questions on the path cover the target knowledge concept.",
+    "3. informativeness: steps keep introducing new students, questions, and concepts"
+    " (repeat visits to the target question or target concept are not penalized).",
+    "4. diversity: ability and difficulty level nodes cover the six level categories evenly.",
+    "Reply with exactly four numbers in braces: {centrality, kc_relevance, informativeness, diversity}",
+])
+
+
+@functools.lru_cache(maxsize=64)
+def _numbers(count: int) -> tuple[str, ...]:
+    """The path lines' prefixes ``"  1. "`` .. ``"  count. "``."""
+    return tuple(f"  {i}. " for i in range(1, count + 1))
+
+
+def render_scoring_prompt(walks: WalkGroup, i: int) -> str:
+    """The scoring prompt of walk ``i`` of a group, rendered from its int row: the path with
+    KC/level/hop annotations, then the four rubrics."""
+    g, walk = walks.graph, walks.walk(i)
+    tables = _PROMPT_LINES.get(g)
+    if tables is None:
+        tables = _PROMPT_LINES[g] = _PromptLines(g)
+    lines = tables.lines(g, walks.target_question, max(len(walk) - 1, 1))
+    path = "\n".join(map(str.__add__, _numbers(len(walk)), map(lines.__getitem__, walk)))
+    return (f"{SCORING_PROMPT_HEADER}\ntarget_question: {walks.target_question}\n"
+            f"target_kc: {walks.target_kc}\npath:\n{path}\n\n{_RUBRIC}")
 
 
 def is_scoring_prompt(text: str) -> bool:
     return text.startswith(SCORING_PROMPT_HEADER)
 
 
-def _numbered_line_body(line: str) -> str | None:
-    """The text after ``"  <digits>. "`` when ``line`` starts so, else None: a path line of a
-    scoring prompt.  Prefix checks, which take less time than a regular expression per line."""
-    if not line.startswith("  "):
-        return None
-    dot = line.find(". ", 2)
-    return line[dot + 2:] if dot > 2 and line[2:dot].isdecimal() else None
+def _unreadable(what: str) -> TransportError:
+    return TransportError(f"mock transport cannot read this scoring prompt: {what}")
 
 
-def _parse_scoring_prompt(text: str) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
-    """The path, target KC, and each question's hop count and KC set written in a scoring prompt."""
-    target_kc = ""
+def _read_scoring_prompt(text: str) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
+    """The path, target KC, and each path question's hop count and KC set written in a scoring
+    prompt, read as :func:`render_scoring_prompt` lays them out, with no other knowledge of the
+    graph.  Raises TransportError naming the first path line it cannot read.
+
+    Path line ``n`` starts ``"  n. "``.  Each is read by its node kind, its fields taken from
+    the right: a question line ends in its KCs, difficulty level and hop count, a student line
+    in its ability level, and on other lines all that follows the kind is the id.  So ids may
+    hold ``": "`` or ``" | "``; KC ids may not hold ``";"``, which separates them, and no id
+    holds a line break."""
+    head, found, after = text.partition("\npath:\n")
+    block, blank, _ = after.partition("\n\n")
+    kc_line = head[head.rfind("\n") + 1:]
+    if not (found and blank and kc_line.startswith("target_kc: ")):
+        raise _unreadable("no target_kc line followed by a path block")
     nodes: list[Node] = []
     hop_of: dict[str, int] = {}
     kc_of: dict[str, frozenset[str]] = {}
-    for line in text.splitlines():
-        if line.startswith("target_kc: "):
-            target_kc = line.split(": ", 1)[1]
-        elif (body := _numbered_line_body(line)) is not None:
-            head, *notes = body.split(" | ")
-            kind, node_id = head.split(":", 1)
-            nodes.append((kind, node_id))
+    lines = block.split("\n")
+    for number, line in zip(_numbers(len(lines)), lines):
+        kind, colon, rest = line[len(number):].partition(":")
+        try:
+            if not (line.startswith(number) and colon):
+                raise ValueError
             if kind == "Q":
-                fields = dict(note.split(": ", 1) for note in notes)
-                hop_of[node_id] = int(fields["hops_from_target"])
-                kc_of[node_id] = frozenset(k for k in fields["kcs"].split(";") if k)
-    return nodes, target_kc, hop_of, kc_of
+                named, level, hops = rest.rsplit(" | ", 2)
+                node_id, kcs_found, kcs = named.rpartition(" | kcs: ")
+                if not (kcs_found and level.startswith("difficulty_level: ") and hops.startswith("hops_from_target: ")):
+                    raise ValueError
+                hop_of[node_id] = int(hops[18:])
+                kc_of[node_id] = frozenset(filter(None, kcs.split(";")))
+            elif kind == "U":
+                node_id, _, level = rest.rpartition(" | ")
+                if not level.startswith("ability_level: "):
+                    raise ValueError
+            elif kind in ("K", "A", "D"):
+                node_id = rest
+            else:
+                raise ValueError
+        except ValueError:
+            raise _unreadable(f"path line {line!r}") from None
+        nodes.append((kind, node_id))
+    return nodes, kc_line[11:], hop_of, kc_of
 
 
 def mock_score_reply(prompt: str) -> str:
@@ -378,13 +418,13 @@ def mock_score_reply(prompt: str) -> str:
     the prompt, so an offline run of the LLM backend matches the formula
     scorer bit for bit.
     """
-    c, r, i, dv, _ = _score_path(*_parse_scoring_prompt(prompt))
+    c, r, i, dv, _ = _score_path(*_read_scoring_prompt(prompt))
     return f"{{{c!r}, {r!r}, {i!r}, {dv!r}}}"
 
 
-def score_llm(p: PathInstance, client: LlmClient, g: Mrhin) -> PathScore:
-    """Score one instance via the LLM backend; clamps stray values, retries on garbage."""
-    prompt = render_scoring_prompt(p, g)
+def score_llm(walks: WalkGroup, i: int, client: LlmClient) -> PathScore:
+    """Score walk ``i`` of a group via the LLM backend; clamps stray values, retries on garbage."""
+    prompt = render_scoring_prompt(walks, i)
     last_reply = ""
     for _ in range(max(client.max_retries, 1)):
         last_reply = client.complete(prompt)
@@ -409,12 +449,15 @@ SCORE_FIELDS = ("centrality", "kc_relevance", "informativeness", "diversity", "t
 def write_scored(grouped: Mapping[str, Mapping[str, ScoredGroup]], path: str | Path) -> int:
     """The scored groups' walks as :func:`~hisekt.mrhin.write_walks` writes them, each record
     with its five score fields and backend added; returns the number of walks."""
-    def fields(qid: str, name: str, i: int) -> dict:
+    def columns(qid: str, name: str) -> dict[str, list[str]]:
         group = grouped[qid][name]
-        return {**dict(zip(SCORE_FIELDS, group.scores[i].tolist())), "backend": group.backend}
+        # a float list's JSON split at its separators: each score as json.dumps writes it
+        found = {key: json.dumps(column)[1:-1].split(", ") for key, column in zip(SCORE_FIELDS, group.scores.T.tolist())}
+        found["backend"] = [json.dumps(group.backend)] * len(group)
+        return found
 
     return write_walks({qid: {name: group.walks for name, group in per_template.items()}
-                        for qid, per_template in grouped.items()}, path, fields)
+                        for qid, per_template in grouped.items()}, path, columns)
 
 
 def read_scored(path: str | Path, g: Mrhin) -> dict[str, dict[str, ScoredGroup]]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from hisekt.dataset import Dataset, Interaction
 from hisekt.irt import IrtModel, Level
-from hisekt.mrhin import PAD, Mrhin, WalkGroup
+from hisekt.mrhin import NODE_KINDS, PAD, Mrhin, WalkGroup
 from hisekt.seeding import derive_rng
 
 
@@ -48,6 +48,17 @@ def reference_top_k(scored, k, mode, seed=0):
         return pool if k >= len(pool) else derive_rng(seed, "select_top_k").sample(pool, k)
     sign = -1 if mode == "top" else 1
     return sorted(scored, key=lambda s: (sign * s.score.total, tie(s)))[:k]
+
+
+def renamed_graph(g, new_id):
+    """The graph ``g`` with each node ``(kind, id)`` that ``new_id`` maps renamed to
+    ``(kind, new_id[(kind, id)])``; its edges stay."""
+    def rename(node):
+        return (node[0], new_id.get(node, node[1]))
+
+    return Mrhin({rename(node): {kind: tuple(sorted(map(rename, g.neighbors(node, kind))))
+                                 for kind in NODE_KINDS if g.neighbors(node, kind)}
+                  for node in g.node_ids})
 
 
 def group_of(g, instances):

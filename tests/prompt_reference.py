@@ -1,4 +1,5 @@
-"""Reference forms of the prediction prompt's builder and mock reply, for equality tests.
+"""Reference forms of the prediction prompt's builder and mock reply, and of the scoring
+prompt's reader, for equality tests.
 
 ``reference_build_prompt`` is the builder as it was before prompts were built
 from per-student tables: it scans the train rows of the target and of every
@@ -6,12 +7,18 @@ peer for each prompt.  It differs from that builder in one place: a window of
 0 shows no history rows (the slice ``rows[-0:]`` showed them all).
 ``reference_mock_reply`` answers a prompt from the full ``parse_prompt``,
 where the mock backend reads only the lines it uses.
+
+``reference_parse_scoring_prompt`` is the scoring mock's reader as it was
+before it read path lines by their node kind: every line numbered
+``"  <digits>. "`` is a path line, split at each ``" | "``.  It skips lines it
+does not recognise, and cannot read an id that holds ``" | "``.
 """
 
 from typing import Sequence
 
 from hisekt.dataset import Dataset
 from hisekt.irt import IrtModel, Level
+from hisekt.mrhin import Node
 from hisekt.predict import DEFAULT_WINDOW, HistoryRow, PeerInfo, PromptBundle, mock_reply, parse_prompt
 
 
@@ -90,3 +97,31 @@ def reference_build_prompt(
 def reference_mock_reply(text: str) -> str:
     """The mock's reply computed from every field of the prompt."""
     return mock_reply(parse_prompt(text))
+
+
+def _numbered_line_body(line: str) -> str | None:
+    """The text after ``"  <digits>. "`` when ``line`` starts so, else None."""
+    if not line.startswith("  "):
+        return None
+    dot = line.find(". ", 2)
+    return line[dot + 2:] if dot > 2 and line[2:dot].isdecimal() else None
+
+
+def reference_parse_scoring_prompt(text: str) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
+    """The path, target KC, and each question's hop count and KC set written in a scoring prompt."""
+    target_kc = ""
+    nodes: list[Node] = []
+    hop_of: dict[str, int] = {}
+    kc_of: dict[str, frozenset[str]] = {}
+    for line in text.splitlines():
+        if line.startswith("target_kc: "):
+            target_kc = line.split(": ", 1)[1]
+        elif (body := _numbered_line_body(line)) is not None:
+            head, *notes = body.split(" | ")
+            kind, node_id = head.split(":", 1)
+            nodes.append((kind, node_id))
+            if kind == "Q":
+                fields = dict(note.split(": ", 1) for note in notes)
+                hop_of[node_id] = int(fields["hops_from_target"])
+                kc_of[node_id] = frozenset(k for k in fields["kcs"].split(";") if k)
+    return nodes, target_kc, hop_of, kc_of

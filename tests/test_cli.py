@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -392,6 +393,27 @@ class TestCliStages:
         assert f"error in stage score-paths: {paths} line 100: " in err
         assert not paths.with_name("scored.jsonl").exists()
 
+    @pytest.mark.parametrize("cut", ["path block", "hops_from_target"])
+    def test_a_scoring_prompt_the_mock_cannot_read_is_a_stage_failure(self, config_file, monkeypatch, capsys, cut):
+        flags = ["--config", str(config_file), "--score-backend", "llm", "--llm-backend", "mock"]
+        for stage in ("ingest", "fit-irt", "build-hin", "sample-paths"):
+            assert main([stage, *flags]) == 0
+        render = pathscore.render_scoring_prompt
+
+        def garbled(walks, i):
+            prompt = render(walks, i)
+            if cut == "path block":
+                return prompt.replace("\npath:\n", "\n")
+            return re.sub(r" \| hops_from_target: \d+\n", "\n", prompt, count=1)
+
+        monkeypatch.setattr(pathscore, "render_scoring_prompt", garbled)
+        capsys.readouterr()
+        for command in ("score-paths", "pipeline"):
+            assert main([command, *flags]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error in stage score-paths: mock transport cannot read this scoring prompt: ")
+            assert ("path line '  1. Q:" if cut == "hops_from_target" else "no target_kc line") in err
+
     def test_retrieval_without_a_target_is_a_stage_failure(self, config_file, capsys):
         for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths", "retrieve"):
             assert main([stage, "--config", str(config_file)]) == 0
@@ -415,3 +437,26 @@ class TestCliStages:
         assert main(["evaluate", "--config", str(config_file)]) == 1
         target = f"{dropped['student']}|{dropped['question']}|{dropped['timestamp']}"
         assert f"error in stage evaluate: {predictions}: no entry for test target {target}" in capsys.readouterr().err
+
+
+class TestGoldenArtifacts:
+    # sha256 of the walk files and the report of a tiny LLM-backend pipeline on the acceptance
+    # fixture, run from relative paths so the report's echoed config does not name a temporary
+    # directory.  Recorded before the walk files were built from JSON fragments and the mock
+    # scorer read path lines by their kind: a change to either codec shows here.
+    DIGESTS = {
+        "paths.jsonl": "87dc28faf1d72e1f69484946c0da9deed0fa4b0f80e724f76a274c3809b2d49a",
+        "scored.jsonl": "a0f2194b942a23389bbd3764f818bff4b0fdac963a934f27e09b5fefe4219bb0",
+        "report.json": "7f2a099d508e0fa29eedf0d585247ea082a3fde0eab37c376fd8c4687b3c3777",
+    }
+
+    def test_llm_backend_artifacts_keep_their_digests(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("interactions.csv").write_text(planted_csv(seed=1)[0], encoding="utf-8")
+        argv = ["pipeline", "--data", "interactions.csv", "--cache-dir", "cache", "--n-walks", "4", "--walk-len", "8",
+                "--top-k", "3", "--top-s", "2", "--pair-sample", "200", "--pair-source", "paths",
+                "--score-backend", "llm", "--llm-backend", "mock"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        [root] = Path("cache").iterdir()
+        assert {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in self.DIGESTS} == self.DIGESTS

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hisekt.config import RunConfig
-from hisekt.errors import IngestError, ScoringError
+from hisekt.errors import IngestError, ScoringError, TransportError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.llm import LlmClient, map_bounded
 from hisekt.mrhin import (PAD, TEMPLATES, PathInstance, WalkGroup, graph_distance, read_walks, sample_instances,
@@ -22,9 +22,10 @@ from hisekt.pathscore import (
     PathScore,
     ScoredGroup,
     ScoredInstance,
-    _numbered_line_body,
+    _read_scoring_prompt,
     _score_path,
     _score_walk,
+    mock_score_reply,
     read_scored,
     render_scoring_prompt,
     score_all,
@@ -34,10 +35,11 @@ from hisekt.pathscore import (
 )
 
 from graph_fixture import (ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, build_fixture_graph, group_of, make_dataset,
-                           make_model, reference_tie_key, reference_top_k)
+                           make_model, reference_tie_key, reference_top_k, renamed_graph)
 from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
 from hisekt.synth import planted_csv
+from prompt_reference import reference_parse_scoring_prompt
 from support import scripted_client
 
 
@@ -55,6 +57,14 @@ def line_graph():
     d = make_dataset([("S1", "Q0"), ("S1", "Q1")], {"Q0": "K1", "Q1": "K1"})
     m = make_model({"S1": Level.MEDIUM}, {"Q0": Level.MEDIUM, "Q1": Level.MEDIUM})
     return Mrhin.build(d, m)
+
+
+def renamed_fixture_graph(new_ids):
+    """The fixture graph with its 14 students, questions and KCs renamed, in node order, to the
+    first 14 of the distinct ``new_ids``."""
+    g = build_fixture_graph()
+    named = [node for node in g.node_ids if node[0] in ("U", "Q", "K")]
+    return renamed_graph(g, dict(zip(named, new_ids)))
 
 
 def centrality(p, g):
@@ -259,9 +269,10 @@ class TestLlmScoring:
     def test_mock_backend_matches_formula_exactly(self, g):
         client = LlmClient(backend="mock")
         for name in ("Q-K-Q", "Q-U-A-U-Q", "Q-K-Q-U-Q-D-Q", "Q-K-Q-U-Q-D-Q-U-A-U-Q"):
-            for row in score_all(sample_instances(g, TEMPLATES[name], "Q5", n=10, walk_len=20, seed=2), g):
-                inst, reference = row.instance, row.score
-                llm = score_llm(inst, client, g)
+            walks = sample_instances(g, TEMPLATES[name], "Q5", n=10, walk_len=20, seed=2)
+            for k, row in enumerate(score_all(walks, g)):
+                reference = row.score
+                llm = score_llm(walks, k, client)
                 assert llm.backend == "llm"
                 assert llm.centrality == reference.centrality
                 assert llm.kc_relevance == reference.kc_relevance
@@ -269,24 +280,24 @@ class TestLlmScoring:
                 assert llm.diversity == reference.diversity
 
     def test_braced_reply_parses(self, g):
-        inst = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)[0]
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["{5, 5, 5, 5}"])
-        s = score_llm(inst, client, g)
+        s = score_llm(walks, 0, client)
         assert s.total == 20.0
 
     def test_out_of_range_clamped_with_warning(self, g, caplog):
-        inst = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)[0]
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["{7, 2, 2, 2}"])
         with caplog.at_level("WARNING"):
-            s = score_llm(inst, client, g)
+            s = score_llm(walks, 0, client)
         assert s.centrality == 5.0
         assert "clamped" in caplog.text
 
     def test_prose_reply_fails_after_retries(self, g):
-        inst = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)[0]
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["no numbers here"] * 3, max_retries=3)
         with pytest.raises(ScoringError) as err:
-            score_llm(inst, client, g)
+            score_llm(walks, 0, client)
         assert err.value.raw_response == "no numbers here"
 
 
@@ -485,14 +496,36 @@ class TestScoredStore:
         cases = [(ctx.instances(run_seed), write_walks, read_walks)]
         for backend in ("formula", "llm"):
             cases.append((ctx.scored(run_seed, replace(cfg, score_backend=backend)), write_scored, read_scored))
-        for grouped, write, read in cases:
-            path, again = tmp_path / "walks.jsonl", tmp_path / "again.jsonl"
-            write(grouped, path)
-            flat = [item for per_template in grouped.values() for group in per_template.values() for item in group]
-            assert path.read_text(encoding="utf-8") == reference_walk_file(flat)
-            # read back into groups and written again: the same bytes
-            write(read(path, ctx.graph), again)
-            assert again.read_bytes() == path.read_bytes()
+        assert_walk_files_equal_the_reference(cases, ctx.graph, tmp_path)
+
+    def test_walk_files_of_ids_that_need_escaping(self, tmp_path):
+        # each student, question and KC id holds a quote, a backslash, a tab, a non-ASCII letter
+        # or a character outside the Basic Multilingual Plane, which JSON writes as two escapes
+        pieces = ['"', "\\", "\t", "\u00e9", "\U0001F600", ' "\\\t\u00e9\U0001F600 ']
+        g = renamed_fixture_graph([f"{i}{piece}" for i, piece in enumerate(pieces * 3)])
+        client = LlmClient(backend="mock")
+        walks = {q: {name: sample_instances(g, TEMPLATES[name], q, n=8, walk_len=11, seed=5)
+                     for name in ("Q-U-Q", "Q-K-Q-U-A-U-Q", "Q-U-Q-K-Q-D-Q")}
+                 for q in sorted(node_id for kind, node_id in g.node_ids if kind == "Q")}
+        by_formula = {q: {name: score_all(group, g) for name, group in per.items()} for q, per in walks.items()}
+        by_llm = {q: {name: ScoredGroup.from_scores(group, [score_llm(group, k, client) for k in range(len(group))], "llm")
+                      for name, group in per.items()} for q, per in walks.items()}
+        assert_walk_files_equal_the_reference(
+            [(walks, write_walks, read_walks), (by_formula, write_scored, read_scored), (by_llm, write_scored, read_scored)],
+            g, tmp_path)
+        assert all(ord(c) < 128 for c in (tmp_path / "walks.jsonl").read_text(encoding="utf-8"))
+
+
+def assert_walk_files_equal_the_reference(cases, g, tmp_path):
+    """Each (grouped walks or scored walks, writer, reader) case on graph ``g`` writes the file
+    ``reference_walk_file`` writes, and reading it back and writing again gives the same bytes."""
+    for grouped, write, read in cases:
+        path, again = tmp_path / "walks.jsonl", tmp_path / "again.jsonl"
+        write(grouped, path)
+        flat = [item for per_template in grouped.values() for group in per_template.values() for item in group]
+        assert flat and path.read_text(encoding="utf-8") == reference_walk_file(flat)
+        write(read(path, g), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def reference_score(p, g):
@@ -684,10 +717,22 @@ def reference_scoring_prompt(p, g):
     return "\n".join(lines)
 
 
+def prompts_of(walks):
+    """Each walk of a group with its scoring prompt, rendered from its node ints."""
+    return [(p, render_scoring_prompt(walks, k)) for k, p in enumerate(walks)]
+
+
+def edge_case_group(g, walk):
+    """The one-walk Q-U-Q group of a ``"kind:id ..."`` node string toward K1."""
+    p = PathInstance(TEMPLATES["Q-U-Q"], tuple(tuple(token.split(":")) for token in walk.split()), "K1")
+    return group_of(g, [p])
+
+
 class TestScoringPrompt:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_planted_prompt_equals_the_reference(self, tmp_path, seed):
-        # the staged CLI's walk configuration on the acceptance fixture
+        # the staged CLI's walk configuration on the acceptance fixture: each prompt is rendered as
+        # the reference renders it and read back as the reference reader reads it
         path = tmp_path / "planted.csv"
         path.write_text(planted_csv(seed=seed)[0], encoding="utf-8")
         cfg = RunConfig(data=str(path), seed=7, n_walks=20, walk_len=12)
@@ -695,8 +740,9 @@ class TestScoringPrompt:
         checked = 0
         for per_template in ctx.instances(run_seed_of(cfg, 0)).values():
             for group in per_template.values():
-                for p in group:
-                    assert render_scoring_prompt(p, ctx.graph) == reference_scoring_prompt(p, ctx.graph), p.nodes
+                for p, prompt in prompts_of(group):
+                    assert prompt == reference_scoring_prompt(p, ctx.graph), p.nodes
+                    assert _read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt), p.nodes
                     checked += 1
         assert checked == 13_160
 
@@ -706,24 +752,30 @@ class TestScoringPrompt:
         walks = ["Q:Q0 U:S1 Q:Q2", "Q:Q0 K:K9 Q:QFAR K:K9 Q:QFAR", "Q:Q0 U:S1 Q:Q1 U:S1 Q:Q0",
                  "Q:Q0 D:Low Q:Q1 U:S1 A:Low U:S2 Q:Q2 D:Medium Q:Q2", "Q:Q0"]
         for w in walks:
-            p = PathInstance(TEMPLATES["Q-U-Q"], tuple(tuple(token.split(":")) for token in w.split()), "K1")
-            assert render_scoring_prompt(p, eg) == reference_scoring_prompt(p, eg)
-        for inst in sample_instances(g, TEMPLATES["Q-K-Q-U-Q-D-Q-U-A-U-Q"], "Q5", n=20, walk_len=20, seed=4):
-            assert render_scoring_prompt(inst, g) == reference_scoring_prompt(inst, g)
+            [(p, prompt)] = prompts_of(edge_case_group(eg, w))
+            assert prompt == reference_scoring_prompt(p, eg)
+        for p, prompt in prompts_of(sample_instances(g, TEMPLATES["Q-K-Q-U-Q-D-Q-U-A-U-Q"], "Q5", n=20, walk_len=20,
+                                                     seed=4)):
+            assert prompt == reference_scoring_prompt(p, g)
 
     def test_concurrent_first_renders_equal_the_reference(self):
         # eight workers render on a fresh graph at once, so most prompts are rendered while
-        # another thread is still building the graph's node annotations
-        walks = [p for name in ("Q-U-A-U-Q", "Q-K-Q-D-Q") for p in
-                 sample_instances(build_fixture_graph(), TEMPLATES[name], "Q2", n=30, walk_len=12, seed=6)]
+        # another thread is still building the graph's node lines; the groups' truncated walks
+        # have other hop caps, so two threads may also build one table at once
         reference = build_fixture_graph()
-        expected = {i: reference_scoring_prompt(p, reference) for i, p in enumerate(walks)}
+        groups = [sample_instances(reference, TEMPLATES[name], "Q2", n=30, walk_len=12, seed=6)
+                  for name in ("Q-U-A-U-Q", "Q-K-Q-D-Q")]
+        walks = [(group, k) for group in groups for k in range(len(group))]
+        expected = {i: reference_scoring_prompt(group[k], reference) for i, (group, k) in enumerate(walks)}
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
                 fresh = build_fixture_graph()
-                got = map_bounded(lambda p: render_scoring_prompt(p, fresh), dict(enumerate(walks)), 8)
+                on_fresh = {id(group): WalkGroup(fresh, group.template, group.target_question, group.target_kc,
+                                                 group.rows) for group in groups}
+                got = map_bounded(lambda item: render_scoring_prompt(on_fresh[id(item[0])], item[1]),
+                                  dict(enumerate(walks)), 8)
                 assert got == expected
         finally:
             sys.setswitchinterval(old_interval)
@@ -731,32 +783,112 @@ class TestScoringPrompt:
     def test_node_annotations_are_built_once_per_graph(self, monkeypatch):
         g = build_fixture_graph()
         walks = sample_instances(g, TEMPLATES["Q-U-A-U-Q"], "Q1", n=20, walk_len=20, seed=5)
-        first = render_scoring_prompt(walks[0], g)
+        first = render_scoring_prompt(walks, 0)
         lookups = []
         for name in ("neighbors", "question_kcs"):
             monkeypatch.setattr(g, name, lambda *args, name=name: lookups.append(name))
-        assert render_scoring_prompt(walks[0], g) == first
-        assert [render_scoring_prompt(p, g) for p in walks] == [reference_scoring_prompt(p, build_fixture_graph())
-                                                                 for p in walks]
+        assert render_scoring_prompt(walks, 0) == first
+        assert [prompt for _, prompt in prompts_of(walks)] == [reference_scoring_prompt(p, build_fixture_graph())
+                                                               for p in walks]
         assert lookups == []
 
-    @settings(max_examples=500, deadline=None)
-    @given(st.one_of(
-        st.text(alphabet=" .0123456789\u0663\u00b2x|:", max_size=12),
-        st.tuples(
-            st.sampled_from(["", " ", "  ", "   ", "\t ", " \t"]),
-            st.text(alphabet="0123456789\u0663\u00b2\u2167a ", max_size=4),
-            st.sampled_from([". ", ".", " .", ".. ", ". . ", ".\t"]),
-            st.text(max_size=10),
-        ).map("".join),
-    ))
-    @example("  12. Q:Q3 | kcs: K1 | hops_from_target: 2")
-    @example("  . Q:Q3")
-    @example("  1.. Q:Q3")
-    def test_path_line_prefix_check_accepts_what_the_pattern_accepts(self, line):
-        # the prefix checks replaced re.match(r"^  \d+\. ", line)
-        matched = re.match(r"^  \d+\. ", line)
-        body = _numbered_line_body(line)
-        assert (body is not None) == bool(matched)
-        if matched:
-            assert body == line.split(". ", 1)[1]
+
+# id pieces that the old reader's separators are made of, and non-ASCII; no ";" (the KC
+# delimiter), no line break, and no letter of "kcs", so no KC id holds " | kcs: "
+ID_PIECES = st.sampled_from([": ", " | ", ":", "|", ".", ". ", " ", "0", "7", "Q", "U", "é", "\u0663", "\U0001F600"])
+SEPARATOR_IDS = st.lists(ID_PIECES, min_size=1, max_size=5).map("".join)
+
+
+class TestScoringPromptReader:
+    @settings(max_examples=60, deadline=None)
+    @given(new_ids=st.lists(SEPARATOR_IDS, min_size=16, max_size=16, unique=True),
+           name=st.sampled_from(["Q-U-A-U-Q", "Q-K-Q-U-Q-D-Q", "Q-U-Q-K-Q-D-Q"]), seed=st.integers(0, 2**16))
+    @example(new_ids=["Q | 3", "S | S005", "a: b", "K | 1", "x.y", "é", "\U0001F600", " | ", ": ", "|", "0", "7",
+                      " ", ".", "U", "Q"], name="Q-K-Q-U-Q-D-Q", seed=0)
+    def test_ids_with_separators_read_back(self, new_ids, name, seed):
+        g = renamed_fixture_graph(new_ids)
+        client = LlmClient(backend="mock")
+        for q0 in sorted(node_id for kind, node_id in g.node_ids if kind == "Q"):
+            walks = sample_instances(g, TEMPLATES[name], q0, n=6, walk_len=9, seed=seed)
+            hops = g.hops_from(("Q", q0))
+            formula = score_all(walks, g)
+            for k, ((p, prompt), expected) in enumerate(zip(prompts_of(walks), formula)):
+                cap = max(p.edge_count, 1)
+                questions = {node_id for kind, node_id in p.nodes if kind == "Q"}
+                assert _read_scoring_prompt(prompt) == (
+                    list(p.nodes), p.target_kc, {q: min(hops[g.index(("Q", q))], cap) for q in questions},
+                    {q: g.question_kcs(q) for q in questions})
+                if not any("|" in node_id for node_id in new_ids):  # the old reader split at every " | "
+                    assert _read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt)
+                assert score_llm(walks, k, client) == replace(expected.score, backend="llm")
+
+    def test_planted_ids_with_separators_score_as_the_formula(self, tmp_path):
+        # a question and two students of the acceptance fixture renamed to hold " | ": the old
+        # reader failed on the question line and read both students as U:S
+        csv = planted_csv(seed=1)[0]
+        csv = re.sub(r"^(S00[57]),", r"S | \1,", csv.replace(",Q003,", ",Q | 3,"), flags=re.M)
+        path = tmp_path / "planted.csv"
+        path.write_text(csv, encoding="utf-8")
+        cfg = RunConfig(data=str(path), seed=7, n_walks=20, walk_len=12, llm_backend="mock")
+        ctx = PipelineContext(cfg)
+        assert {("Q", "Q | 3"), ("U", "S | S005"), ("U", "S | S007")} <= set(ctx.graph.node_ids)
+        run_seed = run_seed_of(cfg, 0)
+        by_llm = ctx.scored(run_seed, replace(cfg, score_backend="llm"))
+        by_formula = ctx.scored(run_seed, replace(cfg, score_backend="formula"))
+        walks = 0
+        for qid, per_template in by_formula.items():
+            for name, group in per_template.items():
+                assert by_llm[qid][name].scores.tobytes() == group.scores.tobytes(), (qid, name)
+                walks += len(group)
+        assert walks == 13_160
+
+    @settings(max_examples=300, deadline=None)
+    @given(prefix=st.tuples(
+        st.sampled_from(["", " ", "  ", "   ", "\t ", " \t"]),
+        st.text(alphabet="0123456789\u0663\u00b2\u2167a ", max_size=4),
+        st.sampled_from([". ", ".", " .", ".. ", ". . ", ".\t"]),
+    ).map("".join))
+    @example(prefix="  3. ")
+    @example(prefix="  . ")
+    @example(prefix="  1.. ")
+    @example(prefix="  \u0663. ")
+    @example(prefix="  03. ")
+    @example(prefix="  12. ")
+    def test_a_path_line_is_read_only_under_its_own_number(self, prefix, g):
+        # the old reader took any "  <decimal digits>. " (re.match(r"^  \d+\. ", line)), Unicode
+        # digits included; the reader takes path line n only after "  n. ", as rendered
+        walks = sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q1", n=1, walk_len=7, seed=3)
+        [(p, prompt)] = prompts_of(walks)
+        line = prompt.splitlines()[6]
+        assert line.startswith("  3. Q:")
+        changed = prompt.replace(line, prefix + line[len("  3. "):])
+        if prefix == "  3. ":
+            assert _read_scoring_prompt(changed) == reference_parse_scoring_prompt(changed)
+        else:
+            with pytest.raises(TransportError, match="path line"):
+                _read_scoring_prompt(changed)
+
+    @pytest.mark.parametrize("cut", ["path block", "hops_from_target", "ability_level", "kind"])
+    def test_a_prompt_not_laid_out_as_rendered_fails_naming_the_line(self, cut, g):
+        walks = sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q1", n=1, walk_len=7, seed=3)
+        [(_, prompt)] = prompts_of(walks)
+        lines = prompt.splitlines()
+        if cut == "path block":
+            changed, named = prompt.replace("\npath:\n", "\n"), "no target_kc line followed by a path block"
+        elif cut == "hops_from_target":
+            named = lines[4]
+            changed = prompt.replace(named, re.sub(r" \| hops_from_target: \d+$", "", named))
+            named = named.rsplit(" | ", 1)[0]
+        elif cut == "ability_level":
+            named = next(line for line in lines if " U:" in line)
+            changed = prompt.replace(named, named.rsplit(" | ", 1)[0])
+            named = named.rsplit(" | ", 1)[0]
+        else:
+            named = next(line for line in lines if " K:" in line)
+            changed = prompt.replace(named, named.replace(" K:", " X:"))
+            named = named.replace(" K:", " X:")
+        for read in (_read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+            with pytest.raises(TransportError) as err:
+                read(changed)
+            assert str(err.value).startswith("mock transport cannot read this scoring prompt: ")
+            assert named in str(err.value) or repr(named) in str(err.value)
