@@ -117,13 +117,16 @@ def resolve_config(file_values: Mapping | None = None, overrides: Mapping | None
 
 
 def check_choices(cfg: RunConfig) -> None:
-    """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``
-    and the history window is not negative."""
+    """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``,
+    every count is at least 1 and the history window is not negative."""
     for key, allowed in CHOICES.items():
         values = cfg.variants if key == "variants" else (getattr(cfg, key),)
         for value in values:
             if value not in allowed:
                 raise ConfigError(f"config field {key!r}: {value!r} is not one of {', '.join(allowed)}")
+    for key in ("n_walks", "walk_len", "top_k", "top_s", "runs", "pair_sample"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"config field {key!r}: {getattr(cfg, key)!r} is less than 1")
     if cfg.window < 0:
         raise ConfigError(f"config field 'window': {cfg.window!r} is negative")
 

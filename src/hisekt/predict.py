@@ -13,12 +13,13 @@ and accuracy per KC, and its overall accuracy.  Only dataset facts are kept
 there; abilities, difficulties and levels are read from the (mutable)
 ``IrtModel`` on every call.
 
-Two readers invert a rendered prompt.  :func:`parse_prompt` recovers every
-field, as the renderers' full inverse.  The mock backend's reader,
-:func:`_mock_fields`, finds the blocks with ``str.find`` and reads only the
-lines the reply formula uses: the target's id and ability, the question
-block and each peer's two accuracy lines; history rows are skipped unread.
-Both return the same field names, and :func:`mock_reply` is the one formula.
+The mock backend reads a rendered prompt with :func:`_mock_fields`.  It finds
+the blocks with ``str.find`` and reads only the lines the reply formula uses:
+the target's id and ability, the question block and each peer's two accuracy
+lines; history rows are skipped unread.  A prompt it cannot read raises
+``TransportError("mock transport cannot read this prediction prompt: ...")``
+naming the missing or unparsable field, so the ``predict`` stage fails rather
+than answer from a default.  :func:`mock_reply` is the one reply formula.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .dataset import Dataset, Interaction
-from .errors import PredictionError
+from .errors import PredictionError, TransportError
 from .irt import IrtModel, Level, probability
 from .llm import LlmClient
 
@@ -88,7 +89,7 @@ class PromptBundle:
     discrimination: float | None
     difficulty_level: str | None
     cold_start: bool
-    peers: tuple[PeerInfo, ...] | None
+    peers: tuple[PeerInfo, ...]
     ablation_mask: frozenset[str]
 
     @property
@@ -131,7 +132,7 @@ class PromptBundle:
 
     @property
     def peers_block(self) -> str | None:
-        if MASK_SIMU in self.ablation_mask or self.peers is None:
+        if MASK_SIMU in self.ablation_mask:
             return None
         lines = ["=== SIMILAR STUDENTS ===", f"peer_count: {len(self.peers)}"]
         for peer in self.peers:
@@ -311,187 +312,121 @@ def build_prompt(
     )
 
 
-# -- prompt parsing (the renderers' full inverse) -----------------------------
+# -- prediction backends ------------------------------------------------------
 
 
 def _parse_scalar(raw: str) -> float | None:
     return None if raw == "none" else float(raw)
 
 
-def parse_prompt(text: str) -> dict:
-    """Recover the field values of a rendered prompt (inverse of the renderers)."""
-    fields: dict = {
-        "history": [],
-        "peers": None,
-        "has_irt": False,
-    }
-    current_peer: dict | None = None
-    section = ""
-    for line in text.splitlines():
-        if line.startswith("=== "):
-            section = line.strip("= ").strip()
-            if section == "SIMILAR STUDENTS":
-                fields["peers"] = []
-            continue
-        if section == "TARGET STUDENT":
-            if line.startswith("student_id: "):
-                fields["target_student"] = line.split(": ", 1)[1]
-            elif line.startswith("ability: "):
-                fields["theta"] = float(line.split(": ", 1)[1])
-                fields["has_irt"] = True
-            elif line.startswith("ability_level: "):
-                fields["ability_level"] = line.split(": ", 1)[1]
-            elif line.startswith("  - question: "):
-                fields["history"].append(_parse_history_row(line, fields["has_irt"]))
-        elif section == "TARGET QUESTION":
-            if line.startswith("question_id: "):
-                fields["question_id"] = line.split(": ", 1)[1]
-            elif line.startswith("kcs: "):
-                fields["question_kcs"] = tuple(line.split(": ", 1)[1].split(";"))
-            elif line.startswith("target_kc: "):
-                fields["target_kc"] = line.split(": ", 1)[1]
-            elif line.startswith("student_accuracy_on_target_kc: "):
-                fields["student_kc_accuracy"] = _parse_scalar(line.split(": ", 1)[1])
-            elif line.startswith("difficulty: "):
-                fields["difficulty"] = float(line.split(": ", 1)[1])
-            elif line.startswith("discrimination: "):
-                fields["discrimination"] = float(line.split(": ", 1)[1])
-            elif line.startswith("difficulty_level: "):
-                fields["difficulty_level"] = line.split(": ", 1)[1]
-            elif line == "cold_start: true":
-                fields["cold_start"] = True
-        elif section == "SIMILAR STUDENTS":
-            if line.startswith("peer: "):
-                current_peer = {"student_id": line.split(": ", 1)[1], "history": []}
-                fields["peers"].append(current_peer)
-            elif current_peer is not None:
-                stripped = line.strip()
-                if stripped.startswith("ability: "):
-                    current_peer["theta"] = float(stripped.split(": ", 1)[1])
-                elif stripped.startswith("ability_level: "):
-                    current_peer["ability_level"] = stripped.split(": ", 1)[1]
-                elif stripped.startswith("target_kc_accuracy: "):
-                    current_peer["target_kc_accuracy"] = _parse_scalar(stripped.split(": ", 1)[1])
-                elif stripped.startswith("overall_accuracy: "):
-                    current_peer["overall_accuracy"] = float(stripped.split(": ", 1)[1])
-                elif line.startswith("    - question: "):
-                    body, _, timestamp = line[len("    - question: "):].rpartition(" | timestamp: ")
-                    question, _, correct = body.rpartition(" | correct: ")
-                    current_peer["history"].append((question, correct == "1", int(timestamp)))
-    return fields
+def _unreadable(what: str) -> TransportError:
+    return TransportError(f"mock transport cannot read this prediction prompt: {what}")
 
 
-def _parse_history_row(line: str, has_irt: bool) -> dict:
-    """Read a target history row from the right: only its first two values (ids) may hold `` | ``."""
-    body = line[len("  - question: "):]
-    if has_irt:
-        body, _, level = body.rpartition(" | difficulty_level: ")
-        body, _, discrimination = body.rpartition(" | discrimination: ")
-        body, _, difficulty = body.rpartition(" | difficulty: ")
-    body, _, timestamp = body.rpartition(" | timestamp: ")
-    body, _, correct = body.rpartition(" | correct: ")
-    question, _, kcs = body.rpartition(" | kcs: ")
-    row = {
-        "question_id": question,
-        "kcs": tuple(kcs.split(";")),
-        "correct": correct == "1",
-        "timestamp": int(timestamp),
-    }
-    if has_irt:
-        row["difficulty"] = float(difficulty)
-        row["discrimination"] = float(discrimination)
-        row["difficulty_level"] = level
-    return row
-
-
-# -- prediction backends ------------------------------------------------------
+def _value(key: str, raw: str, parse=float):
+    """``raw``, the value of a ``key`` line, read by ``parse``; TransportError naming the line if it cannot be."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise _unreadable(f"{key} {raw!r}") from None
 
 
 _STUDENT_ID_AT = f"{PREDICTION_PROMPT_HEADER}\n=== TARGET STUDENT ===\nstudent_id: "
 _QUESTION_HEADER = "\n=== TARGET QUESTION ===\n"
 _PEERS_HEADER = "\n=== SIMILAR STUDENTS ===\n"
 _TASK_HEADER = "\n=== TASK ===\n"
+_PEER_COUNT = "peer_count: "
 _PEER_KC_ACCURACY = "\n  target_kc_accuracy: "
 _PEER_OVERALL_ACCURACY = "\n  overall_accuracy: "
 
 
 def _mock_fields(text: str) -> dict:
-    """The fields of ``parse_prompt`` that :func:`mock_reply` reads, found without reading history rows.
+    """The fields :func:`mock_reply` reads from a rendered prediction prompt, found without reading
+    history rows.  Raises TransportError naming the first field that is missing or does not parse.
 
-    Headers and peer accuracy lines are found with ``str.find``: each starts a
-    line with a fixed prefix that no other rendered line starts with.  A text
-    not laid out as the renderers lay it out is left to ``parse_prompt``.
+    Headers and peer accuracy lines are found with ``str.find``: each starts a line with a fixed
+    prefix that no other rendered line starts with, since every id follows a key on its line.
+    ``ability``, ``difficulty`` and ``discrimination`` are all present or, under the IRT mask, all
+    absent; each peer's ``target_kc_accuracy`` line is followed by its ``overall_accuracy`` line;
+    and as many peers are read as ``peer_count`` says.
     """
+    if not text.startswith(_STUDENT_ID_AT):
+        raise _unreadable("no student_id line")
     question_at = text.find(_QUESTION_HEADER)
     task_at = text.find(_TASK_HEADER, question_at + 1)
-    if not text.startswith(_STUDENT_ID_AT) or question_at < 0 or task_at < 0:
-        return parse_prompt(text)
+    if question_at < 0 or task_at < 0:
+        raise _unreadable("no target question block followed by a task block")
     at = len(_STUDENT_ID_AT)
     end = text.find("\n", at)
     fields: dict = {"target_student": text[at:end], "peers": None}
     if text.startswith("ability: ", end + 1):
-        fields["theta"] = float(text[end + len("\nability: ") : text.find("\n", end + 1)])
+        fields["theta"] = _value("ability", text[end + len("\nability: ") : text.find("\n", end + 1)])
     peers_at = text.find(_PEERS_HEADER, question_at + 1, task_at)
     question_block = text[question_at + len(_QUESTION_HEADER) : task_at if peers_at < 0 else peers_at]
-    for line in question_block.split("\n"):
-        key, _, raw = line.partition(": ")
-        if key in ("question_id", "target_kc"):
-            fields[key] = raw
-        elif key == "student_accuracy_on_target_kc":
-            fields["student_kc_accuracy"] = _parse_scalar(raw)
-        elif key in ("difficulty", "discrimination"):
-            fields[key] = float(raw)
+    given = dict(line.partition(": ")[::2] for line in question_block.split("\n"))
+    for key in ("question_id", "target_kc", "student_accuracy_on_target_kc"):
+        if key not in given:
+            raise _unreadable(f"no {key} line")
+    fields["question_id"] = given["question_id"]
+    fields["target_kc"] = given["target_kc"]
+    fields["student_kc_accuracy"] = _value("student_accuracy_on_target_kc", given["student_accuracy_on_target_kc"],
+                                           _parse_scalar)
+    irt = "theta" in fields
+    if irt != ("difficulty" in given) or irt != ("discrimination" in given):
+        raise _unreadable("ability, difficulty and discrimination are neither all present nor all absent")
+    if irt:
+        fields["difficulty"] = _value("difficulty", given["difficulty"])
+        fields["discrimination"] = _value("discrimination", given["discrimination"])
     if peers_at >= 0:
-        fields["peers"] = []
-        at = text.find(_PEER_KC_ACCURACY, peers_at, task_at)
+        at = peers_at + len(_PEERS_HEADER)
+        end = text.find("\n", at)
+        if not text.startswith(_PEER_COUNT, at):
+            raise _unreadable("no peer_count line")
+        count = _value("peer_count", text[at + len(_PEER_COUNT) : end], int)
+        peers = fields["peers"] = []
+        at = text.find(_PEER_KC_ACCURACY, end, task_at)
         while at >= 0:
             at += len(_PEER_KC_ACCURACY)
             end = text.find("\n", at)
+            if not text.startswith(_PEER_OVERALL_ACCURACY, end):
+                raise _unreadable(f"no overall_accuracy line after target_kc_accuracy {text[at:end]!r}")
             overall_at = end + len(_PEER_OVERALL_ACCURACY)  # the line right after
             overall_end = text.find("\n", overall_at)
-            fields["peers"].append(
+            peers.append(
                 {
-                    "target_kc_accuracy": _parse_scalar(text[at:end]),
-                    "overall_accuracy": float(text[overall_at:overall_end]),
+                    "target_kc_accuracy": _value("target_kc_accuracy", text[at:end], _parse_scalar),
+                    "overall_accuracy": _value("overall_accuracy", text[overall_at:overall_end]),
                 }
             )
             at = text.find(_PEER_KC_ACCURACY, overall_end, task_at)
+        if len(peers) != count:
+            raise _unreadable(f"peer_count {count}, but {len(peers)} peers")
     return fields
 
 
 def mock_reply(fields: dict) -> str:
-    """The mock's reply to a prompt whose fields are ``fields`` (as ``parse_prompt`` names them).
+    """The mock's reply to a prompt whose fields are ``fields``, as :func:`_mock_fields` names them.
 
     The base probability is the response-model value for the target pair; the
     mean peer accuracy on the target KC pulls it with weight 0.3 when a peer
     block is present.  With ability/difficulty masked, the student's own
     accuracy on the target KC stands in for the base.
     """
-    theta = fields.get("theta")
-    a = fields.get("discrimination")
-    b = fields.get("difficulty")
-    if theta is not None and a is not None and b is not None:
-        base = probability(theta, a, b)
+    if "theta" in fields:
+        base = probability(fields["theta"], fields["discrimination"], fields["difficulty"])
     else:
-        kc_acc = fields.get("student_kc_accuracy")
+        kc_acc = fields["student_kc_accuracy"]
         base = kc_acc if kc_acc is not None else 0.5
-    peers = fields.get("peers")
     peer_values = []
-    if peers is not None:
-        for peer in peers:
-            acc = peer.get("target_kc_accuracy")
-            if acc is None:
-                acc = peer.get("overall_accuracy")
-            if acc is not None:
-                peer_values.append(acc)
+    for peer in fields["peers"] or ():
+        acc = peer["target_kc_accuracy"]
+        peer_values.append(peer["overall_accuracy"] if acc is None else acc)
     p, peer_mean = base, None
     if peer_values:
         peer_mean = sum(peer_values) / len(peer_values)
         p = (1.0 - PEER_WEIGHT) * base + PEER_WEIGHT * peer_mean
 
-    student = fields.get("target_student", "?")
-    question = fields.get("question_id", "?")
-    kc = fields.get("target_kc", "?")
+    student, question, kc = fields["target_student"], fields["question_id"], fields["target_kc"]
     outcome = "correct" if p >= 0.5 else "wrong"
     confidence = max(p, 1.0 - p)
     first = f"The baseline success estimate for student {student} on question {question} is {base:.4f}."

@@ -1,12 +1,14 @@
-"""Reference forms of the prediction prompt's builder and mock reply, and of the scoring
-prompt's reader, for equality tests.
+"""Reference forms of the prediction prompt's builder, reader and mock reply, and of the
+scoring prompt's reader, for equality tests.
 
 ``reference_build_prompt`` is the builder as it was before prompts were built
 from per-student tables: it scans the train rows of the target and of every
 peer for each prompt.  It differs from that builder in one place: a window of
 0 shows no history rows (the slice ``rows[-0:]`` showed them all).
-``reference_mock_reply`` answers a prompt from the full ``parse_prompt``,
-where the mock backend reads only the lines it uses.
+``parse_prompt`` recovers every field of a rendered prediction prompt, as
+the renderers' full inverse.  ``reference_mock_reply`` answers a prompt from
+it; the mock backend reads only the lines it uses, and fails on a prompt not
+laid out as rendered.
 
 ``reference_parse_scoring_prompt`` is the scoring mock's reader as it was
 before it read path lines by their node kind: every line numbered
@@ -19,7 +21,7 @@ from typing import Sequence
 from hisekt.dataset import Dataset
 from hisekt.irt import IrtModel, Level
 from hisekt.mrhin import Node
-from hisekt.predict import DEFAULT_WINDOW, HistoryRow, PeerInfo, PromptBundle, mock_reply, parse_prompt
+from hisekt.predict import DEFAULT_WINDOW, HistoryRow, PeerInfo, PromptBundle, _parse_scalar, mock_reply
 
 
 def _kc_accuracy(rows: Sequence, kc: str) -> float | None:
@@ -92,6 +94,92 @@ def reference_build_prompt(
         peers=tuple(peer_infos),
         ablation_mask=mask,
     )
+
+
+def parse_prompt(text: str) -> dict:
+    """Recover the field values of a rendered prompt (inverse of the renderers)."""
+    fields: dict = {
+        "history": [],
+        "peers": None,
+        "has_irt": False,
+    }
+    current_peer: dict | None = None
+    section = ""
+    for line in text.splitlines():
+        if line.startswith("=== "):
+            section = line.strip("= ").strip()
+            if section == "SIMILAR STUDENTS":
+                fields["peers"] = []
+            continue
+        if section == "TARGET STUDENT":
+            if line.startswith("student_id: "):
+                fields["target_student"] = line.split(": ", 1)[1]
+            elif line.startswith("ability: "):
+                fields["theta"] = float(line.split(": ", 1)[1])
+                fields["has_irt"] = True
+            elif line.startswith("ability_level: "):
+                fields["ability_level"] = line.split(": ", 1)[1]
+            elif line.startswith("  - question: "):
+                fields["history"].append(_parse_history_row(line, fields["has_irt"]))
+        elif section == "TARGET QUESTION":
+            if line.startswith("question_id: "):
+                fields["question_id"] = line.split(": ", 1)[1]
+            elif line.startswith("kcs: "):
+                fields["question_kcs"] = tuple(line.split(": ", 1)[1].split(";"))
+            elif line.startswith("target_kc: "):
+                fields["target_kc"] = line.split(": ", 1)[1]
+            elif line.startswith("student_accuracy_on_target_kc: "):
+                fields["student_kc_accuracy"] = _parse_scalar(line.split(": ", 1)[1])
+            elif line.startswith("difficulty: "):
+                fields["difficulty"] = float(line.split(": ", 1)[1])
+            elif line.startswith("discrimination: "):
+                fields["discrimination"] = float(line.split(": ", 1)[1])
+            elif line.startswith("difficulty_level: "):
+                fields["difficulty_level"] = line.split(": ", 1)[1]
+            elif line == "cold_start: true":
+                fields["cold_start"] = True
+        elif section == "SIMILAR STUDENTS":
+            if line.startswith("peer: "):
+                current_peer = {"student_id": line.split(": ", 1)[1], "history": []}
+                fields["peers"].append(current_peer)
+            elif current_peer is not None:
+                stripped = line.strip()
+                if stripped.startswith("ability: "):
+                    current_peer["theta"] = float(stripped.split(": ", 1)[1])
+                elif stripped.startswith("ability_level: "):
+                    current_peer["ability_level"] = stripped.split(": ", 1)[1]
+                elif stripped.startswith("target_kc_accuracy: "):
+                    current_peer["target_kc_accuracy"] = _parse_scalar(stripped.split(": ", 1)[1])
+                elif stripped.startswith("overall_accuracy: "):
+                    current_peer["overall_accuracy"] = float(stripped.split(": ", 1)[1])
+                elif line.startswith("    - question: "):
+                    body, _, timestamp = line[len("    - question: "):].rpartition(" | timestamp: ")
+                    question, _, correct = body.rpartition(" | correct: ")
+                    current_peer["history"].append((question, correct == "1", int(timestamp)))
+    return fields
+
+
+def _parse_history_row(line: str, has_irt: bool) -> dict:
+    """Read a target history row from the right: only its first two values (ids) may hold `` | ``."""
+    body = line[len("  - question: "):]
+    if has_irt:
+        body, _, level = body.rpartition(" | difficulty_level: ")
+        body, _, discrimination = body.rpartition(" | discrimination: ")
+        body, _, difficulty = body.rpartition(" | difficulty: ")
+    body, _, timestamp = body.rpartition(" | timestamp: ")
+    body, _, correct = body.rpartition(" | correct: ")
+    question, _, kcs = body.rpartition(" | kcs: ")
+    row = {
+        "question_id": question,
+        "kcs": tuple(kcs.split(";")),
+        "correct": correct == "1",
+        "timestamp": int(timestamp),
+    }
+    if has_irt:
+        row["difficulty"] = float(difficulty)
+        row["discrimination"] = float(discrimination)
+        row["difficulty_level"] = level
+    return row
 
 
 def reference_mock_reply(text: str) -> str:

@@ -1,8 +1,9 @@
 """Test helpers with no caller in the package: a client that plays back canned LLM replies,
-and the shape check of criterion 8's AUC-by-K series."""
+a prompt bundle whose text is cut, and the shape check of criterion 8's AUC-by-K series."""
 
 from hisekt.errors import TransportError
 from hisekt.llm import LlmClient
+from hisekt.predict import PromptBundle
 
 
 def scripted_client(replies, **kwargs):
@@ -16,6 +17,15 @@ def scripted_client(replies, **kwargs):
         return queue.pop(0)
 
     return LlmClient(backend="mock", transport=transport, **kwargs)
+
+
+class CutPromptBundle(PromptBundle):
+    """A prediction prompt bundle whose text ends where its target question block would start."""
+
+    @property
+    def text(self) -> str:
+        full = super().text
+        return full[: full.index("=== TARGET QUESTION ===")]
 
 
 def unimodal_or_plateau(values, tol=0.01):

@@ -18,6 +18,8 @@ from hisekt.predict import is_prediction_prompt
 from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
+from support import CutPromptBundle
+
 
 @pytest.fixture(scope="module")
 def data_file(tmp_path_factory):
@@ -156,6 +158,27 @@ class TestWindow:
         for text in texts:
             assert "recent_interactions: 0\n=== TARGET QUESTION ===" in text
             assert "\n  - question: " not in text
+
+
+# each count at 0 and below: the config is refused before the first stage runs
+COUNTS = [(key, value) for key in ("n_walks", "walk_len", "top_k", "top_s", "runs", "pair_sample") for value in (0, -3)]
+
+
+class TestCounts:
+    @pytest.mark.parametrize("key, value", COUNTS)
+    def test_a_count_flag_below_one_fails_before_any_stage(self, config_file, tmp_path, capsys, key, value):
+        assert main(["pipeline", "--config", str(config_file), "--" + key.replace("_", "-"), str(value)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage pipeline: config field '{key}': {value} is less than 1")
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("key, value", COUNTS)
+    def test_a_count_below_one_in_a_run_config(self, data_file, key, value):
+        cfg = RunConfig(data=str(data_file), **{key: value})
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            PipelineContext(cfg)
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            run_experiment(cfg)
 
 
 class TestCliStages:
@@ -414,6 +437,19 @@ class TestCliStages:
             assert err.startswith("error in stage score-paths: mock transport cannot read this scoring prompt: ")
             assert ("path line '  1. Q:" if cut == "hops_from_target" else "no target_kc line") in err
 
+    def test_a_prediction_prompt_the_mock_cannot_read_is_a_stage_failure(self, config_file, monkeypatch, capsys):
+        for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths", "retrieve"):
+            assert main([stage, "--config", str(config_file)]) == 0
+        build = predict.build_prompt
+        monkeypatch.setattr(predict, "build_prompt", lambda *args: CutPromptBundle(**vars(build(*args))))
+        predictions = cli._cache_dir(resolve_config(load_config_file(config_file), {})) / "predictions.jsonl"
+        capsys.readouterr()
+        for command in ("predict", "pipeline"):
+            assert main([command, "--config", str(config_file)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error in stage predict: mock transport cannot read this prediction prompt: ")
+            assert not predictions.exists()
+
     def test_retrieval_without_a_target_is_a_stage_failure(self, config_file, capsys):
         for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths", "retrieve"):
             assert main([stage, "--config", str(config_file)]) == 0
@@ -440,13 +476,17 @@ class TestCliStages:
 
 
 class TestGoldenArtifacts:
-    # sha256 of the walk files and the report of a tiny LLM-backend pipeline on the acceptance
-    # fixture, run from relative paths so the report's echoed config does not name a temporary
-    # directory.  Recorded before the walk files were built from JSON fragments and the mock
-    # scorer read path lines by their kind: a change to either codec shows here.
+    # sha256 of the walk files, the peers, the predictions and the report of a tiny LLM-backend
+    # pipeline on the acceptance fixture, run from relative paths so the report's echoed config
+    # does not name a temporary directory.  The walk files' digests were recorded before they were
+    # built from JSON fragments and the mock scorer read path lines by their kind; the peers' and
+    # predictions' before the mock predictor's reader became strict: a change to a codec or to
+    # what a mock reads shows here.
     DIGESTS = {
         "paths.jsonl": "87dc28faf1d72e1f69484946c0da9deed0fa4b0f80e724f76a274c3809b2d49a",
         "scored.jsonl": "a0f2194b942a23389bbd3764f818bff4b0fdac963a934f27e09b5fefe4219bb0",
+        "retrieval.json": "82d1a183e294492e8020ca6a47ff9e1eaecf8abe1d9e3bddad9a6e8dd3278b2c",
+        "predictions.jsonl": "807d17cdd2c04f7c728f2aeae6fc07199fedc61c6a1b5e7487bf00afe4a4cc78",
         "report.json": "7f2a099d508e0fa29eedf0d585247ea082a3fde0eab37c376fd8c4687b3c3777",
     }
 

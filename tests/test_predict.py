@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hisekt import predict as predict_mod
 from hisekt.config import RunConfig
 from hisekt.dataset import Dataset, Interaction
-from hisekt.errors import PredictionError
+from hisekt.errors import PredictionError, TransportError
 from hisekt.evaluation import PipelineContext, run_experiment
 from hisekt.irt import IrtModel, Level, probability
 from hisekt.llm import LlmClient
@@ -23,14 +24,13 @@ from hisekt.predict import (
     build_prompt,
     count_sentences,
     mock_prediction_reply,
-    parse_prompt,
     predict,
     student_facts,
 )
 from hisekt.synth import planted_csv
 
-from prompt_reference import reference_build_prompt, reference_mock_reply
-from support import scripted_client
+from prompt_reference import parse_prompt, reference_build_prompt, reference_mock_reply
+from support import CutPromptBundle, scripted_client
 
 GOLDEN = Path(__file__).parent / "golden"
 MOCK = LlmClient(backend="mock")
@@ -412,7 +412,7 @@ bundles = st.builds(
     question_id=ids, question_kcs=st.lists(ids, min_size=1, max_size=3).map(tuple), target_kc=ids,
     student_kc_accuracy=st.none() | accuracies, difficulty=reals, discrimination=positive,
     difficulty_level=labels, cold_start=st.booleans(),
-    peers=st.none() | st.lists(peer_infos, max_size=4).map(tuple),
+    peers=st.lists(peer_infos, max_size=4).map(tuple),
     ablation_mask=st.sampled_from([frozenset(), frozenset({MASK_SIMU}), frozenset({MASK_IRT}),
                                    frozenset({MASK_SIMU, MASK_IRT})]),
 )
@@ -421,13 +421,43 @@ bundles = st.builds(
 def assert_lean_read_matches(text):
     lean = predict_mod._mock_fields(text)
     full = parse_prompt(text)
-    assert "history" not in lean  # the lean reader ran, not its fallback to parse_prompt
     for key, value in lean.items():
         if key == "peers" and value is not None:
             assert value == [{k: peer[k] for k in ("target_kc_accuracy", "overall_accuracy")} for peer in full["peers"]]
         else:
             assert value == full[key], key
     assert mock_prediction_reply(text) == reference_mock_reply(text)
+
+
+# (name, pattern, replacement, the error's text): garble the golden prompt at the pattern's first match
+NOT_ALL_IRT = "ability, difficulty and discrimination are neither all present nor all absent"
+GARBLED = [
+    # a cut prompt, which must not be answered from default ids and a 0.5 base
+    ("cut", r"(?s)\n=== TARGET QUESTION ===.*", "", "no target question block followed by a task block"),
+    ("no-task", r"=== TASK ===", "=== END ===", "no target question block followed by a task block"),
+    ("no-student-id", r"student_id: SA\n", "", "no student_id line"),
+    ("no-question-id", r"question_id: QT\n", "", "no question_id line"),
+    ("no-target-kc", r"target_kc: K1\n", "", "no target_kc line"),
+    ("no-own-accuracy", r"student_accuracy_on_target_kc: .*\n", "", "no student_accuracy_on_target_kc line"),
+    # only some IRT fields, which must not be answered from the IRT-masked base
+    ("no-discrimination", r"\ndiscrimination: 1.5", "", NOT_ALL_IRT),
+    ("no-difficulty", r"\ndifficulty: 0.5", "", NOT_ALL_IRT),
+    ("no-ability", r"\nability: 0.25", "", NOT_ALL_IRT),
+    # a peer without its overall_accuracy line, whose next line ("  target_kc_history: 3") must not be read for it
+    ("no-overall-accuracy", r"\n  overall_accuracy: .*", "",
+     "no overall_accuracy line after target_kc_accuracy '0.3333333333333333'"),
+    ("peer-count-too-high", r"peer_count: 1", "peer_count: 2", "peer_count 2, but 1 peers"),
+    ("no-peer-count", r"peer_count: 1\n", "", "no peer_count line"),
+    ("peer-count-word", r"peer_count: 1", "peer_count: one", "peer_count 'one'"),
+    # a value that does not parse, which must fail the stage, not escape it as a bare ValueError
+    ("difficulty-word", r"difficulty: 0.5", "difficulty: x0.5", "difficulty 'x0.5'"),
+    ("ability-word", r"ability: 0.25", "ability: high", "ability 'high'"),
+    ("discrimination-none", r"discrimination: 1.5", "discrimination: none", "discrimination 'none'"),
+    ("own-accuracy-word", r"student_accuracy_on_target_kc: .*", "student_accuracy_on_target_kc: ?",
+     "student_accuracy_on_target_kc '?'"),
+    ("peer-accuracy-empty", r"target_kc_accuracy: .*", "target_kc_accuracy: ", "target_kc_accuracy ''"),
+    ("overall-accuracy-none", r"overall_accuracy: .*", "overall_accuracy: none", "overall_accuracy 'none'"),
+]
 
 
 class TestMockReader:
@@ -440,9 +470,22 @@ class TestMockReader:
         for mask in (frozenset(), frozenset({MASK_SIMU}), frozenset({MASK_IRT}), frozenset({MASK_SIMU, MASK_IRT})):
             assert_lean_read_matches(golden_bundle(mask).text)
 
-    def test_a_text_not_laid_out_as_rendered_falls_back_to_the_full_parser(self):
-        for text in (PREDICTION_PROMPT_HEADER, golden_bundle().text.replace("=== TASK ===", "=== END ===")):
-            assert mock_prediction_reply(text) == reference_mock_reply(text)
+    @pytest.mark.parametrize("name, pattern, replacement, what", GARBLED, ids=[case[0] for case in GARBLED])
+    def test_a_prompt_not_laid_out_as_rendered_is_a_transport_error(self, name, pattern, replacement, what):
+        text = re.sub(pattern, replacement, golden_bundle().text, count=1)
+        assert text != golden_bundle().text
+        unreadable = "^mock transport cannot read this prediction prompt: "
+        with pytest.raises(TransportError, match=unreadable + re.escape(what)):
+            MOCK.complete(text)
+
+    def test_irt_lines_under_the_irt_mask_are_a_transport_error(self):
+        text = golden_bundle(frozenset({MASK_IRT})).text.replace("\ntarget_kc: K1", "\ntarget_kc: K1\ndifficulty: 0.5")
+        with pytest.raises(TransportError, match=NOT_ALL_IRT):
+            mock_prediction_reply(text)
+
+    def test_predict_fails_on_a_prompt_the_mock_cannot_read(self):
+        with pytest.raises(TransportError, match="cannot read this prediction prompt: no target question block"):
+            predict(CutPromptBundle(**vars(golden_bundle())), MOCK)
 
     def test_history_rows_with_separators_in_their_ids(self):
         d, m = golden_inputs()
