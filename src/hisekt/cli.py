@@ -15,8 +15,9 @@ artifact.  So ``pipeline`` samples, scores and predicts each target once,
 ``evaluate`` reuses the ``predict`` stage's run-0 predictions, and a warm
 ``pipeline`` parses only the artifacts its report needs.  A single-stage
 command refuses to run if an upstream artifact is missing.  Exit codes: 0
-success, 1 stage failure (a corrupt artifact, or one that lacks a test target,
-included), 2 usage error.
+success, 1 stage failure (a corrupt artifact, one that lacks a test target, and
+a model that lacks a student or question of the dataset included), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -104,6 +105,20 @@ def _write_irt(ctx: PipelineContext, path: Path) -> str:
     return f"{len(m.theta)} students, {len(m.diff)} questions"
 
 
+def _read_irt(path: Path, ctx: PipelineContext) -> irt_mod.IrtModel:
+    """The stored model; raises IngestError naming the file and the first student or question of the
+    dataset it lacks."""
+    m = irt_mod.load(path)
+    d = ctx.dataset
+    for ids, tables in ((d.students(), (m.theta, m.ability_level)),
+                        (d.questions(), (m.disc, m.diff, m.difficulty_level))):
+        for table in tables:
+            missing = next((i for i in ids if i not in table), None)
+            if missing is not None:
+                raise IngestError(f"{path}: no entry for {missing}")
+    return m
+
+
 def _write_graph(ctx: PipelineContext, path: Path) -> str:
     g = ctx.graph
     write_graph(g, path)
@@ -177,7 +192,7 @@ class Stage(NamedTuple):
 
 STAGES = {
     "ingest": Stage("dataset.csv", "dataset", (), _write_dataset, lambda path, ctx: dataset_mod.load(path)),
-    "fit-irt": Stage("irt.tsv", "irt", ("ingest",), _write_irt, lambda path, ctx: irt_mod.load(path)),
+    "fit-irt": Stage("irt.json", "irt", ("ingest",), _write_irt, _read_irt),
     "build-hin": Stage("graph.json", "graph", ("ingest", "fit-irt"), _write_graph, lambda path, ctx: read_graph(path)),
     "sample-paths": Stage("paths.jsonl", "walks", ("ingest", "build-hin"), _write_walks,
                           lambda path, ctx: read_walks(path, ctx.graph)),
@@ -217,7 +232,7 @@ def _read(stage: Stage, path: Path, ctx: PipelineContext):
     """``stage.read`` of its artifact, a malformed one raising IngestError that names the file."""
     try:
         return stage.read(path, ctx)
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
         raise IngestError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -293,9 +293,10 @@ def serialize(d: Dataset) -> str:
 
 
 def load(source: str | Path | IO[str]) -> Dataset:
-    """Read a dataset previously written by :func:`serialize`, restoring splits."""
+    """Read a dataset previously written by :func:`serialize`, restoring splits; IngestError naming
+    ``source`` if it has no split labels."""
     d, label_of = _read(source)
     if not label_of:
-        return d
+        raise IngestError(f"{source}: no split labels")
     labels = [label_of[(i.student_id, i.question_id, i.timestamp)] for i in d.interactions]
     return Dataset(d.interactions, labels, d.dropped_rows, d.duplicate_rows)

@@ -134,7 +134,7 @@ def stage_keys(cfg: RunConfig, run_seed: int, variant: str | None = None) -> dic
     stages it reads."""
     select_mode, peer_mode, mask = ABLATIONS[variant]
     replies = (cfg.llm_backend, cfg.llm_endpoint, cfg.llm_model)
-    data = (cfg.data, cfg.seed)
+    data = (cfg.data,)  # the split is the same for every seed
     run = (*data, run_seed)
     walks = ("walks", run, cfg.n_walks, cfg.walk_len)
     scored = ("scored", walks, cfg.score_backend, replies if cfg.score_backend == "llm" else None)

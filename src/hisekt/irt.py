@@ -20,15 +20,19 @@ DECREMENT_TOL * (1 + |objective|); MAX_ROUNDS is only a guard.  A joint step
 moves along the ridge theta -> c theta, b -> c b, a -> a / c, on which the
 predictor is constant and only the weak penalty acts, and along which
 alternating block updates crawl.  The fit is deterministic given the data.
+
+:func:`fit` is the only code that sets priors: the model it returns covers
+every student and question of the dataset, so readers index it directly.
+:func:`serialize` and :func:`load` store the model as JSON of its init fields.
 """
 
 from __future__ import annotations
 
 import enum
-import io
+import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Mapping
 
@@ -110,7 +114,11 @@ def population_stats(values: Mapping[str, float]) -> tuple[float, float]:
 
 @dataclass
 class IrtModel:
-    """Fitted parameters plus level assignments for every student and question."""
+    """Fitted parameters plus level assignments for every student and question.
+
+    A model from :func:`fit` covers every student and question of its dataset, cold-start ids
+    included, and readers index it directly: an id it lacks raises KeyError.
+    """
 
     theta: dict[str, float]
     disc: dict[str, float]
@@ -130,18 +138,15 @@ class IrtModel:
     _theta_rows: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def has_question(self, question_id: str) -> bool:
-        return question_id in self.diff
-
     def theta_array(self, students: tuple[str, ...]) -> np.ndarray:
-        """theta of each of ``students`` in order, 0.0 where the model has none.
+        """theta of each of ``students`` in order; KeyError if the model lacks one.
 
         Memoized per student tuple, so ``theta`` must not change after the
         first call.
         """
         rows = self._theta_rows.get(students)
         if rows is None:
-            rows = np.array([self.theta.get(s, 0.0) for s in students], dtype=float)
+            rows = np.array([self.theta[s] for s in students], dtype=float)
             self._theta_rows[students] = rows
         return rows
 
@@ -258,8 +263,11 @@ def train_arrays(d: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarr
 def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
     """Fit abilities and question parameters on the train split.
 
-    Students and questions that appear only in val/test receive the
-    population-prior fallback theta = b = 0, a = 1, level Medium.
+    The model covers every student and question of ``d``.  This is the one
+    place priors are set: students and questions that appear only in val/test
+    get theta = b = 0, a = 1 and level Medium, and are listed in
+    ``cold_start_students`` / ``cold_start_questions``.  They are left out of
+    the population statistics and the level cut points.
     """
     students, questions, s_idx, q_idx, correct = train_arrays(d)
 
@@ -350,72 +358,26 @@ def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
 
 
 def serialize(m: IrtModel) -> str:
-    """Tab-separated text artifact: stats header then one row per student/question."""
-    buf = io.StringIO()
-    buf.write("# irt model v2\n")
-    buf.write(f"stats\tability\t{m.ability_mu!r}\t{m.ability_sigma!r}\n")
-    buf.write(f"stats\tdifficulty\t{m.difficulty_mu!r}\t{m.difficulty_sigma!r}\n")
-    buf.write(f"meta\tconverged\t{int(m.converged)}\t{m.rounds}\t{m.clamped_questions}\t{m.decrement!r}\n")
-    for s in sorted(m.theta):
-        cold = int(s in m.cold_start_students)
-        buf.write(f"student\t{s}\t{m.theta[s]!r}\t{m.ability_level[s].label}\t{cold}\n")
-    for q in sorted(m.diff):
-        cold = int(q in m.cold_start_questions)
-        buf.write(
-            f"question\t{q}\t{m.disc[q]!r}\t{m.diff[q]!r}\t{m.difficulty_level[q].label}\t{cold}\n"
-        )
-    return buf.getvalue()
+    """JSON of the model's init fields, keys sorted: levels by label, cold-start ids as sorted lists."""
+    values = {f.name: getattr(m, f.name) for f in fields(m) if f.init}
+    for name in ("ability_level", "difficulty_level"):
+        values[name] = {key: level.label for key, level in values[name].items()}
+    for name in ("cold_start_students", "cold_start_questions"):
+        values[name] = sorted(values[name])
+    return json.dumps(values, sort_keys=True) + "\n"
 
 
 def load(source: str | Path | IO[str]) -> IrtModel:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    theta: dict[str, float] = {}
-    disc: dict[str, float] = {}
-    diff: dict[str, float] = {}
-    ability_level: dict[str, Level] = {}
-    difficulty_level: dict[str, Level] = {}
-    stats = {"ability": (0.0, 0.0), "difficulty": (0.0, 0.0)}
-    converged, rounds, clamped, decrement = True, 0, 0, 0.0
-    cold_s: set[str] = set()
-    cold_q: set[str] = set()
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        kind = parts[0]
-        if kind == "stats":
-            stats[parts[1]] = (float(parts[2]), float(parts[3]))
-        elif kind == "meta":
-            converged = bool(int(parts[2]))
-            rounds, clamped, decrement = int(parts[3]), int(parts[4]), float(parts[5])
-        elif kind == "student":
-            theta[parts[1]] = float(parts[2])
-            ability_level[parts[1]] = Level.from_label(parts[3])
-            if int(parts[4]):
-                cold_s.add(parts[1])
-        elif kind == "question":
-            disc[parts[1]] = float(parts[2])
-            diff[parts[1]] = float(parts[3])
-            difficulty_level[parts[1]] = Level.from_label(parts[4])
-            if int(parts[5]):
-                cold_q.add(parts[1])
-    return IrtModel(
-        theta=theta,
-        disc=disc,
-        diff=diff,
-        ability_level=ability_level,
-        difficulty_level=difficulty_level,
-        ability_mu=stats["ability"][0],
-        ability_sigma=stats["ability"][1],
-        difficulty_mu=stats["difficulty"][0],
-        difficulty_sigma=stats["difficulty"][1],
-        converged=converged,
-        rounds=rounds,
-        clamped_questions=clamped,
-        decrement=decrement,
-        cold_start_students=frozenset(cold_s),
-        cold_start_questions=frozenset(cold_q),
-    )
+    """The model :func:`serialize` wrote, read whole: a cut file, a missing or unknown field, an
+    unknown level label or a level table that is not an object raises ValueError, TypeError or
+    AttributeError; no field falls back to its default."""
+    text = Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path)) else source.read()
+    values = json.loads(text)
+    missing = {f.name for f in fields(IrtModel) if f.init} - set(values)
+    if missing:
+        raise ValueError(f"missing fields {sorted(missing)}")
+    for name in ("ability_level", "difficulty_level"):
+        values[name] = {key: Level.from_label(label) for key, label in values[name].items()}
+    for name in ("cold_start_students", "cold_start_questions"):
+        values[name] = frozenset(values[name])
+    return IrtModel(**values)

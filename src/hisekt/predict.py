@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .dataset import Dataset, Interaction
 from .errors import PredictionError, TransportError
-from .irt import IrtModel, Level, probability
+from .irt import IrtModel, probability
 from .llm import LlmClient
 
 logger = logging.getLogger(__name__)
@@ -249,9 +249,11 @@ def build_prompt(
     """Assemble the three prompt blocks for one (student, question) target.
 
     ``peers`` is the ordered Top-S list; it may be empty.  ``window`` is the
-    number of the target's latest train rows shown (0 shows none).  A
-    question missing from the model gets the population-prior fallback
-    (difficulty 0, discrimination 1, level Medium) with a visible flag line.
+    number of the target's latest train rows shown (0 shows none).  ``m``
+    must cover the target, every peer and every question shown, as a model
+    from :func:`hisekt.irt.fit` covers every id of its dataset: a missing id
+    raises KeyError.  A question in ``m.cold_start_questions`` renders a
+    ``cold_start: true`` line.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
@@ -263,22 +265,17 @@ def build_prompt(
 
     history_rows = []
     for qid, kcs, correct, timestamp in own.history[max(len(own.history) - window, 0):]:
-        known = m.has_question(qid)
         history_rows.append(
             HistoryRow(
                 question_id=qid,
                 kcs=kcs,
                 correct=correct,
                 timestamp=timestamp,
-                difficulty=m.diff[qid] if known else 0.0,
-                discrimination=m.disc[qid] if known else 1.0,
-                difficulty_level=(m.difficulty_level[qid] if known else Level.MEDIUM).label,
+                difficulty=m.diff[qid],
+                discrimination=m.disc[qid],
+                difficulty_level=m.difficulty_level[qid].label,
             )
         )
-
-    cold_start = not m.has_question(q)
-    if cold_start and MASK_IRT not in mask:
-        logger.info("cold-start fallback for question %s", q)
 
     peer_infos = []
     for peer_id in peers:
@@ -286,8 +283,8 @@ def build_prompt(
         peer_infos.append(
             PeerInfo(
                 student_id=peer_id,
-                theta=m.theta.get(peer_id, 0.0),
-                ability_level=m.ability_level.get(peer_id, Level.MEDIUM).label,
+                theta=m.theta[peer_id],
+                ability_level=m.ability_level[peer_id].label,
                 target_kc_accuracy=peer.kc_accuracy.get(target_kc),
                 overall_accuracy=peer.overall_accuracy,
                 history=peer.kc_history.get(target_kc, ()),
@@ -296,17 +293,17 @@ def build_prompt(
 
     return PromptBundle(
         target_student=u,
-        theta=m.theta.get(u, 0.0),
-        ability_level=m.ability_level.get(u, Level.MEDIUM).label,
+        theta=m.theta[u],
+        ability_level=m.ability_level[u].label,
         history=tuple(history_rows),
         question_id=q,
         question_kcs=tuple(sorted(question_kcs[q])),
         target_kc=target_kc,
         student_kc_accuracy=own.kc_accuracy.get(target_kc),
-        difficulty=m.diff.get(q, 0.0),
-        discrimination=m.disc.get(q, 1.0),
-        difficulty_level=m.difficulty_level.get(q, Level.MEDIUM).label,
-        cold_start=cold_start,
+        difficulty=m.diff[q],
+        discrimination=m.disc[q],
+        difficulty_level=m.difficulty_level[q].label,
+        cold_start=q in m.cold_start_questions,
         peers=tuple(peer_infos),
         ablation_mask=mask,
     )

@@ -11,11 +11,13 @@ Pairs are encoded and ranked in blocks.  :class:`StudentTables`, built once
 per dataset, gives every student a row position, a students x KCs train
 accuracy matrix with a has-KC mask (columns in sorted KC order) and a packed
 students x questions incidence matrix; theta comes from
-``IrtModel.theta_array``.  :func:`encode_many` is the one place the five
-formulas live, and :func:`encode` is its one-row call.  Its arithmetic
-matches a per-pair Python loop bit for bit: the accuracy gap is summed
-column by column in sorted KC order, left to right, and the three decays are
-read from a table of Python floats ``(1.0 + i) ** (-c)`` filled on demand.
+``IrtModel.theta_array``, so the model must cover every student of the
+dataset, as one from ``irt.fit`` does.  :func:`encode_many` is the one
+place the five formulas live, and :func:`encode` is its one-row call.  Its
+arithmetic matches a per-pair Python loop bit for bit: the accuracy gap is
+summed column by column in sorted KC order, left to right, and the three
+decays are read from a table of Python floats ``(1.0 + i) ** (-c)`` filled
+on demand.
 :func:`distances` solves every row against the Cholesky factor in one
 batched ``np.linalg.solve``, one right-hand side per row, as a per-row loop
 solves it.  :func:`top_s` encodes and ranks a target's candidates as

@@ -6,6 +6,12 @@ def rows_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def late_question_csv(question):
+    """12 students who each answer ``question`` only as their last interaction, so it is never in train."""
+    rows = [(f"S{n}", f"Q{ts}", "K0", (ts + n) % 2, ts) for n in range(12) for ts in range(10)]
+    return rows_to_csv(rows + [(f"S{n}", question, "K0", 1, 99) for n in range(12)])
+
+
 def grid_rows(students, questions, kc_of=None, correct_fn=None):
     """Every student answers every question once, timestamps by question order."""
     kc_of = kc_of or {}

@@ -3,8 +3,11 @@ scoring prompt's reader, for equality tests.
 
 ``reference_build_prompt`` is the builder as it was before prompts were built
 from per-student tables: it scans the train rows of the target and of every
-peer for each prompt.  It differs from that builder in one place: a window of
-0 shows no history rows (the slice ``rows[-0:]`` showed them all).
+peer for each prompt.  It differs from that builder in two places: a window of
+0 shows no history rows (the slice ``rows[-0:]`` showed them all), and it
+indexes the model directly, reading the cold-start flag from
+``m.cold_start_questions``, where that builder gave an id missing from the
+model a prior of its own.
 ``parse_prompt`` recovers every field of a rendered prediction prompt, as
 the renderers' full inverse.  ``reference_mock_reply`` answers a prompt from
 it; the mock backend reads only the lines it uses, and fails on a prompt not
@@ -19,7 +22,7 @@ does not recognise, and cannot read an id that holds ``" | "``.
 from typing import Sequence
 
 from hisekt.dataset import Dataset
-from hisekt.irt import IrtModel, Level
+from hisekt.irt import IrtModel
 from hisekt.mrhin import Node
 from hisekt.predict import DEFAULT_WINDOW, HistoryRow, PeerInfo, PromptBundle, _parse_scalar, mock_reply
 
@@ -50,16 +53,15 @@ def reference_build_prompt(
     history_rows = []
     for i in own_rows[-window:] if window else ():
         qid = i.question_id
-        known = m.has_question(qid)
         history_rows.append(
             HistoryRow(
                 question_id=qid,
                 kcs=tuple(sorted(i.kc_ids)),
                 correct=i.correct,
                 timestamp=i.timestamp,
-                difficulty=m.diff[qid] if known else 0.0,
-                discrimination=m.disc[qid] if known else 1.0,
-                difficulty_level=(m.difficulty_level[qid] if known else Level.MEDIUM).label,
+                difficulty=m.diff[qid],
+                discrimination=m.disc[qid],
+                difficulty_level=m.difficulty_level[qid].label,
             )
         )
 
@@ -70,8 +72,8 @@ def reference_build_prompt(
         peer_infos.append(
             PeerInfo(
                 student_id=peer_id,
-                theta=m.theta.get(peer_id, 0.0),
-                ability_level=m.ability_level.get(peer_id, Level.MEDIUM).label,
+                theta=m.theta[peer_id],
+                ability_level=m.ability_level[peer_id].label,
                 target_kc_accuracy=_kc_accuracy(rows, target_kc),
                 overall_accuracy=(sum(1 for i in rows if i.correct) / len(rows) if rows else 0.5),
                 history=tuple((i.question_id, i.correct, i.timestamp) for i in kc_rows),
@@ -80,17 +82,17 @@ def reference_build_prompt(
 
     return PromptBundle(
         target_student=u,
-        theta=m.theta.get(u, 0.0),
-        ability_level=m.ability_level.get(u, Level.MEDIUM).label,
+        theta=m.theta[u],
+        ability_level=m.ability_level[u].label,
         history=tuple(history_rows),
         question_id=q,
         question_kcs=tuple(sorted(question_kcs[q])),
         target_kc=target_kc,
         student_kc_accuracy=_kc_accuracy(own_rows, target_kc),
-        difficulty=m.diff.get(q, 0.0),
-        discrimination=m.disc.get(q, 1.0),
-        difficulty_level=m.difficulty_level.get(q, Level.MEDIUM).label,
-        cold_start=not m.has_question(q),
+        difficulty=m.diff[q],
+        discrimination=m.disc[q],
+        difficulty_level=m.difficulty_level[q].label,
+        cold_start=q in m.cold_start_questions,
         peers=tuple(peer_infos),
         ablation_mask=mask,
     )

@@ -18,6 +18,7 @@ from hisekt.predict import is_prediction_prompt
 from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
+from conftest import late_question_csv
 from support import CutPromptBundle
 
 
@@ -238,7 +239,7 @@ class TestCliStages:
         assert "predictions" in stdout
         cfg = resolve_config(load_config_file(config_file), {})
         cache = cli._cache_dir(cfg)
-        for name in ("dataset.csv", "irt.tsv", "graph.json", "paths.jsonl", "scored.jsonl", "retrieval.json", "predictions.jsonl"):
+        for name in ("dataset.csv", "irt.json", "graph.json", "paths.jsonl", "scored.jsonl", "retrieval.json", "predictions.jsonl"):
             assert (cache / name).exists()
 
     def test_predictions_artifact_rows_are_complete(self, config_file, capsys):
@@ -397,7 +398,7 @@ class TestCliStages:
         with pytest.raises(KeyboardInterrupt):
             main(["sample-paths", "--config", str(config_file)])
         cache = cli._cache_dir(resolve_config(load_config_file(config_file), {}))
-        assert sorted(p.name for p in cache.iterdir()) == ["dataset.csv", "graph.json", "irt.tsv"]
+        assert sorted(p.name for p in cache.iterdir()) == ["dataset.csv", "graph.json", "irt.json"]
         monkeypatch.setattr(cli, "write_walks", write_walks)
         capsys.readouterr()
         assert main(["sample-paths", "--config", str(config_file)]) == 0
@@ -473,6 +474,61 @@ class TestCliStages:
         assert main(["evaluate", "--config", str(config_file)]) == 1
         target = f"{dropped['student']}|{dropped['question']}|{dropped['timestamp']}"
         assert f"error in stage evaluate: {predictions}: no entry for test target {target}" in capsys.readouterr().err
+
+    def test_a_dataset_without_its_split_column_is_a_stage_failure(self, config_file, capsys):
+        assert main(["ingest", "--config", str(config_file)]) == 0
+        dataset = cli._cache_dir(resolve_config(load_config_file(config_file), {})) / "dataset.csv"
+        rows = dataset.read_text(encoding="utf-8").splitlines()
+        assert rows[0].endswith(",split")
+        dataset.write_text("\n".join(row.rsplit(",", 1)[0] for row in rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["fit-irt", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage fit-irt: {dataset}: ")
+        assert not dataset.with_name("irt.json").exists()
+
+
+class TestModelArtifact:
+    def test_a_cold_question_is_listed_in_the_model_and_flagged_in_its_prompts(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "cold.csv"
+        data.write_text(late_question_csv("QX"), encoding="utf-8")
+        prompts = []
+        complete = LlmClient.complete
+        monkeypatch.setattr(LlmClient, "complete", lambda client, prompt: prompts.append(prompt) or complete(client, prompt))
+        assert main(["pipeline", "--data", str(data), "--cache-dir", str(tmp_path / "cache"), "--n-walks", "5",
+                     "--walk-len", "8", "--top-k", "2", "--top-s", "2", "--pair-sample", "50"]) == 0
+        [root] = (tmp_path / "cache").iterdir()
+        assert "QX" in json.loads((root / "irt.json").read_text(encoding="utf-8"))["cold_start_questions"]
+        asked = [p for p in prompts if is_prediction_prompt(p) and "\nquestion_id: QX\n" in p]
+        assert len(asked) == 12
+        assert all("\ndifficulty_level: Medium\ncold_start: true\n" in p for p in asked)
+
+    @pytest.mark.parametrize("damage", ["cut", "no field", "levels as a list", "no student", "no question"])
+    def test_a_damaged_model_is_a_stage_failure(self, config_file, capsys, damage):
+        for stage in ("ingest", "fit-irt"):
+            assert main([stage, "--config", str(config_file)]) == 0
+        model = cli._cache_dir(resolve_config(load_config_file(config_file), {})) / "irt.json"
+        text = model.read_text(encoding="utf-8")
+        values = json.loads(text)
+        missing = {"no student": sorted(values["theta"])[0], "no question": sorted(values["diff"])[0]}.get(damage)
+        if damage == "cut":
+            text = text[: len(text) // 2]
+        else:
+            for table in ("theta", "ability_level", "disc", "diff", "difficulty_level"):
+                values[table].pop(missing, None)
+            if damage == "no field":
+                del values["rounds"]
+            if damage == "levels as a list":
+                values["ability_level"] = list(values["ability_level"].values())
+            text = json.dumps(values)
+        model.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        for command in ("build-hin", "pipeline"):
+            assert main([command, "--config", str(config_file)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error in stage build-hin: ") and str(model) in err
+            assert missing is None or f"no entry for {missing}" in err
+        assert not model.with_name("graph.json").exists()
 
 
 class TestGoldenArtifacts:

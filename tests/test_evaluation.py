@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hisekt import evaluation, pathscore, predict, retrieval
+from hisekt import evaluation, irt, pathscore, predict, retrieval
 from hisekt.config import RunConfig, fingerprint
 from hisekt.errors import HisektError, UndefinedMetricError
 from hisekt.evaluation import (
@@ -21,7 +21,7 @@ from hisekt.evaluation import (
     run_seed_of,
 )
 from hisekt.llm import MockTransport
-from hisekt.mrhin import TEMPLATES, sample_instances
+from hisekt.mrhin import TEMPLATES, Mrhin, sample_instances
 from hisekt.pathscore import PathScore, ScoredGroup, select_top_k
 from hisekt.synth import planted_csv
 
@@ -245,8 +245,8 @@ def stage_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [
-        (evaluation, "sample_walks"), (pathscore, "score_all"), (pathscore, "select_top_k"),
-        (retrieval, "fit_similarity"), (retrieval, "top_s"), (predict, "predict"),
+        (irt, "fit"), (Mrhin, "build"), (evaluation, "sample_walks"), (pathscore, "score_all"),
+        (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s"), (predict, "predict"),
     ]:
         count(owner, name)
     # one Top-K pass is one computation of the "retained" stage
@@ -272,6 +272,15 @@ class TestStageMemo:
         run_experiment(cfg, ctx)
         other = dataclasses.replace(cfg, **change)
         assert run_experiment(other, ctx).to_json() == run_experiment(other).to_json()
+
+    def test_a_seed_sweep_fits_the_model_and_builds_the_graph_once(self, planted_file, stage_calls):
+        cfg = small_cfg(planted_file, seed=7)
+        ctx = PipelineContext(cfg)
+        run_experiment(cfg, ctx)
+        seed8 = dataclasses.replace(cfg, seed=8)
+        report = run_experiment(seed8, ctx).to_json()
+        assert (stage_calls["fit"], stage_calls["build"]) == (1, 1)
+        assert report == run_experiment(seed8).to_json()
 
     def test_each_stage_runs_once_per_distinct_input(self, planted_file, stage_calls):
         variants = ("msr", "msl", "simu", "rsimu")

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hisekt.irt import (
 )
 from hisekt.synth import irt_recovery_csv, planted_csv
 
-from conftest import grid_rows, rows_to_csv
+from conftest import grid_rows, late_question_csv, rows_to_csv
 
 
 class TestProbability:
@@ -152,15 +153,7 @@ class TestFit:
         assert rho <= -0.95
 
     def test_cold_start_fallback_for_test_only_ids(self):
-        # One question appears only in the final 20% of every student's sequence.
-        students = [f"S{i}" for i in range(12)]
-        rows = []
-        for s in students:
-            for ts in range(10):
-                rows.append((s, f"Q{ts}", "K0", (ts + int(s[1:])) % 2, ts))
-            rows.append((s, "QLATE", "K0", 1, 99))
-        d = split(ingest(io.StringIO(rows_to_csv(rows))), 0)
-        m = fit(d)
+        m = fit(_late_question_dataset())
         assert "QLATE" in m.cold_start_questions
         assert m.diff["QLATE"] == 0.0
         assert m.disc["QLATE"] == 1.0
@@ -185,6 +178,10 @@ class TestFit:
         m1 = fit(d)
         m2 = fit(d)
         assert m1.theta == m2.theta and m1.diff == m2.diff and m1.disc == m2.disc
+
+
+def _late_question_dataset():
+    return split(ingest(io.StringIO(late_question_csv("QLATE"))), 0)
 
 
 def _planted_dataset(seed, **kwargs):
@@ -316,6 +313,25 @@ class TestSerialization:
         assert m2.rounds == m.rounds
         assert m2.clamped_questions == m.clamped_questions
         assert m2.decrement == m.decrement
+        assert m2 == m
+
+    def test_round_trip_keeps_the_cold_start_ids(self):
+        m = fit(_late_question_dataset())
+        text = serialize(m)
+        assert "QLATE" in m.cold_start_questions
+        assert json.loads(text)["cold_start_questions"] == sorted(m.cold_start_questions)
+        assert load(io.StringIO(text)) == m
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rounds"}),
+        lambda text: json.dumps({**json.loads(text), "ability_mu": 0.0, "extra": 1}),
+        lambda text: text.replace('"Medium"', '"Middling"', 1),
+    ], ids=["cut", "no field", "extra field", "unknown level"])
+    def test_a_damaged_model_is_refused(self, damage):
+        damaged = damage(serialize(fit(_synthetic_dataset(40, 15, seed=2)[0])))
+        with pytest.raises((ValueError, TypeError)):
+            load(io.StringIO(damaged))
 
     def test_round_trip_of_an_unconverged_fit(self, monkeypatch):
         monkeypatch.setattr("hisekt.irt.MAX_ROUNDS", 2)

@@ -117,13 +117,22 @@ class TestPromptStructure:
         expected = (GOLDEN / "prompt_full.txt").read_text(encoding="utf-8")
         assert golden_bundle().text + "\n" == expected
 
-    def test_cold_start_flag_for_unknown_question(self):
+    def test_cold_start_flag_for_a_cold_question(self):
         d, m = golden_inputs()
-        del m.diff["QT"], m.disc["QT"], m.difficulty_level["QT"]
+        assert "cold_start" not in golden_bundle().text
+        m.cold_start_questions = frozenset({"QT"})
         bundle = build_prompt("SA", "QT", [], m, d)
         assert bundle.cold_start is True
-        assert "cold_start: true" in bundle.text
-        assert bundle.difficulty == 0.0 and bundle.discrimination == 1.0
+        assert "\ndifficulty_level: High\ncold_start: true" in bundle.text
+        assert (bundle.difficulty, bundle.discrimination) == (0.5, 1.5)  # the model's values, as given
+        assert "cold_start" not in build_prompt("SA", "QT", [], m, d, mask=frozenset({MASK_IRT})).text
+
+    @pytest.mark.parametrize("table", ["theta", "ability_level", "diff", "disc", "difficulty_level"])
+    def test_a_model_that_lacks_an_id_raises_key_error(self, table):
+        d, m = golden_inputs()
+        del getattr(m, table)["SA" if table in ("theta", "ability_level") else "QT"]
+        with pytest.raises(KeyError):
+            build_prompt("SA", "QT", [], m, d)
 
     def test_window_limits_history(self):
         d, m = golden_inputs()
@@ -327,11 +336,15 @@ class TestPredictClient:
 
 
 def edge_inputs():
-    """The golden inputs plus SN, who has a test row and no train rows."""
+    """The golden inputs plus SN, who has a test row and no train rows, and SX, who is in no row;
+    the model gives both the prior ``irt.fit`` gives a cold student."""
     d, m = golden_inputs()
     extra = Interaction("SN", "QT", frozenset({"K1"}), True, 5)
     rows = sorted([*d.interactions, extra], key=lambda i: (i.student_id, i.timestamp))
     splits = [d.splits[d.interactions.index(i)] if i is not extra else "test" for i in rows]
+    for s in ("SN", "SX"):
+        m.theta[s], m.ability_level[s] = 0.0, Level.MEDIUM
+    m.cold_start_students = frozenset({"SN"})
     return Dataset(rows, splits), m
 
 
@@ -341,8 +354,9 @@ class TestStudentFacts:
         peer_lists = ([], ["SP"], ["SN", "SX"], ["SA", "SP", "SN", "SX"])  # SX is in no row
         masks = (frozenset(), frozenset({MASK_SIMU}), frozenset({MASK_IRT}), frozenset({MASK_SIMU, MASK_IRT}))
         for cold in (False, True):
-            if cold:
-                del m.diff["QT"], m.disc["QT"], m.difficulty_level["QT"]
+            if cold:  # QT as irt.fit leaves a question absent from train
+                m.diff["QT"], m.disc["QT"], m.difficulty_level["QT"] = 0.0, 1.0, Level.MEDIUM
+                m.cold_start_questions = frozenset({"QT"})
             for u in ("SA", "SP", "SN"):
                 for q in ("QT", "QB", "QC"):
                     for peers in peer_lists:

@@ -413,8 +413,8 @@ class LoopEncoder:
             self.kc_accuracy[student] = {kc: rights[kc] / totals[kc] for kc in totals}
 
     def encode(self, u, s, f, m, c=2.0):
-        theta_u = m.theta.get(u, 0.0)
-        theta_s = m.theta.get(s, 0.0)
+        theta_u = m.theta[u]
+        theta_s = m.theta[s]
         z1 = abs(theta_u - theta_s)
         acc_u = self.kc_accuracy.get(u, {})
         acc_s = self.kc_accuracy.get(s, {})
@@ -439,7 +439,8 @@ def loop_distance(z, sm):
 @pytest.fixture(scope="module", params=[(1, {}), (2, {}), (3, {}), (1, {"kcs_per_band": 10, "questions_per_band": 70})],
                 ids=["seed1", "seed2", "seed3", "30kcs"])
 def planted(request):
-    """A planted dataset, a hand-set theta for all students but the first, and the loop encoder.
+    """A planted dataset, a hand-set theta for every student (0.0 for the first, the prior
+    ``irt.fit`` gives a cold student), and the loop encoder.
 
     With 10 KCs of 7 questions per band, same-band pairs share 10 KCs with
     accuracies such as 3/7: enough that a numpy reduction along the row, which
@@ -449,6 +450,7 @@ def planted(request):
     d = split(ingest(io.StringIO(planted_csv(seed=seed, **shape)[0])), 0)
     rng = random.Random(seed)
     theta = {sid: rng.gauss(0.0, 1.0) for sid in d.students()[1:]}
+    theta[d.students()[0]] = 0.0
     m = IrtModel(theta, {}, {}, {}, {}, 0.0, 1.0, 0.0, 1.0)
     return d, m, LoopEncoder(d)
 
