@@ -1,11 +1,13 @@
 """Stage-oriented command line over one ``PipelineContext``, with cache artifacts
 keyed by the config fingerprint and the input's bytes.
 
-Each command works in ``<cache_dir>/<fingerprint>-<input sha256>/``, so
-artifacts produced under different hyperparameters or inputs never share a
-directory.  :data:`STAGES` gives each stage command its artifact there, the
-context stage that artifact holds, the commands whose artifacts it needs, and
-the artifact's writer and reader.  A command runs on a
+Each command works in
+``<cache_dir>/<fingerprint>-<input sha256>-<fit scheme>-<walk scheme>/`` (see
+:func:`_cache_dir`), so artifacts produced under different hyperparameters,
+inputs or fitting and walk rules never share a directory.  :data:`STAGES`
+gives each stage command its artifact there, the context stage that artifact
+holds, the commands whose artifacts it needs, and the artifact's writer and
+reader.  A command runs on a
 :class:`~hisekt.evaluation.PipelineContext` that reads each artifact (dataset,
 IRT model, graph, run 0's sampled and scored walks, retrieval and
 predictions) only when a stage first needs it; a stage whose artifact is

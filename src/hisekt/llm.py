@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import threading
 import time
 import urllib.error
@@ -49,10 +50,14 @@ class MockTransport:
         from . import pathscore, predict
 
         self._pathscore, self._predict = pathscore, predict
+        # the parts of each distinct scoring-prompt path line read so far, by its text after the
+        # number: a few hundred texts recur across a stage's thousands of prompts.  It lives and
+        # dies with this transport, so each new client starts cold
+        self._path_lines: dict[str, pathscore.PathLine] = {}
 
     def __call__(self, prompt: str) -> str:
         if self._pathscore.is_scoring_prompt(prompt):
-            return self._pathscore.mock_score_reply(prompt)
+            return self._pathscore.mock_score_reply(prompt, self._path_lines)
         if self._predict.is_prediction_prompt(prompt):
             return self._predict.mock_prediction_reply(prompt)
         raise TransportError("mock transport cannot answer this prompt")
@@ -96,7 +101,8 @@ class LlmClient:
                     raise
                 last_error = exc
                 if attempt + 1 < attempts:  # no wait after the last attempt: it would only delay the error
-                    time.sleep(BACKOFF_BASE_SECONDS * 2**attempt)
+                    # full jitter: clients that failed together do not retry together
+                    time.sleep(random.uniform(0.0, BACKOFF_BASE_SECONDS * 2**attempt))
         raise TransportError(f"llm endpoint unreachable after retries: {last_error}")
 
     def _http_complete(self, prompt: str) -> str:

@@ -19,13 +19,17 @@ int rows in one pass of numpy column operations, with no loop over walks.
 :func:`_score_walk` scores one walk in plain Python; it is the reference the
 tests hold the array pass to, and it scores the one path the mock LLM reply
 reads from a scoring prompt.  A group of one would not serve there: on a
-2-vCPU VM (Python 3.11, numpy 2.4) an array pass over one path takes
-146-155 us against 29-31 us for :func:`_score_path`, about 1.6 s more over
+shared 2-vCPU VM (Python 3.11, numpy 2.4) an array pass over one path takes
+64-76 us against 14-15 us for :func:`_score_path`, about 0.7 s more over
 the 13,160 scoring prompts of the staged CLI on the acceptance fixture.
 
 The LLM backend renders each walk's scoring prompt from its group's int rows
-and a table of path lines per graph, target question and hop cap; the mock
-reads each path line back by its node kind (:func:`_read_scoring_prompt`).
+and a table of path lines per graph, target question and hop cap.  The mock
+reads a prompt back (:func:`_read_scoring_prompt`) with no other knowledge of
+the graph: it checks each path line's ``"  n. "`` number, then reads the text
+after it by its node kind (:func:`_read_path_line`), once per distinct text
+and mock transport.  The texts recur: the staged CLI's 13,160 scoring prompts
+on the acceptance fixture hold 157,920 path lines but 213 distinct texts.
 
 Top-K selection keeps each group's best (or lowest, or randomly drawn)
 rows by total, equal totals ordered by the walks' tie keys
@@ -366,59 +370,89 @@ def _unreadable(what: str) -> TransportError:
     return TransportError(f"mock transport cannot read this scoring prompt: {what}")
 
 
-def _read_scoring_prompt(text: str) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
+# a path line's parts: its node, and a question's hop count and KC set (None on other kinds)
+PathLine = tuple[Node, int | None, frozenset[str] | None]
+
+
+def _read_path_line(body: str) -> PathLine:
+    """One path line after its ``"  n. "`` number, read by its node kind with its fields taken from
+    the right: a question line ends in its KCs, difficulty level and hop count, a student line in
+    its ability level, and on other lines all that follows the kind is the id.  So ids may hold
+    ``": "`` or ``" | "``; KC ids may not hold ``";"``, which separates them.  Raises ValueError
+    on a line without its fields, an empty id, a level other than Low, Medium or High, or a hop
+    count not written in ASCII digits."""
+    kind, colon, rest = body.partition(":")
+    if not colon:
+        raise ValueError
+    hops = kcs = None
+    if kind == "Q":
+        named, level, hop_field = rest.rsplit(" | ", 2)
+        node_id, kcs_found, kc_field = named.rpartition(" | kcs: ")
+        count = hop_field[18:]
+        if not (kcs_found and level.startswith("difficulty_level: ") and ("D", level[18:]) in _LEVEL_INDEX
+                and hop_field.startswith("hops_from_target: ") and count.isascii() and count.isdigit()):
+            raise ValueError
+        hops, kcs = int(count), frozenset(filter(None, kc_field.split(";")))
+    elif kind == "U":
+        node_id, found, level = rest.rpartition(" | ability_level: ")
+        if not (found and ("A", level) in _LEVEL_INDEX):
+            raise ValueError
+    elif kind == "K" or (kind, rest) in _LEVEL_INDEX:
+        node_id = rest
+    else:
+        raise ValueError
+    if not node_id:
+        raise ValueError
+    return (kind, node_id), hops, kcs
+
+
+def _read_scoring_prompt(text: str, memo: dict[str, PathLine] | None = None
+                         ) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
     """The path, target KC, and each path question's hop count and KC set written in a scoring
     prompt, read as :func:`render_scoring_prompt` lays them out, with no other knowledge of the
     graph.  Raises TransportError naming the first path line it cannot read.
 
-    Path line ``n`` starts ``"  n. "``.  Each is read by its node kind, its fields taken from
-    the right: a question line ends in its KCs, difficulty level and hop count, a student line
-    in its ability level, and on other lines all that follows the kind is the id.  So ids may
-    hold ``": "`` or ``" | "``; KC ids may not hold ``";"``, which separates them, and no id
-    holds a line break."""
-    head, found, after = text.partition("\npath:\n")
-    block, blank, _ = after.partition("\n\n")
-    kc_line = head[head.rfind("\n") + 1:]
-    if not (found and blank and kc_line.startswith("target_kc: ")):
+    Path line ``n`` must start ``"  n. "``, checked on every line; no id holds a line break.
+    What follows the number is read by :func:`_read_path_line` once per distinct text: ``memo``
+    holds the parts of each text read before and takes those of each new one that reads.  A
+    text that does not read is never stored, so it fails in every prompt that holds it."""
+    start = text.find("\npath:\n")
+    end = text.find("\n\n", start + 7) if start >= 0 else -1
+    kc_line = text[text.rfind("\n", 0, start) + 1:start]
+    if not (end >= 0 and kc_line.startswith("target_kc: ")):
         raise _unreadable("no target_kc line followed by a path block")
+    if memo is None:
+        memo = {}
     nodes: list[Node] = []
     hop_of: dict[str, int] = {}
     kc_of: dict[str, frozenset[str]] = {}
-    lines = block.split("\n")
+    lines = text[start + 7:end].split("\n")
     for number, line in zip(_numbers(len(lines)), lines):
-        kind, colon, rest = line[len(number):].partition(":")
-        try:
-            if not (line.startswith(number) and colon):
-                raise ValueError
-            if kind == "Q":
-                named, level, hops = rest.rsplit(" | ", 2)
-                node_id, kcs_found, kcs = named.rpartition(" | kcs: ")
-                if not (kcs_found and level.startswith("difficulty_level: ") and hops.startswith("hops_from_target: ")):
-                    raise ValueError
-                hop_of[node_id] = int(hops[18:])
-                kc_of[node_id] = frozenset(filter(None, kcs.split(";")))
-            elif kind == "U":
-                node_id, _, level = rest.rpartition(" | ")
-                if not level.startswith("ability_level: "):
-                    raise ValueError
-            elif kind in ("K", "A", "D"):
-                node_id = rest
-            else:
-                raise ValueError
-        except ValueError:
-            raise _unreadable(f"path line {line!r}") from None
-        nodes.append((kind, node_id))
+        if not line.startswith(number):
+            raise _unreadable(f"path line {line!r}")
+        body = line[len(number):]
+        read = memo.get(body)
+        if read is None:
+            try:
+                read = memo[body] = _read_path_line(body)
+            except ValueError:
+                raise _unreadable(f"path line {line!r}") from None
+        node, hops, kcs = read
+        nodes.append(node)
+        if hops is not None:
+            hop_of[node[1]] = hops
+            kc_of[node[1]] = kcs
     return nodes, kc_line[11:], hop_of, kc_of
 
 
-def mock_score_reply(prompt: str) -> str:
+def mock_score_reply(prompt: str, memo: dict[str, PathLine] | None = None) -> str:
     """Deterministic scoring reply computed from the prompt alone.
 
     Applies the formulas to the path, KC sets and hop counts rendered into
     the prompt, so an offline run of the LLM backend matches the formula
-    scorer bit for bit.
+    scorer bit for bit.  ``memo`` is passed on to :func:`_read_scoring_prompt`.
     """
-    c, r, i, dv, _ = _score_path(*_read_scoring_prompt(prompt))
+    c, r, i, dv, _ = _score_path(*_read_scoring_prompt(prompt, memo))
     return f"{{{c!r}, {r!r}, {i!r}, {dv!r}}}"
 
 

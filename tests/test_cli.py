@@ -417,7 +417,7 @@ class TestCliStages:
         assert f"error in stage score-paths: {paths} line 100: " in err
         assert not paths.with_name("scored.jsonl").exists()
 
-    @pytest.mark.parametrize("cut", ["path block", "hops_from_target"])
+    @pytest.mark.parametrize("cut", ["path block", "hops_from_target", "level"])
     def test_a_scoring_prompt_the_mock_cannot_read_is_a_stage_failure(self, config_file, monkeypatch, capsys, cut):
         flags = ["--config", str(config_file), "--score-backend", "llm", "--llm-backend", "mock"]
         for stage in ("ingest", "fit-irt", "build-hin", "sample-paths"):
@@ -428,6 +428,8 @@ class TestCliStages:
             prompt = render(walks, i)
             if cut == "path block":
                 return prompt.replace("\npath:\n", "\n")
+            if cut == "level":  # a level node the formulas have no category for
+                return re.sub(r"\n  1\. [^\n]*", "\n  1. A:Bogus", prompt, count=1)
             return re.sub(r" \| hops_from_target: \d+\n", "\n", prompt, count=1)
 
         monkeypatch.setattr(pathscore, "render_scoring_prompt", garbled)
@@ -436,7 +438,8 @@ class TestCliStages:
             assert main([command, *flags]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error in stage score-paths: mock transport cannot read this scoring prompt: ")
-            assert ("path line '  1. Q:" if cut == "hops_from_target" else "no target_kc line") in err
+            assert {"path block": "no target_kc line", "hops_from_target": "path line '  1. Q:",
+                    "level": "path line '  1. A:Bogus'"}[cut] in err
 
     def test_a_prediction_prompt_the_mock_cannot_read_is_a_stage_failure(self, config_file, monkeypatch, capsys):
         for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths", "retrieve"):

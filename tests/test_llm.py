@@ -46,10 +46,24 @@ class TestHttpRetries:
     @pytest.mark.parametrize("code", [408, 429, 503])
     def test_transient_error_is_retried_with_backoff(self, monkeypatch, code):
         requests, sleeps = failing_endpoint(monkeypatch, code)
+        monkeypatch.setattr(llm.random, "uniform", lambda low, high: high)  # each wait at its cap
         with pytest.raises(TransportError, match="after retries"):
             http_client().complete("prompt")
         assert len(requests) == 3
         assert sleeps == [0.5, 1.0]  # no wait after the last attempt
+
+    def test_backoff_waits_are_drawn_up_to_their_caps(self, monkeypatch):
+        # full jitter: wait k is uniform in [0, 0.5 * 2**k], so clients that fail together
+        # spread their retries
+        requests, sleeps = failing_endpoint(monkeypatch, 503)
+        client = LlmClient(backend="http", endpoint="http://localhost:9/v1/chat", max_retries=5)
+        for _ in range(20):
+            with pytest.raises(TransportError, match="after retries"):
+                client.complete("prompt")
+        assert len(requests) == 100 and len(sleeps) == 80
+        caps = [0.5, 1.0, 2.0, 4.0] * 20
+        assert all(0.0 <= wait <= cap for wait, cap in zip(sleeps, caps))
+        assert len(set(sleeps)) == 80  # drawn, not fixed
 
 
 class FakeHttp:

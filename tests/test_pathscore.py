@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from hisekt.config import RunConfig
 from hisekt.errors import IngestError, ScoringError, TransportError
 from hisekt.evaluation import PipelineContext, run_seed_of
-from hisekt.llm import LlmClient, map_bounded
+from hisekt.llm import LlmClient, MockTransport, map_bounded
 from hisekt.mrhin import (PAD, TEMPLATES, PathInstance, WalkGroup, graph_distance, read_walks, sample_instances,
                           write_walks)
-from hisekt import mrhin
+from hisekt import mrhin, pathscore
 from hisekt.pathscore import (
     LEVEL_CATEGORIES,
     PathScore,
@@ -728,6 +728,13 @@ def edge_case_group(g, walk):
     return group_of(g, [p])
 
 
+def first_walk_prompt(g):
+    """The scoring prompt of a Q-U-Q-K-Q walk on ``g``, and its lines."""
+    walks = sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q1", n=1, walk_len=7, seed=3)
+    [(_, prompt)] = prompts_of(walks)
+    return prompt, prompt.split("\n")
+
+
 class TestScoringPrompt:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_planted_prompt_equals_the_reference(self, tmp_path, seed):
@@ -892,3 +899,91 @@ class TestScoringPromptReader:
                 read(changed)
             assert str(err.value).startswith("mock transport cannot read this scoring prompt: ")
             assert named in str(err.value) or repr(named) in str(err.value)
+
+    @pytest.mark.parametrize("body", [
+        # a level id the six categories do not hold: the formulas would fail on it
+        "A:Bogus", "D:", "A:low", "D:High ", "A:Medium:",
+        "Q:Q1 | kcs: K1 | difficulty_level: Bogus | hops_from_target: 1", "U:S1 | ability_level: ",
+        # a hop count int() takes but the renderer never writes
+        *(f"Q:Q1 | kcs: K1 | difficulty_level: Low | hops_from_target: {hops}"
+          for hops in ["\u0663", "1_0", "-1", " 0", "+0", "0 ", "\u00b2", ""]),
+        # an empty id, or a student line without its separator
+        "K:", "Q: | kcs: K1 | difficulty_level: Low | hops_from_target: 1", "U: | ability_level: High",
+        "U:ability_level: High",
+    ])
+    def test_a_line_the_formulas_cannot_take_fails_naming_it(self, body, g):
+        _, lines = first_walk_prompt(g)
+        assert lines[6].startswith("  3. Q:")
+        lines[6] = "  3. " + body
+        changed = "\n".join(lines)
+        for read in (_read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+            with pytest.raises(TransportError) as err:
+                read(changed)
+            assert str(err.value) == f"mock transport cannot read this scoring prompt: path line {lines[6]!r}"
+
+
+# ids without " | ", which the old reader split at; none is empty
+PLAIN_IDS = st.lists(st.sampled_from([": ", ":", ".", ". ", " ", "0", "7", "Q", "U", "é", "\u0663"]),
+                     min_size=1, max_size=4).map("".join)
+
+
+@pytest.fixture(scope="module")
+def warm_transport():
+    """One mock transport for every example of a test, so it reads most of them warm."""
+    return MockTransport()
+
+
+class TestPathLineMemo:
+    def test_a_stored_line_is_read_only_under_its_own_number(self, g):
+        prompt, lines = first_walk_prompt(g)
+        mock = MockTransport()
+        reply = mock(prompt)
+        assert lines[6][5:] in mock._path_lines
+        lines[6] = "  5. " + lines[6][5:]
+        for read in (mock, lambda text: _read_scoring_prompt(text, mock._path_lines)):
+            with pytest.raises(TransportError) as err:
+                read("\n".join(lines))
+            assert str(err.value).endswith(f"path line {lines[6]!r}")
+        assert mock(prompt) == reply
+
+    def test_a_line_that_fails_is_never_stored(self, g):
+        prompt, lines = first_walk_prompt(g)
+        lines[6] = "  3. A:Bogus"
+        changed = "\n".join(lines)
+        memo = {}
+        mock = MockTransport()
+        for _ in range(3):
+            for read in (mock, lambda text: _read_scoring_prompt(text, memo)):
+                with pytest.raises(TransportError, match="A:Bogus"):
+                    read(changed)
+        # the two lines before it read and are stored; the bad one is not
+        assert list(memo) == list(mock._path_lines) == [line[5:] for line in lines[4:6]]
+
+    def test_each_transport_reads_its_own_lines_once(self, g, monkeypatch):
+        read_line, parsed = pathscore._read_path_line, []
+        monkeypatch.setattr(pathscore, "_read_path_line", lambda body: parsed.append(body) or read_line(body))
+        walks = sample_instances(g, TEMPLATES["Q-U-A-U-Q"], "Q1", n=20, walk_len=12, seed=5)
+        prompts = [prompt for _, prompt in prompts_of(walks)]
+        distinct = {line[line.index(". ") + 2:] for prompt in prompts for line in prompt.split("\n")
+                    if re.match(r"  \d+\. ", line)}
+        first, second = LlmClient(backend="mock"), LlmClient(backend="mock")
+        replies = [first.complete(prompt) for prompt in prompts]
+        assert sorted(parsed) == sorted(distinct) and len(distinct) < sum(len(p.split("\n")) for p in prompts)
+        parsed.clear()
+        assert [first.complete(prompt) for prompt in prompts] == replies and parsed == []
+        assert second.transport._path_lines == {}
+        assert [second.complete(prompt) for prompt in prompts] == replies
+        assert sorted(parsed) == sorted(distinct)
+        assert replies == [mock_score_reply(prompt) for prompt in prompts]
+
+    @settings(max_examples=60, deadline=None)
+    @given(new_ids=st.lists(PLAIN_IDS, min_size=14, max_size=14, unique=True),
+           name=st.sampled_from(["Q-U-A-U-Q", "Q-K-Q-U-Q-D-Q", "Q-U-Q-K-Q-D-Q", "Q-K-Q-D-Q"]),
+           q0=st.integers(0, 3), seed=st.integers(0, 2**16))
+    def test_warm_reads_equal_a_fresh_read(self, warm_transport, new_ids, name, q0, seed):
+        g = renamed_fixture_graph(new_ids)
+        target = sorted(node_id for kind, node_id in g.node_ids if kind == "Q")[q0]
+        for _, prompt in prompts_of(sample_instances(g, TEMPLATES[name], target, n=6, walk_len=9, seed=seed)):
+            assert (_read_scoring_prompt(prompt, warm_transport._path_lines) == _read_scoring_prompt(prompt)
+                    == reference_parse_scoring_prompt(prompt))
+            assert warm_transport(prompt) == mock_score_reply(prompt)
