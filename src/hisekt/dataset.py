@@ -61,7 +61,6 @@ class Dataset:
             raise ValueError("split labels must align one-to-one with interactions")
         self._split_cache: dict[str, tuple[Interaction, ...]] = {}
         self._by_student_cache: dict[str | None, dict[str, tuple[Interaction, ...]]] = {}
-        self._by_question_cache: dict[str | None, dict[str, tuple[Interaction, ...]]] = {}
         self._question_kcs: dict[str, frozenset[str]] | None = None
 
     def __len__(self) -> int:
@@ -116,15 +115,6 @@ class Dataset:
                 acc[i.student_id].append(i)
             self._by_student_cache[split] = {s: tuple(v) for s, v in acc.items()}
         return self._by_student_cache[split]
-
-    def by_question(self, split: str | None = None) -> Mapping[str, tuple[Interaction, ...]]:
-        if split not in self._by_question_cache:
-            rows = self.interactions if split is None else self.iter_split(split)
-            acc: dict[str, list[Interaction]] = defaultdict(list)
-            for i in rows:
-                acc[i.question_id].append(i)
-            self._by_question_cache[split] = {q: tuple(v) for q, v in acc.items()}
-        return self._by_question_cache[split]
 
 
 def _parse_row(row: Mapping[str, str], line_no: int) -> Interaction | None:

@@ -249,27 +249,43 @@ def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str 
 def _path_pair_pool(
     counts: Mapping[str, Mapping[str, int]],
     d: dataset_mod.Dataset,
-) -> set[tuple[str, str, int]] | None:
-    """(answerer, candidate, f) triples mirroring the deployment pair distribution; None if there are
-    none.  Unsorted: ``fit_similarity`` sorts the pool it is given."""
-    by_question = d.by_question("train")
-    pool: set[tuple[str, str, int]] = set()
-    for qid, per_student in counts.items():
-        answerers = sorted({i.student_id for i in by_question.get(qid, ())})
-        for u in answerers:
-            for sid, f in per_student.items():
-                if sid != u:
-                    pool.add((u, sid, f))
-    if not pool:
+) -> tuple[np.ndarray, int] | None:
+    """The distinct (answerer, candidate, f) triples of the retained walks, mirroring the deployment
+    pair distribution, as ascending ``retrieval.pair_keys`` with their base; None if there are none.
+
+    For each target question, each of its train answerers is paired with each student retained for
+    it but itself, with that student's count f.  The base is one more than the largest count.
+    """
+    t = retrieval.student_tables(d)
+    base = 1 + max((f for per_student in counts.values() for f in per_student.values()), default=0)
+    per_question = [(t.answerers(qid)[:, None], t.positions(per_student),
+                     np.fromiter(per_student.values(), dtype=np.int64, count=len(per_student)))
+                    for qid, per_student in counts.items()]
+    # every question's keys go into one buffer, sorted in place and thinned to distinct keys: a
+    # list of blocks, their concatenation and np.unique's copy would each hold all of them at
+    # once, and np.unique's hash table (numpy >= 2.3) is far slower than a sort on millions of keys
+    keys = np.empty(sum(u.size * s.size for u, s, _ in per_question), dtype=np.int64)
+    end = 0
+    for u, s, f in per_question:
+        block = retrieval.pair_keys(u, s, f, len(t.students), base)[u != s]
+        keys[end:end + block.size] = block
+        end += block.size
+    keys = keys[:end]
+    keys.sort()
+    pool = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if end else keys
+    if not pool.size:
         logger.warning("empty path pair pool; falling back to random pairs")
-    return pool or None
+        return None
+    return pool, base
 
 
 def _similarity(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
     d = ctx.get("dataset", cfg)
     pool = _path_pair_pool(ctx.get("retained", cfg, run_seed, variant), d) if cfg.pair_source == "paths" else None
+    keys, base = pool or (None, None)
     return retrieval.fit_similarity(
-        d, ctx.get("irt", cfg), cfg.pair_sample, seed=derive_seed(run_seed, "pairs"), c=cfg.c, pair_pool=pool
+        d, ctx.get("irt", cfg), cfg.pair_sample, seed=derive_seed(run_seed, "pairs"), c=cfg.c,
+        pair_pool=keys, pair_base=base,
     )
 
 

@@ -21,8 +21,11 @@ on demand.
 :func:`distances` solves every row against the Cholesky factor in one
 batched ``np.linalg.solve``, one right-hand side per row, as a per-row loop
 solves it.  :func:`top_s` encodes and ranks a target's candidates as
-one block, and :func:`fit_similarity` its sampled pairs; random pairs are
-drawn as indices into the nested-loop pair order and never listed.
+one block, and :func:`fit_similarity` its sampled pairs.  Sampled pairs are
+drawn as indices and only the chosen ones decoded: random pairs index the
+nested-loop pair order and are never listed, and a caller's pair pool is an
+ascending array of :func:`pair_keys`, ints that sort as the
+``(u, s, f)`` triples they stand for.
 """
 
 from __future__ import annotations
@@ -95,14 +98,15 @@ class StudentTables:
     one, students without train rows included.  ``kc_accuracy[i, k]`` is row
     ``i``'s train accuracy on the k-th KC in sorted order where
     ``has_kc[i, k]``, else 0.0.  ``questions`` is the students x questions
-    train incidence, packed eight questions per byte.
+    train incidence, packed eight questions per byte, one column per
+    question of ``d.questions()``.
     """
 
     def __init__(self, d: Dataset):
         self.students = d.students()
         self.position = {s: i for i, s in enumerate(self.students)}
         kc_col = {k: j for j, k in enumerate(d.kcs())}
-        q_col = {q: j for j, q in enumerate(d.questions())}
+        self._q_col = q_col = {q: j for j, q in enumerate(d.questions())}
         n = len(self.students)
         answered: list[tuple[int, int]] = []
         cells: list[int] = []
@@ -129,6 +133,13 @@ class StudentTables:
             return np.array([self.position[sid] for sid in ids], dtype=np.intp)
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]!r} is not a student of the dataset") from None
+
+    def answerers(self, question_id: str) -> np.ndarray:
+        """Rows with a train answer to ``question_id``, ascending; none for an id not in the dataset."""
+        j = self._q_col.get(question_id)
+        if j is None:
+            return np.zeros(0, dtype=np.intp)
+        return np.flatnonzero(self.questions[:, j >> 3] & (0x80 >> (j & 7)))
 
     def decay(self, counts: np.ndarray, c: float) -> np.ndarray:
         """``(1.0 + n) ** (-c)`` for each count ``n``, read from a table of Python floats."""
@@ -207,6 +218,49 @@ def encode(
     return FeatureVector(*map(float, encode_many(t.positions([u]), t.positions([s]), [f], m, d, c)[0]))
 
 
+def _check_key_space(n: int, base: int) -> None:
+    if base < 1:
+        raise ValueError("pair key base must be >= 1")
+    if n * n * base > np.iinfo(np.int64).max:
+        raise ValueError(f"pair keys of {n} students with base {base} do not fit in int64")
+
+
+def pair_keys(
+    u: Sequence[int] | np.ndarray,
+    s: Sequence[int] | np.ndarray,
+    f: Sequence[int] | np.ndarray,
+    n: int,
+    base: int,
+) -> np.ndarray:
+    """Keys ``(u * n + s) * base + f`` of pairs of :func:`student_tables` rows ``u``, ``s`` of ``n``
+    students with co-occurrence ``0 <= f < base``, broadcast as ``u + s + f`` is.
+
+    Rows sort as student ids do, so keys sort as the ``(u_id, s_id, f)``
+    triples they stand for.  Raises ValueError if ``n * n * base`` does not
+    fit in int64, before any key is made.
+    """
+    _check_key_space(n, base)
+    f = np.asarray(f, dtype=np.int64)
+    if f.size and (f.min() < 0 or f.max() >= base):
+        raise ValueError(f"co-occurrence counts must lie in [0, {base})")
+    return (np.asarray(u, dtype=np.int64) * n + np.asarray(s, dtype=np.int64)) * base + f
+
+
+def _checked_pool(pair_pool: np.ndarray, n: int, base: int | None) -> np.ndarray:
+    keys = np.asarray(pair_pool)
+    if keys.ndim != 1 or (keys.size and not np.issubdtype(keys.dtype, np.integer)):
+        raise ValueError("pair_pool must be a 1-D array of pair_keys")
+    if not keys.size:
+        raise ModelError("empty pair pool for similarity fit")
+    if base is None:
+        raise ValueError("pair_pool needs its pair_base")
+    _check_key_space(n, base)
+    keys = keys.astype(np.int64, copy=False)
+    if keys[0] < 0 or keys[-1] >= n * n * base or np.any(keys[1:] <= keys[:-1]):
+        raise ValueError(f"pair_pool must hold distinct ascending keys in [0, {n * n * base})")
+    return keys
+
+
 def _shrink(sample_cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Blend toward the scaled identity until the smallest eigenvalue clears the floor."""
     target = (np.trace(sample_cov) / FEATURE_DIM) * np.eye(FEATURE_DIM)
@@ -230,34 +284,40 @@ def fit_similarity(
     sample_pairs: int = DEFAULT_PAIR_SAMPLE,
     seed: int = 0,
     c: float = DEFAULT_SCALING,
-    pair_pool: Sequence[tuple[str, str, int]] | None = None,
+    pair_pool: np.ndarray | None = None,
+    pair_base: int | None = None,
 ) -> SimilarityModel:
-    """Estimate the pair-feature mean and shrunk covariance.
+    """Estimate the pair-feature mean and shrunk covariance over ``min(sample_pairs, pool size)`` pairs.
 
     By default pairs are distinct unordered student pairs drawn uniformly,
     encoded with co-occurrence f = 0 (random pairs carry no path evidence).
     ``pair_pool`` switches to caller-supplied (u, s, f) triples, e.g. pairs
-    observed in retained path instances, sampled without replacement.
+    observed in retained path instances, sampled without replacement: a 1-D
+    array of distinct :func:`pair_keys` with base ``pair_base``, ascending.
+    Either way the pairs are drawn as indices into the pool in order (the
+    nested-loop order for random pairs), and only the chosen ones are decoded.
     """
+    if sample_pairs < 1:
+        raise ValueError("sample_pairs must be >= 1")
     rng = derive_rng(seed, "fit_similarity")
     t = student_tables(d)
-    if pair_pool is not None:
-        pool = sorted(set(pair_pool))
-        if not pool:
-            raise ModelError("empty pair pool for similarity fit")
-        chosen = pool if len(pool) <= sample_pairs else rng.sample(pool, sample_pairs)
-        u, s = t.positions(p[0] for p in chosen), t.positions(p[1] for p in chosen)
-        f = [p[2] for p in chosen]
-    else:
-        n = len(t.students)
+    n = len(t.students)
+    if pair_pool is None:
         if n < 2:
             raise ModelError("need at least two students to fit a similarity model")
-        n_pairs = n * (n - 1) // 2
-        # rng.sample reads only len() and indexing, so sampling indices picks
-        # the pairs that sampling the listed pairs would
-        index = np.arange(n_pairs) if n_pairs <= sample_pairs else rng.sample(range(n_pairs), sample_pairs)
-        u, s = pair_at(np.asarray(index, dtype=np.int64), n)
+        size = n * (n - 1) // 2
+    else:
+        keys = _checked_pool(pair_pool, n, pair_base)
+        size = len(keys)
+    # rng.sample reads only len() and indexing, so sampling indices picks
+    # the pairs that sampling the listed pool would
+    index = np.arange(size) if size <= sample_pairs else np.array(rng.sample(range(size), sample_pairs), dtype=np.int64)
+    if pair_pool is None:
+        u, s = pair_at(index, n)
         f = np.zeros(len(u), dtype=np.int64)
+    else:
+        pair, f = np.divmod(keys[index], pair_base)
+        u, s = np.divmod(pair, n)
 
     features = encode_many(u, s, f, m, d, c)
     mu, sigma, lam = _fit_from_features(features)

@@ -23,8 +23,10 @@ from hisekt.evaluation import (
 from hisekt.llm import MockTransport
 from hisekt.mrhin import TEMPLATES, Mrhin, sample_instances
 from hisekt.pathscore import PathScore, ScoredGroup, select_top_k
+from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
+from conftest import rows_to_csv
 from graph_fixture import build_fixture_graph
 from support import unimodal_or_plateau
 
@@ -302,3 +304,28 @@ class TestStageMemo:
         assert stage_calls["top_s"] > 0 and stage_calls["predict"] > 0
         for name in ("sample_walks", "score_all", "retained", "select_top_k", "fit_similarity"):
             assert stage_calls[name] == 0, name
+
+
+def test_an_empty_path_pair_pool_falls_back_to_random_pairs(tmp_path, caplog):
+    # Pn is the first answer of Sn and the last of everyone else, so Sn is its only train answerer
+    rows = [(f"S{n:02d}", f"P{p}", "K0", 1, 0 if p == n else 100 + p) for n in range(12) for p in range(3)]
+    rows += [(f"S{n:02d}", f"C{j}", f"K{j % 2}", int((n + j) % 3 > 0), 1 + j) for n in range(12) for j in range(10)]
+    path = tmp_path / "own_questions.csv"
+    path.write_text(rows_to_csv(rows), encoding="utf-8")
+    counts = {"P0": {"S00": 2}, "P1": {"S01": 1}, "P2": {"S02": 3}, "C9": {}}
+    cfg = RunConfig(data=str(path), seed=7, pair_sample=5, pair_source="paths")
+    ctx = PipelineContext(cfg, readers={"retained": lambda ctx: counts})
+    train = ctx.dataset.iter_split("train")
+    assert [[i.student_id for i in train if i.question_id == f"P{p}"] for p in range(3)] == [["S00"], ["S01"], ["S02"]]
+
+    with caplog.at_level("WARNING", logger="hisekt.evaluation"):
+        assert evaluation._path_pair_pool(counts, ctx.dataset) is None
+        assert "empty path pair pool; falling back to random pairs" in caplog.text
+        caplog.clear()
+        sm = ctx.get("similarity")
+        assert "empty path pair pool" in caplog.text
+    expected = retrieval.fit_similarity(ctx.dataset, ctx.irt, cfg.pair_sample,
+                                        seed=derive_seed(run_seed_of(cfg, 0), "pairs"), c=cfg.c, pair_pool=None)
+    assert sm.pair_sample_size == expected.pair_sample_size == 5
+    assert sm.mu.tobytes() == expected.mu.tobytes() and sm.sigma.tobytes() == expected.sigma.tobytes()
+    assert sm.shrinkage_lambda == expected.shrinkage_lambda

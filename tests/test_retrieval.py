@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hisekt
 from hisekt import evaluation
@@ -28,6 +30,7 @@ from hisekt.retrieval import (
     encode_many,
     fit_similarity,
     pair_at,
+    pair_keys,
     student_tables,
     top_s,
 )
@@ -35,6 +38,7 @@ from hisekt.seeding import derive_rng, derive_seed
 from hisekt.synth import planted_csv
 
 from graph_fixture import make_dataset, make_model
+from support import keys_of_triples, reference_path_pair_pool, triples_of_keys
 
 
 def student_counts(paths):
@@ -111,6 +115,67 @@ def test_retained_counts_equal_the_reference_on_the_decoded_kept_rows(planted_co
         kept = [row for name in TEMPLATES if name in per_template
                 for row in select_top_k(per_template[name], cfg.top_k, mode, seed=derive_seed(run_seed, "topk", qid, name))]
         assert list(retained[qid].items()) == list(student_counts(kept).items())  # dict order included
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=lambda seed: f"planted{seed}")
+def criterion6_context(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "planted.csv"
+    path.write_text(planted_csv(seed=request.param)[0], encoding="utf-8")
+    return PipelineContext(RunConfig(data=str(path), seed=7, n_walks=100, walk_len=20, top_k=5, top_s=3,
+                                     pair_source="paths"))
+
+
+@st.composite
+def retained_maps(draw):
+    """A dataset whose ids sort apart from their order of first appearance, and a retained map
+    over its questions, one absent from the dataset, with empty ones and students who answer
+    the question themselves."""
+    students = draw(st.lists(st.text(alphabet="Zb0a_", min_size=1, max_size=3), min_size=1, max_size=7, unique=True))
+    kc_of = {f"Q{j}": "K0" for j in range(draw(st.integers(1, 4)))}
+    train = draw(st.lists(st.tuples(st.sampled_from(students), st.sampled_from(sorted(kc_of))), max_size=20))
+    d = make_dataset(train, kc_of, extra=[(s, "Q0", "test") for s in students])
+    per_question = st.dictionaries(st.sampled_from(students), st.integers(1, 6), max_size=len(students))
+    counts = draw(st.dictionaries(st.sampled_from([*kc_of, "Qx"]), per_question, max_size=len(kc_of) + 1))
+    return counts, d
+
+
+class TestPathPairPool:
+    """``evaluation._path_pair_pool`` decodes to the sorted set of string triples it replaced."""
+
+    @staticmethod
+    def assert_equals_reference(counts, d):
+        pool = evaluation._path_pair_pool(counts, d)
+        reference = reference_path_pair_pool(counts, d)
+        if not reference:
+            assert pool is None
+            return
+        keys, base = pool
+        assert keys.dtype == np.int64 and base == 1 + max(f for per in counts.values() for f in per.values())
+        assert triples_of_keys(keys, base, d) == sorted(reference)
+
+    @pytest.mark.parametrize("variant", [None, "msr", "msl"], ids=["top", "random", "lowest"])
+    def test_planted(self, criterion6_context, variant):
+        ctx = criterion6_context
+        counts = ctx.get("retained", ctx.cfg, run_seed_of(ctx.cfg, 0), variant)
+        assert len(reference_path_pair_pool(counts, ctx.dataset)) > 10_000
+        self.assert_equals_reference(counts, ctx.dataset)
+
+    @settings(max_examples=150, deadline=None)
+    @given(retained_maps())
+    def test_drawn(self, drawn):
+        self.assert_equals_reference(*drawn)
+
+    def test_single_student(self):
+        d = make_dataset([("S1", "Q0"), ("S1", "Q1")], {"Q0": "K0", "Q1": "K0"})
+        assert evaluation._path_pair_pool({"Q0": {"S1": 2}, "Q1": {}}, d) is None
+
+    def test_answerers_read_from_the_packed_incidence(self):
+        d = make_dataset([("b", "Q3"), ("a", "Q3"), ("c", "Q1")], {f"Q{j}": "K0" for j in range(10)},
+                         extra=[("d", "Q3", "test")])
+        t = student_tables(d)
+        assert [t.students[i] for i in t.answerers("Q3")] == ["a", "b"]
+        assert [t.students[i] for i in t.answerers("Q1")] == ["c"]
+        assert t.answerers("Q9").size == t.answerers("Qx").size == 0
 
 
 def pair_dataset(correct_fn=None, questions=10, students=("S1", "S2", "S3", "S4")):
@@ -293,11 +358,78 @@ class TestFitSimilarity:
             {q: Level.MEDIUM for q in kc_of},
         )
         m.theta.update({"S1": 0.5, "S2": -0.5, "S3": 1.0, "S4": 0.0})
-        pool = [("S1", "S2", 1), ("S1", "S3", 2), ("S2", "S4", 1), ("S3", "S4", 3)]
-        sm = fit_similarity(d, m, sample_pairs=10, seed=0, pair_pool=pool)
+        keys, base = keys_of_triples([("S1", "S2", 1), ("S1", "S3", 2), ("S2", "S4", 1), ("S3", "S4", 3)], d)
+        sm = fit_similarity(d, m, sample_pairs=10, seed=0, pair_pool=keys, pair_base=base)
         assert sm.pair_sample_size == 4
         with pytest.raises(ModelError):
             fit_similarity(d, m, pair_pool=[])
+        with pytest.raises(ModelError):
+            fit_similarity(d, m, pair_pool=np.zeros(0, dtype=np.int64), pair_base=base)
+
+    @pytest.mark.parametrize("sample_pairs", [0, -1])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["random", "pool"])
+    def test_sample_pairs_below_one_rejected(self, sample_pairs, pooled):
+        d, kc_of = pair_dataset()
+        m = make_model({s: Level.MEDIUM for s in ("S1", "S2", "S3", "S4")}, {q: Level.MEDIUM for q in kc_of})
+        keys, base = keys_of_triples([("S1", "S2", 1), ("S3", "S4", 2)], d) if pooled else (None, None)
+        with pytest.raises(ValueError, match="sample_pairs"):
+            fit_similarity(d, m, sample_pairs=sample_pairs, pair_pool=keys, pair_base=base)
+
+    def test_pool_must_be_ascending_distinct_keys_with_a_base(self):
+        d, kc_of = pair_dataset()
+        m = make_model({s: Level.MEDIUM for s in ("S1", "S2", "S3", "S4")}, {q: Level.MEDIUM for q in kc_of})
+        keys, base = keys_of_triples([("S1", "S2", 1), ("S1", "S3", 2), ("S2", "S4", 1)], d)
+        bad = {
+            "tuples": ([("S1", "S2", 1), ("S1", "S3", 2)], base),
+            "2-D": (keys[None, :], base),
+            "floats": (keys.astype(float), base),
+            "descending": (keys[::-1], base),
+            "duplicate": (np.repeat(keys, 2), base),
+            "negative": (keys - keys[-1] - 1, base),
+            "past the last pair": (keys + 4 * 4 * base, base),
+            "no base": (keys, None),
+            "base 0": (keys, 0),
+        }
+        for pool, pool_base in bad.values():
+            with pytest.raises(ValueError):
+                fit_similarity(d, m, pair_pool=pool, pair_base=pool_base)
+
+    def test_key_space_must_fit_in_int64(self):
+        limit = np.iinfo(np.int64).max
+        assert pair_keys([2**31 - 1], [2**31 - 1], [0], 2**31, 1).tolist() == [2**62 - 1]
+        with pytest.raises(ValueError, match="int64"):
+            pair_keys([1], [0], [0], 2**31, 2)  # n * n * base is 2**63
+        with pytest.raises(ValueError, match="int64"):
+            pair_keys([1], [0], [0], 2, limit // 4 + 1)
+        with pytest.raises(ValueError):
+            pair_keys([1], [0], [3], 2, 3)  # f must be below the base
+        d, kc_of = pair_dataset()
+        m = make_model({s: Level.MEDIUM for s in ("S1", "S2", "S3", "S4")}, {q: Level.MEDIUM for q in kc_of})
+        with pytest.raises(ValueError, match="int64"):
+            fit_similarity(d, m, pair_pool=np.array([1, 2]), pair_base=limit // 16 + 1)
+        with pytest.raises(ValueError, match="int64"):
+            evaluation._path_pair_pool({"Q0": {"S1": limit // 16 + 1}}, d)
+
+    @pytest.mark.parametrize("sample_pairs", [500, 1_000_000])
+    def test_pool_fit_equals_a_fit_on_the_sorted_triples(self, sample_pairs):
+        # fit_similarity on string triples as it was: sorted, sampled with rng.sample, encoded by id
+        d = split(ingest(io.StringIO(planted_csv(seed=1)[0])), 0)
+        students = d.students()
+        m = IrtModel({sid: 0.01 * n for n, sid in enumerate(students)}, {}, {}, {}, {}, 0.0, 1.0, 0.0, 1.0)
+        rng = random.Random(4)
+        triples = {(u, s, rng.randint(1, 9)) for u, s in (rng.sample(students, 2) for _ in range(3_000))}
+        keys, base = keys_of_triples(sorted(triples, reverse=True), d)
+        got = fit_similarity(d, m, sample_pairs=sample_pairs, seed=6, pair_pool=keys, pair_base=base)
+
+        pool = sorted(triples)
+        chosen = pool if len(pool) <= sample_pairs else derive_rng(6, "fit_similarity").sample(pool, sample_pairs)
+        t = student_tables(d)
+        features = encode_many(t.positions(p[0] for p in chosen), t.positions(p[1] for p in chosen),
+                               [p[2] for p in chosen], m, d)
+        mu, sigma, lam = _fit_from_features(features)
+        assert got.pair_sample_size == min(len(pool), sample_pairs)
+        assert got.mu.tobytes() == mu.tobytes() and got.sigma.tobytes() == sigma.tobytes()
+        assert got.shrinkage_lambda == lam
 
 
 def unit_model(mu=None, sigma=None):
@@ -509,9 +641,9 @@ class TestRandomPairs:
         d = make_dataset(pairs, kc_of)
         m = make_model({s: Level.MEDIUM for s in students}, {q: Level.MEDIUM for q in kc_of})
         m.theta.update({s: 0.1 * n for n, s in enumerate(students)})
-        listed = [(u, s, 0) for n, u in enumerate(students) for s in students[n + 1:]]
+        listed, base = keys_of_triples([(u, s, 0) for n, u in enumerate(students) for s in students[n + 1:]], d)
         a = fit_similarity(d, m, sample_pairs=400, seed=3)
-        b = fit_similarity(d, m, sample_pairs=400, seed=3, pair_pool=listed)
+        b = fit_similarity(d, m, sample_pairs=400, seed=3, pair_pool=listed, pair_base=base)
         assert a.mu.tobytes() == b.mu.tobytes() and a.sigma.tobytes() == b.sigma.tobytes()
 
     def test_memory_does_not_grow_with_the_pair_count(self):
