@@ -41,7 +41,8 @@ RETRYABLE_4XX = (408, 429)  # request timeout, rate limit: the only client error
 
 
 class MockTransport:
-    """Answers prompts offline by recomputing the deterministic reference logic."""
+    """Answers prompts offline by recomputing the deterministic reference logic; a scoring prompt's
+    path is scored by the plain-Python per-path formula, with the bits of the ``formula`` backend."""
 
     def __init__(self):
         # imported once here, not per prompt: an import statement costs microseconds, and the

@@ -13,15 +13,14 @@ Each dimension is normalized to [0, 5] so the total lands in [0, 20]:
 The formula scorer is the deterministic reference; an LLM backend can score
 the same rendered path and is validated against it.
 
-The formulas have two implementations that share no code and give the same
-bits.  :func:`score_all` scores a :class:`~hisekt.mrhin.WalkGroup` from its
-int rows in one pass of numpy column operations, with no loop over walks.
-:func:`_score_walk` scores one walk in plain Python; it is the reference the
-tests hold the array pass to, and it scores the one path the mock LLM reply
-reads from a scoring prompt.  A group of one would not serve there: on a
-shared 2-vCPU VM (Python 3.11, numpy 2.4) an array pass over one path takes
-64-76 us against 14-15 us for :func:`_score_path`, about 0.7 s more over
-the 13,160 scoring prompts of the staged CLI on the acceptance fixture.
+Each backend has its own form of the formulas; the tests hold both to one
+reference, bit for bit.  The formula backend scores a walk group with
+:func:`score_all`, in one pass of numpy column operations over its int rows.
+The mock LLM backend scores the one path it reads from a scoring prompt with
+:func:`_score_path`, in plain Python on the prompt's nodes, hop counts and KC
+sets: about 8 us a prompt, 0.10 s over the staged CLI's 13,160 scoring
+prompts on the acceptance fixture, where an array pass over a group of one
+takes about 70 us (shared 2-vCPU VM, Python 3.11, numpy 2.4).
 
 The LLM backend renders each walk's scoring prompt from its group's int rows
 and a table of path lines per graph, target question and hop cap.  The mock
@@ -126,55 +125,6 @@ _COUNTED_KINDS = frozenset(("U", "Q", "K"))
 _LEVEL_KINDS = frozenset(("A", "D"))
 
 
-def _score_walk(walk: list[int], nodes: Sequence[Node], kinds: Sequence[str], hops: Sequence[int],
-                covers: Sequence[bool], kstar: int | None) -> tuple[float, float, float, float, float]:
-    """The four dimensions and the total of one walk.
-
-    ``walk`` holds node indices, ``walk[0]`` being the target question.  Node
-    ``x`` is ``nodes[x]`` of kind ``kinds[x]``, ``hops[x]`` hops from the
-    target question; ``covers[x]`` tells whether it is a question covering
-    the target KC, whose index is ``kstar`` (``None`` if not a node here).
-    Indices follow sorted (kind, id) order, so the questions are summed in
-    sorted id order.
-    """
-    length = len(walk) - 1
-    questions = sorted({x for x in walk if kinds[x] == "Q"})
-
-    # centrality: 5 * (1 - mean over distinct questions of min(hops, L) / L), clamped; the
-    # terms are added left to right, which built-in sum() does not do from Python 3.12 on
-    if length == 0:
-        centrality = MAX_DIMENSION_SCORE
-    else:
-        spread = 0.0
-        for q in questions:
-            spread += min(hops[q], length) / length
-        raw = 1.0 - spread / len(questions)
-        centrality = MAX_DIMENSION_SCORE * min(max(raw, 0.0), 1.0)
-
-    # kc_relevance: share of the distinct questions that cover the target KC
-    kc_relevance = MAX_DIMENSION_SCORE * sum(1 for q in questions if covers[q]) / len(questions)
-
-    # informativeness: distinct share of U/Q/K occurrences, repeat visits to q0 and K* dropped
-    counted = [x for x in walk if kinds[x] in _COUNTED_KINDS]
-    repeats = walk.count(walk[0]) - 1 + max(walk.count(kstar) - 1, 0)
-    informativeness = MAX_DIMENSION_SCORE * len(set(counted)) / (len(counted) - repeats)
-
-    # diversity: normalized entropy of A/D level occurrences over the six categories
-    counts = [0] * len(LEVEL_CATEGORIES)
-    for level in [nodes[x] for x in walk if kinds[x] in _LEVEL_KINDS]:
-        counts[_LEVEL_INDEX[level]] += 1
-    total = sum(counts)
-    entropy = 0.0
-    for c in counts:
-        if c:
-            freq = c / total
-            entropy -= freq * math.log(freq)
-    diversity = MAX_DIMENSION_SCORE * entropy / _LOG_CATEGORIES if total else 0.0
-
-    return (centrality, kc_relevance, informativeness, diversity,
-            centrality + kc_relevance + informativeness + diversity)
-
-
 class _GraphTables:
     """A graph's node tables for the array scorer and the retained-student count, by node int,
     each with one more entry (index ``sentinel``, also reached by ``PAD`` = -1) that counts as no
@@ -216,9 +166,9 @@ def graph_tables(g: Mrhin) -> _GraphTables:
 @functools.lru_cache(maxsize=16)
 def _entropy_terms(width: int) -> np.ndarray:
     """``terms[c, t]`` is the entropy term ``0.0 - (c/t) log(c/t)`` of a level category seen
-    ``c`` of ``t`` times, computed as :func:`_score_walk` computes it; 0.0 where ``c`` is 0.
+    ``c`` of ``t`` times, computed as :func:`_score_path` computes it; 0.0 where ``c`` is 0.
     No term is -0.0, so adding a row's terms left to right from 0.0 gives the bits of
-    :func:`_score_walk`'s ``entropy -= ...`` over the same categories."""
+    :func:`_score_path`'s ``entropy -= ...`` over the same categories."""
     terms = np.zeros((width + 1, width + 1))
     for total in range(1, width + 1):
         for count in range(1, total + 1):
@@ -232,9 +182,9 @@ def score_all(walks: WalkGroup, g: Mrhin) -> ScoredGroup:
     """Formula scores of a walk group, all rows at once.
 
     Sorting a row puts its distinct U/Q/K nodes in node-int order, so its distinct questions
-    come in the order :func:`_score_walk` sums them; their centrality terms are added column
-    by column, left to right, and the entropy terms are read from :func:`_entropy_terms`.
-    Each score has the bits :func:`_score_walk` gives the row.
+    come in the sorted id order :func:`_score_path` sums them in; their centrality terms are
+    added column by column, left to right, and the entropy terms are read from
+    :func:`_entropy_terms`.  Each score has the bits :func:`_score_path` gives the row's path.
     """
     tables = graph_tables(g)
     rows = walks.rows
@@ -279,14 +229,48 @@ def score_all(walks: WalkGroup, g: Mrhin) -> ScoredGroup:
 
 def _score_path(path: Sequence[Node], target_kc: str, hop_of: Mapping[str, int],
                 kc_of: Mapping[str, frozenset[str]]) -> tuple[float, float, float, float, float]:
-    """One path's four dimensions and total, given each path question's hop
-    count from the target question and KC set (0 hops and no KC if absent)."""
-    nodes = sorted(set(path))
-    index = {node: i for i, node in enumerate(nodes)}
-    hops = [hop_of.get(node_id, 0) for _, node_id in nodes]
-    covers = [kind == "Q" and target_kc in kc_of.get(node_id, ()) for kind, node_id in nodes]
-    walk = [index[node] for node in path]
-    return _score_walk(walk, nodes, [kind for kind, _ in nodes], hops, covers, index.get(("K", target_kc)))
+    """One path's four dimensions and total, given each path question's hop count from the
+    target question ``path[0]`` and KC set (0 hops and no KC if absent).  Questions are summed
+    in sorted id order and level categories in :data:`LEVEL_CATEGORIES` order, as in
+    :func:`score_all`, so both give the same bits."""
+    length = len(path) - 1
+    counted = [node for node in path if node[0] in _COUNTED_KINDS]
+    questions = sorted({node_id for kind, node_id in counted if kind == "Q"})
+
+    # centrality: 5 * (1 - mean over distinct questions of min(hops, L) / L), clamped; the
+    # terms are added left to right, which built-in sum() does not do from Python 3.12 on
+    if length == 0:
+        centrality = MAX_DIMENSION_SCORE
+    else:
+        spread = 0.0
+        for q in questions:
+            spread += min(hop_of.get(q, 0), length) / length
+        raw = 1.0 - spread / len(questions)
+        centrality = MAX_DIMENSION_SCORE * min(max(raw, 0.0), 1.0)
+
+    # kc_relevance: share of the distinct questions that cover the target KC
+    covering = sum(1 for q in questions if target_kc in kc_of.get(q, ()))
+    kc_relevance = MAX_DIMENSION_SCORE * covering / len(questions)
+
+    # informativeness: distinct share of U/Q/K occurrences, repeat visits to q0 and K* dropped
+    repeats = path.count(path[0]) - 1 + max(path.count(("K", target_kc)) - 1, 0)
+    informativeness = MAX_DIMENSION_SCORE * len(set(counted)) / (len(counted) - repeats)
+
+    # diversity: normalized entropy of A/D level occurrences over the six categories
+    counts = [0] * len(LEVEL_CATEGORIES)
+    for node in path:
+        if node[0] in _LEVEL_KINDS:
+            counts[_LEVEL_INDEX[node]] += 1
+    total = sum(counts)
+    entropy = 0.0
+    for c in counts:
+        if c:
+            freq = c / total
+            entropy -= freq * math.log(freq)
+    diversity = MAX_DIMENSION_SCORE * entropy / _LOG_CATEGORIES if total else 0.0
+
+    return (centrality, kc_relevance, informativeness, diversity,
+            centrality + kc_relevance + informativeness + diversity)
 
 
 # -- LLM scoring backend -----------------------------------------------------
@@ -410,7 +394,8 @@ def _read_scoring_prompt(text: str, memo: dict[str, PathLine] | None = None
                          ) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
     """The path, target KC, and each path question's hop count and KC set written in a scoring
     prompt, read as :func:`render_scoring_prompt` lays them out, with no other knowledge of the
-    graph.  Raises TransportError naming the first path line it cannot read.
+    graph.  Raises TransportError naming the first path line it cannot read, or path line 1
+    if it is not the question of the ``target_question`` line.
 
     Path line ``n`` must start ``"  n. "``, checked on every line; no id holds a line break.
     What follows the number is read by :func:`_read_path_line` once per distinct text: ``memo``
@@ -442,6 +427,8 @@ def _read_scoring_prompt(text: str, memo: dict[str, PathLine] | None = None
         if hops is not None:
             hop_of[node[1]] = hops
             kc_of[node[1]] = kcs
+    if nodes[0][0] != "Q" or not text.startswith(f"{SCORING_PROMPT_HEADER}\ntarget_question: {nodes[0][1]}\n"):
+        raise _unreadable(f"path line {lines[0]!r} is not the question of the target_question line")
     return nodes, kc_line[11:], hop_of, kc_of
 
 

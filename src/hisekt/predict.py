@@ -316,6 +316,13 @@ def _parse_scalar(raw: str) -> float | None:
     return None if raw == "none" else float(raw)
 
 
+def _parse_count(raw: str) -> int:
+    """A count in ASCII digits, as rendered; int() also takes " 3", "+3", "1_0" and non-ASCII digits."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError
+    return int(raw)
+
+
 def _unreadable(what: str) -> TransportError:
     return TransportError(f"mock transport cannot read this prediction prompt: {what}")
 
@@ -379,7 +386,7 @@ def _mock_fields(text: str) -> dict:
         end = text.find("\n", at)
         if not text.startswith(_PEER_COUNT, at):
             raise _unreadable("no peer_count line")
-        count = _value("peer_count", text[at + len(_PEER_COUNT) : end], int)
+        count = _value("peer_count", text[at + len(_PEER_COUNT) : end], _parse_count)
         peers = fields["peers"] = []
         at = text.find(_PEER_KC_ACCURACY, end, task_at)
         while at >= 0:

@@ -1,15 +1,19 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hisekt
 from hisekt.config import RunConfig
 from hisekt.errors import IngestError, ScoringError, TransportError
 from hisekt.evaluation import PipelineContext, run_seed_of
@@ -24,7 +28,6 @@ from hisekt.pathscore import (
     ScoredInstance,
     _read_scoring_prompt,
     _score_path,
-    _score_walk,
     mock_score_reply,
     read_scored,
     render_scoring_prompt,
@@ -40,7 +43,7 @@ from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
 from hisekt.synth import planted_csv
 from prompt_reference import reference_parse_scoring_prompt
-from support import scripted_client
+from support import reference_score_walk, scripted_client
 
 
 @pytest.fixture(scope="module")
@@ -603,13 +606,13 @@ DEAD_END_GRAPH = dead_end_graph()
 
 
 def walk_scores(walks, g):
-    """Each row of a walk group scored alone by ``_score_walk``."""
+    """Each row of a walk group scored alone by ``reference_score_walk``."""
     hops = g.hops_from(("Q", walks.target_question))
     kstar = g.index(("K", walks.target_kc))
     covers = [False] * len(g.node_ids)
     for q in g.int_adj["Q"][kstar]:
         covers[q] = True
-    return [_score_walk(walk, g.node_ids, g.kinds, hops, covers, kstar) for walk in walks.walks()]
+    return [reference_score_walk(walk, g.node_ids, g.kinds, hops, covers, kstar) for walk in walks.walks()]
 
 
 class TestGroupScorer:
@@ -681,6 +684,83 @@ class TestGroupScorer:
                     assert s.score == reference_score(s.instance, ctx.graph), s.instance.nodes
                     checked += 1
         assert checked == 65_800
+
+
+def reference_path_score(path, target_kc, hop_of, kc_of):
+    """``reference_score_walk`` on a path of nodes, each node indexed in sorted (kind, id) order,
+    with ``_score_path``'s reading of ``hop_of`` and ``kc_of`` (0 hops and no KC if absent)."""
+    nodes = sorted(set(path))
+    index = {node: i for i, node in enumerate(nodes)}
+    hops = [hop_of.get(node_id, 0) for _, node_id in nodes]
+    covers = [kind == "Q" and target_kc in kc_of.get(node_id, ()) for kind, node_id in nodes]
+    return reference_score_walk([index[node] for node in path], nodes, [kind for kind, _ in nodes], hops, covers,
+                                index.get(("K", target_kc)))
+
+
+# ids whose sorted order differs from the order they are drawn in
+DRAWN_IDS = st.text(alphabet="Zb0a_", min_size=1, max_size=2)
+LEVELS = [tuple(category.split("_")) for category in LEVEL_CATEGORIES]
+
+
+@st.composite
+def drawn_paths(draw):
+    """A path from a target question, with no graph behind it: any kinds in any order, q0 and the
+    target KC among the nodes it may revisit, and each question's hop count (above any cap, or
+    ``UNREACHABLE``) and KC set drawn, or left out."""
+    q0, target_kc = draw(DRAWN_IDS), draw(DRAWN_IDS)
+    questions = [q0, *draw(st.lists(DRAWN_IDS, max_size=4))]
+    kcs = [target_kc, *draw(st.lists(DRAWN_IDS, max_size=3))]
+    students = draw(st.lists(DRAWN_IDS, max_size=3))
+    pool = [("Q", q) for q in questions] + [("K", k) for k in kcs] + [("U", u) for u in students] + LEVELS
+    path = [("Q", q0), *draw(st.lists(st.sampled_from(pool), max_size=19))]
+    on_path = sorted({node_id for kind, node_id in path if kind == "Q"})
+    hop_of = {q: draw(st.one_of(st.integers(0, 40), st.just(mrhin.UNREACHABLE)))
+              for q in on_path if draw(st.booleans()) or q == q0}
+    kc_of = {q: frozenset(draw(st.sets(st.sampled_from(kcs)))) for q in on_path if draw(st.booleans())}
+    return path, target_kc, hop_of, kc_of
+
+
+class TestPathFormula:
+    @settings(max_examples=500, deadline=None)
+    @given(drawn=drawn_paths())
+    @example(drawn=([("Q", "a")], "K", {"a": 0}, {}))  # no edge
+    @example(drawn=([("Q", "a"), ("K", "K"), ("Q", "a"), ("K", "K"), ("Q", "b"), ("K", "K"), ("Q", "a")], "K",
+                    {"a": 0, "b": 9}, {"a": frozenset({"K"})}))  # repeats of q0 and K*, no level node
+    @example(drawn=([("Q", "b"), ("U", "u"), ("Q", "Z"), ("D", "Low"), ("Q", "a"), ("A", "High")], "K",
+                    {"b": 0, "Z": mrhin.UNREACHABLE, "a": 2}, {"Z": frozenset({"K"})}))  # unreachable
+    def test_equals_the_walk_reference_bit_for_bit(self, drawn):
+        assert [x.hex() for x in _score_path(*drawn)] == [x.hex() for x in reference_path_score(*drawn)]
+
+    def test_mock_replies_do_not_depend_on_the_string_hash_seed(self, tmp_path):
+        # _score_path walks sets of question ids, which iterate in string-hash order; that
+        # order changes with PYTHONHASHSEED, and the centrality sum must not follow it
+        path = tmp_path / "planted.csv"
+        path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+        script = "\n".join([
+            "import hashlib, sys",
+            "from hisekt.config import RunConfig",
+            "from hisekt.evaluation import PipelineContext, run_seed_of",
+            "from hisekt.pathscore import mock_score_reply, render_scoring_prompt",
+            "cfg = RunConfig(data=sys.argv[1], seed=7, n_walks=20, walk_len=12)",
+            "digest, count = hashlib.sha256(), 0",
+            "for per_template in PipelineContext(cfg).instances(run_seed_of(cfg, 0)).values():",
+            "    for group in per_template.values():",
+            "        for k in range(len(group)):",
+            "            digest.update(mock_score_reply(render_scoring_prompt(group, k)).encode() + b'\\n')",
+            "            count += 1",
+            "print(count, digest.hexdigest())",
+        ])
+        src = str(Path(hisekt.__file__).resolve().parent.parent)
+        runs = [
+            subprocess.Popen([sys.executable, "-c", script, str(path)],
+                             env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                             stdout=subprocess.PIPE, text=True)
+            for hash_seed in ("0", "1")
+        ]
+        outputs = [run.communicate(timeout=120)[0].split() for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert outputs[0][0] == "13160" and len(outputs[0][1]) == 64
+        assert outputs[0] == outputs[1]
 
 
 def reference_scoring_prompt(p, g):
@@ -920,6 +1000,34 @@ class TestScoringPromptReader:
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value) == f"mock transport cannot read this scoring prompt: path line {lines[6]!r}"
+
+    @pytest.mark.parametrize("bodies", [
+        ["K:K1"],  # no question on the path: the formulas would divide by zero
+        ["A:Low", "D:High", "A:Medium"],
+        ["U:S1 | ability_level: Low", "Q:Q1 | kcs: K1 | difficulty_level: Low | hops_from_target: 0"],
+        ["Q:Q2 | kcs: K1 | difficulty_level: Low | hops_from_target: 1",
+         "Q:Q1 | kcs: K1 | difficulty_level: Low | hops_from_target: 0"],
+    ])
+    def test_a_path_that_does_not_start_at_the_target_question_fails_naming_its_first_line(self, bodies, g):
+        prompt, lines = first_walk_prompt(g)
+        assert lines[1] == "target_question: Q1"
+        rubric = lines.index("", 4)
+        changed = "\n".join([*lines[:4], *(f"  {n}. {body}" for n, body in enumerate(bodies, 1)), *lines[rubric:]])
+        for read in (_read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+            with pytest.raises(TransportError) as err:
+                read(changed)
+            assert str(err.value) == ("mock transport cannot read this scoring prompt: "
+                                      f"path line '  1. {bodies[0]}' is not the question of the target_question line")
+
+    @pytest.mark.parametrize("question_line", ["", "target_question: Q2\n", "target_question: Q1 \n",
+                                               "target_question:Q1\n", "x\ntarget_question: Q1\n"])
+    def test_a_prompt_without_the_path_start_in_its_target_question_line_fails(self, question_line, g):
+        prompt, lines = first_walk_prompt(g)
+        changed = prompt.replace("target_question: Q1\n", question_line)
+        for read in (_read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+            with pytest.raises(TransportError) as err:
+                read(changed)
+            assert str(err.value).endswith(f"path line {lines[4]!r} is not the question of the target_question line")
 
 
 # ids without " | ", which the old reader split at; none is empty

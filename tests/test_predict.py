@@ -463,6 +463,11 @@ GARBLED = [
     ("peer-count-too-high", r"peer_count: 1", "peer_count: 2", "peer_count 2, but 1 peers"),
     ("no-peer-count", r"peer_count: 1\n", "", "no peer_count line"),
     ("peer-count-word", r"peer_count: 1", "peer_count: one", "peer_count 'one'"),
+    # a count int() takes but the renderer never writes
+    ("peer-count-arabic-indic", r"peer_count: 1", "peer_count: \u0661", "peer_count '\u0661'"),
+    ("peer-count-space", r"peer_count: 1", "peer_count:  1", "peer_count ' 1'"),
+    ("peer-count-plus", r"peer_count: 1", "peer_count: +1", "peer_count '+1'"),
+    ("peer-count-underscore", r"peer_count: 1", "peer_count: 0_1", "peer_count '0_1'"),
     # a value that does not parse, which must fail the stage, not escape it as a bare ValueError
     ("difficulty-word", r"difficulty: 0.5", "difficulty: x0.5", "difficulty 'x0.5'"),
     ("ability-word", r"ability: 0.25", "ability: high", "ability 'high'"),
