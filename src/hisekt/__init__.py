@@ -22,6 +22,7 @@ from .retrieval import (
     encode_many,
     fit_similarity,
     top_s,
+    top_s_many,
 )
 
 __version__ = "0.1.0"
@@ -70,4 +71,5 @@ __all__ = [
     "select_top_k",
     "split",
     "top_s",
+    "top_s_many",
 ]

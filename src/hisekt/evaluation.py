@@ -290,6 +290,7 @@ def _similarity(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: st
 
 
 def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
+    """Each test target's Top-S peers, in test order; the targets of one question are ranked together."""
     _, peer_mode, mask = ABLATIONS[variant]
     tests = ctx.test_targets(cfg)
     if predict.MASK_SIMU in mask:
@@ -297,12 +298,16 @@ def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | N
     d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
     counts = ctx.get("retained", cfg, run_seed, variant)
     sim = ctx.get("similarity", cfg, run_seed, variant) if peer_mode == "similar" else None
-    peers: dict[tuple[str, str, int], list[str]] = {}
+    by_question: dict[str, list[Interaction]] = {}
     for i in tests:
-        cands = retrieval.candidates_of(counts.get(i.question_id, {}), i.student_id, i.question_id)
-        seed = derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp)
-        peers[target_key(i)] = retrieval.top_s(cands, sim, m, d, cfg.top_s, mode=peer_mode, c=cfg.c, seed=seed)
-    return peers
+        by_question.setdefault(i.question_id, []).append(i)
+    peers: dict[tuple[str, str, int], list[str]] = {}
+    for qid, targets in by_question.items():
+        seeds = [derive_seed(run_seed, "tops", i.student_id, qid, i.timestamp) for i in targets]
+        ranked = retrieval.top_s_many(qid, counts.get(qid, {}), [i.student_id for i in targets], sim, m, d,
+                                      cfg.top_s, mode=peer_mode, c=cfg.c, seeds=seeds)
+        peers.update(zip(map(target_key, targets), ranked))
+    return {target_key(i): peers[target_key(i)] for i in tests}
 
 
 def _predictions(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):

@@ -23,7 +23,9 @@ alternating block updates crawl.  The fit is deterministic given the data.
 
 :func:`fit` is the only code that sets priors: the model it returns covers
 every student and question of the dataset, so readers index it directly.
-:func:`serialize` and :func:`load` store the model as JSON of its init fields.
+A model is frozen and its five tables are read-only copies of the mappings it
+was built from, so values memoized from them cannot go stale.  :func:`serialize` and
+:func:`load` store the model as JSON of its init fields.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import logging
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, Mapping
 
 import numpy as np
@@ -112,19 +115,22 @@ def population_stats(values: Mapping[str, float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrtModel:
     """Fitted parameters plus level assignments for every student and question.
 
     A model from :func:`fit` covers every student and question of its dataset, cold-start ids
-    included, and readers index it directly: an id it lacks raises KeyError.
+    included, and readers index it directly: an id it lacks raises KeyError.  A model is frozen,
+    and its tables (``theta``, ``disc``, ``diff`` and the two level maps) are read-only copies of
+    the mappings given: writing to one raises TypeError.  ``dataclasses.replace`` makes a model
+    with other values.
     """
 
-    theta: dict[str, float]
-    disc: dict[str, float]
-    diff: dict[str, float]
-    ability_level: dict[str, Level]
-    difficulty_level: dict[str, Level]
+    theta: Mapping[str, float]
+    disc: Mapping[str, float]
+    diff: Mapping[str, float]
+    ability_level: Mapping[str, Level]
+    difficulty_level: Mapping[str, Level]
     ability_mu: float
     ability_sigma: float
     difficulty_mu: float
@@ -138,15 +144,17 @@ class IrtModel:
     _theta_rows: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def theta_array(self, students: tuple[str, ...]) -> np.ndarray:
-        """theta of each of ``students`` in order; KeyError if the model lacks one.
+    def __post_init__(self):
+        for name in ("theta", "disc", "diff", "ability_level", "difficulty_level"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
-        Memoized per student tuple, so ``theta`` must not change after the
-        first call.
-        """
+    def theta_array(self, students: tuple[str, ...]) -> np.ndarray:
+        """theta of each of ``students`` in order, memoized per student tuple; KeyError if the
+        model lacks one."""
         rows = self._theta_rows.get(students)
         if rows is None:
             rows = np.array([self.theta[s] for s in students], dtype=float)
+            rows.flags.writeable = False  # shared by every caller
             self._theta_rows[students] = rows
         return rows
 
@@ -360,6 +368,8 @@ def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:
 def serialize(m: IrtModel) -> str:
     """JSON of the model's init fields, keys sorted: levels by label, cold-start ids as sorted lists."""
     values = {f.name: getattr(m, f.name) for f in fields(m) if f.init}
+    for name in ("theta", "disc", "diff"):
+        values[name] = dict(values[name])
     for name in ("ability_level", "difficulty_level"):
         values[name] = {key: level.label for key, level in values[name].items()}
     for name in ("cold_start_students", "cold_start_questions"):

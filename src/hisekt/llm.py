@@ -24,8 +24,6 @@ import os
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
@@ -107,6 +105,10 @@ class LlmClient:
         raise TransportError(f"llm endpoint unreachable after retries: {last_error}")
 
     def _http_complete(self, prompt: str) -> str:
+        # imported here, the only place that needs it: an offline run never loads the HTTP stack
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(
             {
                 "model": self.model_name,

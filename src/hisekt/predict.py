@@ -9,9 +9,12 @@ on that to answer prompts deterministically from their text alone.
 
 :func:`build_prompt` reads the dataset through :func:`student_facts`, built
 once per dataset and memoized on it: each student's train history, its rows
-and accuracy per KC, and its overall accuracy.  Only dataset facts are kept
-there; abilities, difficulties and levels are read from the (mutable)
-``IrtModel`` on every call.
+and accuracy per KC, and its overall accuracy.  A prompt is put together from
+block texts: the target-student block, rendered once per (student, window,
+IRT shown), and each peer entry, rendered once per (peer, target KC, IRT
+shown), are memoized on the dataset for the model they were rendered with,
+whose tables are read-only, so an entry cannot go stale.  Prompts of one
+student share its block, and peers recur across the targets of a question.
 
 The mock backend reads a rendered prompt with :func:`_mock_fields`.  It finds
 the blocks with ``str.find`` and reads only the lines the reply formula uses:
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import re
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -52,127 +56,36 @@ def count_sentences(text: str) -> int:
     return len(_SENTENCE_END.findall(text.strip()))
 
 
-@dataclass(frozen=True)
-class HistoryRow:
-    question_id: str
-    kcs: tuple[str, ...]
-    correct: bool
-    timestamp: int
-    difficulty: float | None
-    discrimination: float | None
-    difficulty_level: str | None
-
-
-@dataclass(frozen=True)
-class PeerInfo:
-    student_id: str
-    theta: float | None
-    ability_level: str | None
-    target_kc_accuracy: float | None
-    overall_accuracy: float
-    history: tuple[tuple[str, bool, int], ...]  # (question, correct, timestamp) on the target KC
+TASK_BLOCK = "\n".join(
+    [
+        "=== TASK ===",
+        "Decide whether the target student answers the target question correctly,",
+        "then explain the decision in a three-sentence report.",
+        "Reply with exactly this block:",
+        REPLY_OPEN,
+        "outcome: correct|wrong",
+        "confidence: <number between 0 and 1>",
+        "report: <exactly three sentences>",
+        REPLY_CLOSE,
+    ]
+)
 
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """Structured prompt content; rendering is a pure function of these fields."""
+    """One prediction prompt as its rendered blocks; ``text`` joins them between the fixed header
+    and task block.  ``peers_block`` is None under the ``SimU`` mask."""
 
-    target_student: str
-    theta: float | None
-    ability_level: str | None
-    history: tuple[HistoryRow, ...]
-    question_id: str
-    question_kcs: tuple[str, ...]
-    target_kc: str
-    student_kc_accuracy: float | None
-    difficulty: float | None
-    discrimination: float | None
-    difficulty_level: str | None
-    cold_start: bool
-    peers: tuple[PeerInfo, ...]
-    ablation_mask: frozenset[str]
-
-    @property
-    def target_block(self) -> str:
-        lines = ["=== TARGET STUDENT ===", f"student_id: {self.target_student}"]
-        if MASK_IRT not in self.ablation_mask:
-            lines.append(f"ability: {self.theta!r}")
-            lines.append(f"ability_level: {self.ability_level}")
-        lines.append(f"recent_interactions: {len(self.history)}")
-        for row in self.history:
-            entry = (
-                f"  - question: {row.question_id} | kcs: {';'.join(row.kcs)}"
-                f" | correct: {int(row.correct)} | timestamp: {row.timestamp}"
-            )
-            if MASK_IRT not in self.ablation_mask:
-                entry += (
-                    f" | difficulty: {row.difficulty!r} | discrimination: {row.discrimination!r}"
-                    f" | difficulty_level: {row.difficulty_level}"
-                )
-            lines.append(entry)
-        return "\n".join(lines)
-
-    @property
-    def question_block(self) -> str:
-        lines = [
-            "=== TARGET QUESTION ===",
-            f"question_id: {self.question_id}",
-            f"kcs: {';'.join(self.question_kcs)}",
-            f"target_kc: {self.target_kc}",
-            f"student_accuracy_on_target_kc: "
-            f"{'none' if self.student_kc_accuracy is None else repr(self.student_kc_accuracy)}",
-        ]
-        if MASK_IRT not in self.ablation_mask:
-            lines.append(f"difficulty: {self.difficulty!r}")
-            lines.append(f"discrimination: {self.discrimination!r}")
-            lines.append(f"difficulty_level: {self.difficulty_level}")
-            if self.cold_start:
-                lines.append("cold_start: true")
-        return "\n".join(lines)
-
-    @property
-    def peers_block(self) -> str | None:
-        if MASK_SIMU in self.ablation_mask:
-            return None
-        lines = ["=== SIMILAR STUDENTS ===", f"peer_count: {len(self.peers)}"]
-        for peer in self.peers:
-            lines.append(f"peer: {peer.student_id}")
-            if MASK_IRT not in self.ablation_mask:
-                lines.append(f"  ability: {peer.theta!r}")
-                lines.append(f"  ability_level: {peer.ability_level}")
-            lines.append(
-                f"  target_kc_accuracy: "
-                f"{'none' if peer.target_kc_accuracy is None else repr(peer.target_kc_accuracy)}"
-            )
-            lines.append(f"  overall_accuracy: {peer.overall_accuracy!r}")
-            lines.append(f"  target_kc_history: {len(peer.history)}")
-            for qid, correct, ts in peer.history:
-                lines.append(f"    - question: {qid} | correct: {int(correct)} | timestamp: {ts}")
-        return "\n".join(lines)
-
-    @property
-    def task_block(self) -> str:
-        return "\n".join(
-            [
-                "=== TASK ===",
-                "Decide whether the target student answers the target question correctly,",
-                "then explain the decision in a three-sentence report.",
-                "Reply with exactly this block:",
-                REPLY_OPEN,
-                "outcome: correct|wrong",
-                "confidence: <number between 0 and 1>",
-                "report: <exactly three sentences>",
-                REPLY_CLOSE,
-            ]
-        )
+    target_block: str
+    question_block: str
+    peers_block: str | None
 
     @property
     def text(self) -> str:
         blocks = [PREDICTION_PROMPT_HEADER, self.target_block, self.question_block]
-        peers = self.peers_block
-        if peers is not None:
-            blocks.append(peers)
-        blocks.append(self.task_block)
+        if self.peers_block is not None:
+            blocks.append(self.peers_block)
+        blocks.append(TASK_BLOCK)
         return "\n".join(blocks)
 
 
@@ -237,6 +150,78 @@ def student_facts(d: Dataset) -> Mapping[str, StudentFacts]:
     return cached
 
 
+class _Rendered:
+    """Rendered text of one model over one dataset: target blocks by (student, window, IRT shown)
+    and peer entries by (peer, target KC, IRT shown)."""
+
+    def __init__(self, m: IrtModel):
+        self.model = weakref.ref(m)
+        self.targets: dict[tuple[str, int, bool], str] = {}
+        self.peers: dict[tuple[str, str, bool], str] = {}
+
+
+def _rendered(d: Dataset, m: IrtModel) -> _Rendered:
+    """The memo of rendered text for ``m`` over ``d``, kept on the dataset for the model it last
+    rendered with: it dies with the dataset, holds no reference to the model, and starts cold for
+    another model.  A model's tables are read-only, so no entry can go stale."""
+    memo = getattr(d, "_rendered", None)
+    if memo is None or memo.model() is not m:
+        memo = _Rendered(m)
+        d._rendered = memo
+    return memo
+
+
+def _target_block(u: str, window: int, irt: bool, m: IrtModel, d: Dataset) -> str:
+    own = student_facts(d).get(u, _NO_FACTS)
+    rows = own.history[max(len(own.history) - window, 0):]
+    lines = ["=== TARGET STUDENT ===", f"student_id: {u}"]
+    if irt:
+        lines.append(f"ability: {m.theta[u]!r}")
+        lines.append(f"ability_level: {m.ability_level[u].label}")
+    lines.append(f"recent_interactions: {len(rows)}")
+    for qid, kcs, correct, timestamp in rows:
+        entry = f"  - question: {qid} | kcs: {';'.join(kcs)} | correct: {int(correct)} | timestamp: {timestamp}"
+        if irt:
+            entry += (f" | difficulty: {m.diff[qid]!r} | discrimination: {m.disc[qid]!r}"
+                      f" | difficulty_level: {m.difficulty_level[qid].label}")
+        lines.append(entry)
+    return "\n".join(lines)
+
+
+def _peer_entry(peer_id: str, target_kc: str, irt: bool, m: IrtModel, d: Dataset) -> str:
+    peer = student_facts(d).get(peer_id, _NO_FACTS)
+    accuracy = peer.kc_accuracy.get(target_kc)
+    history = peer.kc_history.get(target_kc, ())
+    lines = [f"peer: {peer_id}"]
+    if irt:
+        lines.append(f"  ability: {m.theta[peer_id]!r}")
+        lines.append(f"  ability_level: {m.ability_level[peer_id].label}")
+    lines.append(f"  target_kc_accuracy: {'none' if accuracy is None else repr(accuracy)}")
+    lines.append(f"  overall_accuracy: {peer.overall_accuracy!r}")
+    lines.append(f"  target_kc_history: {len(history)}")
+    for qid, correct, timestamp in history:
+        lines.append(f"    - question: {qid} | correct: {int(correct)} | timestamp: {timestamp}")
+    return "\n".join(lines)
+
+
+def _question_block(u: str, q: str, target_kc: str, irt: bool, m: IrtModel, d: Dataset) -> str:
+    accuracy = student_facts(d).get(u, _NO_FACTS).kc_accuracy.get(target_kc)
+    lines = [
+        "=== TARGET QUESTION ===",
+        f"question_id: {q}",
+        f"kcs: {';'.join(sorted(d.question_kcs()[q]))}",
+        f"target_kc: {target_kc}",
+        f"student_accuracy_on_target_kc: {'none' if accuracy is None else repr(accuracy)}",
+    ]
+    if irt:
+        lines.append(f"difficulty: {m.diff[q]!r}")
+        lines.append(f"discrimination: {m.disc[q]!r}")
+        lines.append(f"difficulty_level: {m.difficulty_level[q].label}")
+        if q in m.cold_start_questions:
+            lines.append("cold_start: true")
+    return "\n".join(lines)
+
+
 def build_prompt(
     u: str,
     q: str,
@@ -253,60 +238,29 @@ def build_prompt(
     must cover the target, every peer and every question shown, as a model
     from :func:`hisekt.irt.fit` covers every id of its dataset: a missing id
     raises KeyError.  A question in ``m.cold_start_questions`` renders a
-    ``cold_start: true`` line.
+    ``cold_start: true`` line.  The target block and each peer entry are
+    rendered once per key and memoized; the question block is rendered per call.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    mask = frozenset(mask)
-    facts = student_facts(d)
-    question_kcs = d.question_kcs()
-    target_kc = min(question_kcs[q])
-    own = facts.get(u, _NO_FACTS)
-
-    history_rows = []
-    for qid, kcs, correct, timestamp in own.history[max(len(own.history) - window, 0):]:
-        history_rows.append(
-            HistoryRow(
-                question_id=qid,
-                kcs=kcs,
-                correct=correct,
-                timestamp=timestamp,
-                difficulty=m.diff[qid],
-                discrimination=m.disc[qid],
-                difficulty_level=m.difficulty_level[qid].label,
-            )
-        )
-
-    peer_infos = []
-    for peer_id in peers:
-        peer = facts.get(peer_id, _NO_FACTS)
-        peer_infos.append(
-            PeerInfo(
-                student_id=peer_id,
-                theta=m.theta[peer_id],
-                ability_level=m.ability_level[peer_id].label,
-                target_kc_accuracy=peer.kc_accuracy.get(target_kc),
-                overall_accuracy=peer.overall_accuracy,
-                history=peer.kc_history.get(target_kc, ()),
-            )
-        )
-
-    return PromptBundle(
-        target_student=u,
-        theta=m.theta[u],
-        ability_level=m.ability_level[u].label,
-        history=tuple(history_rows),
-        question_id=q,
-        question_kcs=tuple(sorted(question_kcs[q])),
-        target_kc=target_kc,
-        student_kc_accuracy=own.kc_accuracy.get(target_kc),
-        difficulty=m.diff[q],
-        discrimination=m.disc[q],
-        difficulty_level=m.difficulty_level[q].label,
-        cold_start=q in m.cold_start_questions,
-        peers=tuple(peer_infos),
-        ablation_mask=mask,
-    )
+    irt = MASK_IRT not in mask
+    target_kc = min(d.question_kcs()[q])
+    memo = _rendered(d, m)
+    key = (u, window, irt)
+    target = memo.targets.get(key)
+    if target is None:
+        target = memo.targets[key] = _target_block(u, window, irt, m, d)
+    peers_block = None
+    if MASK_SIMU not in mask:
+        entries = []
+        for peer_id in peers:
+            key = (peer_id, target_kc, irt)
+            entry = memo.peers.get(key)
+            if entry is None:
+                entry = memo.peers[key] = _peer_entry(peer_id, target_kc, irt, m, d)
+            entries.append(entry)
+        peers_block = "\n".join(["=== SIMILAR STUDENTS ===", f"peer_count: {len(entries)}", *entries])
+    return PromptBundle(target, _question_block(u, q, target_kc, irt, m, d), peers_block)
 
 
 # -- prediction backends ------------------------------------------------------

@@ -20,8 +20,12 @@ decays are read from a table of Python floats ``(1.0 + i) ** (-c)`` filled
 on demand.
 :func:`distances` solves every row against the Cholesky factor in one
 batched ``np.linalg.solve``, one right-hand side per row, as a per-row loop
-solves it.  :func:`top_s` encodes and ranks a target's candidates as
-one block, and :func:`fit_similarity` its sampled pairs.  Sampled pairs are
+solves it.  Since no row's features or distance depend on another row,
+:func:`top_s_many` ranks every target of one question at once: it reads the
+question's retained students once and encodes all targets' candidates as
+one block (split only past :data:`BLOCK_PAIRS` pairs), each target getting
+the distances it would get alone.  :func:`top_s` is its one-target call, and
+:func:`fit_similarity` encodes its sampled pairs as one block.  Sampled pairs are
 drawn as indices and only the chosen ones decoded: random pairs index the
 nested-loop pair order and are never listed, and a caller's pair pool is an
 ascending array of :func:`pair_keys`, ints that sort as the
@@ -49,6 +53,9 @@ DEFAULT_PAIR_SAMPLE = 10_000
 SHRINKAGE_FLOOR = 0.05
 SHRINKAGE_STEP = 0.01
 MIN_EIGENVALUE = 1e-8
+# most candidate pairs :func:`top_s_many` encodes at once, so a block's arrays stay a few MB
+# however many targets and candidates a question has
+BLOCK_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -159,11 +166,6 @@ def student_tables(d: Dataset) -> StudentTables:
         cached = StudentTables(d)
         d._student_tables = cached  # memoized on the immutable dataset
     return cached
-
-
-def candidates_of(counts: Mapping[str, int], u_target: str, target_question: str) -> CandidateSet:
-    """The students counted on a target question's retained walks, minus the target, with their counts."""
-    return CandidateSet(u_target, target_question, {sid: f for sid, f in counts.items() if sid != u_target})
 
 
 def encode_many(
@@ -353,6 +355,61 @@ def distances(z: np.ndarray, sm: SimilarityModel) -> np.ndarray:
     return np.sqrt(np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0])
 
 
+def top_s_many(
+    question: str,
+    retained: Mapping[str, int],
+    targets: Sequence[str],
+    sm: SimilarityModel | None,
+    m: IrtModel,
+    d: Dataset,
+    s: int,
+    mode: str = "similar",
+    c: float = DEFAULT_SCALING,
+    seeds: Sequence[int] = (),
+) -> list[list[str]]:
+    """Top-S peers of each of ``targets`` on ``question``, one list per target in order.
+
+    A target's candidates are the students of ``retained`` (id -> co-occurrence count) but
+    itself.  It gets ``min(s, |candidates|)`` peers: nearest by distance, ties in id order, or
+    (``random`` mode) drawn uniformly with its own seed from ``seeds``.  In ``similar`` mode
+    every distinct target's candidates are stacked and ranked in blocks of at most
+    :data:`BLOCK_PAIRS` pairs, one :func:`encode_many` and one :func:`distances` call each, then
+    one stable argsort per target; rows do not interact, so a target's distances are those it
+    would get alone, bit for bit.
+    """
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if mode not in ("similar", "random"):
+        raise ValueError(f"unknown retrieval mode {mode!r}")
+    ids = sorted(retained)
+    if mode == "random":
+        if len(seeds) != len(targets):
+            raise ValueError("random mode needs one seed per target")
+        peers = []
+        for target, seed in zip(targets, seeds):
+            pool = [sid for sid in ids if sid != target]
+            peers.append(pool if s >= len(pool) else derive_rng(seed, "top_s", target, question).sample(pool, s))
+        return peers
+    t = student_tables(d)
+    rows = t.positions(ids)
+    f = np.fromiter((retained[sid] for sid in ids), dtype=np.int64, count=len(ids))
+    distinct = list(dict.fromkeys(targets))
+    ranked: dict[str, list[str]] = {}
+    per_block = max(1, BLOCK_PAIRS // max(len(ids), 1))
+    for start in range(0, len(distinct), per_block):
+        block = distinct[start:start + per_block]
+        u = t.positions(block)
+        # each target's candidates, target by target: every retained row but its own, in id order
+        which, col = np.nonzero(rows[None, :] != u[:, None])
+        dist = distances(encode_many(u[which], rows[col], f[col], m, d, c), sm)
+        bounds = np.searchsorted(which, np.arange(len(block) + 1)).tolist()
+        for j, target in enumerate(block):
+            lo, hi = bounds[j], bounds[j + 1]
+            # the sort is stable: order by (distance, id)
+            ranked[target] = [ids[k] for k in col[lo:hi][np.argsort(dist[lo:hi], kind="stable")[:s]].tolist()]
+    return [list(ranked[target]) for target in targets]
+
+
 def top_s(
     cands: CandidateSet,
     sm: SimilarityModel,
@@ -363,22 +420,7 @@ def top_s(
     c: float = DEFAULT_SCALING,
     seed: int = 0,
 ) -> list[str]:
-    """Pick ``min(s, |candidates|)`` peers: nearest by distance, or uniform at random."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    ids = sorted(cands.candidates)
-    if not ids:
-        return []
-    if mode == "similar":
-        t = student_tables(d)
-        u = np.full(len(ids), t.positions([cands.target_student])[0])
-        f = [cands.candidates[sid] for sid in ids]
-        dist = distances(encode_many(u, t.positions(ids), f, m, d, c), sm)
-        # ids are sorted and the sort is stable: order by (distance, id)
-        return [ids[i] for i in np.argsort(dist, kind="stable")[:s]]
-    if mode == "random":
-        rng = derive_rng(seed, "top_s", cands.target_student, cands.target_question)
-        if s >= len(ids):
-            return ids
-        return rng.sample(ids, s)
-    raise ValueError(f"unknown retrieval mode {mode!r}")
+    """Pick ``min(s, |candidates|)`` peers: nearest by distance, or uniform at random; the one-target
+    call of :func:`top_s_many`."""
+    return top_s_many(cands.target_question, cands.candidates, [cands.target_student], sm, m, d, s, mode, c,
+                      [seed])[0]

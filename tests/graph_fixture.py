@@ -74,10 +74,11 @@ def group_of(g, instances):
     return WalkGroup(g, first.template, first.target_question, first.target_kc, rows)
 
 
-def make_model(ability_levels, difficulty_levels):
-    """Hand-built model: only the level maps matter for graph construction."""
+def make_model(ability_levels, difficulty_levels, theta=()):
+    """Hand-built model: only the level maps matter for graph construction.  Every theta is 0.0 but
+    those ``theta`` gives; a model's tables are read-only once built."""
     return IrtModel(
-        theta={s: 0.0 for s in ability_levels},
+        theta={**{s: 0.0 for s in ability_levels}, **dict(theta)},
         disc={q: 1.0 for q in difficulty_levels},
         diff={q: 0.0 for q in difficulty_levels},
         ability_level=dict(ability_levels),

@@ -1,13 +1,14 @@
 """Reference forms of the prediction prompt's builder, reader and mock reply, and of the
 scoring prompt's reader, for equality tests.
 
-``reference_build_prompt`` is the builder as it was before prompts were built
-from per-student tables: it scans the train rows of the target and of every
-peer for each prompt.  It differs from that builder in two places: a window of
-0 shows no history rows (the slice ``rows[-0:]`` showed them all), and it
-indexes the model directly, reading the cold-start flag from
-``m.cold_start_questions``, where that builder gave an id missing from the
-model a prior of its own.
+``ReferenceBundle`` is the prompt as structured fields - ``HistoryRow`` and
+``PeerInfo`` rows - rendered on every read of ``text``: the form prompts had
+before the package rendered each target block and peer entry once and
+memoized it.  ``reference_build_prompt`` fills it from a scan of the train
+rows of the target and of every peer for each prompt.  A window of 0 shows no
+history rows (the slice ``rows[-0:]`` would show them all), and it reads
+every IRT field it renders from the model directly, the cold-start flag from
+``m.cold_start_questions``.
 ``parse_prompt`` recovers every field of a rendered prediction prompt, as
 the renderers' full inverse.  ``reference_mock_reply`` answers a prompt from
 it; the mock backend reads only the lines it uses, and fails on a prompt not
@@ -19,12 +20,122 @@ before it read path lines by their node kind: every line numbered
 does not recognise, and cannot read an id that holds ``" | "``.
 """
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from hisekt.dataset import Dataset
 from hisekt.irt import IrtModel
 from hisekt.mrhin import Node
-from hisekt.predict import DEFAULT_WINDOW, HistoryRow, PeerInfo, PromptBundle, _parse_scalar, mock_reply
+from hisekt.predict import (DEFAULT_WINDOW, MASK_IRT, MASK_SIMU, PREDICTION_PROMPT_HEADER, TASK_BLOCK, _parse_scalar,
+                            mock_reply)
+
+
+@dataclass(frozen=True)
+class HistoryRow:
+    question_id: str
+    kcs: tuple[str, ...]
+    correct: bool
+    timestamp: int
+    difficulty: float | None
+    discrimination: float | None
+    difficulty_level: str | None
+
+
+@dataclass(frozen=True)
+class PeerInfo:
+    student_id: str
+    theta: float | None
+    ability_level: str | None
+    target_kc_accuracy: float | None
+    overall_accuracy: float
+    history: tuple[tuple[str, bool, int], ...]  # (question, correct, timestamp) on the target KC
+
+
+@dataclass(frozen=True)
+class ReferenceBundle:
+    """Structured prompt content; rendering is a pure function of these fields."""
+
+    target_student: str
+    theta: float | None
+    ability_level: str | None
+    history: tuple[HistoryRow, ...]
+    question_id: str
+    question_kcs: tuple[str, ...]
+    target_kc: str
+    student_kc_accuracy: float | None
+    difficulty: float | None
+    discrimination: float | None
+    difficulty_level: str | None
+    cold_start: bool
+    peers: tuple[PeerInfo, ...]
+    ablation_mask: frozenset[str]
+
+    @property
+    def target_block(self) -> str:
+        lines = ["=== TARGET STUDENT ===", f"student_id: {self.target_student}"]
+        if MASK_IRT not in self.ablation_mask:
+            lines.append(f"ability: {self.theta!r}")
+            lines.append(f"ability_level: {self.ability_level}")
+        lines.append(f"recent_interactions: {len(self.history)}")
+        for row in self.history:
+            entry = (
+                f"  - question: {row.question_id} | kcs: {';'.join(row.kcs)}"
+                f" | correct: {int(row.correct)} | timestamp: {row.timestamp}"
+            )
+            if MASK_IRT not in self.ablation_mask:
+                entry += (
+                    f" | difficulty: {row.difficulty!r} | discrimination: {row.discrimination!r}"
+                    f" | difficulty_level: {row.difficulty_level}"
+                )
+            lines.append(entry)
+        return "\n".join(lines)
+
+    @property
+    def question_block(self) -> str:
+        lines = [
+            "=== TARGET QUESTION ===",
+            f"question_id: {self.question_id}",
+            f"kcs: {';'.join(self.question_kcs)}",
+            f"target_kc: {self.target_kc}",
+            f"student_accuracy_on_target_kc: "
+            f"{'none' if self.student_kc_accuracy is None else repr(self.student_kc_accuracy)}",
+        ]
+        if MASK_IRT not in self.ablation_mask:
+            lines.append(f"difficulty: {self.difficulty!r}")
+            lines.append(f"discrimination: {self.discrimination!r}")
+            lines.append(f"difficulty_level: {self.difficulty_level}")
+            if self.cold_start:
+                lines.append("cold_start: true")
+        return "\n".join(lines)
+
+    @property
+    def peers_block(self) -> str | None:
+        if MASK_SIMU in self.ablation_mask:
+            return None
+        lines = ["=== SIMILAR STUDENTS ===", f"peer_count: {len(self.peers)}"]
+        for peer in self.peers:
+            lines.append(f"peer: {peer.student_id}")
+            if MASK_IRT not in self.ablation_mask:
+                lines.append(f"  ability: {peer.theta!r}")
+                lines.append(f"  ability_level: {peer.ability_level}")
+            lines.append(
+                f"  target_kc_accuracy: "
+                f"{'none' if peer.target_kc_accuracy is None else repr(peer.target_kc_accuracy)}"
+            )
+            lines.append(f"  overall_accuracy: {peer.overall_accuracy!r}")
+            lines.append(f"  target_kc_history: {len(peer.history)}")
+            for qid, correct, ts in peer.history:
+                lines.append(f"    - question: {qid} | correct: {int(correct)} | timestamp: {ts}")
+        return "\n".join(lines)
+
+    @property
+    def text(self) -> str:
+        blocks = [PREDICTION_PROMPT_HEADER, self.target_block, self.question_block]
+        peers = self.peers_block
+        if peers is not None:
+            blocks.append(peers)
+        blocks.append(TASK_BLOCK)
+        return "\n".join(blocks)
 
 
 def _kc_accuracy(rows: Sequence, kc: str) -> float | None:
@@ -42,8 +153,8 @@ def reference_build_prompt(
     d: Dataset,
     mask: frozenset[str] | set[str] = frozenset(),
     window: int = DEFAULT_WINDOW,
-) -> PromptBundle:
-    """The prompt bundle of one target, from a scan of the train rows (``window`` >= 0)."""
+) -> ReferenceBundle:
+    """The structured prompt of one target, from a scan of the train rows (``window`` >= 0)."""
     mask = frozenset(mask)
     by_student = d.by_student("train")
     question_kcs = d.question_kcs()
@@ -80,7 +191,7 @@ def reference_build_prompt(
             )
         )
 
-    return PromptBundle(
+    return ReferenceBundle(
         target_student=u,
         theta=m.theta[u],
         ability_level=m.ability_level[u].label,

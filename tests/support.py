@@ -1,17 +1,20 @@
 """Test helpers with no caller in the package: a client that plays back canned LLM replies,
 a prompt bundle whose text is cut, the shape check of criterion 8's AUC-by-K series, the
 path pair pool as string triples with its conversions to and from ``retrieval.pair_keys``,
-and the path formulas on one walk of node indices."""
+the path formulas on one walk of node indices, and peer retrieval one target at a time."""
 
 import math
 
 import numpy as np
 
+from hisekt.config import ABLATIONS
 from hisekt.errors import TransportError
+from hisekt.evaluation import target_key
 from hisekt.llm import LlmClient
 from hisekt.pathscore import LEVEL_CATEGORIES, MAX_DIMENSION_SCORE
-from hisekt.predict import PromptBundle
-from hisekt.retrieval import pair_keys, student_tables
+from hisekt.predict import MASK_SIMU, PromptBundle
+from hisekt.retrieval import DEFAULT_SCALING, CandidateSet, distances, encode_many, pair_keys, student_tables
+from hisekt.seeding import derive_rng, derive_seed
 
 
 def scripted_client(replies, **kwargs):
@@ -129,3 +132,56 @@ def reference_score_walk(walk, nodes, kinds, hops, covers, kstar):
 
     return (centrality, kc_relevance, informativeness, diversity,
             centrality + kc_relevance + informativeness + diversity)
+
+
+def candidates_of(counts, u_target, target_question):
+    """The students counted on a target question's retained walks, minus the target, with their
+    counts: one target's candidate set, as the per-target loop built it."""
+    return CandidateSet(u_target, target_question, {sid: f for sid, f in counts.items() if sid != u_target})
+
+
+def reference_distances(cands, sm, m, d, c=DEFAULT_SCALING):
+    """One target's candidate ids, sorted, and their distances from it: the block ``top_s``
+    encoded and ranked before the targets of a question were ranked together."""
+    ids = sorted(cands.candidates)
+    t = student_tables(d)
+    u = np.full(len(ids), t.positions([cands.target_student])[0])
+    f = [cands.candidates[sid] for sid in ids]
+    return ids, distances(encode_many(u, t.positions(ids), f, m, d, c), sm)
+
+
+def reference_top_s(cands, sm, m, d, s, mode="similar", c=DEFAULT_SCALING, seed=0):
+    """``retrieval.top_s`` as it was before the targets of a question were ranked together."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    ids = sorted(cands.candidates)
+    if not ids:
+        return []
+    if mode == "similar":
+        ids, dist = reference_distances(cands, sm, m, d, c)
+        # ids are sorted and the sort is stable: order by (distance, id)
+        return [ids[i] for i in np.argsort(dist, kind="stable")[:s]]
+    if mode == "random":
+        rng = derive_rng(seed, "top_s", cands.target_student, cands.target_question)
+        if s >= len(ids):
+            return ids
+        return rng.sample(ids, s)
+    raise ValueError(f"unknown retrieval mode {mode!r}")
+
+
+def reference_peers(ctx, cfg, run_seed, variant):
+    """``evaluation._peers`` as it was before the targets of a question were ranked together: one
+    ``reference_top_s`` call per test target, in test order."""
+    _, peer_mode, mask = ABLATIONS[variant]
+    tests = ctx.test_targets(cfg)
+    if MASK_SIMU in mask:
+        return {target_key(i): [] for i in tests}
+    d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
+    counts = ctx.get("retained", cfg, run_seed, variant)
+    sim = ctx.get("similarity", cfg, run_seed, variant) if peer_mode == "similar" else None
+    peers = {}
+    for i in tests:
+        cands = candidates_of(counts.get(i.question_id, {}), i.student_id, i.question_id)
+        seed = derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp)
+        peers[target_key(i)] = reference_top_s(cands, sim, m, d, cfg.top_s, mode=peer_mode, c=cfg.c, seed=seed)
+    return peers

@@ -248,7 +248,7 @@ def stage_calls(monkeypatch):
 
     for owner, name in [
         (irt, "fit"), (Mrhin, "build"), (evaluation, "sample_walks"), (pathscore, "score_all"),
-        (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s"), (predict, "predict"),
+        (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s_many"), (predict, "predict"),
     ]:
         count(owner, name)
     # one Top-K pass is one computation of the "retained" stage
@@ -301,7 +301,7 @@ class TestStageMemo:
         assert stage_calls == Counter()
 
         run_experiment(dataclasses.replace(cfg, top_s=1), ctx)
-        assert stage_calls["top_s"] > 0 and stage_calls["predict"] > 0
+        assert stage_calls["top_s_many"] > 0 and stage_calls["predict"] > 0
         for name in ("sample_walks", "score_all", "retained", "select_top_k", "fit_similarity"):
             assert stage_calls[name] == 0, name
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -12,6 +13,7 @@ from hisekt.irt import (
     ALPHA_CLAMP,
     DECREMENT_TOL,
     MAX_ROUNDS,
+    IrtModel,
     Level,
     discretize,
     fit,
@@ -314,6 +316,27 @@ class TestSerialization:
         assert m2.clamped_questions == m.clamped_questions
         assert m2.decrement == m.decrement
         assert m2 == m
+
+    def test_tables_are_read_only_copies(self):
+        # a write after theta_array memoized theta once left retrieval's ability gaps stale
+        d, _ = _synthetic_dataset(40, 15, seed=2)
+        theta = {s: 0.0 for s in d.students()}
+        m = IrtModel(theta, {}, {}, {}, {}, 0.0, 1.0, 0.0, 1.0)
+        theta[d.students()[0]] = 1.0
+        assert m.theta_array(d.students())[0] == 0.0 and m.theta[d.students()[0]] == 0.0
+        m = fit(d)
+        s, q = d.students()[0], d.questions()[0]
+        for table, key, value in [("theta", s, 1.0), ("disc", q, 2.0), ("diff", q, 0.5),
+                                  ("ability_level", s, Level.HIGH), ("difficulty_level", q, Level.LOW)]:
+            with pytest.raises(TypeError):
+                getattr(m, table)[key] = value
+            with pytest.raises(TypeError):
+                del getattr(m, table)[key]
+        with pytest.raises(ValueError):
+            m.theta_array(d.students())[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.theta = {}
+        assert json.loads(serialize(m))["theta"] == dict(m.theta)
 
     def test_round_trip_keeps_the_cold_start_ids(self):
         m = fit(_late_question_dataset())

@@ -1,15 +1,19 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import hisekt
 from hisekt import llm
 from hisekt.config import RunConfig
 from hisekt.errors import TransportError
@@ -260,3 +264,19 @@ class TestStageDispatch:
     def test_mock_backend_starts_no_thread(self, planted_file, no_threads):
         report = run_experiment(llm_cfg(planted_file, llm_max_in_flight=8, variants=("msr",)))
         assert report.auc is not None
+
+
+def test_an_offline_pipeline_never_imports_the_http_stack(planted_file, tmp_path):
+    script = "\n".join([
+        "import sys",
+        "from hisekt.cli import main",
+        f"code = main(['pipeline', '--data', {planted_file!r}, '--cache-dir', {str(tmp_path / 'cache')!r},",
+        "             '--n-walks', '4', '--walk-len', '8', '--top-k', '2', '--top-s', '2', '--pair-sample', '200',",
+        "             '--score-backend', 'llm', '--llm-backend', 'mock', '--variants', 'rsimu,irt'])",
+        "print(code, sorted(name for name in ('urllib.request', 'urllib.error', 'http.client') if name in sys.modules))",
+    ])
+    src = str(Path(hisekt.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=300, check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "0 []"

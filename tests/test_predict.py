@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import re
 import weakref
@@ -18,9 +19,6 @@ from hisekt.predict import (
     MASK_IRT,
     MASK_SIMU,
     PREDICTION_PROMPT_HEADER,
-    HistoryRow,
-    PeerInfo,
-    PromptBundle,
     build_prompt,
     count_sentences,
     mock_prediction_reply,
@@ -29,7 +27,8 @@ from hisekt.predict import (
 )
 from hisekt.synth import planted_csv
 
-from prompt_reference import parse_prompt, reference_build_prompt, reference_mock_reply
+from prompt_reference import (HistoryRow, PeerInfo, ReferenceBundle, parse_prompt, reference_build_prompt,
+                              reference_mock_reply)
 from support import CutPromptBundle, scripted_client
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,6 +70,11 @@ def golden_inputs():
         difficulty_sigma=0.5,
     )
     return d, m
+
+
+def edited(m, **tables):
+    """A copy of ``m`` with the given ids of its tables set to new values: a model's tables are read-only."""
+    return dataclasses.replace(m, **{name: {**getattr(m, name), **values} for name, values in tables.items()})
 
 
 def golden_bundle(mask=frozenset()):
@@ -120,30 +124,32 @@ class TestPromptStructure:
     def test_cold_start_flag_for_a_cold_question(self):
         d, m = golden_inputs()
         assert "cold_start" not in golden_bundle().text
-        m.cold_start_questions = frozenset({"QT"})
+        m = dataclasses.replace(m, cold_start_questions=frozenset({"QT"}))
         bundle = build_prompt("SA", "QT", [], m, d)
-        assert bundle.cold_start is True
+        fields = parse_prompt(bundle.text)
+        assert fields["cold_start"] is True
         assert "\ndifficulty_level: High\ncold_start: true" in bundle.text
-        assert (bundle.difficulty, bundle.discrimination) == (0.5, 1.5)  # the model's values, as given
+        assert (fields["difficulty"], fields["discrimination"]) == (0.5, 1.5)  # the model's values, as given
         assert "cold_start" not in build_prompt("SA", "QT", [], m, d, mask=frozenset({MASK_IRT})).text
 
     @pytest.mark.parametrize("table", ["theta", "ability_level", "diff", "disc", "difficulty_level"])
     def test_a_model_that_lacks_an_id_raises_key_error(self, table):
         d, m = golden_inputs()
-        del getattr(m, table)["SA" if table in ("theta", "ability_level") else "QT"]
+        missing = "SA" if table in ("theta", "ability_level") else "QT"
+        m = dataclasses.replace(m, **{table: {k: v for k, v in getattr(m, table).items() if k != missing}})
         with pytest.raises(KeyError):
             build_prompt("SA", "QT", [], m, d)
 
     def test_window_limits_history(self):
         d, m = golden_inputs()
-        bundle = build_prompt("SA", "QT", [], m, d, window=2)
-        assert len(bundle.history) == 2
-        assert bundle.history[-1].question_id == "QC"
+        history = parse_prompt(build_prompt("SA", "QT", [], m, d, window=2).text)["history"]
+        assert len(history) == 2
+        assert history[-1]["question_id"] == "QC"
 
     def test_window_zero_renders_no_rows(self):
         d, m = golden_inputs()
         bundle = build_prompt("SA", "QT", ["SP"], m, d, window=0)
-        assert bundle.history == ()
+        assert parse_prompt(bundle.text)["history"] == []
         assert "recent_interactions: 0\n=== TARGET QUESTION ===" in bundle.text
         assert "\n  - question: " not in bundle.text
 
@@ -155,8 +161,9 @@ class TestPromptStructure:
 
 class TestPromptRoundTrip:
     def test_parser_recovers_every_field(self):
-        bundle = golden_bundle()
-        fields = parse_prompt(bundle.text)
+        d, m = golden_inputs()
+        bundle = reference_build_prompt("SA", "QT", ["SP"], m, d)
+        fields = parse_prompt(golden_bundle().text)
         assert fields["target_student"] == "SA"
         assert fields["theta"] == bundle.theta
         assert fields["ability_level"] == "Medium"
@@ -202,7 +209,7 @@ class TestSentenceCounting:
 class TestMockPredict:
     def test_midpoint_no_peers_is_correct_by_tie_rule(self):
         d, m = golden_inputs()
-        m.theta["SA"] = 0.5  # equal to QT difficulty
+        m = edited(m, theta={"SA": 0.5})  # equal to QT difficulty
         bundle = build_prompt("SA", "QT", [], m, d)
         pred = predict(bundle, MOCK)
         assert pred.p_correct == pytest.approx(0.5)
@@ -211,7 +218,7 @@ class TestMockPredict:
 
     def test_zero_accuracy_peers_pull_to_wrong(self):
         d, m = golden_inputs()
-        m.theta["SA"] = 0.5
+        m = edited(m, theta={"SA": 0.5})
         # make the peer's target-KC history all wrong
         rows = [
             Interaction(
@@ -232,7 +239,7 @@ class TestMockPredict:
 
     def test_neutral_peers_change_nothing(self):
         d, m = golden_inputs()
-        m.theta["SA"] = 0.5
+        m = edited(m, theta={"SA": 0.5})
         # peer accuracy on K1 exactly 0.5 equals the base probability
         rows = []
         for i in d.interactions:
@@ -243,7 +250,7 @@ class TestMockPredict:
         d2 = Dataset(rows, d.splits)
         bundle = build_prompt("SA", "QT", ["SP"], m, d2)
         masked = build_prompt("SA", "QT", ["SP"], m, d2, mask=frozenset({MASK_SIMU}))
-        peer_acc = bundle.peers[0].target_kc_accuracy
+        peer_acc = parse_prompt(bundle.text)["peers"][0]["target_kc_accuracy"]
         if peer_acc == pytest.approx(0.5):
             assert predict(bundle, MOCK).p_correct == pytest.approx(predict(masked, MOCK).p_correct)
 
@@ -251,8 +258,7 @@ class TestMockPredict:
         d, m = golden_inputs()
         previous = -1.0
         for theta in (-2.0, -0.5, 0.0, 0.5, 2.0):
-            m.theta["SA"] = theta
-            p = predict(build_prompt("SA", "QT", [], m, d), MOCK).p_correct
+            p = predict(build_prompt("SA", "QT", [], edited(m, theta={"SA": theta}), d), MOCK).p_correct
             assert p > previous
             previous = p
 
@@ -264,7 +270,7 @@ class TestMockPredict:
     def test_irt_mask_falls_back_to_kc_accuracy(self):
         d, m = golden_inputs()
         bundle = build_prompt("SA", "QT", [], m, d, mask=frozenset({MASK_IRT}))
-        assert predict(bundle, MOCK).p_correct == pytest.approx(bundle.student_kc_accuracy)
+        assert predict(bundle, MOCK).p_correct == pytest.approx(parse_prompt(bundle.text)["student_kc_accuracy"])
 
     def test_report_has_three_sentences(self):
         pred = predict(golden_bundle(), MOCK)
@@ -336,49 +342,60 @@ class TestPredictClient:
 
 
 def edge_inputs():
-    """The golden inputs plus SN, who has a test row and no train rows, and SX, who is in no row;
-    the model gives both the prior ``irt.fit`` gives a cold student."""
+    """The golden inputs plus SN, who has a test row and no train rows, SX, who is in no row, and
+    SK, whose only train row is on K2; the model gives SN and SX the prior ``irt.fit`` gives a cold
+    student."""
     d, m = golden_inputs()
-    extra = Interaction("SN", "QT", frozenset({"K1"}), True, 5)
-    rows = sorted([*d.interactions, extra], key=lambda i: (i.student_id, i.timestamp))
-    splits = [d.splits[d.interactions.index(i)] if i is not extra else "test" for i in rows]
-    for s in ("SN", "SX"):
-        m.theta[s], m.ability_level[s] = 0.0, Level.MEDIUM
-    m.cold_start_students = frozenset({"SN"})
-    return Dataset(rows, splits), m
+    extra = [Interaction("SN", "QT", frozenset({"K1"}), True, 5), Interaction("SK", "QC", frozenset({"K2"}), False, 4)]
+    rows = sorted([*d.interactions, *extra], key=lambda i: (i.student_id, i.timestamp))
+    splits = [d.splits[d.interactions.index(i)] if i not in extra else "test" if i.student_id == "SN" else "train"
+              for i in rows]
+    m = edited(m, theta={"SN": 0.0, "SX": 0.0, "SK": -0.25},
+               ability_level={"SN": Level.MEDIUM, "SX": Level.MEDIUM, "SK": Level.LOW})
+    return Dataset(rows, splits), dataclasses.replace(m, cold_start_students=frozenset({"SN"}))
 
 
 class TestStudentFacts:
     def test_bundles_equal_the_row_scan(self):
+        """Each prompt's text is the reference's, on a cold memo, on that memo warm, and on one memo
+        shared by every case; a second model starts the shared memo anew."""
         d, m = edge_inputs()
-        peer_lists = ([], ["SP"], ["SN", "SX"], ["SA", "SP", "SN", "SX"])  # SX is in no row
+        # SX is in no row, and SK has no history on K1, the target KC of QT and QB
+        peer_lists = ([], ["SP"], ["SN", "SX"], ["SK"], ["SA", "SP", "SN", "SX", "SK"])
         masks = (frozenset(), frozenset({MASK_SIMU}), frozenset({MASK_IRT}), frozenset({MASK_SIMU, MASK_IRT}))
         for cold in (False, True):
             if cold:  # QT as irt.fit leaves a question absent from train
-                m.diff["QT"], m.disc["QT"], m.difficulty_level["QT"] = 0.0, 1.0, Level.MEDIUM
-                m.cold_start_questions = frozenset({"QT"})
-            for u in ("SA", "SP", "SN"):
+                m = dataclasses.replace(
+                    edited(m, diff={"QT": 0.0}, disc={"QT": 1.0}, difficulty_level={"QT": Level.MEDIUM}),
+                    cold_start_questions=frozenset({"QT"}))
+            for u in ("SA", "SP", "SN", "SK"):
                 for q in ("QT", "QB", "QC"):
                     for peers in peer_lists:
                         for window in (0, 1, 2, 3, 20, 1000):
                             for mask in masks:
-                                expected = reference_build_prompt(u, q, peers, m, d, mask, window)
-                                assert build_prompt(u, q, peers, m, d, mask, window) == expected
-        assert build_prompt("SA", "QT", [], m, d).cold_start
+                                expected = reference_build_prompt(u, q, peers, m, d, mask, window).text
+                                fresh = Dataset(d.interactions, d.splits)
+                                assert build_prompt(u, q, peers, m, fresh, mask, window).text == expected
+                                assert build_prompt(u, q, peers, m, fresh, mask, window).text == expected
+                                assert build_prompt(u, q, peers, m, d, mask, window).text == expected
+        assert "\ncold_start: true\n" in build_prompt("SA", "QT", [], m, d).text
 
     def test_model_edits_show_in_the_next_bundle(self):
+        """A model's tables cannot be edited; a model built with other values shows them in the next
+        bundle on the same dataset, and the first model's bundles stay as they were."""
         d, m = golden_inputs()
-        before = build_prompt("SA", "QT", ["SP"], m, d)
-        m.theta["SA"] = 1.75
-        m.theta["SP"] = -0.5
-        m.diff["QA"] = 2.0
-        m.diff["QT"] = -1.0
-        m.difficulty_level["QA"] = Level.HIGH
-        after = build_prompt("SA", "QT", ["SP"], m, d)
-        assert after == reference_build_prompt("SA", "QT", ["SP"], m, d)
+        before = build_prompt("SA", "QT", ["SP"], m, d).text
+        with pytest.raises(TypeError):
+            m.theta["SA"] = 1.75
+        edit = edited(m, theta={"SA": 1.75, "SP": -0.5}, diff={"QA": 2.0, "QT": -1.0},
+                      difficulty_level={"QA": Level.HIGH})
+        after = build_prompt("SA", "QT", ["SP"], edit, d).text
+        assert after == reference_build_prompt("SA", "QT", ["SP"], edit, d).text
         assert after != before
-        assert (after.theta, after.difficulty, after.peers[0].theta) == (1.75, -1.0, -0.5)
-        assert (after.history[0].difficulty, after.history[0].difficulty_level) == (2.0, "High")
+        fields = parse_prompt(after)
+        assert (fields["theta"], fields["difficulty"], fields["peers"][0]["theta"]) == (1.75, -1.0, -0.5)
+        assert (fields["history"][0]["difficulty"], fields["history"][0]["difficulty_level"]) == (2.0, "High")
+        assert build_prompt("SA", "QT", ["SP"], m, d).text == before
 
     def test_tables_are_built_once_per_dataset(self):
         d, _ = golden_inputs()
@@ -391,11 +408,11 @@ class TestStudentFacts:
         path.write_text(csv, encoding="utf-8")
         ctx = PipelineContext(RunConfig(data=str(path), n_walks=5, walk_len=8, top_k=3, top_s=2, pair_sample=200))
         run_experiment(ctx.cfg, ctx)
-        dataset = weakref.ref(ctx.dataset)
+        dataset, model = weakref.ref(ctx.dataset), weakref.ref(ctx.irt)
         assert student_facts(ctx.dataset)
         del ctx
         gc.collect()
-        assert dataset() is None
+        assert dataset() is None and model() is None
 
 
 # -- the mock's lean reader ---------------------------------------------------
@@ -420,7 +437,7 @@ peer_infos = st.builds(
     st.lists(st.tuples(ids, st.booleans(), st.integers(0, 10**6)), max_size=3).map(tuple),
 )
 bundles = st.builds(
-    PromptBundle,
+    ReferenceBundle,
     target_student=ids, theta=reals, ability_level=labels,
     history=st.lists(history_rows, max_size=4).map(tuple),
     question_id=ids, question_kcs=st.lists(ids, min_size=1, max_size=3).map(tuple), target_kc=ids,
@@ -508,10 +525,10 @@ class TestMockReader:
 
     def test_history_rows_with_separators_in_their_ids(self):
         d, m = golden_inputs()
-        bundle = build_prompt("SA", "QT", ["SP"], m, d)
+        bundle = reference_build_prompt("SA", "QT", ["SP"], m, d)
         row = HistoryRow("Q | 1", ("K | 2", "K: 3"), True, 4, 0.5, 1.25, "Low")
         peer = PeerInfo("P", 0.0, "Low", None, 0.5, (("Q | x", False, 7),))
-        fields = parse_prompt(PromptBundle(**{**vars(bundle), "history": (row,), "peers": (peer,)}).text)
+        fields = parse_prompt(ReferenceBundle(**{**vars(bundle), "history": (row,), "peers": (peer,)}).text)
         assert fields["history"] == [{"question_id": "Q | 1", "kcs": ("K | 2", "K: 3"), "correct": True,
                                       "timestamp": 4, "difficulty": 0.5, "discrimination": 1.25,
                                       "difficulty_level": "Low"}]
@@ -548,7 +565,7 @@ def test_planted_prompts_equal_the_row_scan(planted_prompts, seed):
     dataset = calls[0][0][4]
     assert len(calls) == 5 * len(dataset.iter_split("test"))  # 900 on seed 1
     for args, bundle in planted_prompts[seed]:
-        assert bundle == reference_build_prompt(*args)
+        assert bundle.text == reference_build_prompt(*args).text
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

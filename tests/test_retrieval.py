@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import hisekt
 from hisekt import evaluation
+from hisekt import retrieval as retrieval_mod
 from hisekt.config import ABLATIONS, RunConfig
-from hisekt.dataset import ingest, split
+from hisekt.dataset import Dataset, Interaction, ingest, split
 from hisekt.errors import ModelError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.irt import IrtModel, Level
@@ -24,7 +25,6 @@ from hisekt.retrieval import (
     CandidateSet,
     SimilarityModel,
     _fit_from_features,
-    candidates_of,
     distances,
     encode,
     encode_many,
@@ -33,12 +33,14 @@ from hisekt.retrieval import (
     pair_keys,
     student_tables,
     top_s,
+    top_s_many,
 )
 from hisekt.seeding import derive_rng, derive_seed
 from hisekt.synth import planted_csv
 
 from graph_fixture import make_dataset, make_model
-from support import keys_of_triples, reference_path_pair_pool, triples_of_keys
+from support import (candidates_of, keys_of_triples, reference_distances, reference_path_pair_pool, reference_peers,
+                     reference_top_s, triples_of_keys)
 
 
 def student_counts(paths):
@@ -206,9 +208,9 @@ class TestEncode:
         assert z.z1 == 0.0
 
     def test_theta_gap(self):
-        self.m.theta["S1"] = 1.25
-        self.m.theta["S2"] = -0.75
-        assert encode("S1", "S2", 0, self.m, self.d).z1 == pytest.approx(2.0)
+        m = make_model({s: Level.MEDIUM for s in self.m.theta}, {q: Level.MEDIUM for q in self.kc_of},
+                       theta={"S1": 1.25, "S2": -0.75})
+        assert encode("S1", "S2", 0, m, self.d).z1 == pytest.approx(2.0)
 
     def test_shared_question_decay_values(self):
         # both answered all 10 questions: z3 = (1 + 10)^-2
@@ -247,9 +249,10 @@ class TestEncode:
 
     def test_symmetry(self):
         d, _ = pair_dataset(correct_fn=lambda i: (len(i.student_id + i.question_id) % 2) == 0)
-        self.m.theta.update({"S1": 0.3, "S2": -0.8})
+        m = make_model({s: Level.MEDIUM for s in self.m.theta}, {q: Level.MEDIUM for q in self.kc_of},
+                       theta={"S1": 0.3, "S2": -0.8})
         for f in (0, 2):
-            assert encode("S1", "S2", f, self.m, d) == encode("S2", "S1", f, self.m, d)
+            assert encode("S1", "S2", f, m, d) == encode("S2", "S1", f, m, d)
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -323,8 +326,8 @@ class TestFitSimilarity:
         m = make_model(
             {s: Level.MEDIUM for s in ("S1", "S2", "S3", "S4")},
             {q: Level.MEDIUM for q in kc_of},
+            theta={"S1": 0.5, "S2": -0.5, "S3": 1.0, "S4": 0.0},
         )
-        m.theta.update({"S1": 0.5, "S2": -0.5, "S3": 1.0, "S4": 0.0})
         a = fit_similarity(d, m, sample_pairs=4, seed=3)
         b = fit_similarity(d, m, sample_pairs=4, seed=3)
         assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
@@ -356,8 +359,8 @@ class TestFitSimilarity:
         m = make_model(
             {s: Level.MEDIUM for s in ("S1", "S2", "S3", "S4")},
             {q: Level.MEDIUM for q in kc_of},
+            theta={"S1": 0.5, "S2": -0.5, "S3": 1.0, "S4": 0.0},
         )
-        m.theta.update({"S1": 0.5, "S2": -0.5, "S3": 1.0, "S4": 0.0})
         keys, base = keys_of_triples([("S1", "S2", 1), ("S1", "S3", 2), ("S2", "S4", 1), ("S3", "S4", 3)], d)
         sm = fit_similarity(d, m, sample_pairs=10, seed=0, pair_pool=keys, pair_base=base)
         assert sm.pair_sample_size == 4
@@ -487,12 +490,12 @@ class TestTopS:
         self.d, kc_of = pair_dataset(
             correct_fn=lambda i: True, students=("S1", "S2", "S3", "S4", "S5")
         )
+        # identical histories: only the ability gap differentiates candidates
         self.m = make_model(
             {s: Level.MEDIUM for s in ("S1", "S2", "S3", "S4", "S5")},
             {q: Level.MEDIUM for q in kc_of},
+            theta={"S1": 0.0, "S2": 0.1, "S3": 0.9, "S4": 0.5, "S5": 0.1},
         )
-        # identical histories: only the ability gap differentiates candidates
-        self.m.theta.update({"S1": 0.0, "S2": 0.1, "S3": 0.9, "S4": 0.5, "S5": 0.1})
         self.sm = unit_model()
         self.cands = CandidateSet("S1", "Q0", {"S2": 1, "S3": 1, "S4": 1, "S5": 1})
 
@@ -639,8 +642,8 @@ class TestRandomPairs:
         kc_of = {f"Q{j}": f"K{j % 3}" for j in range(8)}
         pairs = [(s, q) for n, s in enumerate(students) for j, q in enumerate(kc_of) if (n + j) % 3]
         d = make_dataset(pairs, kc_of)
-        m = make_model({s: Level.MEDIUM for s in students}, {q: Level.MEDIUM for q in kc_of})
-        m.theta.update({s: 0.1 * n for n, s in enumerate(students)})
+        m = make_model({s: Level.MEDIUM for s in students}, {q: Level.MEDIUM for q in kc_of},
+                       theta={s: 0.1 * n for n, s in enumerate(students)})
         listed, base = keys_of_triples([(u, s, 0) for n, u in enumerate(students) for s in students[n + 1:]], d)
         a = fit_similarity(d, m, sample_pairs=400, seed=3)
         b = fit_similarity(d, m, sample_pairs=400, seed=3, pair_pool=listed, pair_base=base)
@@ -660,3 +663,79 @@ class TestRandomPairs:
             tracemalloc.stop()
         assert sm.pair_sample_size == 10_000
         assert peak_mb < 8.0
+
+
+# -- the targets of one question ranked together, against one target at a time ------
+
+
+@st.composite
+def question_blocks(draw):
+    """A dataset, one question's retained map and its targets.  Thetas, answers and counts take
+    few values, so distances tie; the map may be empty or hold only one target, and targets
+    repeat and may be absent from it."""
+    students = [f"S{n}" for n in range(draw(st.integers(1, 7)))]
+    kc_of = {f"Q{j}": f"K{j % 2}" for j in range(3)}
+    train = draw(st.lists(st.tuples(st.sampled_from(students), st.sampled_from(sorted(kc_of))), max_size=20))
+    d = make_dataset(train, kc_of, extra=[(sid, "Q0", "test") for sid in students])
+    right = draw(st.lists(st.booleans(), min_size=len(d), max_size=len(d)))
+    d = Dataset([Interaction(i.student_id, i.question_id, i.kc_ids, r, i.timestamp)
+                 for i, r in zip(d.interactions, right)], d.splits)
+    theta = {sid: draw(st.sampled_from([0.0, 0.5, -1.0])) for sid in students}
+    m = make_model({sid: Level.MEDIUM for sid in students}, {q: Level.MEDIUM for q in kc_of}, theta=theta)
+    retained = draw(st.dictionaries(st.sampled_from(students), st.integers(1, 3), max_size=len(students)))
+    targets = draw(st.lists(st.sampled_from(students), min_size=1, max_size=8))
+    return d, m, retained, targets
+
+
+# a correlated covariance, so every feature moves the distance
+SPREAD = unit_model(mu=[0.2, 1.0, 0.3, 0.4, 0.5],
+                    sigma=np.eye(5) + 0.3 * np.ones((5, 5)) + np.diag([0.5, 0.0, 0.2, 0.1, 0.4]))
+
+
+class TestQuestionBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(question_blocks(), st.integers(1, 4), st.sampled_from([1, 3, 1 << 14]))
+    def test_each_target_gets_the_distances_and_peers_it_gets_alone(self, block, s, block_pairs):
+        d, m, retained, targets = block
+        blocks = []
+
+        def recorded(z, sm):
+            blocks.append(distances(z, sm))
+            return blocks[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval_mod, "distances", recorded)
+            patch.setattr(retrieval_mod, "BLOCK_PAIRS", block_pairs)
+            got = top_s_many("Q0", retained, targets, SPREAD, m, d, s)
+        alone = [reference_distances(candidates_of(retained, u, "Q0"), SPREAD, m, d)[1] for u in dict.fromkeys(targets)]
+        assert np.concatenate([np.zeros(0), *blocks]).tobytes() == np.concatenate([np.zeros(0), *alone]).tobytes()
+        assert all(z.size <= max(block_pairs, len(retained)) for z in blocks)
+        assert got == [reference_top_s(candidates_of(retained, u, "Q0"), SPREAD, m, d, s) for u in targets]
+
+    @settings(max_examples=100, deadline=None)
+    @given(question_blocks(), st.integers(1, 4))
+    def test_random_mode_draws_each_target_with_its_own_seed(self, block, s):
+        d, m, retained, targets = block
+        seeds = list(range(len(targets)))
+        got = top_s_many("Q0", retained, targets, None, m, d, s, mode="random", seeds=seeds)
+        assert got == [reference_top_s(candidates_of(retained, u, "Q0"), None, m, d, s, mode="random", seed=seed)
+                       for u, seed in zip(targets, seeds)]
+
+    def test_ties_empty_sets_and_a_lone_target(self):
+        d, _ = pair_dataset(correct_fn=lambda i: True, students=("S1", "S2", "S3", "S4", "S5"))
+        m = make_model({sid: Level.MEDIUM for sid in ("S1", "S2", "S3", "S4", "S5")}, {"Q0": Level.MEDIUM},
+                       theta={"S2": 0.1, "S3": 0.9, "S4": 0.5, "S5": 0.1})
+        ranked = top_s_many("Q0", {"S5": 1, "S2": 1, "S4": 1, "S3": 1}, ["S1", "S2", "S1"], unit_model(), m, d, 2)
+        assert ranked == [["S2", "S5"], ["S5", "S4"], ["S2", "S5"]]  # S2 and S5 tie for S1: id order
+        assert top_s_many("Q0", {}, ["S1", "S2"], unit_model(), m, d, 2) == [[], []]
+        assert top_s_many("Q0", {"S3": 2}, ["S3", "S1"], unit_model(), m, d, 2) == [[], ["S3"]]
+        with pytest.raises(ValueError, match="one seed per target"):
+            top_s_many("Q0", {"S3": 2}, ["S1"], None, m, d, 2, mode="random")
+
+
+@pytest.mark.parametrize("variant", [None, "msr", "msl", "rsimu", "simu"])
+def test_peers_equal_the_per_target_loop(criterion6_context, variant):
+    ctx = criterion6_context
+    run_seed = run_seed_of(ctx.cfg, 0)
+    got = evaluation._peers(ctx, ctx.cfg, run_seed, variant)
+    assert list(got.items()) == list(reference_peers(ctx, ctx.cfg, run_seed, variant).items())
