@@ -8,7 +8,7 @@ from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
 from .mrhin import (TEMPLATES, MetaPathTemplate, Mrhin, PathInstance, WalkGroup, graph_distance, sample_instances,
                     sample_walks)
-from .pathscore import PathScore, ScoredGroup, ScoredInstance, score_all, select_top_k
+from .pathscore import PathScore, ScoredGroup, ScoredInstance, score_all, score_groups, select_top_k
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
 # package attribute `predict` keeps naming the module.
@@ -68,6 +68,7 @@ __all__ = [
     "sample_instances",
     "sample_walks",
     "score_all",
+    "score_groups",
     "select_top_k",
     "split",
     "top_s",

@@ -214,8 +214,14 @@ def _walks(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | N
 def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
     g, walks = ctx.get("graph", cfg), ctx.instances(run_seed, cfg)
     if cfg.score_backend == "formula":
-        return {qid: {name: pathscore.score_all(group, g) for name, group in per_template.items()}
-                for qid, per_template in walks.items()}
+        # one pass per template over the groups of every target question
+        by_template: dict[str, dict[str, WalkGroup]] = {}
+        for qid, per_template in walks.items():
+            for name, group in per_template.items():
+                by_template.setdefault(name, {})[qid] = group
+        scored = {name: dict(zip(groups, pathscore.score_groups(list(groups.values()), g)))
+                  for name, groups in by_template.items()}
+        return {qid: {name: scored[name][qid] for name in per_template} for qid, per_template in walks.items()}
     client = ctx.get("client", cfg)
     # one dispatch for the whole stage, keyed by (question, template, walk index): pool
     # completion order cannot reorder results
@@ -237,7 +243,9 @@ def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str 
     student = pathscore.graph_tables(g).student
     retained: dict[str, dict[str, int]] = {}
     for qid in sorted(scored):
-        kept = [pathscore.select_top_k(scored[qid][name], cfg.top_k, mode, seed=derive_seed(run_seed, "topk", qid, name))
+        # only a random draw reads the seed
+        kept = [pathscore.select_top_k(scored[qid][name], cfg.top_k, mode,
+                                       seed=derive_seed(run_seed, "topk", qid, name) if mode == "random" else 0)
                 for name in TEMPLATES if name in scored[qid]]
         nodes = np.concatenate([group.walks.rows.ravel() for group in kept])
         students, first, counts = np.unique(nodes[student[nodes]], return_index=True, return_counts=True)

@@ -575,11 +575,13 @@ def read_walks(path: str | Path, g: Mrhin, fields: Sequence[str] = (),
     ``fields``, in row order (by default the walk group itself).
 
     Raises IngestError naming the file and line of a record whose template is unknown, whose
-    node is not in ``g`` or that does not start at its target question, or whose target KC
-    differs from that of earlier walks of its group.
+    node is not in ``g``, that does not start at its target question or breaks its template
+    (naming the position of the first node whose kind is not ``template.kind_at(position)``),
+    or whose target KC differs from that of earlier walks of its group.
     """
-    index = g._index
+    index, kinds = g._index, g.kinds
     kc_of: dict[tuple[str, str], str] = {}
+    kinds_of: dict[tuple[str, int], tuple[str, ...]] = {}  # (template, length) -> its kind sequence
 
     def decode(rec: dict) -> tuple[str, str, list[int], tuple]:
         qid, name, kc, nodes = rec["target_q"], rec["template"], rec["target_kc"], rec["nodes"]
@@ -592,6 +594,13 @@ def read_walks(path: str | Path, g: Mrhin, fields: Sequence[str] = (),
             raise ValueError(f"{nodes[walk.index(PAD)]} is not a graph node")
         if walk[:1] != [index.get(("Q", qid))]:
             raise ValueError(f"the walk does not start at its target question {qid}")
+        found, wanted = tuple(map(kinds.__getitem__, walk)), kinds_of.get((name, len(walk)))
+        if wanted is None:
+            wanted = kinds_of[name, len(walk)] = tuple(map(TEMPLATES[name].kind_at, range(len(walk))))
+        if found != wanted:
+            position = next(p for p, (kind, want) in enumerate(zip(found, wanted)) if kind != want)
+            raise ValueError(f"node {position}, {nodes[position]}, is of kind {found[position]}, "
+                             f"but template {name} has kind {wanted[position]} at position {position}")
         return qid, name, walk, tuple(rec[key] for key in fields)
 
     buckets: dict[str, dict[str, tuple[list[list[int]], list[tuple]]]] = {}

@@ -14,13 +14,20 @@ The formula scorer is the deterministic reference; an LLM backend can score
 the same rendered path and is validated against it.
 
 Each backend has its own form of the formulas; the tests hold both to one
-reference, bit for bit.  The formula backend scores a walk group with
-:func:`score_all`, in one pass of numpy column operations over its int rows.
-The mock LLM backend scores the one path it reads from a scoring prompt with
-:func:`_score_path`, in plain Python on the prompt's nodes, hop counts and KC
-sets: about 8 us a prompt, 0.10 s over the staged CLI's 13,160 scoring
-prompts on the acceptance fixture, where an array pass over a group of one
-takes about 70 us (shared 2-vCPU VM, Python 3.11, numpy 2.4).
+reference, bit for bit.  The formula backend scores many walk groups at once
+with :func:`score_groups`, in one pass of numpy column operations over their
+stacked int rows; :func:`score_all` is that pass over one group.  Each
+dimension reads only the columns that hold a node kind it reads: a template
+puts its questions, students, KCs and level nodes in fixed columns, so a pass
+over the groups of one template skips most columns in most dimensions.  The
+pipeline makes one pass per template over every target question's group:
+the 65,800 walks of the acceptance fixture's criterion-6 run score in about
+40 ms, against about 115 ms one group at a time.  The mock LLM backend
+scores the one path it reads from a scoring prompt with :func:`_score_path`,
+in plain Python on the prompt's nodes, hop counts and KC sets: about 8 us a
+prompt, 0.10 s over the staged CLI's 13,160 scoring prompts on the
+acceptance fixture, where an array pass over a group of one takes about
+70 us.  (All on a shared 2-vCPU VM, Python 3.11, numpy 2.4.)
 
 The LLM backend renders each walk's scoring prompt from its group's int rows
 and a table of path lines per graph, target question and hop cap.  The mock
@@ -123,22 +130,28 @@ _LEVEL_INDEX = {tuple(category.split("_")): i for i, category in enumerate(LEVEL
 _LOG_CATEGORIES = math.log(len(LEVEL_CATEGORIES))
 _COUNTED_KINDS = frozenset(("U", "Q", "K"))
 _LEVEL_KINDS = frozenset(("A", "D"))
+# one bit per node kind, so a column's kinds are the OR of its rows' bits
+_KIND_BITS = {"U": 1, "Q": 2, "K": 4, "A": 8, "D": 16}
+_U, _Q, _K, _A, _D = (np.uint8(_KIND_BITS[kind]) for kind in ("U", "Q", "K", "A", "D"))
 
 
 class _GraphTables:
     """A graph's node tables for the array scorer and the retained-student count, by node int,
     each with one more entry (index ``sentinel``, also reached by ``PAD`` = -1) that counts as no
-    node at all."""
+    node at all: the kind bit (:data:`_KIND_BITS`; 0 for no node), whether it is a student, and
+    its level category (``len(LEVEL_CATEGORIES)`` if it is not an A/D node).  Hop counts from a
+    question and the questions covering a KC are tables per question and per KC, built on first
+    use, each in full before it is stored."""
 
     def __init__(self, g: Mrhin):
         self.sentinel = len(g.node_ids)
-        self.question = np.array([kind == "Q" for kind in g.kinds] + [False])
+        self.kind = np.array([_KIND_BITS[kind] for kind in g.kinds] + [0], dtype=np.uint8)
         self.student = np.array([kind == "U" for kind in g.kinds] + [False])
-        self.counted = np.array([kind in _COUNTED_KINDS for kind in g.kinds] + [False])
         no_level = len(LEVEL_CATEGORIES)
         self.level = np.array([_LEVEL_INDEX[node] if kind in _LEVEL_KINDS else no_level
                                for node, kind in zip(g.node_ids, g.kinds)] + [no_level])
         self._hops: dict[str, np.ndarray] = {}
+        self._covers: dict[str, np.ndarray] = {}
 
     def hops(self, g: Mrhin, question_id: str) -> np.ndarray:
         """Each node's hop count from the question, as :meth:`~hisekt.mrhin.Mrhin.hops_from` gives it."""
@@ -146,6 +159,15 @@ class _GraphTables:
         if found is None:
             found = np.array(g.hops_from(("Q", question_id)) + (0,), dtype=np.int32)
             self._hops[question_id] = found
+        return found
+
+    def covers(self, g: Mrhin, kc: str) -> np.ndarray:
+        """Whether each node is a question covering the KC."""
+        found = self._covers.get(kc)
+        if found is None:
+            found = np.zeros(self.sentinel + 1, dtype=bool)
+            found[list(g.int_adj["Q"][g.index(("K", kc))])] = True
+            self._covers[kc] = found
         return found
 
 
@@ -178,53 +200,119 @@ def _entropy_terms(width: int) -> np.ndarray:
     return terms
 
 
+def _distinct(nodes: np.ndarray, kept: np.ndarray, sentinel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``nodes`` sorted, the nodes not ``kept`` replaced by ``sentinel``, which sorts
+    last; and where each distinct kept node first stands in it."""
+    ordered = np.sort(np.where(kept, nodes, sentinel), axis=1)
+    first = ordered != sentinel
+    first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+    return ordered, first
+
+
+def _gather(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``table[i, j]`` of a 2-d table, as one gather from its flat form (``np.take`` gathers
+    faster than fancy indexing)."""
+    return np.take(table, i * table.shape[1] + j)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's terms added left to right, as ``np.cumsum(terms, axis=1)[:, -1]`` adds them,
+    one column at a time."""
+    total = terms[:, 0].copy()
+    for column in terms.T[1:]:
+        total += column
+    return total
+
+
 def score_all(walks: WalkGroup, g: Mrhin) -> ScoredGroup:
-    """Formula scores of a walk group, all rows at once.
+    """Formula scores of one walk group: ``score_groups([walks], g)[0]``."""
+    return score_groups([walks], g)[0]
 
-    Sorting a row puts its distinct U/Q/K nodes in node-int order, so its distinct questions
-    come in the sorted id order :func:`_score_path` sums them in; their centrality terms are
-    added column by column, left to right, and the entropy terms are read from
-    :func:`_entropy_terms`.  Each score has the bits :func:`_score_path` gives the row's path.
+
+def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
+    """Formula scores of walk groups on graph ``g``, all their rows in one pass.
+
+    The groups may differ in template, target question, target KC and width.  Their rows are
+    stacked, narrower ones padded with ``PAD``.  A column takes part in a dimension only if
+    some row holds there a node of a kind that dimension reads: questions for centrality and
+    kc_relevance, U/Q/K nodes for informativeness, A/D nodes for diversity; a walk's length is
+    the count of its nodes over those columns.  The column sets come from the rows, so a row
+    need not follow its template, but the sets are smallest over groups of one template.
+    Every row starts at its group's target question.  Hop counts come from a table per
+    distinct target question, and whether a question covers the target KC from a table per
+    distinct target KC.
+
+    Sorting a row's question columns puts its distinct questions in node-int order, which is
+    the sorted id order :func:`_score_path` sums them in; their centrality terms are added
+    column by column, left to right (a column left out would only add 0.0, which changes no
+    bits, as no term is -0.0), and the entropy terms are read from :func:`_entropy_terms`.
+    Each score has the bits :func:`_score_path` gives the row's path, whatever the other groups.
     """
+    sizes = [len(group) for group in groups]
+    if not sum(sizes):
+        return [ScoredGroup(group, np.empty((0, 5)), "formula") for group in groups]
     tables = graph_tables(g)
-    rows = walks.rows
-    kstar = g.index(("K", walks.target_kc))
-    length = (rows != PAD).sum(axis=1) - 1
+    width = max(group.rows.shape[1] for group in groups)
+    rows = np.concatenate([group.rows if group.rows.shape[1] == width else
+                           np.pad(group.rows, ((0, 0), (0, width - group.rows.shape[1])), constant_values=PAD)
+                           for group in groups])
+    n = len(rows)
+    # each row's target question and target KC, by position among the distinct ones
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    questions = {q: i for i, q in enumerate(dict.fromkeys(group.target_question for group in groups))}
+    kcs = {kc: i for i, kc in enumerate(dict.fromkeys(group.target_kc for group in groups))}
+    question_of = np.array([questions[group.target_question] for group in groups])[owner]
+    kc_of = np.array([kcs[group.target_kc] for group in groups])[owner]
+    kstar = np.array([g.index(("K", kc)) for kc in kcs])[kc_of]
 
-    # each row's U/Q/K nodes in sorted order, the other nodes and the padding after them
-    counted = tables.counted[rows]
-    ordered = np.sort(np.where(counted, rows, tables.sentinel), axis=1)
-    distinct = tables.counted[ordered]
-    distinct[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
-    questions = distinct & tables.question[ordered]
-    n_questions = questions.sum(axis=1)
+    kinds = np.take(tables.kind, rows)
+    present = np.bitwise_or.reduce(kinds, axis=0)
+    q_cols = np.flatnonzero(present & _Q)
+    uk_cols = np.flatnonzero(present & (_U | _K))
+    k_cols = np.flatnonzero(present & _K)
+    level_cols = np.flatnonzero(present & (_A | _D))
 
-    # an edgeless walk (L = 0) scores 5 without its terms; they are divided by 1, not by 0
-    span = np.maximum(length, 1)[:, None]
-    hops = tables.hops(g, walks.target_question)[ordered]
-    terms = np.where(questions, np.minimum(hops, span) / span, 0.0)
-    raw = 1.0 - np.cumsum(terms, axis=1)[:, -1] / n_questions
-    centrality = np.where(length == 0, MAX_DIMENSION_SCORE,
-                          MAX_DIMENSION_SCORE * np.minimum(np.maximum(raw, 0.0), 1.0))
+    # each row's questions in node-int order, then the sentinel in place of its other nodes
+    q_nodes = rows[:, q_cols]
+    is_question = kinds[:, q_cols] == _Q
+    ordered, distinct = _distinct(q_nodes, is_question, tables.sentinel)
+    n_questions = distinct.sum(axis=1)
 
-    covers = np.zeros(tables.sentinel + 1, dtype=bool)
-    covers[list(g.int_adj["Q"][kstar])] = True
-    covering = (questions & covers[ordered]).sum(axis=1)
-    kc_relevance = MAX_DIMENSION_SCORE * covering / n_questions
-
-    repeats = (rows == rows[:, :1]).sum(axis=1) - 1 + np.maximum((rows == kstar).sum(axis=1) - 1, 0)
-    informativeness = MAX_DIMENSION_SCORE * distinct.sum(axis=1) / (counted.sum(axis=1) - repeats)
+    # the other U/Q/K nodes (students and KCs), each counted once per row
+    is_uk = (kinds[:, uk_cols] & (_U | _K)) != 0
+    _, uk_distinct = _distinct(rows[:, uk_cols], is_uk, tables.sentinel)
 
     # one bincount over all rows: row i's six categories and "no level" are bins 7 i .. 7 i + 6
     bins = len(LEVEL_CATEGORIES) + 1
-    levels = tables.level[rows] + bins * np.arange(len(rows))[:, None]
-    counts = np.bincount(levels.ravel(), minlength=bins * len(rows)).reshape(len(rows), bins)[:, :-1]
-    entropy = np.cumsum(_entropy_terms(rows.shape[1])[counts, counts.sum(axis=1)[:, None]], axis=1)[:, -1]
+    levels = np.take(tables.level, rows[:, level_cols]) + bins * np.arange(n)[:, None]
+    counts = np.bincount(levels.ravel(), minlength=bins * n).reshape(n, bins)[:, :-1]
+    n_counted = is_question.sum(axis=1) + is_uk.sum(axis=1)
+    n_levels = counts.sum(axis=1)
+    length = n_counted + n_levels - 1
+
+    # an edgeless walk (L = 0) scores 5 without its terms; they are divided by 1, not by 0
+    span = np.maximum(length, 1)[:, None]
+    hops = _gather(np.stack([tables.hops(g, q) for q in questions]), question_of[:, None], ordered)
+    terms = np.where(distinct, np.minimum(hops, span) / span, 0.0)
+    raw = 1.0 - _row_sums(terms) / n_questions
+    centrality = np.where(length == 0, MAX_DIMENSION_SCORE,
+                          MAX_DIMENSION_SCORE * np.minimum(np.maximum(raw, 0.0), 1.0))
+
+    covers = _gather(np.stack([tables.covers(g, kc) for kc in kcs]), kc_of[:, None], ordered)
+    kc_relevance = MAX_DIMENSION_SCORE * (distinct & covers).sum(axis=1) / n_questions
+
+    # repeat visits to q0 (only on question columns) and to K* (only on KC columns)
+    repeats = ((q_nodes == rows[:, :1]).sum(axis=1) - 1
+               + np.maximum((rows[:, k_cols] == kstar[:, None]).sum(axis=1) - 1, 0))
+    informativeness = MAX_DIMENSION_SCORE * (n_questions + uk_distinct.sum(axis=1)) / (n_counted - repeats)
+
+    entropy = _row_sums(_gather(_entropy_terms(width), counts, n_levels[:, None]))
     diversity = MAX_DIMENSION_SCORE * entropy / _LOG_CATEGORIES
 
     total = centrality + kc_relevance + informativeness + diversity
-    return ScoredGroup(walks, np.stack([centrality, kc_relevance, informativeness, diversity, total], axis=1),
-                       "formula")
+    scores = np.stack([centrality, kc_relevance, informativeness, diversity, total], axis=1)
+    ends = np.cumsum(sizes)
+    return [ScoredGroup(group, scores[end - size:end], "formula") for group, size, end in zip(groups, sizes, ends)]
 
 
 def _score_path(path: Sequence[Node], target_kc: str, hop_of: Mapping[str, int],
@@ -232,7 +320,7 @@ def _score_path(path: Sequence[Node], target_kc: str, hop_of: Mapping[str, int],
     """One path's four dimensions and total, given each path question's hop count from the
     target question ``path[0]`` and KC set (0 hops and no KC if absent).  Questions are summed
     in sorted id order and level categories in :data:`LEVEL_CATEGORIES` order, as in
-    :func:`score_all`, so both give the same bits."""
+    :func:`score_groups`, so both give the same bits."""
     length = len(path) - 1
     counted = [node for node in path if node[0] in _COUNTED_KINDS]
     questions = sorted({node_id for kind, node_id in counted if kind == "Q"})

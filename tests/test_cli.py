@@ -417,6 +417,23 @@ class TestCliStages:
         assert f"error in stage score-paths: {paths} line 100: " in err
         assert not paths.with_name("scored.jsonl").exists()
 
+    def test_a_walk_that_breaks_its_template_is_a_stage_failure(self, config_file, capsys):
+        for stage in ("ingest", "fit-irt", "build-hin", "sample-paths"):
+            assert main([stage, "--config", str(config_file)]) == 0
+        paths = cli._cache_dir(resolve_config(load_config_file(config_file), {})) / "paths.jsonl"
+        lines = paths.read_text(encoding="utf-8").splitlines()
+        line_no = next(n for n, line in enumerate(lines, start=1) if json.loads(line)["template"] == "Q-D-Q")
+        record = json.loads(lines[line_no - 1])
+        record["nodes"][1] = ["K", record["target_kc"]]  # a graph node, of the wrong kind
+        lines[line_no - 1] = json.dumps(record, sort_keys=True)
+        paths.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["score-paths", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error in stage score-paths: {paths} line {line_no}: ValueError: node 1, "
+                f"{['K', record['target_kc']]}, is of kind K, but template Q-D-Q has kind D at position 1") in err
+        assert not paths.with_name("scored.jsonl").exists()
+
     @pytest.mark.parametrize("cut", ["path block", "hops_from_target", "level"])
     def test_a_scoring_prompt_the_mock_cannot_read_is_a_stage_failure(self, config_file, monkeypatch, capsys, cut):
         flags = ["--config", str(config_file), "--score-backend", "llm", "--llm-backend", "mock"]

@@ -247,7 +247,7 @@ def stage_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [
-        (irt, "fit"), (Mrhin, "build"), (evaluation, "sample_walks"), (pathscore, "score_all"),
+        (irt, "fit"), (Mrhin, "build"), (evaluation, "sample_walks"), (pathscore, "score_all"), (pathscore, "score_groups"),
         (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s_many"), (predict, "predict"),
     ]:
         count(owner, name)
@@ -289,7 +289,9 @@ class TestStageMemo:
         cfg = small_cfg(planted_file, variants=variants)
         ctx = PipelineContext(cfg)
         run_experiment(cfg, ctx)
-        # full, simu and rsimu select the same Top-K walks; simu needs no peers at all
+        # one scoring pass per template; full, simu and rsimu select the same Top-K walks, and
+        # simu needs no peers at all
+        assert stage_calls["score_groups"] == len(TEMPLATES)
         assert stage_calls["retained"] == stage_calls["fit_similarity"] == 3
 
         stage_calls.clear()
@@ -302,7 +304,7 @@ class TestStageMemo:
 
         run_experiment(dataclasses.replace(cfg, top_s=1), ctx)
         assert stage_calls["top_s_many"] > 0 and stage_calls["predict"] > 0
-        for name in ("sample_walks", "score_all", "retained", "select_top_k", "fit_similarity"):
+        for name in ("sample_walks", "score_all", "score_groups", "retained", "select_top_k", "fit_similarity"):
             assert stage_calls[name] == 0, name
 
 

@@ -552,6 +552,8 @@ class TestStores:
         (lambda r: r["nodes"].append(["U", "NOPE"]), "not a graph node"),
         (lambda r: r.update(template="Q-Z-Q"), "unknown template"),
         (lambda r: r.update(target_q="Q2"), "target question"),
+        (lambda r: r["nodes"].__setitem__(3, ["D", "Low"]),
+         "is of kind D, but template Q-K-Q has kind K at position 3"),
         (lambda r: r.pop("nodes"), "KeyError: 'nodes'"),
     ])
     def test_walk_store_rejects_bad_records_by_line(self, fixture_graph, grouped, tmp_path, edit, message):

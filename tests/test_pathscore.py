@@ -671,6 +671,41 @@ class TestGroupScorer:
         assert [[x.hex() for x in row] for row in got.scores.tolist()] == \
             [[x.hex() for x in row] for row in walk_scores(walks, g)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_groups_scored_together_equal_the_walk_scorer_bit_for_bit(self, data):
+        # mixed groups in one call: templates, target questions and KCs, widths (walk lengths),
+        # empty groups, edgeless rows, and rows with nodes of kinds their template does not
+        # have there, which put questions, KCs or levels in columns of other kinds
+        g = DEAD_END_GRAPH
+        questions = [q for _, q in g.nodes("Q")]
+        groups = []
+        for _ in range(data.draw(st.integers(0, 6), label="groups")):
+            name = data.draw(st.sampled_from(sorted(TEMPLATES)), label="template")
+            q0 = data.draw(st.sampled_from(questions), label="q0")
+            walk_len = data.draw(st.integers(1, 20), label="walk_len")
+            rows = sample_instances(g, TEMPLATES[name], q0, n=data.draw(st.integers(0, 8), label="n"),
+                                    walk_len=walk_len, seed=data.draw(st.integers(0, 2**16), label="seed")).rows
+            if data.draw(st.booleans(), label="edgeless"):
+                rows = np.vstack([rows, [[g.index(("Q", q0))] + [PAD] * (walk_len - 1)]])
+            rows = rows.astype(np.int32)
+            lengths = (rows != PAD).sum(axis=1)
+            for i in data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=4 if len(rows) else 0),
+                               label="broken rows"):
+                if lengths[i] > 1:
+                    position = data.draw(st.integers(1, lengths[i] - 1), label="position")
+                    rows[i, position] = data.draw(st.integers(0, len(g.node_ids) - 1), label="node")
+            kc = data.draw(st.sampled_from([k for _, k in g.nodes("K")]), label="target KC")
+            groups.append(WalkGroup(g, TEMPLATES[name], q0, kc, rows))
+        got = pathscore.score_groups(groups, g)
+        assert len(got) == len(groups)
+        for group, scored in zip(groups, got):
+            assert scored.walks is group and scored.backend == "formula"
+            assert scored.scores.shape == (len(group), 5)
+            assert [[x.hex() for x in row] for row in scored.scores.tolist()] == \
+                [[x.hex() for x in row] for row in walk_scores(group, g)]
+            assert score_all(group, g).scores.tobytes() == scored.scores.tobytes()
+
     def test_every_planted_walk_matches_reference(self, tmp_path):
         # criterion-6 configuration on the acceptance fixture, first run
         path = tmp_path / "planted.csv"
