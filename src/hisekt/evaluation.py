@@ -227,9 +227,11 @@ def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | 
     # completion order cannot reorder results
     items = [((qid, name, k), (group, k)) for qid, per_template in walks.items()
              for name, group in per_template.items() for k in range(len(group))]
-    scores = map_bounded(lambda item: pathscore.score_llm(*item, client), items, client.in_flight)
+    rows = map_bounded(lambda item: pathscore.score_llm(*item, client), items, client.in_flight)
+    # each group's n x 5 table of the walks' (four scores, total) rows, in walk order
     return {
-        qid: {name: pathscore.ScoredGroup.from_scores(group, [scores[qid, name, k] for k in range(len(group))], "llm")
+        qid: {name: pathscore.ScoredGroup(group, np.array([rows[qid, name, k] for k in range(len(group))],
+                                                          dtype=np.float64).reshape(len(group), 5), "llm")
               for name, group in per_template.items()}
         for qid, per_template in walks.items()
     }

@@ -40,7 +40,9 @@ RETRYABLE_4XX = (408, 429)  # request timeout, rate limit: the only client error
 
 class MockTransport:
     """Answers prompts offline by recomputing the deterministic reference logic; a scoring prompt's
-    path is scored by the plain-Python per-path formula, with the bits of the ``formula`` backend."""
+    path is scored by the plain-Python per-path formula, with the bits of the ``formula`` backend,
+    and answered as the rubric asks, four numbers in braces.  Each distinct numbered path line is
+    read once per transport: a line read before costs one lookup at its own position."""
 
     def __init__(self):
         # imported once here, not per prompt: an import statement costs microseconds, and the
@@ -49,10 +51,10 @@ class MockTransport:
         from . import pathscore, predict
 
         self._pathscore, self._predict = pathscore, predict
-        # the parts of each distinct scoring-prompt path line read so far, by its text after the
-        # number: a few hundred texts recur across a stage's thousands of prompts.  It lives and
-        # dies with this transport, so each new client starts cold
-        self._path_lines: dict[str, pathscore.PathLine] = {}
+        # the number and parts of each distinct scoring-prompt path line read so far, by the whole
+        # numbered line: about a thousand lines recur across a stage's thousands of prompts.  It
+        # lives and dies with this transport, so each new client starts cold
+        self._path_lines: dict[str, pathscore.NumberedLine] = {}
 
     def __call__(self, prompt: str) -> str:
         if self._pathscore.is_scoring_prompt(prompt):

@@ -569,7 +569,8 @@ def read_json_lines(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
 
 
 def read_walks(path: str | Path, g: Mrhin, fields: Sequence[str] = (),
-               make: Callable[[WalkGroup, list[tuple]], object] = lambda walks, rows: walks) -> dict[str, dict]:
+               make: Callable[[WalkGroup, list[tuple]], object] = lambda walks, rows: walks,
+               check: Callable[[tuple], None] | None = None) -> dict[str, dict]:
     """{target question: {template: group}} from a :func:`write_walks` file on graph ``g``, each
     group being ``make(walks, rows)`` of its :class:`WalkGroup` and its walks' values of
     ``fields``, in row order (by default the walk group itself).
@@ -577,7 +578,8 @@ def read_walks(path: str | Path, g: Mrhin, fields: Sequence[str] = (),
     Raises IngestError naming the file and line of a record whose template is unknown, whose
     node is not in ``g``, that does not start at its target question or breaks its template
     (naming the position of the first node whose kind is not ``template.kind_at(position)``),
-    or whose target KC differs from that of earlier walks of its group.
+    whose target KC differs from that of earlier walks of its group, or whose values of
+    ``fields`` make ``check``, if given, raise ValueError.
     """
     index, kinds = g._index, g.kinds
     kc_of: dict[tuple[str, str], str] = {}
@@ -601,7 +603,10 @@ def read_walks(path: str | Path, g: Mrhin, fields: Sequence[str] = (),
             position = next(p for p, (kind, want) in enumerate(zip(found, wanted)) if kind != want)
             raise ValueError(f"node {position}, {nodes[position]}, is of kind {found[position]}, "
                              f"but template {name} has kind {wanted[position]} at position {position}")
-        return qid, name, walk, tuple(rec[key] for key in fields)
+        values = tuple(rec[key] for key in fields)
+        if check:
+            check(values)
+        return qid, name, walk, values
 
     buckets: dict[str, dict[str, tuple[list[list[int]], list[tuple]]]] = {}
     for qid, name, walk, values in read_json_lines(path, decode):

@@ -1,9 +1,13 @@
 """Test helpers with no caller in the package: a client that plays back canned LLM replies,
 a prompt bundle whose text is cut, the shape check of criterion 8's AUC-by-K series, the
 path pair pool as string triples with its conversions to and from ``retrieval.pair_keys``,
-the path formulas on one walk of node indices, and peer retrieval one target at a time."""
+the path formulas on one walk of node indices, peer retrieval one target at a time, a scored
+group built from one ``PathScore`` per walk, the LLM scorer as it read replies into those, and
+the scored-walk writer that dumped each score column with ``json.dumps``."""
 
+import json
 import math
+import re
 
 import numpy as np
 
@@ -11,7 +15,9 @@ from hisekt.config import ABLATIONS
 from hisekt.errors import TransportError
 from hisekt.evaluation import target_key
 from hisekt.llm import LlmClient
-from hisekt.pathscore import LEVEL_CATEGORIES, MAX_DIMENSION_SCORE
+from hisekt.mrhin import write_walks
+from hisekt.pathscore import (LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, PathScore, ScoredGroup,
+                              render_scoring_prompt)
 from hisekt.predict import MASK_SIMU, PromptBundle
 from hisekt.retrieval import DEFAULT_SCALING, CandidateSet, distances, encode_many, pair_keys, student_tables
 from hisekt.seeding import derive_rng, derive_seed
@@ -185,3 +191,41 @@ def reference_peers(ctx, cfg, run_seed, variant):
         seed = derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp)
         peers[target_key(i)] = reference_top_s(cands, sim, m, d, cfg.top_s, mode=peer_mode, c=cfg.c, seed=seed)
     return peers
+
+
+def from_scores(walks, scores, backend):
+    """The scored group of ``walks`` with one given ``PathScore`` per walk, in walk order, all of
+    ``backend``."""
+    if any(s.backend != backend for s in scores):
+        raise ValueError(f"a scored group holds scores of one backend, {backend!r}")
+    table = [(s.centrality, s.kc_relevance, s.informativeness, s.diversity, s.total) for s in scores]
+    return ScoredGroup(walks, np.array(table, dtype=np.float64).reshape(len(table), 5), backend)
+
+
+_ANY_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+
+def reference_score_llm(walks, i, client):
+    """Walk ``i`` of a group scored via the LLM backend as a ``PathScore``, read as
+    ``pathscore.score_llm`` read replies before it returned rows: the first four numbers anywhere
+    in the reply, clamped to [0, 5]."""
+    prompt = render_scoring_prompt(walks, i)
+    for _ in range(max(client.max_retries, 1)):
+        numbers = _ANY_NUMBER.findall(client.complete(prompt))
+        if len(numbers) >= 4:
+            return PathScore.build(*(min(max(float(raw), 0.0), MAX_DIMENSION_SCORE) for raw in numbers[:4]),
+                                   backend="llm")
+    raise AssertionError("no parsable scores")
+
+
+def reference_write_scored(grouped, path):
+    """``pathscore.write_scored`` as it was before it rendered each distinct score once: each
+    group's score columns dumped with ``json.dumps`` and split at their separators."""
+    def columns(qid, name):
+        group = grouped[qid][name]
+        found = {key: json.dumps(column)[1:-1].split(", ") for key, column in zip(SCORE_FIELDS, group.scores.T.tolist())}
+        found["backend"] = [json.dumps(group.backend)] * len(group)
+        return found
+
+    return write_walks({qid: {name: group.walks for name, group in per_template.items()}
+                        for qid, per_template in grouped.items()}, path, columns)

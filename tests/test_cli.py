@@ -434,6 +434,23 @@ class TestCliStages:
                 f"{['K', record['target_kc']]}, is of kind K, but template Q-D-Q has kind D at position 1") in err
         assert not paths.with_name("scored.jsonl").exists()
 
+    def test_a_score_that_is_not_a_number_is_a_stage_failure(self, config_file, capsys):
+        flags = ["--config", str(config_file), "--score-backend", "llm", "--llm-backend", "mock"]
+        for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths"):
+            assert main([stage, *flags]) == 0
+        cfg = resolve_config(load_config_file(config_file), {"score_backend": "llm"})
+        scored = cli._cache_dir(cfg) / "scored.jsonl"
+        lines = scored.read_text(encoding="utf-8").splitlines()
+        # null and true read back as NaN and 1.0 before scores were checked
+        lines[0] = re.sub(r'"kc_relevance": [^,]+', '"kc_relevance": true',
+                          re.sub(r'"centrality": [^,]+', '"centrality": null', lines[0]))
+        scored.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["retrieve", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"error in stage retrieve: {scored} line 1: ValueError: centrality is null, not a number" in err
+        assert not scored.with_name("retrieval.json").exists()
+
     @pytest.mark.parametrize("cut", ["path block", "hops_from_target", "level"])
     def test_a_scoring_prompt_the_mock_cannot_read_is_a_stage_failure(self, config_file, monkeypatch, capsys, cut):
         flags = ["--config", str(config_file), "--score-backend", "llm", "--llm-backend", "mock"]

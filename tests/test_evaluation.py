@@ -22,13 +22,13 @@ from hisekt.evaluation import (
 )
 from hisekt.llm import MockTransport
 from hisekt.mrhin import TEMPLATES, Mrhin, sample_instances
-from hisekt.pathscore import PathScore, ScoredGroup, select_top_k
+from hisekt.pathscore import PathScore, select_top_k
 from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
 from conftest import rows_to_csv
 from graph_fixture import build_fixture_graph
-from support import unimodal_or_plateau
+from support import from_scores, unimodal_or_plateau
 
 
 def pairwise_auc(labels, scores):
@@ -128,7 +128,7 @@ class TestPlantedSelection:
         # plant two quality tiers on distinct fixture walks, interleaved, and check the selected sets exactly
         walks = sample_instances(build_fixture_graph(), TEMPLATES["Q-U-Q-K-Q"], "Q1", n=12, walk_len=20, seed=1)
         tiers = [1.0] * 3 + [4.0] * 3 + [1.0] * 3 + [4.0] * 3
-        mixed = ScoredGroup.from_scores(walks, [PathScore.build(*[tier] * 4) for tier in tiers], "formula")
+        mixed = from_scores(walks, [PathScore.build(*[tier] * 4) for tier in tiers], "formula")
         high = {p.nodes for p, tier in zip(walks, tiers) if tier == 4.0}
         low = {p.nodes for p, tier in zip(walks, tiers) if tier == 1.0}
         assert len(high) == len(low) == 6

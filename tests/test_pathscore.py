@@ -43,7 +43,8 @@ from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
 from hisekt.synth import planted_csv
 from prompt_reference import reference_parse_scoring_prompt
-from support import reference_score_walk, scripted_client
+from support import (from_scores, reference_score_llm, reference_score_walk, reference_write_scored,
+                     scripted_client)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +269,12 @@ class TestScore:
         assert list(score_all(walks, g)) == list(score_all(walks, g))
 
 
+def score_row(s):
+    """A ``PathScore``'s (centrality, kc_relevance, informativeness, diversity, total), the row
+    ``score_llm`` returns."""
+    return (s.centrality, s.kc_relevance, s.informativeness, s.diversity, s.total)
+
+
 class TestLlmScoring:
     def test_mock_backend_matches_formula_exactly(self, g):
         client = LlmClient(backend="mock")
@@ -275,25 +282,25 @@ class TestLlmScoring:
             walks = sample_instances(g, TEMPLATES[name], "Q5", n=10, walk_len=20, seed=2)
             for k, row in enumerate(score_all(walks, g)):
                 reference = row.score
-                llm = score_llm(walks, k, client)
-                assert llm.backend == "llm"
-                assert llm.centrality == reference.centrality
-                assert llm.kc_relevance == reference.kc_relevance
-                assert llm.informativeness == reference.informativeness
-                assert llm.diversity == reference.diversity
+                c, r, i, dv, total = score_llm(walks, k, client)
+                assert c == reference.centrality
+                assert r == reference.kc_relevance
+                assert i == reference.informativeness
+                assert dv == reference.diversity
+                assert total == reference.total
 
     def test_braced_reply_parses(self, g):
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["{5, 5, 5, 5}"])
         s = score_llm(walks, 0, client)
-        assert s.total == 20.0
+        assert s == (5.0, 5.0, 5.0, 5.0, 20.0)
 
     def test_out_of_range_clamped_with_warning(self, g, caplog):
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["{7, 2, 2, 2}"])
         with caplog.at_level("WARNING"):
             s = score_llm(walks, 0, client)
-        assert s.centrality == 5.0
+        assert s[0] == 5.0
         assert "clamped" in caplog.text
 
     def test_prose_reply_fails_after_retries(self, g):
@@ -303,12 +310,56 @@ class TestLlmScoring:
             score_llm(walks, 0, client)
         assert err.value.raw_response == "no numbers here"
 
+    def test_numbers_outside_the_braces_are_not_read(self, g):
+        # the old reader took the first four numbers anywhere: (4.0, 4.5, 3.0, 2.0) here
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
+        client = scripted_client(["Here are the 4 scores: {4.5, 3.0, 2.0, 1.0}"])
+        assert score_llm(walks, 0, client) == (4.5, 3.0, 2.0, 1.0, 10.5)
+
+    def test_an_unbraced_numbered_reply_is_retried(self, g):
+        # the old reader took (1.0, 4.5, 2.0, 3.0) from the list's numbers and scores
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
+        numbered = "1. centrality: 4.5\n2. kc_relevance: 3\n3. informativeness: 2\n4. diversity: 1"
+        client = scripted_client([numbered, "{4.5, 3, 2, 1}"], max_retries=2)
+        assert score_llm(walks, 0, client) == (4.5, 3.0, 2.0, 1.0, 10.5)
+        with pytest.raises(ScoringError) as err:
+            score_llm(walks, 0, scripted_client([numbered] * 3, max_retries=3))
+        assert err.value.raw_response == numbered
+
+    @pytest.mark.parametrize("reply", [
+        "{centrality, kc_relevance, informativeness, diversity}\n{4.5, 3.0, 2.0, 1.0}",
+        "Format: {} then {1, 2} then {4.5,3.0 ,2.0, 1.0}",
+        "{0.5, 0.5, 0.5, 0.5} on a second look: { 4.5 , 3.0 , 2.0 , 1.0 }",
+        "{4.5, 3.0, 2.0, 1.0} {6, 7} {1, 2, 3, 4, 5}",
+    ])
+    def test_the_last_group_of_four_numbers_is_read(self, reply, g):
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
+        assert score_llm(walks, 0, scripted_client([reply])) == (4.5, 3.0, 2.0, 1.0, 10.5)
+
+    def test_rows_equal_path_scores_of_the_old_reader_bit_for_bit(self, tmp_path):
+        # each group's table from the llm stage against one PathScore per walk, read from the
+        # reply as before and stacked by from_scores, on the staged CLI's config
+        for seed in (1, 2, 3):
+            data = tmp_path / f"planted-{seed}.csv"
+            data.write_text(planted_csv(seed=seed)[0], encoding="utf-8")
+            cfg = RunConfig(data=str(data), seed=7, n_walks=4, walk_len=12, score_backend="llm", llm_backend="mock")
+            ctx = PipelineContext(cfg)
+            scored = ctx.scored(run_seed_of(cfg, 0))
+            client = LlmClient(backend="mock")
+            for per_template in scored.values():
+                for group in per_template.values():
+                    old = from_scores(group.walks, [reference_score_llm(group.walks, k, client)
+                                                    for k in range(len(group))], "llm")
+                    assert group.backend == "llm" and group.scores.dtype == np.float64
+                    assert group.scores.shape == old.scores.shape == (len(group), 5)
+                    assert group.scores.tobytes() == old.scores.tobytes()
+
 
 def scored_with_totals(g, totals):
     """Distinct Q-U-Q-K-Q walks from Q1 on the fixture graph, row i scored with total ``totals[i]``."""
     walks = sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q1", n=len(totals), walk_len=20, seed=1)
     assert len({p.nodes for p in walks}) == len(walks) == len(totals)
-    return ScoredGroup.from_scores(walks, [PathScore.build(*([total / 4.0] * 4)) for total in totals], "formula")
+    return from_scores(walks, [PathScore.build(*([total / 4.0] * 4)) for total in totals], "formula")
 
 
 def reversed_rows(scored):
@@ -390,7 +441,7 @@ class TestSelectTopKTieOrder:
         for name in ("Q-K-Q", "Q-U-Q-D-Q", "Q-K-Q-U-A-U-Q"):
             walks = sample_instances(g, TEMPLATES[name], "Q2", n=40, walk_len=9, seed=5)
             tied = [PathScore.build(*([(i % 3) * 1.25] * 4)) for i in range(len(walks))]
-            out.append(ScoredGroup.from_scores(walks, tied, "formula"))
+            out.append(from_scores(walks, tied, "formula"))
         return out
 
     @pytest.mark.parametrize("mode", ["top", "lowest", "random"])
@@ -419,7 +470,7 @@ class TestSelectTopKOnGroups:
             walks = sample_instances(g, TEMPLATES[name], "Q2", n=40, walk_len=9, seed=5)
             out.append(score_all(walks, g))
             tied = [PathScore.build(*([(i % 3) * 1.25] * 4)) for i in range(len(walks))]
-            out.append(ScoredGroup.from_scores(walks, tied, "formula"))
+            out.append(from_scores(walks, tied, "formula"))
         out.append(score_all(sample_instances(g, TEMPLATES["Q-U-Q"], "Q2", n=0, walk_len=9, seed=5), g))
         return out
 
@@ -490,6 +541,71 @@ class TestScoredStore:
         with pytest.raises(IngestError, match="backends"):
             read_scored(target, g)
 
+    @pytest.mark.parametrize("field, text, complaint", [
+        ("centrality", "null", "centrality is null, not a number"),
+        ("kc_relevance", "true", "kc_relevance is true, not a number"),
+        ("informativeness", '"2.5"', 'informativeness is "2.5", not a number'),
+        ("diversity", "NaN", "diversity is NaN, not a finite number"),
+        ("centrality", "-Infinity", "centrality is -Infinity, not a finite number"),
+        ("total", "1" + "0" * 400, "total is 1" + "0" * 400 + ", not a finite number"),
+    ])
+    def test_a_score_that_is_not_a_finite_number_fails_naming_its_line(self, g, grouped, tmp_path, field, text,
+                                                                       complaint):
+        target = tmp_path / "scored.jsonl"
+        write_scored(grouped, target)
+        lines = target.read_text(encoding="utf-8").splitlines()
+        lines[2] = re.sub(rf'"{field}": [^,}}]+', lambda _: f'"{field}": {text}', lines[2])
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read_scored(target, g)
+        assert str(err.value) == f"{target} line 3: ValueError: {complaint}"
+
+    def test_a_total_that_is_not_the_sum_fails_naming_its_line(self, g, grouped, tmp_path):
+        target = tmp_path / "scored.jsonl"
+        write_scored(grouped, target)
+        lines = target.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[4])
+        total = record["total"]
+        # one ulp off, and the same dimensions summed in another order: equal in value, not in bits
+        reordered = record["diversity"] + record["informativeness"] + record["kc_relevance"] + record["centrality"]
+        for changed in (math.nextafter(total, math.inf), reordered):
+            if changed == total:
+                continue
+            lines[4] = re.sub(r'"total": [^,}]+', lambda _: f'"total": {changed!r}', lines[4])
+            target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(IngestError) as err:
+                read_scored(target, g)
+            assert str(err.value).startswith(f"{target} line 5: ValueError: total is {changed!r}, not the sum")
+
+    def test_json_ints_read_as_their_floats(self, g, tmp_path):
+        walks = sample_instances(g, TEMPLATES["Q-U-Q"], "Q1", n=2, walk_len=4, seed=1)
+        target = tmp_path / "scored.jsonl"
+        scores = [PathScore.build(5.0, 0.0, 2.5, 0.0)] * len(walks)
+        write_scored({"Q1": {"Q-U-Q": from_scores(walks, scores, "formula")}}, target)
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace("5.0", "5").replace(": 0.0", ": 0"), encoding="utf-8")
+        [[got]] = [per.values() for per in read_scored(target, g).values()]
+        assert got.scores.tolist() == [[5.0, 0.0, 2.5, 0.0, 7.5]] * len(walks)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_every_planted_scored_file_reads_back(self, tmp_path, seed):
+        data = tmp_path / "planted.csv"
+        data.write_text(planted_csv(seed=seed)[0], encoding="utf-8")
+        cfg = RunConfig(data=str(data), seed=7, n_walks=4, walk_len=12, llm_backend="mock")
+        ctx = PipelineContext(cfg)
+        for backend in ("formula", "llm"):
+            scored = ctx.scored(run_seed_of(cfg, 0), replace(cfg, score_backend=backend))
+            target = tmp_path / f"{backend}.jsonl"
+            write_scored(scored, target)
+            loaded = read_scored(target, ctx.graph)
+            for qid, per_template in scored.items():
+                for name, group in per_template.items():
+                    assert loaded[qid][name].backend == backend
+                    got = loaded[qid][name].scores.tolist()
+                    assert sorted(map(tuple, got)) == sorted(map(tuple, group.scores.tolist()))
+            write_scored(loaded, tmp_path / "again.jsonl")
+            assert (tmp_path / "again.jsonl").read_bytes() == target.read_bytes()
+
     def test_walk_files_equal_the_per_instance_writer(self, tmp_path):
         data = tmp_path / "planted.csv"
         data.write_text(planted_csv(seed=1)[0], encoding="utf-8")
@@ -511,12 +627,58 @@ class TestScoredStore:
                      for name in ("Q-U-Q", "Q-K-Q-U-A-U-Q", "Q-U-Q-K-Q-D-Q")}
                  for q in sorted(node_id for kind, node_id in g.node_ids if kind == "Q")}
         by_formula = {q: {name: score_all(group, g) for name, group in per.items()} for q, per in walks.items()}
-        by_llm = {q: {name: ScoredGroup.from_scores(group, [score_llm(group, k, client) for k in range(len(group))], "llm")
+        by_llm = {q: {name: ScoredGroup(group, np.array([score_llm(group, k, client) for k in range(len(group))])
+                                        .reshape(len(group), 5), "llm")
                       for name, group in per.items()} for q, per in walks.items()}
         assert_walk_files_equal_the_reference(
             [(walks, write_walks, read_walks), (by_formula, write_scored, read_scored), (by_llm, write_scored, read_scored)],
             g, tmp_path)
         assert all(ord(c) < 128 for c in (tmp_path / "walks.jsonl").read_text(encoding="utf-8"))
+
+
+_TINY = 2.2250738585072014e-308  # the smallest normal float
+EDGE_SCORES = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(_TINY, 0.0), _TINY, 0.1, 1 / 3, 1.0,
+               math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 5.0, math.nextafter(5.0, 6.0), 20.0,
+               math.nextafter(20.0, 0.0), 1e16, 1e-7, math.inf, -math.inf, math.nan, -math.nan]
+
+
+class TestScoredWriter:
+    @pytest.fixture(scope="class")
+    def walk_groups(self, g):
+        return {q: {name: sample_instances(g, TEMPLATES[name], q, n=9, walk_len=9, seed=4)
+                    for name in ("Q-U-Q", "Q-K-Q-U-A-U-Q", "Q-U-Q-K-Q-D-Q")} for q in ("Q1", "Q4")}
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal_the_per_column_writer(self, walk_groups, tmp_path_factory, data):
+        # values shared across the file, so the same bits recur across groups and columns
+        shared = data.draw(st.lists(st.floats(), max_size=6))
+        values = st.one_of(st.sampled_from(EDGE_SCORES + shared), st.floats())
+        grouped = {}
+        for q, per_template in walk_groups.items():
+            for name, walks in per_template.items():
+                size = data.draw(st.integers(0, len(walks)))  # 0: an empty group
+                table = data.draw(st.lists(values, min_size=5 * size, max_size=5 * size))
+                backend = data.draw(st.sampled_from(["formula", "llm"]))
+                scores = np.array(table, dtype=np.float64).reshape(size, 5)
+                grouped.setdefault(q, {})[name] = ScoredGroup(walks.take(np.arange(size)), scores, backend)
+        folder = tmp_path_factory.mktemp("scored")
+        got, want = folder / "got.jsonl", folder / "want.jsonl"
+        assert write_scored(grouped, got) == reference_write_scored(grouped, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_signed_zeros_and_nans_keep_their_text(self, g, tmp_path):
+        walks = sample_instances(g, TEMPLATES["Q-U-Q"], "Q1", n=2, walk_len=4, seed=1)
+        scores = np.array([[0.0, -0.0, math.nan, 5e-324, math.inf], [-0.0, 0.0, -math.nan, -5e-324, 1.0]])
+        grouped = {"Q1": {"Q-U-Q": ScoredGroup(walks, scores, "llm")}}
+        write_scored(grouped, tmp_path / "got.jsonl")
+        reference_write_scored(grouped, tmp_path / "want.jsonl")
+        text = (tmp_path / "got.jsonl").read_text(encoding="utf-8")
+        assert text == (tmp_path / "want.jsonl").read_text(encoding="utf-8")
+        fields = [dict(re.findall(r'"(\w+)": ([^,{}\[\]]+)', line)) for line in text.splitlines()]
+        assert sorted((f["centrality"], f["kc_relevance"], f["informativeness"], f["diversity"], f["total"])
+                      for f in fields) == sorted([("0.0", "-0.0", "NaN", "5e-324", "Infinity"),
+                                                  ("-0.0", "0.0", "NaN", "-5e-324", "1.0")])
 
 
 def assert_walk_files_equal_the_reference(cases, g, tmp_path):
@@ -942,7 +1104,7 @@ class TestScoringPromptReader:
                     {q: g.question_kcs(q) for q in questions})
                 if not any("|" in node_id for node_id in new_ids):  # the old reader split at every " | "
                     assert _read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt)
-                assert score_llm(walks, k, client) == replace(expected.score, backend="llm")
+                assert score_llm(walks, k, client) == score_row(expected.score)
 
     def test_planted_ids_with_separators_score_as_the_formula(self, tmp_path):
         # a question and two students of the acceptance fixture renamed to hold " | ": the old
@@ -1081,12 +1243,17 @@ class TestPathLineMemo:
         prompt, lines = first_walk_prompt(g)
         mock = MockTransport()
         reply = mock(prompt)
-        assert lines[6][5:] in mock._path_lines
-        lines[6] = "  5. " + lines[6][5:]
-        for read in (mock, lambda text: _read_scoring_prompt(text, mock._path_lines)):
-            with pytest.raises(TransportError) as err:
-                read("\n".join(lines))
-            assert str(err.value).endswith(f"path line {lines[6]!r}")
+        stored = lines[6]
+        assert stored.startswith("  3. ") and mock._path_lines[stored][0] == 3
+        # the stored line at position 5 (a memo hit under another number), and its text
+        # renumbered "  5. " at position 3 (a miss): each is refused as a fresh read refuses it
+        for position, changed in ((5, lines[:8] + [stored] + lines[9:]),
+                                  (3, lines[:6] + ["  5. " + stored[5:]] + lines[7:])):
+            for read in (mock, lambda text: _read_scoring_prompt(text, mock._path_lines), _read_scoring_prompt):
+                with pytest.raises(TransportError) as err:
+                    read("\n".join(changed))
+                assert str(err.value).endswith(f"path line {changed[position + 3]!r}")
+        assert mock._path_lines[stored][0] == 3
         assert mock(prompt) == reply
 
     def test_a_line_that_fails_is_never_stored(self, g):
@@ -1099,24 +1266,28 @@ class TestPathLineMemo:
             for read in (mock, lambda text: _read_scoring_prompt(text, memo)):
                 with pytest.raises(TransportError, match="A:Bogus"):
                     read(changed)
-        # the two lines before it read and are stored; the bad one is not
-        assert list(memo) == list(mock._path_lines) == [line[5:] for line in lines[4:6]]
+        # the two lines before it read and are stored, by the whole numbered line; the bad one is not
+        assert list(memo) == list(mock._path_lines) == lines[4:6]
 
     def test_each_transport_reads_its_own_lines_once(self, g, monkeypatch):
         read_line, parsed = pathscore._read_path_line, []
         monkeypatch.setattr(pathscore, "_read_path_line", lambda body: parsed.append(body) or read_line(body))
         walks = sample_instances(g, TEMPLATES["Q-U-A-U-Q"], "Q1", n=20, walk_len=12, seed=5)
         prompts = [prompt for _, prompt in prompts_of(walks)]
-        distinct = {line[line.index(". ") + 2:] for prompt in prompts for line in prompt.split("\n")
-                    if re.match(r"  \d+\. ", line)}
+        numbered = [line for prompt in prompts for line in prompt.split("\n") if re.match(r"  \d+\. ", line)]
+        distinct = set(numbered)
+        # each distinct numbered line's text is parsed once, under each number it stands at
+        bodies = sorted(line[line.index(". ") + 2:] for line in distinct)
         first, second = LlmClient(backend="mock"), LlmClient(backend="mock")
         replies = [first.complete(prompt) for prompt in prompts]
-        assert sorted(parsed) == sorted(distinct) and len(distinct) < sum(len(p.split("\n")) for p in prompts)
+        assert sorted(parsed) == bodies and len(distinct) < len(numbered)
+        assert set(first.transport._path_lines) == distinct
+        assert all(first.transport._path_lines[line][0] == int(line.split(".")[0]) for line in distinct)
         parsed.clear()
         assert [first.complete(prompt) for prompt in prompts] == replies and parsed == []
         assert second.transport._path_lines == {}
         assert [second.complete(prompt) for prompt in prompts] == replies
-        assert sorted(parsed) == sorted(distinct)
+        assert sorted(parsed) == bodies
         assert replies == [mock_score_reply(prompt) for prompt in prompts]
 
     @settings(max_examples=60, deadline=None)
