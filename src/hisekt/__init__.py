@@ -6,16 +6,14 @@ from .errors import HisektError
 from .evaluation import EvalReport, PipelineContext, accuracy, auc, run_experiment
 from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
-from .mrhin import (TEMPLATES, MetaPathTemplate, Mrhin, PathInstance, WalkGroup, graph_distance, sample_instances,
-                    sample_walks)
-from .pathscore import PathScore, ScoredGroup, ScoredInstance, score_all, score_groups, select_top_k
+from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, WalkGroup, graph_distance, sample_instances, sample_walks
+from .pathscore import ScoredGroup, score_all, score_groups, select_top_k
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
 # package attribute `predict` keeps naming the module.
 from .predict import Prediction, PromptBundle, build_prompt
 from .retrieval import (
     CandidateSet,
-    FeatureVector,
     SimilarityModel,
     distances,
     encode,
@@ -31,7 +29,6 @@ __all__ = [
     "CandidateSet",
     "Dataset",
     "EvalReport",
-    "FeatureVector",
     "HisektError",
     "Interaction",
     "IrtModel",
@@ -39,14 +36,11 @@ __all__ = [
     "LlmClient",
     "MetaPathTemplate",
     "Mrhin",
-    "PathInstance",
-    "PathScore",
     "PipelineContext",
     "Prediction",
     "PromptBundle",
     "RunConfig",
     "ScoredGroup",
-    "ScoredInstance",
     "SimilarityModel",
     "TEMPLATES",
     "WalkGroup",

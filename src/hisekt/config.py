@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -118,7 +119,8 @@ def resolve_config(file_values: Mapping | None = None, overrides: Mapping | None
 
 def check_choices(cfg: RunConfig) -> None:
     """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``,
-    every count is at least 1 and the history window is not negative."""
+    every count is at least 1, the history window is not negative and the scaling ``c`` is a
+    finite number above 0."""
     for key, allowed in CHOICES.items():
         values = cfg.variants if key == "variants" else (getattr(cfg, key),)
         for value in values:
@@ -129,6 +131,8 @@ def check_choices(cfg: RunConfig) -> None:
             raise ConfigError(f"config field {key!r}: {getattr(cfg, key)!r} is less than 1")
     if cfg.window < 0:
         raise ConfigError(f"config field 'window': {cfg.window!r} is negative")
+    if not (math.isfinite(cfg.c) and cfg.c > 0):
+        raise ConfigError(f"config field 'c': {cfg.c!r} is not a finite number above 0")
 
 
 def fingerprint(cfg: RunConfig) -> str:

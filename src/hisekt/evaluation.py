@@ -238,39 +238,40 @@ def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | 
 
 
 def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
-    """{target question: {student: times on the question's retained walks}}, in order of first
-    appearance over the kept rows of each template (in ``TEMPLATES`` order), each kept in
-    selection order.  Counted on the kept rows' node ints, with no walk decoded."""
+    """{target question: ``(rows, counts)``}: the ascending ``retrieval.student_tables`` rows of
+    the students on the question's kept walks, and how often each stands on them.  Counted on the
+    kept rows' node ints through a node-int -> student-row table (-1 off students, and at ``PAD``);
+    raises ValueError if a student of the graph is not one of the dataset."""
     g, scored, mode = ctx.get("graph", cfg), ctx.scored(run_seed, cfg), ABLATIONS[variant][0]
-    student = pathscore.graph_tables(g).student
-    retained: dict[str, dict[str, int]] = {}
+    t = retrieval.student_tables(ctx.get("dataset", cfg))
+    students = [x for x, kind in enumerate(g.kinds) if kind == "U"]
+    row_of = np.full(len(g.node_ids) + 1, -1, dtype=np.intp)
+    row_of[students] = t.positions(g.node_ids[x][1] for x in students)
+    retained: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for qid in sorted(scored):
         # only a random draw reads the seed
         kept = [pathscore.select_top_k(scored[qid][name], cfg.top_k, mode,
                                        seed=derive_seed(run_seed, "topk", qid, name) if mode == "random" else 0)
                 for name in TEMPLATES if name in scored[qid]]
-        nodes = np.concatenate([group.walks.rows.ravel() for group in kept])
-        students, first, counts = np.unique(nodes[student[nodes]], return_index=True, return_counts=True)
-        order = np.argsort(first)
-        retained[qid] = {g.node_ids[x][1]: n for x, n in zip(students[order].tolist(), counts[order].tolist())}
+        rows = row_of[np.concatenate([group.walks.rows.ravel() for group in kept])]
+        retained[qid] = np.unique(rows[rows >= 0], return_counts=True)
     return retained
 
 
 def _path_pair_pool(
-    counts: Mapping[str, Mapping[str, int]],
+    retained: Mapping[str, tuple[np.ndarray, np.ndarray]],
     d: dataset_mod.Dataset,
 ) -> tuple[np.ndarray, int] | None:
     """The distinct (answerer, candidate, f) triples of the retained walks, mirroring the deployment
     pair distribution, as ascending ``retrieval.pair_keys`` with their base; None if there are none.
 
     For each target question, each of its train answerers is paired with each student retained for
-    it but itself, with that student's count f.  The base is one more than the largest count.
+    it but itself (``retained`` as :func:`_retained` gives it), with that student's count f.  The
+    base is one more than the largest count.
     """
     t = retrieval.student_tables(d)
-    base = 1 + max((f for per_student in counts.values() for f in per_student.values()), default=0)
-    per_question = [(t.answerers(qid)[:, None], t.positions(per_student),
-                     np.fromiter(per_student.values(), dtype=np.int64, count=len(per_student)))
-                    for qid, per_student in counts.items()]
+    base = 1 + max((int(f.max()) for _, f in retained.values() if f.size), default=0)
+    per_question = [(t.answerers(qid)[:, None], rows, f) for qid, (rows, f) in retained.items()]
     # every question's keys go into one buffer, sorted in place and thinned to distinct keys: a
     # list of blocks, their concatenation and np.unique's copy would each hold all of them at
     # once, and np.unique's hash table (numpy >= 2.3) is far slower than a sort on millions of keys
@@ -306,7 +307,8 @@ def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | N
     if predict.MASK_SIMU in mask:
         return {target_key(i): [] for i in tests}
     d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
-    counts = ctx.get("retained", cfg, run_seed, variant)
+    retained = ctx.get("retained", cfg, run_seed, variant)
+    none = (np.zeros(0, dtype=np.intp),) * 2  # a question with no sampled walk
     sim = ctx.get("similarity", cfg, run_seed, variant) if peer_mode == "similar" else None
     by_question: dict[str, list[Interaction]] = {}
     for i in tests:
@@ -314,7 +316,7 @@ def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | N
     peers: dict[tuple[str, str, int], list[str]] = {}
     for qid, targets in by_question.items():
         seeds = [derive_seed(run_seed, "tops", i.student_id, qid, i.timestamp) for i in targets]
-        ranked = retrieval.top_s_many(qid, counts.get(qid, {}), [i.student_id for i in targets], sim, m, d,
+        ranked = retrieval.top_s_many(qid, retained.get(qid, none), [i.student_id for i in targets], sim, m, d,
                                       cfg.top_s, mode=peer_mode, c=cfg.c, seeds=seeds)
         peers.update(zip(map(target_key, targets), ranked))
     return {target_key(i): peers[target_key(i)] for i in tests}

@@ -26,10 +26,9 @@ The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
 order is node order, and keeps a per-kind int adjacency, also as CSR arrays
 for sampling.  The walks of one (target question, template) pair are a
 :class:`WalkGroup`: one int array with a row per walk, padded with ``PAD``
-after a truncated walk's last node.  A row is decoded to a
-:class:`PathInstance` only when it is read as one.  Walk files (``paths.jsonl``, and ``scored.jsonl`` through
-:mod:`hisekt.pathscore`) are written from groups and read back into groups,
-one JSON line per walk.
+after a truncated walk's last node.  Walk files (``paths.jsonl``, and
+``scored.jsonl`` through :mod:`hisekt.pathscore`) are written from groups and
+read back into groups, one JSON line per walk.
 """
 
 from __future__ import annotations
@@ -123,23 +122,6 @@ _TEMPLATE_NAMES = (
 TEMPLATES: dict[str, MetaPathTemplate] = {
     name: MetaPathTemplate(name, tuple(name.split("-"))) for name in _TEMPLATE_NAMES
 }
-
-
-@dataclass(frozen=True)
-class PathInstance:
-    """One concrete sampled walk under a template, tied to a target question and KC."""
-
-    template: MetaPathTemplate
-    nodes: tuple[Node, ...]
-    target_kc: str
-
-    @property
-    def target_question(self) -> str:
-        return self.nodes[0][1]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.nodes) - 1
 
 
 def node_token(node: Node) -> str:
@@ -293,13 +275,13 @@ def graph_distance(g: Mrhin, x: Node, y: Node, cap: int = DEFAULT_WALK_LEN) -> i
     return min(g.hops_from(x)[g.index(y)], cap)
 
 
-class WalkGroup(Sequence[PathInstance]):
+class WalkGroup:
     """Walks of one template from one target question toward one target KC.
 
     ``rows`` holds one walk per row as graph node ints (``n x walk_len``),
-    padded with ``PAD`` after the last node of a truncated walk.  Indexing or
-    iterating decodes rows to :class:`PathInstance`; :attr:`tie_keys` holds
-    each walk's Top-K tie key, computed once per group on its rows.
+    padded with ``PAD`` after the last node of a truncated walk;
+    :attr:`tie_keys` holds each walk's Top-K tie key, computed once per group
+    on its rows.
     """
 
     def __init__(self, graph: Mrhin, template: MetaPathTemplate, target_question: str, target_kc: str,
@@ -313,10 +295,6 @@ class WalkGroup(Sequence[PathInstance]):
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __getitem__(self, i: int) -> PathInstance:
-        ids = self.graph.node_ids
-        return PathInstance(self.template, tuple(ids[x] for x in self.walk(i)), self.target_kc)
 
     def walk(self, i: int) -> list[int]:
         """Walk ``i``'s node ints, without padding."""

@@ -53,8 +53,7 @@ Top-K selection keeps each group's best (or lowest, or randomly drawn)
 rows by total, equal totals ordered by the walks' tie keys
 (:attr:`~hisekt.mrhin.WalkGroup.tie_keys`, one array expression per group).
 :func:`select_top_k` ranks a :class:`ScoredGroup` on its arrays and returns
-the kept rows as a :class:`ScoredGroup`, so no walk is decoded until a kept
-row is read.
+the kept rows as a :class:`ScoredGroup`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ import logging
 import math
 import re
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -73,7 +71,7 @@ import numpy as np
 
 from .errors import IngestError, ScoringError, TransportError
 from .llm import LlmClient
-from .mrhin import PAD, Mrhin, Node, PathInstance, WalkGroup, read_walks, write_walks
+from .mrhin import PAD, Mrhin, Node, WalkGroup, read_walks, write_walks
 from .seeding import derive_rng
 
 # Not called here: the benchmark's tracer patches this name on this module.
@@ -88,30 +86,9 @@ SCORING_PROMPT_HEADER = "### PATH QUALITY SCORING TASK ###"
 _REPLY_RE = re.compile(r"\{" + ",".join([r"\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*"] * 4) + r"\}")
 
 
-@dataclass(frozen=True)
-class PathScore:
-    centrality: float
-    kc_relevance: float
-    informativeness: float
-    diversity: float
-    total: float
-    backend: str = "formula"
-
-    @classmethod
-    def build(cls, c: float, r: float, i: float, dv: float, backend: str = "formula") -> "PathScore":
-        return cls(c, r, i, dv, c + r + i + dv, backend)
-
-
-@dataclass(frozen=True)
-class ScoredInstance:
-    instance: PathInstance
-    score: PathScore
-
-
-class ScoredGroup(Sequence[ScoredInstance]):
+class ScoredGroup:
     """A walk group with its scores: one row per walk of (centrality,
-    kc_relevance, informativeness, diversity, total), all from one backend.
-    Indexing or iterating decodes a row to a :class:`ScoredInstance`."""
+    kc_relevance, informativeness, diversity, total), all from one backend."""
 
     def __init__(self, walks: WalkGroup, scores: np.ndarray, backend: str):
         self.walks = walks
@@ -120,9 +97,6 @@ class ScoredGroup(Sequence[ScoredInstance]):
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __getitem__(self, i: int) -> ScoredInstance:
-        return ScoredInstance(self.walks[i], PathScore(*self.scores[i].tolist(), self.backend))
 
     def take(self, index: np.ndarray) -> "ScoredGroup":
         """The group of the rows at ``index``, in that order, with their scores and tie keys."""
@@ -141,17 +115,15 @@ _U, _Q, _K, _A, _D = (np.uint8(_KIND_BITS[kind]) for kind in ("U", "Q", "K", "A"
 
 
 class _GraphTables:
-    """A graph's node tables for the array scorer and the retained-student count, by node int,
-    each with one more entry (index ``sentinel``, also reached by ``PAD`` = -1) that counts as no
-    node at all: the kind bit (:data:`_KIND_BITS`; 0 for no node), whether it is a student, and
-    its level category (``len(LEVEL_CATEGORIES)`` if it is not an A/D node).  Hop counts from a
-    question and the questions covering a KC are tables per question and per KC, built on first
-    use, each in full before it is stored."""
+    """A graph's node tables for the array scorer, by node int, each with one more entry (index
+    ``sentinel``, also reached by ``PAD`` = -1) that counts as no node at all: the kind bit
+    (:data:`_KIND_BITS`; 0 for no node) and the level category (``len(LEVEL_CATEGORIES)`` if it
+    is not an A/D node).  Hop counts from a question and the questions covering a KC are tables
+    per question and per KC, built on first use, each in full before it is stored."""
 
     def __init__(self, g: Mrhin):
         self.sentinel = len(g.node_ids)
         self.kind = np.array([_KIND_BITS[kind] for kind in g.kinds] + [0], dtype=np.uint8)
-        self.student = np.array([kind == "U" for kind in g.kinds] + [False])
         no_level = len(LEVEL_CATEGORIES)
         self.level = np.array([_LEVEL_INDEX[node] if kind in _LEVEL_KINDS else no_level
                                for node, kind in zip(g.node_ids, g.kinds)] + [no_level])
@@ -552,8 +524,7 @@ def _clamped(raw: str) -> float:
 
 def score_llm(walks: WalkGroup, i: int, client: LlmClient) -> tuple[float, float, float, float, float]:
     """Walk ``i`` of a group scored via the LLM backend: its (centrality, kc_relevance,
-    informativeness, diversity, total), the total summed left to right as
-    :meth:`PathScore.build` sums it.
+    informativeness, diversity, total), the total summed left to right, ``c + r + i + dv``.
 
     The scores are the last ``{...}`` group in the reply holding exactly four comma-separated
     numbers, the format the rubric asks for; numbers elsewhere in the reply are not read.
@@ -600,7 +571,8 @@ def write_scored(grouped: Mapping[str, Mapping[str, ScoredGroup]], path: str | P
 def _check_scores(values: tuple) -> None:
     """Raises ValueError unless a scored record's five score fields are finite JSON numbers (not
     bools, nulls or strings) whose total is the four dimensions summed left to right, as
-    :meth:`PathScore.build` sums them; the written ``repr`` of each float reads back its bits."""
+    :func:`score_llm` and :func:`score_groups` sum them; the written ``repr`` of each float reads
+    back its bits."""
     scores = values[:5]
     for key, value in zip(SCORE_FIELDS, scores):
         if type(value) is not float and type(value) is not int:
@@ -641,7 +613,7 @@ def select_top_k(scored: ScoredGroup, k: int, mode: str = "top", seed: int = 0) 
     uniform sample without replacement under ``seed``.  Equal totals are
     ordered by the walks' tie keys, so reruns agree.  The group is ranked on
     its arrays, and its kept rows are returned as a :class:`ScoredGroup` with
-    their tie keys, decoded only when read.
+    their tie keys.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

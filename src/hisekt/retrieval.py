@@ -21,10 +21,11 @@ on demand.
 :func:`distances` solves every row against the Cholesky factor in one
 batched ``np.linalg.solve``, one right-hand side per row, as a per-row loop
 solves it.  Since no row's features or distance depend on another row,
-:func:`top_s_many` ranks every target of one question at once: it reads the
-question's retained students once and encodes all targets' candidates as
-one block (split only past :data:`BLOCK_PAIRS` pairs), each target getting
-the distances it would get alone.  :func:`top_s` is its one-target call, and
+:func:`top_s_many` ranks every target of one question at once: it takes the
+question's retained students as student-table rows with their counts, and
+encodes all targets' candidates as one block (split only past
+:data:`BLOCK_PAIRS` pairs), each target getting the distances it would get
+alone.  :func:`top_s` is its one-target call, and
 :func:`fit_similarity` encodes its sampled pairs as one block.  Sampled pairs are
 drawn as indices and only the chosen ones decoded: random pairs index the
 nested-loop pair order and are never listed, and a caller's pair pool is an
@@ -56,18 +57,6 @@ MIN_EIGENVALUE = 1e-8
 # most candidate pairs :func:`top_s_many` encodes at once, so a block's arrays stay a few MB
 # however many targets and candidates a question has
 BLOCK_PAIRS = 1 << 14
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    z1: float  # ability gap
-    z2: float  # mean shared-KC accuracy gap, scaled by c
-    z3: float  # shared-question decay
-    z4: float  # shared-KC decay
-    z5: float  # co-occurrence decay
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z1, self.z2, self.z3, self.z4, self.z5])
 
 
 @dataclass(frozen=True)
@@ -214,10 +203,11 @@ def encode(
     m: IrtModel,
     d: Dataset,
     c: float = DEFAULT_SCALING,
-) -> FeatureVector:
-    """Five-dimensional pair features of two students: one row of :func:`encode_many`."""
+) -> np.ndarray:
+    """The five features (ability gap, scaled mean shared-KC accuracy gap, shared-question,
+    shared-KC and co-occurrence decays) of two students by id: one row of :func:`encode_many`."""
     t = student_tables(d)
-    return FeatureVector(*map(float, encode_many(t.positions([u]), t.positions([s]), [f], m, d, c)[0]))
+    return encode_many(t.positions([u]), t.positions([s]), [f], m, d, c)[0]
 
 
 def _check_key_space(n: int, base: int) -> None:
@@ -357,7 +347,7 @@ def distances(z: np.ndarray, sm: SimilarityModel) -> np.ndarray:
 
 def top_s_many(
     question: str,
-    retained: Mapping[str, int],
+    retained: tuple[np.ndarray, np.ndarray],
     targets: Sequence[str],
     sm: SimilarityModel | None,
     m: IrtModel,
@@ -369,9 +359,11 @@ def top_s_many(
 ) -> list[list[str]]:
     """Top-S peers of each of ``targets`` on ``question``, one list per target in order.
 
-    A target's candidates are the students of ``retained`` (id -> co-occurrence count) but
-    itself.  It gets ``min(s, |candidates|)`` peers: nearest by distance, ties in id order, or
-    (``random`` mode) drawn uniformly with its own seed from ``seeds``.  In ``similar`` mode
+    ``retained`` is ``(rows, counts)``: the ascending :func:`student_tables` rows of the students
+    on the question's retained walks, and each one's co-occurrence count.  A target's candidates
+    are those students but itself.  It gets ``min(s, |candidates|)`` peers: nearest by distance,
+    ties in id order (rows sort as student ids do), or (``random`` mode) drawn uniformly with its
+    own seed from ``seeds``.  In ``similar`` mode
     every distinct target's candidates are stacked and ranked in blocks of at most
     :data:`BLOCK_PAIRS` pairs, one :func:`encode_many` and one :func:`distances` call each, then
     one stable argsort per target; rows do not interact, so a target's distances are those it
@@ -381,7 +373,9 @@ def top_s_many(
         raise ValueError("s must be >= 1")
     if mode not in ("similar", "random"):
         raise ValueError(f"unknown retrieval mode {mode!r}")
-    ids = sorted(retained)
+    t = student_tables(d)
+    rows, f = retained
+    ids = [t.students[row] for row in rows.tolist()]
     if mode == "random":
         if len(seeds) != len(targets):
             raise ValueError("random mode needs one seed per target")
@@ -390,9 +384,6 @@ def top_s_many(
             pool = [sid for sid in ids if sid != target]
             peers.append(pool if s >= len(pool) else derive_rng(seed, "top_s", target, question).sample(pool, s))
         return peers
-    t = student_tables(d)
-    rows = t.positions(ids)
-    f = np.fromiter((retained[sid] for sid in ids), dtype=np.int64, count=len(ids))
     distinct = list(dict.fromkeys(targets))
     ranked: dict[str, list[str]] = {}
     per_block = max(1, BLOCK_PAIRS // max(len(ids), 1))
@@ -421,6 +412,7 @@ def top_s(
     seed: int = 0,
 ) -> list[str]:
     """Pick ``min(s, |candidates|)`` peers: nearest by distance, or uniform at random; the one-target
-    call of :func:`top_s_many`."""
-    return top_s_many(cands.target_question, cands.candidates, [cands.target_student], sm, m, d, s, mode, c,
-                      [seed])[0]
+    call of :func:`top_s_many`, on the candidates' rows and counts."""
+    ids = sorted(cands.candidates)
+    retained = (student_tables(d).positions(ids), np.array([cands.candidates[sid] for sid in ids], dtype=np.int64))
+    return top_s_many(cands.target_question, retained, [cands.target_student], sm, m, d, s, mode, c, [seed])[0]

@@ -11,7 +11,7 @@ import numpy as np
 
 from hisekt.dataset import Dataset, Interaction
 from hisekt.irt import IrtModel, Level
-from hisekt.mrhin import NODE_KINDS, PAD, Mrhin, WalkGroup
+from hisekt.mrhin import NODE_KINDS, PAD, TEMPLATES, Mrhin, WalkGroup
 from hisekt.seeding import derive_rng
 
 
@@ -37,17 +37,18 @@ def reference_tie_key(nodes):
 
 
 def reference_top_k(scored, k, mode, seed=0):
-    """Top-K of a list of scored instances with the tie key recomputed from the node sequence on
-    every comparison."""
+    """The row indices Top-K keeps of a scored group, in selection order, with each walk's tie key
+    recomputed from its node sequence on every comparison."""
+    nodes, totals = walk_nodes(scored.walks), scored.scores[:, 4].tolist()
 
-    def tie(s):
-        return reference_tie_key(s.instance.nodes)
+    def tie(i):
+        return reference_tie_key(nodes[i])
 
     if mode == "random":
-        pool = sorted(scored, key=tie)
+        pool = sorted(range(len(nodes)), key=tie)
         return pool if k >= len(pool) else derive_rng(seed, "select_top_k").sample(pool, k)
     sign = -1 if mode == "top" else 1
-    return sorted(scored, key=lambda s: (sign * s.score.total, tie(s)))[:k]
+    return sorted(range(len(nodes)), key=lambda i: (sign * totals[i], tie(i)))[:k]
 
 
 def renamed_graph(g, new_id):
@@ -61,17 +62,21 @@ def renamed_graph(g, new_id):
                   for node in g.node_ids})
 
 
-def group_of(g, instances):
-    """The walk group of a non-empty list of instances that share a template, target question and
-    target KC: one row of node ints per instance, padded with ``PAD``."""
-    first = instances[0]
-    shared = (first.template, first.nodes[0], first.target_kc)
-    if any((p.template, p.nodes[0], p.target_kc) != shared for p in instances):
-        raise ValueError("a walk group needs one template, target question and target KC")
-    rows = np.full((len(instances), max(len(p.nodes) for p in instances)), PAD, dtype=np.int32)
-    for row, p in zip(rows, instances):
-        row[: len(p.nodes)] = [g.index(node) for node in p.nodes]
-    return WalkGroup(g, first.template, first.target_question, first.target_kc, rows)
+def group_of(g, template_name, walks, target_kc):
+    """The walk group of a non-empty list of ``(kind, id)`` node sequences that start at one target
+    question: one row of node ints per walk, padded with ``PAD``."""
+    if any(walk[0] != walks[0][0] for walk in walks):
+        raise ValueError("a walk group needs one target question")
+    rows = np.full((len(walks), max(map(len, walks))), PAD, dtype=np.int32)
+    for row, walk in zip(rows, walks):
+        row[: len(walk)] = [g.index(node) for node in walk]
+    return WalkGroup(g, TEMPLATES[template_name], walks[0][0][1], target_kc, rows)
+
+
+def walk_nodes(walks):
+    """Each walk of a group as its tuple of ``(kind, id)`` nodes, in row order."""
+    ids = walks.graph.node_ids
+    return [tuple(ids[x] for x in walk) for walk in walks.walks()]
 
 
 def make_model(ability_levels, difficulty_levels, theta=()):

@@ -1,9 +1,10 @@
 """Test helpers with no caller in the package: a client that plays back canned LLM replies,
 a prompt bundle whose text is cut, the shape check of criterion 8's AUC-by-K series, the
-path pair pool as string triples with its conversions to and from ``retrieval.pair_keys``,
+path pair pool as string triples with its conversions to and from ``retrieval.pair_keys``, the
+retained pool as id counts with its conversions to and from student-table rows,
 the path formulas on one walk of node indices, peer retrieval one target at a time, a scored
-group built from one ``PathScore`` per walk, the LLM scorer as it read replies into those, and
-the scored-walk writer that dumped each score column with ``json.dumps``."""
+group built from given dimensions, the LLM scorer as it read replies, and the scored-walk writer
+that dumped each score column with ``json.dumps``."""
 
 import json
 import math
@@ -16,8 +17,7 @@ from hisekt.errors import TransportError
 from hisekt.evaluation import target_key
 from hisekt.llm import LlmClient
 from hisekt.mrhin import write_walks
-from hisekt.pathscore import (LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, PathScore, ScoredGroup,
-                              render_scoring_prompt)
+from hisekt.pathscore import LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, ScoredGroup, render_scoring_prompt
 from hisekt.predict import MASK_SIMU, PromptBundle
 from hisekt.retrieval import DEFAULT_SCALING, CandidateSet, distances, encode_many, pair_keys, student_tables
 from hisekt.seeding import derive_rng, derive_seed
@@ -70,6 +70,24 @@ def reference_path_pair_pool(counts, d):
                 if sid != u:
                     pool.add((u, sid, f))
     return pool
+
+
+def retained_rows(counts, d):
+    """The retained pool as ``evaluation._retained`` gives it, ``{question: (rows, counts)}``, of
+    ``{question: {student id: count}}``: each question's students as ascending student-table rows."""
+    positions = student_tables(d).positions
+    out = {}
+    for qid, per_student in counts.items():
+        ids = sorted(per_student)
+        out[qid] = positions(ids), np.array([per_student[sid] for sid in ids], dtype=np.int64)
+    return out
+
+
+def retained_ids(retained, d):
+    """``{question: {student id: count}}`` of the retained pool as ``evaluation._retained`` gives it."""
+    students = student_tables(d).students
+    return {qid: {students[row]: f for row, f in zip(rows.tolist(), counts.tolist())}
+            for qid, (rows, counts) in retained.items()}
 
 
 def keys_of_triples(triples, d):
@@ -183,7 +201,7 @@ def reference_peers(ctx, cfg, run_seed, variant):
     if MASK_SIMU in mask:
         return {target_key(i): [] for i in tests}
     d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
-    counts = ctx.get("retained", cfg, run_seed, variant)
+    counts = retained_ids(ctx.get("retained", cfg, run_seed, variant), d)
     sim = ctx.get("similarity", cfg, run_seed, variant) if peer_mode == "similar" else None
     peers = {}
     for i in tests:
@@ -193,12 +211,10 @@ def reference_peers(ctx, cfg, run_seed, variant):
     return peers
 
 
-def from_scores(walks, scores, backend):
-    """The scored group of ``walks`` with one given ``PathScore`` per walk, in walk order, all of
-    ``backend``."""
-    if any(s.backend != backend for s in scores):
-        raise ValueError(f"a scored group holds scores of one backend, {backend!r}")
-    table = [(s.centrality, s.kc_relevance, s.informativeness, s.diversity, s.total) for s in scores]
+def scored_group(walks, dimensions, backend="formula"):
+    """The scored group of ``walks`` whose row i holds the four scores ``dimensions[i]`` and their
+    total, summed left to right as the scorers sum it."""
+    table = [(c, r, i, dv, c + r + i + dv) for c, r, i, dv in dimensions]
     return ScoredGroup(walks, np.array(table, dtype=np.float64).reshape(len(table), 5), backend)
 
 
@@ -206,15 +222,14 @@ _ANY_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
 def reference_score_llm(walks, i, client):
-    """Walk ``i`` of a group scored via the LLM backend as a ``PathScore``, read as
-    ``pathscore.score_llm`` read replies before it returned rows: the first four numbers anywhere
-    in the reply, clamped to [0, 5]."""
+    """The four scores of walk ``i`` of a group via the LLM backend, read as ``pathscore.score_llm``
+    read replies before it returned rows: the first four numbers anywhere in the reply, clamped
+    to [0, 5]."""
     prompt = render_scoring_prompt(walks, i)
     for _ in range(max(client.max_retries, 1)):
         numbers = _ANY_NUMBER.findall(client.complete(prompt))
         if len(numbers) >= 4:
-            return PathScore.build(*(min(max(float(raw), 0.0), MAX_DIMENSION_SCORE) for raw in numbers[:4]),
-                                   backend="llm")
+            return tuple(min(max(float(raw), 0.0), MAX_DIMENSION_SCORE) for raw in numbers[:4])
     raise AssertionError("no parsable scores")
 
 

@@ -26,9 +26,9 @@ from hisekt.evaluation import (
     run_experiment,
 )
 from hisekt.irt import fit
-from hisekt.mrhin import TEMPLATES, Mrhin, PathInstance, sample_instances
+from hisekt.mrhin import TEMPLATES, Mrhin, sample_instances
 from hisekt.pathscore import score_all
-from hisekt.retrieval import FeatureVector, SimilarityModel, _fit_from_features, distances
+from hisekt.retrieval import SimilarityModel, _fit_from_features, distances
 from hisekt.synth import irt_recovery_csv, planted_csv
 
 from graph_fixture import (
@@ -39,6 +39,7 @@ from graph_fixture import (
     is_conformant_walk,
     make_dataset,
     make_model,
+    walk_nodes,
 )
 from hisekt.irt import Level
 from support import unimodal_or_plateau
@@ -82,9 +83,9 @@ def test_criterion_2_walk_conformance():
     checked = 0
     for name, template in TEMPLATES.items():
         for q0 in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6"):
-            for inst in sample_instances(g, template, q0, n=per_template, walk_len=20, seed=29):
-                assert is_conformant_walk(edges, template, inst.nodes, 20), (
-                    f"non-conformant walk under {name} from {q0}: {inst.nodes}"
+            for nodes in walk_nodes(sample_instances(g, template, q0, n=per_template, walk_len=20, seed=29)):
+                assert is_conformant_walk(edges, template, nodes, 20), (
+                    f"non-conformant walk under {name} from {q0}: {nodes}"
                 )
                 checked += 1
     assert checked >= 10_000
@@ -94,8 +95,8 @@ def test_criterion_2_walk_conformance():
     oracle_set = enumerate_walks(edges, TEMPLATES["Q-K-Q"], "Q1", walk_len=7)
     members = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=500, walk_len=7, seed=31)
     assert members
-    for inst in members:
-        assert inst.nodes in oracle_set
+    for nodes in walk_nodes(members):
+        assert nodes in oracle_set
 
     # first-cycle uniformity: one KC shared by q0 and three other questions
     pairs = [("S1", q) for q in ("QA", "QB", "QC", "QD")]
@@ -105,8 +106,8 @@ def test_criterion_2_walk_conformance():
     g_uniform = Mrhin.build(d, m)
     walks = sample_instances(g_uniform, TEMPLATES["Q-K-Q"], "QA", n=3000, walk_len=3, seed=17)
     counts = {}
-    for w in walks:
-        counts[w.nodes[2][1]] = counts.get(w.nodes[2][1], 0) + 1
+    for w in walk_nodes(walks):
+        counts[w[2][1]] = counts.get(w[2][1], 0) + 1
     pvalue = chisquare([counts.get(q, 0) for q in ("QA", "QB", "QC", "QD")]).pvalue
     ok = pvalue > 0.01
     report_criterion(
@@ -209,54 +210,39 @@ def test_criterion_3_scoring_oracle_equivalence():
     assert len(paths) == 20
     worst = 0.0
     for template, nodes, target_kc in paths:
-        inst = PathInstance(template, nodes, target_kc)
         assert is_conformant_walk(edges, template, nodes, len(nodes)) or len(nodes) == len(template.kinds)
-        got = score_all(group_of(g, [inst]), g)[0].score
+        got = score_all(group_of(g, template.name, [nodes], target_kc), g).scores[0].tolist()
         want = oracle_scores(nodes, target_kc, edges, kc_of)
-        for label, got_v, want_v in zip(
-            ("centrality", "kc_relevance", "informativeness", "diversity"),
-            (got.centrality, got.kc_relevance, got.informativeness, got.diversity),
-            want,
-        ):
+        for label, got_v, want_v in zip(("centrality", "kc_relevance", "informativeness", "diversity"), got, want):
             worst = max(worst, abs(got_v - want_v))
             assert abs(got_v - want_v) <= 1e-9, f"{label} on {nodes}: {got_v} vs {want_v}"
-        assert abs(got.total - sum(want)) <= 1e-9
+        assert abs(got[4] - sum(want)) <= 1e-9
 
     # frozen literal anchors
     from test_pathscore import centrality as centrality_op
     from test_pathscore import diversity as diversity_op
     from test_pathscore import informativeness as informativeness_op
     from test_pathscore import kc_relevance as kc_relevance_op
+    from test_pathscore import path
 
     seven_q = [("Q", "Q0")]
     for i in range(1, 7):
         seven_q += [("U", f"U{i}"), ("Q", f"Q{i}")]
-    anchor_ratio = PathInstance(TEMPLATES["Q-U-Q"], tuple(seven_q), "K1")
+    anchor_ratio = path("Q-U-Q", seven_q, "K1")
     anchor_map = {f"Q{i}": frozenset({"K1"} if i < 4 else {"K9"}) for i in range(7)}
     assert kc_relevance_op(anchor_ratio, anchor_map) == pytest.approx(2.857142857142857, abs=1e-9)
 
-    no_repeat = PathInstance(
-        TEMPLATES["Q-U-Q"],
-        (("Q", "Q0"), ("U", "U1"), ("Q", "Q1"), ("U", "U2"), ("Q", "Q2")),
-        "K1",
-    )
+    no_repeat = path("Q-U-Q", (("Q", "Q0"), ("U", "U1"), ("Q", "Q1"), ("U", "U2"), ("Q", "Q2")), "K1")
     assert informativeness_op(no_repeat) == pytest.approx(5.0, abs=1e-12)
 
     d_line = make_dataset([("S1", "Q0"), ("S1", "Q1")], {"Q0": "K1", "Q1": "K1"})
     m_line = make_model({"S1": Level.MEDIUM}, {"Q0": Level.MEDIUM, "Q1": Level.MEDIUM})
     g_line = Mrhin.build(d_line, m_line)
-    star = PathInstance(
-        TEMPLATES["Q-U-Q"],
-        (("Q", "Q0"), ("U", "S1"), ("Q", "Q1"), ("U", "S1"), ("Q", "Q0")),
-        "K1",
-    )
+    star = path("Q-U-Q", (("Q", "Q0"), ("U", "S1"), ("Q", "Q1"), ("U", "S1"), ("Q", "Q0")), "K1")
     assert centrality_op(star, g_line) == pytest.approx(3.75, abs=1e-9)
 
-    three_levels = PathInstance(
-        TEMPLATES["Q-D-Q"],
-        (("Q", "Q0"), ("D", "Low"), ("Q", "Q1"), ("D", "Medium"), ("Q", "Q2"), ("D", "High"), ("Q", "Q0")),
-        "K1",
-    )
+    three_levels = path(
+        "Q-D-Q", (("Q", "Q0"), ("D", "Low"), ("Q", "Q1"), ("D", "Medium"), ("Q", "Q2"), ("D", "High"), ("Q", "Q0")), "K1")
     assert diversity_op(three_levels) == pytest.approx(3.065735963827292, abs=1e-9)
 
     report_criterion(
@@ -271,9 +257,9 @@ def test_criterion_3_scoring_oracle_equivalence():
 
 def test_criterion_4_mahalanobis_correctness():
     sm = SimilarityModel(mu=np.zeros(5), sigma=np.eye(5), shrinkage_lambda=0.05, pair_sample_size=10)
-    euclid_err = abs(distances(FeatureVector(3.0, 4.0, 0.0, 0.0, 0.0).as_array()[None, :], sm)[0] - 5.0)
+    euclid_err = abs(distances(np.array([[3.0, 4.0, 0.0, 0.0, 0.0]]), sm)[0] - 5.0)
     assert euclid_err <= 1e-12
-    assert abs(distances(FeatureVector(1.0, 1.0, 1.0, 1.0, 1.0).as_array()[None, :], sm)[0] - math.sqrt(5.0)) <= 1e-12
+    assert abs(distances(np.ones((1, 5)), sm)[0] - math.sqrt(5.0)) <= 1e-12
 
     rng = np.random.default_rng(3)
     base = rng.normal(size=(300, 5))
@@ -282,7 +268,7 @@ def test_criterion_4_mahalanobis_correctness():
     worst_whiten = 0.0
     for _ in range(40):
         z = rng.normal(size=5)
-        d0 = distances(FeatureVector(*z).as_array()[None, :], SimilarityModel(mu, cov, 0.05, 10))[0]
+        d0 = distances(z[None, :], SimilarityModel(mu, cov, 0.05, 10))[0]
         axis = int(rng.integers(0, 5))
         gamma = float(rng.uniform(0.2, 5.0))
         delta = float(rng.normal())
@@ -291,7 +277,7 @@ def test_criterion_4_mahalanobis_correctness():
         shift = np.zeros(5)
         shift[axis] = delta
         d1 = distances(
-            FeatureVector(*(z * scale + shift)).as_array()[None, :],
+            (z * scale + shift)[None, :],
             SimilarityModel(mu * scale + shift, cov * np.outer(scale, scale), 0.05, 10),
         )[0]
         worst_whiten = max(worst_whiten, abs(d0 - d1))

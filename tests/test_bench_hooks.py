@@ -15,7 +15,7 @@ import hisekt.cli
 from hisekt.evaluation import PipelineContext
 from hisekt.synth import planted_csv
 
-from support import reference_path_pair_pool
+from support import reference_path_pair_pool, retained_ids
 
 BENCH = Path(__file__).resolve().parent.parent / "pipeline_bench"
 
@@ -72,6 +72,6 @@ def test_pair_pool_size_counts_the_distinct_path_triples(bench, tmp_path, capsys
     capsys.readouterr()
 
     ctx = PipelineContext(hisekt.cli._config_from_args(hisekt.cli.build_parser().parse_args(argv)))
-    reference = reference_path_pair_pool(ctx.get("retained"), ctx.dataset)
+    reference = reference_path_pair_pool(retained_ids(ctx.get("retained"), ctx.dataset), ctx.dataset)
     assert tracer.calls["retrieval.fit_similarity"] == 1
     assert tracer.counts["pair_pool.size"] == len(reference) > 0

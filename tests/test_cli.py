@@ -19,6 +19,7 @@ from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
 from conftest import late_question_csv
+from graph_fixture import walk_nodes
 from support import CutPromptBundle
 
 
@@ -30,10 +31,17 @@ def data_file(tmp_path_factory):
 
 
 def kept_rows(scored, k, mode, run_seed):
-    """Each question's kept rows, decoded, in the order the retained stage counts them."""
-    return {qid: [row for name in TEMPLATES if name in scored[qid]
-                  for row in select_top_k(scored[qid][name], k, mode, seed=derive_seed(run_seed, "topk", qid, name))]
-            for qid in sorted(scored)}
+    """Each question's kept rows, in the order the retained stage counts them: each one's template,
+    target KC, ``(kind, id)`` nodes, scores and backend."""
+    out = {}
+    for qid in sorted(scored):
+        out[qid] = []
+        for name in TEMPLATES:
+            if name in scored[qid]:
+                kept = select_top_k(scored[qid][name], k, mode, seed=derive_seed(run_seed, "topk", qid, name))
+                out[qid] += [(name, kept.walks.target_kc, nodes, row, kept.backend)
+                             for nodes, row in zip(walk_nodes(kept.walks), kept.scores.tolist())]
+    return out
 
 
 def small_planted_csv(seed: int) -> str:
@@ -182,6 +190,43 @@ class TestCounts:
             run_experiment(cfg)
 
 
+# a scaling c that is not finite or not above 0: before the check, nan and inf failed in the
+# similarity fit's eigenvalue solve with a raw LinAlgError, and 0 and -1 ran on
+# constant or growing "decays"
+BAD_C = ["nan", "inf", "-inf", "0", "-1"]
+
+
+class TestScalingC:
+    @staticmethod
+    def refusal(raw):
+        return f"error in stage pipeline: config field 'c': {float(raw)!r} is not a finite number above 0\n"
+
+    @pytest.mark.parametrize("raw", BAD_C)
+    def test_the_flag_fails_with_one_line_before_any_stage(self, config_file, tmp_path, capsys, raw):
+        assert main(["pipeline", "--config", str(config_file), f"--scaling-c={raw}"]) == 1
+        assert capsys.readouterr().err == self.refusal(raw)
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("raw", BAD_C)
+    def test_a_config_file_value_fails_with_one_line(self, config_file, tmp_path, capsys, raw):
+        config_file.write_text(config_file.read_text(encoding="utf-8") + f"c = {raw}\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err == self.refusal(raw)
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("raw", BAD_C)
+    def test_a_run_config_value_fails(self, data_file, raw):
+        cfg = RunConfig(data=str(data_file), c=float(raw))
+        with pytest.raises(ConfigError, match="'c'"):
+            PipelineContext(cfg)
+        with pytest.raises(ConfigError, match="'c'"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("value", [1e-300, 0.5, 2, 1e300])
+    def test_finite_values_above_zero_pass(self, data_file, value):
+        assert PipelineContext(RunConfig(data=str(data_file), c=value)).cfg.c == value
+
+
 class TestCliStages:
     def test_pipeline_smoke_writes_report(self, config_file, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -307,7 +352,8 @@ class TestCliStages:
         fresh = PipelineContext(cfg).scored(run_seed)
         # scored.jsonl is sorted by node sequence, so its groups hold the walks
         # in another order than sampling left them
-        assert any(list(seeded[q].get(name, ())) != list(group) for q in fresh for name, group in fresh[q].items())
+        assert any((seeded[q][name].walks.walks() if name in seeded[q] else []) != group.walks.walks()
+                   for q in fresh for name, group in fresh[q].items())
         for mode in ("top", "lowest", "random"):
             assert kept_rows(seeded, cfg.top_k, mode, run_seed) == kept_rows(fresh, cfg.top_k, mode, run_seed)
 

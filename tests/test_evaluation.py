@@ -22,13 +22,13 @@ from hisekt.evaluation import (
 )
 from hisekt.llm import MockTransport
 from hisekt.mrhin import TEMPLATES, Mrhin, sample_instances
-from hisekt.pathscore import PathScore, select_top_k
+from hisekt.pathscore import select_top_k
 from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
 from conftest import rows_to_csv
-from graph_fixture import build_fixture_graph
-from support import from_scores, unimodal_or_plateau
+from graph_fixture import build_fixture_graph, walk_nodes
+from support import retained_rows, scored_group, unimodal_or_plateau
 
 
 def pairwise_auc(labels, scores):
@@ -128,12 +128,12 @@ class TestPlantedSelection:
         # plant two quality tiers on distinct fixture walks, interleaved, and check the selected sets exactly
         walks = sample_instances(build_fixture_graph(), TEMPLATES["Q-U-Q-K-Q"], "Q1", n=12, walk_len=20, seed=1)
         tiers = [1.0] * 3 + [4.0] * 3 + [1.0] * 3 + [4.0] * 3
-        mixed = from_scores(walks, [PathScore.build(*[tier] * 4) for tier in tiers], "formula")
-        high = {p.nodes for p, tier in zip(walks, tiers) if tier == 4.0}
-        low = {p.nodes for p, tier in zip(walks, tiers) if tier == 1.0}
+        mixed = scored_group(walks, [[tier] * 4 for tier in tiers])
+        high = {nodes for nodes, tier in zip(walk_nodes(walks), tiers) if tier == 4.0}
+        low = {nodes for nodes, tier in zip(walk_nodes(walks), tiers) if tier == 1.0}
         assert len(high) == len(low) == 6
-        assert {s.instance.nodes for s in select_top_k(mixed, 6, "top")} == high
-        assert {s.instance.nodes for s in select_top_k(mixed, 6, "lowest")} == low
+        assert set(walk_nodes(select_top_k(mixed, 6, "top").walks)) == high
+        assert set(walk_nodes(select_top_k(mixed, 6, "lowest").walks)) == low
 
 
 @pytest.fixture(scope="module")
@@ -316,12 +316,12 @@ def test_an_empty_path_pair_pool_falls_back_to_random_pairs(tmp_path, caplog):
     path.write_text(rows_to_csv(rows), encoding="utf-8")
     counts = {"P0": {"S00": 2}, "P1": {"S01": 1}, "P2": {"S02": 3}, "C9": {}}
     cfg = RunConfig(data=str(path), seed=7, pair_sample=5, pair_source="paths")
-    ctx = PipelineContext(cfg, readers={"retained": lambda ctx: counts})
+    ctx = PipelineContext(cfg, readers={"retained": lambda ctx: retained_rows(counts, ctx.dataset)})
     train = ctx.dataset.iter_split("train")
     assert [[i.student_id for i in train if i.question_id == f"P{p}"] for p in range(3)] == [["S00"], ["S01"], ["S02"]]
 
     with caplog.at_level("WARNING", logger="hisekt.evaluation"):
-        assert evaluation._path_pair_pool(counts, ctx.dataset) is None
+        assert evaluation._path_pair_pool(retained_rows(counts, ctx.dataset), ctx.dataset) is None
         assert "empty path pair pool; falling back to random pairs" in caplog.text
         caplog.clear()
         sm = ctx.get("similarity")

@@ -47,6 +47,7 @@ from graph_fixture import (
     make_model,
     reference_tie_key,
     splitmix64,
+    walk_nodes,
 )
 
 
@@ -59,20 +60,21 @@ def has_edge(g, x, y):
     return y in g.neighbors(x, y[0])
 
 
-def validate_instance(g, inst):
-    """Raise ValueError unless the instance conforms to its template on this graph."""
-    if len(inst.nodes) < len(inst.template.kinds):
-        raise ValueError("instance shorter than one full template cycle")
-    for position, node in enumerate(inst.nodes):
-        expected = inst.template.kind_at(position)
+def validate_walk(g, template, nodes, target_kc):
+    """Raise ValueError unless a walk's ``(kind, id)`` nodes conform to its template on this graph
+    and its target KC is one of its first question's."""
+    if len(nodes) < len(template.kinds):
+        raise ValueError("walk shorter than one full template cycle")
+    for position, node in enumerate(nodes):
+        expected = template.kind_at(position)
         if node[0] != expected:
             raise ValueError(f"node {position} has kind {node[0]}, template expects {expected}")
         if not g.has_node(node):
             raise ValueError(f"node {node} is not in the graph")
-    for x, y in zip(inst.nodes, inst.nodes[1:]):
+    for x, y in zip(nodes, nodes[1:]):
         if not has_edge(g, x, y):
             raise ValueError(f"missing edge {x} - {y}")
-    if inst.target_kc not in g.question_kcs(inst.target_question):
+    if target_kc not in g.question_kcs(nodes[0][1]):
         raise ValueError("target KC does not belong to the target question")
 
 
@@ -270,38 +272,39 @@ class TestSampling:
         g1 = Mrhin.build(d1, m1)
         walks = sample_instances(g1, TEMPLATES["Q-K-Q"], "Q1", n=5, walk_len=20, seed=0)
         assert len(walks) == 5
-        for w in walks:
-            assert len(w.nodes) == 20
-            assert all(node == (("Q", "Q1") if i % 2 == 0 else ("K", "K1")) for i, node in enumerate(w.nodes))
+        for w in walk_nodes(walks):
+            assert len(w) == 20
+            assert all(node == (("Q", "Q1") if i % 2 == 0 else ("K", "K1")) for i, node in enumerate(w))
 
     @pytest.mark.parametrize("template_name", ["Q-K-Q", "Q-U-Q", "Q-D-Q"])
     def test_sampled_walks_in_enumerated_set(self, fixture_graph, template_name):
         template = TEMPLATES[template_name]
         oracle = enumerate_walks(fixture_edges(), template, "Q1", walk_len=5)
         sampled = sample_instances(fixture_graph, template, "Q1", n=300, walk_len=5, seed=3)
-        assert sampled, "expected walks on the dense fixture"
-        for inst in sampled:
-            assert inst.nodes in oracle
+        assert len(sampled), "expected walks on the dense fixture"
+        for nodes in walk_nodes(sampled):
+            assert nodes in oracle
 
     def test_longer_template_walks_in_enumerated_set(self, fixture_graph):
         template = TEMPLATES["Q-U-A-U-Q"]
         oracle = enumerate_walks(fixture_edges(), template, "Q2", walk_len=9)
         sampled = sample_instances(fixture_graph, template, "Q2", n=200, walk_len=9, seed=8)
-        assert sampled
-        for inst in sampled:
-            assert inst.nodes in oracle
+        assert len(sampled)
+        for nodes in walk_nodes(sampled):
+            assert nodes in oracle
 
     def test_every_sampled_instance_validates(self, fixture_graph):
         for name, template in TEMPLATES.items():
-            for inst in sample_instances(fixture_graph, template, "Q5", n=40, walk_len=20, seed=1):
-                validate_instance(fixture_graph, inst)
+            group = sample_instances(fixture_graph, template, "Q5", n=40, walk_len=20, seed=1)
+            for nodes in walk_nodes(group):
+                validate_walk(fixture_graph, template, nodes, group.target_kc)
 
     def test_same_seed_is_byte_identical(self, fixture_graph):
         a = sample_instances(fixture_graph, TEMPLATES["Q-K-Q-U-Q"], "Q1", n=50, walk_len=20, seed=9)
         b = sample_instances(fixture_graph, TEMPLATES["Q-K-Q-U-Q"], "Q1", n=50, walk_len=20, seed=9)
         c = sample_instances(fixture_graph, TEMPLATES["Q-K-Q-U-Q"], "Q1", n=50, walk_len=20, seed=10)
-        assert list(a) == list(b)
-        assert list(a) != list(c)
+        assert a.rows.tobytes() == b.rows.tobytes() and walk_nodes(a) == walk_nodes(b)
+        assert walk_nodes(a) != walk_nodes(c)
 
     def test_walk_stream_is_pinned(self, fixture_graph):
         # Digest of every template's walks from every fixture question.  The
@@ -311,8 +314,9 @@ class TestSampling:
         digest = hashlib.sha256()
         for name, template in TEMPLATES.items():
             for _, q in fixture_graph.nodes("Q"):
-                for p in sample_instances(fixture_graph, template, q, n=20, walk_len=20, seed=11):
-                    digest.update(json.dumps([name, p.target_kc, p.nodes]).encode() + b"\n")
+                group = sample_instances(fixture_graph, template, q, n=20, walk_len=20, seed=11)
+                for nodes in walk_nodes(group):
+                    digest.update(json.dumps([name, group.target_kc, nodes]).encode() + b"\n")
         assert digest.hexdigest() == "27bbefd59ea2a235fbad089220b649a0d4d102e1da5880bb1189bcc115472baa"
 
     def test_no_completable_cycle_returns_empty(self):
@@ -322,7 +326,7 @@ class TestSampling:
         )
         m = make_model({"S1": Level.MEDIUM}, {"Q1": Level.MEDIUM, "QLONE": Level.MEDIUM})
         g = Mrhin.build(d, m)
-        assert list(sample_instances(g, TEMPLATES["Q-U-Q"], "QLONE", n=10, walk_len=20, seed=0)) == []
+        assert len(sample_instances(g, TEMPLATES["Q-U-Q"], "QLONE", n=10, walk_len=20, seed=0)) == 0
 
     def test_dead_end_after_full_cycle_is_kept_truncated(self):
         # QDEAD is reachable via K1 but has no students, so Q-K-Q-U-Q walks
@@ -337,12 +341,12 @@ class TestSampling:
         g = Mrhin.build(d, m)
         template = TEMPLATES["Q-K-Q-U-Q"]
         walks = sample_instances(g, template, "Q1", n=400, walk_len=13, seed=2)
-        truncated = [w for w in walks if len(w.nodes) < 13]
+        truncated = [w for w in walk_nodes(walks) if len(w) < 13]
         assert truncated, "some walk should route through the dead-end question"
         for w in truncated:
-            assert len(w.nodes) >= len(template.kinds)
-            assert w.nodes[-1] == ("Q", "QDEAD")
-            validate_instance(g, w)
+            assert len(w) >= len(template.kinds)
+            assert w[-1] == ("Q", "QDEAD")
+            validate_walk(g, template, w, walks.target_kc)
 
     def test_first_cycle_choice_is_uniform(self):
         # One KC shared by q0 and three other questions: the first-cycle
@@ -354,14 +358,14 @@ class TestSampling:
         g = Mrhin.build(d, m)
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "QA", n=3000, walk_len=3, seed=17)
         counts = {}
-        for w in walks:
-            counts[w.nodes[2][1]] = counts.get(w.nodes[2][1], 0) + 1
+        for w in walk_nodes(walks):
+            counts[w[2][1]] = counts.get(w[2][1], 0) + 1
         observed = [counts.get(q, 0) for q in ("QA", "QB", "QC", "QD")]
         assert chisquare(observed).pvalue > 0.01
 
     def test_target_kc_defaults_to_smallest_and_validates(self, fixture_graph):
-        inst = sample_instances(fixture_graph, TEMPLATES["Q-K-Q"], "Q5", n=1, walk_len=5, seed=0)[0]
-        assert inst.target_kc == "K1"  # Q5 covers K1 and K2
+        assert sample_instances(fixture_graph, TEMPLATES["Q-K-Q"], "Q5", n=1, walk_len=5, seed=0).target_kc == "K1"
+        # Q5 covers K1 and K2
         with pytest.raises(ValueError):
             sample_instances(fixture_graph, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0, target_kc="K9")
 
@@ -370,7 +374,7 @@ class TestSampling:
         template = TEMPLATES["Q-U-Q"]
         for seed in range(4):
             for _, q0 in g.nodes("Q"):
-                got = [p.nodes for p in sample_instances(g, template, q0, n=5, walk_len=20, seed=seed)]
+                got = walk_nodes(sample_instances(g, template, q0, n=5, walk_len=20, seed=seed))
                 assert got == reference_walks(g, template, q0, 5, 20, seed)
 
     def test_first_step_picks_are_uniform_for_1_to_70_neighbors(self):
@@ -468,7 +472,7 @@ class TestLockstep:
             assert (got.template, got.target_question, got.target_kc) == (template, q0, alone.target_kc)
             assert got.rows.dtype == alone.rows.dtype and got.rows.shape == alone.rows.shape
             assert np.array_equal(got.rows, alone.rows)
-            assert [p.nodes for p in alone] == reference_walks(g, template, q0, n, walk_len, seed)
+            assert walk_nodes(alone) == reference_walks(g, template, q0, n, walk_len, seed)
 
     def test_dead_end_graph_gives_truncated_rows_and_an_empty_group(self):
         g = dead_end_graph()
@@ -490,7 +494,7 @@ def test_planted_group_keys_equal_the_reference():
     for _, q in g.nodes("Q"):
         for template in TEMPLATES.values():
             group = sample_instances(g, template, q, n=10, walk_len=20, seed=1)
-            assert group.tie_keys.tolist() == [reference_tie_key(p.nodes) for p in group]
+            assert group.tie_keys.tolist() == [reference_tie_key(nodes) for nodes in walk_nodes(group)]
 
 
 class TestTieKeys:
@@ -508,7 +512,7 @@ class TestTieKeys:
         group = sample_instances(dead_end_graph(), TEMPLATES[name], q0, n=n, walk_len=walk_len, seed=seed)
         keys = group.tie_keys
         assert keys.dtype == np.int64 and keys.shape == (len(group),)
-        assert keys.tolist() == [reference_tie_key(p.nodes) for p in group]
+        assert keys.tolist() == [reference_tie_key(nodes) for nodes in walk_nodes(group)]
 
     def test_planted_keys_are_pinned_and_distinct(self):
         g = planted_graph()
@@ -545,7 +549,7 @@ class TestStores:
                     group.template, group.target_question, group.target_kc)
                 # rows come back in node order
                 assert got.walks() == sorted(group.walks())
-                assert list(got) == sorted(group, key=lambda p: p.nodes)
+                assert walk_nodes(got) == sorted(walk_nodes(group))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(target_kc="K9"), "target KC"),

@@ -18,14 +18,12 @@ from hisekt.config import RunConfig
 from hisekt.errors import IngestError, ScoringError, TransportError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.llm import LlmClient, MockTransport, map_bounded
-from hisekt.mrhin import (PAD, TEMPLATES, PathInstance, WalkGroup, graph_distance, read_walks, sample_instances,
-                          write_walks)
+from hisekt.mrhin import PAD, TEMPLATES, WalkGroup, graph_distance, read_walks, sample_instances, write_walks
 from hisekt import mrhin, pathscore
 from hisekt.pathscore import (
     LEVEL_CATEGORIES,
-    PathScore,
+    SCORE_FIELDS,
     ScoredGroup,
-    ScoredInstance,
     _read_scoring_prompt,
     _score_path,
     mock_score_reply,
@@ -38,13 +36,12 @@ from hisekt.pathscore import (
 )
 
 from graph_fixture import (ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, build_fixture_graph, group_of, make_dataset,
-                           make_model, reference_tie_key, reference_top_k, renamed_graph)
+                           make_model, reference_tie_key, reference_top_k, renamed_graph, walk_nodes)
 from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
 from hisekt.synth import planted_csv
 from prompt_reference import reference_parse_scoring_prompt
-from support import (from_scores, reference_score_llm, reference_score_walk, reference_write_scored,
-                     scripted_client)
+from support import reference_score_llm, reference_score_walk, reference_write_scored, scored_group, scripted_client
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +50,8 @@ def g():
 
 
 def path(template_name, nodes, target_kc):
-    return PathInstance(TEMPLATES[template_name], tuple(nodes), target_kc)
+    """A walk to score: its template's name, its ``(kind, id)`` nodes and its target KC."""
+    return template_name, tuple(nodes), target_kc
 
 
 def line_graph():
@@ -73,22 +71,26 @@ def renamed_fixture_graph(new_ids):
 
 def centrality(p, g):
     """Closeness of the path's distinct questions to the target question."""
-    return score_all(group_of(g, [p]), g)[0].score.centrality
+    name, nodes, target_kc = p
+    return score_all(group_of(g, name, [nodes], target_kc), g).scores[0, 0]
 
 
 def kc_relevance(p, kc_of):
     """Fraction of distinct path questions that cover the target KC."""
-    return _score_path(p.nodes, p.target_kc, {}, kc_of)[1]
+    _, nodes, target_kc = p
+    return _score_path(nodes, target_kc, {}, kc_of)[1]
 
 
 def informativeness(p):
     """Distinct fraction of U/Q/K occurrences, with repeats of q0 and the target KC ignored."""
-    return _score_path(p.nodes, p.target_kc, {}, {})[2]
+    _, nodes, target_kc = p
+    return _score_path(nodes, target_kc, {}, {})[2]
 
 
 def diversity(p):
     """Normalized entropy of A/D level occurrences over the six level categories."""
-    return _score_path(p.nodes, p.target_kc, {}, {})[3]
+    _, nodes, target_kc = p
+    return _score_path(nodes, target_kc, {}, {})[3]
 
 
 class TestCentrality:
@@ -159,10 +161,11 @@ class TestKcRelevance:
         assert kc_relevance(p, kc_of) == pytest.approx(2.857142857142857, abs=1e-9)
 
     def test_lower_bound_from_target_question(self, g):
-        for inst in sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q5", n=50, walk_len=20, seed=5):
-            kc_of = {q: g.question_kcs(q) for q in {n[1] for n in inst.nodes if n[0] == "Q"}}
-            q_count = len({n for n in inst.nodes if n[0] == "Q"})
-            assert kc_relevance(inst, kc_of) >= 5.0 / q_count - 1e-12
+        walks = sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q5", n=50, walk_len=20, seed=5)
+        for nodes in walk_nodes(walks):
+            kc_of = {q: g.question_kcs(q) for q in {n[1] for n in nodes if n[0] == "Q"}}
+            q_count = len({n for n in nodes if n[0] == "Q"})
+            assert kc_relevance(path("Q-U-Q-K-Q", nodes, walks.target_kc), kc_of) >= 5.0 / q_count - 1e-12
 
     def test_appending_off_concept_question_decreases_ratio(self):
         base = path("Q-U-Q", [("Q", "Q0"), ("U", "U1"), ("Q", "Q1")], "K1")
@@ -245,34 +248,35 @@ class TestDiversity:
 
 class TestScore:
     def test_total_is_sum_of_dimensions(self, g):
-        insts = sample_instances(g, TEMPLATES["Q-K-Q-U-Q-D-Q"], "Q1", n=25, walk_len=20, seed=6)
-        for inst, row in zip(insts, score_all(insts, g)):
-            s = row.score
-            kc_of = {q: g.question_kcs(q) for q in {n[1] for n in inst.nodes if n[0] == "Q"}}
-            assert s.total == pytest.approx(
-                centrality(inst, g) + kc_relevance(inst, kc_of) + informativeness(inst) + diversity(inst),
+        walks = sample_instances(g, TEMPLATES["Q-K-Q-U-Q-D-Q"], "Q1", n=25, walk_len=20, seed=6)
+        scored = score_all(walks, g)
+        assert scored.backend == "formula"
+        for nodes, row in zip(walk_nodes(walks), scored.scores.tolist()):
+            p = path("Q-K-Q-U-Q-D-Q", nodes, walks.target_kc)
+            kc_of = {q: g.question_kcs(q) for q in {n[1] for n in nodes if n[0] == "Q"}}
+            assert row[4] == pytest.approx(
+                centrality(p, g) + kc_relevance(p, kc_of) + informativeness(p) + diversity(p),
                 abs=1e-9,
             )
-            assert 0.0 <= s.total <= 20.0
-            assert s.backend == "formula"
+            assert 0.0 <= row[4] <= 20.0
 
     def test_perfect_dimensions_sum_to_twenty(self):
-        s = PathScore.build(5.0, 5.0, 5.0, 5.0)
-        assert s.total == 20.0
+        # one question, the target, and each level category once
+        nodes = [("Q", "Q0"), *LEVEL_NODES]
+        assert _score_path(nodes, "K1", {"Q0": 0}, {"Q0": frozenset({"K1"})}) == \
+            pytest.approx((5.0, 5.0, 5.0, 5.0, 20.0), abs=1e-12)
 
-    def test_example_sum(self):
-        s = PathScore.build(3.75, 2.857142857142857, 5.0, 3.065735963827292)
-        assert s.total == pytest.approx(14.672878821, abs=1e-6)
+    def test_example_sum(self, g):
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
+        row = score_llm(walks, 0, scripted_client(["{3.75, 2.857142857142857, 5.0, 3.065735963827292}"]))
+        assert row[4] == pytest.approx(14.672878821, abs=1e-6)
 
     def test_scorer_is_pure(self, g):
         walks = sample_instances(g, TEMPLATES["Q-U-A-U-Q"], "Q2", n=1, walk_len=20, seed=3)
-        assert list(score_all(walks, g)) == list(score_all(walks, g))
+        assert score_all(walks, g).scores.tobytes() == score_all(walks, g).scores.tobytes()
 
 
-def score_row(s):
-    """A ``PathScore``'s (centrality, kc_relevance, informativeness, diversity, total), the row
-    ``score_llm`` returns."""
-    return (s.centrality, s.kc_relevance, s.informativeness, s.diversity, s.total)
+LEVEL_NODES = [tuple(category.split("_")) for category in LEVEL_CATEGORIES]
 
 
 class TestLlmScoring:
@@ -280,14 +284,8 @@ class TestLlmScoring:
         client = LlmClient(backend="mock")
         for name in ("Q-K-Q", "Q-U-A-U-Q", "Q-K-Q-U-Q-D-Q", "Q-K-Q-U-Q-D-Q-U-A-U-Q"):
             walks = sample_instances(g, TEMPLATES[name], "Q5", n=10, walk_len=20, seed=2)
-            for k, row in enumerate(score_all(walks, g)):
-                reference = row.score
-                c, r, i, dv, total = score_llm(walks, k, client)
-                assert c == reference.centrality
-                assert r == reference.kc_relevance
-                assert i == reference.informativeness
-                assert dv == reference.diversity
-                assert total == reference.total
+            for k, row in enumerate(score_all(walks, g).scores.tolist()):
+                assert score_llm(walks, k, client) == tuple(row)
 
     def test_braced_reply_parses(self, g):
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
@@ -337,8 +335,8 @@ class TestLlmScoring:
         assert score_llm(walks, 0, scripted_client([reply])) == (4.5, 3.0, 2.0, 1.0, 10.5)
 
     def test_rows_equal_path_scores_of_the_old_reader_bit_for_bit(self, tmp_path):
-        # each group's table from the llm stage against one PathScore per walk, read from the
-        # reply as before and stacked by from_scores, on the staged CLI's config
+        # each group's table from the llm stage against the four scores of each walk, read from the
+        # reply as before and stacked with their totals by scored_group, on the staged CLI's config
         for seed in (1, 2, 3):
             data = tmp_path / f"planted-{seed}.csv"
             data.write_text(planted_csv(seed=seed)[0], encoding="utf-8")
@@ -348,8 +346,8 @@ class TestLlmScoring:
             client = LlmClient(backend="mock")
             for per_template in scored.values():
                 for group in per_template.values():
-                    old = from_scores(group.walks, [reference_score_llm(group.walks, k, client)
-                                                    for k in range(len(group))], "llm")
+                    old = scored_group(group.walks, [reference_score_llm(group.walks, k, client)
+                                                     for k in range(len(group))], "llm")
                     assert group.backend == "llm" and group.scores.dtype == np.float64
                     assert group.scores.shape == old.scores.shape == (len(group), 5)
                     assert group.scores.tobytes() == old.scores.tobytes()
@@ -358,8 +356,8 @@ class TestLlmScoring:
 def scored_with_totals(g, totals):
     """Distinct Q-U-Q-K-Q walks from Q1 on the fixture graph, row i scored with total ``totals[i]``."""
     walks = sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q1", n=len(totals), walk_len=20, seed=1)
-    assert len({p.nodes for p in walks}) == len(walks) == len(totals)
-    return from_scores(walks, [PathScore.build(*([total / 4.0] * 4)) for total in totals], "formula")
+    assert len(set(walk_nodes(walks))) == len(walks) == len(totals)
+    return scored_group(walks, [[total / 4.0] * 4 for total in totals])
 
 
 def reversed_rows(scored):
@@ -368,47 +366,52 @@ def reversed_rows(scored):
 
 
 def node_lists(scored):
-    return [s.instance.nodes for s in scored]
+    return walk_nodes(scored.walks)
+
+
+def rows_and_scores(scored):
+    """A scored group's walk rows and score rows, as lists."""
+    return scored.walks.rows.tolist(), scored.scores.tolist()
 
 
 class TestSelectTopK:
     def test_top_two(self, g):
         scored = scored_with_totals(g, [10.0, 20.0, 15.0])
         picked = select_top_k(scored, 2, "top")
-        assert [s.score.total for s in picked] == [20.0, 15.0]
-        assert list(picked) == reference_top_k(list(scored), 2, "top")
+        assert picked.scores[:, 4].tolist() == [20.0, 15.0]
+        assert rows_and_scores(picked) == rows_and_scores(scored.take(reference_top_k(scored, 2, "top")))
 
     def test_lowest_two(self, g):
         scored = scored_with_totals(g, [10.0, 20.0, 15.0])
         picked = select_top_k(scored, 2, "lowest")
-        assert [s.score.total for s in picked] == [10.0, 15.0]
-        assert list(picked) == reference_top_k(list(scored), 2, "lowest")
+        assert picked.scores[:, 4].tolist() == [10.0, 15.0]
+        assert rows_and_scores(picked) == rows_and_scores(scored.take(reference_top_k(scored, 2, "lowest")))
 
     def test_k_larger_than_group(self, g):
         scored = scored_with_totals(g, [10.0, 20.0])
         for mode in ("top", "lowest", "random"):
             picked = select_top_k(scored, 99, mode)
             assert len(picked) == 2
-            assert list(picked) == reference_top_k(list(scored), 99, mode)
+            assert rows_and_scores(picked) == rows_and_scores(scored.take(reference_top_k(scored, 99, mode)))
 
     def test_empty_input(self, g):
         for mode in ("top", "lowest", "random"):
             picked = select_top_k(scored_with_totals(g, []), 5, mode)
             assert isinstance(picked, ScoredGroup) and len(picked) == 0
-            assert picked.scores.shape == (0, 5) and list(picked) == []
+            assert picked.scores.shape == (0, 5) and len(picked.walks) == 0
 
     def test_equal_totals_break_ties_stably(self, g):
         scored = scored_with_totals(g, [10.0, 10.0, 10.0, 10.0])
         once = select_top_k(scored, 2, "top")
         again = select_top_k(reversed_rows(scored), 2, "top")
-        assert node_lists(once) == node_lists(again) == node_lists(reference_top_k(list(scored), 2, "top"))
+        assert node_lists(once) == node_lists(again) == node_lists(scored.take(reference_top_k(scored, 2, "top")))
 
     def test_random_mode_is_seeded(self, g):
         scored = scored_with_totals(g, [float(i) for i in range(12)])
         a = select_top_k(scored, 4, "random", seed=5)
         b = select_top_k(scored, 4, "random", seed=5)
         c = select_top_k(scored, 4, "random", seed=6)
-        assert node_lists(a) == node_lists(b) == node_lists(reference_top_k(list(scored), 4, "random", seed=5))
+        assert node_lists(a) == node_lists(b) == node_lists(scored.take(reference_top_k(scored, 4, "random", seed=5)))
         assert node_lists(a) != node_lists(c)
 
     def test_top_and_lowest_disjoint_when_possible(self, g):
@@ -419,8 +422,8 @@ class TestSelectTopK:
 
     def test_monotone_ordering(self, g):
         scored = scored_with_totals(g, [3.0, 9.0, 1.0, 7.0, 5.0])
-        tops = [s.score.total for s in select_top_k(scored, 5, "top")]
-        lows = [s.score.total for s in select_top_k(scored, 5, "lowest")]
+        tops = select_top_k(scored, 5, "top").scores[:, 4].tolist()
+        lows = select_top_k(scored, 5, "lowest").scores[:, 4].tolist()
         assert tops == sorted(tops, reverse=True)
         assert lows == sorted(lows)
 
@@ -440,8 +443,7 @@ class TestSelectTopKTieOrder:
         out = []
         for name in ("Q-K-Q", "Q-U-Q-D-Q", "Q-K-Q-U-A-U-Q"):
             walks = sample_instances(g, TEMPLATES[name], "Q2", n=40, walk_len=9, seed=5)
-            tied = [PathScore.build(*([(i % 3) * 1.25] * 4)) for i in range(len(walks))]
-            out.append(from_scores(walks, tied, "formula"))
+            out.append(scored_group(walks, [[(i % 3) * 1.25] * 4 for i in range(len(walks))]))
         return out
 
     @pytest.mark.parametrize("mode", ["top", "lowest", "random"])
@@ -449,7 +451,7 @@ class TestSelectTopKTieOrder:
     def test_matches_recomputed_hash_order(self, groups, mode, k):
         for group in groups:
             for seed in (0, 3):
-                expected = reference_top_k(list(group), k, mode, seed)
+                expected = group.take(reference_top_k(group, k, mode, seed))
                 # the reversed group twice: once computing its keys, once reading them back
                 backwards = reversed_rows(group)
                 for _ in range(2):
@@ -458,7 +460,7 @@ class TestSelectTopKTieOrder:
 
     def test_tie_key_is_the_node_sequence_hash(self, groups):
         for group in groups:
-            assert group.walks.tie_keys.tolist() == [reference_tie_key(s.instance.nodes) for s in group]
+            assert group.walks.tie_keys.tolist() == [reference_tie_key(nodes) for nodes in node_lists(group)]
 
 
 class TestSelectTopKOnGroups:
@@ -469,15 +471,14 @@ class TestSelectTopKOnGroups:
         for name in ("Q-K-Q", "Q-U-Q-D-Q", "Q-K-Q-U-A-U-Q"):
             walks = sample_instances(g, TEMPLATES[name], "Q2", n=40, walk_len=9, seed=5)
             out.append(score_all(walks, g))
-            tied = [PathScore.build(*([(i % 3) * 1.25] * 4)) for i in range(len(walks))]
-            out.append(from_scores(walks, tied, "formula"))
+            out.append(scored_group(walks, [[(i % 3) * 1.25] * 4 for i in range(len(walks))]))
         out.append(score_all(sample_instances(g, TEMPLATES["Q-U-Q"], "Q2", n=0, walk_len=9, seed=5), g))
         return out
 
     @pytest.mark.parametrize("mode", ["top", "lowest", "random"])
     @pytest.mark.parametrize("k", [1, 5, 39, 100])
     def test_group_path_equals_the_reference_on_the_decoded_rows(self, groups, mode, k, monkeypatch):
-        expected = {(i, seed): reference_top_k(list(group), k, mode, seed)
+        expected = {(i, seed): reference_top_k(group, k, mode, seed)
                     for i, group in enumerate(groups) for seed in (0, 3)}
         for group in groups:
             group.walks.tie_keys  # each group's keys, computed once
@@ -489,30 +490,27 @@ class TestSelectTopKOnGroups:
         for (i, seed), want in expected.items():
             got = select_top_k(groups[i], k, mode, seed=seed)
             assert isinstance(got, ScoredGroup) and len(got) == min(k, len(groups[i]))
-            assert list(got) == want
-            assert got.walks.tie_keys.tolist() == [reference_tie_key(s.instance.nodes) for s in want]
+            assert got.backend == groups[i].backend
+            assert rows_and_scores(got) == rows_and_scores(groups[i].take(want))
+            assert got.walks.tie_keys.tolist() == [reference_tie_key(nodes) for nodes in node_lists(got)]
 
 
-def reference_walk_file(items):
-    """The per-instance writer of ``paths.jsonl`` / ``scored.jsonl`` that the group writers
-    replaced: one record per walk or scored walk, plus its five score fields and backend if
-    scored, sorted by target question, template name and node sequence."""
-    def instance(item):
-        return getattr(item, "instance", item)
-
-    def record(item):
-        p = instance(item)
-        rec = {"target_q": p.target_question, "template": p.template.name, "target_kc": p.target_kc,
-               "nodes": [[k, i] for k, i in p.nodes]}
-        if isinstance(item, ScoredInstance):
-            s = item.score
-            rec.update(centrality=s.centrality, kc_relevance=s.kc_relevance, informativeness=s.informativeness,
-                       diversity=s.diversity, total=s.total, backend=s.backend)
-        return json.dumps(rec, sort_keys=True)
-
-    ordered = sorted(items, key=lambda item: (instance(item).target_question, instance(item).template.name,
-                                               instance(item).nodes))
-    lines = [record(item) for item in ordered]
+def reference_walk_file(grouped):
+    """The per-walk writer of ``paths.jsonl`` / ``scored.jsonl`` that the group writers replaced,
+    on {target question: {template: walk group or scored group}}: one record per walk, plus its
+    five score fields and backend if scored, sorted by target question, template name and node
+    sequence."""
+    records = []
+    for per_template in grouped.values():
+        for group in per_template.values():
+            walks = group.walks if isinstance(group, ScoredGroup) else group
+            for k, nodes in enumerate(walk_nodes(walks)):
+                rec = {"target_q": walks.target_question, "template": walks.template.name,
+                       "target_kc": walks.target_kc, "nodes": [[kind, i] for kind, i in nodes]}
+                if isinstance(group, ScoredGroup):
+                    rec.update(zip(SCORE_FIELDS, group.scores[k].tolist()), backend=group.backend)
+                records.append(((walks.target_question, walks.template.name, nodes), json.dumps(rec, sort_keys=True)))
+    lines = [line for _, line in sorted(records)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -530,7 +528,12 @@ class TestScoredStore:
         for name, group in grouped["Q1"].items():
             got = loaded["Q1"][name]
             assert got.backend == "formula"
-            assert list(got) == sorted(group, key=lambda s: s.instance.nodes)
+            assert (got.walks.template, got.walks.target_question, got.walks.target_kc) == \
+                (group.walks.template, "Q1", group.walks.target_kc)
+            nodes = node_lists(group)
+            order = sorted(range(len(nodes)), key=nodes.__getitem__)
+            assert node_lists(got) == [nodes[k] for k in order]
+            assert got.scores.tolist() == group.scores[order].tolist()
 
     def test_one_backend_per_group(self, g, grouped, tmp_path):
         target = tmp_path / "scored.jsonl"
@@ -580,8 +583,7 @@ class TestScoredStore:
     def test_json_ints_read_as_their_floats(self, g, tmp_path):
         walks = sample_instances(g, TEMPLATES["Q-U-Q"], "Q1", n=2, walk_len=4, seed=1)
         target = tmp_path / "scored.jsonl"
-        scores = [PathScore.build(5.0, 0.0, 2.5, 0.0)] * len(walks)
-        write_scored({"Q1": {"Q-U-Q": from_scores(walks, scores, "formula")}}, target)
+        write_scored({"Q1": {"Q-U-Q": scored_group(walks, [(5.0, 0.0, 2.5, 0.0)] * len(walks))}}, target)
         text = target.read_text(encoding="utf-8")
         target.write_text(text.replace("5.0", "5").replace(": 0.0", ": 0"), encoding="utf-8")
         [[got]] = [per.values() for per in read_scored(target, g).values()]
@@ -687,21 +689,22 @@ def assert_walk_files_equal_the_reference(cases, g, tmp_path):
     for grouped, write, read in cases:
         path, again = tmp_path / "walks.jsonl", tmp_path / "again.jsonl"
         write(grouped, path)
-        flat = [item for per_template in grouped.values() for group in per_template.values() for item in group]
-        assert flat and path.read_text(encoding="utf-8") == reference_walk_file(flat)
+        text = path.read_text(encoding="utf-8")
+        assert text and text == reference_walk_file(grouped)
         write(read(path, g), again)
         assert again.read_bytes() == path.read_bytes()
 
 
-def reference_score(p, g):
-    """The four formulas applied to one instance's node tuples, one dimension at a time."""
-    length = p.edge_count
-    questions = [node_id for kind, node_id in p.nodes if kind == "Q"]
+def reference_score(nodes, target_kc, g):
+    """The four formulas applied to one walk's ``(kind, id)`` nodes, one dimension at a time, and
+    their total."""
+    length = len(nodes) - 1
+    questions = [node_id for kind, node_id in nodes if kind == "Q"]
     q_set = sorted(set(questions))
     if length == 0:
         c = 5.0
     else:
-        q0 = ("Q", p.target_question)
+        q0 = nodes[0]
         # added left to right: built-in sum() compensates its rounding from Python 3.12 on
         spread = 0.0
         for q in q_set:
@@ -709,17 +712,17 @@ def reference_score(p, g):
         raw = 1.0 - spread / len(q_set)
         c = 5.0 * min(max(raw, 0.0), 1.0)
 
-    r = 5.0 * sum(1 for q in set(questions) if p.target_kc in g.question_kcs(q)) / len(set(questions))
+    r = 5.0 * sum(1 for q in set(questions) if target_kc in g.question_kcs(q)) / len(set(questions))
 
     kept, seen_q0, seen_kstar = [], False, False
-    for node in p.nodes:
+    for node in nodes:
         if node[0] not in ("U", "Q", "K"):
             continue
-        if node == ("Q", p.target_question):
+        if node == nodes[0]:
             if seen_q0:
                 continue
             seen_q0 = True
-        elif node == ("K", p.target_kc):
+        elif node == ("K", target_kc):
             if seen_kstar:
                 continue
             seen_kstar = True
@@ -728,7 +731,7 @@ def reference_score(p, g):
 
     counts = {cat: 0 for cat in LEVEL_CATEGORIES}
     total = 0
-    for kind, node_id in p.nodes:
+    for kind, node_id in nodes:
         if kind in ("A", "D"):
             counts[f"{kind}_{node_id}"] += 1
             total += 1
@@ -738,7 +741,7 @@ def reference_score(p, g):
             freq = n / total
             entropy -= freq * math.log(freq)
     dv = 5.0 * entropy / math.log(len(LEVEL_CATEGORIES)) if total else 0.0
-    return PathScore.build(c, r, i, dv)
+    return c, r, i, dv, c + r + i + dv
 
 
 def edge_case_graph():
@@ -785,9 +788,7 @@ class TestGroupScorer:
         digest = hashlib.sha256()
         for name, template in TEMPLATES.items():
             for _, q in g.nodes("Q"):
-                for s in score_all(sample_instances(g, template, q, n=20, walk_len=20, seed=11), g):
-                    fields = [s.score.centrality, s.score.kc_relevance, s.score.informativeness,
-                              s.score.diversity, s.score.total]
+                for fields in score_all(sample_instances(g, template, q, n=20, walk_len=20, seed=11), g).scores.tolist():
                     digest.update(json.dumps([name, q, *fields]).encode() + b"\n")
         assert digest.hexdigest() == "a790fc593f3db1f23fe7d74f5801018ea403c4cefca5412f82234ecaa23790a3"
 
@@ -803,16 +804,13 @@ class TestGroupScorer:
             "Q:Q0 D:Low Q:Q1 U:S1 A:Low U:S2 Q:Q2 D:Medium Q:Q2",
             "Q:Q0",  # no edge at all
         ]
-        instances = [
-            PathInstance(TEMPLATES["Q-U-Q"], tuple(tuple(token.split(":")) for token in w.split()), "K1") for w in walks
-        ]
-        group = group_of(g, instances)
-        assert group.rows.shape == (len(walks), 9)
+        walks = [tuple(tuple(token.split(":")) for token in w.split()) for w in walks]
+        group = group_of(g, "Q-U-Q", walks, "K1")
+        assert group.rows.shape == (len(walks), 9) and walk_nodes(group) == walks
         scored = score_all(group, g)
-        for p, got in zip(instances, scored):
-            assert got.instance == p
-            assert got.score == reference_score(p, g), p.nodes
-            assert score_all(group_of(g, [p]), g)[0].score == got.score
+        for nodes, got in zip(walks, scored.scores.tolist()):
+            assert tuple(got) == reference_score(nodes, "K1", g), nodes
+            assert score_all(group_of(g, "Q-U-Q", [nodes], "K1"), g).scores.tolist() == [got]
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(sorted(TEMPLATES)), q0=st.sampled_from(["Q1", "Q3", "Q5", "Q6", "Q7"]),
@@ -877,8 +875,8 @@ class TestGroupScorer:
         checked = 0
         for per_template in ctx.scored(run_seed_of(cfg, 0)).values():
             for group in per_template.values():
-                for s in group:
-                    assert s.score == reference_score(s.instance, ctx.graph), s.instance.nodes
+                for nodes, row in zip(node_lists(group), group.scores.tolist()):
+                    assert tuple(row) == reference_score(nodes, group.walks.target_kc, ctx.graph), nodes
                     checked += 1
         assert checked == 65_800
 
@@ -960,22 +958,23 @@ class TestPathFormula:
         assert outputs[0] == outputs[1]
 
 
-def reference_scoring_prompt(p, g):
-    """The scoring prompt rendered line by line, one ``graph_distance`` per question node."""
+def reference_scoring_prompt(nodes, target_kc, g):
+    """The scoring prompt of a walk's ``(kind, id)`` nodes rendered line by line, one
+    ``graph_distance`` per question node."""
     lines = [
         "### PATH QUALITY SCORING TASK ###",
-        f"target_question: {p.target_question}",
-        f"target_kc: {p.target_kc}",
+        f"target_question: {nodes[0][1]}",
+        f"target_kc: {target_kc}",
         "path:",
     ]
-    length = p.edge_count
-    for idx, (kind, node_id) in enumerate(p.nodes, start=1):
+    length = len(nodes) - 1
+    for idx, (kind, node_id) in enumerate(nodes, start=1):
         entry = f"  {idx}. {kind}:{node_id}"
         if kind == "Q":
             kcs = ";".join(sorted(g.question_kcs(node_id)))
             level = g.neighbors(("Q", node_id), "D")
             level_label = level[0][1] if level else "Medium"
-            hops = graph_distance(g, ("Q", p.target_question), ("Q", node_id), cap=max(length, 1))
+            hops = graph_distance(g, nodes[0], ("Q", node_id), cap=max(length, 1))
             entry += f" | kcs: {kcs} | difficulty_level: {level_label} | hops_from_target: {hops}"
         elif kind == "U":
             level = g.neighbors(("U", node_id), "A")
@@ -995,14 +994,14 @@ def reference_scoring_prompt(p, g):
 
 
 def prompts_of(walks):
-    """Each walk of a group with its scoring prompt, rendered from its node ints."""
-    return [(p, render_scoring_prompt(walks, k)) for k, p in enumerate(walks)]
+    """Each walk of a group as its ``(kind, id)`` nodes, with its scoring prompt rendered from its
+    node ints."""
+    return [(nodes, render_scoring_prompt(walks, k)) for k, nodes in enumerate(walk_nodes(walks))]
 
 
 def edge_case_group(g, walk):
     """The one-walk Q-U-Q group of a ``"kind:id ..."`` node string toward K1."""
-    p = PathInstance(TEMPLATES["Q-U-Q"], tuple(tuple(token.split(":")) for token in walk.split()), "K1")
-    return group_of(g, [p])
+    return group_of(g, "Q-U-Q", [tuple(tuple(token.split(":")) for token in walk.split())], "K1")
 
 
 def first_walk_prompt(g):
@@ -1024,9 +1023,9 @@ class TestScoringPrompt:
         checked = 0
         for per_template in ctx.instances(run_seed_of(cfg, 0)).values():
             for group in per_template.values():
-                for p, prompt in prompts_of(group):
-                    assert prompt == reference_scoring_prompt(p, ctx.graph), p.nodes
-                    assert _read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt), p.nodes
+                for nodes, prompt in prompts_of(group):
+                    assert prompt == reference_scoring_prompt(nodes, group.target_kc, ctx.graph), nodes
+                    assert _read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt), nodes
                     checked += 1
         assert checked == 13_160
 
@@ -1036,11 +1035,11 @@ class TestScoringPrompt:
         walks = ["Q:Q0 U:S1 Q:Q2", "Q:Q0 K:K9 Q:QFAR K:K9 Q:QFAR", "Q:Q0 U:S1 Q:Q1 U:S1 Q:Q0",
                  "Q:Q0 D:Low Q:Q1 U:S1 A:Low U:S2 Q:Q2 D:Medium Q:Q2", "Q:Q0"]
         for w in walks:
-            [(p, prompt)] = prompts_of(edge_case_group(eg, w))
-            assert prompt == reference_scoring_prompt(p, eg)
-        for p, prompt in prompts_of(sample_instances(g, TEMPLATES["Q-K-Q-U-Q-D-Q-U-A-U-Q"], "Q5", n=20, walk_len=20,
-                                                     seed=4)):
-            assert prompt == reference_scoring_prompt(p, g)
+            [(nodes, prompt)] = prompts_of(edge_case_group(eg, w))
+            assert prompt == reference_scoring_prompt(nodes, "K1", eg)
+        walks = sample_instances(g, TEMPLATES["Q-K-Q-U-Q-D-Q-U-A-U-Q"], "Q5", n=20, walk_len=20, seed=4)
+        for nodes, prompt in prompts_of(walks):
+            assert prompt == reference_scoring_prompt(nodes, walks.target_kc, g)
 
     def test_concurrent_first_renders_equal_the_reference(self):
         # eight workers render on a fresh graph at once, so most prompts are rendered while
@@ -1050,7 +1049,8 @@ class TestScoringPrompt:
         groups = [sample_instances(reference, TEMPLATES[name], "Q2", n=30, walk_len=12, seed=6)
                   for name in ("Q-U-A-U-Q", "Q-K-Q-D-Q")]
         walks = [(group, k) for group in groups for k in range(len(group))]
-        expected = {i: reference_scoring_prompt(group[k], reference) for i, (group, k) in enumerate(walks)}
+        expected = {i: reference_scoring_prompt(walk_nodes(group)[k], group.target_kc, reference)
+                    for i, (group, k) in enumerate(walks)}
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1072,8 +1072,8 @@ class TestScoringPrompt:
         for name in ("neighbors", "question_kcs"):
             monkeypatch.setattr(g, name, lambda *args, name=name: lookups.append(name))
         assert render_scoring_prompt(walks, 0) == first
-        assert [prompt for _, prompt in prompts_of(walks)] == [reference_scoring_prompt(p, build_fixture_graph())
-                                                               for p in walks]
+        assert [prompt for _, prompt in prompts_of(walks)] == [
+            reference_scoring_prompt(nodes, walks.target_kc, build_fixture_graph()) for nodes in walk_nodes(walks)]
         assert lookups == []
 
 
@@ -1096,15 +1096,15 @@ class TestScoringPromptReader:
             walks = sample_instances(g, TEMPLATES[name], q0, n=6, walk_len=9, seed=seed)
             hops = g.hops_from(("Q", q0))
             formula = score_all(walks, g)
-            for k, ((p, prompt), expected) in enumerate(zip(prompts_of(walks), formula)):
-                cap = max(p.edge_count, 1)
-                questions = {node_id for kind, node_id in p.nodes if kind == "Q"}
+            for k, ((nodes, prompt), expected) in enumerate(zip(prompts_of(walks), formula.scores.tolist())):
+                cap = max(len(nodes) - 1, 1)
+                questions = {node_id for kind, node_id in nodes if kind == "Q"}
                 assert _read_scoring_prompt(prompt) == (
-                    list(p.nodes), p.target_kc, {q: min(hops[g.index(("Q", q))], cap) for q in questions},
+                    list(nodes), walks.target_kc, {q: min(hops[g.index(("Q", q))], cap) for q in questions},
                     {q: g.question_kcs(q) for q in questions})
                 if not any("|" in node_id for node_id in new_ids):  # the old reader split at every " | "
                     assert _read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt)
-                assert score_llm(walks, k, client) == score_row(expected.score)
+                assert score_llm(walks, k, client) == tuple(expected)
 
     def test_planted_ids_with_separators_score_as_the_formula(self, tmp_path):
         # a question and two students of the acceptance fixture renamed to hold " | ": the old
@@ -1142,7 +1142,7 @@ class TestScoringPromptReader:
         # the old reader took any "  <decimal digits>. " (re.match(r"^  \d+\. ", line)), Unicode
         # digits included; the reader takes path line n only after "  n. ", as rendered
         walks = sample_instances(g, TEMPLATES["Q-U-Q-K-Q"], "Q1", n=1, walk_len=7, seed=3)
-        [(p, prompt)] = prompts_of(walks)
+        [(_, prompt)] = prompts_of(walks)
         line = prompt.splitlines()[6]
         assert line.startswith("  3. Q:")
         changed = prompt.replace(line, prefix + line[len("  3. "):])

@@ -19,8 +19,8 @@ from hisekt.dataset import Dataset, Interaction, ingest, split
 from hisekt.errors import ModelError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.irt import IrtModel, Level
-from hisekt.mrhin import TEMPLATES, PathInstance
-from hisekt.pathscore import PathScore, ScoredInstance, select_top_k
+from hisekt.mrhin import TEMPLATES, Mrhin
+from hisekt.pathscore import select_top_k
 from hisekt.retrieval import (
     CandidateSet,
     SimilarityModel,
@@ -38,59 +38,51 @@ from hisekt.retrieval import (
 from hisekt.seeding import derive_rng, derive_seed
 from hisekt.synth import planted_csv
 
-from graph_fixture import make_dataset, make_model
+from graph_fixture import ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, make_dataset, make_model, walk_nodes
 from support import (candidates_of, keys_of_triples, reference_distances, reference_path_pair_pool, reference_peers,
-                     reference_top_s, triples_of_keys)
+                     reference_top_s, retained_ids, retained_rows, triples_of_keys)
 
 
-def student_counts(paths):
-    """How often each student appears across the retained instances of one target question, in
-    order of first appearance: the reference the retained stage's array count is held to."""
-    target_question = paths[0].instance.target_question if paths else ""
+def student_counts(walks):
+    """How often each student appears across the retained walks (``(kind, id)`` node sequences) of
+    one target question: the reference the retained stage's array count is held to."""
+    target = walks[0][0] if walks else None
     counts = {}
-    for scored in paths:
-        if scored.instance.target_question != target_question:
-            raise ValueError("all retained instances must share one target question")
-        for kind, node_id in scored.instance.nodes:
+    for nodes in walks:
+        if nodes[0] != target:
+            raise ValueError("all retained walks must share one target question")
+        for kind, node_id in nodes:
             if kind == "U":
                 counts[node_id] = counts.get(node_id, 0) + 1
     return counts
 
 
-def build_candidates(paths, u_target):
-    """Distinct students across the retained instances, minus the target, with counts."""
-    target_question = paths[0].instance.target_question if paths else ""
-    return candidates_of(student_counts(paths), u_target, target_question)
-
-
-def scored_path(nodes, target_q="Q1", target_kc="K1"):
-    inst = PathInstance(TEMPLATES["Q-U-Q"], tuple(nodes), target_kc)
-    return ScoredInstance(inst, PathScore.build(2.0, 2.0, 2.0, 2.0))
+def build_candidates(walks, u_target):
+    """Distinct students across the retained walks, minus the target, with counts."""
+    target_question = walks[0][0][1] if walks else ""
+    return candidates_of(student_counts(walks), u_target, target_question)
 
 
 class TestBuildCandidates:
     def test_dedup_and_counts(self):
-        inst = scored_path(
-            [("Q", "Q1"), ("U", "u1"), ("Q", "Q2"), ("U", "u2"), ("Q", "Q3"), ("U", "u1"), ("Q", "Q1")]
-        )
-        cands = build_candidates([inst], "u3")
+        walk = [("Q", "Q1"), ("U", "u1"), ("Q", "Q2"), ("U", "u2"), ("Q", "Q3"), ("U", "u1"), ("Q", "Q1")]
+        cands = build_candidates([walk], "u3")
         assert cands.candidates == {"u1": 2, "u2": 1}
         assert cands.target_question == "Q1"
 
     def test_target_student_excluded(self):
-        inst = scored_path([("Q", "Q1"), ("U", "u1"), ("Q", "Q2")])
-        cands = build_candidates([inst], "u1")
+        cands = build_candidates([[("Q", "Q1"), ("U", "u1"), ("Q", "Q2")]], "u1")
         assert "u1" not in cands.candidates
 
     def test_counts_sum_across_instances(self):
-        a = scored_path([("Q", "Q1"), ("U", "u2"), ("Q", "Q2")])
-        b = scored_path([("Q", "Q1"), ("U", "u2"), ("Q", "Q3"), ("U", "u4"), ("Q", "Q1")])
+        a = [("Q", "Q1"), ("U", "u2"), ("Q", "Q2")]
+        b = [("Q", "Q1"), ("U", "u2"), ("Q", "Q3"), ("U", "u4"), ("Q", "Q1")]
         cands = build_candidates([a, b], "u9")
         assert cands.candidates == {"u2": 2, "u4": 1}
 
     def test_mixed_target_questions_rejected(self):
-        a = scored_path([("Q", "Q1"), ("U", "u2"), ("Q", "Q2")])
-        b = scored_path([("Q", "Q7"), ("U", "u2"), ("Q", "Q3")])
+        a = [("Q", "Q1"), ("U", "u2"), ("Q", "Q2")]
+        b = [("Q", "Q7"), ("U", "u2"), ("Q", "Q3")]
         with pytest.raises(ValueError):
             build_candidates([a, b], "u9")
 
@@ -112,11 +104,29 @@ def test_retained_counts_equal_the_reference_on_the_decoded_kept_rows(planted_co
     cfg, run_seed, mode = ctx.cfg, run_seed_of(ctx.cfg, 0), ABLATIONS[variant][0]
     scored = ctx.scored(run_seed)
     retained = evaluation._retained(ctx, cfg, run_seed, variant)
+    students = student_tables(ctx.dataset).students
     assert list(retained) == sorted(scored)
     for qid, per_template in scored.items():
-        kept = [row for name in TEMPLATES if name in per_template
-                for row in select_top_k(per_template[name], cfg.top_k, mode, seed=derive_seed(run_seed, "topk", qid, name))]
-        assert list(retained[qid].items()) == list(student_counts(kept).items())  # dict order included
+        kept = [nodes for name in TEMPLATES if name in per_template
+                for nodes in walk_nodes(select_top_k(per_template[name], cfg.top_k, mode,
+                                                     seed=derive_seed(run_seed, "topk", qid, name)).walks)]
+        rows, counts = retained[qid]
+        assert rows.dtype.kind == counts.dtype.kind == "i" and np.all(rows[1:] > rows[:-1])
+        # rows in student id order, each with its count
+        assert list(zip([students[row] for row in rows.tolist()], counts.tolist())) == \
+            sorted(student_counts(kept).items())
+
+
+def test_a_graph_student_missing_from_the_dataset_raises_naming_it():
+    # the graph of the fixture dataset with one more student, S9, who is on no walk from Q6
+    d = make_dataset(TRAIN_PAIRS, KC_OF, extra=[("S1", "Q6", "test")])
+    wider = make_dataset([*TRAIN_PAIRS, ("S9", "Q1")], KC_OF)
+    graph = Mrhin.build(wider, make_model({**ABILITY, "S9": Level.LOW}, DIFFICULTY))
+    ctx = PipelineContext(RunConfig(data="unused.csv", n_walks=5, walk_len=8),
+                          readers={"dataset": lambda _: d, "graph": lambda _: graph})
+    assert len(ctx.get("scored")["Q6"]["Q-U-Q"]) == 5
+    with pytest.raises(ValueError, match="^'S9' is not a student of the dataset$"):
+        ctx.get("retained")
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3], ids=lambda seed: f"planted{seed}")
@@ -146,7 +156,7 @@ class TestPathPairPool:
 
     @staticmethod
     def assert_equals_reference(counts, d):
-        pool = evaluation._path_pair_pool(counts, d)
+        pool = evaluation._path_pair_pool(retained_rows(counts, d), d)
         reference = reference_path_pair_pool(counts, d)
         if not reference:
             assert pool is None
@@ -158,7 +168,7 @@ class TestPathPairPool:
     @pytest.mark.parametrize("variant", [None, "msr", "msl"], ids=["top", "random", "lowest"])
     def test_planted(self, criterion6_context, variant):
         ctx = criterion6_context
-        counts = ctx.get("retained", ctx.cfg, run_seed_of(ctx.cfg, 0), variant)
+        counts = retained_ids(ctx.get("retained", ctx.cfg, run_seed_of(ctx.cfg, 0), variant), ctx.dataset)
         assert len(reference_path_pair_pool(counts, ctx.dataset)) > 10_000
         self.assert_equals_reference(counts, ctx.dataset)
 
@@ -169,7 +179,7 @@ class TestPathPairPool:
 
     def test_single_student(self):
         d = make_dataset([("S1", "Q0"), ("S1", "Q1")], {"Q0": "K0", "Q1": "K0"})
-        assert evaluation._path_pair_pool({"Q0": {"S1": 2}, "Q1": {}}, d) is None
+        assert evaluation._path_pair_pool(retained_rows({"Q0": {"S1": 2}, "Q1": {}}, d), d) is None
 
     def test_answerers_read_from_the_packed_incidence(self):
         d = make_dataset([("b", "Q3"), ("a", "Q3"), ("c", "Q1")], {f"Q{j}": "K0" for j in range(10)},
@@ -205,19 +215,19 @@ class TestEncode:
 
     def test_equal_thetas_give_zero_gap(self):
         z = encode("S1", "S2", 0, self.m, self.d)
-        assert z.z1 == 0.0
+        assert z[0] == 0.0
 
     def test_theta_gap(self):
         m = make_model({s: Level.MEDIUM for s in self.m.theta}, {q: Level.MEDIUM for q in self.kc_of},
                        theta={"S1": 1.25, "S2": -0.75})
-        assert encode("S1", "S2", 0, m, self.d).z1 == pytest.approx(2.0)
+        assert encode("S1", "S2", 0, m, self.d)[0] == pytest.approx(2.0)
 
     def test_shared_question_decay_values(self):
         # both answered all 10 questions: z3 = (1 + 10)^-2
         z = encode("S1", "S2", 0, self.m, self.d)
-        assert z.z3 == pytest.approx((1 + 10) ** -2.0)
+        assert z[2] == pytest.approx((1 + 10) ** -2.0)
         # three shared KCs: z4 = (1 + 3)^-2 = 0.0625
-        assert z.z4 == pytest.approx(0.0625)
+        assert z[3] == pytest.approx(0.0625)
 
     def test_no_shared_questions_gives_one(self):
         kc_of = {f"Q{j}": "K0" for j in range(6)}
@@ -225,34 +235,32 @@ class TestEncode:
         d = make_dataset(pairs, kc_of)
         m = make_model({"S1": Level.MEDIUM, "S2": Level.MEDIUM}, {q: Level.MEDIUM for q in kc_of})
         z = encode("S1", "S2", 0, m, d)
-        assert z.z3 == 1.0
+        assert z[2] == 1.0
 
     def test_cooccurrence_decay(self):
-        assert encode("S1", "S2", 0, self.m, self.d).z5 == 1.0
-        assert encode("S1", "S2", 1, self.m, self.d).z5 == pytest.approx(0.25)
-        assert encode("S1", "S2", 3, self.m, self.d).z5 == pytest.approx(0.0625)
+        assert encode("S1", "S2", 0, self.m, self.d)[4] == 1.0
+        assert encode("S1", "S2", 1, self.m, self.d)[4] == pytest.approx(0.25)
+        assert encode("S1", "S2", 3, self.m, self.d)[4] == pytest.approx(0.0625)
 
     def test_accuracy_gap_scaled_by_c(self):
         # S1 all correct, S2 all wrong on every shared KC: gap 1 per KC, z2 = c
         d, kc_of = pair_dataset(correct_fn=lambda i: i.student_id == "S1")
-        z = encode("S1", "S2", 0, self.m, d, c=2.0)
-        assert z.z2 == pytest.approx(2.0)
-        z3c = encode("S1", "S2", 0, self.m, d, c=3.0)
-        assert z3c.z2 == pytest.approx(3.0)
+        assert encode("S1", "S2", 0, self.m, d, c=2.0)[1] == pytest.approx(2.0)
+        assert encode("S1", "S2", 0, self.m, d, c=3.0)[1] == pytest.approx(3.0)
 
     def test_no_shared_kcs_worst_case(self):
         kc_of = {"Q0": "KA", "Q1": "KB"}
         pairs = [("S1", "Q0"), ("S2", "Q1")]
         d = make_dataset(pairs, kc_of)
         m = make_model({"S1": Level.MEDIUM, "S2": Level.MEDIUM}, {q: Level.MEDIUM for q in kc_of})
-        assert encode("S1", "S2", 0, m, d, c=2.0).z2 == 2.0
+        assert encode("S1", "S2", 0, m, d, c=2.0)[1] == 2.0
 
     def test_symmetry(self):
         d, _ = pair_dataset(correct_fn=lambda i: (len(i.student_id + i.question_id) % 2) == 0)
         m = make_model({s: Level.MEDIUM for s in self.m.theta}, {q: Level.MEDIUM for q in self.kc_of},
                        theta={"S1": 0.3, "S2": -0.8})
         for f in (0, 2):
-            assert encode("S1", "S2", f, m, d) == encode("S2", "S1", f, m, d)
+            assert encode("S1", "S2", f, m, d).tobytes() == encode("S2", "S1", f, m, d).tobytes()
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -260,9 +268,9 @@ class TestEncode:
 
     def test_components_bounded(self):
         z = encode("S1", "S2", 5, self.m, self.d)
-        arr = z.as_array()
-        assert np.all(arr >= 0.0)
-        assert z.z3 <= 1.0 and z.z4 <= 1.0 and z.z5 <= 1.0
+        assert z.shape == (5,) and z.dtype == np.float64
+        assert np.all(z >= 0.0)
+        assert np.all(z[2:] <= 1.0)
 
     def test_features_do_not_depend_on_the_string_hash_seed(self):
         # The shared-KC set iterates in string-hash order, which changes with
@@ -277,7 +285,7 @@ class TestEncode:
             "m = IrtModel({s: 0.01 * i for i, s in enumerate(d.students())}, {}, {}, {}, {}, 0.0, 1.0, 0.0, 1.0)",
             "digest = hashlib.sha256()",
             "for u, s in itertools.combinations(d.students(), 2):",
-            "    digest.update(repr(encode(u, s, 1, m, d)).encode())",
+            "    digest.update(encode(u, s, 1, m, d).tobytes())",
             "print(digest.hexdigest())",
         ])
         src = str(Path(hisekt.__file__).resolve().parent.parent)
@@ -411,7 +419,7 @@ class TestFitSimilarity:
         with pytest.raises(ValueError, match="int64"):
             fit_similarity(d, m, pair_pool=np.array([1, 2]), pair_base=limit // 16 + 1)
         with pytest.raises(ValueError, match="int64"):
-            evaluation._path_pair_pool({"Q0": {"S1": limit // 16 + 1}}, d)
+            evaluation._path_pair_pool(retained_rows({"Q0": {"S1": limit // 16 + 1}}, d), d)
 
     @pytest.mark.parametrize("sample_pairs", [500, 1_000_000])
     def test_pool_fit_equals_a_fit_on_the_sorted_triples(self, sample_pairs):
@@ -601,7 +609,7 @@ class TestBlocksEqualTheLoop:
             expected = [loop.encode(students[a], students[b], ff, m, c) for (a, b), ff in zip(pairs, f)]
             assert got.tobytes() == np.array(expected).tobytes()
         u, s = students[0], students[-1]
-        assert encode(u, s, 4, m, d).as_array().tobytes() == np.array(loop.encode(u, s, 4, m)).tobytes()
+        assert encode(u, s, 4, m, d).tobytes() == np.array(loop.encode(u, s, 4, m)).tobytes()
 
     def test_distances(self, planted):
         d, m, loop = planted
@@ -706,7 +714,7 @@ class TestQuestionBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(retrieval_mod, "distances", recorded)
             patch.setattr(retrieval_mod, "BLOCK_PAIRS", block_pairs)
-            got = top_s_many("Q0", retained, targets, SPREAD, m, d, s)
+            got = top_s_many("Q0", retained_rows({"Q0": retained}, d)["Q0"], targets, SPREAD, m, d, s)
         alone = [reference_distances(candidates_of(retained, u, "Q0"), SPREAD, m, d)[1] for u in dict.fromkeys(targets)]
         assert np.concatenate([np.zeros(0), *blocks]).tobytes() == np.concatenate([np.zeros(0), *alone]).tobytes()
         assert all(z.size <= max(block_pairs, len(retained)) for z in blocks)
@@ -717,7 +725,8 @@ class TestQuestionBlocks:
     def test_random_mode_draws_each_target_with_its_own_seed(self, block, s):
         d, m, retained, targets = block
         seeds = list(range(len(targets)))
-        got = top_s_many("Q0", retained, targets, None, m, d, s, mode="random", seeds=seeds)
+        got = top_s_many("Q0", retained_rows({"Q0": retained}, d)["Q0"], targets, None, m, d, s, mode="random",
+                         seeds=seeds)
         assert got == [reference_top_s(candidates_of(retained, u, "Q0"), None, m, d, s, mode="random", seed=seed)
                        for u, seed in zip(targets, seeds)]
 
@@ -725,12 +734,15 @@ class TestQuestionBlocks:
         d, _ = pair_dataset(correct_fn=lambda i: True, students=("S1", "S2", "S3", "S4", "S5"))
         m = make_model({sid: Level.MEDIUM for sid in ("S1", "S2", "S3", "S4", "S5")}, {"Q0": Level.MEDIUM},
                        theta={"S2": 0.1, "S3": 0.9, "S4": 0.5, "S5": 0.1})
-        ranked = top_s_many("Q0", {"S5": 1, "S2": 1, "S4": 1, "S3": 1}, ["S1", "S2", "S1"], unit_model(), m, d, 2)
+        def pool(counts):
+            return retained_rows({"Q0": counts}, d)["Q0"]
+
+        ranked = top_s_many("Q0", pool({"S5": 1, "S2": 1, "S4": 1, "S3": 1}), ["S1", "S2", "S1"], unit_model(), m, d, 2)
         assert ranked == [["S2", "S5"], ["S5", "S4"], ["S2", "S5"]]  # S2 and S5 tie for S1: id order
-        assert top_s_many("Q0", {}, ["S1", "S2"], unit_model(), m, d, 2) == [[], []]
-        assert top_s_many("Q0", {"S3": 2}, ["S3", "S1"], unit_model(), m, d, 2) == [[], ["S3"]]
+        assert top_s_many("Q0", pool({}), ["S1", "S2"], unit_model(), m, d, 2) == [[], []]
+        assert top_s_many("Q0", pool({"S3": 2}), ["S3", "S1"], unit_model(), m, d, 2) == [[], ["S3"]]
         with pytest.raises(ValueError, match="one seed per target"):
-            top_s_many("Q0", {"S3": 2}, ["S1"], None, m, d, 2, mode="random")
+            top_s_many("Q0", pool({"S3": 2}), ["S1"], None, m, d, 2, mode="random")
 
 
 @pytest.mark.parametrize("variant", [None, "msr", "msl", "rsimu", "simu"])
