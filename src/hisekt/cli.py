@@ -41,7 +41,7 @@ from . import pathscore
 from .config import CHOICES, FIELD_NAMES, RunConfig, fingerprint, load_config_file, resolve_config
 from .errors import HisektError, IngestError, StageDependencyError
 from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of, target_key
-from .mrhin import WALK_SCHEME, read_graph, read_json_lines, read_walks, write_graph, write_walks
+from .mrhin import WALK_SCHEME, Mrhin, read_graph, read_json_lines, read_walks, write_graph, write_walks
 from .predict import Prediction
 
 # Not called here: the benchmark's tracer patches these names on this module.
@@ -121,6 +121,15 @@ def _read_irt(path: Path, ctx: PipelineContext) -> irt_mod.IrtModel:
     return m
 
 
+def _read_graph(path: Path, ctx: PipelineContext) -> Mrhin:
+    """The stored graph; raises IngestError naming the file and its first student not in the dataset."""
+    g = read_graph(path)
+    foreign = sorted({node_id for kind, node_id in g.node_ids if kind == "U"} - set(ctx.dataset.students()))
+    if foreign:
+        raise IngestError(f"{path}: {foreign[0]} is not a student of the dataset")
+    return g
+
+
 def _write_graph(ctx: PipelineContext, path: Path) -> str:
     g = ctx.graph
     write_graph(g, path)
@@ -164,7 +173,13 @@ def _per_target(path: Path, ctx: PipelineContext, stored: Mapping[str, object]) 
 
 
 def _read_peers(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], list[str]]:
-    return _per_target(path, ctx, json.loads(path.read_text(encoding="utf-8"))["peers"])
+    """The stored peers; raises IngestError naming the file and the first target with a foreign peer."""
+    peers = _per_target(path, ctx, json.loads(path.read_text(encoding="utf-8"))["peers"])
+    students = set(ctx.dataset.students())
+    for key, entry in peers.items():
+        if not (type(entry) is list and all(type(sid) is str and sid in students for sid in entry)):
+            raise IngestError(f"{path}: the peers of test target {_target_token(key)} are not students of the dataset")
+    return peers
 
 
 def _write_predictions(ctx: PipelineContext, path: Path) -> str:
@@ -195,7 +210,7 @@ class Stage(NamedTuple):
 STAGES = {
     "ingest": Stage("dataset.csv", "dataset", (), _write_dataset, lambda path, ctx: dataset_mod.load(path)),
     "fit-irt": Stage("irt.json", "irt", ("ingest",), _write_irt, _read_irt),
-    "build-hin": Stage("graph.json", "graph", ("ingest", "fit-irt"), _write_graph, lambda path, ctx: read_graph(path)),
+    "build-hin": Stage("graph.json", "graph", ("ingest", "fit-irt"), _write_graph, _read_graph),
     "sample-paths": Stage("paths.jsonl", "walks", ("ingest", "build-hin"), _write_walks,
                           lambda path, ctx: read_walks(path, ctx.graph)),
     "score-paths": Stage("scored.jsonl", "scored", ("sample-paths", "build-hin"), _write_scored,

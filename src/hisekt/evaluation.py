@@ -222,19 +222,10 @@ def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | 
         scored = {name: dict(zip(groups, pathscore.score_groups(list(groups.values()), g)))
                   for name, groups in by_template.items()}
         return {qid: {name: scored[name][qid] for name in per_template} for qid, per_template in walks.items()}
-    client = ctx.get("client", cfg)
-    # one dispatch for the whole stage, keyed by (question, template, walk index): pool
-    # completion order cannot reorder results
-    items = [((qid, name, k), (group, k)) for qid, per_template in walks.items()
-             for name, group in per_template.items() for k in range(len(group))]
-    rows = map_bounded(lambda item: pathscore.score_llm(*item, client), items, client.in_flight)
-    # each group's n x 5 table of the walks' (four scores, total) rows, in walk order
-    return {
-        qid: {name: pathscore.ScoredGroup(group, np.array([rows[qid, name, k] for k in range(len(group))],
-                                                          dtype=np.float64).reshape(len(group), 5), "llm")
-              for name, group in per_template.items()}
-        for qid, per_template in walks.items()
-    }
+    # one call for the whole stage, which renders and sends its prompts in blocks
+    scored = iter(pathscore.score_llm([group for per in walks.values() for group in per.values()],
+                                      ctx.get("client", cfg)))
+    return {qid: {name: next(scored) for name in per_template} for qid, per_template in walks.items()}
 
 
 def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):

@@ -13,36 +13,27 @@ Each dimension is normalized to [0, 5] so the total lands in [0, 20]:
 The formula scorer is the deterministic reference; an LLM backend can score
 the same rendered path and is validated against it.
 
-Each backend has its own form of the formulas; the tests hold both to one
-reference, bit for bit.  The formula backend scores many walk groups at once
-with :func:`score_groups`, in one pass of numpy column operations over their
-stacked int rows; :func:`score_all` is that pass over one group.  Each
-dimension reads only the columns that hold a node kind it reads: a template
-puts its questions, students, KCs and level nodes in fixed columns, so a pass
-over the groups of one template skips most columns in most dimensions.  The
-pipeline makes one pass per template over every target question's group:
-the 65,800 walks of the acceptance fixture's criterion-6 run score in about
-40 ms, against about 115 ms one group at a time.  The mock LLM backend
-scores the one path it reads from a scoring prompt with :func:`_score_path`,
-in plain Python on the prompt's nodes, hop counts and KC sets: about 8 us a
-prompt, 0.10 s over the staged CLI's 13,160 scoring prompts on the
-acceptance fixture, where an array pass over a group of one takes about
-70 us.  (All on a shared 2-vCPU VM, Python 3.11, numpy 2.4.)
+Both backends run the formulas in one form, :func:`_score_rows`: numpy column
+operations over rows of node numbers with per-node tables, each dimension
+reading only the columns that hold a node kind it reads.  The formula backend
+(:func:`score_groups`; :func:`score_all` for one group) fills the tables from
+the graph and stacks the groups' int rows; a template puts each kind in fixed
+columns, so the pipeline makes one pass per template: the 65,800 walks of the
+acceptance fixture's criterion-6 run score in about 40 ms.
 
-The LLM backend renders each walk's scoring prompt from its group's int rows
-and a table of path lines per graph, target question and hop cap.  The mock
-reads a prompt back (:func:`_read_scoring_prompt`) with no other knowledge of
-the graph: it checks each path line's ``"  n. "`` number, then reads the text
-after it by its node kind (:func:`_read_path_line`), once per distinct
-numbered line and mock transport, keyed by the whole line with its number
-stored beside its parts, so a line seen before at its own position costs
-one lookup.  The lines recur: the staged CLI's 13,160 scoring prompts on the
-acceptance fixture hold 157,920 path lines but 1,135 distinct numbered lines
-(213 distinct texts after the number).  :func:`score_llm` reads the four
-scores of the reply's braced group and returns the walk's row of five
-floats, with no object per walk; the stage stacks each group's rows into its
-table.  Per prompt that is about 5 us to render, 4.5 us for the mock to read
-and 8 us to score, and 3 us to read the reply.
+The LLM backend (:func:`score_llm`) renders each walk's prompt from its int
+row and a table of path lines per graph, target question and hop cap, and
+sends a stage's prompts in blocks of :data:`SCORE_BLOCK`.  The mock answers a
+block (:func:`mock_score_replies`) with no other knowledge of the graph: it
+reads each path line after checking its ``"  n. "`` number, once per distinct
+numbered line and mock transport (:func:`_read_path_line`), numbers the
+block's distinct line texts in sorted (kind, id, hop) order and fills the
+tables from their annotations.  The staged CLI's 13,160 scoring prompts on
+the acceptance fixture hold 157,920 path lines, 1,135 distinct numbered lines
+and 213 distinct texts.  Per prompt that is about 5 us to render and about
+9 us for the mock to read, score and answer it in a block (17 us with the
+plain-Python per-path formula it replaces; about 250 us for a block of one).
+(All on a shared 2-vCPU VM, Python 3.11, numpy 2.4.)
 
 :func:`write_scored` writes each score as ``json.dumps`` writes it, rendered
 once per distinct bit pattern over the whole file: the staged CLI's 13,160
@@ -107,26 +98,20 @@ class ScoredGroup:
 
 _LEVEL_INDEX = {tuple(category.split("_")): i for i, category in enumerate(LEVEL_CATEGORIES)}
 _LOG_CATEGORIES = math.log(len(LEVEL_CATEGORIES))
-_COUNTED_KINDS = frozenset(("U", "Q", "K"))
-_LEVEL_KINDS = frozenset(("A", "D"))
 # one bit per node kind, so a column's kinds are the OR of its rows' bits
 _KIND_BITS = {"U": 1, "Q": 2, "K": 4, "A": 8, "D": 16}
 _U, _Q, _K, _A, _D = (np.uint8(_KIND_BITS[kind]) for kind in ("U", "Q", "K", "A", "D"))
 
 
 class _GraphTables:
-    """A graph's node tables for the array scorer, by node int, each with one more entry (index
-    ``sentinel``, also reached by ``PAD`` = -1) that counts as no node at all: the kind bit
-    (:data:`_KIND_BITS`; 0 for no node) and the level category (``len(LEVEL_CATEGORIES)`` if it
-    is not an A/D node).  Hop counts from a question and the questions covering a KC are tables
-    per question and per KC, built on first use, each in full before it is stored."""
+    """A graph's node tables for :func:`_score_rows`, by node int plus the sentinel ``PAD`` reaches:
+    kind bits and level categories, and hop counts from a question and the questions covering a
+    KC, one table per question and per KC, each built in full on first use before it is stored."""
 
     def __init__(self, g: Mrhin):
-        self.sentinel = len(g.node_ids)
         self.kind = np.array([_KIND_BITS[kind] for kind in g.kinds] + [0], dtype=np.uint8)
         no_level = len(LEVEL_CATEGORIES)
-        self.level = np.array([_LEVEL_INDEX[node] if kind in _LEVEL_KINDS else no_level
-                               for node, kind in zip(g.node_ids, g.kinds)] + [no_level])
+        self.level = np.array([_LEVEL_INDEX.get(node, no_level) for node in g.node_ids] + [no_level])
         self._hops: dict[str, np.ndarray] = {}
         self._covers: dict[str, np.ndarray] = {}
 
@@ -142,7 +127,7 @@ class _GraphTables:
         """Whether each node is a question covering the KC."""
         found = self._covers.get(kc)
         if found is None:
-            found = np.zeros(self.sentinel + 1, dtype=bool)
+            found = np.zeros(len(self.kind), dtype=bool)
             found[list(g.int_adj["Q"][g.index(("K", kc))])] = True
             self._covers[kc] = found
         return found
@@ -165,9 +150,9 @@ def graph_tables(g: Mrhin) -> _GraphTables:
 @functools.lru_cache(maxsize=16)
 def _entropy_terms(width: int) -> np.ndarray:
     """``terms[c, t]`` is the entropy term ``0.0 - (c/t) log(c/t)`` of a level category seen
-    ``c`` of ``t`` times, computed as :func:`_score_path` computes it; 0.0 where ``c`` is 0.
-    No term is -0.0, so adding a row's terms left to right from 0.0 gives the bits of
-    :func:`_score_path`'s ``entropy -= ...`` over the same categories."""
+    ``c`` of ``t`` times, as a per-walk ``entropy -= freq * log(freq)`` computes it; 0.0 where
+    ``c`` is 0.  No term is -0.0, so adding a row's terms left to right from 0.0 gives the bits
+    of that loop over the same categories."""
     terms = np.zeros((width + 1, width + 1))
     for total in range(1, width + 1):
         for count in range(1, total + 1):
@@ -207,23 +192,14 @@ def score_all(walks: WalkGroup, g: Mrhin) -> ScoredGroup:
 
 
 def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
-    """Formula scores of walk groups on graph ``g``, all their rows in one pass.
+    """Formula scores of walk groups on graph ``g``, all their rows in one pass of
+    :func:`_score_rows` on the graph's tables.
 
     The groups may differ in template, target question, target KC and width.  Their rows are
-    stacked, narrower ones padded with ``PAD``.  A column takes part in a dimension only if
-    some row holds there a node of a kind that dimension reads: questions for centrality and
-    kc_relevance, U/Q/K nodes for informativeness, A/D nodes for diversity; a walk's length is
-    the count of its nodes over those columns.  The column sets come from the rows, so a row
-    need not follow its template, but the sets are smallest over groups of one template.
-    Every row starts at its group's target question.  Hop counts come from a table per
-    distinct target question, and whether a question covers the target KC from a table per
-    distinct target KC.
-
-    Sorting a row's question columns puts its distinct questions in node-int order, which is
-    the sorted id order :func:`_score_path` sums them in; their centrality terms are added
-    column by column, left to right (a column left out would only add 0.0, which changes no
-    bits, as no term is -0.0), and the entropy terms are read from :func:`_entropy_terms`.
-    Each score has the bits :func:`_score_path` gives the row's path, whatever the other groups.
+    stacked, narrower ones padded with ``PAD``.  Hop counts come from a table per distinct
+    target question, and whether a question covers the target KC from a table per distinct
+    target KC.  Each score has the bits ``tests/support.reference_score_walk`` gives the row's
+    walk, whatever the other groups.
     """
     sizes = [len(group) for group in groups]
     if not sum(sizes):
@@ -233,7 +209,6 @@ def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
     rows = np.concatenate([group.rows if group.rows.shape[1] == width else
                            np.pad(group.rows, ((0, 0), (0, width - group.rows.shape[1])), constant_values=PAD)
                            for group in groups])
-    n = len(rows)
     # each row's target question and target KC, by position among the distinct ones
     owner = np.repeat(np.arange(len(groups)), sizes)
     questions = {q: i for i, q in enumerate(dict.fromkeys(group.target_question for group in groups))}
@@ -241,27 +216,46 @@ def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
     question_of = np.array([questions[group.target_question] for group in groups])[owner]
     kc_of = np.array([kcs[group.target_kc] for group in groups])[owner]
     kstar = np.array([g.index(("K", kc)) for kc in kcs])[kc_of]
+    scores = _score_rows(rows, tables.kind, tables.level, np.stack([tables.hops(g, q) for q in questions]),
+                         question_of, np.stack([tables.covers(g, kc) for kc in kcs]), kc_of, kstar)
+    ends = np.cumsum(sizes)
+    return [ScoredGroup(group, scores[end - size:end], "formula") for group, size, end in zip(groups, sizes, ends)]
 
-    kinds = np.take(tables.kind, rows)
+
+def _score_rows(rows: np.ndarray, kind: np.ndarray, level: np.ndarray, hops: np.ndarray, question_of: np.ndarray,
+                covers: np.ndarray, kc_of: np.ndarray, kstar: np.ndarray) -> np.ndarray:
+    """The n x 5 scores of rows of node numbers (in sorted (kind, id) order, each row starting at
+    its target question): the one form of the formulas, which both backends run.
+
+    ``kind`` (:data:`_KIND_BITS`) and ``level`` (level category, ``len(LEVEL_CATEGORIES)`` if
+    none) are per node, plus a sentinel entry, reached by ``PAD``, that is no node.  Row ``i``
+    reads hops from row ``question_of[i]`` of ``hops`` and covering questions from row
+    ``kc_of[i]`` of ``covers``; ``kstar[i]`` is its target KC's number, or one no row holds.
+    A dimension reads only the columns where some row holds a node of a kind it counts; the
+    centrality terms of a row's distinct questions are added in sorted id order, left to right
+    (a column left out adds 0.0, which changes no bits)."""
+    n, width = rows.shape
+    sentinel = len(kind) - 1
+    kinds = np.take(kind, rows)
     present = np.bitwise_or.reduce(kinds, axis=0)
     q_cols = np.flatnonzero(present & _Q)
     uk_cols = np.flatnonzero(present & (_U | _K))
     k_cols = np.flatnonzero(present & _K)
     level_cols = np.flatnonzero(present & (_A | _D))
 
-    # each row's questions in node-int order, then the sentinel in place of its other nodes
+    # each row's questions in node order, then the sentinel in place of its other nodes
     q_nodes = rows[:, q_cols]
     is_question = kinds[:, q_cols] == _Q
-    ordered, distinct = _distinct(q_nodes, is_question, tables.sentinel)
+    ordered, distinct = _distinct(q_nodes, is_question, sentinel)
     n_questions = distinct.sum(axis=1)
 
     # the other U/Q/K nodes (students and KCs), each counted once per row
     is_uk = (kinds[:, uk_cols] & (_U | _K)) != 0
-    _, uk_distinct = _distinct(rows[:, uk_cols], is_uk, tables.sentinel)
+    _, uk_distinct = _distinct(rows[:, uk_cols], is_uk, sentinel)
 
     # one bincount over all rows: row i's six categories and "no level" are bins 7 i .. 7 i + 6
     bins = len(LEVEL_CATEGORIES) + 1
-    levels = np.take(tables.level, rows[:, level_cols]) + bins * np.arange(n)[:, None]
+    levels = np.take(level, rows[:, level_cols]) + bins * np.arange(n)[:, None]
     counts = np.bincount(levels.ravel(), minlength=bins * n).reshape(n, bins)[:, :-1]
     n_counted = is_question.sum(axis=1) + is_uk.sum(axis=1)
     n_levels = counts.sum(axis=1)
@@ -269,14 +263,12 @@ def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
 
     # an edgeless walk (L = 0) scores 5 without its terms; they are divided by 1, not by 0
     span = np.maximum(length, 1)[:, None]
-    hops = _gather(np.stack([tables.hops(g, q) for q in questions]), question_of[:, None], ordered)
-    terms = np.where(distinct, np.minimum(hops, span) / span, 0.0)
+    terms = np.where(distinct, np.minimum(_gather(hops, question_of[:, None], ordered), span) / span, 0.0)
     raw = 1.0 - _row_sums(terms) / n_questions
     centrality = np.where(length == 0, MAX_DIMENSION_SCORE,
                           MAX_DIMENSION_SCORE * np.minimum(np.maximum(raw, 0.0), 1.0))
 
-    covers = _gather(np.stack([tables.covers(g, kc) for kc in kcs]), kc_of[:, None], ordered)
-    kc_relevance = MAX_DIMENSION_SCORE * (distinct & covers).sum(axis=1) / n_questions
+    kc_relevance = MAX_DIMENSION_SCORE * (distinct & _gather(covers, kc_of[:, None], ordered)).sum(axis=1) / n_questions
 
     # repeat visits to q0 (only on question columns) and to K* (only on KC columns)
     repeats = ((q_nodes == rows[:, :1]).sum(axis=1) - 1
@@ -287,55 +279,7 @@ def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
     diversity = MAX_DIMENSION_SCORE * entropy / _LOG_CATEGORIES
 
     total = centrality + kc_relevance + informativeness + diversity
-    scores = np.stack([centrality, kc_relevance, informativeness, diversity, total], axis=1)
-    ends = np.cumsum(sizes)
-    return [ScoredGroup(group, scores[end - size:end], "formula") for group, size, end in zip(groups, sizes, ends)]
-
-
-def _score_path(path: Sequence[Node], target_kc: str, hop_of: Mapping[str, int],
-                kc_of: Mapping[str, frozenset[str]]) -> tuple[float, float, float, float, float]:
-    """One path's four dimensions and total, given each path question's hop count from the
-    target question ``path[0]`` and KC set (0 hops and no KC if absent).  Questions are summed
-    in sorted id order and level categories in :data:`LEVEL_CATEGORIES` order, as in
-    :func:`score_groups`, so both give the same bits."""
-    length = len(path) - 1
-    counted = [node for node in path if node[0] in _COUNTED_KINDS]
-    questions = sorted({node_id for kind, node_id in counted if kind == "Q"})
-
-    # centrality: 5 * (1 - mean over distinct questions of min(hops, L) / L), clamped; the
-    # terms are added left to right, which built-in sum() does not do from Python 3.12 on
-    if length == 0:
-        centrality = MAX_DIMENSION_SCORE
-    else:
-        spread = 0.0
-        for q in questions:
-            spread += min(hop_of.get(q, 0), length) / length
-        raw = 1.0 - spread / len(questions)
-        centrality = MAX_DIMENSION_SCORE * min(max(raw, 0.0), 1.0)
-
-    # kc_relevance: share of the distinct questions that cover the target KC
-    covering = sum(1 for q in questions if target_kc in kc_of.get(q, ()))
-    kc_relevance = MAX_DIMENSION_SCORE * covering / len(questions)
-
-    # informativeness: distinct share of U/Q/K occurrences, repeat visits to q0 and K* dropped
-    repeats = path.count(path[0]) - 1 + max(path.count(("K", target_kc)) - 1, 0)
-    informativeness = MAX_DIMENSION_SCORE * len(set(counted)) / (len(counted) - repeats)
-
-    # diversity: normalized entropy of A/D level occurrences over the six categories
-    counts = [0] * len(LEVEL_CATEGORIES)
-    for node in path:
-        if node[0] in _LEVEL_KINDS:
-            counts[_LEVEL_INDEX[node]] += 1
-    total = sum(counts)
-    entropy = 0.0
-    for c in counts:
-        if c:
-            freq = c / total
-            entropy -= freq * math.log(freq)
-    diversity = MAX_DIMENSION_SCORE * entropy / _LOG_CATEGORIES if total else 0.0
-
-    return (centrality, kc_relevance, informativeness, diversity,
-            centrality + kc_relevance + informativeness + diversity)
+    return np.stack([centrality, kc_relevance, informativeness, diversity, total], axis=1)
 
 
 # -- LLM scoring backend -----------------------------------------------------
@@ -421,8 +365,8 @@ def _unreadable(what: str) -> TransportError:
 
 # a path line's parts: its node, and a question's hop count and KC set (None on other kinds)
 PathLine = tuple[Node, int | None, frozenset[str] | None]
-# a numbered path line's number and parts, as the path-line memo stores them
-NumberedLine = tuple[int, Node, int | None, frozenset[str] | None]
+# a numbered path line's number, text after the number and parts, as the path-line memo stores them
+NumberedLine = tuple[int, str, PathLine]
 
 
 def _read_path_line(body: str) -> PathLine:
@@ -457,88 +401,129 @@ def _read_path_line(body: str) -> PathLine:
     return (kind, node_id), hops, kcs
 
 
-def _read_scoring_prompt(text: str, memo: dict[str, NumberedLine] | None = None
-                         ) -> tuple[list[Node], str, dict[str, int], dict[str, frozenset[str]]]:
-    """The path, target KC, and each path question's hop count and KC set written in a scoring
-    prompt, read as :func:`render_scoring_prompt` lays them out, with no other knowledge of the
-    graph.  Raises TransportError naming the first path line it cannot read, or path line 1
-    if it is not the question of the ``target_question`` line.
+def _read_scoring_prompts(prompts: Sequence[str], memo: dict[str, NumberedLine] | None = None
+                          ) -> tuple[list[PathLine], np.ndarray, list[str]]:
+    """A block of scoring prompts read as rendered, with no other knowledge of the graph: the parts
+    of each distinct path-line text (after the ``"  n. "`` number) in sorted (kind, id, hop) order,
+    each path as a row of their positions (``PAD``-padded), and each prompt's target KC.
 
-    Path line ``n`` must start ``"  n. "``; no id holds a line break.  What follows the number
-    is read by :func:`_read_path_line` once per distinct numbered line: ``memo`` holds, by the
-    whole line, the number and parts of each line read before, and takes those of each new one
-    that reads.  A line found there under its own number costs one lookup; a line found under
-    another number, or not found, has its number checked and its text read.  So a stored line
-    is still refused at any other position, and a line that does not read is never stored: it
-    fails in every prompt that holds it."""
-    start = text.find("\npath:\n")
-    end = text.find("\n\n", start + 7) if start >= 0 else -1
-    kc_line = text[text.rfind("\n", 0, start) + 1:start]
-    if not (end >= 0 and kc_line.startswith("target_kc: ")):
-        raise _unreadable("no target_kc line followed by a path block")
+    Raises TransportError naming the first path line it cannot read, path line 1 if it is not the
+    question of the ``target_question`` line, or a node written two ways in one prompt.  ``memo``
+    holds each line read before, by the whole line: found under its own number it costs one
+    lookup; any other line has its number checked and its text read, and is stored if it reads."""
     if memo is None:
         memo = {}
-    nodes: list[Node] = []
-    hop_of: dict[str, int] = {}
-    kc_of: dict[str, frozenset[str]] = {}
-    lines = text[start + 7:end].split("\n")
-    for n, line in enumerate(lines, 1):
-        read = memo.get(line)
-        if read is None or read[0] != n:
-            number = f"  {n}. "
-            if not line.startswith(number):
-                raise _unreadable(f"path line {line!r}")
-            try:
-                read = memo[line] = (n, *_read_path_line(line[len(number):]))
-            except ValueError:
-                raise _unreadable(f"path line {line!r}") from None
-        _, node, hops, kcs = read
-        nodes.append(node)
-        if hops is not None:
-            hop_of[node[1]] = hops
-            kc_of[node[1]] = kcs
-    if nodes[0][0] != "Q" or not text.startswith(f"{SCORING_PROMPT_HEADER}\ntarget_question: {nodes[0][1]}\n"):
-        raise _unreadable(f"path line {lines[0]!r} is not the question of the target_question line")
-    return nodes, kc_line[11:], hop_of, kc_of
+    parts: dict[str, PathLine] = {}
+    paths: list[list[str]] = []
+    target_kcs = []
+    for text in prompts:
+        start = text.find("\npath:\n")
+        end = text.find("\n\n", start + 7) if start >= 0 else -1
+        kc_line = text[text.rfind("\n", 0, start) + 1:start]
+        if not (end >= 0 and kc_line.startswith("target_kc: ")):
+            raise _unreadable("no target_kc line followed by a path block")
+        lines = text[start + 7:end].split("\n")
+        path = []
+        for n, line in enumerate(lines, 1):
+            read = memo.get(line)
+            if read is None or read[0] != n:
+                number = f"  {n}. "
+                if not line.startswith(number):
+                    raise _unreadable(f"path line {line!r}")
+                try:
+                    read = memo[line] = (n, line[len(number):], _read_path_line(line[len(number):]))
+                except ValueError:
+                    raise _unreadable(f"path line {line!r}") from None
+            path.append(read[1])
+            parts[read[1]] = read[2]
+        kind, node_id = parts[path[0]][0]
+        if kind != "Q" or not text.startswith(f"{SCORING_PROMPT_HEADER}\ntarget_question: {node_id}\n"):
+            raise _unreadable(f"path line {lines[0]!r} is not the question of the target_question line")
+        paths.append(path)
+        target_kcs.append(kc_line[11:])
+    texts = sorted(parts, key=lambda body: parts[body][:2])
+    position = {body: i for i, body in enumerate(texts)}
+    lengths = np.array([len(path) for path in paths])
+    rows = np.full((len(paths), lengths.max()), PAD)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = [position[body] for path in paths for body in path]
+    # one node's texts sort side by side, so two of them in one row are neighbours in its sorted row
+    nodes = [parts[body][0] for body in texts]
+    node_of = np.cumsum([True] + [a != b for a, b in zip(nodes, nodes[1:])] + [True])
+    ordered = np.sort(rows, axis=1)
+    same = np.take(node_of, ordered)
+    clash = np.argwhere((ordered[:, 1:] != ordered[:, :-1]) & (same[:, 1:] == same[:, :-1]))
+    if len(clash):
+        kind, node_id = nodes[ordered[clash[0, 0], clash[0, 1]]]
+        raise _unreadable(f"node {kind}:{node_id} is written two ways")
+    return [parts[body] for body in texts], rows, target_kcs
+
+
+def mock_score_replies(prompts: Sequence[str], memo: dict[str, NumberedLine] | None = None) -> list[str]:
+    """Deterministic scoring replies from the prompts alone, matching the formula scorer bit for bit:
+    every path of the block (read with ``memo``) scored in one :func:`_score_rows` pass on tables
+    filled from the prompts' annotations, each distinct score's ``repr`` rendered once."""
+    if not prompts:
+        return []
+    lines, rows, target_kcs = _read_scoring_prompts(prompts, memo)
+    no_level, kcs = len(LEVEL_CATEGORIES), {kc: i for i, kc in enumerate(dict.fromkeys(target_kcs))}
+    kc_entry = {node[1]: i for i, (node, _, _) in enumerate(lines) if node[0] == "K"}
+    scores = _score_rows(
+        rows, np.array([_KIND_BITS[node[0]] for node, _, _ in lines] + [0], dtype=np.uint8),
+        np.array([_LEVEL_INDEX.get(node, no_level) for node, _, _ in lines] + [no_level]),
+        np.array([[hops or 0 for _, hops, _ in lines] + [0]]), np.zeros(len(rows), dtype=np.intp),
+        np.array([[kc in (covered or ()) for _, _, covered in lines] + [False] for kc in kcs]),
+        np.array([kcs[kc] for kc in target_kcs]), np.array([kc_entry.get(kc, len(lines)) for kc in target_kcs]))
+    bits, inverse = np.unique(np.ascontiguousarray(scores[:, :4]).view(np.uint64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return [f"{{{text[c]}, {text[r]}, {text[i]}, {text[dv]}}}" for c, r, i, dv in inverse.reshape(-1, 4).tolist()]
 
 
 def mock_score_reply(prompt: str, memo: dict[str, NumberedLine] | None = None) -> str:
-    """Deterministic scoring reply computed from the prompt alone.
-
-    Applies the formulas to the path, KC sets and hop counts rendered into
-    the prompt, so an offline run of the LLM backend matches the formula
-    scorer bit for bit.  ``memo`` is passed on to :func:`_read_scoring_prompt`.
-    """
-    c, r, i, dv, _ = _score_path(*_read_scoring_prompt(prompt, memo))
-    return f"{{{c!r}, {r!r}, {i!r}, {dv!r}}}"
+    """The mock's reply to one scoring prompt: :func:`mock_score_replies` of a block of one."""
+    return mock_score_replies([prompt], memo)[0]
 
 
-def _clamped(raw: str) -> float:
-    """A reply's score, clamped to [0, 5] with a warning if out of range."""
-    value = float(raw)
-    if not 0.0 <= value <= MAX_DIMENSION_SCORE:
-        logger.warning("llm score %s out of [0, 5]; clamped", raw)
-        value = min(max(value, 0.0), MAX_DIMENSION_SCORE)
-    return value
+# walks whose prompts are rendered, sent and held at once by score_llm
+SCORE_BLOCK = 1024
 
 
-def score_llm(walks: WalkGroup, i: int, client: LlmClient) -> tuple[float, float, float, float, float]:
-    """Walk ``i`` of a group scored via the LLM backend: its (centrality, kc_relevance,
-    informativeness, diversity, total), the total summed left to right, ``c + r + i + dv``.
+def score_llm(groups: Sequence[WalkGroup], client: LlmClient) -> list[ScoredGroup]:
+    """The groups scored via the LLM backend, in blocks of :data:`SCORE_BLOCK` walks whose prompts
+    are sent together (:meth:`~hisekt.llm.LlmClient.complete_many`); a row's total is
+    ``c + r + i + dv``, summed left to right.
 
     The scores are the last ``{...}`` group in the reply holding exactly four comma-separated
-    numbers, the format the rubric asks for; numbers elsewhere in the reply are not read.
-    Values out of [0, 5] are clamped with a warning.  A reply without such a group is retried,
-    and after ``client.max_retries`` of them raises ScoringError."""
-    prompt = render_scoring_prompt(walks, i)
-    last_reply = ""
-    for _ in range(max(client.max_retries, 1)):
-        last_reply = client.complete(prompt)
-        found = _REPLY_RE.findall(last_reply)
-        if found:
-            c, r, info, dv = map(_clamped, found[-1])
-            return c, r, info, dv, c + r + info + dv
-    raise ScoringError("llm scorer returned no parsable scores after retries", raw_response=last_reply)
+    numbers, the format the rubric asks for; a block reads each distinct reply once.  Values out
+    of [0, 5] are clamped, each with a warning.  Only prompts whose reply did not read are sent
+    again, and one still unread after ``client.max_retries`` sends raises ScoringError."""
+    walks = [(group, k) for group in groups for k in range(len(group))]
+    table = np.empty((len(walks), 5))
+    for start in range(0, len(walks), SCORE_BLOCK):
+        prompts = [render_scoring_prompt(group, k) for group, k in walks[start:start + SCORE_BLOCK]]
+        read: dict[str, tuple[float, ...]] = {}  # each distinct reply of the block, read once
+        scores: list[tuple[float, ...]] = [()] * len(prompts)  # () until its reply reads
+        pending = range(len(prompts))
+        for _ in range(max(client.max_retries, 1)):
+            replies = dict(zip(pending, client.complete_many([prompts[j] for j in pending])))
+            for j, reply in replies.items():
+                if reply not in read:
+                    found = _REPLY_RE.findall(reply)
+                    read[reply] = tuple(map(float, found[-1])) if found else ()
+                scores[j] = read[reply]
+            pending = [j for j in pending if not scores[j]]
+            if not pending:
+                break
+        else:
+            raise ScoringError("llm scorer returned no parsable scores after retries", raw_response=replies[pending[0]])
+        table[start:start + len(prompts), :4] = scores
+    dimensions = table[:, :4]
+    out = ~((dimensions >= 0.0) & (dimensions <= MAX_DIMENSION_SCORE))
+    for value in dimensions[out].tolist():
+        logger.warning("llm score %r out of [0, 5]; clamped", value)
+    dimensions[out] = np.clip(dimensions[out], 0.0, MAX_DIMENSION_SCORE)
+    table[:, 4] = table[:, 0] + table[:, 1] + table[:, 2] + table[:, 3]
+    ends = np.cumsum([len(group) for group in groups])
+    return [ScoredGroup(group, table[end - len(group):end], "llm") for group, end in zip(groups, ends)]
 
 
 # -- scored store --------------------------------------------------------------

@@ -3,8 +3,9 @@ a prompt bundle whose text is cut, the shape check of criterion 8's AUC-by-K ser
 path pair pool as string triples with its conversions to and from ``retrieval.pair_keys``, the
 retained pool as id counts with its conversions to and from student-table rows,
 the path formulas on one walk of node indices, peer retrieval one target at a time, a scored
-group built from given dimensions, the LLM scorer as it read replies, and the scored-walk writer
-that dumped each score column with ``json.dumps``."""
+group built from given dimensions, the LLM scorer as it read replies, the scored-walk writer
+that dumped each score column with ``json.dumps``, the mock scorer's block reader decoded for one
+prompt, and the mock's scores of a path written into a prompt with no graph behind it."""
 
 import json
 import math
@@ -16,8 +17,9 @@ from hisekt.config import ABLATIONS
 from hisekt.errors import TransportError
 from hisekt.evaluation import target_key
 from hisekt.llm import LlmClient
-from hisekt.mrhin import write_walks
-from hisekt.pathscore import LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, ScoredGroup, render_scoring_prompt
+from hisekt.mrhin import PAD, write_walks
+from hisekt.pathscore import (LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, SCORING_PROMPT_HEADER, ScoredGroup,
+                              _read_scoring_prompts, mock_score_reply, render_scoring_prompt, score_llm)
 from hisekt.predict import MASK_SIMU, PromptBundle
 from hisekt.retrieval import DEFAULT_SCALING, CandidateSet, distances, encode_many, pair_keys, student_tables
 from hisekt.seeding import derive_rng, derive_seed
@@ -112,7 +114,7 @@ _LEVEL_INDEX = {tuple(category.split("_")): i for i, category in enumerate(LEVEL
 
 def reference_score_walk(walk, nodes, kinds, hops, covers, kstar):
     """The four dimensions and the total of one walk, the reference both of the package's forms
-    of the formulas (``pathscore.score_all`` and ``pathscore._score_path``) are held to.
+    of the formulas (``pathscore.score_all`` and the mock's block scorer) are held to.
 
     ``walk`` holds node indices, ``walk[0]`` being the target question.  Node ``x`` is
     ``nodes[x]`` of kind ``kinds[x]``, ``hops[x]`` hops from the target question; ``covers[x]``
@@ -244,3 +246,42 @@ def reference_write_scored(grouped, path):
 
     return write_walks({qid: {name: group.walks for name, group in per_template.items()}
                         for qid, per_template in grouped.items()}, path, columns)
+
+
+def read_scoring_prompt(text, memo=None):
+    """The path, target KC, and each path question's hop count and KC set of one scoring prompt,
+    decoded from the row ``pathscore._read_scoring_prompts`` reads for a block of one."""
+    lines, rows, [target_kc] = _read_scoring_prompts([text], memo)
+    read = [lines[x] for x in rows[0].tolist() if x != PAD]
+    return ([node for node, _, _ in read], target_kc,
+            {node[1]: hops for node, hops, _ in read if hops is not None},
+            {node[1]: kcs for node, _, kcs in read if kcs is not None})
+
+
+def path_prompt(path, target_kc, hop_of, kc_of):
+    """A scoring prompt laid out as rendered for a path of ``(kind, id)`` nodes with no graph behind
+    it: each question line shows its hop count and KC set from ``hop_of`` and ``kc_of`` (0 hops and
+    no KC if absent), and every question and student a Medium level."""
+    def line(kind, node_id):
+        if kind == "Q":
+            kcs = ";".join(sorted(kc_of.get(node_id, ())))
+            return f"Q:{node_id} | kcs: {kcs} | difficulty_level: Medium | hops_from_target: {hop_of.get(node_id, 0)}"
+        if kind == "U":
+            return f"U:{node_id} | ability_level: Medium"
+        return f"{kind}:{node_id}"
+
+    lines = "\n".join(f"  {n}. {line(*node)}" for n, node in enumerate(path, 1))
+    return f"{SCORING_PROMPT_HEADER}\ntarget_question: {path[0][1]}\ntarget_kc: {target_kc}\npath:\n{lines}\n\nrubric"
+
+
+def mock_path_score(path, target_kc, hop_of, kc_of):
+    """The mock scorer's four dimensions and their total, summed left to right, for a path written
+    into a prompt by :func:`path_prompt`."""
+    c, r, i, dv = map(float, mock_score_reply(path_prompt(path, target_kc, hop_of, kc_of))[1:-1].split(", "))
+    return c, r, i, dv, c + r + i + dv
+
+
+def score_one(walks, i, client):
+    """Walk ``i`` of a group scored alone through ``pathscore.score_llm``: its row of five floats."""
+    [scored] = score_llm([walks.take(np.array([i]))], client)
+    return tuple(scored.scores[0].tolist())

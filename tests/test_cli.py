@@ -81,6 +81,34 @@ def config_file(tmp_path, data_file):
     return write_config(tmp_path, data_file)
 
 
+@pytest.fixture(scope="module")
+def staged_cache(tmp_path_factory):
+    """The flags of a CLI run on a small planted dataset, and its cache root after the stages up
+    to ``retrieve``."""
+    tmp = tmp_path_factory.mktemp("staged")
+    data = tmp / "interactions.csv"
+    data.write_text(planted_csv(n_bands=3, students_per_band=12, questions_per_band=10, seed=3)[0], encoding="utf-8")
+    flags = ["--data", str(data), "--cache-dir", str(tmp / "cache")]
+    for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths", "retrieve"):
+        assert main([stage, *flags]) == 0
+    [root] = (tmp / "cache").iterdir()
+    return flags, root
+
+
+@pytest.fixture
+def staged(staged_cache, capsys):
+    """``staged_cache``, its artifacts put back as they were after the test."""
+    flags, root = staged_cache
+    saved = {path: path.read_bytes() for path in root.iterdir()}
+    capsys.readouterr()
+    yield flags, root
+    for path in root.iterdir():
+        if path not in saved:
+            path.unlink()
+    for path, data in saved.items():
+        path.write_bytes(data)
+
+
 class TestConfig:
     def test_defaults_file_flags_precedence(self, config_file):
         file_values = load_config_file(config_file)
@@ -304,16 +332,16 @@ class TestCliStages:
         calls = []
         score_llm = pathscore.score_llm
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return score_llm(*args, **kwargs)
+        def counting(groups, client):
+            calls.append(sum(map(len, groups)))
+            return score_llm(groups, client)
 
         monkeypatch.setattr(pathscore, "score_llm", counting)
         argv = ["pipeline", "--config", str(config_file), "--score-backend", "llm"]
         assert main([*argv, "--out", str(tmp_path / "cold.json")]) == 0
         cfg = resolve_config(load_config_file(config_file), {"score_backend": "llm"})
         walks = (cli._cache_dir(cfg) / "paths.jsonl").read_text().splitlines()
-        assert len(calls) == len(walks) > 0  # each walk is scored once, by score-paths
+        assert calls == [len(walks)] and walks  # each walk is scored once, by score-paths
         calls.clear()
         assert main([*argv, "--out", str(tmp_path / "warm.json")]) == 0
         assert calls == []
@@ -546,6 +574,34 @@ class TestCliStages:
         assert main(["predict", "--config", str(config_file)]) == 1
         assert f"error in stage predict: {retrieval}: no entry for test target {dropped}" in capsys.readouterr().err
         assert not retrieval.with_name("predictions.jsonl").exists()
+
+    def test_a_graph_with_a_student_not_in_the_dataset_is_a_stage_failure(self, staged, capsys):
+        flags, root = staged
+        (root / "retrieval.json").unlink()
+        graph = root / "graph.json"
+        payload = json.loads(graph.read_text(encoding="utf-8"))
+        payload["U:SX"] = {"A": ["A:Low"]}  # an isolated student with its ability level
+        payload["A:Low"]["U"] = sorted(payload["A:Low"]["U"] + ["U:SX"])
+        graph.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        assert main(["retrieve", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage retrieve: {graph}: SX is not a student of the dataset\n"
+        assert not (root / "retrieval.json").exists()
+
+    @pytest.mark.parametrize("entry", [["SX"], ["S001", "SX"], "S001", None, [7]])
+    def test_retrieval_with_a_peer_not_in_the_dataset_is_a_stage_failure(self, staged, capsys, entry):
+        flags, root = staged
+        retrieval = root / "retrieval.json"
+        payload = json.loads(retrieval.read_text(encoding="utf-8"))
+        target = sorted(payload["peers"])[5]
+        assert "S001" in {token.split("|")[0] for token in payload["peers"]}  # a student of the dataset
+        payload["peers"][target] = entry
+        retrieval.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["predict", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error in stage predict: {retrieval}: the peers of test target {target} "
+                       "are not students of the dataset\n")
+        assert not (root / "predictions.jsonl").exists()
 
     def test_predictions_without_a_target_are_a_stage_failure(self, config_file, capsys):
         assert main(["pipeline", "--config", str(config_file)]) == 0

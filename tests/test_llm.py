@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hisekt
-from hisekt import llm
+from hisekt import llm, pathscore
 from hisekt.config import RunConfig
 from hisekt.errors import TransportError
 from hisekt.evaluation import PipelineContext, predict_targets, run_experiment, run_seed_of
@@ -250,16 +250,18 @@ class TestStageDispatch:
             cfg = llm_cfg(planted_file, llm_backend="http", llm_max_in_flight=max_in_flight)
             assert stage_outputs(cfg, mock) == expected
 
-    def test_each_http_stage_builds_one_pool(self, planted_file, fake_http, pools):
+    def test_each_http_block_and_prediction_stage_builds_one_pool(self, planted_file, fake_http, pools):
         endpoint = fake_http()
         ctx = PipelineContext(llm_cfg(planted_file, llm_backend="http", llm_max_in_flight=3))
         run_seed = run_seed_of(ctx.cfg, 0)
         scored = ctx.scored(run_seed)
-        assert pools == [3]
+        walks = sum(len(g) for per_template in scored.values() for g in per_template.values())
+        blocks = -(-walks // pathscore.SCORE_BLOCK)
+        assert pools == [3] * blocks and blocks > 1  # one pool per block of scoring prompts
         assert sum(map(len, scored.values())) > 20  # groups, each once a pool of its own
-        assert len(endpoint.prompts) == sum(len(g) for per_template in scored.values() for g in per_template.values())
+        assert len(endpoint.prompts) == walks
         predict_targets(ctx, None, run_seed)
-        assert pools == [3, 3]
+        assert pools == [3] * (blocks + 1)
 
     def test_mock_backend_starts_no_thread(self, planted_file, no_threads):
         report = run_experiment(llm_cfg(planted_file, llm_max_in_flight=8, variants=("msr",)))

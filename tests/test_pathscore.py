@@ -24,8 +24,6 @@ from hisekt.pathscore import (
     LEVEL_CATEGORIES,
     SCORE_FIELDS,
     ScoredGroup,
-    _read_scoring_prompt,
-    _score_path,
     mock_score_reply,
     read_scored,
     render_scoring_prompt,
@@ -41,7 +39,8 @@ from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
 from hisekt.synth import planted_csv
 from prompt_reference import reference_parse_scoring_prompt
-from support import reference_score_llm, reference_score_walk, reference_write_scored, scored_group, scripted_client
+from support import (mock_path_score, read_scoring_prompt, reference_score_llm, reference_score_walk,
+                     reference_write_scored, score_one, scored_group, scripted_client)
 
 
 @pytest.fixture(scope="module")
@@ -78,19 +77,19 @@ def centrality(p, g):
 def kc_relevance(p, kc_of):
     """Fraction of distinct path questions that cover the target KC."""
     _, nodes, target_kc = p
-    return _score_path(nodes, target_kc, {}, kc_of)[1]
+    return mock_path_score(nodes, target_kc, {}, kc_of)[1]
 
 
 def informativeness(p):
     """Distinct fraction of U/Q/K occurrences, with repeats of q0 and the target KC ignored."""
     _, nodes, target_kc = p
-    return _score_path(nodes, target_kc, {}, {})[2]
+    return mock_path_score(nodes, target_kc, {}, {})[2]
 
 
 def diversity(p):
     """Normalized entropy of A/D level occurrences over the six level categories."""
     _, nodes, target_kc = p
-    return _score_path(nodes, target_kc, {}, {})[3]
+    return mock_path_score(nodes, target_kc, {}, {})[3]
 
 
 class TestCentrality:
@@ -263,12 +262,12 @@ class TestScore:
     def test_perfect_dimensions_sum_to_twenty(self):
         # one question, the target, and each level category once
         nodes = [("Q", "Q0"), *LEVEL_NODES]
-        assert _score_path(nodes, "K1", {"Q0": 0}, {"Q0": frozenset({"K1"})}) == \
+        assert mock_path_score(nodes, "K1", {"Q0": 0}, {"Q0": frozenset({"K1"})}) == \
             pytest.approx((5.0, 5.0, 5.0, 5.0, 20.0), abs=1e-12)
 
     def test_example_sum(self, g):
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
-        row = score_llm(walks, 0, scripted_client(["{3.75, 2.857142857142857, 5.0, 3.065735963827292}"]))
+        row = score_one(walks, 0, scripted_client(["{3.75, 2.857142857142857, 5.0, 3.065735963827292}"]))
         assert row[4] == pytest.approx(14.672878821, abs=1e-6)
 
     def test_scorer_is_pure(self, g):
@@ -285,19 +284,19 @@ class TestLlmScoring:
         for name in ("Q-K-Q", "Q-U-A-U-Q", "Q-K-Q-U-Q-D-Q", "Q-K-Q-U-Q-D-Q-U-A-U-Q"):
             walks = sample_instances(g, TEMPLATES[name], "Q5", n=10, walk_len=20, seed=2)
             for k, row in enumerate(score_all(walks, g).scores.tolist()):
-                assert score_llm(walks, k, client) == tuple(row)
+                assert score_one(walks, k, client) == tuple(row)
 
     def test_braced_reply_parses(self, g):
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["{5, 5, 5, 5}"])
-        s = score_llm(walks, 0, client)
+        s = score_one(walks, 0, client)
         assert s == (5.0, 5.0, 5.0, 5.0, 20.0)
 
     def test_out_of_range_clamped_with_warning(self, g, caplog):
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["{7, 2, 2, 2}"])
         with caplog.at_level("WARNING"):
-            s = score_llm(walks, 0, client)
+            s = score_one(walks, 0, client)
         assert s[0] == 5.0
         assert "clamped" in caplog.text
 
@@ -305,23 +304,23 @@ class TestLlmScoring:
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["no numbers here"] * 3, max_retries=3)
         with pytest.raises(ScoringError) as err:
-            score_llm(walks, 0, client)
+            score_one(walks, 0, client)
         assert err.value.raw_response == "no numbers here"
 
     def test_numbers_outside_the_braces_are_not_read(self, g):
         # the old reader took the first four numbers anywhere: (4.0, 4.5, 3.0, 2.0) here
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         client = scripted_client(["Here are the 4 scores: {4.5, 3.0, 2.0, 1.0}"])
-        assert score_llm(walks, 0, client) == (4.5, 3.0, 2.0, 1.0, 10.5)
+        assert score_one(walks, 0, client) == (4.5, 3.0, 2.0, 1.0, 10.5)
 
     def test_an_unbraced_numbered_reply_is_retried(self, g):
         # the old reader took (1.0, 4.5, 2.0, 3.0) from the list's numbers and scores
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
         numbered = "1. centrality: 4.5\n2. kc_relevance: 3\n3. informativeness: 2\n4. diversity: 1"
         client = scripted_client([numbered, "{4.5, 3, 2, 1}"], max_retries=2)
-        assert score_llm(walks, 0, client) == (4.5, 3.0, 2.0, 1.0, 10.5)
+        assert score_one(walks, 0, client) == (4.5, 3.0, 2.0, 1.0, 10.5)
         with pytest.raises(ScoringError) as err:
-            score_llm(walks, 0, scripted_client([numbered] * 3, max_retries=3))
+            score_one(walks, 0, scripted_client([numbered] * 3, max_retries=3))
         assert err.value.raw_response == numbered
 
     @pytest.mark.parametrize("reply", [
@@ -332,7 +331,7 @@ class TestLlmScoring:
     ])
     def test_the_last_group_of_four_numbers_is_read(self, reply, g):
         walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
-        assert score_llm(walks, 0, scripted_client([reply])) == (4.5, 3.0, 2.0, 1.0, 10.5)
+        assert score_one(walks, 0, scripted_client([reply])) == (4.5, 3.0, 2.0, 1.0, 10.5)
 
     def test_rows_equal_path_scores_of_the_old_reader_bit_for_bit(self, tmp_path):
         # each group's table from the llm stage against the four scores of each walk, read from the
@@ -629,9 +628,7 @@ class TestScoredStore:
                      for name in ("Q-U-Q", "Q-K-Q-U-A-U-Q", "Q-U-Q-K-Q-D-Q")}
                  for q in sorted(node_id for kind, node_id in g.node_ids if kind == "Q")}
         by_formula = {q: {name: score_all(group, g) for name, group in per.items()} for q, per in walks.items()}
-        by_llm = {q: {name: ScoredGroup(group, np.array([score_llm(group, k, client) for k in range(len(group))])
-                                        .reshape(len(group), 5), "llm")
-                      for name, group in per.items()} for q, per in walks.items()}
+        by_llm = {q: dict(zip(per, score_llm(list(per.values()), client))) for q, per in walks.items()}
         assert_walk_files_equal_the_reference(
             [(walks, write_walks, read_walks), (by_formula, write_scored, read_scored), (by_llm, write_scored, read_scored)],
             g, tmp_path)
@@ -811,6 +808,7 @@ class TestGroupScorer:
         for nodes, got in zip(walks, scored.scores.tolist()):
             assert tuple(got) == reference_score(nodes, "K1", g), nodes
             assert score_all(group_of(g, "Q-U-Q", [nodes], "K1"), g).scores.tolist() == [got]
+        assert score_llm([group], LlmClient(backend="mock"))[0].scores.tobytes() == scored.scores.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(sorted(TEMPLATES)), q0=st.sampled_from(["Q1", "Q3", "Q5", "Q6", "Q7"]),
@@ -883,7 +881,7 @@ class TestGroupScorer:
 
 def reference_path_score(path, target_kc, hop_of, kc_of):
     """``reference_score_walk`` on a path of nodes, each node indexed in sorted (kind, id) order,
-    with ``_score_path``'s reading of ``hop_of`` and ``kc_of`` (0 hops and no KC if absent)."""
+    with ``path_prompt``'s reading of ``hop_of`` and ``kc_of`` (0 hops and no KC if absent)."""
     nodes = sorted(set(path))
     index = {node: i for i, node in enumerate(nodes)}
     hops = [hop_of.get(node_id, 0) for _, node_id in nodes]
@@ -924,11 +922,11 @@ class TestPathFormula:
     @example(drawn=([("Q", "b"), ("U", "u"), ("Q", "Z"), ("D", "Low"), ("Q", "a"), ("A", "High")], "K",
                     {"b": 0, "Z": mrhin.UNREACHABLE, "a": 2}, {"Z": frozenset({"K"})}))  # unreachable
     def test_equals_the_walk_reference_bit_for_bit(self, drawn):
-        assert [x.hex() for x in _score_path(*drawn)] == [x.hex() for x in reference_path_score(*drawn)]
+        assert [x.hex() for x in mock_path_score(*drawn)] == [x.hex() for x in reference_path_score(*drawn)]
 
     def test_mock_replies_do_not_depend_on_the_string_hash_seed(self, tmp_path):
-        # _score_path walks sets of question ids, which iterate in string-hash order; that
-        # order changes with PYTHONHASHSEED, and the centrality sum must not follow it
+        # sets of ids iterate in string-hash order, which changes with PYTHONHASHSEED; the
+        # centrality sum over a path's questions must not follow it
         path = tmp_path / "planted.csv"
         path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
         script = "\n".join([
@@ -1025,7 +1023,7 @@ class TestScoringPrompt:
             for group in per_template.values():
                 for nodes, prompt in prompts_of(group):
                     assert prompt == reference_scoring_prompt(nodes, group.target_kc, ctx.graph), nodes
-                    assert _read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt), nodes
+                    assert read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt), nodes
                     checked += 1
         assert checked == 13_160
 
@@ -1099,12 +1097,12 @@ class TestScoringPromptReader:
             for k, ((nodes, prompt), expected) in enumerate(zip(prompts_of(walks), formula.scores.tolist())):
                 cap = max(len(nodes) - 1, 1)
                 questions = {node_id for kind, node_id in nodes if kind == "Q"}
-                assert _read_scoring_prompt(prompt) == (
+                assert read_scoring_prompt(prompt) == (
                     list(nodes), walks.target_kc, {q: min(hops[g.index(("Q", q))], cap) for q in questions},
                     {q: g.question_kcs(q) for q in questions})
                 if not any("|" in node_id for node_id in new_ids):  # the old reader split at every " | "
-                    assert _read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt)
-                assert score_llm(walks, k, client) == tuple(expected)
+                    assert read_scoring_prompt(prompt) == reference_parse_scoring_prompt(prompt)
+                assert score_one(walks, k, client) == tuple(expected)
 
     def test_planted_ids_with_separators_score_as_the_formula(self, tmp_path):
         # a question and two students of the acceptance fixture renamed to hold " | ": the old
@@ -1147,10 +1145,10 @@ class TestScoringPromptReader:
         assert line.startswith("  3. Q:")
         changed = prompt.replace(line, prefix + line[len("  3. "):])
         if prefix == "  3. ":
-            assert _read_scoring_prompt(changed) == reference_parse_scoring_prompt(changed)
+            assert read_scoring_prompt(changed) == reference_parse_scoring_prompt(changed)
         else:
             with pytest.raises(TransportError, match="path line"):
-                _read_scoring_prompt(changed)
+                read_scoring_prompt(changed)
 
     @pytest.mark.parametrize("cut", ["path block", "hops_from_target", "ability_level", "kind"])
     def test_a_prompt_not_laid_out_as_rendered_fails_naming_the_line(self, cut, g):
@@ -1171,7 +1169,7 @@ class TestScoringPromptReader:
             named = next(line for line in lines if " K:" in line)
             changed = prompt.replace(named, named.replace(" K:", " X:"))
             named = named.replace(" K:", " X:")
-        for read in (_read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+        for read in (read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value).startswith("mock transport cannot read this scoring prompt: ")
@@ -1193,7 +1191,7 @@ class TestScoringPromptReader:
         assert lines[6].startswith("  3. Q:")
         lines[6] = "  3. " + body
         changed = "\n".join(lines)
-        for read in (_read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+        for read in (read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value) == f"mock transport cannot read this scoring prompt: path line {lines[6]!r}"
@@ -1210,7 +1208,7 @@ class TestScoringPromptReader:
         assert lines[1] == "target_question: Q1"
         rubric = lines.index("", 4)
         changed = "\n".join([*lines[:4], *(f"  {n}. {body}" for n, body in enumerate(bodies, 1)), *lines[rubric:]])
-        for read in (_read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+        for read in (read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value) == ("mock transport cannot read this scoring prompt: "
@@ -1221,7 +1219,7 @@ class TestScoringPromptReader:
     def test_a_prompt_without_the_path_start_in_its_target_question_line_fails(self, question_line, g):
         prompt, lines = first_walk_prompt(g)
         changed = prompt.replace("target_question: Q1\n", question_line)
-        for read in (_read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+        for read in (read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value).endswith(f"path line {lines[4]!r} is not the question of the target_question line")
@@ -1249,7 +1247,7 @@ class TestPathLineMemo:
         # renumbered "  5. " at position 3 (a miss): each is refused as a fresh read refuses it
         for position, changed in ((5, lines[:8] + [stored] + lines[9:]),
                                   (3, lines[:6] + ["  5. " + stored[5:]] + lines[7:])):
-            for read in (mock, lambda text: _read_scoring_prompt(text, mock._path_lines), _read_scoring_prompt):
+            for read in (mock, lambda text: read_scoring_prompt(text, mock._path_lines), read_scoring_prompt):
                 with pytest.raises(TransportError) as err:
                     read("\n".join(changed))
                 assert str(err.value).endswith(f"path line {changed[position + 3]!r}")
@@ -1263,7 +1261,7 @@ class TestPathLineMemo:
         memo = {}
         mock = MockTransport()
         for _ in range(3):
-            for read in (mock, lambda text: _read_scoring_prompt(text, memo)):
+            for read in (mock, lambda text: read_scoring_prompt(text, memo)):
                 with pytest.raises(TransportError, match="A:Bogus"):
                     read(changed)
         # the two lines before it read and are stored, by the whole numbered line; the bad one is not
@@ -1298,6 +1296,130 @@ class TestPathLineMemo:
         g = renamed_fixture_graph(new_ids)
         target = sorted(node_id for kind, node_id in g.node_ids if kind == "Q")[q0]
         for _, prompt in prompts_of(sample_instances(g, TEMPLATES[name], target, n=6, walk_len=9, seed=seed)):
-            assert (_read_scoring_prompt(prompt, warm_transport._path_lines) == _read_scoring_prompt(prompt)
+            assert (read_scoring_prompt(prompt, warm_transport._path_lines) == read_scoring_prompt(prompt)
                     == reference_parse_scoring_prompt(prompt))
             assert warm_transport(prompt) == mock_score_reply(prompt)
+
+
+@pytest.fixture(scope="module")
+def stage_prompts(tmp_path_factory):
+    """The scoring stage's walk groups and prompts on a small planted dataset, more walks than one
+    block, with each prompt's mock reply alone."""
+    path = tmp_path_factory.mktemp("data") / "planted.csv"
+    path.write_text(planted_csv(n_bands=3, students_per_band=12, questions_per_band=10, seed=3)[0], encoding="utf-8")
+    cfg = RunConfig(data=str(path), seed=5, n_walks=4, walk_len=8)
+    groups = [group for per_template in PipelineContext(cfg).instances(run_seed_of(cfg, 0)).values()
+              for group in per_template.values()]
+    prompts = [render_scoring_prompt(group, k) for group in groups for k in range(len(group))]
+    assert len(prompts) > pathscore.SCORE_BLOCK
+    return groups, prompts, [MockTransport()(prompt) for prompt in prompts]
+
+
+class RecordingMock(MockTransport):
+    """The mock transport, recording the size of each block it is asked to answer."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
+
+    def many(self, prompts):
+        self.blocks.append(len(prompts))
+        return super().many(prompts)
+
+
+def conflicting(g, how):
+    """The prompt of a walk on ``g`` that visits Q1 twice, its second Q1 line changed ``how``, and
+    the node named in the refusal."""
+    [(_, prompt)] = prompts_of(edge_case_group(g, "Q:Q1 U:S1 Q:Q2 U:S1 Q:Q1"))
+    lines = prompt.split("\n")
+    original = lines[8]
+    assert original.startswith("  5. Q:Q1 | kcs: ")
+    if how == "hops":
+        lines[8] = re.sub(r"hops_from_target: \d+$", "hops_from_target: 3", lines[8])
+    elif how == "kcs":
+        lines[8] = lines[8].replace(" | kcs: ", " | kcs: K9;")
+    else:
+        lines[8] = re.sub(r"difficulty_level: \w+", "difficulty_level: High", lines[8])
+    assert lines[8] != original
+    return "\n".join(lines), "Q:Q1"
+
+
+class TestMockBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_block_reply_equals_the_reply_alone(self, stage_prompts, data):
+        _, prompts, alone = stage_prompts
+        picked = data.draw(st.lists(st.integers(0, len(prompts) - 1), min_size=1, max_size=60))
+        assert MockTransport().many([prompts[i] for i in picked]) == [alone[i] for i in picked]
+
+    def test_the_stage_in_blocks_equals_the_replies_alone_and_the_formula(self, stage_prompts):
+        groups, prompts, alone = stage_prompts
+        mock = MockTransport()
+        assert [reply for start in range(0, len(prompts), 1000) for reply in mock.many(prompts[start:start + 1000])] \
+            == alone
+        by_formula = pathscore.score_groups(groups, groups[0].graph)
+        by_llm = score_llm(groups, LlmClient(backend="mock"))
+        assert np.concatenate([s.scores for s in by_llm]).tobytes() == \
+            np.concatenate([s.scores for s in by_formula]).tobytes()
+
+    @pytest.mark.parametrize("position", [0, 3, 9])
+    def test_a_bad_prompt_fails_its_block_as_it_fails_alone(self, stage_prompts, position):
+        _, prompts, _ = stage_prompts
+        lines = prompts[0].split("\n")
+        lines[6] = lines[6][:5] + "A:Bogus"
+        bad = "\n".join(lines)
+        with pytest.raises(TransportError) as alone:
+            MockTransport()(bad)
+        assert str(alone.value) == f"mock transport cannot read this scoring prompt: path line {lines[6]!r}"
+        block = prompts[1:10]
+        block.insert(position, bad)
+        with pytest.raises(TransportError) as err:
+            MockTransport().many(block)
+        assert str(err.value) == str(alone.value)
+
+    @pytest.mark.parametrize("how", ["hops", "kcs", "level"])
+    def test_a_node_written_two_ways_is_refused(self, stage_prompts, how):
+        prompt, node = conflicting(edge_case_graph(), how)
+        _, prompts, _ = stage_prompts
+        for read in (MockTransport(), read_scoring_prompt, lambda text: MockTransport().many([*prompts[:5], text])):
+            with pytest.raises(TransportError) as err:
+                read(prompt)
+            assert str(err.value) == f"mock transport cannot read this scoring prompt: node {node} is written two ways"
+
+    @pytest.mark.parametrize("block", [None, 100])
+    def test_a_transport_with_many_never_sees_more_than_a_block(self, stage_prompts, monkeypatch, block):
+        groups, prompts, _ = stage_prompts
+        if block:
+            monkeypatch.setattr(pathscore, "SCORE_BLOCK", block)
+        mock = RecordingMock()
+        by_llm = score_llm(groups, LlmClient(backend="mock", transport=mock))
+        size = pathscore.SCORE_BLOCK
+        assert mock.blocks == [size] * (len(prompts) // size) + [len(prompts) % size] * bool(len(prompts) % size)
+        assert np.concatenate([s.scores for s in by_llm]).tobytes() == \
+            np.concatenate([s.scores for s in pathscore.score_groups(groups, groups[0].graph)]).tobytes()
+
+    @pytest.mark.parametrize("with_many", [False, True])
+    def test_an_unreadable_reply_is_sent_again_for_its_walk_only(self, stage_prompts, with_many):
+        groups, prompts, alone = stage_prompts
+        index = pathscore.SCORE_BLOCK + 3  # a walk of the second block
+        garbled = prompts[index]
+        reply = dict(zip(prompts, alone))
+        asked = []
+
+        def answer(prompt):
+            asked.append(prompt)
+            return "no scores here" if prompt == garbled and asked.count(prompt) == 1 else reply[prompt]
+
+        class Scripted:
+            def __call__(self, prompt):
+                return answer(prompt)
+
+        class ScriptedMany(Scripted):
+            def many(self, block):
+                return list(map(answer, block))
+
+        by_llm = score_llm(groups, LlmClient(backend="mock", transport=(ScriptedMany if with_many else Scripted)()))
+        end = min(len(prompts), 2 * pathscore.SCORE_BLOCK)  # sent again before the next block
+        assert asked == prompts[:end] + [garbled] + prompts[end:]
+        assert np.concatenate([s.scores for s in by_llm]).tobytes() == \
+            np.concatenate([s.scores for s in pathscore.score_groups(groups, groups[0].graph)]).tobytes()
