@@ -6,8 +6,8 @@ from .errors import HisektError
 from .evaluation import EvalReport, PipelineContext, accuracy, auc, run_experiment
 from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
-from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, WalkGroup, graph_distance, sample_instances, sample_walks
-from .pathscore import ScoredGroup, score_all, score_groups, select_top_k
+from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, WalkGroup, sample_instances, sample_walks
+from .pathscore import ScoredGroup, graph_distance, score_all, score_groups, select_top_k
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
 # package attribute `predict` keeps naming the module.

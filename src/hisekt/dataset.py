@@ -44,7 +44,7 @@ class Interaction:
 
 
 class Dataset:
-    """Immutable, (student, timestamp)-sorted interaction list with optional split labels."""
+    """Immutable, (student, timestamp, question)-sorted interaction list with optional split labels."""
 
     def __init__(
         self,
@@ -225,7 +225,7 @@ def _read(source: str | Path | IO[str]) -> tuple[Dataset, dict[tuple[str, str, i
     kept = _filter_fixed_point(parsed)
     if not kept:
         raise EmptyDatasetError("no interactions survive the minimum-count filters")
-    kept.sort(key=lambda i: (i.student_id, i.timestamp))
+    kept.sort(key=lambda i: (i.student_id, i.timestamp, i.question_id))  # a total order: no file order reaches split
     logger.info(
         "ingest: %d interactions kept (%d students, %d questions)",
         len(kept),

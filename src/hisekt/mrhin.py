@@ -23,20 +23,21 @@ node's key plus its position times γ.  Tie keys exist only per group, as one
 array expression over its rows (:attr:`WalkGroup.tie_keys`).
 
 The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
-order is node order, and keeps a per-kind int adjacency, also as CSR arrays
-for sampling.  The walks of one (target question, template) pair are a
-:class:`WalkGroup`: one int array with a row per walk, padded with ``PAD``
-after a truncated walk's last node.  Walk files (``paths.jsonl``, and
+order is node order, and holds its edges once, as one CSR over all edge
+kinds (:class:`Mrhin`).  The walks of one (target question, template) pair
+are a :class:`WalkGroup`: one int array with a row per walk, padded with
+``PAD`` after a truncated walk's last node.  Walk files (``paths.jsonl``, and
 ``scored.jsonl`` through :mod:`hisekt.pathscore`) are written from groups and
 read back into groups, one JSON line per walk.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -135,85 +136,66 @@ def node_key(node: Node) -> int:
 
 
 class Mrhin:
-    """Immutable typed graph with kind-filtered adjacency.
+    """Immutable typed graph held as one CSR over node ints.
 
     Node int ``i`` is node ``node_ids[i]``, of kind ``kinds[i]``, with the
     tie-key term ``node_keys[i]`` (:func:`node_key`; ``node_keys[PAD]`` is a
-    0 sentinel); ``int_adj[kind][i]`` are its neighbors of that kind as ints.
-    ``csr[kind]`` holds the same neighbors as three arrays (degree and offset
-    by node int, and all neighbors in node order).
-
-    Two per-node results are memoized on the graph, since scoring asks for
-    them once per target question: the hop array of :meth:`hops_from` (one
-    breadth-first search per source node) and the KC set of
-    :meth:`question_kcs`.  Each is built in full before it is stored, so
-    threads that read the same graph never see a partial entry; two threads
-    may both compute an entry, and they store equal values.
+    0 sentinel).  Its neighbors are ``flat[offsets[i]:offsets[i + 1]]`` in int
+    order, so its neighbors of one kind form one run of ``flat``:
+    ``csr[kind]`` is ``(degree, offsets)`` of those runs, by node int, into
+    the same ``flat``.  The graph memoizes nothing; :mod:`hisekt.pathscore`
+    holds the one memo of hop tables per graph.
     """
 
-    def __init__(self, adjacency: Mapping[Node, Mapping[str, tuple[Node, ...]]]):
-        self._adj = {n: dict(kinds) for n, kinds in adjacency.items()}
-        self.node_ids: tuple[Node, ...] = tuple(sorted(self._adj))
+    def __init__(self, node_ids: Sequence[Node], edges: np.ndarray):
+        """``node_ids`` of the node kinds in sorted ``(kind, id)`` order, without repeats; ``edges`` an
+        ``m x 2`` array of node-int pairs of the edge kinds, each an undirected edge in either
+        orientation, a repeated edge being one edge."""
+        self.node_ids: tuple[Node, ...] = tuple(node_ids)
+        n = len(self.node_ids)
+        if any(a >= b for a, b in zip(self.node_ids, self.node_ids[1:])):
+            raise ValueError("graph nodes must be in sorted (kind, id) order, without repeats")
         self._index = {node: i for i, node in enumerate(self.node_ids)}
         self.kinds = tuple(kind for kind, _ in self.node_ids)
         self.node_keys = np.array([node_key(node) for node in self.node_ids] + [0], dtype=np.uint64)
-        # per kind, the int neighbors of that kind of every node, sorted like
-        # the node tuples, so a draw by position picks the same neighbor
-        self.int_adj: dict[str, tuple[tuple[int, ...], ...]] = {
-            kind: tuple(tuple(self._index[n] for n in self._adj[node].get(kind, ())) for node in self.node_ids)
-            for kind in NODE_KINDS
-        }
-        self.csr: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for kind, nbrs_of in self.int_adj.items():
-            degree = np.array([len(nbrs) for nbrs in nbrs_of], dtype=np.int64)
-            offsets = np.cumsum(degree) - degree
-            flat = np.array([x for nbrs in nbrs_of for x in nbrs], dtype=np.int32)
-            self.csr[kind] = (degree, offsets, flat)
-        self._hops: dict[int, tuple[int, ...]] = {}
-        self._kcs: dict[str, frozenset[str]] = {}
+        self._spans = {kind: (bisect.bisect_left(self.kinds, kind), bisect.bisect_right(self.kinds, kind))
+                       for kind in NODE_KINDS}
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and not (edges.min() >= 0 and edges.max() < n):
+            raise ValueError("an edge end is not a node int")
+        # each edge in both orientations, once, in (node, neighbor) order
+        pairs = np.unique(np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]]))
+        base = np.arange(n + 1, dtype=np.int64) * n
+        self.offsets = np.searchsorted(pairs, base)
+        self.flat = (pairs % max(n, 1)).astype(np.int32)
+        self.csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for kind, (lo, hi) in self._spans.items():
+            start = np.searchsorted(pairs, base[:-1] + lo)
+            self.csr[kind] = (np.searchsorted(pairs, base[:-1] + hi) - start, start)
 
     @classmethod
     def build(cls, d: Dataset, m: IrtModel) -> "Mrhin":
-        """Assemble nodes and deduplicated edges from a split dataset and fitted model."""
-        adj: dict[Node, dict[str, set[Node]]] = {}
-
-        def add_node(node: Node):
-            adj.setdefault(node, {})
-
-        def add_edge(x: Node, y: Node):
-            adj.setdefault(x, {}).setdefault(y[0], set()).add(y)
-            adj.setdefault(y, {}).setdefault(x[0], set()).add(x)
-
-        for s in d.students():
-            add_node(("U", s))
-        for q in d.questions():
-            add_node(("Q", q))
-        for k in d.kcs():
-            add_node(("K", k))
-
-        for i in d.iter_split("train"):
-            add_edge(("Q", i.question_id), ("U", i.student_id))
-        for q, kcs in d.question_kcs().items():
-            for k in kcs:
-                add_edge(("Q", q), ("K", k))
-        for q in d.questions():
-            add_edge(("Q", q), ("D", m.difficulty_level[q].label))
-        for s in d.students():
-            add_edge(("U", s), ("A", m.ability_level[s].label))
-
-        frozen = {
-            node: {kind: tuple(sorted(nbrs)) for kind, nbrs in kinds.items()}
-            for node, kinds in adj.items()
-        }
-        return cls(frozen)
+        """The graph of a split dataset and fitted model: a node per student, question, KC and level
+        held, a Q-U edge per train answer, a Q-K edge per KC of a question, and each question's
+        Q-D and each student's U-A level edge.  The constructor keeps one of each repeated edge."""
+        ability = [m.ability_level[s].label for s in d.students()]
+        difficulty = [m.difficulty_level[q].label for q in d.questions()]
+        ids = {"A": sorted(set(ability)), "D": sorted(set(difficulty)), "K": d.kcs(), "Q": d.questions(),
+               "U": d.students()}
+        node_ids = [(kind, node_id) for kind in sorted(ids) for node_id in ids[kind]]
+        at = {node: i for i, node in enumerate(node_ids)}
+        edges = [(at["Q", i.question_id], at["U", i.student_id]) for i in d.iter_split("train")]
+        edges += [(at["Q", q], at["K", k]) for q, kcs in d.question_kcs().items() for k in kcs]
+        edges += [(at["Q", q], at["D", level]) for q, level in zip(d.questions(), difficulty)]
+        edges += [(at["U", s], at["A", level]) for s, level in zip(d.students(), ability)]
+        return cls(node_ids, np.array(edges, dtype=np.int64).reshape(-1, 2))
 
     def nodes(self, kind: str | None = None) -> tuple[Node, ...]:
-        if kind is None:
-            return self.node_ids
-        return tuple(sorted(n for n in self._adj if n[0] == kind))
+        lo, hi = (0, len(self.node_ids)) if kind is None else self._spans.get(kind, (0, 0))
+        return self.node_ids[lo:hi]
 
     def has_node(self, node: Node) -> bool:
-        return node in self._adj
+        return node in self._index
 
     def index(self, node: Node) -> int:
         """The node's int id."""
@@ -223,56 +205,48 @@ class Mrhin:
             raise ValueError(f"{node} is not a graph node") from None
 
     def neighbors(self, node: Node, kind: str | None = None) -> tuple[Node, ...]:
-        kinds = self._adj.get(node, {})
+        x = self._index.get(node)
+        if x is None:
+            return ()
+        start, stop = self.offsets[x], self.offsets[x + 1]
         if kind is not None:
-            return kinds.get(kind, ())
-        out: list[Node] = []
-        for k in sorted(kinds):
-            out.extend(kinds[k])
-        return tuple(out)
+            degree, offsets = self.csr[kind]
+            start, stop = offsets[x], offsets[x] + degree[x]
+        return tuple(map(self.node_ids.__getitem__, self.flat[start:stop].tolist()))
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for kinds in self._adj.values() for nbrs in kinds.values()) // 2
+        return len(self.flat) // 2
 
     def question_kcs(self, question_id: str) -> frozenset[str]:
-        kcs = self._kcs.get(question_id)
-        if kcs is None:
-            kcs = frozenset(n[1] for n in self.neighbors(("Q", question_id), "K"))
-            self._kcs[question_id] = kcs
-        return kcs
+        return frozenset(node_id for _, node_id in self.neighbors(("Q", question_id), "K"))
 
-    def hops_from(self, source: Node) -> tuple[int, ...]:
-        """Shortest hop count from ``source`` to every node, by node int, ``UNREACHABLE``
-        where no path leads (one BFS, memoized)."""
-        start = self.index(source)
-        hops = self._hops.get(start)
-        if hops is None:
-            found = [UNREACHABLE] * len(self.node_ids)
-            found[start] = 0
-            frontier = [start]
-            depth = 0
-            while frontier:
-                depth += 1
-                reached = []
-                for node in frontier:
-                    for nbrs_of in self.int_adj.values():
-                        for nbr in nbrs_of[node]:
-                            if found[nbr] == UNREACHABLE:
-                                found[nbr] = depth
-                                reached.append(nbr)
-                frontier = reached
-            hops = tuple(found)
-            self._hops[start] = hops
-        return hops
-
-
-def graph_distance(g: Mrhin, x: Node, y: Node, cap: int = DEFAULT_WALK_LEN) -> int:
-    """Shortest hop count between two nodes, saturating at ``cap``."""
-    if not g.has_node(x) or not g.has_node(y):
-        raise ValueError("both endpoints must be graph nodes")
-    if x == y:
-        return 0
-    return min(g.hops_from(x)[g.index(y)], cap)
+    def hops(self, sources: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Hop counts from each source node int: an int32 table with a row per source and a column per
+        node int, ``UNREACHABLE`` where no path leads.  One level-synchronous breadth-first pass serves
+        every source (MS-BFS, Then et al., VLDB 2014): source ``j`` is bit ``j % 64`` of word ``j // 64``
+        of each node's words, and a level is one ``np.bitwise_or.reduceat`` of the frontier words
+        gathered through ``flat``, less the words already seen."""
+        sources = np.asarray(sources, dtype=np.intp).reshape(-1)
+        n, count = len(self.node_ids), len(sources)
+        if count and not (sources.min() >= 0 and sources.max() < n):
+            raise ValueError("hop sources must be node ints")
+        table = np.full((count, n), UNREACHABLE, dtype=np.int32)
+        owner = np.arange(count)
+        frontier = np.zeros((n, -(-count // 64)), dtype=np.uint64)
+        np.bitwise_or.at(frontier, (sources, owner // 64), np.left_shift(_ONE, (owner % 64).astype(np.uint64)))
+        seen = frontier.copy()
+        linked = np.flatnonzero(np.diff(self.offsets))  # the nodes with a neighbor
+        for depth in itertools.count():
+            rows = np.flatnonzero(frontier.any(axis=1))
+            if not len(rows):
+                return table
+            bits = np.unpackbits(frontier[rows].astype("<u8").view(np.uint8), axis=1, bitorder="little")
+            at, source = np.nonzero(bits[:, :count])
+            table[source, rows[at]] = depth
+            reached = np.zeros_like(frontier)
+            reached[linked] = np.bitwise_or.reduceat(frontier[self.flat], self.offsets[linked], axis=0)
+            frontier = reached & ~seen
+            seen |= frontier
 
 
 class WalkGroup:
@@ -383,7 +357,7 @@ def _lockstep_rows(g: Mrhin, template: MetaPathTemplate, questions: Sequence[str
         length = np.ones(total, dtype=np.int64)
         live = np.arange(total)
         node = rows[:, 0]
-        for position, (degree, offsets, flat) in enumerate(steps, start=1):
+        for position, (degree, offsets) in enumerate(steps, start=1):
             deg = degree[node]
             if not deg.all():  # a walk ends at a node with no neighbor of the next kind
                 going = deg > 0
@@ -393,7 +367,7 @@ def _lockstep_rows(g: Mrhin, template: MetaPathTemplate, questions: Sequence[str
             draws = mix(keys[live] + step_offsets[position - 1])
             # multiply-shift: the high 32 bits of the draw scaled to [0, deg)
             pick = (((draws >> _HALF) * deg.astype(np.uint64)) >> _HALF).astype(np.int64)
-            node = flat[offsets[node] + pick]
+            node = g.flat[offsets[node] + pick]
             rows[live, position] = node
             length[live] = position + 1
         good = length >= min_length
@@ -466,26 +440,46 @@ def _group(g: Mrhin, template: MetaPathTemplate, q0: str, target_kc: str, rows: 
 
 
 def write_graph(g: Mrhin, path: str | Path) -> None:
-    """JSON adjacency artifact for the graph-build stage."""
+    """JSON adjacency artifact for the graph-build stage: {node: {kind: its neighbors of that kind}}."""
+    tokens = tuple(map(node_token, g.node_ids))
+    flat, offsets = g.flat.tolist(), g.offsets.tolist()
     payload = {
-        node_token(node): {k: list(map(node_token, g.neighbors(node, k))) for k in NODE_KINDS if g.neighbors(node, k)}
-        for node in g.nodes()
+        token: {kind: list(map(tokens.__getitem__, run))
+                for kind, run in itertools.groupby(flat[offsets[x]:offsets[x + 1]], g.kinds.__getitem__)}
+        for x, token in enumerate(tokens)
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 def read_graph(path: str | Path) -> Mrhin:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-
-    def decode(token: str) -> Node:
-        kind, node_id = token.split(":", 1)
-        return (kind, node_id)
-
-    adjacency = {
-        decode(token): {k: tuple(decode(t) for t in nbrs) for k, nbrs in kinds.items()}
-        for token, kinds in payload.items()
-    }
-    return Mrhin(adjacency)
+    """The graph of a :func:`write_graph` file.  Raises IngestError naming the file and the first
+    node, in node order, that is not ``kind:id`` of a node kind, lists neighbors of a kind it has
+    no edge kind with, lists a neighbor under a kind that is not that neighbor's or that is no node
+    of the file, or lists a neighbor that does not list it back."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        tokens = sorted(payload, key=lambda token: token.split(":", 1))
+        index = {token: i for i, token in enumerate(tokens)}
+        listed: list[tuple[int, int]] = []  # (node, neighbor) per listed neighbor
+        for x, token in enumerate(tokens):
+            kind, colon, _ = token.partition(":")
+            if not colon or kind not in NODE_KINDS:
+                raise ValueError(f"node {token} is not kind:id of a node kind")
+            for key, nbrs in payload[token].items():
+                if frozenset((kind, key)) not in EDGE_KINDS:
+                    raise ValueError(f"node {token} lists {key} neighbors, and {kind}-{key} is no edge kind")
+                for nbr in nbrs:
+                    if nbr not in index or not nbr.startswith(f"{key}:"):
+                        raise ValueError(f"node {token} lists {nbr} under {key!r}, which is no {key} node of the file")
+                    listed.append((x, index[nbr]))
+        ends = np.array(listed, dtype=np.int64).reshape(-1, 2).T
+        back = np.isin(ends[1] * len(tokens) + ends[0], ends[0] * len(tokens) + ends[1])
+        if not back.all():
+            x, y = ends[:, np.argmin(back)]
+            raise ValueError(f"node {tokens[x]} lists {tokens[y]}, which does not list it")
+        return Mrhin([tuple(token.split(":", 1)) for token in tokens], ends.T)
+    except (AttributeError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise IngestError(f"{path}: {exc}") from None
 
 
 # -- walk store ----------------------------------------------------------------
@@ -519,9 +513,9 @@ def write_walks(grouped: Mapping[str, Mapping[str, WalkGroup]], path: str | Path
                 order = sorted(range(len(walks)), key=walks.__getitem__)
                 fields: dict[str, Iterable[str]] = {
                     "nodes": ["[" + ", ".join(map(nodes.__getitem__, walks[i])) + "]" for i in order],
-                    "target_kc": repeat(json.dumps(group.target_kc)),
-                    "target_q": repeat(json.dumps(qid)),
-                    "template": repeat(json.dumps(name)),
+                    "target_kc": itertools.repeat(json.dumps(group.target_kc)),
+                    "target_q": itertools.repeat(json.dumps(qid)),
+                    "template": itertools.repeat(json.dumps(name)),
                 }
                 for key, values in (columns(qid, name) if columns else {}).items():
                     fields[key] = [values[i] for i in order]

@@ -62,11 +62,8 @@ import numpy as np
 
 from .errors import IngestError, ScoringError, TransportError
 from .llm import LlmClient
-from .mrhin import PAD, Mrhin, Node, WalkGroup, read_walks, write_walks
+from .mrhin import DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, read_walks, write_walks
 from .seeding import derive_rng
-
-# Not called here: the benchmark's tracer patches this name on this module.
-from .mrhin import graph_distance  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -105,30 +102,32 @@ _U, _Q, _K, _A, _D = (np.uint8(_KIND_BITS[kind]) for kind in ("U", "Q", "K", "A"
 
 class _GraphTables:
     """A graph's node tables for :func:`_score_rows`, by node int plus the sentinel ``PAD`` reaches:
-    kind bits and level categories, and hop counts from a question and the questions covering a
-    KC, one table per question and per KC, each built in full on first use before it is stored."""
+    kind bits and level categories, and hop counts from a node (the graph's one hop memo) and the
+    questions covering a KC, a row per node and per KC, each built in full before it is stored."""
 
     def __init__(self, g: Mrhin):
         self.kind = np.array([_KIND_BITS[kind] for kind in g.kinds] + [0], dtype=np.uint8)
         no_level = len(LEVEL_CATEGORIES)
         self.level = np.array([_LEVEL_INDEX.get(node, no_level) for node in g.node_ids] + [no_level])
-        self._hops: dict[str, np.ndarray] = {}
+        self._hops: dict[int, np.ndarray] = {}
         self._covers: dict[str, np.ndarray] = {}
 
-    def hops(self, g: Mrhin, question_id: str) -> np.ndarray:
-        """Each node's hop count from the question, as :meth:`~hisekt.mrhin.Mrhin.hops_from` gives it."""
-        found = self._hops.get(question_id)
-        if found is None:
-            found = np.array(g.hops_from(("Q", question_id)) + (0,), dtype=np.int32)
-            self._hops[question_id] = found
-        return found
+    def hops(self, g: Mrhin, sources: Sequence[int]) -> list[np.ndarray]:
+        """Each node's hop count from each source node int, a row per source, as
+        :meth:`~hisekt.mrhin.Mrhin.hops` gives it; the sources not met before are searched in one
+        :meth:`~hisekt.mrhin.Mrhin.hops` call."""
+        missing = [x for x in dict.fromkeys(sources) if x not in self._hops]
+        if missing:
+            self._hops.update(zip(missing, np.pad(g.hops(missing), ((0, 0), (0, 1)))))
+        return [self._hops[x] for x in sources]
 
     def covers(self, g: Mrhin, kc: str) -> np.ndarray:
         """Whether each node is a question covering the KC."""
         found = self._covers.get(kc)
         if found is None:
+            x = g.index(("K", kc))
             found = np.zeros(len(self.kind), dtype=bool)
-            found[list(g.int_adj["Q"][g.index(("K", kc))])] = True
+            found[g.flat[g.offsets[x]:g.offsets[x + 1]]] = True  # a KC's neighbors are all questions
             self._covers[kc] = found
         return found
 
@@ -145,6 +144,11 @@ def graph_tables(g: Mrhin) -> _GraphTables:
         tables = _GraphTables(g)
         _GRAPH_TABLES[g] = tables
     return tables
+
+
+def graph_distance(g: Mrhin, x: Node, y: Node, cap: int = DEFAULT_WALK_LEN) -> int:
+    """Shortest hop count between two graph nodes, saturating at ``cap``: one row of the hop memo."""
+    return min(int(graph_tables(g).hops(g, [g.index(x)])[0][g.index(y)]), cap)
 
 
 @functools.lru_cache(maxsize=16)
@@ -196,7 +200,7 @@ def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
     :func:`_score_rows` on the graph's tables.
 
     The groups may differ in template, target question, target KC and width.  Their rows are
-    stacked, narrower ones padded with ``PAD``.  Hop counts come from a table per distinct
+    stacked, narrower ones padded with ``PAD``.  Hop counts come from the hop memo, a row per distinct
     target question, and whether a question covers the target KC from a table per distinct
     target KC.  Each score has the bits ``tests/support.reference_score_walk`` gives the row's
     walk, whatever the other groups.
@@ -216,8 +220,9 @@ def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
     question_of = np.array([questions[group.target_question] for group in groups])[owner]
     kc_of = np.array([kcs[group.target_kc] for group in groups])[owner]
     kstar = np.array([g.index(("K", kc)) for kc in kcs])[kc_of]
-    scores = _score_rows(rows, tables.kind, tables.level, np.stack([tables.hops(g, q) for q in questions]),
-                         question_of, np.stack([tables.covers(g, kc) for kc in kcs]), kc_of, kstar)
+    hops = np.stack(tables.hops(g, [g.index(("Q", q)) for q in questions]))
+    covers = np.stack([tables.covers(g, kc) for kc in kcs])
+    scores = _score_rows(rows, tables.kind, tables.level, hops, question_of, covers, kc_of, kstar)
     ends = np.cumsum(sizes)
     return [ScoredGroup(group, scores[end - size:end], "formula") for group, size, end in zip(groups, sizes, ends)]
 
@@ -315,7 +320,7 @@ class _PromptLines:
         key = (question_id, cap)
         found = self._lines.get(key)
         if found is None:
-            hops = g.hops_from(("Q", question_id))
+            hops = graph_tables(g).hops(g, [g.index(("Q", question_id))])[0].tolist()
             found = tuple(f"{entry} | hops_from_target: {min(hop, cap)}" if kind == "Q" else entry
                           for entry, kind, hop in zip(self.entries, g.kinds, hops))
             self._lines[key] = found

@@ -57,9 +57,18 @@ def renamed_graph(g, new_id):
     def rename(node):
         return (node[0], new_id.get(node, node[1]))
 
-    return Mrhin({rename(node): {kind: tuple(sorted(map(rename, g.neighbors(node, kind))))
-                                 for kind in NODE_KINDS if g.neighbors(node, kind)}
-                  for node in g.node_ids})
+    return adjacency_graph({rename(node): {kind: tuple(sorted(map(rename, g.neighbors(node, kind))))
+                                           for kind in NODE_KINDS if g.neighbors(node, kind)}
+                            for node in g.node_ids})
+
+
+def adjacency_graph(adjacency):
+    """The graph of ``{node: {kind: its neighbors of that kind}}``: its nodes sorted, and an edge per
+    listed neighbor."""
+    node_ids = sorted(adjacency)
+    index = {node: i for i, node in enumerate(node_ids)}
+    edges = [(index[node], index[nbr]) for node, kinds in adjacency.items() for nbrs in kinds.values() for nbr in nbrs]
+    return Mrhin(node_ids, np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def group_of(g, template_name, walks, target_kc):

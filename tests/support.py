@@ -5,11 +5,13 @@ retained pool as id counts with its conversions to and from student-table rows,
 the path formulas on one walk of node indices, peer retrieval one target at a time, a scored
 group built from given dimensions, the LLM scorer as it read replies, the scored-walk writer
 that dumped each score column with ``json.dumps``, the mock scorer's block reader decoded for one
-prompt, and the mock's scores of a path written into a prompt with no graph behind it."""
+prompt, the mock's scores of a path written into a prompt with no graph behind it, and the
+breadth-first search that graph hop tables are held to."""
 
 import json
 import math
 import re
+from collections import deque
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from hisekt.config import ABLATIONS
 from hisekt.errors import TransportError
 from hisekt.evaluation import target_key
 from hisekt.llm import LlmClient
-from hisekt.mrhin import PAD, write_walks
+from hisekt.mrhin import PAD, UNREACHABLE, write_walks
 from hisekt.pathscore import (LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, SCORING_PROMPT_HEADER, ScoredGroup,
                               _read_scoring_prompts, mock_score_reply, render_scoring_prompt, score_llm)
 from hisekt.predict import MASK_SIMU, PromptBundle
@@ -285,3 +287,20 @@ def score_one(walks, i, client):
     """Walk ``i`` of a group scored alone through ``pathscore.score_llm``: its row of five floats."""
     [scored] = score_llm([walks.take(np.array([i]))], client)
     return tuple(scored.scores[0].tolist())
+
+
+def hops_from(g, source):
+    """Shortest hop count from node ``source`` to every node of ``g``, by node int, ``UNREACHABLE``
+    where no path leads: one plain breadth-first search over ``g.neighbors``, the reference that
+    ``Mrhin.hops`` is held to."""
+    found = [UNREACHABLE] * len(g.node_ids)
+    found[g.index(source)] = 0
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        depth = found[g.index(node)] + 1
+        for nbr in g.neighbors(node):
+            if found[g.index(nbr)] == UNREACHABLE:
+                found[g.index(nbr)] = depth
+                queue.append(nbr)
+    return tuple(found)

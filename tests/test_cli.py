@@ -588,6 +588,29 @@ class TestCliStages:
         assert err == f"error in stage retrieve: {graph}: SX is not a student of the dataset\n"
         assert not (root / "retrieval.json").exists()
 
+    # each edit of graph.json gets (payload, first question, its first student, second question)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p, q, u, o: p[u]["Q"].remove(q), "node {q} lists {u}, which does not list it"),
+        (lambda p, q, u, o: (p[q]["K"].append(u), p[u]["Q"].remove(q)),
+         "node {q} lists {u} under 'K', which is no K node of the file"),
+        (lambda p, q, u, o: (p[q].update(Q=[o]), p[o].update(Q=[q])),
+         "node {q} lists Q neighbors, and Q-Q is no edge kind"),
+        (lambda p, q, u, o: p.update({"X:1": {}}), "node X:1 is not kind:id of a node kind"),
+        (lambda p, q, u, o: p[q]["U"].append("U:ZZ"), "node {q} lists U:ZZ under 'U', which is no U node of the file"),
+    ], ids=["one-end-only", "student-under-K", "Q-Q-edge", "kind-X", "neighbor-not-a-node"])
+    def test_an_inconsistent_graph_is_a_stage_failure(self, staged, capsys, edit, message):
+        flags, root = staged
+        (root / "retrieval.json").unlink()
+        graph = root / "graph.json"
+        payload = json.loads(graph.read_text(encoding="utf-8"))
+        q, o = sorted(token for token in payload if token.startswith("Q:"))[:2]
+        u = payload[q]["U"][0]
+        edit(payload, q, u, o)
+        graph.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        assert main(["retrieve", *flags]) == 1
+        assert capsys.readouterr().err == f"error in stage retrieve: {graph}: {message.format(q=q, u=u, o=o)}\n"
+        assert not (root / "retrieval.json").exists()
+
     @pytest.mark.parametrize("entry", [["SX"], ["S001", "SX"], "S001", None, [7]])
     def test_retrieval_with_a_peer_not_in_the_dataset_is_a_stage_failure(self, staged, capsys, entry):
         flags, root = staged

@@ -1,8 +1,9 @@
 import io
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hisekt import dataset as dataset_mod
@@ -16,6 +17,7 @@ from hisekt.dataset import (
     split,
 )
 from hisekt.errors import EmptyDatasetError, IngestError
+from hisekt.synth import planted_csv
 
 from conftest import grid_rows, rows_to_csv
 
@@ -205,3 +207,27 @@ def test_filter_invariants_hold_on_random_grids(n_students, n_questions, drop):
     labeled = split(d, seed=0)
     assert set(labeled.splits) <= {"train", "val", "test"}
     assert len(labeled.splits) == len(labeled.interactions)
+
+
+PLANTED_LINES = planted_csv(n_bands=3, students_per_band=12, questions_per_band=10, seed=3)[0].splitlines()
+
+
+@settings(max_examples=25, deadline=None)
+@given(divisor=st.integers(1, 10**6), seed=st.integers(0, 2**32))
+@example(divisor=2, seed=0)
+def test_row_order_does_not_reach_the_split(divisor, seed):
+    """Timestamps divided down until many tie within a student, repeats of a (student, question,
+    timestamp) triple dropped: every order of the rows splits alike."""
+    header, rows, seen = PLANTED_LINES[0], [], set()
+    for line in PLANTED_LINES[1:]:
+        student, question, kcs, correct, timestamp = line.split(",")
+        key = (student, question, int(timestamp) // divisor)
+        if key not in seen:
+            seen.add(key)
+            rows.append(",".join([student, question, kcs, correct, str(key[2])]))
+    shuffled = random.Random(seed).sample(rows, len(rows))
+
+    def canonical(lines):
+        return serialize(split(ingest(io.StringIO("\n".join([header, *lines]) + "\n")), 0))
+
+    assert canonical(shuffled) == canonical(rows)

@@ -18,9 +18,9 @@ from hisekt.mrhin import (
     RESAMPLE_FACTOR,
     TEMPLATES,
     EDGE_KINDS,
+    NODE_KINDS,
     MetaPathTemplate,
     Mrhin,
-    graph_distance,
     read_graph,
     read_walks,
     sample_instances,
@@ -30,8 +30,11 @@ from hisekt.mrhin import (
 )
 from hisekt.errors import IngestError
 from hisekt.irt import Level
+from hisekt.pathscore import graph_distance
 from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
+
+from support import hops_from
 
 from graph_fixture import (
     ABILITY,
@@ -40,6 +43,7 @@ from graph_fixture import (
     KC_OF,
     MASK64,
     TRAIN_PAIRS,
+    adjacency_graph,
     build_fixture_graph,
     enumerate_walks,
     fixture_edges,
@@ -213,7 +217,7 @@ class TestGraphDistance:
         with pytest.raises(ValueError):
             graph_distance(fixture_graph, ("Q", "Q1"), ("Q", "NOPE"))
         with pytest.raises(ValueError):
-            fixture_graph.hops_from(("Q", "NOPE"))
+            fixture_graph.hops([len(fixture_graph.node_ids)])
 
     def test_concurrent_first_reads_agree_with_reference(self):
         # Eight threads start together on a fresh graph and ask for the same
@@ -256,6 +260,43 @@ class TestGraphDistance:
                 assert graph_distance(fixture_graph, x, y, cap=10) == graph_distance(
                     fixture_graph, y, x, cap=10
                 )
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph of up to 5 nodes of each kind, some of them isolated, with drawn edges of the edge kinds."""
+    node_ids = sorted((kind, str(i)) for kind in NODE_KINDS for i in range(draw(st.integers(0, 5), label=kind)))
+    pairs = [(a, b) for a in range(len(node_ids)) for b in range(a)
+             if frozenset((node_ids[a][0], node_ids[b][0])) in EDGE_KINDS]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=40), label="edges") if pairs else []
+    return Mrhin(node_ids, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+class TestHops:
+    @given(g=small_graphs(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_table_equals_the_reference_search(self, g, data):
+        n = len(g.node_ids)
+        sources = data.draw(st.lists(st.integers(0, n - 1), max_size=150) if n else st.just([]), label="sources")
+        table = g.hops(sources)
+        assert table.dtype == np.int32 and table.shape == (len(sources), n)
+        for source, row in zip(sources, table.tolist()):
+            assert tuple(row) == hops_from(g, g.node_ids[source])
+
+    @pytest.mark.parametrize("make_graph", [build_fixture_graph, two_component_graph, ring_graph])
+    def test_more_than_64_sources_with_repeats(self, make_graph):
+        g = make_graph()
+        n = len(g.node_ids)
+        sources = [x % n for x in range(3 * n + 70)][::-1]  # every node, three times or more
+        table = g.hops(sources)
+        assert len(sources) > 64 and table.shape == (len(sources), n)
+        reference = [hops_from(g, node) for node in g.node_ids]
+        assert [tuple(row) for row in table.tolist()] == [reference[x] for x in sources]
+
+    def test_unknown_source_rejected(self, fixture_graph):
+        for bad in ([len(fixture_graph.node_ids)], [-1]):
+            with pytest.raises(ValueError):
+                fixture_graph.hops(bad)
 
 
 class TestSampling:
@@ -410,7 +451,7 @@ def one_to_seventy_graph():
     adjacency = {q: {"U": tuple(students[: int(q[1][1:])]), "K": (("K", "K1"),)} for q in questions}
     adjacency.update({u: {"Q": tuple(q for q in questions if int(q[1][1:]) > int(u[1][1:]))} for u in students})
     adjacency[("K", "K1")] = {"Q": tuple(questions)}
-    return Mrhin(adjacency)
+    return adjacency_graph(adjacency)
 
 
 def reference_walks(g, template, q0, n, walk_len, seed):
@@ -570,6 +611,14 @@ class TestStores:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(IngestError, match=f"paths.jsonl line 4: .*{message}"):
             read_walks(path, fixture_graph)
+
+    @pytest.mark.parametrize("make_graph", [build_fixture_graph, two_component_graph, ring_graph,
+                                            one_to_seventy_graph, planted_graph])
+    def test_graph_file_reads_back_to_the_same_bytes(self, make_graph, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_graph(make_graph(), first)
+        write_graph(read_graph(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_graph_store_round_trip(self, fixture_graph, tmp_path):
         path = tmp_path / "graph.json"

@@ -18,12 +18,13 @@ from hisekt.config import RunConfig
 from hisekt.errors import IngestError, ScoringError, TransportError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.llm import LlmClient, MockTransport, map_bounded
-from hisekt.mrhin import PAD, TEMPLATES, WalkGroup, graph_distance, read_walks, sample_instances, write_walks
+from hisekt.mrhin import PAD, TEMPLATES, WalkGroup, read_walks, sample_instances, write_walks
 from hisekt import mrhin, pathscore
 from hisekt.pathscore import (
     LEVEL_CATEGORIES,
     SCORE_FIELDS,
     ScoredGroup,
+    graph_distance,
     mock_score_reply,
     read_scored,
     render_scoring_prompt,
@@ -39,7 +40,7 @@ from hisekt.irt import Level
 from hisekt.mrhin import Mrhin
 from hisekt.synth import planted_csv
 from prompt_reference import reference_parse_scoring_prompt
-from support import (mock_path_score, read_scoring_prompt, reference_score_llm, reference_score_walk,
+from support import (hops_from, mock_path_score, read_scoring_prompt, reference_score_llm, reference_score_walk,
                      reference_write_scored, score_one, scored_group, scripted_client)
 
 
@@ -769,11 +770,11 @@ DEAD_END_GRAPH = dead_end_graph()
 
 def walk_scores(walks, g):
     """Each row of a walk group scored alone by ``reference_score_walk``."""
-    hops = g.hops_from(("Q", walks.target_question))
+    hops = hops_from(g, ("Q", walks.target_question))
     kstar = g.index(("K", walks.target_kc))
     covers = [False] * len(g.node_ids)
-    for q in g.int_adj["Q"][kstar]:
-        covers[q] = True
+    for q in g.neighbors(("K", walks.target_kc), "Q"):
+        covers[g.index(q)] = True
     return [reference_score_walk(walk, g.node_ids, g.kinds, hops, covers, kstar) for walk in walks.walks()]
 
 
@@ -1092,7 +1093,7 @@ class TestScoringPromptReader:
         client = LlmClient(backend="mock")
         for q0 in sorted(node_id for kind, node_id in g.node_ids if kind == "Q"):
             walks = sample_instances(g, TEMPLATES[name], q0, n=6, walk_len=9, seed=seed)
-            hops = g.hops_from(("Q", q0))
+            hops = hops_from(g, ("Q", q0))
             formula = score_all(walks, g)
             for k, ((nodes, prompt), expected) in enumerate(zip(prompts_of(walks), formula.scores.tolist())):
                 cap = max(len(nodes) - 1, 1)
