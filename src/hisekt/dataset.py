@@ -4,20 +4,29 @@ Input files are comma-separated text with a header row
 ``student_id,question_id,kc_ids,correct,timestamp``; ``kc_ids`` packs one or
 more knowledge-concept ids separated by ``;``, ``correct`` is 0/1 and
 ``timestamp`` an integer epoch value.  Ingestion drops rows with missing
-fields, deduplicates resubmitted (student, question, timestamp) triples, and
-then removes students with fewer than 10 interactions and questions answered
-fewer than 10 times, iterating until neither rule fires.
+fields, collapses repeats of a (student, question, timestamp) triple with the
+same answer and KC set and refuses one that differs, and then removes students
+with fewer than 10 interactions and questions answered fewer than 10 times,
+iterating until neither rule fires.  Errors name physical lines of the file.
+A :class:`Dataset` holds int columns: ids are interned once, in sorted order.
 """
 
 from __future__ import annotations
 
+import array
+import bisect
+import contextlib
 import csv
 import io
+import itertools
 import logging
-from collections import Counter, defaultdict
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping, Sequence
+
+import numpy as np
 
 from .errors import EmptyDatasetError, IngestError
 
@@ -34,7 +43,7 @@ VAL_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class Interaction:
-    """One answer record: a student answered a question tagged with KCs at a time."""
+    """One dataset row, decoded: a student answered a question tagged with KCs at a time."""
 
     student_id: str
     question_id: str
@@ -43,122 +52,202 @@ class Interaction:
     timestamp: int
 
 
-class Dataset:
-    """Immutable, (student, timestamp, question)-sorted interaction list with optional split labels."""
+def code_of(ids: Sequence[str], value: str) -> int:
+    """The position of ``value`` in the ascending id table ``ids``, or -1 if it is not there."""
+    at = bisect.bisect_left(ids, value)
+    return at if at < len(ids) and ids[at] == value else -1
 
-    def __init__(
-        self,
-        interactions: Iterable[Interaction],
-        splits: Iterable[str] | None = None,
-        dropped_rows: int = 0,
-        duplicate_rows: int = 0,
-    ):
-        self.interactions: tuple[Interaction, ...] = tuple(interactions)
-        self.splits: tuple[str, ...] | None = tuple(splits) if splits is not None else None
-        self.dropped_rows = dropped_rows
-        self.duplicate_rows = duplicate_rows
-        if self.splits is not None and len(self.splits) != len(self.interactions):
-            raise ValueError("split labels must align one-to-one with interactions")
-        self._split_cache: dict[str, tuple[Interaction, ...]] = {}
-        self._by_student_cache: dict[str | None, dict[str, tuple[Interaction, ...]]] = {}
-        self._question_kcs: dict[str, frozenset[str]] | None = None
+
+class Dataset:
+    """Immutable interaction log held as int columns, rows in (student, timestamp, question) order:
+    ``student`` and ``question`` int32 codes into :meth:`students` and :meth:`questions` (sorted ids),
+    ``kc_set`` an int32 code into ``kc_sets`` (ascending tuples of codes into :meth:`kcs`), ``correct``
+    int8 0/1, ``timestamp`` int64, and ``splits`` int8 codes into ``SPLIT_LABELS``, None before
+    :func:`split`."""
+
+    def __init__(self, student_ids: Sequence[str], question_ids: Sequence[str], kc_ids: Sequence[str], kc_sets,
+                 student, question, kc_set, correct, timestamp, splits=None, dropped_rows=0, duplicate_rows=0):
+        self._students, self._questions, self._kcs = tuple(student_ids), tuple(question_ids), tuple(kc_ids)
+        self.kc_sets = tuple(kc_sets)
+        self.student, self.question, self.kc_set = (np.asarray(c, dtype=np.int32) for c in (student, question, kc_set))
+        self.correct, self.timestamp = np.asarray(correct, dtype=np.int8), np.asarray(timestamp, dtype=np.int64)
+        self.splits = None if splits is None else np.asarray(splits, dtype=np.int8)
+        for column in (self.student, self.question, self.kc_set, self.correct, self.timestamp, self.splits):
+            if column is not None:
+                column.flags.writeable = False
+        self.dropped_rows, self.duplicate_rows = dropped_rows, duplicate_rows
+        width = max(map(len, self.kc_sets), default=0)  # the KC sets as rows of codes, padded with -1
+        self._kc_table = np.array([kcs + (-1,) * (width - len(kcs)) for kcs in self.kc_sets], int).reshape(
+            len(self.kc_sets), width)
+        self._memo: dict = {}  # split indices by label, student runs by ("runs", label), and question KCs
 
     def __len__(self) -> int:
-        return len(self.interactions)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.interactions == other.interactions and self.splits == other.splits
-
-    def __hash__(self):
-        return hash((self.interactions, self.splits))
-
-    # -- accessors ---------------------------------------------------------
+        return len(self.student)
 
     def students(self) -> tuple[str, ...]:
-        return tuple(sorted({i.student_id for i in self.interactions}))
+        return self._students
 
     def questions(self) -> tuple[str, ...]:
-        return tuple(sorted({i.question_id for i in self.interactions}))
+        return self._questions
 
     def kcs(self) -> tuple[str, ...]:
-        out: set[str] = set()
-        for i in self.interactions:
-            out.update(i.kc_ids)
-        return tuple(sorted(out))
+        return self._kcs
+
+    def row_kcs(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """Each KC of each listed row, row by row: the row's position in ``index`` and the KC code."""
+        table = self._kc_table[self.kc_set[index]]
+        at, j = np.nonzero(table >= 0)
+        return at, table[at, j]
+
+    def question_kc_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (question code, KC code) pairs the rows tag, ascending."""
+        at, kcs = self.row_kcs(slice(None))
+        return np.divmod(np.unique(self.question[at].astype(np.int64) * len(self._kcs) + kcs), len(self._kcs))
 
     def question_kcs(self) -> Mapping[str, frozenset[str]]:
         """Question id -> union of KC sets seen for it."""
-        if self._question_kcs is None:
-            acc: dict[str, set[str]] = defaultdict(set)
-            for i in self.interactions:
-                acc[i.question_id].update(i.kc_ids)
-            self._question_kcs = {q: frozenset(ks) for q, ks in acc.items()}
-        return self._question_kcs
+        if "question_kcs" not in self._memo:
+            pairs = zip(*(codes.tolist() for codes in self.question_kc_codes()))
+            self._memo["question_kcs"] = {self._questions[q]: frozenset(self._kcs[k] for _, k in group)
+                                          for q, group in itertools.groupby(pairs, key=operator.itemgetter(0))}
+        return self._memo["question_kcs"]
 
-    def iter_split(self, label: str) -> tuple[Interaction, ...]:
+    def iter_split(self, label: str) -> np.ndarray:
+        """The ascending row indices of one split."""
         if self.splits is None:
             raise ValueError("dataset has no split assignment; call split() first")
         if label not in SPLIT_LABELS:
             raise ValueError(f"unknown split label {label!r}")
-        if label not in self._split_cache:
-            self._split_cache[label] = tuple(i for i, s in zip(self.interactions, self.splits) if s == label)
-        return self._split_cache[label]
+        if label not in self._memo:
+            self._memo[label] = index = np.flatnonzero(self.splits == SPLIT_LABELS.index(label))
+            index.flags.writeable = False
+        return self._memo[label]
 
-    def by_student(self, split: str | None = None) -> Mapping[str, tuple[Interaction, ...]]:
-        """Student id -> time-ordered interactions, optionally restricted to one split."""
-        if split not in self._by_student_cache:
-            rows = self.interactions if split is None else self.iter_split(split)
-            acc: dict[str, list[Interaction]] = defaultdict(list)
-            for i in rows:
-                acc[i.student_id].append(i)
-            self._by_student_cache[split] = {s: tuple(v) for s, v in acc.items()}
-        return self._by_student_cache[split]
+    def by_student(self, split: str) -> Mapping[str, np.ndarray]:
+        """Student id -> the ascending (so time-ordered) indices of the student's rows in one split, a
+        run of :meth:`iter_split`; students without such rows are absent."""
+        if ("runs", split) not in self._memo:
+            index = self.iter_split(split)
+            runs = np.split(index, np.flatnonzero(np.diff(self.student[index])) + 1)
+            self._memo["runs", split] = {self._students[self.student[run[0]]]: run for run in runs if len(run)}
+        return self._memo["runs", split]
+
+    def rows(self, index: Sequence[int] | np.ndarray) -> list[Interaction]:
+        """The listed rows as :class:`Interaction` records."""
+        kc_sets = [frozenset(map(self._kcs.__getitem__, kcs)) for kcs in self.kc_sets]
+        columns = (self.student, self.question, self.kc_set, self.correct, self.timestamp)
+        return [Interaction(self._students[s], self._questions[q], kc_sets[k], bool(c), t)
+                for s, q, k, c, t in zip(*(column[index].tolist() for column in columns))]
 
 
-def _parse_row(row: Mapping[str, str], line_no: int) -> Interaction | None:
-    """Parse one CSV row; None means the row lacks a required field and is dropped."""
-    values = {}
-    for col in REQUIRED_COLUMNS:
-        raw = row.get(col)
-        if raw is None or not raw.strip():
-            return None
-        values[col] = raw.strip()
-    kc_ids = frozenset(k.strip() for k in values["kc_ids"].split(KC_DELIMITER) if k.strip())
-    if not kc_ids:
-        return None
-    if values["correct"] not in ("0", "1"):
-        raise IngestError(f"row {line_no}: correct must be 0 or 1, got {values['correct']!r}")
+def _coded(codes: np.ndarray, ids: Mapping) -> tuple[list, np.ndarray]:
+    """The ids of an interning table (id -> code) that ``codes`` holds, sorted, and ``codes`` recoded so."""
+    used = np.bincount(codes, minlength=len(ids)).astype(bool).tolist()
+    kept = sorted(x for x, code in ids.items() if used[code])
+    rank = np.zeros(len(ids), dtype=np.int64)
+    rank[[ids[x] for x in kept]] = np.arange(len(kept))
+    return kept, rank[codes]
+
+
+def _read(source: str | Path | IO[str], labelled: bool) -> Dataset:
+    """:func:`ingest`, and with ``labelled`` each row's ``split`` label too, which it refuses
+    unless it is one of ``SPLIT_LABELS``."""
     try:
-        timestamp = int(values["timestamp"])
-    except ValueError:
-        raise IngestError(f"row {line_no}: timestamp is not an integer: {values['timestamp']!r}")
-    return Interaction(
-        student_id=values["student_id"],
-        question_id=values["question_id"],
-        kc_ids=kc_ids,
-        correct=values["correct"] == "1",
-        timestamp=timestamp,
-    )
+        opened = (Path(source).open("r", encoding="utf-8", newline="") if isinstance(source, (str, Path))
+                  else contextlib.nullcontext(source))
+    except OSError as exc:
+        raise IngestError(f"cannot open {Path(source)}: {exc}") from exc
+    # ids and KC sets coded in first-seen order; a kc_ids text maps to its KC set's code, -1 if it names none
+    students, questions, sets = (defaultdict(itertools.count().__next__) for _ in range(3))
+    set_of: dict[str, int] = {}
+    table, dropped = array.array("q"), 0  # per row: student, timestamp, question, line, correct, KC set[, label]
+    with opened as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError("row 1: empty input, header row required")
+            at = {name: j for j, name in enumerate(header)}  # a repeated name reads its last column
+            missing_cols = [c for c in REQUIRED_COLUMNS if c not in at]
+            if missing_cols:
+                raise IngestError(f"row 1: header is missing columns {missing_cols}")
+            if labelled and "split" not in at:
+                raise IngestError(f"{source}: no split labels")
+            columns = [at[c] for c in REQUIRED_COLUMNS] + ([at["split"]] if labelled else [])
+            fields_of = operator.itemgetter(*columns)
+            for row in reader:
+                line = reader.line_num  # the physical line the record ends on
+                if not row:
+                    continue  # a blank line
+                try:
+                    s, q, kcs, c, t, *label = map(str.strip, fields_of(row))
+                except IndexError:  # a short row: its missing fields are empty
+                    s, q, kcs, c, t, *label = (row[j].strip() if j < len(row) else "" for j in columns)
+                k = set_of.get(kcs)
+                if k is None and kcs:
+                    found = tuple(sorted({x.strip() for x in kcs.split(KC_DELIMITER)} - {""}))
+                    k = set_of[kcs] = sets[found] if found else -1
+                if not (s and q and c and t and kcs) or k < 0:
+                    dropped += 1
+                    continue
+                if c not in ("0", "1"):
+                    raise IngestError(f"row {line}: correct must be 0 or 1, got {c!r}")
+                try:
+                    table.extend((students[s], int(t), questions[q], line, c == "1", k))
+                except ValueError:
+                    raise IngestError(f"row {line}: timestamp is not an integer: {t!r}") from None
+                except OverflowError:
+                    raise IngestError(f"row {line}: timestamp is out of the 64-bit range: {t!r}") from None
+                if labelled:
+                    if label[0] not in SPLIT_LABELS:
+                        raise IngestError(f"{source}: row {line}: split label must be train, val or test, "
+                                          f"got {label[0]!r}")
+                    table.append(SPLIT_LABELS.index(label[0]))
+        except csv.Error as exc:
+            raise IngestError(f"row {reader.line_num}: {exc}") from exc
+    if dropped:
+        logger.warning("ingest: dropped %d rows with missing fields", dropped)
 
+    # repeats of a (student, timestamp, question) triple side by side, in file order: a repeat whose
+    # answer, KC set or label differs is refused, an identical one dropped
+    rows = np.frombuffer(table, dtype=np.int64).reshape(-1, 6 + labelled)
+    rows = rows[np.lexsort(rows[:, 2::-1].T)]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[1:] = (rows[1:, :3] == rows[:-1, :3]).all(axis=1)
+    conflicts = np.flatnonzero(repeat[1:] & (rows[1:, 4:] != rows[:-1, 4:]).any(axis=1))
+    if conflicts.size:
+        pair = rows[conflicts[0]:conflicts[0] + 2]
+        (s, t, q), lines = pair[0, :3].tolist(), sorted(pair[:, 3].tolist())
+        raise IngestError(f"rows {lines[0]} and {lines[1]}: student {list(students)[s]}, question "
+                          f"{list(questions)[q]}, timestamp {t} repeated with a different "
+                          f"{'answer, KC set or split label' if labelled else 'answer or KC set'}")
+    duplicates = int(repeat.sum())
+    if duplicates:
+        logger.info("ingest: ignored %d duplicate (student, question, timestamp) rows", duplicates)
 
-def _filter_fixed_point(rows: list[Interaction]) -> list[Interaction]:
-    """Drop sparse students/questions until both minimum-count rules hold.
-
-    Removing a student can push a question below 10 answers and vice versa,
-    so the two passes repeat until neither removes anything.
-    """
-    current = rows
+    # drop sparse students and questions until both minimum-count rules hold: removing a
+    # student can push a question below 10 answers and vice versa
+    s_code, q_code, keep = rows[:, 0], rows[:, 2], ~repeat
     while True:
-        student_counts = Counter(i.student_id for i in current)
-        keep_students = {s for s, c in student_counts.items() if c >= MIN_STUDENT_INTERACTIONS}
-        question_counts = Counter(i.question_id for i in current if i.student_id in keep_students)
-        keep_questions = {q for q, c in question_counts.items() if c >= MIN_QUESTION_ANSWERS}
-        pruned = [i for i in current if i.student_id in keep_students and i.question_id in keep_questions]
-        if len(pruned) == len(current):
-            return pruned
-        current = pruned
+        kept = keep & (np.bincount(s_code[keep], minlength=len(students)) >= MIN_STUDENT_INTERACTIONS)[s_code]
+        kept &= (np.bincount(q_code[kept], minlength=len(questions)) >= MIN_QUESTION_ANSWERS)[q_code]
+        if np.array_equal(kept, keep):
+            break
+        keep = kept
+    if not keep.any():
+        raise EmptyDatasetError("no interactions survive the minimum-count filters")
+    # the kept ids coded in sorted order, the rows in (student, timestamp, question) order
+    rows = rows[keep]
+    (student_ids, rows[:, 0]), (question_ids, rows[:, 2]), (set_ids, rows[:, 5]) = (
+        _coded(rows[:, j], ids) for j, ids in ((0, students), (2, questions), (5, sets)))
+    rows = rows[np.lexsort(rows[:, 2::-1].T)]
+    kc_ids = sorted({kc for found in set_ids for kc in found})
+    kc_code = dict(zip(kc_ids, range(len(kc_ids))))
+    logger.info("ingest: %d interactions kept (%d students, %d questions)", len(rows), len(student_ids),
+                len(question_ids))
+    return Dataset(student_ids, question_ids, kc_ids, [tuple(map(kc_code.get, found)) for found in set_ids],
+                   rows[:, 0], rows[:, 2], rows[:, 5], rows[:, 4], rows[:, 1].copy(), rows[:, 6] if labelled else None,
+                   dropped, duplicates)
 
 
 def ingest(source: str | Path | IO[str]) -> Dataset:
@@ -168,71 +257,7 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
     ``split`` column written by :func:`serialize`) are ignored, which makes
     ingestion idempotent across a serialize round trip.
     """
-    return _read(source)[0]
-
-
-def _read(source: str | Path | IO[str]) -> tuple[Dataset, dict[tuple[str, str, int], str]]:
-    """:func:`ingest` in one pass that also collects each parsed row's non-empty
-    ``split`` label by (student, question, timestamp), the last row winning."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            handle: IO[str] = path.open("r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise IngestError(f"cannot open {path}: {exc}") from exc
-        close = True
-    else:
-        handle = source
-        close = False
-
-    parsed: list[Interaction] = []
-    label_of: dict[tuple[str, str, int], str] = {}
-    dropped = 0
-    duplicates = 0
-    seen: set[tuple[str, str, int]] = set()
-    try:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise IngestError("row 1: empty input, header row required")
-        missing_cols = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing_cols:
-            raise IngestError(f"row 1: header is missing columns {missing_cols}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                interaction = _parse_row(row, line_no)
-            except csv.Error as exc:
-                raise IngestError(f"row {line_no}: {exc}") from exc
-            if interaction is None:
-                dropped += 1
-                continue
-            key = (interaction.student_id, interaction.question_id, interaction.timestamp)
-            if row.get("split"):
-                label_of[key] = row["split"]
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            parsed.append(interaction)
-    finally:
-        if close:
-            handle.close()
-
-    if dropped:
-        logger.warning("ingest: dropped %d rows with missing fields", dropped)
-    if duplicates:
-        logger.info("ingest: ignored %d duplicate (student, question, timestamp) rows", duplicates)
-
-    kept = _filter_fixed_point(parsed)
-    if not kept:
-        raise EmptyDatasetError("no interactions survive the minimum-count filters")
-    kept.sort(key=lambda i: (i.student_id, i.timestamp, i.question_id))  # a total order: no file order reaches split
-    logger.info(
-        "ingest: %d interactions kept (%d students, %d questions)",
-        len(kept),
-        len({i.student_id for i in kept}),
-        len({i.question_id for i in kept}),
-    )
-    return Dataset(kept, dropped_rows=dropped, duplicate_rows=duplicates), label_of
+    return _read(source, labelled=False)
 
 
 def split(d: Dataset, seed: int) -> Dataset:
@@ -244,49 +269,30 @@ def split(d: Dataset, seed: int) -> Dataset:
     to keep stage signatures uniform but does not influence the cut.
     """
     del seed
-    counts = Counter(i.student_id for i in d.interactions)
-    cursor: dict[str, int] = defaultdict(int)
-    labels: list[str] = []
-    for i in d.interactions:
-        n = counts[i.student_id]
-        n_train = int(n * TRAIN_FRACTION)
-        n_val = int(n * VAL_FRACTION)
-        pos = cursor[i.student_id]
-        if pos < n_train:
-            labels.append("train")
-        elif pos < n_train + n_val:
-            labels.append("val")
-        else:
-            labels.append("test")
-        cursor[i.student_id] += 1
-    return Dataset(d.interactions, labels, d.dropped_rows, d.duplicate_rows)
+    counts = np.bincount(d.student, minlength=len(d.students()))
+    n_train, n_val = ((counts * fraction).astype(np.int64)[d.student] for fraction in (TRAIN_FRACTION, VAL_FRACTION))
+    position = np.arange(len(d)) - (np.cumsum(counts) - counts)[d.student]  # within the student's run
+    return Dataset(d.students(), d.questions(), d.kcs(), d.kc_sets, d.student, d.question, d.kc_set, d.correct,
+                   d.timestamp, (position >= n_train) + (position >= n_train + n_val).astype(np.int8),
+                   d.dropped_rows, d.duplicate_rows)
 
 
 def serialize(d: Dataset) -> str:
     """Canonical text form of a dataset; re-ingestable (split column is ignored)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = list(REQUIRED_COLUMNS) + (["split"] if d.splits is not None else [])
-    writer.writerow(header)
-    for idx, i in enumerate(d.interactions):
-        row = [
-            i.student_id,
-            i.question_id,
-            KC_DELIMITER.join(sorted(i.kc_ids)),
-            "1" if i.correct else "0",
-            str(i.timestamp),
-        ]
-        if d.splits is not None:
-            row.append(d.splits[idx])
-        writer.writerow(row)
+    writer.writerow(list(REQUIRED_COLUMNS) + (["split"] if d.splits is not None else []))
+    kc_text = [KC_DELIMITER.join(d.kcs()[k] for k in kcs) for kcs in d.kc_sets]
+    columns = [map(d.students().__getitem__, d.student.tolist()), map(d.questions().__getitem__, d.question.tolist()),
+               map(kc_text.__getitem__, d.kc_set.tolist()), map(str, d.correct.tolist()),
+               map(str, d.timestamp.tolist())]
+    if d.splits is not None:
+        columns.append(map(SPLIT_LABELS.__getitem__, d.splits.tolist()))
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
 def load(source: str | Path | IO[str]) -> Dataset:
     """Read a dataset previously written by :func:`serialize`, restoring splits; IngestError naming
-    ``source`` if it has no split labels."""
-    d, label_of = _read(source)
-    if not label_of:
-        raise IngestError(f"{source}: no split labels")
-    labels = [label_of[(i.student_id, i.question_id, i.timestamp)] for i in d.interactions]
-    return Dataset(d.interactions, labels, d.dropped_rows, d.duplicate_rows)
+    ``source`` if it has no ``split`` column, or a row's label is not one of ``SPLIT_LABELS``."""
+    return _read(source, labelled=True)

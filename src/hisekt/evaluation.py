@@ -144,7 +144,7 @@ def stage_keys(cfg: RunConfig, run_seed: int, variant: str | None = None) -> dic
     peers = ("peers", run) if predict.MASK_SIMU in mask else (
         "peers", retained, peer_mode, cfg.top_s, similarity if peer_mode == "similar" else None)
     return {
-        "dataset": ("dataset", data), "irt": ("irt", data), "graph": ("graph", data),
+        "dataset": ("dataset", data), "targets": ("targets", data), "irt": ("irt", data), "graph": ("graph", data),
         "walks": walks, "scored": scored, "retained": retained, "similarity": similarity,
         "peers": peers, "predictions": ("predictions", peers, mask, cfg.window, replies),
         "client": ("client", *replies, cfg.llm_timeout, cfg.llm_max_retries, cfg.llm_max_in_flight),
@@ -190,9 +190,8 @@ class PipelineContext:
         return self.get("graph")
 
     def test_targets(self, cfg: RunConfig | None = None) -> list[Interaction]:
-        """The test split in prediction order: by student, then time, then question."""
-        tests = self.get("dataset", cfg).iter_split("test")
-        return sorted(tests, key=lambda i: (i.student_id, i.timestamp, i.question_id))
+        """The test split in prediction order, which is row order: by student, then time, then question."""
+        return self.get("targets", cfg)
 
     def instances(self, run_seed: int, cfg: RunConfig | None = None) -> dict[str, dict[str, WalkGroup]]:
         return self.get("walks", cfg, run_seed)
@@ -202,9 +201,9 @@ class PipelineContext:
 
 
 def _walks(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
-    g = ctx.get("graph", cfg)
+    g, d = ctx.get("graph", cfg), ctx.get("dataset", cfg)
     walk_seed = derive_seed(run_seed, "walks")
-    questions = sorted({i.question_id for i in ctx.get("dataset", cfg).iter_split("test")})
+    questions = [d.questions()[q] for q in np.unique(d.question[d.iter_split("test")]).tolist()]
     # one lockstep pass per template over every target question
     by_template = {name: sample_walks(g, template, questions, n=cfg.n_walks, walk_len=cfg.walk_len, seed=walk_seed)
                    for name, template in TEMPLATES.items()}
@@ -325,6 +324,7 @@ def _predictions(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: s
 
 _COMPUTE: dict[str, Callable[[PipelineContext, RunConfig, int, str | None], object]] = {
     "dataset": lambda ctx, cfg, *_: dataset_mod.split(dataset_mod.ingest(cfg.data), cfg.seed),
+    "targets": lambda ctx, cfg, *_: (d := ctx.get("dataset", cfg)).rows(d.iter_split("test")),
     "irt": lambda ctx, cfg, *_: irt_mod.fit(ctx.get("dataset", cfg)),
     "graph": lambda ctx, cfg, *_: Mrhin.build(ctx.get("dataset", cfg), ctx.get("irt", cfg)),
     "walks": _walks,

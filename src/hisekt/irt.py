@@ -258,14 +258,10 @@ def train_arrays(d: Dataset) -> tuple[list[str], list[str], np.ndarray, np.ndarr
     """Sorted train students and questions, and each train response's (student, question, correct)
     as index and 0/1 arrays: the data :func:`penalized_loglik` takes."""
     train = d.iter_split("train")
-    students = sorted({i.student_id for i in train})
-    questions = sorted({i.question_id for i in train})
-    s_pos = {s: k for k, s in enumerate(students)}
-    q_pos = {q: k for k, q in enumerate(questions)}
-    s_idx = np.fromiter((s_pos[i.student_id] for i in train), dtype=np.int64, count=len(train))
-    q_idx = np.fromiter((q_pos[i.question_id] for i in train), dtype=np.int64, count=len(train))
-    correct = np.fromiter((1.0 if i.correct else 0.0 for i in train), dtype=float, count=len(train))
-    return students, questions, s_idx, q_idx, correct
+    students, s_idx = np.unique(d.student[train], return_inverse=True)
+    questions, q_idx = np.unique(d.question[train], return_inverse=True)
+    return ([d.students()[k] for k in students.tolist()], [d.questions()[k] for k in questions.tolist()],
+            s_idx.astype(np.int64), q_idx.astype(np.int64), d.correct[train].astype(float))
 
 
 def fit(d: Dataset, lam: float = L2_PENALTY) -> IrtModel:

@@ -183,12 +183,13 @@ class Mrhin:
         ids = {"A": sorted(set(ability)), "D": sorted(set(difficulty)), "K": d.kcs(), "Q": d.questions(),
                "U": d.students()}
         node_ids = [(kind, node_id) for kind in sorted(ids) for node_id in ids[kind]]
-        at = {node: i for i, node in enumerate(node_ids)}
-        edges = [(at["Q", i.question_id], at["U", i.student_id]) for i in d.iter_split("train")]
-        edges += [(at["Q", q], at["K", k]) for q, kcs in d.question_kcs().items() for k in kcs]
-        edges += [(at["Q", q], at["D", level]) for q, level in zip(d.questions(), difficulty)]
-        edges += [(at["U", s], at["A", level]) for s, level in zip(d.students(), ability)]
-        return cls(node_ids, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        first = {kind: bisect.bisect_left(node_ids, (kind,)) for kind in ids}  # a node's int: first[kind] + its code
+        train, (question, kc) = d.iter_split("train"), d.question_kc_codes()
+        ends = [("Q", d.question[train], "U", d.student[train]), ("Q", question, "K", kc),
+                ("Q", range(len(difficulty)), "D", list(map(ids["D"].index, difficulty))),
+                ("U", range(len(ability)), "A", list(map(ids["A"].index, ability)))]
+        return cls(node_ids, np.concatenate([np.column_stack([np.add(a, first[x]), np.add(b, first[y])])
+                                             for x, a, y, b in ends]))
 
     def nodes(self, kind: str | None = None) -> tuple[Node, ...]:
         lo, hi = (0, len(self.node_ids)) if kind is None else self._spans.get(kind, (0, 0))

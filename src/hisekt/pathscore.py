@@ -500,7 +500,10 @@ def score_llm(groups: Sequence[WalkGroup], client: LlmClient) -> list[ScoredGrou
     The scores are the last ``{...}`` group in the reply holding exactly four comma-separated
     numbers, the format the rubric asks for; a block reads each distinct reply once.  Values out
     of [0, 5] are clamped, each with a warning.  Only prompts whose reply did not read are sent
-    again, and one still unread after ``client.max_retries`` sends raises ScoringError."""
+    again, and one still unread after ``client.max_retries`` sends raises ScoringError.  One hop
+    search per graph fills the hop memo for every target question before any prompt is rendered."""
+    for g in {group.graph: None for group in groups}:
+        graph_tables(g).hops(g, [g.index(("Q", group.target_question)) for group in groups if group.graph is g])
     walks = [(group, k) for group in groups for k in range(len(group))]
     table = np.empty((len(walks), 5))
     for start in range(0, len(walks), SCORE_BLOCK):

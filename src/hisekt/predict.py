@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dataset import Dataset, Interaction
+from .dataset import Dataset
 from .errors import PredictionError, TransportError
 from .irt import IrtModel, probability
 from .llm import LlmClient
@@ -128,16 +128,18 @@ class StudentFacts:
 _NO_FACTS = StudentFacts((), {}, {}, 0.5)
 
 
-def _facts(rows: Sequence[Interaction]) -> StudentFacts:
-    kc_rows: dict[str, list[Interaction]] = defaultdict(list)
-    for i in rows:
-        for kc in i.kc_ids:
-            kc_rows[kc].append(i)
+def _facts(d: Dataset, run: Sequence[int], kc_ids: Sequence[tuple[str, ...]]) -> StudentFacts:
+    columns = (column[run].tolist() for column in (d.question, d.kc_set, d.correct, d.timestamp))
+    history = tuple((d.questions()[q], kc_ids[k], bool(c), t) for q, k, c, t in zip(*columns))
+    kc_rows: dict[str, list[tuple[str, bool, int]]] = defaultdict(list)
+    for qid, kcs, correct, timestamp in history:
+        for kc in kcs:
+            kc_rows[kc].append((qid, correct, timestamp))
     return StudentFacts(
-        history=tuple((i.question_id, tuple(sorted(i.kc_ids)), i.correct, i.timestamp) for i in rows),
-        kc_history={kc: tuple((i.question_id, i.correct, i.timestamp) for i in hits) for kc, hits in kc_rows.items()},
-        kc_accuracy={kc: sum(1 for i in hits if i.correct) / len(hits) for kc, hits in kc_rows.items()},
-        overall_accuracy=sum(1 for i in rows if i.correct) / len(rows) if rows else 0.5,
+        history=history,
+        kc_history={kc: tuple(hits) for kc, hits in kc_rows.items()},
+        kc_accuracy={kc: sum(correct for _, correct, _ in hits) / len(hits) for kc, hits in kc_rows.items()},
+        overall_accuracy=sum(row[2] for row in history) / len(history) if history else 0.5,
     )
 
 
@@ -145,7 +147,8 @@ def student_facts(d: Dataset) -> Mapping[str, StudentFacts]:
     """Student id -> :class:`StudentFacts` of the train split; students without train rows are absent."""
     cached = getattr(d, "_student_facts", None)
     if cached is None:
-        cached = {s: _facts(rows) for s, rows in d.by_student("train").items()}
+        kc_ids = [tuple(map(d.kcs().__getitem__, kcs)) for kcs in d.kc_sets]
+        cached = {student: _facts(d, run, kc_ids) for student, run in d.by_student("train").items()}
         d._student_facts = cached  # memoized on the immutable dataset, so it dies with it
     return cached
 

@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, code_of
 from .errors import ModelError
 from .irt import IrtModel
 from .seeding import derive_rng
@@ -90,50 +90,41 @@ _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 class StudentTables:
     """Train-split summaries of every student of a dataset, one row each.
 
-    ``position[s]`` is student ``s``'s row; every id of ``d.students()`` has
-    one, students without train rows included.  ``kc_accuracy[i, k]`` is row
-    ``i``'s train accuracy on the k-th KC in sorted order where
-    ``has_kc[i, k]``, else 0.0.  ``questions`` is the students x questions
-    train incidence, packed eight questions per byte, one column per
-    question of ``d.questions()``.
+    Row ``i`` is student ``students[i]``, the dataset's student code ``i``;
+    every id of ``d.students()`` has one, students without train rows
+    included.  ``kc_accuracy[i, k]`` is row ``i``'s train accuracy on KC code
+    ``k`` where ``has_kc[i, k]``, else 0.0.  ``questions`` is the students x
+    questions train incidence, packed eight questions per byte, one column
+    per question code.
     """
 
     def __init__(self, d: Dataset):
-        self.students = d.students()
-        self.position = {s: i for i, s in enumerate(self.students)}
-        kc_col = {k: j for j, k in enumerate(d.kcs())}
-        self._q_col = q_col = {q: j for j, q in enumerate(d.questions())}
-        n = len(self.students)
-        answered: list[tuple[int, int]] = []
-        cells: list[int] = []
-        rights: list[bool] = []
-        for student, history in d.by_student("train").items():
-            row = self.position[student]
-            for i in history:
-                answered.append((row, q_col[i.question_id]))
-                for kc in i.kc_ids:
-                    cells.append(row * len(kc_col) + kc_col[kc])
-                    rights.append(i.correct)
-        totals = np.bincount(cells, minlength=n * len(kc_col)).reshape(n, len(kc_col))
-        right = np.bincount(cells, weights=rights, minlength=totals.size).reshape(totals.shape)
+        self.students, self._questions = d.students(), d.questions()
+        n, n_kcs = len(self.students), len(d.kcs())
+        train = d.iter_split("train")
+        at, kcs = d.row_kcs(train)
+        cells = d.student[train][at].astype(np.intp) * n_kcs + kcs
+        totals = np.bincount(cells, minlength=n * n_kcs).reshape(n, n_kcs)
+        right = np.bincount(cells, weights=d.correct[train][at], minlength=totals.size).reshape(totals.shape)
         self.has_kc = totals > 0
         self.kc_accuracy = np.divide(right, totals, out=np.zeros(totals.shape), where=self.has_kc)
         # set each answered question's bit in place, as np.packbits orders them (first = high bit)
-        self.questions = np.zeros((n, (len(q_col) + 7) // 8), dtype=np.uint8)
-        rows, cols = np.array(answered, dtype=np.intp).reshape(-1, 2).T
+        self.questions = np.zeros((n, (len(self._questions) + 7) // 8), dtype=np.uint8)
+        rows, cols = d.student[train], d.question[train]
         np.bitwise_or.at(self.questions, (rows, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
         self._decay: dict[float, np.ndarray] = {}
 
     def positions(self, ids: Iterable[str]) -> np.ndarray:
-        try:
-            return np.array([self.position[sid] for sid in ids], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]!r} is not a student of the dataset") from None
+        ids = list(ids)
+        rows = np.array([code_of(self.students, sid) for sid in ids], dtype=np.intp)
+        if (rows < 0).any():
+            raise ValueError(f"{ids[int(np.argmax(rows < 0))]!r} is not a student of the dataset")
+        return rows
 
     def answerers(self, question_id: str) -> np.ndarray:
         """Rows with a train answer to ``question_id``, ascending; none for an id not in the dataset."""
-        j = self._q_col.get(question_id)
-        if j is None:
+        j = code_of(self._questions, question_id)
+        if j < 0:
             return np.zeros(0, dtype=np.intp)
         return np.flatnonzero(self.questions[:, j >> 3] & (0x80 >> (j & 7)))
 

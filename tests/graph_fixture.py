@@ -9,10 +9,12 @@ import hashlib
 
 import numpy as np
 
-from hisekt.dataset import Dataset, Interaction
+from hisekt.dataset import Interaction
 from hisekt.irt import IrtModel, Level
 from hisekt.mrhin import NODE_KINDS, PAD, TEMPLATES, Mrhin, WalkGroup
 from hisekt.seeding import derive_rng
+
+from support import dataset_of
 
 
 MASK64 = 2**64 - 1
@@ -117,8 +119,7 @@ def make_dataset(train_pairs, kc_of, extra=()):
         rows.append(Interaction(s, q, frozenset(kc_of[q].split(";")), True, ts))
         splits.append(label)
         ts += 1
-    order = sorted(range(len(rows)), key=lambda i: (rows[i].student_id, rows[i].timestamp))
-    return Dataset([rows[i] for i in order], [splits[i] for i in order])
+    return dataset_of(rows, splits)
 
 
 KC_OF = {"Q1": "K1", "Q2": "K1", "Q3": "K2", "Q4": "K2", "Q5": "K1;K2", "Q6": "K3"}

@@ -156,7 +156,7 @@ def reference_build_prompt(
 ) -> ReferenceBundle:
     """The structured prompt of one target, from a scan of the train rows (``window`` >= 0)."""
     mask = frozenset(mask)
-    by_student = d.by_student("train")
+    by_student = {student: d.rows(run) for student, run in d.by_student("train").items()}
     question_kcs = d.question_kcs()
     target_kc = min(question_kcs[q])
 

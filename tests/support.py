@@ -5,17 +5,25 @@ retained pool as id counts with its conversions to and from student-table rows,
 the path formulas on one walk of node indices, peer retrieval one target at a time, a scored
 group built from given dimensions, the LLM scorer as it read replies, the scored-walk writer
 that dumped each score column with ``json.dumps``, the mock scorer's block reader decoded for one
-prompt, the mock's scores of a path written into a prompt with no graph behind it, and the
-breadth-first search that graph hop tables are held to."""
+prompt, the mock's scores of a path written into a prompt with no graph behind it, the
+breadth-first search that graph hop tables are held to, a columnar dataset built from
+``Interaction`` records with its rows decoded back, and the row-object CSV reader that the
+columnar reader is held to."""
 
+import csv
 import json
 import math
+from collections import Counter
+from pathlib import Path
 import re
 from collections import deque
 
 import numpy as np
 
 from hisekt.config import ABLATIONS
+from hisekt.dataset import (KC_DELIMITER, MIN_QUESTION_ANSWERS, MIN_STUDENT_INTERACTIONS, REQUIRED_COLUMNS,
+                            SPLIT_LABELS, Dataset, Interaction)
+from hisekt.errors import EmptyDatasetError, IngestError
 from hisekt.errors import TransportError
 from hisekt.evaluation import target_key
 from hisekt.llm import LlmClient
@@ -65,7 +73,7 @@ def reference_path_pair_pool(counts, d):
     ``evaluation._path_pair_pool`` was before it made int keys: each train answerer of each target
     question against each student retained for it but itself, with that student's count."""
     answerers = {}
-    for i in d.iter_split("train"):
+    for i in d.rows(d.iter_split("train")):
         answerers.setdefault(i.question_id, set()).add(i.student_id)
     pool = set()
     for qid, per_student in counts.items():
@@ -304,3 +312,94 @@ def hops_from(g, source):
                 found[g.index(nbr)] = depth
                 queue.append(nbr)
     return tuple(found)
+
+
+def dataset_of(rows, splits=None, dropped_rows=0, duplicate_rows=0):
+    """The columnar dataset of ``Interaction`` records, with their split labels if given, its rows
+    put in (student, timestamp, question) order."""
+    order = sorted(range(len(rows)), key=lambda i: (rows[i].student_id, rows[i].timestamp, rows[i].question_id))
+    rows = [rows[i] for i in order]
+    students, questions = ({x: j for j, x in enumerate(sorted(ids))} for ids in
+                           ({i.student_id for i in rows}, {i.question_id for i in rows}))
+    kcs = {kc: j for j, kc in enumerate(sorted({kc for i in rows for kc in i.kc_ids}))}
+    set_of = {i.kc_ids: tuple(sorted(kcs[kc] for kc in i.kc_ids)) for i in rows}
+    kc_sets = {kc_set: j for j, kc_set in enumerate(sorted(set(set_of.values())))}
+    return Dataset(list(students), list(questions), list(kcs), list(kc_sets), [students[i.student_id] for i in rows],
+                   [questions[i.question_id] for i in rows], [kc_sets[set_of[i.kc_ids]] for i in rows],
+                   [i.correct for i in rows], [i.timestamp for i in rows],
+                   None if splits is None else [SPLIT_LABELS.index(splits[i]) for i in order], dropped_rows, duplicate_rows)
+
+
+def interactions(d):
+    """Every row of a dataset as an ``Interaction``, in row order."""
+    return tuple(d.rows(range(len(d))))
+
+
+def split_labels(d):
+    """Every row's split label, in row order."""
+    return tuple(SPLIT_LABELS[code] for code in d.splits.tolist())
+
+
+def _reference_parse_row(row, line_no):
+    """Parse one CSV row; None means the row lacks a required field and is dropped."""
+    values = {}
+    for col in REQUIRED_COLUMNS:
+        raw = row.get(col)
+        if raw is None or not raw.strip():
+            return None
+        values[col] = raw.strip()
+    kc_ids = frozenset(k.strip() for k in values["kc_ids"].split(KC_DELIMITER) if k.strip())
+    if not kc_ids:
+        return None
+    if values["correct"] not in ("0", "1"):
+        raise IngestError(f"row {line_no}: correct must be 0 or 1, got {values['correct']!r}")
+    try:
+        timestamp = int(values["timestamp"])
+    except ValueError:
+        raise IngestError(f"row {line_no}: timestamp is not an integer: {values['timestamp']!r}")
+    return Interaction(values["student_id"], values["question_id"], kc_ids, values["correct"] == "1", timestamp)
+
+
+def _reference_filter_fixed_point(rows):
+    """Drop sparse students/questions until both minimum-count rules hold."""
+    current = rows
+    while True:
+        student_counts = Counter(i.student_id for i in current)
+        keep_students = {s for s, c in student_counts.items() if c >= MIN_STUDENT_INTERACTIONS}
+        question_counts = Counter(i.question_id for i in current if i.student_id in keep_students)
+        keep_questions = {q for q, c in question_counts.items() if c >= MIN_QUESTION_ANSWERS}
+        pruned = [i for i in current if i.student_id in keep_students and i.question_id in keep_questions]
+        if len(pruned) == len(current):
+            return pruned
+        current = pruned
+
+
+def reference_ingest(source):
+    """``dataset.ingest`` as the row-object reader did it: ``csv.DictReader`` records numbered by
+    count, one ``Interaction`` per row, the first of a repeated (student, question, timestamp)
+    triple kept whatever the repeat holds."""
+    if isinstance(source, (str, Path)):
+        with Path(source).open("r", encoding="utf-8", newline="") as handle:
+            return reference_ingest(handle)
+    parsed, dropped, duplicates, seen = [], 0, 0, set()
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None:
+        raise IngestError("row 1: empty input, header row required")
+    missing_cols = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    if missing_cols:
+        raise IngestError(f"row 1: header is missing columns {missing_cols}")
+    for line_no, row in enumerate(reader, start=2):
+        interaction = _reference_parse_row(row, line_no)
+        if interaction is None:
+            dropped += 1
+            continue
+        key = (interaction.student_id, interaction.question_id, interaction.timestamp)
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        parsed.append(interaction)
+    kept = _reference_filter_fixed_point(parsed)
+    if not kept:
+        raise EmptyDatasetError("no interactions survive the minimum-count filters")
+    return dataset_of(kept, dropped_rows=dropped, duplicate_rows=duplicates)

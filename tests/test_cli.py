@@ -649,6 +649,21 @@ class TestCliStages:
         assert err.startswith(f"error in stage fit-irt: {dataset}: ")
         assert not dataset.with_name("irt.json").exists()
 
+    @pytest.mark.parametrize("label", ["tset", ""])
+    def test_a_dataset_row_without_a_split_label_is_a_stage_failure(self, config_file, capsys, label):
+        """A row relabelled ``tset`` would belong to no split, and a blank label to none either."""
+        assert main(["ingest", "--config", str(config_file)]) == 0
+        dataset = cli._cache_dir(resolve_config(load_config_file(config_file), {})) / "dataset.csv"
+        rows = dataset.read_text(encoding="utf-8").splitlines()
+        rows[5] = rows[5].rsplit(",", 1)[0] + "," + label
+        dataset.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["fit-irt", "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage fit-irt: {dataset}: row 6: split label must be train, val or test, "
+                              f"got {label!r}")
+        assert not dataset.with_name("irt.json").exists()
+
 
 class TestModelArtifact:
     def test_a_cold_question_is_listed_in_the_model_and_flagged_in_its_prompts(self, tmp_path, monkeypatch, capsys):

@@ -28,6 +28,7 @@ from hisekt.irt import (
 from hisekt.synth import irt_recovery_csv, planted_csv
 
 from conftest import grid_rows, late_question_csv, rows_to_csv
+from support import interactions
 
 
 class TestProbability:
@@ -143,7 +144,7 @@ class TestFit:
         d, _ = _synthetic_dataset(80, 24, seed=3)
         flipped_rows = [
             (i.student_id, i.question_id, ";".join(sorted(i.kc_ids)), int(not i.correct), i.timestamp)
-            for i in d.interactions
+            for i in interactions(d)
         ]
         d_flip = split(ingest(io.StringIO(rows_to_csv(flipped_rows))), 0)
         m = fit(d)

@@ -1363,6 +1363,21 @@ class TestMockBlocks:
         assert np.concatenate([s.scores for s in by_llm]).tobytes() == \
             np.concatenate([s.scores for s in by_formula]).tobytes()
 
+    def test_the_stage_makes_one_hop_search(self, monkeypatch):
+        """Every target question's hop row comes from one ``Mrhin.hops`` call, and the prompts are those
+        rendered on a graph whose rows are searched one question at a time."""
+        questions = sorted(node_id for kind, node_id in build_fixture_graph().node_ids if kind == "Q")
+        groups, alone = ([sample_instances(g, TEMPLATES[name], q, n=4, walk_len=9, seed=3)
+                          for q in questions for name in ("Q-U-Q", "Q-K-Q-U-Q-D-Q")]
+                         for g in (build_fixture_graph(), build_fixture_graph()))
+        expected = [render_scoring_prompt(group, k) for group in alone for k in range(len(group))]
+        hops, calls, sent = Mrhin.hops, [], []
+        monkeypatch.setattr(Mrhin, "hops", lambda g, sources: calls.append(len(sources)) or hops(g, sources))
+        mock = MockTransport()
+        score_llm(groups, LlmClient(backend="mock", transport=lambda prompt: sent.append(prompt) or mock(prompt)))
+        assert calls == [len(questions)] and len(questions) > 1
+        assert sent == expected
+
     @pytest.mark.parametrize("position", [0, 3, 9])
     def test_a_bad_prompt_fails_its_block_as_it_fails_alone(self, stage_prompts, position):
         _, prompts, _ = stage_prompts

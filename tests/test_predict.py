@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hisekt import predict as predict_mod
 from hisekt.config import RunConfig
-from hisekt.dataset import Dataset, Interaction
+from hisekt.dataset import Interaction
 from hisekt.errors import PredictionError, TransportError
 from hisekt.evaluation import PipelineContext, run_experiment
 from hisekt.irt import IrtModel, Level, probability
@@ -29,7 +29,7 @@ from hisekt.synth import planted_csv
 
 from prompt_reference import (HistoryRow, PeerInfo, ReferenceBundle, parse_prompt, reference_build_prompt,
                               reference_mock_reply)
-from support import CutPromptBundle, scripted_client
+from support import CutPromptBundle, dataset_of, interactions, scripted_client, split_labels
 
 GOLDEN = Path(__file__).parent / "golden"
 MOCK = LlmClient(backend="mock")
@@ -56,8 +56,7 @@ def golden_inputs():
     add("SP", "QB", False, 2)
     add("SP", "QC", True, 3)
     add("SP", "QT", False, 9, split="train")
-    order = sorted(range(len(rows)), key=lambda i: (rows[i].student_id, rows[i].timestamp))
-    d = Dataset([rows[i] for i in order], [splits[i] for i in order])
+    d = dataset_of(rows, splits)
     m = IrtModel(
         theta={"SA": 0.25, "SP": 0.25},
         disc={"QT": 1.5, "QA": 1.0, "QB": 0.75, "QC": 1.25},
@@ -228,9 +227,9 @@ class TestMockPredict:
                 False if (i.student_id == "SP" and "K1" in i.kc_ids) else i.correct,
                 i.timestamp,
             )
-            for i in d.interactions
+            for i in interactions(d)
         ]
-        d2 = Dataset(rows, d.splits)
+        d2 = dataset_of(rows, split_labels(d))
         bundle = build_prompt("SA", "QT", ["SP"], m, d2)
         pred = predict(bundle, MOCK)
         assert pred.p_correct == pytest.approx(0.7 * 0.5 + 0.3 * 0.0)
@@ -242,12 +241,12 @@ class TestMockPredict:
         m = edited(m, theta={"SA": 0.5})
         # peer accuracy on K1 exactly 0.5 equals the base probability
         rows = []
-        for i in d.interactions:
+        for i in interactions(d):
             correct = i.correct
             if i.student_id == "SP":
                 correct = i.question_id in ("QA",)  # one right, one wrong on K1... QT wrong
             rows.append(Interaction(i.student_id, i.question_id, i.kc_ids, correct, i.timestamp))
-        d2 = Dataset(rows, d.splits)
+        d2 = dataset_of(rows, split_labels(d))
         bundle = build_prompt("SA", "QT", ["SP"], m, d2)
         masked = build_prompt("SA", "QT", ["SP"], m, d2, mask=frozenset({MASK_SIMU}))
         peer_acc = parse_prompt(bundle.text)["peers"][0]["target_kc_accuracy"]
@@ -347,12 +346,11 @@ def edge_inputs():
     student."""
     d, m = golden_inputs()
     extra = [Interaction("SN", "QT", frozenset({"K1"}), True, 5), Interaction("SK", "QC", frozenset({"K2"}), False, 4)]
-    rows = sorted([*d.interactions, *extra], key=lambda i: (i.student_id, i.timestamp))
-    splits = [d.splits[d.interactions.index(i)] if i not in extra else "test" if i.student_id == "SN" else "train"
-              for i in rows]
+    rows = [*interactions(d), *extra]
+    splits = [*split_labels(d), "test", "train"]
     m = edited(m, theta={"SN": 0.0, "SX": 0.0, "SK": -0.25},
                ability_level={"SN": Level.MEDIUM, "SX": Level.MEDIUM, "SK": Level.LOW})
-    return Dataset(rows, splits), dataclasses.replace(m, cold_start_students=frozenset({"SN"}))
+    return dataset_of(rows, splits), dataclasses.replace(m, cold_start_students=frozenset({"SN"}))
 
 
 class TestStudentFacts:
@@ -374,7 +372,7 @@ class TestStudentFacts:
                         for window in (0, 1, 2, 3, 20, 1000):
                             for mask in masks:
                                 expected = reference_build_prompt(u, q, peers, m, d, mask, window).text
-                                fresh = Dataset(d.interactions, d.splits)
+                                fresh = dataset_of(interactions(d), split_labels(d))
                                 assert build_prompt(u, q, peers, m, fresh, mask, window).text == expected
                                 assert build_prompt(u, q, peers, m, fresh, mask, window).text == expected
                                 assert build_prompt(u, q, peers, m, d, mask, window).text == expected

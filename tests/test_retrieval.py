@@ -15,7 +15,7 @@ import hisekt
 from hisekt import evaluation
 from hisekt import retrieval as retrieval_mod
 from hisekt.config import ABLATIONS, RunConfig
-from hisekt.dataset import Dataset, Interaction, ingest, split
+from hisekt.dataset import Interaction, ingest, split
 from hisekt.errors import ModelError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.irt import IrtModel, Level
@@ -39,8 +39,9 @@ from hisekt.seeding import derive_rng, derive_seed
 from hisekt.synth import planted_csv
 
 from graph_fixture import ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, make_dataset, make_model, walk_nodes
-from support import (candidates_of, keys_of_triples, reference_distances, reference_path_pair_pool, reference_peers,
-                     reference_top_s, retained_ids, retained_rows, triples_of_keys)
+from support import (candidates_of, dataset_of, interactions, keys_of_triples, reference_distances,
+                     reference_path_pair_pool, reference_peers, reference_top_s, retained_ids, retained_rows,
+                     split_labels, triples_of_keys)
 
 
 def student_counts(walks):
@@ -195,13 +196,11 @@ def pair_dataset(correct_fn=None, questions=10, students=("S1", "S2", "S3", "S4"
     pairs = [(s, q) for s in students for q in kc_of]
     d = make_dataset(pairs, kc_of)
     if correct_fn is not None:
-        from hisekt.dataset import Dataset, Interaction
-
         rows = [
             Interaction(i.student_id, i.question_id, i.kc_ids, correct_fn(i), i.timestamp)
-            for i in d.interactions
+            for i in interactions(d)
         ]
-        d = Dataset(rows, d.splits)
+        d = dataset_of(rows, split_labels(d))
     return d, kc_of
 
 
@@ -546,7 +545,8 @@ class LoopEncoder:
     def __init__(self, d):
         self.questions = {}
         self.kc_accuracy = {}
-        for student, rows in d.by_student("train").items():
+        for student, run in d.by_student("train").items():
+            rows = d.rows(run)
             self.questions[student] = frozenset(i.question_id for i in rows)
             totals, rights = {}, {}
             for i in rows:
@@ -624,7 +624,7 @@ class TestBlocksEqualTheLoop:
     def test_top_s_ranking(self, planted):
         d, m, loop = planted
         sm = fit_similarity(d, m, seed=2)
-        targets = sorted({(i.student_id, i.question_id) for i in d.iter_split("test")})[::7]
+        targets = sorted({(i.student_id, i.question_id) for i in d.rows(d.iter_split("test"))})[::7]
         for u, q in targets:
             cands = CandidateSet(u, q, {s: 1 + (len(s) + len(q)) % 4 for s in d.students() if s != u})
             ranked = sorted(
@@ -686,8 +686,8 @@ def question_blocks(draw):
     train = draw(st.lists(st.tuples(st.sampled_from(students), st.sampled_from(sorted(kc_of))), max_size=20))
     d = make_dataset(train, kc_of, extra=[(sid, "Q0", "test") for sid in students])
     right = draw(st.lists(st.booleans(), min_size=len(d), max_size=len(d)))
-    d = Dataset([Interaction(i.student_id, i.question_id, i.kc_ids, r, i.timestamp)
-                 for i, r in zip(d.interactions, right)], d.splits)
+    d = dataset_of([Interaction(i.student_id, i.question_id, i.kc_ids, r, i.timestamp)
+                    for i, r in zip(interactions(d), right)], split_labels(d))
     theta = {sid: draw(st.sampled_from([0.0, 0.5, -1.0])) for sid in students}
     m = make_model({sid: Level.MEDIUM for sid in students}, {q: Level.MEDIUM for q in kc_of}, theta=theta)
     retained = draw(st.dictionaries(st.sampled_from(students), st.integers(1, 3), max_size=len(students)))
