@@ -61,14 +61,15 @@ def code_of(ids: Sequence[str], value: str) -> int:
 class Dataset:
     """Immutable interaction log held as int columns, rows in (student, timestamp, question) order:
     ``student`` and ``question`` int32 codes into :meth:`students` and :meth:`questions` (sorted ids),
-    ``kc_set`` an int32 code into ``kc_sets`` (ascending tuples of codes into :meth:`kcs`), ``correct``
-    int8 0/1, ``timestamp`` int64, and ``splits`` int8 codes into ``SPLIT_LABELS``, None before
-    :func:`split`."""
+    ``kc_set`` an int32 code into ``kc_sets`` (ascending tuples of codes into :meth:`kcs`, decoded
+    to sorted id tuples in ``kc_set_ids``), ``correct`` int8 0/1, ``timestamp`` int64, and ``splits``
+    int8 codes into ``SPLIT_LABELS``, None before :func:`split`."""
 
     def __init__(self, student_ids: Sequence[str], question_ids: Sequence[str], kc_ids: Sequence[str], kc_sets,
                  student, question, kc_set, correct, timestamp, splits=None, dropped_rows=0, duplicate_rows=0):
         self._students, self._questions, self._kcs = tuple(student_ids), tuple(question_ids), tuple(kc_ids)
         self.kc_sets = tuple(kc_sets)
+        self.kc_set_ids = tuple(tuple(map(self._kcs.__getitem__, kcs)) for kcs in self.kc_sets)
         self.student, self.question, self.kc_set = (np.asarray(c, dtype=np.int32) for c in (student, question, kc_set))
         self.correct, self.timestamp = np.asarray(correct, dtype=np.int8), np.asarray(timestamp, dtype=np.int64)
         self.splits = None if splits is None else np.asarray(splits, dtype=np.int8)
@@ -134,7 +135,7 @@ class Dataset:
 
     def rows(self, index: Sequence[int] | np.ndarray) -> list[Interaction]:
         """The listed rows as :class:`Interaction` records."""
-        kc_sets = [frozenset(map(self._kcs.__getitem__, kcs)) for kcs in self.kc_sets]
+        kc_sets = list(map(frozenset, self.kc_set_ids))
         columns = (self.student, self.question, self.kc_set, self.correct, self.timestamp)
         return [Interaction(self._students[s], self._questions[q], kc_sets[k], bool(c), t)
                 for s, q, k, c, t in zip(*(column[index].tolist() for column in columns))]
@@ -174,15 +175,14 @@ def _read(source: str | Path | IO[str], labelled: bool) -> Dataset:
             if labelled and "split" not in at:
                 raise IngestError(f"{source}: no split labels")
             columns = [at[c] for c in REQUIRED_COLUMNS] + ([at["split"]] if labelled else [])
-            fields_of = operator.itemgetter(*columns)
+            fields_of, width = operator.itemgetter(*columns), max(columns) + 1
             for row in reader:
                 line = reader.line_num  # the physical line the record ends on
                 if not row:
                     continue  # a blank line
-                try:
-                    s, q, kcs, c, t, *label = map(str.strip, fields_of(row))
-                except IndexError:  # a short row: its missing fields are empty
-                    s, q, kcs, c, t, *label = (row[j].strip() if j < len(row) else "" for j in columns)
+                if len(row) < width:
+                    row += [""] * (width - len(row))  # a short row's missing fields are empty
+                s, q, kcs, c, t, *label = map(str.strip, fields_of(row))
                 k = set_of.get(kcs)
                 if k is None and kcs:
                     found = tuple(sorted({x.strip() for x in kcs.split(KC_DELIMITER)} - {""}))
@@ -282,7 +282,7 @@ def serialize(d: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(REQUIRED_COLUMNS) + (["split"] if d.splits is not None else []))
-    kc_text = [KC_DELIMITER.join(d.kcs()[k] for k in kcs) for kcs in d.kc_sets]
+    kc_text = list(map(KC_DELIMITER.join, d.kc_set_ids))
     columns = [map(d.students().__getitem__, d.student.tolist()), map(d.questions().__getitem__, d.question.tolist()),
                map(kc_text.__getitem__, d.kc_set.tolist()), map(str, d.correct.tolist()),
                map(str, d.timestamp.tolist())]

@@ -189,7 +189,7 @@ class PipelineContext:
     def graph(self) -> Mrhin:
         return self.get("graph")
 
-    def test_targets(self, cfg: RunConfig | None = None) -> list[Interaction]:
+    def test_targets(self, cfg: RunConfig | None = None) -> tuple[Interaction, ...]:
         """The test split in prediction order, which is row order: by student, then time, then question."""
         return self.get("targets", cfg)
 
@@ -324,7 +324,7 @@ def _predictions(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: s
 
 _COMPUTE: dict[str, Callable[[PipelineContext, RunConfig, int, str | None], object]] = {
     "dataset": lambda ctx, cfg, *_: dataset_mod.split(dataset_mod.ingest(cfg.data), cfg.seed),
-    "targets": lambda ctx, cfg, *_: (d := ctx.get("dataset", cfg)).rows(d.iter_split("test")),
+    "targets": lambda ctx, cfg, *_: tuple((d := ctx.get("dataset", cfg)).rows(d.iter_split("test"))),
     "irt": lambda ctx, cfg, *_: irt_mod.fit(ctx.get("dataset", cfg)),
     "graph": lambda ctx, cfg, *_: Mrhin.build(ctx.get("dataset", cfg), ctx.get("irt", cfg)),
     "walks": _walks,

@@ -128,9 +128,9 @@ class StudentFacts:
 _NO_FACTS = StudentFacts((), {}, {}, 0.5)
 
 
-def _facts(d: Dataset, run: Sequence[int], kc_ids: Sequence[tuple[str, ...]]) -> StudentFacts:
+def _facts(d: Dataset, run: Sequence[int]) -> StudentFacts:
     columns = (column[run].tolist() for column in (d.question, d.kc_set, d.correct, d.timestamp))
-    history = tuple((d.questions()[q], kc_ids[k], bool(c), t) for q, k, c, t in zip(*columns))
+    history = tuple((d.questions()[q], d.kc_set_ids[k], bool(c), t) for q, k, c, t in zip(*columns))
     kc_rows: dict[str, list[tuple[str, bool, int]]] = defaultdict(list)
     for qid, kcs, correct, timestamp in history:
         for kc in kcs:
@@ -147,8 +147,7 @@ def student_facts(d: Dataset) -> Mapping[str, StudentFacts]:
     """Student id -> :class:`StudentFacts` of the train split; students without train rows are absent."""
     cached = getattr(d, "_student_facts", None)
     if cached is None:
-        kc_ids = [tuple(map(d.kcs().__getitem__, kcs)) for kcs in d.kc_sets]
-        cached = {student: _facts(d, run, kc_ids) for student, run in d.by_student("train").items()}
+        cached = {student: _facts(d, run) for student, run in d.by_student("train").items()}
         d._student_facts = cached  # memoized on the immutable dataset, so it dies with it
     return cached
 

@@ -336,8 +336,8 @@ def interactions(d):
 
 
 def split_labels(d):
-    """Every row's split label, in row order."""
-    return tuple(SPLIT_LABELS[code] for code in d.splits.tolist())
+    """Every row's split label, in row order; KeyError on a code outside ``SPLIT_LABELS``."""
+    return tuple(map(dict(enumerate(SPLIT_LABELS)).__getitem__, d.splits.tolist()))
 
 
 def _reference_parse_row(row, line_no):

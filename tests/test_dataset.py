@@ -153,7 +153,7 @@ def test_split_13_interactions_is_10_1_2():
 def test_split_deterministic_and_seed_free():
     rows = grid_rows([f"S{i}" for i in range(10)], [f"Q{j}" for j in range(10)])
     d = _ingest(rows)
-    assert split_labels(split(d, seed=1)) == split_labels(split(d, seed=2))
+    assert split_labels(split(d, seed=1)) == split_labels(split(d, seed=1)) == split_labels(split(d, seed=2))
 
 
 def test_split_is_temporal_partition():
@@ -283,6 +283,7 @@ def test_filter_invariants_hold_on_random_grids(n_students, n_questions, drop):
     assert min(student_counts.values()) >= MIN_STUDENT_INTERACTIONS
     assert min(question_counts.values()) >= MIN_QUESTION_ANSWERS
     labeled = split(d, seed=0)
+    assert set(labeled.splits.tolist()) <= {0, 1, 2}
     assert len(labeled.splits) == len(labeled)
 
 
