@@ -1,7 +1,7 @@
 """Knowledge-tracing pipeline: graph mining, peer retrieval, LLM-backed prediction."""
 
 from .config import RunConfig, fingerprint, resolve_config
-from .dataset import Dataset, Interaction, ingest, split
+from .dataset import Dataset, ingest, split
 from .errors import HisektError
 from .evaluation import EvalReport, PipelineContext, accuracy, auc, run_experiment
 from .irt import IrtModel, Level, discretize, fit, probability
@@ -30,7 +30,6 @@ __all__ = [
     "Dataset",
     "EvalReport",
     "HisektError",
-    "Interaction",
     "IrtModel",
     "Level",
     "LlmClient",

@@ -40,7 +40,7 @@ from . import irt as irt_mod
 from . import pathscore
 from .config import CHOICES, FIELD_NAMES, RunConfig, fingerprint, load_config_file, resolve_config
 from .errors import HisektError, IngestError, StageDependencyError
-from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of, target_key
+from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of
 from .mrhin import WALK_SCHEME, Mrhin, read_graph, read_json_lines, read_walks, write_graph, write_walks
 from .predict import Prediction
 
@@ -163,8 +163,7 @@ def _per_target(path: Path, ctx: PipelineContext, stored: Mapping[str, object]) 
     """{target key: its entry in ``stored``, keyed by :func:`_target_token`} for every test target, in
     test order; raises IngestError naming the file and the first target it lacks."""
     out = {}
-    for i in ctx.test_targets():
-        key = target_key(i)
+    for key in ctx.test_targets():
         token = _target_token(key)
         if token not in stored:
             raise IngestError(f"{path}: no entry for test target {token}")
@@ -184,10 +183,11 @@ def _read_peers(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], 
 
 def _write_predictions(ctx: PipelineContext, path: Path) -> str:
     predictions = predict_targets(ctx, None, run_seed_of(ctx.cfg, 0))
+    d = ctx.dataset
     lines = [
-        json.dumps({"student": i.student_id, "question": i.question_id, "timestamp": i.timestamp,
-                    "label": int(i.correct), **dataclasses.asdict(predictions[target_key(i)])}, sort_keys=True)
-        for i in ctx.test_targets()
+        json.dumps({"student": u, "question": q, "timestamp": t, "label": label,
+                    **dataclasses.asdict(predictions[u, q, t])}, sort_keys=True)
+        for (u, q, t), label in zip(ctx.test_targets(), d.correct[d.iter_split("test")].tolist())
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return f"{len(lines)} predictions"

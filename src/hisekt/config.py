@@ -1,6 +1,9 @@
 """Run configuration: defaults, key=value config files, flag merging, fingerprint.
 
 ``ABLATIONS`` is the one definition of what each ablation variant changes.
+``DEPLOYMENT_FIELDS`` name where and how a run talks to its cache and LLM
+endpoint; they change no computed value, so neither the fingerprint nor a
+report's ``config`` holds them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ class RunConfig:
 
 
 FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+DEPLOYMENT_FIELDS = ("cache_dir", "out_dir", "llm_timeout", "llm_max_retries", "llm_max_in_flight")
 
 
 # variant (None: the full model) -> (Top-K selection mode, peer retrieval mode, prompt mask)
@@ -66,25 +70,34 @@ CHOICES = {
 
 
 def _coerce(name: str, raw, current):
-    """Coerce a raw file/flag value to the type of the dataclass field."""
+    """Coerce a raw file/flag value to the type of the dataclass field; ConfigError naming the key
+    if it does not parse as one."""
     if isinstance(raw, str):
         raw = raw.strip()
     if name == "variants":
         if isinstance(raw, str):
             return tuple(v.strip() for v in raw.split(",") if v.strip())
         return tuple(raw)
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return str(raw)
+    kind = type(current)
+    if kind not in (int, float):
+        return str(raw)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {name!r}: {raw!r} is not {what}") from None
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Parse a flat ``key = value`` config file; ``#`` starts a comment."""
+    """Parse a flat ``key = value`` config file; ``#`` starts a comment.  HisektError if the file
+    cannot be read, ConfigError naming ``file:line`` and the key for a value that does not parse."""
     values: dict = {}
     defaults = RunConfig()
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HisektError(f"cannot read config file {path}: {exc}") from exc
+    for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -95,7 +108,10 @@ def load_config_file(path: str | Path) -> dict:
         if key not in FIELD_NAMES:
             raise HisektError(f"{path}:{line_no}: unknown config key {key!r}")
         raw = raw.strip("\"'")
-        values[key] = _coerce(key, raw, getattr(defaults, key))
+        try:
+            values[key] = _coerce(key, raw, getattr(defaults, key))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from None
     return values
 
 
@@ -118,26 +134,38 @@ def resolve_config(file_values: Mapping | None = None, overrides: Mapping | None
 
 
 def check_choices(cfg: RunConfig) -> None:
-    """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``,
-    every count is at least 1, the history window is not negative and the scaling ``c`` is a
-    finite number above 0."""
+    """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``, no
+    variant is listed twice, every count (the LLM retry and in-flight bounds included) is at
+    least 1, the history window is not negative and the scaling ``c`` and the LLM timeout are
+    finite numbers above 0."""
     for key, allowed in CHOICES.items():
         values = cfg.variants if key == "variants" else (getattr(cfg, key),)
         for value in values:
             if value not in allowed:
                 raise ConfigError(f"config field {key!r}: {value!r} is not one of {', '.join(allowed)}")
-    for key in ("n_walks", "walk_len", "top_k", "top_s", "runs", "pair_sample"):
+    repeated = next((v for v in cfg.variants if cfg.variants.count(v) > 1), None)
+    if repeated is not None:
+        raise ConfigError(f"config field 'variants': {repeated!r} is listed more than once")
+    for key in ("n_walks", "walk_len", "top_k", "top_s", "runs", "pair_sample", "llm_max_retries",
+                "llm_max_in_flight"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"config field {key!r}: {getattr(cfg, key)!r} is less than 1")
     if cfg.window < 0:
         raise ConfigError(f"config field 'window': {cfg.window!r} is negative")
-    if not (math.isfinite(cfg.c) and cfg.c > 0):
-        raise ConfigError(f"config field 'c': {cfg.c!r} is not a finite number above 0")
+    for key, value in (("c", cfg.c), ("llm_timeout", cfg.llm_timeout)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"config field {key!r}: {value!r} is not a finite number above 0")
+
+
+def computed_fields(cfg: RunConfig) -> dict:
+    """The fields that can change what a run computes, all but ``DEPLOYMENT_FIELDS``, as JSON
+    values: what :func:`fingerprint` hashes and a report's ``config`` holds."""
+    payload = {key: value for key, value in dataclasses.asdict(cfg).items() if key not in DEPLOYMENT_FIELDS}
+    payload["variants"] = list(payload["variants"])
+    return payload
 
 
 def fingerprint(cfg: RunConfig) -> str:
-    """Stable hash of the fully resolved configuration."""
-    payload = dataclasses.asdict(cfg)
-    payload["variants"] = list(payload["variants"])
-    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
+    """Stable hash of :func:`computed_fields`."""
+    canonical = json.dumps(computed_fields(cfg), sort_keys=True).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()[:16]

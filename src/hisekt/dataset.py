@@ -1,4 +1,4 @@
-"""Interaction-log ingestion, fixed-point filtering, and chronological splitting.
+"""Ingestion of interaction logs, fixed-point filtering, and chronological splitting.
 
 Input files are comma-separated text with a header row
 ``student_id,question_id,kc_ids,correct,timestamp``; ``kc_ids`` packs one or
@@ -22,7 +22,6 @@ import itertools
 import logging
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -39,17 +38,6 @@ MIN_STUDENT_INTERACTIONS = 10
 MIN_QUESTION_ANSWERS = 10
 TRAIN_FRACTION = 0.8
 VAL_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One dataset row, decoded: a student answered a question tagged with KCs at a time."""
-
-    student_id: str
-    question_id: str
-    kc_ids: frozenset[str]
-    correct: bool
-    timestamp: int
 
 
 def code_of(ids: Sequence[str], value: str) -> int:
@@ -132,13 +120,6 @@ class Dataset:
             runs = np.split(index, np.flatnonzero(np.diff(self.student[index])) + 1)
             self._memo["runs", split] = {self._students[self.student[run[0]]]: run for run in runs if len(run)}
         return self._memo["runs", split]
-
-    def rows(self, index: Sequence[int] | np.ndarray) -> list[Interaction]:
-        """The listed rows as :class:`Interaction` records."""
-        kc_sets = list(map(frozenset, self.kc_set_ids))
-        columns = (self.student, self.question, self.kc_set, self.correct, self.timestamp)
-        return [Interaction(self._students[s], self._questions[q], kc_sets[k], bool(c), t)
-                for s, q, k, c, t in zip(*(column[index].tolist() for column in columns))]
 
 
 def _coded(codes: np.ndarray, ids: Mapping) -> tuple[list, np.ndarray]:

@@ -16,7 +16,6 @@ the CLI's ``retrieve`` and ``predict`` stages write their artifacts from it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 from dataclasses import dataclass, field
@@ -27,8 +26,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from . import irt as irt_mod
 from . import pathscore, predict, retrieval
-from .config import ABLATIONS, RunConfig, check_choices, fingerprint
-from .dataset import Interaction
+from .config import ABLATIONS, RunConfig, check_choices, computed_fields, fingerprint
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
 from .mrhin import TEMPLATES, Mrhin, WalkGroup, sample_walks
@@ -124,10 +122,6 @@ def run_seed_of(cfg: RunConfig, r: int) -> int:
     return derive_seed(cfg.seed, "run", r)
 
 
-def target_key(i: Interaction) -> tuple[str, str, int]:
-    return (i.student_id, i.question_id, i.timestamp)
-
-
 def stage_keys(cfg: RunConfig, run_seed: int, variant: str | None = None) -> dict[str, tuple]:
     """The memo key of every stage (and of the LLM client) for one config, run and variant: the
     stage's name, the ``RunConfig`` fields and ``ABLATIONS`` columns it reads, and the keys of the
@@ -189,8 +183,9 @@ class PipelineContext:
     def graph(self) -> Mrhin:
         return self.get("graph")
 
-    def test_targets(self, cfg: RunConfig | None = None) -> tuple[Interaction, ...]:
-        """The test split in prediction order, which is row order: by student, then time, then question."""
+    def test_targets(self, cfg: RunConfig | None = None) -> tuple[tuple[str, str, int], ...]:
+        """The (student, question, timestamp) key of each test row, in prediction order, which is row
+        order: by student, then time, then question.  Peers and predictions are keyed by them."""
         return self.get("targets", cfg)
 
     def instances(self, run_seed: int, cfg: RunConfig | None = None) -> dict[str, dict[str, WalkGroup]]:
@@ -290,26 +285,33 @@ def _similarity(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: st
     )
 
 
+def _targets(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
+    d = ctx.get("dataset", cfg)
+    test = d.iter_split("test")
+    return tuple(zip(map(d.students().__getitem__, d.student[test].tolist()),
+                     map(d.questions().__getitem__, d.question[test].tolist()), d.timestamp[test].tolist()))
+
+
 def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
     """Each test target's Top-S peers, in test order; the targets of one question are ranked together."""
     _, peer_mode, mask = ABLATIONS[variant]
     tests = ctx.test_targets(cfg)
     if predict.MASK_SIMU in mask:
-        return {target_key(i): [] for i in tests}
+        return {key: [] for key in tests}
     d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
     retained = ctx.get("retained", cfg, run_seed, variant)
     none = (np.zeros(0, dtype=np.intp),) * 2  # a question with no sampled walk
     sim = ctx.get("similarity", cfg, run_seed, variant) if peer_mode == "similar" else None
-    by_question: dict[str, list[Interaction]] = {}
-    for i in tests:
-        by_question.setdefault(i.question_id, []).append(i)
+    by_question: dict[str, list[tuple[str, str, int]]] = {}
+    for key in tests:
+        by_question.setdefault(key[1], []).append(key)
     peers: dict[tuple[str, str, int], list[str]] = {}
     for qid, targets in by_question.items():
-        seeds = [derive_seed(run_seed, "tops", i.student_id, qid, i.timestamp) for i in targets]
-        ranked = retrieval.top_s_many(qid, retained.get(qid, none), [i.student_id for i in targets], sim, m, d,
+        seeds = [derive_seed(run_seed, "tops", u, qid, timestamp) for u, _, timestamp in targets]
+        ranked = retrieval.top_s_many(qid, retained.get(qid, none), [u for u, _, _ in targets], sim, m, d,
                                       cfg.top_s, mode=peer_mode, c=cfg.c, seeds=seeds)
-        peers.update(zip(map(target_key, targets), ranked))
-    return {target_key(i): peers[target_key(i)] for i in tests}
+        peers.update(zip(targets, ranked))
+    return {key: peers[key] for key in tests}
 
 
 def _predictions(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
@@ -324,7 +326,7 @@ def _predictions(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: s
 
 _COMPUTE: dict[str, Callable[[PipelineContext, RunConfig, int, str | None], object]] = {
     "dataset": lambda ctx, cfg, *_: dataset_mod.split(dataset_mod.ingest(cfg.data), cfg.seed),
-    "targets": lambda ctx, cfg, *_: tuple((d := ctx.get("dataset", cfg)).rows(d.iter_split("test"))),
+    "targets": _targets,
     "irt": lambda ctx, cfg, *_: irt_mod.fit(ctx.get("dataset", cfg)),
     "graph": lambda ctx, cfg, *_: Mrhin.build(ctx.get("dataset", cfg), ctx.get("irt", cfg)),
     "walks": _walks,
@@ -341,7 +343,7 @@ _COMPUTE: dict[str, Callable[[PipelineContext, RunConfig, int, str | None], obje
 def retrieve_peers(
     ctx: PipelineContext, variant: str | None, run_seed: int, cfg: RunConfig | None = None
 ) -> tuple[retrieval.SimilarityModel, dict[tuple[str, str, int], list[str]]]:
-    """Similarity model and Top-S peers (by :func:`target_key`, in test order) for one variant."""
+    """Similarity model and Top-S peers (by test target key, in test order) for one variant."""
     return ctx.get("similarity", cfg, run_seed, variant), ctx.get("peers", cfg, run_seed, variant)
 
 
@@ -356,9 +358,9 @@ def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int,
                 cfg: RunConfig | None = None) -> VariantMetrics:
     """ACC and AUC of one variant's predictions over the test split."""
     predictions = predict_targets(ctx, variant, run_seed, cfg)
-    tests = ctx.test_targets(cfg)
-    preds = [predictions[target_key(i)] for i in tests]
-    labels = [1 if i.correct else 0 for i in tests]
+    d = ctx.get("dataset", cfg)
+    preds = [predictions[key] for key in ctx.test_targets(cfg)]
+    labels = d.correct[d.iter_split("test")].tolist()
     outcomes = [1 if p.outcome == "correct" else 0 for p in preds]
     return VariantMetrics(
         acc=accuracy(labels, outcomes), auc=auc(labels, [p.p_correct for p in preds]), n=len(labels)
@@ -399,8 +401,6 @@ def run_experiment(cfg: RunConfig, ctx: PipelineContext | None = None) -> EvalRe
 
     full = mean_of("full")
     per_variant = {v: mean_of(v) for v in sums if v != "full"}
-    resolved = dataclasses.asdict(cfg)
-    resolved["variants"] = list(resolved["variants"])
     return EvalReport(
         acc=full.acc,
         auc=full.auc,
@@ -408,5 +408,5 @@ def run_experiment(cfg: RunConfig, ctx: PipelineContext | None = None) -> EvalRe
         config_fingerprint=fingerprint(cfg),
         per_variant=per_variant,
         run_rows=rows,
-        resolved_config=resolved,
+        resolved_config=computed_fields(cfg),
     )

@@ -7,9 +7,12 @@ discrimination field (``IRT``).  Floats are rendered with ``repr`` so a
 parser recovers every field value exactly; the offline mock backend relies
 on that to answer prompts deterministically from their text alone.
 
-:func:`build_prompt` reads the dataset through :func:`student_facts`, built
-once per dataset and memoized on it: each student's train history, its rows
-and accuracy per KC, and its overall accuracy.  A prompt is put together from
+:func:`build_prompt` reads the dataset's columns: a student's history rows and
+overall accuracy come from its run of ``d.by_student("train")``, and its
+accuracy on a KC from :func:`~hisekt.retrieval.student_tables`, the one
+per-student train summary, which peer retrieval reads too.  A student with no
+train row, or in no row, shows no history, overall accuracy 0.5 and KC
+accuracy ``none``.  A prompt is put together from
 block texts: the target-student block, rendered once per (student, window,
 IRT shown), and each peer entry, rendered once per (peer, target KC, IRT
 shown), are memoized on the dataset for the model they were rendered with,
@@ -30,14 +33,16 @@ from __future__ import annotations
 import logging
 import re
 import weakref
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .dataset import Dataset
+import numpy as np
+
+from .dataset import Dataset, code_of
 from .errors import PredictionError, TransportError
 from .irt import IrtModel, probability
 from .llm import LlmClient
+from .retrieval import student_tables
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +54,7 @@ PREDICTION_PROMPT_HEADER = "### ANSWER PREDICTION TASK ###"
 REPLY_OPEN = "<<<PREDICTION"
 REPLY_CLOSE = "PREDICTION>>>"
 _SENTENCE_END = re.compile(r"[.!?](?=\s|$)")
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 def count_sentences(text: str) -> int:
@@ -115,41 +121,19 @@ def is_prediction_prompt(text: str) -> bool:
     return text.startswith(PREDICTION_PROMPT_HEADER)
 
 
-@dataclass(frozen=True)
-class StudentFacts:
-    """One student's train-split facts, in time order."""
-
-    history: tuple[tuple[str, tuple[str, ...], bool, int], ...]  # (question, sorted KCs, correct, timestamp)
-    kc_history: Mapping[str, tuple[tuple[str, bool, int], ...]]  # KC -> (question, correct, timestamp)
-    kc_accuracy: Mapping[str, float]  # KC -> accuracy over kc_history
-    overall_accuracy: float  # 0.5 without train rows
+def _train_run(d: Dataset, student: str) -> np.ndarray:
+    """The time-ordered indices of ``student``'s train rows; none for one without train rows or
+    in no row of ``d``."""
+    return d.by_student("train").get(student, _NO_ROWS)
 
 
-_NO_FACTS = StudentFacts((), {}, {}, 0.5)
-
-
-def _facts(d: Dataset, run: Sequence[int]) -> StudentFacts:
-    columns = (column[run].tolist() for column in (d.question, d.kc_set, d.correct, d.timestamp))
-    history = tuple((d.questions()[q], d.kc_set_ids[k], bool(c), t) for q, k, c, t in zip(*columns))
-    kc_rows: dict[str, list[tuple[str, bool, int]]] = defaultdict(list)
-    for qid, kcs, correct, timestamp in history:
-        for kc in kcs:
-            kc_rows[kc].append((qid, correct, timestamp))
-    return StudentFacts(
-        history=history,
-        kc_history={kc: tuple(hits) for kc, hits in kc_rows.items()},
-        kc_accuracy={kc: sum(correct for _, correct, _ in hits) / len(hits) for kc, hits in kc_rows.items()},
-        overall_accuracy=sum(row[2] for row in history) / len(history) if history else 0.5,
-    )
-
-
-def student_facts(d: Dataset) -> Mapping[str, StudentFacts]:
-    """Student id -> :class:`StudentFacts` of the train split; students without train rows are absent."""
-    cached = getattr(d, "_student_facts", None)
-    if cached is None:
-        cached = {student: _facts(d, run) for student, run in d.by_student("train").items()}
-        d._student_facts = cached  # memoized on the immutable dataset, so it dies with it
-    return cached
+def _kc_accuracy(d: Dataset, student: str, kc: str) -> float | None:
+    """``student``'s train accuracy on ``kc``, read from :func:`~hisekt.retrieval.student_tables`;
+    None without a train row on it."""
+    row = code_of(d.students(), student)
+    k = code_of(d.kcs(), kc)
+    t = student_tables(d)
+    return t.kc_accuracy[row, k].item() if row >= 0 and t.has_kc[row, k] else None
 
 
 class _Rendered:
@@ -174,15 +158,16 @@ def _rendered(d: Dataset, m: IrtModel) -> _Rendered:
 
 
 def _target_block(u: str, window: int, irt: bool, m: IrtModel, d: Dataset) -> str:
-    own = student_facts(d).get(u, _NO_FACTS)
-    rows = own.history[max(len(own.history) - window, 0):]
+    run = _train_run(d, u)
+    rows = run[max(len(run) - window, 0):]
     lines = ["=== TARGET STUDENT ===", f"student_id: {u}"]
     if irt:
         lines.append(f"ability: {m.theta[u]!r}")
         lines.append(f"ability_level: {m.ability_level[u].label}")
     lines.append(f"recent_interactions: {len(rows)}")
-    for qid, kcs, correct, timestamp in rows:
-        entry = f"  - question: {qid} | kcs: {';'.join(kcs)} | correct: {int(correct)} | timestamp: {timestamp}"
+    for q, k, correct, timestamp in zip(*(c[rows].tolist() for c in (d.question, d.kc_set, d.correct, d.timestamp))):
+        qid = d.questions()[q]
+        entry = f"  - question: {qid} | kcs: {';'.join(d.kc_set_ids[k])} | correct: {correct} | timestamp: {timestamp}"
         if irt:
             entry += (f" | difficulty: {m.diff[qid]!r} | discrimination: {m.disc[qid]!r}"
                       f" | difficulty_level: {m.difficulty_level[qid].label}")
@@ -191,23 +176,26 @@ def _target_block(u: str, window: int, irt: bool, m: IrtModel, d: Dataset) -> st
 
 
 def _peer_entry(peer_id: str, target_kc: str, irt: bool, m: IrtModel, d: Dataset) -> str:
-    peer = student_facts(d).get(peer_id, _NO_FACTS)
-    accuracy = peer.kc_accuracy.get(target_kc)
-    history = peer.kc_history.get(target_kc, ())
+    run = _train_run(d, peer_id)
+    accuracy = _kc_accuracy(d, peer_id, target_kc)
+    at, kcs = d.row_kcs(run)
+    history = run[at[kcs == code_of(d.kcs(), target_kc)]]
+    answers = d.correct[run].tolist()
+    overall = sum(answers) / len(answers) if answers else 0.5
     lines = [f"peer: {peer_id}"]
     if irt:
         lines.append(f"  ability: {m.theta[peer_id]!r}")
         lines.append(f"  ability_level: {m.ability_level[peer_id].label}")
     lines.append(f"  target_kc_accuracy: {'none' if accuracy is None else repr(accuracy)}")
-    lines.append(f"  overall_accuracy: {peer.overall_accuracy!r}")
+    lines.append(f"  overall_accuracy: {overall!r}")
     lines.append(f"  target_kc_history: {len(history)}")
-    for qid, correct, timestamp in history:
-        lines.append(f"    - question: {qid} | correct: {int(correct)} | timestamp: {timestamp}")
+    for q, correct, timestamp in zip(*(c[history].tolist() for c in (d.question, d.correct, d.timestamp))):
+        lines.append(f"    - question: {d.questions()[q]} | correct: {correct} | timestamp: {timestamp}")
     return "\n".join(lines)
 
 
 def _question_block(u: str, q: str, target_kc: str, irt: bool, m: IrtModel, d: Dataset) -> str:
-    accuracy = student_facts(d).get(u, _NO_FACTS).kc_accuracy.get(target_kc)
+    accuracy = _kc_accuracy(d, u, target_kc)
     lines = [
         "=== TARGET QUESTION ===",
         f"question_id: {q}",

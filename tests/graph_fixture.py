@@ -9,12 +9,11 @@ import hashlib
 
 import numpy as np
 
-from hisekt.dataset import Interaction
 from hisekt.irt import IrtModel, Level
 from hisekt.mrhin import NODE_KINDS, PAD, TEMPLATES, Mrhin, WalkGroup
 from hisekt.seeding import derive_rng
 
-from support import dataset_of
+from support import Interaction, dataset_of
 
 
 MASK64 = 2**64 - 1

@@ -29,6 +29,8 @@ from hisekt.mrhin import Node
 from hisekt.predict import (DEFAULT_WINDOW, MASK_IRT, MASK_SIMU, PREDICTION_PROMPT_HEADER, TASK_BLOCK, _parse_scalar,
                             mock_reply)
 
+from support import decode_rows
+
 
 @dataclass(frozen=True)
 class HistoryRow:
@@ -156,7 +158,7 @@ def reference_build_prompt(
 ) -> ReferenceBundle:
     """The structured prompt of one target, from a scan of the train rows (``window`` >= 0)."""
     mask = frozenset(mask)
-    by_student = {student: d.rows(run) for student, run in d.by_student("train").items()}
+    by_student = {student: decode_rows(d, run) for student, run in d.by_student("train").items()}
     question_kcs = d.question_kcs()
     target_kc = min(question_kcs[q])
 

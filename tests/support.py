@@ -6,9 +6,9 @@ the path formulas on one walk of node indices, peer retrieval one target at a ti
 group built from given dimensions, the LLM scorer as it read replies, the scored-walk writer
 that dumped each score column with ``json.dumps``, the mock scorer's block reader decoded for one
 prompt, the mock's scores of a path written into a prompt with no graph behind it, the
-breadth-first search that graph hop tables are held to, a columnar dataset built from
-``Interaction`` records with its rows decoded back, and the row-object CSV reader that the
-columnar reader is held to."""
+breadth-first search that graph hop tables are held to, the ``Interaction`` record of one
+decoded row, a columnar dataset built from such records with its rows decoded back, and the
+row-object CSV reader that the columnar reader is held to."""
 
 import csv
 import json
@@ -17,15 +17,15 @@ from collections import Counter
 from pathlib import Path
 import re
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from hisekt.config import ABLATIONS
 from hisekt.dataset import (KC_DELIMITER, MIN_QUESTION_ANSWERS, MIN_STUDENT_INTERACTIONS, REQUIRED_COLUMNS,
-                            SPLIT_LABELS, Dataset, Interaction)
+                            SPLIT_LABELS, Dataset)
 from hisekt.errors import EmptyDatasetError, IngestError
 from hisekt.errors import TransportError
-from hisekt.evaluation import target_key
 from hisekt.llm import LlmClient
 from hisekt.mrhin import PAD, UNREACHABLE, write_walks
 from hisekt.pathscore import (LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, SCORING_PROMPT_HEADER, ScoredGroup,
@@ -73,7 +73,7 @@ def reference_path_pair_pool(counts, d):
     ``evaluation._path_pair_pool`` was before it made int keys: each train answerer of each target
     question against each student retained for it but itself, with that student's count."""
     answerers = {}
-    for i in d.rows(d.iter_split("train")):
+    for i in decode_rows(d, d.iter_split("train")):
         answerers.setdefault(i.question_id, set()).add(i.student_id)
     pool = set()
     for qid, per_student in counts.items():
@@ -211,15 +211,15 @@ def reference_peers(ctx, cfg, run_seed, variant):
     _, peer_mode, mask = ABLATIONS[variant]
     tests = ctx.test_targets(cfg)
     if MASK_SIMU in mask:
-        return {target_key(i): [] for i in tests}
+        return {key: [] for key in tests}
     d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
     counts = retained_ids(ctx.get("retained", cfg, run_seed, variant), d)
     sim = ctx.get("similarity", cfg, run_seed, variant) if peer_mode == "similar" else None
     peers = {}
-    for i in tests:
-        cands = candidates_of(counts.get(i.question_id, {}), i.student_id, i.question_id)
-        seed = derive_seed(run_seed, "tops", i.student_id, i.question_id, i.timestamp)
-        peers[target_key(i)] = reference_top_s(cands, sim, m, d, cfg.top_s, mode=peer_mode, c=cfg.c, seed=seed)
+    for u, qid, timestamp in tests:
+        cands = candidates_of(counts.get(qid, {}), u, qid)
+        seed = derive_seed(run_seed, "tops", u, qid, timestamp)
+        peers[u, qid, timestamp] = reference_top_s(cands, sim, m, d, cfg.top_s, mode=peer_mode, c=cfg.c, seed=seed)
     return peers
 
 
@@ -314,6 +314,25 @@ def hops_from(g, source):
     return tuple(found)
 
 
+@dataclass(frozen=True)
+class Interaction:
+    """One dataset row, decoded: a student answered a question tagged with KCs at a time."""
+
+    student_id: str
+    question_id: str
+    kc_ids: frozenset[str]
+    correct: bool
+    timestamp: int
+
+
+def decode_rows(d, index):
+    """The listed rows of a dataset as ``Interaction`` records."""
+    kc_sets = list(map(frozenset, d.kc_set_ids))
+    columns = (d.student, d.question, d.kc_set, d.correct, d.timestamp)
+    return [Interaction(d.students()[s], d.questions()[q], kc_sets[k], bool(c), t)
+            for s, q, k, c, t in zip(*(column[index].tolist() for column in columns))]
+
+
 def dataset_of(rows, splits=None, dropped_rows=0, duplicate_rows=0):
     """The columnar dataset of ``Interaction`` records, with their split labels if given, its rows
     put in (student, timestamp, question) order."""
@@ -332,7 +351,7 @@ def dataset_of(rows, splits=None, dropped_rows=0, duplicate_rows=0):
 
 def interactions(d):
     """Every row of a dataset as an ``Interaction``, in row order."""
-    return tuple(d.rows(range(len(d))))
+    return tuple(decode_rows(d, range(len(d))))
 
 
 def split_labels(d):

@@ -255,6 +255,96 @@ class TestScalingC:
         assert PipelineContext(RunConfig(data=str(data_file), c=value)).cfg.c == value
 
 
+class TestRepeatedVariant:
+    def test_a_run_config_is_refused(self, data_file):
+        cfg = RunConfig(data=str(data_file), variants=("msr", "simu", "msr"))
+        with pytest.raises(ConfigError, match="'variants': 'msr' is listed more than once"):
+            PipelineContext(cfg)
+        with pytest.raises(ConfigError, match="'variants': 'msr' is listed more than once"):
+            run_experiment(cfg)
+
+    def test_the_flag_fails_before_any_stage(self, config_file, tmp_path, capsys):
+        assert main(["pipeline", "--config", str(config_file), "--variants", "msr,msr"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error in stage pipeline: config field 'variants': 'msr' is listed more than once\n"
+        assert not (tmp_path / "cache").exists()
+
+
+class TestUnparsableConfig:
+    @pytest.mark.parametrize("line, message", [("top_k = three", "config key 'top_k': 'three' is not an integer"),
+                                               ("runs = 2.5", "config key 'runs': '2.5' is not an integer"),
+                                               ("c = abc", "config key 'c': 'abc' is not a number")])
+    def test_a_file_value_names_its_line_and_key(self, config_file, tmp_path, capsys, line, message):
+        line_no = len(config_file.read_text(encoding="utf-8").splitlines()) + 1
+        config_file.write_text(config_file.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{config_file}:{line_no}: {message}")):
+            load_config_file(config_file)
+        assert main(["pipeline", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err == f"error in stage pipeline: {config_file}:{line_no}: {message}\n"
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("key, value", [("runs", "2.5"), ("top_k", "three"), ("c", "abc"), ("top_s", [2])])
+    def test_an_override_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}': "):
+            resolve_config({"data": "x", key: value})
+
+    def test_a_missing_config_file_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        with pytest.raises(HisektError, match="cannot read config file"):
+            load_config_file(missing)
+        assert main(["pipeline", "--config", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage pipeline: cannot read config file {missing}: ") and err.count("\n") == 1
+
+
+# the LLM transport bounds: counts below 1 and timeouts that are not finite numbers above 0
+BAD_TRANSPORT = [("llm_max_retries", -3), ("llm_max_retries", 0), ("llm_max_in_flight", 0),
+                 *(("llm_timeout", value) for value in (-1.0, 0.0, float("nan"), float("inf")))]
+
+
+class TestTransportFields:
+    @pytest.mark.parametrize("key, value", BAD_TRANSPORT)
+    def test_a_run_config_value_is_refused(self, data_file, key, value):
+        with pytest.raises(ConfigError, match=f"config field '{key}': "):
+            PipelineContext(RunConfig(data=str(data_file), **{key: value}))
+
+    @pytest.mark.parametrize("key, value", BAD_TRANSPORT)
+    def test_a_file_value_fails_ingest_before_it_runs(self, config_file, tmp_path, capsys, key, value):
+        config_file.write_text(config_file.read_text(encoding="utf-8") + f"{key} = {value}\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(config_file)]) == 1
+        assert capsys.readouterr().err.startswith(f"error in stage ingest: config field '{key}': ")
+        assert not (tmp_path / "cache").exists()
+
+    def test_the_report_does_not_depend_on_the_cache_dir_or_transport(self, config_file, tmp_path, monkeypatch,
+                                                                      capsys):
+        """Two cache dir names and two in-flight bounds give one fingerprint and one report, byte
+        for byte, and the first cache, warm, serves the second bound without an LLM request."""
+        base, requests = config_file.read_text(encoding="utf-8"), []
+        complete, score_llm = LlmClient.complete, pathscore.score_llm
+        monkeypatch.setattr(LlmClient, "complete", lambda client, prompt: requests.append(prompt)
+                            or complete(client, prompt))
+        monkeypatch.setattr(pathscore, "score_llm", lambda groups, client: requests.extend(groups)
+                            or score_llm(groups, client))
+        reports, asked = [], []
+        for run, (name, in_flight) in enumerate((("cache", 1), ("other-cache", 2), ("cache", 2))):
+            config_file.write_text(f"{base}llm_max_in_flight = {in_flight}\nllm_timeout = {5.0 * in_flight}\n",
+                                   encoding="utf-8")
+            out = tmp_path / f"report-{run}.json"
+            argv = ["pipeline", "--config", str(config_file), "--cache-dir", str(tmp_path / name), "--out", str(out)]
+            assert main([*argv, "--score-backend", "llm", "--llm-backend", "mock"]) == 0
+            reports.append(out.read_bytes())
+            asked.append(len(requests))
+            requests.clear()
+        capsys.readouterr()
+        assert asked[0] > 0 and asked[1] == asked[0] and asked[2] == 0
+        assert reports[0] == reports[1] == reports[2]
+        roots = [[p.name for p in (tmp_path / name).iterdir()] for name in ("cache", "other-cache")]
+        assert roots[0] == roots[1]  # one fingerprint
+        config = json.loads(reports[0])["config"]
+        assert not {"cache_dir", "out_dir", "llm_timeout", "llm_max_retries", "llm_max_in_flight"} & set(config)
+        assert config["top_k"] == 3
+
+
 class TestCliStages:
     def test_pipeline_smoke_writes_report(self, config_file, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -714,13 +804,14 @@ class TestGoldenArtifacts:
     # does not name a temporary directory.  The walk files' digests were recorded before they were
     # built from JSON fragments and the mock scorer read path lines by their kind; the peers' and
     # predictions' before the mock predictor's reader became strict: a change to a codec or to
-    # what a mock reads shows here.
+    # what a mock reads shows here.  The report's was recorded again when its config and
+    # fingerprint stopped holding the deployment fields (cache dir, out dir, LLM transport).
     DIGESTS = {
         "paths.jsonl": "87dc28faf1d72e1f69484946c0da9deed0fa4b0f80e724f76a274c3809b2d49a",
         "scored.jsonl": "a0f2194b942a23389bbd3764f818bff4b0fdac963a934f27e09b5fefe4219bb0",
         "retrieval.json": "82d1a183e294492e8020ca6a47ff9e1eaecf8abe1d9e3bddad9a6e8dd3278b2c",
         "predictions.jsonl": "807d17cdd2c04f7c728f2aeae6fc07199fedc61c6a1b5e7487bf00afe4a4cc78",
-        "report.json": "7f2a099d508e0fa29eedf0d585247ea082a3fde0eab37c376fd8c4687b3c3777",
+        "report.json": "5543bada3630744b995ba933b4daf8ae439aa9455a0b269daeb7abcbc2a010ef",
     }
 
     def test_llm_backend_artifacts_keep_their_digests(self, tmp_path, monkeypatch, capsys):

@@ -20,7 +20,7 @@ from hisekt.errors import EmptyDatasetError, IngestError
 from hisekt.synth import planted_csv
 
 from conftest import grid_rows, rows_to_csv
-from support import interactions, reference_ingest, split_labels
+from support import decode_rows, interactions, reference_ingest, split_labels
 
 
 def _ingest(rows):
@@ -251,7 +251,7 @@ def test_by_student_runs_are_the_split_rows_of_each_student():
     assert list(runs) == list(d.students())
     assert np.array_equal(np.concatenate(list(runs.values())), d.iter_split("train"))
     for student, run in runs.items():
-        assert {i.student_id for i in d.rows(run)} == {student}
+        assert {i.student_id for i in decode_rows(d, run)} == {student}
 
 
 

@@ -28,7 +28,7 @@ from hisekt.synth import planted_csv
 
 from conftest import rows_to_csv
 from graph_fixture import build_fixture_graph, walk_nodes
-from support import retained_rows, scored_group, unimodal_or_plateau
+from support import decode_rows, retained_rows, scored_group, unimodal_or_plateau
 
 
 def pairwise_auc(labels, scores):
@@ -317,7 +317,7 @@ def test_an_empty_path_pair_pool_falls_back_to_random_pairs(tmp_path, caplog):
     counts = {"P0": {"S00": 2}, "P1": {"S01": 1}, "P2": {"S02": 3}, "C9": {}}
     cfg = RunConfig(data=str(path), seed=7, pair_sample=5, pair_source="paths")
     ctx = PipelineContext(cfg, readers={"retained": lambda ctx: retained_rows(counts, ctx.dataset)})
-    train = ctx.dataset.rows(ctx.dataset.iter_split("train"))
+    train = decode_rows(ctx.dataset, ctx.dataset.iter_split("train"))
     assert [[i.student_id for i in train if i.question_id == f"P{p}"] for p in range(3)] == [["S00"], ["S01"], ["S02"]]
 
     with caplog.at_level("WARNING", logger="hisekt.evaluation"):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hisekt import predict as predict_mod
 from hisekt.config import RunConfig
-from hisekt.dataset import Interaction
 from hisekt.errors import PredictionError, TransportError
 from hisekt.evaluation import PipelineContext, run_experiment
 from hisekt.irt import IrtModel, Level, probability
@@ -23,13 +22,13 @@ from hisekt.predict import (
     count_sentences,
     mock_prediction_reply,
     predict,
-    student_facts,
 )
+from hisekt.retrieval import student_tables
 from hisekt.synth import planted_csv
 
 from prompt_reference import (HistoryRow, PeerInfo, ReferenceBundle, parse_prompt, reference_build_prompt,
                               reference_mock_reply)
-from support import CutPromptBundle, dataset_of, interactions, scripted_client, split_labels
+from support import CutPromptBundle, Interaction, dataset_of, interactions, scripted_client, split_labels
 
 GOLDEN = Path(__file__).parent / "golden"
 MOCK = LlmClient(backend="mock")
@@ -397,8 +396,8 @@ class TestStudentFacts:
 
     def test_tables_are_built_once_per_dataset(self):
         d, _ = golden_inputs()
-        assert student_facts(d) is student_facts(d)
-        assert student_facts(golden_inputs()[0]) is not student_facts(d)
+        assert student_tables(d) is student_tables(d)
+        assert student_tables(golden_inputs()[0]) is not student_tables(d)
 
     def test_tables_die_with_the_context(self, tmp_path):
         csv, _ = planted_csv(n_bands=3, students_per_band=12, questions_per_band=10, seed=3)
@@ -407,7 +406,7 @@ class TestStudentFacts:
         ctx = PipelineContext(RunConfig(data=str(path), n_walks=5, walk_len=8, top_k=3, top_s=2, pair_sample=200))
         run_experiment(ctx.cfg, ctx)
         dataset, model = weakref.ref(ctx.dataset), weakref.ref(ctx.irt)
-        assert student_facts(ctx.dataset)
+        assert student_tables(ctx.dataset).has_kc.any()
         del ctx
         gc.collect()
         assert dataset() is None and model() is None

@@ -15,7 +15,7 @@ import hisekt
 from hisekt import evaluation
 from hisekt import retrieval as retrieval_mod
 from hisekt.config import ABLATIONS, RunConfig
-from hisekt.dataset import Interaction, ingest, split
+from hisekt.dataset import ingest, split
 from hisekt.errors import ModelError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.irt import IrtModel, Level
@@ -39,9 +39,9 @@ from hisekt.seeding import derive_rng, derive_seed
 from hisekt.synth import planted_csv
 
 from graph_fixture import ABILITY, DIFFICULTY, KC_OF, TRAIN_PAIRS, make_dataset, make_model, walk_nodes
-from support import (candidates_of, dataset_of, interactions, keys_of_triples, reference_distances,
-                     reference_path_pair_pool, reference_peers, reference_top_s, retained_ids, retained_rows,
-                     split_labels, triples_of_keys)
+from support import (Interaction, candidates_of, dataset_of, decode_rows, interactions, keys_of_triples,
+                     reference_distances, reference_path_pair_pool, reference_peers, reference_top_s, retained_ids,
+                     retained_rows, split_labels, triples_of_keys)
 
 
 def student_counts(walks):
@@ -546,7 +546,7 @@ class LoopEncoder:
         self.questions = {}
         self.kc_accuracy = {}
         for student, run in d.by_student("train").items():
-            rows = d.rows(run)
+            rows = decode_rows(d, run)
             self.questions[student] = frozenset(i.question_id for i in rows)
             totals, rights = {}, {}
             for i in rows:
@@ -624,7 +624,7 @@ class TestBlocksEqualTheLoop:
     def test_top_s_ranking(self, planted):
         d, m, loop = planted
         sm = fit_similarity(d, m, seed=2)
-        targets = sorted({(i.student_id, i.question_id) for i in d.rows(d.iter_split("test"))})[::7]
+        targets = sorted({(i.student_id, i.question_id) for i in decode_rows(d, d.iter_split("test"))})[::7]
         for u, q in targets:
             cands = CandidateSet(u, q, {s: 1 + (len(s) + len(q)) % 4 for s in d.students() if s != u})
             ranked = sorted(
