@@ -54,8 +54,8 @@ logger = logging.getLogger(__name__)
 def _cache_dir(cfg: RunConfig) -> Path:
     """``<cache_dir>/<config fingerprint>-<input sha256>-<fit scheme>-<walk scheme>/``, created if
     missing; reads the input once.  The fit scheme names the IRT fitting rule, and the walk scheme
-    the draw rule and the Top-K tie-key rule, so artifacts cached under other rules are not read as
-    these rules'."""
+    the draw rule, the Top-K tie-key rule and the walk and score file layout, so artifacts cached
+    under other rules are not read as these rules'."""
     try:
         digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
     except OSError as exc:
@@ -214,7 +214,7 @@ STAGES = {
     "sample-paths": Stage("paths.jsonl", "walks", ("ingest", "build-hin"), _write_walks,
                           lambda path, ctx: read_walks(path, ctx.graph)),
     "score-paths": Stage("scored.jsonl", "scored", ("sample-paths", "build-hin"), _write_scored,
-                         lambda path, ctx: pathscore.read_scored(path, ctx.graph)),
+                         lambda path, ctx: pathscore.read_scored(path, ctx.instances(run_seed_of(ctx.cfg, 0)))),
     "retrieve": Stage("retrieval.json", "peers", ("ingest", "fit-irt", "score-paths"), _write_peers, _read_peers),
     "predict": Stage("predictions.jsonl", "predictions", ("ingest", "fit-irt", "retrieve"), _write_predictions,
                      _read_predictions),

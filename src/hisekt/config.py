@@ -49,6 +49,7 @@ class RunConfig:
 
 
 FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+_WHAT = {int: "an integer", float: "a number", str: "a string", tuple: "a tuple of strings"}  # by field type
 DEPLOYMENT_FIELDS = ("cache_dir", "out_dir", "llm_timeout", "llm_max_retries", "llm_max_in_flight")
 
 
@@ -71,7 +72,7 @@ CHOICES = {
 
 def _coerce(name: str, raw, current):
     """Coerce a raw file/flag value to the type of the dataclass field; ConfigError naming the key
-    if it does not parse as one."""
+    if it does not parse as one, is a bool for a number, or is a float with a fraction for an int."""
     if isinstance(raw, str):
         raw = raw.strip()
     if name == "variants":
@@ -82,10 +83,12 @@ def _coerce(name: str, raw, current):
     if kind not in (int, float):
         return str(raw)
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {name!r}: {raw!r} is not {what}") from None
+        value = None
+    if value is None or isinstance(raw, bool) or (isinstance(raw, float) and value != raw and kind is int):
+        raise ConfigError(f"config key {name!r}: {raw!r} is not {_WHAT[kind]}")
+    return value
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -134,10 +137,18 @@ def resolve_config(file_values: Mapping | None = None, overrides: Mapping | None
 
 
 def check_choices(cfg: RunConfig) -> None:
-    """Raise ``ConfigError`` unless every enumerated field holds a value from ``CHOICES``, no
-    variant is listed twice, every count (the LLM retry and in-flight bounds included) is at
-    least 1, the history window is not negative and the scaling ``c`` and the LLM timeout are
-    finite numbers above 0."""
+    """Raise ``ConfigError`` unless every field holds a value of its type, every enumerated field
+    a value from ``CHOICES``, no variant is listed twice, every count (the LLM retry and in-flight
+    bounds included) is at least 1, the history window is not negative and the scaling ``c`` and
+    the LLM timeout are finite numbers above 0."""
+    for field in dataclasses.fields(RunConfig):
+        value, kind = getattr(cfg, field.name), type(field.default)
+        if kind is tuple:
+            ok = type(value) is tuple and all(type(v) is str for v in value)
+        else:  # a float field takes an int too, and no number field a bool
+            ok = type(value) is kind or (kind is float and type(value) is int)
+        if not ok:
+            raise ConfigError(f"config field {field.name!r}: {value!r} is not {_WHAT[kind]}")
     for key, allowed in CHOICES.items():
         values = cfg.variants if key == "variants" else (getattr(cfg, key),)
         for value in values:

@@ -26,9 +26,10 @@ The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
 order is node order, and holds its edges once, as one CSR over all edge
 kinds (:class:`Mrhin`).  The walks of one (target question, template) pair
 are a :class:`WalkGroup`: one int array with a row per walk, padded with
-``PAD`` after a truncated walk's last node.  Walk files (``paths.jsonl``, and
-``scored.jsonl`` through :mod:`hisekt.pathscore`) are written from groups and
-read back into groups, one JSON line per walk.
+``PAD`` after a truncated walk's last node.  The walk file (``paths.jsonl``)
+is written from groups and read back into groups, one JSON line per walk, in
+each group's :func:`file_order`; ``scored.jsonl`` (:mod:`hisekt.pathscore`)
+holds each walk's scores and tie key, line for line in the same order.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,9 +63,9 @@ DEFAULT_WALK_LEN = 20
 RESAMPLE_FACTOR = 10
 PAD = -1  # fills a walk row after the last node of a truncated walk
 UNREACHABLE = 2**31 - 1  # hop count of a node no path reaches; above any cap
-# Names the walk draw rule and the tie-key rule, for caches of sampled walks and of what their
-# Top-K order decides: change it with either rule.
-WALK_SCHEME = "splitmix64-mixsum"
+# Names the walk draw rule, the tie-key rule and the layout of the walk and score files, for
+# caches of sampled walks and of what their Top-K order decides: change it with any of them.
+WALK_SCHEME = "splitmix64-mixsum-tiekeyed"
 
 # SplitMix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
 # finalizer's constants.  Kept as np.uint64 so that all wrapping arithmetic is on
@@ -485,22 +486,24 @@ def read_graph(path: str | Path) -> Mrhin:
 
 # -- walk store ----------------------------------------------------------------
 #
-# A walk file holds one JSON record per walk, {"nodes": [[kind, id], ...], "target_kc",
-# "target_q", "template"} plus any fields its writer adds, sorted by target question, then
-# template name, then node sequence.  Each line is the text ``json.dumps(record,
-# sort_keys=True)`` gives, assembled from JSON fragments instead of dumped per walk: each node's
-# ``[kind, id]`` is dumped once per graph, the target KC, question and template once per group,
-# and the added fields come as per-group columns of JSON values.  Lines go to the file group by
-# group, so the file's text is never held whole.
+# ``paths.jsonl`` holds one JSON record per walk, {"nodes": [[kind, id], ...], "target_kc",
+# "target_q", "template"}, sorted by target question, then template name, then the group's
+# :func:`file_order`.  Each line is the text ``json.dumps(record, sort_keys=True)`` gives,
+# assembled from JSON fragments instead of dumped per walk: each node's ``[kind, id]`` is dumped
+# once per graph, the target KC, question and template once per group.  Lines go to the file
+# group by group, so the file's text is never held whole.  ``scored.jsonl``
+# (:func:`hisekt.pathscore.write_scored`) holds each walk's scores in the same order.
 
 
-def write_walks(grouped: Mapping[str, Mapping[str, WalkGroup]], path: str | Path,
-                columns: Callable[[str, str], Mapping[str, Sequence[str]]] | None = None) -> int:
+def file_order(group: WalkGroup) -> np.ndarray:
+    """The order of a group's walks in the walk and score files: node order, as lists of node ints
+    compare.  ``PAD`` sorts before every node int, so a walk sorts before its longer extensions."""
+    return np.lexsort(group.rows.T[::-1])
+
+
+def write_walks(grouped: Mapping[str, Mapping[str, WalkGroup]], path: str | Path) -> int:
     """Write {target question: {template: WalkGroup}} as one line per walk; returns the number
-    of walks.  ``columns(question, template)``, if given, adds fields to that group's records:
-    {field name: the JSON text of its value on each row, in row order}.
-
-    A group's walks go in the order of their int rows, which is node order."""
+    of walks."""
     count = 0
     node_json: dict[Mrhin, tuple[str, ...]] = {}
     with open(path, "w", encoding="utf-8") as out:
@@ -510,20 +513,11 @@ def write_walks(grouped: Mapping[str, Mapping[str, WalkGroup]], path: str | Path
                 nodes = node_json.get(group.graph)
                 if nodes is None:
                     nodes = node_json[group.graph] = tuple(json.dumps(list(node)) for node in group.graph.node_ids)
-                walks = group.walks()
-                order = sorted(range(len(walks)), key=walks.__getitem__)
-                fields: dict[str, Iterable[str]] = {
-                    "nodes": ["[" + ", ".join(map(nodes.__getitem__, walks[i])) + "]" for i in order],
-                    "target_kc": itertools.repeat(json.dumps(group.target_kc)),
-                    "target_q": itertools.repeat(json.dumps(qid)),
-                    "template": itertools.repeat(json.dumps(name)),
-                }
-                for key, values in (columns(qid, name) if columns else {}).items():
-                    fields[key] = [values[i] for i in order]
-                keys = sorted(fields)
-                line = "{{" + ", ".join(f"{json.dumps(key)}: {{}}" for key in keys) + "}}\n"
-                out.writelines(map(line.format, *(fields[key] for key in keys)))
-                count += len(order)
+                tail = (f"], \"target_kc\": {json.dumps(group.target_kc)}, \"target_q\": {json.dumps(qid)}, "
+                        f"\"template\": {json.dumps(name)}}}\n")
+                rows = group.rows[file_order(group)].tolist()
+                out.writelines('{"nodes": [' + ", ".join(map(nodes.__getitem__, _unpadded(row))) + tail for row in rows)
+                count += len(rows)
     return count
 
 
@@ -541,24 +535,20 @@ def read_json_lines(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     return out
 
 
-def read_walks(path: str | Path, g: Mrhin, fields: Sequence[str] = (),
-               make: Callable[[WalkGroup, list[tuple]], object] = lambda walks, rows: walks,
-               check: Callable[[tuple], None] | None = None) -> dict[str, dict]:
+def read_walks(path: str | Path, g: Mrhin) -> dict[str, dict[str, WalkGroup]]:
     """{target question: {template: group}} from a :func:`write_walks` file on graph ``g``, each
-    group being ``make(walks, rows)`` of its :class:`WalkGroup` and its walks' values of
-    ``fields``, in row order (by default the walk group itself).
+    group's rows in file order.
 
     Raises IngestError naming the file and line of a record whose template is unknown, whose
     node is not in ``g``, that does not start at its target question or breaks its template
-    (naming the position of the first node whose kind is not ``template.kind_at(position)``),
-    whose target KC differs from that of earlier walks of its group, or whose values of
-    ``fields`` make ``check``, if given, raise ValueError.
+    (naming the position of the first node whose kind is not ``template.kind_at(position)``), or
+    whose target KC differs from that of earlier walks of its group.
     """
     index, kinds = g._index, g.kinds
     kc_of: dict[tuple[str, str], str] = {}
     kinds_of: dict[tuple[str, int], tuple[str, ...]] = {}  # (template, length) -> its kind sequence
 
-    def decode(rec: dict) -> tuple[str, str, list[int], tuple]:
+    def decode(rec: dict) -> tuple[str, str, list[int]]:
         qid, name, kc, nodes = rec["target_q"], rec["template"], rec["target_kc"], rec["nodes"]
         if name not in TEMPLATES:
             raise ValueError(f"unknown template {name!r}")
@@ -576,18 +566,13 @@ def read_walks(path: str | Path, g: Mrhin, fields: Sequence[str] = (),
             position = next(p for p, (kind, want) in enumerate(zip(found, wanted)) if kind != want)
             raise ValueError(f"node {position}, {nodes[position]}, is of kind {found[position]}, "
                              f"but template {name} has kind {wanted[position]} at position {position}")
-        values = tuple(rec[key] for key in fields)
-        if check:
-            check(values)
-        return qid, name, walk, values
+        return qid, name, walk
 
-    buckets: dict[str, dict[str, tuple[list[list[int]], list[tuple]]]] = {}
-    for qid, name, walk, values in read_json_lines(path, decode):
-        walks, rows = buckets.setdefault(qid, {}).setdefault(name, ([], []))
-        walks.append(walk)
-        rows.append(values)
+    buckets: dict[str, dict[str, list[list[int]]]] = {}
+    for qid, name, walk in read_json_lines(path, decode):
+        buckets.setdefault(qid, {}).setdefault(name, []).append(walk)
     return {
-        qid: {name: make(WalkGroup(g, TEMPLATES[name], qid, kc_of[qid, name], _padded(walks)), rows)
-              for name, (walks, rows) in per_template.items()}
+        qid: {name: WalkGroup(g, TEMPLATES[name], qid, kc_of[qid, name], _padded(walks))
+              for name, walks in per_template.items()}
         for qid, per_template in buckets.items()
     }

@@ -35,10 +35,13 @@ and 213 distinct texts.  Per prompt that is about 5 us to render and about
 plain-Python per-path formula it replaces; about 250 us for a block of one).
 (All on a shared 2-vCPU VM, Python 3.11, numpy 2.4.)
 
-:func:`write_scored` writes each score as ``json.dumps`` writes it, rendered
-once per distinct bit pattern over the whole file: the staged CLI's 13,160
-scored walks on the acceptance fixture hold 65,800 scores but 633 distinct
-values.
+:func:`write_scored` writes one line per walk holding only what scoring
+adds: the backend, the five scores and the walk's tie key, in the walk file's
+order.  :func:`read_scored` pairs the lines with the walk groups again and
+refuses a line whose tie key is not its walk's.  Each score is written as
+``json.dumps`` writes it, rendered once per distinct bit pattern over the
+whole file: the staged CLI's 13,160 scored walks on the acceptance fixture
+hold 65,800 scores but 633 distinct values.
 
 Top-K selection keeps each group's best (or lowest, or randomly drawn)
 rows by total, equal totals ordered by the walks' tie keys
@@ -50,6 +53,7 @@ the kept rows as a :class:`ScoredGroup`.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
@@ -62,7 +66,7 @@ import numpy as np
 
 from .errors import IngestError, ScoringError, TransportError
 from .llm import LlmClient
-from .mrhin import DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, read_walks, write_walks
+from .mrhin import DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, file_order, read_json_lines
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -540,25 +544,28 @@ SCORE_FIELDS = ("centrality", "kc_relevance", "informativeness", "diversity", "t
 
 
 def write_scored(grouped: Mapping[str, Mapping[str, ScoredGroup]], path: str | Path) -> int:
-    """The scored groups' walks as :func:`~hisekt.mrhin.write_walks` writes them, each record
-    with its five score fields and backend added; returns the number of walks.
+    """One line per walk, in the order :func:`~hisekt.mrhin.write_walks` writes the walks: the
+    walk's backend, five score fields and tie key, as ``json.dumps(sort_keys=True)`` writes them;
+    returns the number of walks.
 
-    Each score is written as ``json.dumps`` writes it, rendered once per distinct value: the
-    distinct bit patterns of every group's scores (so ``-0.0`` stays apart from ``0.0``, and a
-    NaN is written ``NaN``) map to their texts, and each group's columns are filled from that."""
+    Each score is rendered once per distinct value: the distinct bit patterns of every group's
+    scores (so ``-0.0`` stays apart from ``0.0``, and a NaN is written ``NaN``) map to their texts,
+    and each group's columns are filled from that."""
     tables = [np.ravel(group.scores) for per_template in grouped.values() for group in per_template.values()]
     bits = np.unique(np.concatenate(tables or [np.empty(0)]).view(np.uint64))
     text = dict(zip(bits.tolist(), map(json.dumps, bits.view(np.float64).tolist())))
-
-    def columns(qid: str, name: str) -> dict[str, list[str]]:
-        group = grouped[qid][name]
-        column_bits = np.ascontiguousarray(group.scores).view(np.uint64).T.tolist()
-        found = {key: list(map(text.__getitem__, column)) for key, column in zip(SCORE_FIELDS, column_bits)}
-        found["backend"] = [json.dumps(group.backend)] * len(group)
-        return found
-
-    return write_walks({qid: {name: group.walks for name, group in per_template.items()}
-                        for qid, per_template in grouped.items()}, path, columns)
+    keys = sorted((*SCORE_FIELDS, "backend", "tie_key"))
+    line = "{{" + ", ".join(f"{json.dumps(key)}: {{}}" for key in keys) + "}}\n"
+    with open(path, "w", encoding="utf-8") as out:
+        for qid in sorted(grouped):
+            for name, group in sorted(grouped[qid].items()):
+                order = file_order(group.walks)
+                columns = np.ascontiguousarray(group.scores[order]).view(np.uint64).T.tolist()
+                fields = dict(zip(SCORE_FIELDS, (map(text.__getitem__, column) for column in columns)),
+                              backend=itertools.repeat(json.dumps(group.backend)),
+                              tie_key=map(str, group.walks.tie_keys[order].tolist()))
+                out.writelines(map(line.format, *(fields[key] for key in keys)))
+    return sum(len(group) for per_template in grouped.values() for group in per_template.values())
 
 
 def _check_scores(values: tuple) -> None:
@@ -566,8 +573,7 @@ def _check_scores(values: tuple) -> None:
     bools, nulls or strings) whose total is the four dimensions summed left to right, as
     :func:`score_llm` and :func:`score_groups` sum them; the written ``repr`` of each float reads
     back its bits."""
-    scores = values[:5]
-    for key, value in zip(SCORE_FIELDS, scores):
+    for key, value in zip(SCORE_FIELDS, values):
         if type(value) is not float and type(value) is not int:
             raise ValueError(f"{key} is {json.dumps(value)}, not a number")
         try:
@@ -576,24 +582,50 @@ def _check_scores(values: tuple) -> None:
             finite = False
         if not finite:
             raise ValueError(f"{key} is {json.dumps(value)}, not a finite number")
-    c, r, i, dv, total = map(float, scores)
+    c, r, i, dv, total = map(float, values)
     if c + r + i + dv != total:
         raise ValueError(f"total is {total!r}, not the sum of the four scores, {c + r + i + dv!r}")
 
 
-def read_scored(path: str | Path, g: Mrhin) -> dict[str, dict[str, ScoredGroup]]:
-    """The scored groups of a :func:`write_scored` file on graph ``g``; raises IngestError where
-    :func:`~hisekt.mrhin.read_walks` does, where one group holds scores of two backends, and
-    naming the line of a score that is not a finite JSON number or of a total that is not the
-    sum of its four scores."""
-    def scored(walks: WalkGroup, rows: list[tuple]) -> ScoredGroup:
-        backends = sorted({row[-1] for row in rows})
-        if len(backends) > 1:
-            raise IngestError(f"{path}: the {walks.template.name} walks from {walks.target_question} "
-                              f"were scored by backends {backends}")
-        return ScoredGroup(walks, np.array([row[:-1] for row in rows], dtype=np.float64), backends[0])
+def read_scored(path: str | Path, walks: Mapping[str, Mapping[str, WalkGroup]]) -> dict[str, dict[str, ScoredGroup]]:
+    """The scored groups of a :func:`write_scored` file on the walk groups it scored, read from
+    ``paths.jsonl`` or sampled again, in any row order: line ``j`` of a group's block scores its
+    row ``file_order(group)[j]``.  Groups without walks have no line and are left out.
 
-    return read_walks(path, g, (*SCORE_FIELDS, "backend"), scored, _check_scores)
+    Raises IngestError naming the file and line of a score that is not a finite JSON number, of a
+    total that is not the sum of its four scores, of a tie key that is not its walk's, or where
+    the file holds more or fewer lines than there are walks; and naming the file where one group
+    holds scores of two backends."""
+    groups = [(qid, name, group, file_order(group))
+              for qid in sorted(walks) for name, group in sorted(walks[qid].items()) if len(group)]
+    count = sum(len(group) for _, _, group, _ in groups)
+    expected = iter([key for _, _, group, order in groups for key in group.tie_keys[order].tolist()])
+
+    def decode(rec: dict) -> tuple:
+        want = next(expected, None)
+        if want is None:
+            raise ValueError(f"more lines than the {count} walks")
+        values = tuple(rec[field] for field in SCORE_FIELDS)
+        _check_scores(values)
+        key = rec["tie_key"]
+        if type(key) is not int or key != want:
+            raise ValueError(f"tie key {json.dumps(key)}, but the walk of this line has tie key {want}")
+        return (*values, rec["backend"])
+
+    rows = read_json_lines(path, decode)
+    if len(rows) < count:
+        raise IngestError(f"{path} line {len(rows) + 1}: the file ends, but there are {count} walks")
+    out: dict[str, dict[str, ScoredGroup]] = {}
+    start = 0
+    for qid, name, group, order in groups:
+        block, start = rows[start:start + len(group)], start + len(group)
+        backends = sorted({row[-1] for row in block})
+        if len(backends) > 1:
+            raise IngestError(f"{path}: the {name} walks from {qid} were scored by backends {backends}")
+        scores = np.empty((len(group), len(SCORE_FIELDS)))
+        scores[order] = [row[:-1] for row in block]
+        out.setdefault(qid, {})[name] = ScoredGroup(group, scores, backends[0])
+    return out
 
 
 # -- selection ---------------------------------------------------------------

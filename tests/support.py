@@ -27,7 +27,7 @@ from hisekt.dataset import (KC_DELIMITER, MIN_QUESTION_ANSWERS, MIN_STUDENT_INTE
 from hisekt.errors import EmptyDatasetError, IngestError
 from hisekt.errors import TransportError
 from hisekt.llm import LlmClient
-from hisekt.mrhin import PAD, UNREACHABLE, write_walks
+from hisekt.mrhin import PAD, UNREACHABLE
 from hisekt.pathscore import (LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, SCORING_PROMPT_HEADER, ScoredGroup,
                               _read_scoring_prompts, mock_score_reply, render_scoring_prompt, score_llm)
 from hisekt.predict import MASK_SIMU, PromptBundle
@@ -246,16 +246,20 @@ def reference_score_llm(walks, i, client):
 
 
 def reference_write_scored(grouped, path):
-    """``pathscore.write_scored`` as it was before it rendered each distinct score once: each
-    group's score columns dumped with ``json.dumps`` and split at their separators."""
-    def columns(qid, name):
-        group = grouped[qid][name]
-        found = {key: json.dumps(column)[1:-1].split(", ") for key, column in zip(SCORE_FIELDS, group.scores.T.tolist())}
-        found["backend"] = [json.dumps(group.backend)] * len(group)
-        return found
-
-    return write_walks({qid: {name: group.walks for name, group in per_template.items()}
-                        for qid, per_template in grouped.items()}, path, columns)
+    """``pathscore.write_scored`` one line at a time: by target question, then template, then the
+    walks' node-int lists in list order, each walk's backend, five scores and tie key written by
+    ``json.dumps(sort_keys=True)``; returns the number of walks."""
+    lines = []
+    for qid in sorted(grouped):
+        for name in sorted(grouped[qid]):
+            group = grouped[qid][name]
+            walks = group.walks.walks()
+            for i in sorted(range(len(walks)), key=walks.__getitem__):
+                record = dict(zip(SCORE_FIELDS, group.scores[i].tolist()), backend=group.backend,
+                              tie_key=int(group.walks.tie_keys[i]))
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
+    return len(lines)
 
 
 def read_scoring_prompt(text, memo=None):

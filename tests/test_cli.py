@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from hisekt import cli, pathscore, predict
+from hisekt import cli, irt, pathscore, predict
 from hisekt.cli import main
 from hisekt.config import RunConfig, fingerprint, load_config_file, resolve_config
 from hisekt.errors import ConfigError, HisektError
@@ -270,6 +271,25 @@ class TestRepeatedVariant:
         assert not (tmp_path / "cache").exists()
 
 
+# a RunConfig built in Python with a value of another type than its field's: before the type
+# check, a string count raised a raw TypeError, a float window ran, and a string of variants was
+# refused naming one of its characters
+WRONG_TYPES = [("top_k", "3", "an integer"), ("c", "2", "a number"), ("window", 2.5, "an integer"),
+               ("variants", "msr", "a tuple of strings"), ("runs", True, "an integer"), ("llm_timeout", False, "a number"),
+               ("score_backend", None, "a string")]
+
+
+class TestRunConfigTypes:
+    @pytest.mark.parametrize("key, value, what", WRONG_TYPES, ids=[key for key, _, _ in WRONG_TYPES])
+    def test_a_value_of_another_type_is_refused_naming_its_field(self, data_file, key, value, what):
+        cfg = RunConfig(data=str(data_file), **{key: value})
+        with pytest.raises(ConfigError, match=re.escape(f"config field '{key}': {value!r} is not {what}")):
+            PipelineContext(cfg)
+
+    def test_an_int_for_a_float_field_passes(self, data_file):
+        assert PipelineContext(RunConfig(data=str(data_file), c=2, llm_timeout=5)).cfg.llm_timeout == 5
+
+
 class TestUnparsableConfig:
     @pytest.mark.parametrize("line, message", [("top_k = three", "config key 'top_k': 'three' is not an integer"),
                                                ("runs = 2.5", "config key 'runs': '2.5' is not an integer"),
@@ -287,6 +307,18 @@ class TestUnparsableConfig:
     def test_an_override_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=f"config key '{key}': "):
             resolve_config({"data": "x", key: value})
+
+    # before the check, a float was truncated (2.5 ran as 2) and a bool read as 0 or 1
+    @pytest.mark.parametrize("key, value, what", [("runs", 2.5, "an integer"), ("top_k", True, "an integer"),
+                                                  ("window", False, "an integer"), ("c", True, "a number"),
+                                                  ("n_walks", math.inf, "an integer")])
+    def test_an_override_that_is_not_its_number_names_its_key(self, key, value, what):
+        with pytest.raises(ConfigError, match=re.escape(f"config key '{key}': {value!r} is not {what}")):
+            resolve_config({"data": "x", key: value})
+
+    def test_an_integral_float_and_an_int_override_read_as_the_field_type(self):
+        cfg = resolve_config({"data": "x", "runs": 2.0, "c": 2})
+        assert (cfg.runs, type(cfg.runs), cfg.c, type(cfg.c)) == (2, int, 2.0, float)
 
     def test_a_missing_config_file_is_one_error_line(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
@@ -468,7 +500,7 @@ class TestCliStages:
         run_seed = run_seed_of(cfg, 0)
         seeded = cli._context(cfg, cli._cache_dir(cfg)).scored(run_seed)
         fresh = PipelineContext(cfg).scored(run_seed)
-        # scored.jsonl is sorted by node sequence, so its groups hold the walks
+        # paths.jsonl is sorted by node sequence, so the groups read from it hold the walks
         # in another order than sampling left them
         assert any((seeded[q][name].walks.walks() if name in seeded[q] else []) != group.walks.walks()
                    for q in fresh for name, group in fresh[q].items())
@@ -488,7 +520,7 @@ class TestCliStages:
             return complete(client, prompt)
 
         monkeypatch.setattr(LlmClient, "complete", recording)
-        monkeypatch.setattr(pathscore, "read_scored", lambda path, g: reads.append(path) or read_scored(path, g))
+        monkeypatch.setattr(pathscore, "read_scored", lambda path, walks: reads.append(path) or read_scored(path, walks))
         argv = ["pipeline", "--config", str(config_file), "--score-backend", "llm"]
         assert main([*argv, "--out", str(tmp_path / "cold.json")]) == 0
         cfg = resolve_config(load_config_file(config_file), {"score_backend": "llm"})
@@ -515,12 +547,13 @@ class TestCliStages:
         assert reports[0] != reports[1]
 
     def test_artifacts_of_another_walk_scheme_are_not_read(self, config_file, tmp_path, capsys):
-        # caches written before the walk scheme was part of the directory name, and under the
-        # sha256 tie keys: same config and input, any artifact of which would fail its stage
-        # if it were read
+        # caches written before the walk scheme was part of the directory name, under the sha256
+        # tie keys, and with each walk written again in scored.jsonl: same config and input, any
+        # artifact of which would fail its stage if it were read
         cfg = resolve_config(load_config_file(config_file), {})
         digest = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()[:16]
-        stale = [tmp_path / "cache" / f"{fingerprint(cfg)}-{digest}{suffix}" for suffix in ("", "-splitmix64")]
+        stale = [tmp_path / "cache" / f"{fingerprint(cfg)}-{digest}{suffix}"
+                 for suffix in ("", "-splitmix64", f"-{irt.FIT_SCHEME}-splitmix64-mixsum")]
         for root in stale:
             root.mkdir(parents=True)
             for stage in cli.STAGES.values():
@@ -597,6 +630,51 @@ class TestCliStages:
         assert (f"error in stage score-paths: {paths} line {line_no}: ValueError: node 1, "
                 f"{['K', record['target_kc']]}, is of kind K, but template Q-D-Q has kind D at position 1") in err
         assert not paths.with_name("scored.jsonl").exists()
+
+    @pytest.mark.parametrize("backend", ["formula", "llm"])
+    def test_both_walk_files_hold_one_line_per_walk(self, config_file, capsys, backend):
+        assert main(["pipeline", "--config", str(config_file), "--score-backend", backend]) == 0
+        cfg = resolve_config(load_config_file(config_file), {"score_backend": backend})
+        walks = sum(len(group) for per in PipelineContext(cfg).instances(run_seed_of(cfg, 0)).values()
+                    for group in per.values())
+        root = cli._cache_dir(cfg)
+        assert walks > 0
+        for name in ("paths.jsonl", "scored.jsonl"):
+            assert len((root / name).read_text(encoding="utf-8").splitlines()) == walks
+
+    @pytest.mark.parametrize("backend", ["formula", "llm"])
+    def test_retrieve_on_walks_sampled_again_writes_the_same_peers(self, config_file, capsys, backend):
+        flags = ["--config", str(config_file), "--score-backend", backend]
+        for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths", "retrieve"):
+            assert main([stage, *flags]) == 0
+        root = cli._cache_dir(resolve_config(load_config_file(config_file), {"score_backend": backend}))
+        intact = (root / "retrieval.json").read_bytes()
+        # without paths.jsonl the walks are sampled again, in attempt order, and scored.jsonl is
+        # read onto them
+        (root / "retrieval.json").unlink()
+        (root / "paths.jsonl").unlink()
+        assert main(["retrieve", *flags]) == 0
+        assert (root / "retrieval.json").read_bytes() == intact
+        assert not (root / "paths.jsonl").exists()
+
+    def test_a_scored_file_of_another_seed_is_a_stage_failure(self, config_file, capsys):
+        roots = []
+        for seed in ("11", "12"):
+            for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths"):
+                assert main([stage, "--config", str(config_file), "--seed", seed]) == 0
+            roots.append(cli._cache_dir(resolve_config(load_config_file(config_file), {"seed": int(seed)})))
+        own, other = ((root / "scored.jsonl").read_text(encoding="utf-8").splitlines() for root in roots)
+        assert len(own) == len(other)  # the same number of walks, each line a number of other walks
+        line_no = next(n for n, (a, b) in enumerate(zip(own, other), start=1)
+                       if json.loads(a)["tie_key"] != json.loads(b)["tie_key"])
+        scored = roots[0] / "scored.jsonl"
+        scored.write_text("\n".join(other) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["retrieve", "--config", str(config_file), "--seed", "11"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage retrieve: {scored} line {line_no}: ValueError: tie key "
+                              f"{json.loads(other[line_no - 1])['tie_key']}, but the walk of this line has tie key ")
+        assert not scored.with_name("retrieval.json").exists()
 
     def test_a_score_that_is_not_a_number_is_a_stage_failure(self, config_file, capsys):
         flags = ["--config", str(config_file), "--score-backend", "llm", "--llm-backend", "mock"]
@@ -805,10 +883,11 @@ class TestGoldenArtifacts:
     # built from JSON fragments and the mock scorer read path lines by their kind; the peers' and
     # predictions' before the mock predictor's reader became strict: a change to a codec or to
     # what a mock reads shows here.  The report's was recorded again when its config and
-    # fingerprint stopped holding the deployment fields (cache dir, out dir, LLM transport).
+    # fingerprint stopped holding the deployment fields (cache dir, out dir, LLM transport), and
+    # the scored walks' when their lines came to hold the scores and tie key in place of the walk.
     DIGESTS = {
         "paths.jsonl": "87dc28faf1d72e1f69484946c0da9deed0fa4b0f80e724f76a274c3809b2d49a",
-        "scored.jsonl": "a0f2194b942a23389bbd3764f818bff4b0fdac963a934f27e09b5fefe4219bb0",
+        "scored.jsonl": "5ef38891ecce7fb80b21b1095775507ff03b05dfb516eb64e2929629c289a3d7",
         "retrieval.json": "82d1a183e294492e8020ca6a47ff9e1eaecf8abe1d9e3bddad9a6e8dd3278b2c",
         "predictions.jsonl": "807d17cdd2c04f7c728f2aeae6fc07199fedc61c6a1b5e7487bf00afe4a4cc78",
         "report.json": "5543bada3630744b995ba933b4daf8ae439aa9455a0b269daeb7abcbc2a010ef",

@@ -496,22 +496,23 @@ class TestSelectTopKOnGroups:
 
 
 def reference_walk_file(grouped):
-    """The per-walk writer of ``paths.jsonl`` / ``scored.jsonl`` that the group writers replaced,
-    on {target question: {template: walk group or scored group}}: one record per walk, plus its
-    five score fields and backend if scored, sorted by target question, template name and node
-    sequence."""
+    """The per-walk writer of ``paths.jsonl`` that the group writer replaced, on {target question:
+    {template: walk group}}: one record per walk, sorted by target question, template name and
+    node sequence."""
     records = []
     for per_template in grouped.values():
-        for group in per_template.values():
-            walks = group.walks if isinstance(group, ScoredGroup) else group
-            for k, nodes in enumerate(walk_nodes(walks)):
+        for walks in per_template.values():
+            for nodes in walk_nodes(walks):
                 rec = {"target_q": walks.target_question, "template": walks.template.name,
                        "target_kc": walks.target_kc, "nodes": [[kind, i] for kind, i in nodes]}
-                if isinstance(group, ScoredGroup):
-                    rec.update(zip(SCORE_FIELDS, group.scores[k].tolist()), backend=group.backend)
                 records.append(((walks.target_question, walks.template.name, nodes), json.dumps(rec, sort_keys=True)))
     lines = [line for _, line in sorted(records)]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def walks_of(scored):
+    """The walk groups of {target question: {template: scored group}}."""
+    return {q: {name: group.walks for name, group in per.items()} for q, per in scored.items()}
 
 
 class TestScoredStore:
@@ -520,29 +521,43 @@ class TestScoredStore:
         return {"Q1": {name: score_all(sample_instances(g, TEMPLATES[name], "Q1", n=20, walk_len=20, seed=7), g)
                        for name in ("Q-K-Q-U-Q", "Q-U-Q")}}
 
-    def test_round_trip(self, g, grouped, tmp_path):
-        target = tmp_path / "scored.jsonl"
+    def write_and_edit(self, grouped, path, edit):
+        """The scored file of ``grouped`` at ``path``, its list of lines changed by ``edit``."""
+        write_scored(grouped, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    def test_round_trip_in_any_row_order(self, g, grouped, tmp_path):
+        target, walk_file = tmp_path / "scored.jsonl", tmp_path / "paths.jsonl"
         write_scored(grouped, target)
-        loaded = read_scored(target, g)
-        assert list(loaded) == ["Q1"] and sorted(loaded["Q1"]) == sorted(grouped["Q1"])
-        for name, group in grouped["Q1"].items():
-            got = loaded["Q1"][name]
-            assert got.backend == "formula"
-            assert (got.walks.template, got.walks.target_question, got.walks.target_kc) == \
-                (group.walks.template, "Q1", group.walks.target_kc)
-            nodes = node_lists(group)
-            order = sorted(range(len(nodes)), key=nodes.__getitem__)
-            assert node_lists(got) == [nodes[k] for k in order]
-            assert got.scores.tolist() == group.scores[order].tolist()
+        write_walks(walks_of(grouped), walk_file)
+        # the walks in sampling order, and read back in file order
+        for walks in (walks_of(grouped), read_walks(walk_file, g)):
+            loaded = read_scored(target, walks)
+            assert list(loaded) == ["Q1"] and sorted(loaded["Q1"]) == sorted(grouped["Q1"])
+            for name, group in grouped["Q1"].items():
+                got = loaded["Q1"][name]
+                assert got.backend == "formula" and got.walks is walks["Q1"][name]
+                want = dict(zip(map(tuple, node_lists(group)), group.scores.tolist()))
+                assert dict(zip(map(tuple, node_lists(got)), got.scores.tolist())) == want
+
+    def test_lines_hold_only_the_scores_backend_and_tie_key(self, g, grouped, tmp_path):
+        target = tmp_path / "scored.jsonl"
+        assert write_scored(grouped, target) == 40
+        records = [json.loads(line) for line in target.read_text(encoding="utf-8").splitlines()]
+        assert {tuple(sorted(rec)) for rec in records} == {tuple(sorted((*SCORE_FIELDS, "backend", "tie_key")))}
+        walk_file = tmp_path / "paths.jsonl"
+        write_walks(walks_of(grouped), walk_file)
+        walks = [json.loads(line)["nodes"] for line in walk_file.read_text(encoding="utf-8").splitlines()]
+        assert [rec["tie_key"] for rec in records] == [reference_tie_key(map(tuple, nodes)) for nodes in walks]
 
     def test_one_backend_per_group(self, g, grouped, tmp_path):
         target = tmp_path / "scored.jsonl"
-        write_scored(grouped, target)
-        lines = target.read_text(encoding="utf-8").splitlines()
-        lines[1] = lines[1].replace('"backend": "formula"', '"backend": "llm"')
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.write_and_edit(grouped, target, lambda lines: lines.__setitem__(
+            1, lines[1].replace('"backend": "formula"', '"backend": "llm"')))
         with pytest.raises(IngestError, match="backends"):
-            read_scored(target, g)
+            read_scored(target, walks_of(grouped))
 
     @pytest.mark.parametrize("field, text, complaint", [
         ("centrality", "null", "centrality is null, not a number"),
@@ -555,12 +570,10 @@ class TestScoredStore:
     def test_a_score_that_is_not_a_finite_number_fails_naming_its_line(self, g, grouped, tmp_path, field, text,
                                                                        complaint):
         target = tmp_path / "scored.jsonl"
-        write_scored(grouped, target)
-        lines = target.read_text(encoding="utf-8").splitlines()
-        lines[2] = re.sub(rf'"{field}": [^,}}]+', lambda _: f'"{field}": {text}', lines[2])
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.write_and_edit(grouped, target, lambda lines: lines.__setitem__(
+            2, re.sub(rf'"{field}": [^,}}]+', lambda _: f'"{field}": {text}', lines[2])))
         with pytest.raises(IngestError) as err:
-            read_scored(target, g)
+            read_scored(target, walks_of(grouped))
         assert str(err.value) == f"{target} line 3: ValueError: {complaint}"
 
     def test_a_total_that_is_not_the_sum_fails_naming_its_line(self, g, grouped, tmp_path):
@@ -577,8 +590,38 @@ class TestScoredStore:
             lines[4] = re.sub(r'"total": [^,}]+', lambda _: f'"total": {changed!r}', lines[4])
             target.write_text("\n".join(lines) + "\n", encoding="utf-8")
             with pytest.raises(IngestError) as err:
-                read_scored(target, g)
+                read_scored(target, walks_of(grouped))
             assert str(err.value).startswith(f"{target} line 5: ValueError: total is {changed!r}, not the sum")
+
+    @pytest.mark.parametrize("edit, line_no, complaint", [
+        (lambda lines: lines.pop(), 40, "the file ends, but there are 40 walks"),
+        (lambda lines: lines.append(lines[0]), 41, "ValueError: more lines than the 40 walks"),
+    ], ids=["one-line-short", "one-line-over"])
+    def test_a_line_count_other_than_the_walks_fails_naming_the_line(self, g, grouped, tmp_path, edit, line_no,
+                                                                     complaint):
+        target = tmp_path / "scored.jsonl"
+        self.write_and_edit(grouped, target, edit)
+        with pytest.raises(IngestError) as err:
+            read_scored(target, walks_of(grouped))
+        assert str(err.value) == f"{target} line {line_no}: {complaint}"
+
+    @pytest.mark.parametrize("change", ["swapped", "off by one", "a string"])
+    def test_a_tie_key_that_is_not_its_walks_fails_naming_its_line(self, g, grouped, tmp_path, change):
+        target = tmp_path / "scored.jsonl"
+        write_scored(grouped, target)
+        lines = target.read_text(encoding="utf-8").splitlines()
+        key = json.loads(lines[3])["tie_key"]
+        if change == "swapped":  # the scores of two walks, each on the other's line
+            lines[3], lines[4] = lines[4], lines[3]
+            found = json.loads(lines[3])["tie_key"]
+        else:
+            found = key + 1 if change == "off by one" else str(key)
+            lines[3] = lines[3].replace(f'"tie_key": {key}', f'"tie_key": {json.dumps(found)}')
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read_scored(target, walks_of(grouped))
+        assert str(err.value) == (f"{target} line 4: ValueError: tie key {json.dumps(found)}, "
+                                  f"but the walk of this line has tie key {key}")
 
     def test_json_ints_read_as_their_floats(self, g, tmp_path):
         walks = sample_instances(g, TEMPLATES["Q-U-Q"], "Q1", n=2, walk_len=4, seed=1)
@@ -586,7 +629,7 @@ class TestScoredStore:
         write_scored({"Q1": {"Q-U-Q": scored_group(walks, [(5.0, 0.0, 2.5, 0.0)] * len(walks))}}, target)
         text = target.read_text(encoding="utf-8")
         target.write_text(text.replace("5.0", "5").replace(": 0.0", ": 0"), encoding="utf-8")
-        [[got]] = [per.values() for per in read_scored(target, g).values()]
+        [[got]] = [per.values() for per in read_scored(target, {"Q1": {"Q-U-Q": walks}}).values()]
         assert got.scores.tolist() == [[5.0, 0.0, 2.5, 0.0, 7.5]] * len(walks)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -599,27 +642,25 @@ class TestScoredStore:
             scored = ctx.scored(run_seed_of(cfg, 0), replace(cfg, score_backend=backend))
             target = tmp_path / f"{backend}.jsonl"
             write_scored(scored, target)
-            loaded = read_scored(target, ctx.graph)
+            loaded = read_scored(target, ctx.instances(run_seed_of(cfg, 0)))
             for qid, per_template in scored.items():
                 for name, group in per_template.items():
-                    assert loaded[qid][name].backend == backend
-                    got = loaded[qid][name].scores.tolist()
-                    assert sorted(map(tuple, got)) == sorted(map(tuple, group.scores.tolist()))
+                    if len(group):
+                        assert loaded[qid][name].backend == backend
+                        assert loaded[qid][name].scores.tolist() == group.scores.tolist()
             write_scored(loaded, tmp_path / "again.jsonl")
             assert (tmp_path / "again.jsonl").read_bytes() == target.read_bytes()
 
-    def test_walk_files_equal_the_per_instance_writer(self, tmp_path):
+    def test_store_files_equal_the_per_walk_writers(self, tmp_path):
         data = tmp_path / "planted.csv"
         data.write_text(planted_csv(seed=1)[0], encoding="utf-8")
         cfg = RunConfig(data=str(data), seed=7, n_walks=10, walk_len=12, llm_backend="mock")
         ctx = PipelineContext(cfg)
         run_seed = run_seed_of(cfg, 0)
-        cases = [(ctx.instances(run_seed), write_walks, read_walks)]
-        for backend in ("formula", "llm"):
-            cases.append((ctx.scored(run_seed, replace(cfg, score_backend=backend)), write_scored, read_scored))
-        assert_walk_files_equal_the_reference(cases, ctx.graph, tmp_path)
+        scored = [ctx.scored(run_seed, replace(cfg, score_backend=backend)) for backend in ("formula", "llm")]
+        assert_store_files_equal_the_references(ctx.instances(run_seed), scored, ctx.graph, tmp_path)
 
-    def test_walk_files_of_ids_that_need_escaping(self, tmp_path):
+    def test_store_files_of_ids_that_need_escaping(self, tmp_path):
         # each student, question and KC id holds a quote, a backslash, a tab, a non-ASCII letter
         # or a character outside the Basic Multilingual Plane, which JSON writes as two escapes
         pieces = ['"', "\\", "\t", "\u00e9", "\U0001F600", ' "\\\t\u00e9\U0001F600 ']
@@ -630,10 +671,8 @@ class TestScoredStore:
                  for q in sorted(node_id for kind, node_id in g.node_ids if kind == "Q")}
         by_formula = {q: {name: score_all(group, g) for name, group in per.items()} for q, per in walks.items()}
         by_llm = {q: dict(zip(per, score_llm(list(per.values()), client))) for q, per in walks.items()}
-        assert_walk_files_equal_the_reference(
-            [(walks, write_walks, read_walks), (by_formula, write_scored, read_scored), (by_llm, write_scored, read_scored)],
-            g, tmp_path)
-        assert all(ord(c) < 128 for c in (tmp_path / "walks.jsonl").read_text(encoding="utf-8"))
+        assert_store_files_equal_the_references(walks, [by_formula, by_llm], g, tmp_path)
+        assert all(ord(c) < 128 for c in (tmp_path / "paths.jsonl").read_text(encoding="utf-8"))
 
 
 _TINY = 2.2250738585072014e-308  # the smallest normal float
@@ -681,16 +720,25 @@ class TestScoredWriter:
                                                   ("-0.0", "0.0", "NaN", "-5e-324", "1.0")])
 
 
-def assert_walk_files_equal_the_reference(cases, g, tmp_path):
-    """Each (grouped walks or scored walks, writer, reader) case on graph ``g`` writes the file
-    ``reference_walk_file`` writes, and reading it back and writing again gives the same bytes."""
-    for grouped, write, read in cases:
-        path, again = tmp_path / "walks.jsonl", tmp_path / "again.jsonl"
-        write(grouped, path)
-        text = path.read_text(encoding="utf-8")
-        assert text and text == reference_walk_file(grouped)
-        write(read(path, g), again)
-        assert again.read_bytes() == path.read_bytes()
+def assert_store_files_equal_the_references(walks, scorings, g, tmp_path):
+    """The walk file of ``walks`` on graph ``g`` is the one ``reference_walk_file`` writes, and the
+    score file of each scoring of them the one ``reference_write_scored`` writes; reading each file
+    back (the score files on the walks in sampling order and as read back) and writing it again
+    gives the same bytes."""
+    paths, again = tmp_path / "paths.jsonl", tmp_path / "again.jsonl"
+    write_walks(walks, paths)
+    text = paths.read_text(encoding="utf-8")
+    assert text and text == reference_walk_file(walks)
+    read = read_walks(paths, g)
+    write_walks(read, again)
+    assert again.read_bytes() == paths.read_bytes()
+    for scored in scorings:
+        got, want = tmp_path / "scored.jsonl", tmp_path / "want.jsonl"
+        assert write_scored(scored, got) == reference_write_scored(scored, want) == text.count("\n")
+        assert got.read_bytes() == want.read_bytes()
+        for source in (walks, read):
+            write_scored(read_scored(got, source), again)
+            assert again.read_bytes() == got.read_bytes()
 
 
 def reference_score(nodes, target_kc, g):
