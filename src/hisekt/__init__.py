@@ -7,7 +7,7 @@ from .evaluation import EvalReport, PipelineContext, accuracy, auc, run_experime
 from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
 from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, WalkGroup, sample_instances, sample_walks
-from .pathscore import ScoredGroup, graph_distance, score_all, score_groups, select_top_k
+from .pathscore import ScoredGroup, graph_distance, score_all, score_groups, select_top_k, select_top_k_many
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
 # package attribute `predict` keeps naming the module.
@@ -21,6 +21,7 @@ from .retrieval import (
     fit_similarity,
     top_s,
     top_s_many,
+    top_s_packed,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +64,9 @@ __all__ = [
     "score_all",
     "score_groups",
     "select_top_k",
+    "select_top_k_many",
     "split",
     "top_s",
     "top_s_many",
+    "top_s_packed",
 ]

@@ -224,23 +224,30 @@ def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | 
 
 def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
     """{target question: ``(rows, counts)``}: the ascending ``retrieval.student_tables`` rows of
-    the students on the question's kept walks, and how often each stands on them.  Counted on the
-    kept rows' node ints through a node-int -> student-row table (-1 off students, and at ``PAD``);
-    raises ValueError if a student of the graph is not one of the dataset."""
+    the students on the question's kept walks, and how often each stands on them.  Every group of
+    the stage is ranked in one ``pathscore.select_top_k_many`` pass, and the students of all kept
+    rows are counted at once, through a node-int -> student-row table (-1 off students, and at
+    ``PAD``), as (question, row) keys; raises ValueError if a student of the graph is not one of
+    the dataset."""
     g, scored, mode = ctx.get("graph", cfg), ctx.scored(run_seed, cfg), ABLATIONS[variant][0]
     t = retrieval.student_tables(ctx.get("dataset", cfg))
     students = [x for x, kind in enumerate(g.kinds) if kind == "U"]
     row_of = np.full(len(g.node_ids) + 1, -1, dtype=np.intp)
     row_of[students] = t.positions(g.node_ids[x][1] for x in students)
-    retained: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for qid in sorted(scored):
-        # only a random draw reads the seed
-        kept = [pathscore.select_top_k(scored[qid][name], cfg.top_k, mode,
-                                       seed=derive_seed(run_seed, "topk", qid, name) if mode == "random" else 0)
-                for name in TEMPLATES if name in scored[qid]]
-        rows = row_of[np.concatenate([group.walks.rows.ravel() for group in kept])]
-        retained[qid] = np.unique(rows[rows >= 0], return_counts=True)
-    return retained
+    questions = sorted(scored)
+    owners = [(i, qid, name) for i, qid in enumerate(questions) for name in TEMPLATES if name in scored[qid]]
+    groups = [scored[qid][name] for _, qid, name in owners]
+    # only a random draw reads the seeds
+    seeds = [derive_seed(run_seed, "topk", qid, name) for _, qid, name in owners] if mode == "random" else ()
+    kept = pathscore.select_top_k_many(groups, cfg.top_k, mode, seeds)
+    nodes = [group.walks.rows[index].ravel() for group, index in zip(groups, kept)]
+    question = np.repeat(np.array([i for i, _, _ in owners], dtype=np.intp), [part.size for part in nodes])
+    rows = row_of[np.concatenate([np.zeros(0, dtype=np.intp), *nodes])]
+    on = rows >= 0
+    keys, counts = np.unique(question[on] * len(t.students) + rows[on], return_counts=True)
+    owner, rows = np.divmod(keys, len(t.students))
+    bounds = np.searchsorted(owner, np.arange(len(questions) + 1)).tolist()
+    return {qid: (rows[lo:hi], counts[lo:hi]) for qid, lo, hi in zip(questions, bounds, bounds[1:])}
 
 
 def _path_pair_pool(
@@ -293,7 +300,8 @@ def _targets(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str |
 
 
 def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
-    """Each test target's Top-S peers, in test order; the targets of one question are ranked together."""
+    """Each test target's Top-S peers, in test order.  Nearest peers are ranked for every question
+    in one ``retrieval.top_s_packed`` call; random peers are drawn question by question."""
     _, peer_mode, mask = ABLATIONS[variant]
     tests = ctx.test_targets(cfg)
     if predict.MASK_SIMU in mask:
@@ -301,16 +309,21 @@ def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | N
     d, m = ctx.get("dataset", cfg), ctx.get("irt", cfg)
     retained = ctx.get("retained", cfg, run_seed, variant)
     none = (np.zeros(0, dtype=np.intp),) * 2  # a question with no sampled walk
-    sim = ctx.get("similarity", cfg, run_seed, variant) if peer_mode == "similar" else None
     by_question: dict[str, list[tuple[str, str, int]]] = {}
     for key in tests:
         by_question.setdefault(key[1], []).append(key)
-    peers: dict[tuple[str, str, int], list[str]] = {}
-    for qid, targets in by_question.items():
-        seeds = [derive_seed(run_seed, "tops", u, qid, timestamp) for u, _, timestamp in targets]
-        ranked = retrieval.top_s_many(qid, retained.get(qid, none), [u for u, _, _ in targets], sim, m, d,
-                                      cfg.top_s, mode=peer_mode, c=cfg.c, seeds=seeds)
-        peers.update(zip(targets, ranked))
+    if peer_mode == "similar":
+        ranked = retrieval.top_s_packed(
+            [(retained.get(qid, none), [u for u, _, _ in targets]) for qid, targets in by_question.items()],
+            ctx.get("similarity", cfg, run_seed, variant), m, d, cfg.top_s, cfg.c)
+    else:
+        ranked = [retrieval.top_s_many(qid, retained.get(qid, none), [u for u, _, _ in targets], None, m, d,
+                                       cfg.top_s, mode=peer_mode, c=cfg.c,
+                                       seeds=[derive_seed(run_seed, "tops", u, qid, timestamp)
+                                              for u, _, timestamp in targets])
+                  for qid, targets in by_question.items()]
+    peers = {key: p for targets, per_question in zip(by_question.values(), ranked)
+             for key, p in zip(targets, per_question)}
     return {key: peers[key] for key in tests}
 
 

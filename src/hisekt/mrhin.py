@@ -19,8 +19,11 @@ gives the same rows as sampling each question alone.
 
 Equal Top-K totals are ordered by a walk's tie key, which mixes the same
 way: each node has a sha256 key, and a walk's key sums ``mix`` of each
-node's key plus its position times γ.  Tie keys exist only per group, as one
-array expression over its rows (:attr:`WalkGroup.tie_keys`).
+node's key plus its position times γ.  That term depends only on the
+(position, node) pair, so each graph holds one table of it, a row per
+position up to its widest walks (:func:`tie_terms`), and a group's keys are
+one gather from the table and one row sum (:attr:`WalkGroup.tie_keys`): the
+sum wraps modulo 2**64, so its order does not change the bits.
 
 The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
 order is node order, and holds its edges once, as one CSR over all edge
@@ -38,6 +41,7 @@ import bisect
 import itertools
 import json
 import logging
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -140,12 +144,12 @@ class Mrhin:
     """Immutable typed graph held as one CSR over node ints.
 
     Node int ``i`` is node ``node_ids[i]``, of kind ``kinds[i]``, with the
-    tie-key term ``node_keys[i]`` (:func:`node_key`; ``node_keys[PAD]`` is a
-    0 sentinel).  Its neighbors are ``flat[offsets[i]:offsets[i + 1]]`` in int
-    order, so its neighbors of one kind form one run of ``flat``:
-    ``csr[kind]`` is ``(degree, offsets)`` of those runs, by node int, into
-    the same ``flat``.  The graph memoizes nothing; :mod:`hisekt.pathscore`
-    holds the one memo of hop tables per graph.
+    tie-key term ``node_keys[i]`` (:func:`node_key`).  Its neighbors are
+    ``flat[offsets[i]:offsets[i + 1]]`` in int order, so its neighbors of
+    one kind form one run of ``flat``: ``csr[kind]`` is ``(degree, offsets)``
+    of those runs, by node int, into the same ``flat``.  The graph memoizes
+    nothing; :mod:`hisekt.pathscore` holds the one memo of hop tables per
+    graph, and :func:`tie_terms` the one table of tie-key terms.
     """
 
     def __init__(self, node_ids: Sequence[Node], edges: np.ndarray):
@@ -158,7 +162,7 @@ class Mrhin:
             raise ValueError("graph nodes must be in sorted (kind, id) order, without repeats")
         self._index = {node: i for i, node in enumerate(self.node_ids)}
         self.kinds = tuple(kind for kind, _ in self.node_ids)
-        self.node_keys = np.array([node_key(node) for node in self.node_ids] + [0], dtype=np.uint64)
+        self.node_keys = np.array([node_key(node) for node in self.node_ids], dtype=np.uint64)
         self._spans = {kind: (bisect.bisect_left(self.kinds, kind), bisect.bisect_right(self.kinds, kind))
                        for kind in NODE_KINDS}
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -256,8 +260,8 @@ class WalkGroup:
 
     ``rows`` holds one walk per row as graph node ints (``n x walk_len``),
     padded with ``PAD`` after the last node of a truncated walk;
-    :attr:`tie_keys` holds each walk's Top-K tie key, computed once per group
-    on its rows.
+    :attr:`tie_keys` holds each walk's Top-K tie key, gathered once per group
+    from the graph's :func:`tie_terms`.
     """
 
     def __init__(self, graph: Mrhin, template: MetaPathTemplate, target_question: str, target_kc: str,
@@ -290,14 +294,37 @@ class WalkGroup:
     @property
     def tie_keys(self) -> np.ndarray:
         """Each walk's tie key ``(Σ_{t=1..len} mix(node_keys[x_t] + t·γ) mod 2**64) >> 1``, over its
-        nodes ``x_1 .. x_len``, as int64: one sha256 per graph node, none per walk."""
+        nodes ``x_1 .. x_len``, as int64: one sha256 per graph node, none per walk, and one gather
+        of :func:`tie_terms` per group."""
         keys = self._tie_keys
         if keys is None:
-            steps = np.arange(1, self.rows.shape[1] + 1, dtype=np.uint64) * GAMMA
-            terms = np.where(self.rows != PAD, mix(self.graph.node_keys[self.rows] + steps), np.uint64(0))
-            keys = (terms.sum(axis=1, dtype=np.uint64) >> _ONE).astype(np.int64)
+            width = self.rows.shape[1]
+            terms = tie_terms(self.graph, width)
+            # row t - 1 of the flat table starts at (t - 1)(nodes + 1), and node x (PAD too) is column x + 1
+            at = self.rows + np.arange(1, width * terms.shape[1], terms.shape[1])
+            keys = (np.take(terms, at).sum(axis=1, dtype=np.uint64) >> _ONE).astype(np.int64)
             self._tie_keys = keys
         return keys
+
+
+# graph -> its widest tie-key term table yet, built in full before it is stored; the table holds
+# no reference to the graph, which would keep it alive
+_TIE_TERMS: weakref.WeakKeyDictionary[Mrhin, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def tie_terms(g: Mrhin, width: int) -> np.ndarray:
+    """The tie-key terms of walks up to ``width`` nodes on ``g``: ``terms[t - 1, x + 1]`` is
+    ``mix(node_keys[x] + t·γ)`` of node int ``x`` at walk position ``t``, and the ``PAD`` column
+    (column 0) is 0, so a padded position adds nothing.  Read-only; a row per position, ``width``
+    rows or more."""
+    terms = _TIE_TERMS.get(g)
+    if terms is None or len(terms) < width:
+        steps = np.arange(1, width + 1, dtype=np.uint64)[:, None] * GAMMA
+        terms = np.zeros((width, len(g.node_keys) + 1), dtype=np.uint64)
+        terms[:, 1:] = mix(g.node_keys + steps)
+        terms.flags.writeable = False
+        _TIE_TERMS[g] = terms
+    return terms
 
 
 def _padded(walks: list[list[int]]) -> np.ndarray:

@@ -45,9 +45,13 @@ hold 65,800 scores but 633 distinct values.
 
 Top-K selection keeps each group's best (or lowest, or randomly drawn)
 rows by total, equal totals ordered by the walks' tie keys
-(:attr:`~hisekt.mrhin.WalkGroup.tie_keys`, one array expression per group).
-:func:`select_top_k` ranks a :class:`ScoredGroup` on its arrays and returns
-the kept rows as a :class:`ScoredGroup`.
+(:attr:`~hisekt.mrhin.WalkGroup.tie_keys`, one gather per group from the
+graph's term table).  :func:`select_top_k_many` ranks every group of a stage
+in one pass over a padded groups x rows matrix: one ``np.partition`` finds
+each group's k-th total, and one lexsort orders only the rows at or past it
+(``random`` mode: one row-wise stable argsort of the tie keys, then each
+group's seeded draw).  :func:`select_top_k` is its one-group call, and
+returns the kept rows as a :class:`ScoredGroup`.
 """
 
 from __future__ import annotations
@@ -185,7 +189,7 @@ def _gather(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.take(table, i * table.shape[1] + j)
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
+def row_sums(terms: np.ndarray) -> np.ndarray:
     """Each row's terms added left to right, as ``np.cumsum(terms, axis=1)[:, -1]`` adds them,
     one column at a time."""
     total = terms[:, 0].copy()
@@ -273,7 +277,7 @@ def _score_rows(rows: np.ndarray, kind: np.ndarray, level: np.ndarray, hops: np.
     # an edgeless walk (L = 0) scores 5 without its terms; they are divided by 1, not by 0
     span = np.maximum(length, 1)[:, None]
     terms = np.where(distinct, np.minimum(_gather(hops, question_of[:, None], ordered), span) / span, 0.0)
-    raw = 1.0 - _row_sums(terms) / n_questions
+    raw = 1.0 - row_sums(terms) / n_questions
     centrality = np.where(length == 0, MAX_DIMENSION_SCORE,
                           MAX_DIMENSION_SCORE * np.minimum(np.maximum(raw, 0.0), 1.0))
 
@@ -284,7 +288,7 @@ def _score_rows(rows: np.ndarray, kind: np.ndarray, level: np.ndarray, hops: np.
                + np.maximum((rows[:, k_cols] == kstar[:, None]).sum(axis=1) - 1, 0))
     informativeness = MAX_DIMENSION_SCORE * (n_questions + uk_distinct.sum(axis=1)) / (n_counted - repeats)
 
-    entropy = _row_sums(_gather(_entropy_terms(width), counts, n_levels[:, None]))
+    entropy = row_sums(_gather(_entropy_terms(width), counts, n_levels[:, None]))
     diversity = MAX_DIMENSION_SCORE * entropy / _LOG_CATEGORIES
 
     total = centrality + kc_relevance + informativeness + diversity
@@ -636,21 +640,51 @@ def select_top_k(scored: ScoredGroup, k: int, mode: str = "top", seed: int = 0) 
 
     ``top`` keeps the highest totals, ``lowest`` the lowest, ``random`` a
     uniform sample without replacement under ``seed``.  Equal totals are
-    ordered by the walks' tie keys, so reruns agree.  The group is ranked on
-    its arrays, and its kept rows are returned as a :class:`ScoredGroup` with
-    their tie keys.
+    ordered by the walks' tie keys, so reruns agree.  The kept rows are
+    returned as a :class:`ScoredGroup` with their tie keys: the one-group call
+    of :func:`select_top_k_many`.
+    """
+    return scored.take(select_top_k_many([scored], k, mode, [seed])[0])
+
+
+def select_top_k_many(groups: Sequence[ScoredGroup], k: int, mode: str = "top",
+                      seeds: Sequence[int] = ()) -> list[np.ndarray]:
+    """The row indices :func:`select_top_k` keeps of each group, in selection order, ranked in one
+    pass over all groups; ``random`` mode draws group ``i`` under ``seeds[i]``.
+
+    ``random`` mode pads the groups' tie keys into one groups x longest-group matrix, argsorts its
+    rows stably and draws ``k`` positions of a longer group's order.  ``top`` and ``lowest`` pad
+    the totals (negated for ``top``) into such a matrix, find each group's k-th value with one
+    ``np.partition`` and lexsort only the rows at or past it (NaN included) by (group, value, tie
+    key), each group keeping its first ``k``.  A row past its group's k-th value has ``k`` rows
+    before it, so each group keeps what its own lexsort of ``(tie keys, values)`` would.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    totals, keys = scored.scores[:, 4], scored.walks.tie_keys
-    if mode == "top":
-        kept = np.lexsort((keys, -totals))[:k]
-    elif mode == "lowest":
-        kept = np.lexsort((keys, totals))[:k]
-    elif mode == "random":
-        kept = np.argsort(keys, kind="stable")
-        if k < len(kept):
-            kept = kept[derive_rng(seed, "select_top_k").sample(range(len(kept)), k)]
-    else:
+    if mode not in ("top", "lowest", "random"):
         raise ValueError(f"unknown selection mode {mode!r}")
-    return scored.take(kept)
+    if mode == "random" and len(seeds) != len(groups):
+        raise ValueError("random mode needs one seed per group")
+    sizes = np.array([len(group) for group in groups], dtype=np.intp)
+    cell = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    if not cell.size:
+        return [np.zeros(0, dtype=np.intp) for _ in groups]
+    keys = np.concatenate([group.walks.tie_keys for group in groups])
+    if mode == "random":
+        # a pad sorts after every row of its group: a stable sort keeps a real key equal to the pad first
+        padded = np.full(cell.shape, np.iinfo(np.int64).max)
+        padded[cell] = keys
+        order = np.argsort(padded, axis=1, kind="stable")
+        return [order[i, :n] if n <= k else order[i, derive_rng(seed, "select_top_k").sample(range(n), k)]
+                for i, (n, seed) in enumerate(zip(sizes.tolist(), seeds))]
+    values = np.full(cell.shape, np.inf)
+    values[cell] = np.concatenate([group.scores[:, 4] for group in groups])
+    if mode == "top":
+        np.negative(values, out=values, where=cell)
+    last = min(k, cell.shape[1]) - 1
+    kth = np.partition(values, last, axis=1)[:, last:last + 1]
+    group, row = np.nonzero(cell & ~(values > kth))
+    order = np.lexsort((keys[np.cumsum(sizes)[group] - sizes[group] + row], values[group, row], group))
+    group, row = group[order], row[order]
+    rank = np.arange(len(group)) - np.searchsorted(group, group)
+    return np.split(row[rank < k], np.cumsum(np.minimum(sizes, k))[:-1])

@@ -15,22 +15,25 @@ students x questions incidence matrix; theta comes from
 dataset, as one from ``irt.fit`` does.  :func:`encode_many` is the one
 place the five formulas live, and :func:`encode` is its one-row call.  Its
 arithmetic matches a per-pair Python loop bit for bit: the accuracy gap is
-summed column by column in sorted KC order, left to right, and the three
-decays are read from a table of Python floats ``(1.0 + i) ** (-c)`` filled
-on demand.
-:func:`distances` solves every row against the Cholesky factor in one
-batched ``np.linalg.solve``, one right-hand side per row, as a per-row loop
-solves it.  Since no row's features or distance depend on another row,
-:func:`top_s_many` ranks every target of one question at once: it takes the
-question's retained students as student-table rows with their counts, and
-encodes all targets' candidates as one block (split only past
-:data:`BLOCK_PAIRS` pairs), each target getting the distances it would get
-alone.  :func:`top_s` is its one-target call, and
-:func:`fit_similarity` encodes its sampled pairs as one block.  Sampled pairs are
-drawn as indices and only the chosen ones decoded: random pairs index the
-nested-loop pair order and are never listed, and a caller's pair pool is an
-ascending array of :func:`pair_keys`, ints that sort as the
-``(u, s, f)`` triples they stand for.
+a running sum in sorted KC order, left to right (unshared KCs adding 0.0,
+one column at a time), and the three decays are read from a table of Python floats
+``(1.0 + i) ** (-c)`` filled on demand.
+:func:`distances` is forward substitution against the 5 x 5 Cholesky
+factor (from ``np.linalg.cholesky``, once per model), column by column, then
+the squares summed left to right: elementwise numpy steps, no BLAS or LAPACK
+kernel, so each row's bits are those of the same steps on it alone in
+Python floats.  Since no row's features or distance depend on another row,
+:func:`top_s_packed` ranks the targets of a whole stage's questions at once:
+it packs consecutive (question, target) pairs' candidates into blocks of at
+most :data:`BLOCK_PAIRS` pairs, each with one :func:`encode_many`, one
+:func:`distances` and one lexsort, each target getting the distances it
+would get alone.  :func:`top_s_many` is its
+one-question call (and draws ``random`` mode's peers), :func:`top_s` the
+one-target call, and :func:`fit_similarity` encodes its sampled pairs as
+one block.  Sampled pairs are drawn as indices and only the chosen ones
+decoded: random pairs index the nested-loop pair order and are never listed,
+and a caller's pair pool is an ascending array of :func:`pair_keys`, ints
+that sort as the ``(u, s, f)`` triples they stand for.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from .dataset import Dataset, code_of
 from .errors import ModelError
 from .irt import IrtModel
+from .pathscore import row_sums
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -54,8 +58,8 @@ DEFAULT_PAIR_SAMPLE = 10_000
 SHRINKAGE_FLOOR = 0.05
 SHRINKAGE_STEP = 0.01
 MIN_EIGENVALUE = 1e-8
-# most candidate pairs :func:`top_s_many` encodes at once, so a block's arrays stay a few MB
-# however many targets and candidates a question has
+# most candidate pairs :func:`top_s_packed` encodes at once (unless one target has more), so a
+# block's arrays stay a few MB however many questions, targets and candidates a stage has
 BLOCK_PAIRS = 1 << 14
 
 
@@ -174,11 +178,9 @@ def encode_many(
 
     shared = t.has_kc[u] & t.has_kc[s]
     gap = np.abs(t.kc_accuracy[u] - t.kc_accuracy[s])
-    total = np.zeros(len(u))
-    # one column at a time in sorted KC order: the running sum of a per-pair
-    # loop, which a reduction along the row would not reproduce bit for bit
-    for k in np.flatnonzero(shared.any(axis=0)):
-        total = np.where(shared[:, k], total + gap[:, k], total)
+    # a running sum in sorted KC order, as a per-pair loop adds (np.sum's pairwise
+    # reduction would not give its bits); an unshared KC adds 0.0, which changes none
+    total = row_sums(np.where(shared, gap, 0.0)) if gap.shape[1] else np.zeros(len(u))
     n_kcs = shared.sum(axis=1)
     z2 = np.where(n_kcs > 0, (c / np.maximum(n_kcs, 1)) * total, c)
 
@@ -328,12 +330,18 @@ def pair_at(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distances(z: np.ndarray, sm: SimilarityModel) -> np.ndarray:
-    """Mahalanobis distance of each row of ``z`` (n x 5), solved against the Cholesky factor, no explicit inverse."""
-    delta = np.asarray(z, dtype=float) - sm.mu
-    # Solve L y = delta row by row (one right-hand side each); the squared distance is ||y||^2.
-    y = np.linalg.solve(sm.cholesky(), delta[..., None])[..., 0]
-    # a 1 x 5 by 5 x 1 product per row sums like np.dot(y, y)
-    return np.sqrt(np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0])
+    """Mahalanobis distance of each row of ``z`` (n x 5): ``L y = z - mu`` solved for ``y`` against the
+    Cholesky factor ``L`` by forward substitution, column by column, then ``sqrt(y_1² + ... + y_5²)``
+    summed left to right.  All elementwise, so each row's bits are those of the same steps on the row
+    alone, in Python floats: ``y_i = (((z_i - mu_i) - L[i, 1] y_1) - ... - L[i, i-1] y_{i-1}) / L[i, i]``."""
+    rest = np.asarray(z, dtype=float) - sm.mu
+    chol = sm.cholesky()
+    total = np.zeros(len(rest))
+    for j in range(FEATURE_DIM):
+        y = rest[:, j] / chol[j, j]
+        rest[:, j + 1:] -= y[:, None] * chol[j + 1:, j]
+        total += y * y
+    return np.sqrt(total)
 
 
 def top_s_many(
@@ -354,42 +362,92 @@ def top_s_many(
     on the question's retained walks, and each one's co-occurrence count.  A target's candidates
     are those students but itself.  It gets ``min(s, |candidates|)`` peers: nearest by distance,
     ties in id order (rows sort as student ids do), or (``random`` mode) drawn uniformly with its
-    own seed from ``seeds``.  In ``similar`` mode
-    every distinct target's candidates are stacked and ranked in blocks of at most
-    :data:`BLOCK_PAIRS` pairs, one :func:`encode_many` and one :func:`distances` call each, then
-    one stable argsort per target; rows do not interact, so a target's distances are those it
-    would get alone, bit for bit.
+    own seed from ``seeds``.  ``similar`` mode is the one-question call of :func:`top_s_packed`.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     if mode not in ("similar", "random"):
         raise ValueError(f"unknown retrieval mode {mode!r}")
+    if mode == "similar":
+        return top_s_packed([(retained, targets)], sm, m, d, s, c)[0]
+    if len(seeds) != len(targets):
+        raise ValueError("random mode needs one seed per target")
     t = student_tables(d)
-    rows, f = retained
-    ids = [t.students[row] for row in rows.tolist()]
-    if mode == "random":
-        if len(seeds) != len(targets):
-            raise ValueError("random mode needs one seed per target")
-        peers = []
-        for target, seed in zip(targets, seeds):
-            pool = [sid for sid in ids if sid != target]
-            peers.append(pool if s >= len(pool) else derive_rng(seed, "top_s", target, question).sample(pool, s))
-        return peers
-    distinct = list(dict.fromkeys(targets))
-    ranked: dict[str, list[str]] = {}
-    per_block = max(1, BLOCK_PAIRS // max(len(ids), 1))
-    for start in range(0, len(distinct), per_block):
-        block = distinct[start:start + per_block]
-        u = t.positions(block)
-        # each target's candidates, target by target: every retained row but its own, in id order
-        which, col = np.nonzero(rows[None, :] != u[:, None])
+    ids = [t.students[row] for row in retained[0].tolist()]
+    peers = []
+    for target, seed in zip(targets, seeds):
+        pool = [sid for sid in ids if sid != target]
+        peers.append(pool if s >= len(pool) else derive_rng(seed, "top_s", target, question).sample(pool, s))
+    return peers
+
+
+def top_s_packed(
+    questions: Sequence[tuple[tuple[np.ndarray, np.ndarray], Sequence[str]]],
+    sm: SimilarityModel,
+    m: IrtModel,
+    d: Dataset,
+    s: int,
+    c: float = DEFAULT_SCALING,
+) -> list[list[list[str]]]:
+    """The nearest Top-S peers (``similar`` mode of :func:`top_s_many`) of the targets of many
+    questions: for each ``(retained, targets)`` of ``questions``, one peer list per target in order.
+
+    Each distinct (question, target) pair, in order of first appearance, has its candidates: the
+    question's retained rows but its own.  Consecutive pairs are packed into blocks of at most
+    :data:`BLOCK_PAIRS` candidates (a target with more has a block of its own), and each block
+    gets one :func:`encode_many`, one :func:`distances` and one lexsort by (target, distance,
+    row).  Rows do not interact, so a target's distances are those it would get alone, bit for
+    bit, and its peers are its first ``min(s, |candidates|)`` rows of that order.
+    """
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    t = student_tables(d)
+    n = len(t.students)
+    sizes = np.array([len(retained[0]) for retained, _ in questions], dtype=np.intp)
+    rows = np.concatenate([np.zeros(0, dtype=np.intp), *(retained[0] for retained, _ in questions)])
+    f = np.concatenate([np.zeros(0, dtype=np.int64), *(retained[1] for retained, _ in questions)])
+    asked = np.repeat(np.arange(len(questions)), [len(targets) for _, targets in questions])
+    # the distinct (question, target) pairs in order of first appearance, and each target's pair
+    keys, first, inverse = np.unique(asked * n + t.positions(u for _, targets in questions for u in targets),
+                                     return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    pair_of = np.empty_like(appearance)
+    pair_of[appearance] = np.arange(len(appearance))
+    question, u = np.divmod(keys[appearance], n)
+    # a target's candidates: its question's rows, less its own if retained
+    candidates = sizes[question] - np.isin(question * n + u, np.repeat(np.arange(len(questions)), sizes) * n + rows)
+    starts = np.cumsum(sizes) - sizes
+    kept = []
+    for lo, hi in _blocks(candidates.tolist()):
+        # each pair's question rows, pair by pair, then all but the target's own
+        span = sizes[question[lo:hi]]
+        which = np.repeat(np.arange(lo, hi), span)
+        col = np.arange(len(which)) + np.repeat(starts[question[lo:hi]] - (np.cumsum(span) - span), span)
+        mine = rows[col] != u[which]
+        which, col = which[mine], col[mine]
         dist = distances(encode_many(u[which], rows[col], f[col], m, d, c), sm)
-        bounds = np.searchsorted(which, np.arange(len(block) + 1)).tolist()
-        for j, target in enumerate(block):
-            lo, hi = bounds[j], bounds[j + 1]
-            # the sort is stable: order by (distance, id)
-            ranked[target] = [ids[k] for k in col[lo:hi][np.argsort(dist[lo:hi], kind="stable")[:s]].tolist()]
-    return [list(ranked[target]) for target in targets]
+        order = np.lexsort((rows[col], dist, which))
+        rank = np.arange(len(order)) - np.searchsorted(which, which)  # which is ascending
+        kept.append(rows[col[order][rank < s]])
+    peers = [t.students[row] for row in np.concatenate([np.zeros(0, dtype=np.intp), *kept]).tolist()]
+    ends = np.cumsum(np.minimum(candidates, s)).tolist()
+    lists = [peers[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    entry = iter(pair_of[inverse].tolist())
+    return [[list(lists[next(entry)]) for _ in targets] for _, targets in questions]
+
+
+def _blocks(sizes: list[int]) -> list[tuple[int, int]]:
+    """``(lo, hi)`` spans of consecutive items whose sizes add up to at most :data:`BLOCK_PAIRS`,
+    greedily; an item larger than that is a span of its own."""
+    spans, lo, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > lo and total + size > BLOCK_PAIRS:
+            spans.append((lo, i))
+            lo, total = i, 0
+        total += size
+    if lo < len(sizes):
+        spans.append((lo, len(sizes)))
+    return spans
 
 
 def top_s(

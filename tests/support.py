@@ -2,12 +2,12 @@
 a prompt bundle whose text is cut, the shape check of criterion 8's AUC-by-K series, the
 path pair pool as string triples with its conversions to and from ``retrieval.pair_keys``, the
 retained pool as id counts with its conversions to and from student-table rows,
-the path formulas on one walk of node indices, peer retrieval one target at a time, a scored
-group built from given dimensions, the LLM scorer as it read replies, the scored-walk writer
-that dumped each score column with ``json.dumps``, the mock scorer's block reader decoded for one
-prompt, the mock's scores of a path written into a prompt with no graph behind it, the
-breadth-first search that graph hop tables are held to, the ``Interaction`` record of one
-decoded row, a columnar dataset built from such records with its rows decoded back, and the
+the path formulas on one walk of node indices, peer retrieval one target at a time, Top-K
+selection one group at a time, a scored group built from given dimensions, the LLM scorer as
+it read replies, the scored-walk writer that dumped each score column with ``json.dumps``, the
+mock scorer's block reader decoded for one prompt, the mock's scores of a path written into a
+prompt with no graph behind it, the breadth-first search that graph hop tables are held to,
+the ``Interaction`` record of one decoded row, a columnar dataset built from such records with its rows decoded back, and the
 row-object CSV reader that the columnar reader is held to."""
 
 import csv
@@ -221,6 +221,21 @@ def reference_peers(ctx, cfg, run_seed, variant):
         seed = derive_seed(run_seed, "tops", u, qid, timestamp)
         peers[u, qid, timestamp] = reference_top_s(cands, sim, m, d, cfg.top_s, mode=peer_mode, c=cfg.c, seed=seed)
     return peers
+
+
+def reference_select_top_k(scored, k, mode="top", seed=0):
+    """The row indices ``pathscore.select_top_k`` kept of one scored group, in selection order, as it
+    ranked each group alone before every group of a stage was ranked in one pass: a lexsort of the
+    group's (tie keys, totals), or a stable argsort of its tie keys and a seeded draw."""
+    totals, keys = scored.scores[:, 4], scored.walks.tie_keys
+    if mode == "top":
+        return np.lexsort((keys, -totals))[:k]
+    if mode == "lowest":
+        return np.lexsort((keys, totals))[:k]
+    if mode == "random":
+        kept = np.argsort(keys, kind="stable")
+        return kept if k >= len(kept) else kept[derive_rng(seed, "select_top_k").sample(range(len(kept)), k)]
+    raise ValueError(f"unknown selection mode {mode!r}")
 
 
 def scored_group(walks, dimensions, backend="formula"):

@@ -31,6 +31,7 @@ from hisekt.pathscore import (
     score_all,
     score_llm,
     select_top_k,
+    select_top_k_many,
     write_scored,
 )
 
@@ -41,7 +42,7 @@ from hisekt.mrhin import Mrhin
 from hisekt.synth import planted_csv
 from prompt_reference import reference_parse_scoring_prompt
 from support import (hops_from, mock_path_score, read_scoring_prompt, reference_score_llm, reference_score_walk,
-                     reference_write_scored, score_one, scored_group, scripted_client)
+                     reference_select_top_k, reference_write_scored, score_one, scored_group, scripted_client)
 
 
 @pytest.fixture(scope="module")
@@ -493,6 +494,55 @@ class TestSelectTopKOnGroups:
             assert got.backend == groups[i].backend
             assert rows_and_scores(got) == rows_and_scores(groups[i].take(want))
             assert got.walks.tie_keys.tolist() == [reference_tie_key(nodes) for nodes in node_lists(got)]
+
+
+@st.composite
+def top_k_stages(draw):
+    """A Top-K ``k`` and a stage of groups for it: each group a width, its walks as node-int rows of
+    up to that width (``PAD``-padded; nodes from three ints, so walks, and so tie keys, repeat) and
+    its totals from a small grid, so totals tie.  Group sizes are drawn from 0, k - 1, k, k + 1 and
+    k + 3."""
+    k = draw(st.integers(1, 5))
+    specs = []
+    for _ in range(draw(st.integers(0, 6))):
+        width, size = draw(st.integers(1, 4)), draw(st.sampled_from([0, k - 1, k, k + 1, k + 3]))
+        walks = draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=width), min_size=size, max_size=size))
+        totals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.25, 2.5, 20.0]), min_size=size, max_size=size))
+        specs.append((width, walks, totals))
+    return k, specs
+
+
+class TestSelectTopKStage:
+    @settings(max_examples=300, deadline=None)
+    @given(top_k_stages(), st.sampled_from(["top", "lowest", "random"]), st.integers(0, 3))
+    def test_one_pass_equals_each_group_alone(self, g, stage, mode, seed):
+        k, specs = stage
+        groups = []
+        for width, walks, totals in specs:
+            rows = np.full((len(walks), width), PAD, dtype=np.int32)
+            for row, walk in zip(rows, walks):
+                row[:len(walk)] = walk
+            scores = np.zeros((len(totals), 5))
+            scores[:, 4] = totals
+            groups.append(ScoredGroup(WalkGroup(g, TEMPLATES["Q-K-Q"], "Q1", "K1", rows), scores, "formula"))
+        seeds = [seed + i for i in range(len(groups))]
+        # the drawn k, and a k larger than every group
+        for kk in (k, 1 + max((len(walks) for _, walks, _ in specs), default=0)):
+            got = select_top_k_many(groups, kk, mode, seeds)
+            want = [reference_select_top_k(group, kk, mode, s) for group, s in zip(groups, seeds)]
+            assert [index.tolist() for index in got] == [index.tolist() for index in want]
+            assert [select_top_k(group, kk, mode, s).walks.rows.tolist() for group, s in zip(groups, seeds)] == \
+                [group.walks.rows[index].tolist() for group, index in zip(groups, want)]
+
+    def test_refuses_a_missing_seed_a_bad_k_and_an_unknown_mode(self, g):
+        group = scored_group(sample_instances(g, TEMPLATES["Q-K-Q"], "Q2", n=4, walk_len=5, seed=1), [[1.0] * 4] * 4)
+        with pytest.raises(ValueError, match="one seed per group"):
+            select_top_k_many([group], 2, "random")
+        with pytest.raises(ValueError, match="k must be"):
+            select_top_k_many([group], 0, "top")
+        with pytest.raises(ValueError, match="unknown selection mode"):
+            select_top_k_many([group], 1, "best")
+        assert select_top_k_many([], 3, "top") == []
 
 
 def reference_walk_file(grouped):

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import random
 import subprocess
@@ -34,6 +35,7 @@ from hisekt.retrieval import (
     student_tables,
     top_s,
     top_s_many,
+    top_s_packed,
 )
 from hisekt.seeding import derive_rng, derive_seed
 from hisekt.synth import planted_csv
@@ -575,8 +577,37 @@ class LoopEncoder:
 
 
 def loop_distance(z, sm):
+    """One row's distance in Python floats: forward substitution against the Cholesky factor,
+    each ``y_i`` subtracting ``L[i, j] y_j`` for j = 1, 2, ... in turn, then the squares summed
+    left to right from 0.0."""
+    chol = sm.cholesky().tolist()
+    y = []
+    for i, value in enumerate((np.asarray(z, dtype=float) - sm.mu).tolist()):
+        for j in range(i):
+            value -= chol[i][j] * y[j]
+        y.append(value / chol[i][i])
+    total = 0.0
+    for value in y:
+        total += value * value
+    return math.sqrt(total)
+
+
+def lapack_distance(z, sm):
+    """One row's distance from LAPACK: ``np.linalg.solve`` against the Cholesky factor."""
     y = np.linalg.solve(sm.cholesky(), np.asarray(z) - sm.mu)
     return float(np.sqrt(np.dot(y, y)))
+
+
+# Forward substitution and LAPACK's solve each land within 4 ulp of the exact distance of the
+# rounded z - mu (a search over pair features found 4 and 3); so they differ by at most 8 ulp
+# (the search found 6)
+ULPS = 8
+
+
+def ulps_apart(a, b):
+    """How many units in the last place of the larger of each pair ``a`` and ``b`` lie apart."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
 
 
 @pytest.fixture(scope="module", params=[(1, {}), (2, {}), (3, {}), (1, {"kcs_per_band": 10, "questions_per_band": 70})],
@@ -618,20 +649,44 @@ class TestBlocksEqualTheLoop:
         rows = [loop.encode(u, s, (len(u) * i) % 50, m) for i, u in enumerate(students) for s in students if s != u]
         rows = np.vstack([rows, np.random.default_rng(0).normal(size=(5_000, 5))])
         expected = [loop_distance(z, sm) for z in rows]
-        assert distances(rows, sm).tobytes() == np.array(expected).tobytes()
+        got = distances(rows, sm)
+        assert got.tobytes() == np.array(expected).tobytes()
         assert distances(rows[:1], sm)[0] == expected[0]
+        # on these rows forward substitution stays within 4 ulp of LAPACK's solve
+        assert ulps_apart(got, [lapack_distance(z, sm) for z in rows]).max() <= 4
 
     def test_top_s_ranking(self, planted):
+        """Peers equal the ranking by LAPACK distances wherever those are not within ``ULPS`` of a
+        tie among the first six, where the two can order candidates apart."""
         d, m, loop = planted
         sm = fit_similarity(d, m, seed=2)
         targets = sorted({(i.student_id, i.question_id) for i in decode_rows(d, d.iter_split("test"))})[::7]
+        checked = 0
         for u, q in targets:
             cands = CandidateSet(u, q, {s: 1 + (len(s) + len(q)) % 4 for s in d.students() if s != u})
-            ranked = sorted(
-                cands.candidates,
-                key=lambda s: (loop_distance(loop.encode(u, s, cands.candidates[s], m), sm), s),
-            )
+            reference = {s: lapack_distance(loop.encode(u, s, f, m), sm) for s, f in cands.candidates.items()}
+            ranked = sorted(cands.candidates, key=lambda s: (reference[s], s))
+            decisive = [reference[s] for s in ranked[:6]]
+            if (ulps_apart(decisive[1:], decisive[:-1]) <= ULPS).any():
+                continue
+            checked += 1
             assert top_s(cands, sm, m, d, 5) == ranked[:5]
+        assert checked >= len(targets) // 2
+
+
+# pair features as the pipeline makes them: an ability gap, an accuracy gap up to c = 2, and the
+# three decays (1 + n) ** -2 of small counts
+PAIR_FEATURES = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2.0),
+                          *[st.integers(0, 40).map(lambda n: (1.0 + n) ** -2.0)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PAIR_FEATURES, min_size=2, max_size=40), st.lists(PAIR_FEATURES, min_size=1, max_size=40))
+def test_distances_are_within_ulps_of_lapack(sample, rows):
+    mu, sigma, lam = _fit_from_features(np.array(sample))
+    sm = SimilarityModel(mu, sigma, lam, len(sample))
+    got = distances(np.array(rows), sm)
+    assert ulps_apart(got, [lapack_distance(z, sm) for z in rows]).max() <= ULPS
 
 
 class TestRandomPairs:
@@ -743,6 +798,37 @@ class TestQuestionBlocks:
         assert top_s_many("Q0", pool({"S3": 2}), ["S3", "S1"], unit_model(), m, d, 2) == [[], ["S3"]]
         with pytest.raises(ValueError, match="one seed per target"):
             top_s_many("Q0", pool({"S3": 2}), ["S1"], None, m, d, 2, mode="random")
+
+
+class TestPackedBlocks:
+    @pytest.mark.parametrize("block_pairs", [1, 37, 500, retrieval_mod.BLOCK_PAIRS])
+    def test_packed_peers_equal_each_question_alone_within_the_block_bound(self, criterion6_context, block_pairs,
+                                                                          monkeypatch):
+        ctx = criterion6_context
+        cfg, d, m = ctx.cfg, ctx.dataset, ctx.irt
+        run_seed = run_seed_of(cfg, 0)
+        retained, sim = ctx.get("retained", cfg, run_seed), ctx.get("similarity", cfg, run_seed)
+        none = (np.zeros(0, dtype=np.intp),) * 2
+        by_question = {}
+        for u, qid, _ in ctx.test_targets():
+            by_question.setdefault(qid, []).append(u)
+        batches = [(retained.get(qid, none), targets) for qid, targets in by_question.items()]
+        alone = [top_s_many(qid, batch, targets, sim, m, d, cfg.top_s, c=cfg.c)
+                 for qid, (batch, targets) in zip(by_question, batches)]
+        largest = max(len(rows) for (rows, _), _ in batches)
+        calls = []
+        encode = retrieval_mod.encode_many
+
+        def recorded(u, s, f, *args):
+            calls.append(np.unique(u))
+            assert len(u) <= block_pairs or (len(calls[-1]) == 1 and len(u) <= largest), "a block is too large"
+            return encode(u, s, f, *args)
+
+        monkeypatch.setattr(retrieval_mod, "encode_many", recorded)
+        monkeypatch.setattr(retrieval_mod, "BLOCK_PAIRS", block_pairs)
+        assert top_s_packed(batches, sim, m, d, cfg.top_s, cfg.c) == alone
+        # small blocks split a question's targets; a large one packs several questions' targets
+        assert len(calls) < len(by_question) if block_pairs > largest else len(calls) > len(by_question)
 
 
 @pytest.mark.parametrize("variant", [None, "msr", "msl", "rsimu", "simu"])
