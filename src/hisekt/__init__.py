@@ -20,7 +20,6 @@ from .retrieval import (
     encode_many,
     fit_similarity,
     top_s,
-    top_s_many,
     top_s_packed,
 )
 
@@ -67,6 +66,5 @@ __all__ = [
     "select_top_k_many",
     "split",
     "top_s",
-    "top_s_many",
     "top_s_packed",
 ]

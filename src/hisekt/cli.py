@@ -40,7 +40,7 @@ from . import irt as irt_mod
 from . import pathscore
 from .config import CHOICES, FIELD_NAMES, RunConfig, fingerprint, load_config_file, resolve_config
 from .errors import HisektError, IngestError, StageDependencyError
-from .evaluation import PipelineContext, predict_targets, retrieve_peers, run_experiment, run_seed_of
+from .evaluation import PipelineContext, run_experiment, run_seed_of
 from .mrhin import WALK_SCHEME, Mrhin, read_graph, read_json_lines, read_walks, write_graph, write_walks
 from .predict import Prediction
 
@@ -145,7 +145,7 @@ def _write_scored(ctx: PipelineContext, path: Path) -> str:
 
 
 def _write_peers(ctx: PipelineContext, path: Path) -> str:
-    sim, peers = retrieve_peers(ctx, None, run_seed_of(ctx.cfg, 0))
+    sim, peers = ctx.get("similarity"), ctx.get("peers")
     payload = {
         "similarity": {
             "mu": list(sim.mu),
@@ -182,7 +182,7 @@ def _read_peers(path: Path, ctx: PipelineContext) -> dict[tuple[str, str, int], 
 
 
 def _write_predictions(ctx: PipelineContext, path: Path) -> str:
-    predictions = predict_targets(ctx, None, run_seed_of(ctx.cfg, 0))
+    predictions = ctx.get("predictions")
     d = ctx.dataset
     lines = [
         json.dumps({"student": u, "question": q, "timestamp": t, "label": label,

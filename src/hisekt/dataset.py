@@ -68,7 +68,10 @@ class Dataset:
         width = max(map(len, self.kc_sets), default=0)  # the KC sets as rows of codes, padded with -1
         self._kc_table = np.array([kcs + (-1,) * (width - len(kcs)) for kcs in self.kc_sets], int).reshape(
             len(self.kc_sets), width)
-        self._memo: dict = {}  # split indices by label, student runs by ("runs", label), and question KCs
+        # what is derived from the columns, each built in full before it is stored: split indices by
+        # label, student runs by ("runs", label) and question KCs here, retrieval's student tables and
+        # predict's rendered prompt text
+        self._memo: dict = {}
 
     def __len__(self) -> int:
         return len(self.student)

@@ -10,8 +10,8 @@ random, ``simu`` and ``irt`` mask prompt blocks.
 command on one context runs only the stages whose inputs changed: ``full``,
 ``simu``, ``rsimu`` and ``irt`` share one Top-K pass, ``irt`` reuses the
 peers of ``full``, and a repeated ``run_experiment`` is lookups only.
-``retrieve_peers``, ``predict_targets`` and ``run_variant`` read that dict;
-the CLI's ``retrieve`` and ``predict`` stages write their artifacts from it.
+``run_variant`` reads that dict through ``PipelineContext.get``, and the
+CLI's ``retrieve`` and ``predict`` stages write their artifacts from it.
 """
 
 from __future__ import annotations
@@ -42,27 +42,21 @@ def auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     """Rank-based AUC with tied scores contributing one half.
 
     Equivalent to counting, over all positive/negative pairs, wins plus half
-    ties, but computed from midranks in O(n log n).
+    ties, but computed from midranks in O(n log n): the scores tied at one
+    distinct value, ``count`` of them ending at sorted position ``end``, share
+    the rank ``end - (count - 1) / 2``.  Midranks are half-integers, so their
+    sum is exact in any order.
     """
     if len(labels) != len(scores):
         raise ValueError("labels and scores must have equal length")
-    n = len(labels)
-    n_pos = sum(1 for y in labels if y == 1)
-    n_neg = n - n_pos
+    positive = np.asarray(labels) == 1
+    n_pos = int(positive.sum())
+    n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes present")
-    order = sorted(range(n), key=lambda i: scores[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        midrank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = midrank
-        i = j + 1
-    rank_sum_pos = sum(r for r, y in zip(ranks, labels) if y == 1)
+    _, inverse, counts = np.unique(np.asarray(scores, dtype=np.float64), return_inverse=True, return_counts=True)
+    ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum_pos = float(ranks[inverse[positive]].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -301,7 +295,8 @@ def _targets(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str |
 
 def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
     """Each test target's Top-S peers, in test order.  Nearest peers are ranked for every question
-    in one ``retrieval.top_s_packed`` call; random peers are drawn question by question."""
+    in one ``retrieval.top_s_packed`` call; random peers are drawn question by question
+    (``retrieval.random_peers``)."""
     _, peer_mode, mask = ABLATIONS[variant]
     tests = ctx.test_targets(cfg)
     if predict.MASK_SIMU in mask:
@@ -317,10 +312,9 @@ def _peers(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | N
             [(retained.get(qid, none), [u for u, _, _ in targets]) for qid, targets in by_question.items()],
             ctx.get("similarity", cfg, run_seed, variant), m, d, cfg.top_s, cfg.c)
     else:
-        ranked = [retrieval.top_s_many(qid, retained.get(qid, none), [u for u, _, _ in targets], None, m, d,
-                                       cfg.top_s, mode=peer_mode, c=cfg.c,
-                                       seeds=[derive_seed(run_seed, "tops", u, qid, timestamp)
-                                              for u, _, timestamp in targets])
+        ranked = [retrieval.random_peers(
+                      qid, retained.get(qid, none)[0], [u for u, _, _ in targets],
+                      [derive_seed(run_seed, "tops", u, qid, timestamp) for u, _, timestamp in targets], d, cfg.top_s)
                   for qid, targets in by_question.items()]
     peers = {key: p for targets, per_question in zip(by_question.values(), ranked)
              for key, p in zip(targets, per_question)}
@@ -353,24 +347,10 @@ _COMPUTE: dict[str, Callable[[PipelineContext, RunConfig, int, str | None], obje
 }
 
 
-def retrieve_peers(
-    ctx: PipelineContext, variant: str | None, run_seed: int, cfg: RunConfig | None = None
-) -> tuple[retrieval.SimilarityModel, dict[tuple[str, str, int], list[str]]]:
-    """Similarity model and Top-S peers (by test target key, in test order) for one variant."""
-    return ctx.get("similarity", cfg, run_seed, variant), ctx.get("peers", cfg, run_seed, variant)
-
-
-def predict_targets(
-    ctx: PipelineContext, variant: str | None, run_seed: int, cfg: RunConfig | None = None
-) -> dict[tuple[str, str, int], predict.Prediction]:
-    """Each test target's prediction from its prompt with the variant's peers and mask, keyed like the peers."""
-    return ctx.get("predictions", cfg, run_seed, variant)
-
-
 def run_variant(ctx: PipelineContext, variant: str | None, run_seed: int,
                 cfg: RunConfig | None = None) -> VariantMetrics:
     """ACC and AUC of one variant's predictions over the test split."""
-    predictions = predict_targets(ctx, variant, run_seed, cfg)
+    predictions = ctx.get("predictions", cfg, run_seed, variant)
     d = ctx.get("dataset", cfg)
     preds = [predictions[key] for key in ctx.test_targets(cfg)]
     labels = d.correct[d.iter_split("test")].tolist()

@@ -55,7 +55,7 @@ class MockTransport:
 
     def __call__(self, prompt: str) -> str:
         if self._pathscore.is_scoring_prompt(prompt):
-            return self._pathscore.mock_score_reply(prompt, self._path_lines)
+            return self.many([prompt])[0]
         if self._predict.is_prediction_prompt(prompt):
             return self._predict.mock_prediction_reply(prompt)
         raise TransportError("mock transport cannot answer this prompt")

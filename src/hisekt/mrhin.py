@@ -20,7 +20,7 @@ gives the same rows as sampling each question alone.
 Equal Top-K totals are ordered by a walk's tie key, which mixes the same
 way: each node has a sha256 key, and a walk's key sums ``mix`` of each
 node's key plus its position times γ.  That term depends only on the
-(position, node) pair, so each graph holds one table of it, a row per
+(position, node) pair, so each graph memoizes one table of it, a row per
 position up to its widest walks (:func:`tie_terms`), and a group's keys are
 one gather from the table and one row sum (:attr:`WalkGroup.tie_keys`): the
 sum wraps modulo 2**64, so its order does not change the bits.
@@ -31,8 +31,10 @@ kinds (:class:`Mrhin`).  The walks of one (target question, template) pair
 are a :class:`WalkGroup`: one int array with a row per walk, padded with
 ``PAD`` after a truncated walk's last node.  The walk file (``paths.jsonl``)
 is written from groups and read back into groups, one JSON line per walk, in
-each group's :func:`file_order`; ``scored.jsonl`` (:mod:`hisekt.pathscore`)
-holds each walk's scores and tie key, line for line in the same order.
+each group's row order, which is the order :func:`sample_walks` drew them in:
+a group read back holds the sampled walks in the sampled order.
+``scored.jsonl`` (:mod:`hisekt.pathscore`) holds each walk's scores and tie
+key, line for line in the same order.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import bisect
 import itertools
 import json
 import logging
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -69,7 +70,7 @@ PAD = -1  # fills a walk row after the last node of a truncated walk
 UNREACHABLE = 2**31 - 1  # hop count of a node no path reaches; above any cap
 # Names the walk draw rule, the tie-key rule and the layout of the walk and score files, for
 # caches of sampled walks and of what their Top-K order decides: change it with any of them.
-WALK_SCHEME = "splitmix64-mixsum-tiekeyed"
+WALK_SCHEME = "splitmix64-mixsum-tiekeyed-roworder"
 
 # SplitMix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
 # finalizer's constants.  Kept as np.uint64 so that all wrapping arithmetic is on
@@ -147,9 +148,11 @@ class Mrhin:
     tie-key term ``node_keys[i]`` (:func:`node_key`).  Its neighbors are
     ``flat[offsets[i]:offsets[i + 1]]`` in int order, so its neighbors of
     one kind form one run of ``flat``: ``csr[kind]`` is ``(degree, offsets)``
-    of those runs, by node int, into the same ``flat``.  The graph memoizes
-    nothing; :mod:`hisekt.pathscore` holds the one memo of hop tables per
-    graph, and :func:`tie_terms` the one table of tie-key terms.
+    of those runs, by node int, into the same ``flat``.  ``_memo`` holds
+    what is derived from the graph, each table built in full before it is
+    stored: the tie-key terms (:func:`tie_terms`) and the node tables of
+    :func:`hisekt.pathscore.graph_tables`, its hop memo and prompt path
+    lines included.
     """
 
     def __init__(self, node_ids: Sequence[Node], edges: np.ndarray):
@@ -177,6 +180,7 @@ class Mrhin:
         for kind, (lo, hi) in self._spans.items():
             start = np.searchsorted(pairs, base[:-1] + lo)
             self.csr[kind] = (np.searchsorted(pairs, base[:-1] + hi) - start, start)
+        self._memo: dict = {}  # by name: "tie_terms", "graph_tables"
 
     @classmethod
     def build(cls, d: Dataset, m: IrtModel) -> "Mrhin":
@@ -307,23 +311,18 @@ class WalkGroup:
         return keys
 
 
-# graph -> its widest tie-key term table yet, built in full before it is stored; the table holds
-# no reference to the graph, which would keep it alive
-_TIE_TERMS: weakref.WeakKeyDictionary[Mrhin, np.ndarray] = weakref.WeakKeyDictionary()
-
-
 def tie_terms(g: Mrhin, width: int) -> np.ndarray:
     """The tie-key terms of walks up to ``width`` nodes on ``g``: ``terms[t - 1, x + 1]`` is
     ``mix(node_keys[x] + t·γ)`` of node int ``x`` at walk position ``t``, and the ``PAD`` column
     (column 0) is 0, so a padded position adds nothing.  Read-only; a row per position, ``width``
-    rows or more."""
-    terms = _TIE_TERMS.get(g)
+    rows or more: the graph's widest table yet, built in full before it is stored."""
+    terms = g._memo.get("tie_terms")
     if terms is None or len(terms) < width:
         steps = np.arange(1, width + 1, dtype=np.uint64)[:, None] * GAMMA
         terms = np.zeros((width, len(g.node_keys) + 1), dtype=np.uint64)
         terms[:, 1:] = mix(g.node_keys + steps)
         terms.flags.writeable = False
-        _TIE_TERMS[g] = terms
+        g._memo["tie_terms"] = terms
     return terms
 
 
@@ -514,18 +513,12 @@ def read_graph(path: str | Path) -> Mrhin:
 # -- walk store ----------------------------------------------------------------
 #
 # ``paths.jsonl`` holds one JSON record per walk, {"nodes": [[kind, id], ...], "target_kc",
-# "target_q", "template"}, sorted by target question, then template name, then the group's
-# :func:`file_order`.  Each line is the text ``json.dumps(record, sort_keys=True)`` gives,
+# "target_q", "template"}, sorted by target question, then template name, each group's walks in
+# row order.  Each line is the text ``json.dumps(record, sort_keys=True)`` gives,
 # assembled from JSON fragments instead of dumped per walk: each node's ``[kind, id]`` is dumped
 # once per graph, the target KC, question and template once per group.  Lines go to the file
 # group by group, so the file's text is never held whole.  ``scored.jsonl``
 # (:func:`hisekt.pathscore.write_scored`) holds each walk's scores in the same order.
-
-
-def file_order(group: WalkGroup) -> np.ndarray:
-    """The order of a group's walks in the walk and score files: node order, as lists of node ints
-    compare.  ``PAD`` sorts before every node int, so a walk sorts before its longer extensions."""
-    return np.lexsort(group.rows.T[::-1])
 
 
 def write_walks(grouped: Mapping[str, Mapping[str, WalkGroup]], path: str | Path) -> int:
@@ -542,7 +535,7 @@ def write_walks(grouped: Mapping[str, Mapping[str, WalkGroup]], path: str | Path
                     nodes = node_json[group.graph] = tuple(json.dumps(list(node)) for node in group.graph.node_ids)
                 tail = (f"], \"target_kc\": {json.dumps(group.target_kc)}, \"target_q\": {json.dumps(qid)}, "
                         f"\"template\": {json.dumps(name)}}}\n")
-                rows = group.rows[file_order(group)].tolist()
+                rows = group.rows.tolist()
                 out.writelines('{"nodes": [' + ", ".join(map(nodes.__getitem__, _unpadded(row))) + tail for row in rows)
                 count += len(rows)
     return count
@@ -564,7 +557,7 @@ def read_json_lines(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
 
 def read_walks(path: str | Path, g: Mrhin) -> dict[str, dict[str, WalkGroup]]:
     """{target question: {template: group}} from a :func:`write_walks` file on graph ``g``, each
-    group's rows in file order.
+    group's rows in file order, which is the order they were written in.
 
     Raises IngestError naming the file and line of a record whose template is unknown, whose
     node is not in ``g``, that does not start at its target question or breaks its template

@@ -37,7 +37,8 @@ plain-Python per-path formula it replaces; about 250 us for a block of one).
 
 :func:`write_scored` writes one line per walk holding only what scoring
 adds: the backend, the five scores and the walk's tie key, in the walk file's
-order.  :func:`read_scored` pairs the lines with the walk groups again and
+order, which is each group's row order.  :func:`read_scored` pairs the lines
+with the walk groups again, line ``j`` of a group with its row ``j``, and
 refuses a line whose tie key is not its walk's.  Each score is written as
 ``json.dumps`` writes it, rendered once per distinct bit pattern over the
 whole file: the staged CLI's 13,160 scored walks on the acceptance fixture
@@ -62,7 +63,6 @@ import json
 import logging
 import math
 import re
-import weakref
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import IngestError, ScoringError, TransportError
 from .llm import LlmClient
-from .mrhin import DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, file_order, read_json_lines
+from .mrhin import DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, read_json_lines
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -109,9 +109,15 @@ _U, _Q, _K, _A, _D = (np.uint8(_KIND_BITS[kind]) for kind in ("U", "Q", "K", "A"
 
 
 class _GraphTables:
-    """A graph's node tables for :func:`_score_rows`, by node int plus the sentinel ``PAD`` reaches:
-    kind bits and level categories, and hop counts from a node (the graph's one hop memo) and the
-    questions covering a KC, a row per node and per KC, each built in full before it is stored."""
+    """A graph's node tables, kept in its memo, each built in full before it is stored, so threads
+    on one graph never see a partial one.
+
+    For :func:`_score_rows`, by node int plus the sentinel ``PAD`` reaches: kind bits and level
+    categories, and hop counts from a node (the graph's one hop memo) and the questions covering a
+    KC, a row per node and per KC.  For :func:`render_scoring_prompt`, built on first use: each
+    node's path line without its ``"  N. "`` number, ``kind:id`` plus the fixed annotations (KCs
+    and difficulty level of a question, ability level of a student), and per target question and
+    hop cap the lines with each question's hop count added (:meth:`lines`)."""
 
     def __init__(self, g: Mrhin):
         self.kind = np.array([_KIND_BITS[kind] for kind in g.kinds] + [0], dtype=np.uint8)
@@ -119,6 +125,8 @@ class _GraphTables:
         self.level = np.array([_LEVEL_INDEX.get(node, no_level) for node in g.node_ids] + [no_level])
         self._hops: dict[int, np.ndarray] = {}
         self._covers: dict[str, np.ndarray] = {}
+        self._entries: tuple[str, ...] | None = None
+        self._lines: dict[tuple[str, int], tuple[str, ...]] = {}
 
     def hops(self, g: Mrhin, sources: Sequence[int]) -> list[np.ndarray]:
         """Each node's hop count from each source node int, a row per source, as
@@ -139,18 +147,39 @@ class _GraphTables:
             self._covers[kc] = found
         return found
 
+    def lines(self, g: Mrhin, question_id: str, cap: int) -> tuple[str, ...]:
+        """Every node's path line in a prompt whose target question is ``question_id`` and
+        whose hop counts are capped at ``cap``."""
+        key = (question_id, cap)
+        found = self._lines.get(key)
+        if found is None:
+            if self._entries is None:
+                self._entries = tuple(map(functools.partial(_entry, g), g.node_ids))
+            hops = self.hops(g, [g.index(("Q", question_id))])[0].tolist()
+            found = tuple(f"{entry} | hops_from_target: {min(hop, cap)}" if kind == "Q" else entry
+                          for entry, kind, hop in zip(self._entries, g.kinds, hops))
+            self._lines[key] = found
+        return found
 
-# graph -> its scoring tables, built in full before they are stored; the tables hold no
-# reference to the graph, which would keep it alive
-_GRAPH_TABLES: weakref.WeakKeyDictionary[Mrhin, _GraphTables] = weakref.WeakKeyDictionary()
+
+def _entry(g: Mrhin, node: Node) -> str:
+    """A node's path line without its number and hop count."""
+    kind, node_id = node
+    if kind == "Q":
+        level = g.neighbors(node, "D")
+        kcs = ";".join(sorted(g.question_kcs(node_id)))
+        return f"Q:{node_id} | kcs: {kcs} | difficulty_level: {level[0][1] if level else 'Medium'}"
+    if kind == "U":
+        level = g.neighbors(node, "A")
+        return f"U:{node_id} | ability_level: {level[0][1] if level else 'Medium'}"
+    return f"{kind}:{node_id}"
 
 
 def graph_tables(g: Mrhin) -> _GraphTables:
-    """The graph's node tables, built on first use."""
-    tables = _GRAPH_TABLES.get(g)
+    """The graph's node tables, built on first use and kept in the graph's memo."""
+    tables = g._memo.get("graph_tables")
     if tables is None:
-        tables = _GraphTables(g)
-        _GRAPH_TABLES[g] = tables
+        tables = g._memo["graph_tables"] = _GraphTables(g)
     return tables
 
 
@@ -298,46 +327,6 @@ def _score_rows(rows: np.ndarray, kind: np.ndarray, level: np.ndarray, hops: np.
 # -- LLM scoring backend -----------------------------------------------------
 
 
-class _PromptLines:
-    """A graph's scoring-prompt path lines, by node int, without their ``"  N. "`` numbers.
-
-    :attr:`entries` holds ``kind:id`` plus the fixed annotations of every node: KCs and
-    difficulty level of a question, ability level of a student.  :meth:`lines` adds each
-    question's hop count from one target question, capped, as a walk's prompt shows it.  Each
-    table is built in full before it is stored, so threads scoring on one graph never see a
-    partial one.  No table holds a reference to the graph, which would keep it alive."""
-
-    def __init__(self, g: Mrhin):
-        def entry(node: Node) -> str:
-            kind, node_id = node
-            if kind == "Q":
-                level = g.neighbors(node, "D")
-                kcs = ";".join(sorted(g.question_kcs(node_id)))
-                return f"Q:{node_id} | kcs: {kcs} | difficulty_level: {level[0][1] if level else 'Medium'}"
-            if kind == "U":
-                level = g.neighbors(node, "A")
-                return f"U:{node_id} | ability_level: {level[0][1] if level else 'Medium'}"
-            return f"{kind}:{node_id}"
-
-        self.entries = tuple(entry(node) for node in g.node_ids)
-        self._lines: dict[tuple[str, int], tuple[str, ...]] = {}
-
-    def lines(self, g: Mrhin, question_id: str, cap: int) -> tuple[str, ...]:
-        """Every node's path line in a prompt whose target question is ``question_id`` and
-        whose hop counts are capped at ``cap``."""
-        key = (question_id, cap)
-        found = self._lines.get(key)
-        if found is None:
-            hops = graph_tables(g).hops(g, [g.index(("Q", question_id))])[0].tolist()
-            found = tuple(f"{entry} | hops_from_target: {min(hop, cap)}" if kind == "Q" else entry
-                          for entry, kind, hop in zip(self.entries, g.kinds, hops))
-            self._lines[key] = found
-        return found
-
-
-# graph -> its prompt lines
-_PROMPT_LINES: weakref.WeakKeyDictionary[Mrhin, _PromptLines] = weakref.WeakKeyDictionary()
-
 _RUBRIC = "\n".join([
     "Score this path on four dimensions, each from 0 to 5:",
     "1. centrality: question nodes remain close to the target question, forming a star around it.",
@@ -359,10 +348,7 @@ def render_scoring_prompt(walks: WalkGroup, i: int) -> str:
     """The scoring prompt of walk ``i`` of a group, rendered from its int row: the path with
     KC/level/hop annotations, then the four rubrics."""
     g, walk = walks.graph, walks.walk(i)
-    tables = _PROMPT_LINES.get(g)
-    if tables is None:
-        tables = _PROMPT_LINES[g] = _PromptLines(g)
-    lines = tables.lines(g, walks.target_question, max(len(walk) - 1, 1))
+    lines = graph_tables(g).lines(g, walks.target_question, max(len(walk) - 1, 1))
     path = "\n".join(map(str.__add__, _numbers(len(walk)), map(lines.__getitem__, walk)))
     return (f"{SCORING_PROMPT_HEADER}\ntarget_question: {walks.target_question}\n"
             f"target_kc: {walks.target_kc}\npath:\n{path}\n\n{_RUBRIC}")
@@ -491,11 +477,6 @@ def mock_score_replies(prompts: Sequence[str], memo: dict[str, NumberedLine] | N
     return [f"{{{text[c]}, {text[r]}, {text[i]}, {text[dv]}}}" for c, r, i, dv in inverse.reshape(-1, 4).tolist()]
 
 
-def mock_score_reply(prompt: str, memo: dict[str, NumberedLine] | None = None) -> str:
-    """The mock's reply to one scoring prompt: :func:`mock_score_replies` of a block of one."""
-    return mock_score_replies([prompt], memo)[0]
-
-
 # walks whose prompts are rendered, sent and held at once by score_llm
 SCORE_BLOCK = 1024
 
@@ -563,11 +544,10 @@ def write_scored(grouped: Mapping[str, Mapping[str, ScoredGroup]], path: str | P
     with open(path, "w", encoding="utf-8") as out:
         for qid in sorted(grouped):
             for name, group in sorted(grouped[qid].items()):
-                order = file_order(group.walks)
-                columns = np.ascontiguousarray(group.scores[order]).view(np.uint64).T.tolist()
+                columns = np.ascontiguousarray(group.scores).view(np.uint64).T.tolist()
                 fields = dict(zip(SCORE_FIELDS, (map(text.__getitem__, column) for column in columns)),
                               backend=itertools.repeat(json.dumps(group.backend)),
-                              tie_key=map(str, group.walks.tie_keys[order].tolist()))
+                              tie_key=map(str, group.walks.tie_keys.tolist()))
                 out.writelines(map(line.format, *(fields[key] for key in keys)))
     return sum(len(group) for per_template in grouped.values() for group in per_template.values())
 
@@ -593,17 +573,16 @@ def _check_scores(values: tuple) -> None:
 
 def read_scored(path: str | Path, walks: Mapping[str, Mapping[str, WalkGroup]]) -> dict[str, dict[str, ScoredGroup]]:
     """The scored groups of a :func:`write_scored` file on the walk groups it scored, read from
-    ``paths.jsonl`` or sampled again, in any row order: line ``j`` of a group's block scores its
-    row ``file_order(group)[j]``.  Groups without walks have no line and are left out.
+    ``paths.jsonl`` or sampled again: line ``j`` of a group's block scores its row ``j``, as float64
+    scores.  Groups without walks have no line and are left out.
 
     Raises IngestError naming the file and line of a score that is not a finite JSON number, of a
     total that is not the sum of its four scores, of a tie key that is not its walk's, or where
     the file holds more or fewer lines than there are walks; and naming the file where one group
     holds scores of two backends."""
-    groups = [(qid, name, group, file_order(group))
-              for qid in sorted(walks) for name, group in sorted(walks[qid].items()) if len(group)]
-    count = sum(len(group) for _, _, group, _ in groups)
-    expected = iter([key for _, _, group, order in groups for key in group.tie_keys[order].tolist()])
+    groups = [(qid, name, group) for qid in sorted(walks) for name, group in sorted(walks[qid].items()) if len(group)]
+    count = sum(len(group) for _, _, group in groups)
+    expected = iter([key for _, _, group in groups for key in group.tie_keys.tolist()])
 
     def decode(rec: dict) -> tuple:
         want = next(expected, None)
@@ -621,13 +600,12 @@ def read_scored(path: str | Path, walks: Mapping[str, Mapping[str, WalkGroup]]) 
         raise IngestError(f"{path} line {len(rows) + 1}: the file ends, but there are {count} walks")
     out: dict[str, dict[str, ScoredGroup]] = {}
     start = 0
-    for qid, name, group, order in groups:
+    for qid, name, group in groups:
         block, start = rows[start:start + len(group)], start + len(group)
         backends = sorted({row[-1] for row in block})
         if len(backends) > 1:
             raise IngestError(f"{path}: the {name} walks from {qid} were scored by backends {backends}")
-        scores = np.empty((len(group), len(SCORE_FIELDS)))
-        scores[order] = [row[:-1] for row in block]
+        scores = np.array([row[:-1] for row in block], dtype=np.float64)
         out.setdefault(qid, {})[name] = ScoredGroup(group, scores, backends[0])
     return out
 

@@ -15,7 +15,7 @@ train row, or in no row, shows no history, overall accuracy 0.5 and KC
 accuracy ``none``.  A prompt is put together from
 block texts: the target-student block, rendered once per (student, window,
 IRT shown), and each peer entry, rendered once per (peer, target KC, IRT
-shown), are memoized on the dataset for the model they were rendered with,
+shown), are kept in the dataset's memo for the model they were rendered with,
 whose tables are read-only, so an entry cannot go stale.  Prompts of one
 student share its block, and peers recur across the targets of a question.
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import logging
 import re
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,25 +135,15 @@ def _kc_accuracy(d: Dataset, student: str, kc: str) -> float | None:
     return t.kc_accuracy[row, k].item() if row >= 0 and t.has_kc[row, k] else None
 
 
-class _Rendered:
-    """Rendered text of one model over one dataset: target blocks by (student, window, IRT shown)
-    and peer entries by (peer, target KC, IRT shown)."""
-
-    def __init__(self, m: IrtModel):
-        self.model = weakref.ref(m)
-        self.targets: dict[tuple[str, int, bool], str] = {}
-        self.peers: dict[tuple[str, str, bool], str] = {}
-
-
-def _rendered(d: Dataset, m: IrtModel) -> _Rendered:
-    """The memo of rendered text for ``m`` over ``d``, kept on the dataset for the model it last
-    rendered with: it dies with the dataset, holds no reference to the model, and starts cold for
-    another model.  A model's tables are read-only, so no entry can go stale."""
-    memo = getattr(d, "_rendered", None)
-    if memo is None or memo.model() is not m:
-        memo = _Rendered(m)
-        d._rendered = memo
-    return memo
+def _rendered(d: Dataset, m: IrtModel) -> tuple[dict[tuple[str, int, bool], str], dict[tuple[str, str, bool], str]]:
+    """The rendered text of ``m`` over ``d``: target blocks by (student, window, IRT shown) and peer
+    entries by (peer, target KC, IRT shown).  Kept in the dataset's memo with the model it last
+    rendered with, so it dies with the dataset and starts cold for another model.  A model's
+    tables are read-only, so no entry can go stale."""
+    memo = d._memo.get("rendered")
+    if memo is None or memo[0] is not m:
+        memo = d._memo["rendered"] = (m, {}, {})
+    return memo[1], memo[2]
 
 
 def _target_block(u: str, window: int, irt: bool, m: IrtModel, d: Dataset) -> str:
@@ -235,19 +224,19 @@ def build_prompt(
         raise ValueError(f"window must be >= 0, got {window}")
     irt = MASK_IRT not in mask
     target_kc = min(d.question_kcs()[q])
-    memo = _rendered(d, m)
+    targets, peer_entries = _rendered(d, m)
     key = (u, window, irt)
-    target = memo.targets.get(key)
+    target = targets.get(key)
     if target is None:
-        target = memo.targets[key] = _target_block(u, window, irt, m, d)
+        target = targets[key] = _target_block(u, window, irt, m, d)
     peers_block = None
     if MASK_SIMU not in mask:
         entries = []
         for peer_id in peers:
             key = (peer_id, target_kc, irt)
-            entry = memo.peers.get(key)
+            entry = peer_entries.get(key)
             if entry is None:
-                entry = memo.peers[key] = _peer_entry(peer_id, target_kc, irt, m, d)
+                entry = peer_entries[key] = _peer_entry(peer_id, target_kc, irt, m, d)
             entries.append(entry)
         peers_block = "\n".join(["=== SIMILAR STUDENTS ===", f"peer_count: {len(entries)}", *entries])
     return PromptBundle(target, _question_block(u, q, target_kc, irt, m, d), peers_block)

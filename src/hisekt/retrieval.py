@@ -27,13 +27,13 @@ Python floats.  Since no row's features or distance depend on another row,
 it packs consecutive (question, target) pairs' candidates into blocks of at
 most :data:`BLOCK_PAIRS` pairs, each with one :func:`encode_many`, one
 :func:`distances` and one lexsort, each target getting the distances it
-would get alone.  :func:`top_s_many` is its
-one-question call (and draws ``random`` mode's peers), :func:`top_s` the
-one-target call, and :func:`fit_similarity` encodes its sampled pairs as
-one block.  Sampled pairs are drawn as indices and only the chosen ones
-decoded: random pairs index the nested-loop pair order and are never listed,
-and a caller's pair pool is an ascending array of :func:`pair_keys`, ints
-that sort as the ``(u, s, f)`` triples they stand for.
+would get alone.  :func:`random_peers` draws ``random`` mode's peers of
+one question's targets instead, :func:`top_s` is the one-target call of
+either, and :func:`fit_similarity` encodes its sampled pairs as one block.
+Sampled pairs are drawn as indices and only the chosen ones decoded: random
+pairs index the nested-loop pair order and are never listed, and a caller's
+pair pool is an ascending array of :func:`pair_keys`, ints that sort as the
+``(u, s, f)`` triples they stand for.
 """
 
 from __future__ import annotations
@@ -145,11 +145,11 @@ class StudentTables:
 
 
 def student_tables(d: Dataset) -> StudentTables:
-    cached = getattr(d, "_student_tables", None)
-    if cached is None:
-        cached = StudentTables(d)
-        d._student_tables = cached  # memoized on the immutable dataset
-    return cached
+    """The dataset's student tables, built on first use and kept in the dataset's memo."""
+    tables = d._memo.get("student_tables")
+    if tables is None:
+        tables = d._memo["student_tables"] = StudentTables(d)
+    return tables
 
 
 def encode_many(
@@ -344,36 +344,20 @@ def distances(z: np.ndarray, sm: SimilarityModel) -> np.ndarray:
     return np.sqrt(total)
 
 
-def top_s_many(
-    question: str,
-    retained: tuple[np.ndarray, np.ndarray],
-    targets: Sequence[str],
-    sm: SimilarityModel | None,
-    m: IrtModel,
-    d: Dataset,
-    s: int,
-    mode: str = "similar",
-    c: float = DEFAULT_SCALING,
-    seeds: Sequence[int] = (),
-) -> list[list[str]]:
-    """Top-S peers of each of ``targets`` on ``question``, one list per target in order.
+def random_peers(question: str, rows: np.ndarray, targets: Sequence[str], seeds: Sequence[int], d: Dataset,
+                 s: int) -> list[list[str]]:
+    """Random Top-S peers of each of ``targets`` on ``question``, one list per target in order.
 
-    ``retained`` is ``(rows, counts)``: the ascending :func:`student_tables` rows of the students
-    on the question's retained walks, and each one's co-occurrence count.  A target's candidates
-    are those students but itself.  It gets ``min(s, |candidates|)`` peers: nearest by distance,
-    ties in id order (rows sort as student ids do), or (``random`` mode) drawn uniformly with its
-    own seed from ``seeds``.  ``similar`` mode is the one-question call of :func:`top_s_packed`.
+    ``rows`` are the ascending :func:`student_tables` rows of the students on the question's
+    retained walks; a target's candidates are those students but itself.  It gets all of them, in
+    id order, if there are at most ``s``; else ``s`` drawn uniformly under its own seed from
+    ``seeds``.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if mode not in ("similar", "random"):
-        raise ValueError(f"unknown retrieval mode {mode!r}")
-    if mode == "similar":
-        return top_s_packed([(retained, targets)], sm, m, d, s, c)[0]
     if len(seeds) != len(targets):
         raise ValueError("random mode needs one seed per target")
-    t = student_tables(d)
-    ids = [t.students[row] for row in retained[0].tolist()]
+    ids = [student_tables(d).students[row] for row in rows.tolist()]
     peers = []
     for target, seed in zip(targets, seeds):
         pool = [sid for sid in ids if sid != target]
@@ -389,15 +373,18 @@ def top_s_packed(
     s: int,
     c: float = DEFAULT_SCALING,
 ) -> list[list[list[str]]]:
-    """The nearest Top-S peers (``similar`` mode of :func:`top_s_many`) of the targets of many
-    questions: for each ``(retained, targets)`` of ``questions``, one peer list per target in order.
+    """The nearest Top-S peers of the targets of many questions: for each ``(retained, targets)`` of
+    ``questions``, one peer list per target in order.
 
-    Each distinct (question, target) pair, in order of first appearance, has its candidates: the
-    question's retained rows but its own.  Consecutive pairs are packed into blocks of at most
+    ``retained`` is ``(rows, counts)``: the ascending :func:`student_tables` rows of the students
+    on the question's retained walks, and each one's co-occurrence count.  Each distinct
+    (question, target) pair, in order of first appearance, has its candidates: the question's
+    retained rows but its own.  Consecutive pairs are packed into blocks of at most
     :data:`BLOCK_PAIRS` candidates (a target with more has a block of its own), and each block
     gets one :func:`encode_many`, one :func:`distances` and one lexsort by (target, distance,
     row).  Rows do not interact, so a target's distances are those it would get alone, bit for
-    bit, and its peers are its first ``min(s, |candidates|)`` rows of that order.
+    bit, and its peers are its first ``min(s, |candidates|)`` rows of that order: nearest by
+    distance, ties in id order (rows sort as student ids do).
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -460,8 +447,14 @@ def top_s(
     c: float = DEFAULT_SCALING,
     seed: int = 0,
 ) -> list[str]:
-    """Pick ``min(s, |candidates|)`` peers: nearest by distance, or uniform at random; the one-target
-    call of :func:`top_s_many`, on the candidates' rows and counts."""
+    """Pick ``min(s, |candidates|)`` peers: nearest by distance (the one-target call of
+    :func:`top_s_packed`), or uniform at random (of :func:`random_peers`), on the candidates' rows
+    and counts."""
+    if mode not in ("similar", "random"):
+        raise ValueError(f"unknown retrieval mode {mode!r}")
     ids = sorted(cands.candidates)
-    retained = (student_tables(d).positions(ids), np.array([cands.candidates[sid] for sid in ids], dtype=np.int64))
-    return top_s_many(cands.target_question, retained, [cands.target_student], sm, m, d, s, mode, c, [seed])[0]
+    rows = student_tables(d).positions(ids)
+    if mode == "random":
+        return random_peers(cands.target_question, rows, [cands.target_student], [seed], d, s)[0]
+    counts = np.array([cands.candidates[sid] for sid in ids], dtype=np.int64)
+    return top_s_packed([((rows, counts), [cands.target_student])], sm, m, d, s, c)[0][0]

@@ -1,5 +1,6 @@
 """Test helpers with no caller in the package: a client that plays back canned LLM replies,
-a prompt bundle whose text is cut, the shape check of criterion 8's AUC-by-K series, the
+a prompt bundle whose text is cut, the shape check of criterion 8's AUC-by-K series, AUC by a
+loop that walks the sorted scores' ties, the
 path pair pool as string triples with its conversions to and from ``retrieval.pair_keys``, the
 retained pool as id counts with its conversions to and from student-table rows,
 the path formulas on one walk of node indices, peer retrieval one target at a time, Top-K
@@ -24,12 +25,11 @@ import numpy as np
 from hisekt.config import ABLATIONS
 from hisekt.dataset import (KC_DELIMITER, MIN_QUESTION_ANSWERS, MIN_STUDENT_INTERACTIONS, REQUIRED_COLUMNS,
                             SPLIT_LABELS, Dataset)
-from hisekt.errors import EmptyDatasetError, IngestError
-from hisekt.errors import TransportError
+from hisekt.errors import EmptyDatasetError, IngestError, TransportError, UndefinedMetricError
 from hisekt.llm import LlmClient
 from hisekt.mrhin import PAD, UNREACHABLE
 from hisekt.pathscore import (LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, SCORING_PROMPT_HEADER, ScoredGroup,
-                              _read_scoring_prompts, mock_score_reply, render_scoring_prompt, score_llm)
+                              _read_scoring_prompts, mock_score_replies, render_scoring_prompt, score_llm)
 from hisekt.predict import MASK_SIMU, PromptBundle
 from hisekt.retrieval import DEFAULT_SCALING, CandidateSet, distances, encode_many, pair_keys, student_tables
 from hisekt.seeding import derive_rng, derive_seed
@@ -55,6 +55,31 @@ class CutPromptBundle(PromptBundle):
     def text(self) -> str:
         full = super().text
         return full[: full.index("=== TARGET QUESTION ===")]
+
+
+def reference_auc(labels, scores):
+    """``evaluation.auc`` as it walked the sorted scores in Python, giving each run of tied scores
+    from sorted position ``i`` to ``j`` the midrank ``(i + j) / 2 + 1``."""
+    if len(labels) != len(scores):
+        raise ValueError("labels and scores must have equal length")
+    n = len(labels)
+    n_pos = sum(1 for y in labels if y == 1)
+    n_neg = n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("AUC needs both classes present")
+    order = sorted(range(n), key=lambda i: scores[i])
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        midrank = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = midrank
+        i = j + 1
+    rank_sum_pos = sum(r for r, y in zip(ranks, labels) if y == 1)
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def unimodal_or_plateau(values, tol=0.01):
@@ -262,14 +287,13 @@ def reference_score_llm(walks, i, client):
 
 def reference_write_scored(grouped, path):
     """``pathscore.write_scored`` one line at a time: by target question, then template, then the
-    walks' node-int lists in list order, each walk's backend, five scores and tie key written by
+    group's rows in row order, each walk's backend, five scores and tie key written by
     ``json.dumps(sort_keys=True)``; returns the number of walks."""
     lines = []
     for qid in sorted(grouped):
         for name in sorted(grouped[qid]):
             group = grouped[qid][name]
-            walks = group.walks.walks()
-            for i in sorted(range(len(walks)), key=walks.__getitem__):
+            for i in range(len(group)):
                 record = dict(zip(SCORE_FIELDS, group.scores[i].tolist()), backend=group.backend,
                               tie_key=int(group.walks.tie_keys[i]))
                 lines.append(json.dumps(record, sort_keys=True) + "\n")
@@ -306,7 +330,8 @@ def path_prompt(path, target_kc, hop_of, kc_of):
 def mock_path_score(path, target_kc, hop_of, kc_of):
     """The mock scorer's four dimensions and their total, summed left to right, for a path written
     into a prompt by :func:`path_prompt`."""
-    c, r, i, dv = map(float, mock_score_reply(path_prompt(path, target_kc, hop_of, kc_of))[1:-1].split(", "))
+    [reply] = mock_score_replies([path_prompt(path, target_kc, hop_of, kc_of)])
+    c, r, i, dv = map(float, reply[1:-1].split(", "))
     return c, r, i, dv, c + r + i + dv
 
 

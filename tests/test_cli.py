@@ -500,10 +500,13 @@ class TestCliStages:
         run_seed = run_seed_of(cfg, 0)
         seeded = cli._context(cfg, cli._cache_dir(cfg)).scored(run_seed)
         fresh = PipelineContext(cfg).scored(run_seed)
-        # paths.jsonl is sorted by node sequence, so the groups read from it hold the walks
-        # in another order than sampling left them
-        assert any((seeded[q][name].walks.walks() if name in seeded[q] else []) != group.walks.walks()
-                   for q in fresh for name, group in fresh[q].items())
+        # paths.jsonl keeps each group's row order, so the groups read from it hold the sampled
+        # walks in the order sampling left them; groups without walks have no line
+        for q in fresh:
+            for name, group in fresh[q].items():
+                cached = seeded[q].get(name)
+                assert (cached.walks.walks() if cached else []) == group.walks.walks()
+                assert (cached.scores.tolist() if cached else []) == group.scores.tolist()
         for mode in ("top", "lowest", "random"):
             assert kept_rows(seeded, cfg.top_k, mode, run_seed) == kept_rows(fresh, cfg.top_k, mode, run_seed)
 
@@ -883,11 +886,12 @@ class TestGoldenArtifacts:
     # built from JSON fragments and the mock scorer read path lines by their kind; the peers' and
     # predictions' before the mock predictor's reader became strict: a change to a codec or to
     # what a mock reads shows here.  The report's was recorded again when its config and
-    # fingerprint stopped holding the deployment fields (cache dir, out dir, LLM transport), and
-    # the scored walks' when their lines came to hold the scores and tie key in place of the walk.
+    # fingerprint stopped holding the deployment fields (cache dir, out dir, LLM transport), the
+    # scored walks' when their lines came to hold the scores and tie key in place of the walk, and
+    # both walk files' when each group's lines came to follow its row order instead of node order.
     DIGESTS = {
-        "paths.jsonl": "87dc28faf1d72e1f69484946c0da9deed0fa4b0f80e724f76a274c3809b2d49a",
-        "scored.jsonl": "5ef38891ecce7fb80b21b1095775507ff03b05dfb516eb64e2929629c289a3d7",
+        "paths.jsonl": "af9d558c213b23da3776743d3d39a8371daa31eec1d6e83c9f23b4cf94472da0",
+        "scored.jsonl": "e38e1bf06f1a670eded14aef5f7642d5c3332d444ebd6786606905dad5901b9f",
         "retrieval.json": "82d1a183e294492e8020ca6a47ff9e1eaecf8abe1d9e3bddad9a6e8dd3278b2c",
         "predictions.jsonl": "807d17cdd2c04f7c728f2aeae6fc07199fedc61c6a1b5e7487bf00afe4a4cc78",
         "report.json": "5543bada3630744b995ba933b4daf8ae439aa9455a0b269daeb7abcbc2a010ef",

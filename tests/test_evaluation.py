@@ -15,8 +15,6 @@ from hisekt.evaluation import (
     PipelineContext,
     accuracy,
     auc,
-    predict_targets,
-    retrieve_peers,
     run_experiment,
     run_seed_of,
 )
@@ -28,7 +26,7 @@ from hisekt.synth import planted_csv
 
 from conftest import rows_to_csv
 from graph_fixture import build_fixture_graph, walk_nodes
-from support import decode_rows, retained_rows, scored_group, unimodal_or_plateau
+from support import decode_rows, reference_auc, retained_rows, scored_group, unimodal_or_plateau
 
 
 def pairwise_auc(labels, scores):
@@ -74,6 +72,22 @@ class TestAuc:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             auc([1, 0], [0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_midranks_give_the_bits_of_the_tie_walking_loop(self, data):
+        n = data.draw(st.integers(0, 80), label="n")
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+        grid = data.draw(st.sampled_from([3, 10, 1000, None]), label="grid")  # None: continuous scores
+        values = (st.floats(0.0, 1.0) if grid is None else
+                  st.integers(0, grid - 1).map(lambda i, grid=grid: i / (grid - 1)))
+        scores = data.draw(st.lists(values, min_size=n, max_size=n), label="scores")
+        if 0 < sum(labels) < n:
+            assert auc(labels, scores).hex() == reference_auc(labels, scores).hex()
+        else:
+            for metric in (auc, reference_auc):
+                with pytest.raises(UndefinedMetricError):
+                    metric(labels, scores)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -189,8 +203,7 @@ class TestRunExperiment:
         run_seed = run_seed_of(ctx.cfg, 0)
         for variant in (None, "msr", "msl", "simu", "rsimu", "irt"):
             prompts.clear()
-            _, peers = retrieve_peers(ctx, variant, run_seed)
-            predictions = predict_targets(ctx, variant, run_seed)
+            predictions = ctx.get("predictions", run_seed=run_seed, variant=variant)
             assert len(prompts) == len(predictions) == len(ctx.test_targets()) > 0
             has_peers = variant != "simu"
             assert any("\npeer: " in text for text in prompts) == has_peers
@@ -248,7 +261,7 @@ def stage_calls(monkeypatch):
 
     for owner, name in [
         (irt, "fit"), (Mrhin, "build"), (evaluation, "sample_walks"), (pathscore, "score_all"), (pathscore, "score_groups"),
-        (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s_many"), (predict, "predict"),
+        (pathscore, "select_top_k"), (retrieval, "fit_similarity"), (retrieval, "top_s_packed"), (predict, "predict"),
     ]:
         count(owner, name)
     # one Top-K pass is one computation of the "retained" stage
@@ -303,7 +316,7 @@ class TestStageMemo:
         assert stage_calls == Counter()
 
         run_experiment(dataclasses.replace(cfg, top_s=1), ctx)
-        assert stage_calls["top_s_many"] > 0 and stage_calls["predict"] > 0
+        assert stage_calls["top_s_packed"] > 0 and stage_calls["predict"] > 0
         for name in ("sample_walks", "score_all", "score_groups", "retained", "select_top_k", "fit_similarity"):
             assert stage_calls[name] == 0, name
 

@@ -17,7 +17,7 @@ import hisekt
 from hisekt import llm, pathscore
 from hisekt.config import RunConfig
 from hisekt.errors import TransportError
-from hisekt.evaluation import PipelineContext, predict_targets, run_experiment, run_seed_of
+from hisekt.evaluation import PipelineContext, run_experiment, run_seed_of
 from hisekt.llm import LlmClient
 from hisekt.synth import planted_csv
 
@@ -176,7 +176,7 @@ def stage_outputs(cfg, base=None):
     run_seed = run_seed_of(cfg, 0)
     scored = {(qid, name): group.scores.tolist()
               for qid, per_template in ctx.scored(run_seed).items() for name, group in per_template.items()}
-    return scored, predict_targets(ctx, None, run_seed)
+    return scored, ctx.get("predictions", run_seed=run_seed)
 
 
 def http_client(max_in_flight=8):
@@ -260,7 +260,7 @@ class TestStageDispatch:
         assert pools == [3] * blocks and blocks > 1  # one pool per block of scoring prompts
         assert sum(map(len, scored.values())) > 20  # groups, each once a pool of its own
         assert len(endpoint.prompts) == walks
-        predict_targets(ctx, None, run_seed)
+        ctx.get("predictions", run_seed=run_seed)
         assert pools == [3] * (blocks + 1)
 
     def test_mock_backend_starts_no_thread(self, planted_file, no_threads):

@@ -25,7 +25,6 @@ from hisekt.pathscore import (
     SCORE_FIELDS,
     ScoredGroup,
     graph_distance,
-    mock_score_reply,
     read_scored,
     render_scoring_prompt,
     score_all,
@@ -547,15 +546,15 @@ class TestSelectTopKStage:
 
 def reference_walk_file(grouped):
     """The per-walk writer of ``paths.jsonl`` that the group writer replaced, on {target question:
-    {template: walk group}}: one record per walk, sorted by target question, template name and
-    node sequence."""
+    {template: walk group}}: one record per walk, sorted by target question and template name,
+    each group's walks in row order."""
     records = []
     for per_template in grouped.values():
         for walks in per_template.values():
-            for nodes in walk_nodes(walks):
+            for row, nodes in enumerate(walk_nodes(walks)):
                 rec = {"target_q": walks.target_question, "template": walks.template.name,
                        "target_kc": walks.target_kc, "nodes": [[kind, i] for kind, i in nodes]}
-                records.append(((walks.target_question, walks.template.name, nodes), json.dumps(rec, sort_keys=True)))
+                records.append(((walks.target_question, walks.template.name, row), json.dumps(rec, sort_keys=True)))
     lines = [line for _, line in sorted(records)]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -582,15 +581,15 @@ class TestScoredStore:
         target, walk_file = tmp_path / "scored.jsonl", tmp_path / "paths.jsonl"
         write_scored(grouped, target)
         write_walks(walks_of(grouped), walk_file)
-        # the walks in sampling order, and read back in file order
+        # the walks in sampling order, and read back from the walk file, which keeps that order
         for walks in (walks_of(grouped), read_walks(walk_file, g)):
             loaded = read_scored(target, walks)
             assert list(loaded) == ["Q1"] and sorted(loaded["Q1"]) == sorted(grouped["Q1"])
             for name, group in grouped["Q1"].items():
                 got = loaded["Q1"][name]
                 assert got.backend == "formula" and got.walks is walks["Q1"][name]
-                want = dict(zip(map(tuple, node_lists(group)), group.scores.tolist()))
-                assert dict(zip(map(tuple, node_lists(got)), got.scores.tolist())) == want
+                assert node_lists(got) == node_lists(group)
+                assert got.scores.tolist() == group.scores.tolist()
 
     def test_lines_hold_only_the_scores_backend_and_tie_key(self, g, grouped, tmp_path):
         target = tmp_path / "scored.jsonl"
@@ -673,14 +672,18 @@ class TestScoredStore:
         assert str(err.value) == (f"{target} line 4: ValueError: tie key {json.dumps(found)}, "
                                   f"but the walk of this line has tie key {key}")
 
-    def test_json_ints_read_as_their_floats(self, g, tmp_path):
+    # with the second, every score of the group is written as a JSON int
+    @pytest.mark.parametrize("dimensions", [(5.0, 0.0, 2.5, 0.0), (5.0, 0.0, 2.0, 0.0)])
+    def test_json_ints_read_as_their_floats(self, g, tmp_path, dimensions):
         walks = sample_instances(g, TEMPLATES["Q-U-Q"], "Q1", n=2, walk_len=4, seed=1)
         target = tmp_path / "scored.jsonl"
-        write_scored({"Q1": {"Q-U-Q": scored_group(walks, [(5.0, 0.0, 2.5, 0.0)] * len(walks))}}, target)
-        text = target.read_text(encoding="utf-8")
-        target.write_text(text.replace("5.0", "5").replace(": 0.0", ": 0"), encoding="utf-8")
+        write_scored({"Q1": {"Q-U-Q": scored_group(walks, [dimensions] * len(walks))}}, target)
+        text = re.sub(r": (\d+)\.0([,}])", r": \1\2", target.read_text(encoding="utf-8"))
+        assert ("." in text) == (2.5 in dimensions)
+        target.write_text(text, encoding="utf-8")
         [[got]] = [per.values() for per in read_scored(target, {"Q1": {"Q-U-Q": walks}}).values()]
-        assert got.scores.tolist() == [[5.0, 0.0, 2.5, 0.0, 7.5]] * len(walks)
+        assert got.scores.dtype == np.float64
+        assert got.scores.tolist() == [[*dimensions, sum(dimensions)]] * len(walks)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_every_planted_scored_file_reads_back(self, tmp_path, seed):
@@ -1032,13 +1035,13 @@ class TestPathFormula:
             "import hashlib, sys",
             "from hisekt.config import RunConfig",
             "from hisekt.evaluation import PipelineContext, run_seed_of",
-            "from hisekt.pathscore import mock_score_reply, render_scoring_prompt",
+            "from hisekt.pathscore import mock_score_replies, render_scoring_prompt",
             "cfg = RunConfig(data=sys.argv[1], seed=7, n_walks=20, walk_len=12)",
             "digest, count = hashlib.sha256(), 0",
             "for per_template in PipelineContext(cfg).instances(run_seed_of(cfg, 0)).values():",
             "    for group in per_template.values():",
             "        for k in range(len(group)):",
-            "            digest.update(mock_score_reply(render_scoring_prompt(group, k)).encode() + b'\\n')",
+            "            digest.update(mock_score_replies([render_scoring_prompt(group, k)])[0].encode() + b'\\n')",
             "            count += 1",
             "print(count, digest.hexdigest())",
         ])
@@ -1268,7 +1271,7 @@ class TestScoringPromptReader:
             named = next(line for line in lines if " K:" in line)
             changed = prompt.replace(named, named.replace(" K:", " X:"))
             named = named.replace(" K:", " X:")
-        for read in (read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+        for read in (read_scoring_prompt, MockTransport(), LlmClient(backend="mock").complete):
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value).startswith("mock transport cannot read this scoring prompt: ")
@@ -1290,7 +1293,7 @@ class TestScoringPromptReader:
         assert lines[6].startswith("  3. Q:")
         lines[6] = "  3. " + body
         changed = "\n".join(lines)
-        for read in (read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+        for read in (read_scoring_prompt, MockTransport(), LlmClient(backend="mock").complete):
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value) == f"mock transport cannot read this scoring prompt: path line {lines[6]!r}"
@@ -1307,7 +1310,7 @@ class TestScoringPromptReader:
         assert lines[1] == "target_question: Q1"
         rubric = lines.index("", 4)
         changed = "\n".join([*lines[:4], *(f"  {n}. {body}" for n, body in enumerate(bodies, 1)), *lines[rubric:]])
-        for read in (read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+        for read in (read_scoring_prompt, MockTransport(), LlmClient(backend="mock").complete):
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value) == ("mock transport cannot read this scoring prompt: "
@@ -1318,7 +1321,7 @@ class TestScoringPromptReader:
     def test_a_prompt_without_the_path_start_in_its_target_question_line_fails(self, question_line, g):
         prompt, lines = first_walk_prompt(g)
         changed = prompt.replace("target_question: Q1\n", question_line)
-        for read in (read_scoring_prompt, mock_score_reply, LlmClient(backend="mock").complete):
+        for read in (read_scoring_prompt, MockTransport(), LlmClient(backend="mock").complete):
             with pytest.raises(TransportError) as err:
                 read(changed)
             assert str(err.value).endswith(f"path line {lines[4]!r} is not the question of the target_question line")
@@ -1385,7 +1388,7 @@ class TestPathLineMemo:
         assert second.transport._path_lines == {}
         assert [second.complete(prompt) for prompt in prompts] == replies
         assert sorted(parsed) == bodies
-        assert replies == [mock_score_reply(prompt) for prompt in prompts]
+        assert replies == [MockTransport()(prompt) for prompt in prompts]
 
     @settings(max_examples=60, deadline=None)
     @given(new_ids=st.lists(PLAIN_IDS, min_size=14, max_size=14, unique=True),
@@ -1397,7 +1400,7 @@ class TestPathLineMemo:
         for _, prompt in prompts_of(sample_instances(g, TEMPLATES[name], target, n=6, walk_len=9, seed=seed)):
             assert (read_scoring_prompt(prompt, warm_transport._path_lines) == read_scoring_prompt(prompt)
                     == reference_parse_scoring_prompt(prompt))
-            assert warm_transport(prompt) == mock_score_reply(prompt)
+            assert warm_transport(prompt) == MockTransport()(prompt)
 
 
 @pytest.fixture(scope="module")

@@ -32,9 +32,9 @@ from hisekt.retrieval import (
     fit_similarity,
     pair_at,
     pair_keys,
+    random_peers,
     student_tables,
     top_s,
-    top_s_many,
     top_s_packed,
 )
 from hisekt.seeding import derive_rng, derive_seed
@@ -769,7 +769,7 @@ class TestQuestionBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(retrieval_mod, "distances", recorded)
             patch.setattr(retrieval_mod, "BLOCK_PAIRS", block_pairs)
-            got = top_s_many("Q0", retained_rows({"Q0": retained}, d)["Q0"], targets, SPREAD, m, d, s)
+            [got] = top_s_packed([(retained_rows({"Q0": retained}, d)["Q0"], targets)], SPREAD, m, d, s)
         alone = [reference_distances(candidates_of(retained, u, "Q0"), SPREAD, m, d)[1] for u in dict.fromkeys(targets)]
         assert np.concatenate([np.zeros(0), *blocks]).tobytes() == np.concatenate([np.zeros(0), *alone]).tobytes()
         assert all(z.size <= max(block_pairs, len(retained)) for z in blocks)
@@ -780,10 +780,20 @@ class TestQuestionBlocks:
     def test_random_mode_draws_each_target_with_its_own_seed(self, block, s):
         d, m, retained, targets = block
         seeds = list(range(len(targets)))
-        got = top_s_many("Q0", retained_rows({"Q0": retained}, d)["Q0"], targets, None, m, d, s, mode="random",
-                         seeds=seeds)
+        got = random_peers("Q0", retained_rows({"Q0": retained}, d)["Q0"][0], targets, seeds, d, s)
         assert got == [reference_top_s(candidates_of(retained, u, "Q0"), None, m, d, s, mode="random", seed=seed)
                        for u, seed in zip(targets, seeds)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(question_blocks(), st.integers(1, 4))
+    def test_top_s_returns_the_peers_of_both_modes(self, block, s):
+        d, m, retained, targets = block
+        rows = retained_rows({"Q0": retained}, d)["Q0"]
+        for seed, u in enumerate(targets):
+            cands = candidates_of(retained, u, "Q0")
+            assert top_s(cands, SPREAD, m, d, s) == top_s_packed([(rows, [u])], SPREAD, m, d, s)[0][0]
+            assert (top_s(cands, None, m, d, s, mode="random", seed=seed)
+                    == random_peers("Q0", rows[0], [u], [seed], d, s)[0])
 
     def test_ties_empty_sets_and_a_lone_target(self):
         d, _ = pair_dataset(correct_fn=lambda i: True, students=("S1", "S2", "S3", "S4", "S5"))
@@ -792,12 +802,12 @@ class TestQuestionBlocks:
         def pool(counts):
             return retained_rows({"Q0": counts}, d)["Q0"]
 
-        ranked = top_s_many("Q0", pool({"S5": 1, "S2": 1, "S4": 1, "S3": 1}), ["S1", "S2", "S1"], unit_model(), m, d, 2)
+        [ranked] = top_s_packed([(pool({"S5": 1, "S2": 1, "S4": 1, "S3": 1}), ["S1", "S2", "S1"])], unit_model(), m, d, 2)
         assert ranked == [["S2", "S5"], ["S5", "S4"], ["S2", "S5"]]  # S2 and S5 tie for S1: id order
-        assert top_s_many("Q0", pool({}), ["S1", "S2"], unit_model(), m, d, 2) == [[], []]
-        assert top_s_many("Q0", pool({"S3": 2}), ["S3", "S1"], unit_model(), m, d, 2) == [[], ["S3"]]
+        assert top_s_packed([(pool({}), ["S1", "S2"])], unit_model(), m, d, 2) == [[[], []]]
+        assert top_s_packed([(pool({"S3": 2}), ["S3", "S1"])], unit_model(), m, d, 2) == [[[], ["S3"]]]
         with pytest.raises(ValueError, match="one seed per target"):
-            top_s_many("Q0", pool({"S3": 2}), ["S1"], None, m, d, 2, mode="random")
+            random_peers("Q0", pool({"S3": 2})[0], ["S1"], [], d, 2)
 
 
 class TestPackedBlocks:
@@ -813,8 +823,7 @@ class TestPackedBlocks:
         for u, qid, _ in ctx.test_targets():
             by_question.setdefault(qid, []).append(u)
         batches = [(retained.get(qid, none), targets) for qid, targets in by_question.items()]
-        alone = [top_s_many(qid, batch, targets, sim, m, d, cfg.top_s, c=cfg.c)
-                 for qid, (batch, targets) in zip(by_question, batches)]
+        alone = [top_s_packed([batch], sim, m, d, cfg.top_s, cfg.c)[0] for batch in batches]
         largest = max(len(rows) for (rows, _), _ in batches)
         calls = []
         encode = retrieval_mod.encode_many
