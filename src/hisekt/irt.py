@@ -83,10 +83,16 @@ def _sigmoid(z: np.ndarray | float):
 
 
 def probability(theta: float, a: float, b: float) -> float:
-    """P(correct) = 1 / (1 + exp(-a * (theta - b))); requires a > 0."""
+    """P(correct) = 1 / (1 + exp(-a * (theta - b))); requires a > 0.
+
+    The bits equal ``float(_sigmoid(a * (theta - b)))``: the logit is clamped to [-500, 500] with
+    Python ``min``/``max``, which give the value ``np.clip`` gives (NaN stays NaN) without its cost
+    on a scalar, and the same float64 goes through the same ``np.exp``.
+    """
     if a <= 0:
         raise ValueError(f"discrimination must be positive, got {a}")
-    return float(_sigmoid(a * (theta - b)))
+    z = min(max(a * (theta - b), -500.0), 500.0)
+    return float(1.0 / (1.0 + np.exp(-z)))
 
 
 def discretize(values: Mapping[str, float]) -> dict[str, Level]:

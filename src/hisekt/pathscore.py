@@ -487,17 +487,18 @@ def score_llm(groups: Sequence[WalkGroup], client: LlmClient) -> list[ScoredGrou
     ``c + r + i + dv``, summed left to right.
 
     The scores are the last ``{...}`` group in the reply holding exactly four comma-separated
-    numbers, the format the rubric asks for; a block reads each distinct reply once.  Values out
-    of [0, 5] are clamped, each with a warning.  Only prompts whose reply did not read are sent
-    again, and one still unread after ``client.max_retries`` sends raises ScoringError.  One hop
-    search per graph fills the hop memo for every target question before any prompt is rendered."""
+    numbers, the format the rubric asks for; the stage reads each distinct reply once, and logs a
+    warning for each distinct reply that does not read.  Values out of [0, 5] are clamped, each
+    with a warning.  Only prompts whose reply did not read are sent again, and one still unread
+    after ``client.max_retries`` sends raises ScoringError.  One hop search per graph fills the hop
+    memo for every target question before any prompt is rendered."""
     for g in {group.graph: None for group in groups}:
         graph_tables(g).hops(g, [g.index(("Q", group.target_question)) for group in groups if group.graph is g])
     walks = [(group, k) for group in groups for k in range(len(group))]
     table = np.empty((len(walks), 5))
+    read: dict[str, tuple[float, ...]] = {}  # each distinct reply of the stage, read once
     for start in range(0, len(walks), SCORE_BLOCK):
         prompts = [render_scoring_prompt(group, k) for group, k in walks[start:start + SCORE_BLOCK]]
-        read: dict[str, tuple[float, ...]] = {}  # each distinct reply of the block, read once
         scores: list[tuple[float, ...]] = [()] * len(prompts)  # () until its reply reads
         pending = range(len(prompts))
         for _ in range(max(client.max_retries, 1)):
@@ -506,6 +507,8 @@ def score_llm(groups: Sequence[WalkGroup], client: LlmClient) -> list[ScoredGrou
                 if reply not in read:
                     found = _REPLY_RE.findall(reply)
                     read[reply] = tuple(map(float, found[-1])) if found else ()
+                    if not found:
+                        logger.warning("llm score reply holds no braced group of four numbers: %.200r", reply)
                 scores[j] = read[reply]
             pending = [j for j in pending if not scores[j]]
             if not pending:

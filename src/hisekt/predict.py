@@ -14,10 +14,12 @@ per-student train summary, which peer retrieval reads too.  A student with no
 train row, or in no row, shows no history, overall accuracy 0.5 and KC
 accuracy ``none``.  A prompt is put together from
 block texts: the target-student block, rendered once per (student, window,
-IRT shown), and each peer entry, rendered once per (peer, target KC, IRT
-shown), are kept in the dataset's memo for the model they were rendered with,
-whose tables are read-only, so an entry cannot go stale.  Prompts of one
-student share its block, and peers recur across the targets of a question.
+IRT shown), each peer entry, rendered once per (peer, target KC, IRT shown),
+and the question block, rendered once per (student, question, IRT shown), are
+kept in the dataset's memo for the model they were rendered with, whose tables
+are read-only, so an entry cannot go stale.  Prompts of one student share its
+block, peers recur across the targets of a question, and the ablation variants
+of a run share each target's question block.
 
 The mock backend reads a rendered prompt with :func:`_mock_fields`.  It finds
 the blocks with ``str.find`` and reads only the lines the reply formula uses:
@@ -26,6 +28,10 @@ lines; history rows are skipped unread.  A prompt it cannot read raises
 ``TransportError("mock transport cannot read this prediction prompt: ...")``
 naming the missing or unparsable field, so the ``predict`` stage fails rather
 than answer from a default.  :func:`mock_reply` is the one reply formula.
+
+A reply is read by :func:`_parse_reply`, which finds its block with
+``str.find`` (the first ``REPLY_OPEN``, then the first ``REPLY_CLOSE`` after
+it) and reads the three field lines with patterns compiled once.
 """
 
 from __future__ import annotations
@@ -135,15 +141,16 @@ def _kc_accuracy(d: Dataset, student: str, kc: str) -> float | None:
     return t.kc_accuracy[row, k].item() if row >= 0 and t.has_kc[row, k] else None
 
 
-def _rendered(d: Dataset, m: IrtModel) -> tuple[dict[tuple[str, int, bool], str], dict[tuple[str, str, bool], str]]:
-    """The rendered text of ``m`` over ``d``: target blocks by (student, window, IRT shown) and peer
-    entries by (peer, target KC, IRT shown).  Kept in the dataset's memo with the model it last
-    rendered with, so it dies with the dataset and starts cold for another model.  A model's
-    tables are read-only, so no entry can go stale."""
+def _rendered(d: Dataset, m: IrtModel) -> tuple[dict[tuple[str, int, bool], str], dict[tuple[str, str, bool], str],
+                                                 dict[tuple[str, str, bool], str]]:
+    """The rendered text of ``m`` over ``d``: target blocks by (student, window, IRT shown), peer
+    entries by (peer, target KC, IRT shown) and question blocks by (student, question, IRT shown).
+    Kept in the dataset's memo with the model it last rendered with, so it dies with the dataset
+    and starts cold for another model.  A model's tables are read-only, so no entry can go stale."""
     memo = d._memo.get("rendered")
     if memo is None or memo[0] is not m:
-        memo = d._memo["rendered"] = (m, {}, {})
-    return memo[1], memo[2]
+        memo = d._memo["rendered"] = (m, {}, {}, {})
+    return memo[1:]
 
 
 def _target_block(u: str, window: int, irt: bool, m: IrtModel, d: Dataset) -> str:
@@ -217,18 +224,22 @@ def build_prompt(
     must cover the target, every peer and every question shown, as a model
     from :func:`hisekt.irt.fit` covers every id of its dataset: a missing id
     raises KeyError.  A question in ``m.cold_start_questions`` renders a
-    ``cold_start: true`` line.  The target block and each peer entry are
-    rendered once per key and memoized; the question block is rendered per call.
+    ``cold_start: true`` line.  The target block, each peer entry and the
+    question block are rendered once per key and memoized.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     irt = MASK_IRT not in mask
     target_kc = min(d.question_kcs()[q])
-    targets, peer_entries = _rendered(d, m)
+    targets, peer_entries, questions = _rendered(d, m)
     key = (u, window, irt)
     target = targets.get(key)
     if target is None:
         target = targets[key] = _target_block(u, window, irt, m, d)
+    key = (u, q, irt)
+    question = questions.get(key)
+    if question is None:
+        question = questions[key] = _question_block(u, q, target_kc, irt, m, d)
     peers_block = None
     if MASK_SIMU not in mask:
         entries = []
@@ -239,7 +250,7 @@ def build_prompt(
                 entry = peer_entries[key] = _peer_entry(peer_id, target_kc, irt, m, d)
             entries.append(entry)
         peers_block = "\n".join(["=== SIMILAR STUDENTS ===", f"peer_count: {len(entries)}", *entries])
-    return PromptBundle(target, _question_block(u, q, target_kc, irt, m, d), peers_block)
+    return PromptBundle(target, question, peers_block)
 
 
 # -- prediction backends ------------------------------------------------------
@@ -390,17 +401,23 @@ def mock_prediction_reply(prompt: str) -> str:
     return mock_reply(_mock_fields(prompt))
 
 
-_REPLY_BLOCK = re.compile(re.escape(REPLY_OPEN) + r"\s*(.*?)\s*" + re.escape(REPLY_CLOSE), re.S)
+_OUTCOME = re.compile(r"^outcome:\s*(correct|wrong)\s*$", re.M)
+_CONFIDENCE = re.compile(r"^confidence:\s*([-+0-9.eE]+)\s*$", re.M)
+_REPORT = re.compile(r"^report:\s*(.+)$", re.M | re.S)
 
 
 def _parse_reply(reply: str) -> Prediction:
-    block = _REPLY_BLOCK.search(reply)
-    if not block:
+    """The prediction in the first ``REPLY_OPEN`` ... ``REPLY_CLOSE`` block of ``reply``, the close
+    being the first one after the open ends; the text between them is stripped of whitespace, as
+    ``str.strip`` and the regex ``\\s`` judge it alike.  Raises ValueError naming what is wrong."""
+    start = reply.find(REPLY_OPEN)
+    end = reply.find(REPLY_CLOSE, start + len(REPLY_OPEN)) if start >= 0 else -1
+    if end < 0:
         raise ValueError("no prediction block in reply")
-    body = block.group(1)
-    outcome_m = re.search(r"^outcome:\s*(correct|wrong)\s*$", body, re.M)
-    confidence_m = re.search(r"^confidence:\s*([-+0-9.eE]+)\s*$", body, re.M)
-    report_m = re.search(r"^report:\s*(.+)$", body, re.M | re.S)
+    body = reply[start + len(REPLY_OPEN) : end].strip()
+    outcome_m = _OUTCOME.search(body)
+    confidence_m = _CONFIDENCE.search(body)
+    report_m = _REPORT.search(body)
     if not (outcome_m and confidence_m and report_m):
         raise ValueError("prediction block is missing fields")
     confidence = float(confidence_m.group(1))
@@ -417,14 +434,17 @@ def predict(p: PromptBundle, client: LlmClient) -> Prediction:
     """One-pass prediction + report through the client, retrying malformed replies."""
     prompt = p.text
     transcript: list[str] = []
-    for _ in range(max(client.max_retries, 1)):
+    attempts = max(client.max_retries, 1)
+    for attempt in range(attempts):
         reply = client.complete(prompt)
         transcript.append(reply)
         try:
             return _parse_reply(reply)
         except ValueError as exc:
-            logger.warning("malformed prediction reply (%s); retrying", exc)
+            error = exc
+            if attempt + 1 < attempts:  # after the last send the error below carries the transcript
+                logger.warning("malformed prediction reply (%s); retrying", exc)
     raise PredictionError(
         "prediction backend returned no parsable reply after retries",
         transcript="\n---\n".join(transcript),
-    )
+    ) from error

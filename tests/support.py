@@ -1,5 +1,6 @@
 """Test helpers with no caller in the package: a client that plays back canned LLM replies,
-a prompt bundle whose text is cut, the shape check of criterion 8's AUC-by-K series, AUC by a
+a prompt bundle whose text is cut, the prediction-reply reader that found the reply block with a
+regex, the shape check of criterion 8's AUC-by-K series, AUC by a
 loop that walks the sorted scores' ties, the
 path pair pool as string triples with its conversions to and from ``retrieval.pair_keys``, the
 retained pool as id counts with its conversions to and from student-table rows,
@@ -30,7 +31,7 @@ from hisekt.llm import LlmClient
 from hisekt.mrhin import PAD, UNREACHABLE
 from hisekt.pathscore import (LEVEL_CATEGORIES, MAX_DIMENSION_SCORE, SCORE_FIELDS, SCORING_PROMPT_HEADER, ScoredGroup,
                               _read_scoring_prompts, mock_score_replies, render_scoring_prompt, score_llm)
-from hisekt.predict import MASK_SIMU, PromptBundle
+from hisekt.predict import MASK_SIMU, REPLY_CLOSE, REPLY_OPEN, Prediction, PromptBundle, count_sentences
 from hisekt.retrieval import DEFAULT_SCALING, CandidateSet, distances, encode_many, pair_keys, student_tables
 from hisekt.seeding import derive_rng, derive_seed
 
@@ -55,6 +56,28 @@ class CutPromptBundle(PromptBundle):
     def text(self) -> str:
         full = super().text
         return full[: full.index("=== TARGET QUESTION ===")]
+
+
+_REFERENCE_REPLY_BLOCK = re.compile(re.escape(REPLY_OPEN) + r"\s*(.*?)\s*" + re.escape(REPLY_CLOSE), re.S)
+
+
+def reference_parse_reply(reply):
+    """``predict._parse_reply`` as it found the reply block with a lazy regex under ``re.S``
+    (without its clamp warning): the same ``Prediction``, or a ValueError with the same message."""
+    block = _REFERENCE_REPLY_BLOCK.search(reply)
+    if not block:
+        raise ValueError("no prediction block in reply")
+    body = block.group(1)
+    outcome_m = re.search(r"^outcome:\s*(correct|wrong)\s*$", body, re.M)
+    confidence_m = re.search(r"^confidence:\s*([-+0-9.eE]+)\s*$", body, re.M)
+    report_m = re.search(r"^report:\s*(.+)$", body, re.M | re.S)
+    if not (outcome_m and confidence_m and report_m):
+        raise ValueError("prediction block is missing fields")
+    confidence = min(max(float(confidence_m.group(1)), 0.0), 1.0)
+    report = report_m.group(1).strip()
+    if count_sentences(report) != 3:
+        raise ValueError(f"report must have exactly 3 sentences, got {count_sentences(report)}")
+    return Prediction.build(outcome_m.group(1), confidence, report)
 
 
 def reference_auc(labels, scores):

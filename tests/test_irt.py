@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from hisekt import irt
 from hisekt.dataset import ingest, split
 from hisekt.irt import (
     ALPHA_CLAMP,
@@ -63,6 +65,45 @@ class TestProbability:
         assert probability(theta, a, b) + probability(2 * b - theta, a, b) == pytest.approx(
             1.0, abs=1e-12
         )
+
+
+# logits at and around the clamp, signed zeros and infinities
+LOGIT_EDGES = [0.0, -0.0, 500.0, -500.0, *map(float, [np.nextafter(500.0, 0.0), np.nextafter(500.0, np.inf),
+               np.nextafter(-500.0, 0.0), np.nextafter(-500.0, -np.inf)]), 1e308, -1e308, math.inf, -math.inf]
+edge_floats = st.floats() | st.sampled_from(LOGIT_EDGES)
+
+
+def sigmoid_bits(theta, a, b):
+    """``probability``'s value as it computed it, through ``_sigmoid``'s ``np.clip``, or the refusal."""
+    if a <= 0:
+        return ValueError
+    return np.float64(irt._sigmoid(a * (theta - b))).tobytes()
+
+
+def probability_bits(theta, a, b):
+    try:
+        return np.float64(probability(theta, a, b)).tobytes()
+    except ValueError as exc:
+        assert str(exc) == f"discrimination must be positive, got {a}"
+        return ValueError
+
+
+class TestProbabilityBits:
+    @settings(max_examples=2000, deadline=None)
+    @given(theta=edge_floats, a=edge_floats | st.sampled_from([1.0, 5e-324, -5e-324]), b=edge_floats)
+    def test_equals_the_clipped_sigmoid(self, theta, a, b):
+        assert probability_bits(theta, a, b) == sigmoid_bits(theta, a, b)
+
+    @pytest.mark.parametrize("logit", LOGIT_EDGES)
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    def test_logits_at_the_clamp(self, logit, a):
+        # theta - b is the logit / a, so a * (theta - b) lands on the logit itself or next to it
+        for theta, b in ((logit / a, 0.0), (0.0, -logit / a)):
+            assert probability_bits(theta, a, b) == sigmoid_bits(theta, a, b)
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, -5e-324, -1.0, -math.inf])
+    def test_nonpositive_discrimination_is_refused(self, a):
+        assert probability_bits(0.0, a, 0.0) is ValueError
 
 
 class TestDiscretize:

@@ -324,6 +324,24 @@ class TestLlmScoring:
             score_one(walks, 0, scripted_client([numbered] * 3, max_retries=3))
         assert err.value.raw_response == numbered
 
+    def test_an_unreadable_reply_is_logged_once(self, g, caplog):
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=1, walk_len=5, seed=0)
+        client = scripted_client(["scores: 4.5, 3, 2, 1", "{4.5, 3, 2, 1}"], max_retries=2)
+        with caplog.at_level("WARNING"):
+            assert score_one(walks, 0, client) == (4.5, 3.0, 2.0, 1.0, 10.5)
+        assert [r.getMessage() for r in caplog.records] == [
+            "llm score reply holds no braced group of four numbers: 'scores: 4.5, 3, 2, 1'"]
+
+    def test_each_distinct_reply_is_read_once_per_stage(self, g, caplog, monkeypatch):
+        # one walk per block: the second block's unreadable reply is the first block's, read and logged once
+        monkeypatch.setattr(pathscore, "SCORE_BLOCK", 1)
+        walks = sample_instances(g, TEMPLATES["Q-K-Q"], "Q1", n=2, walk_len=5, seed=0)
+        client = scripted_client(["no scores", "{4.5, 3, 2, 1}", "no scores", "{1, 2, 3, 4}"], max_retries=2)
+        with caplog.at_level("WARNING"):
+            [scored] = score_llm([walks], client)
+        assert scored.scores.tolist() == [[4.5, 3.0, 2.0, 1.0, 10.5], [1.0, 2.0, 3.0, 4.0, 10.0]]
+        assert len(caplog.records) == 1
+
     @pytest.mark.parametrize("reply", [
         "{centrality, kc_relevance, informativeness, diversity}\n{4.5, 3.0, 2.0, 1.0}",
         "Format: {} then {1, 2} then {4.5,3.0 ,2.0, 1.0}",

@@ -18,6 +18,8 @@ from hisekt.predict import (
     MASK_IRT,
     MASK_SIMU,
     PREDICTION_PROMPT_HEADER,
+    REPLY_CLOSE,
+    REPLY_OPEN,
     build_prompt,
     count_sentences,
     mock_prediction_reply,
@@ -28,7 +30,8 @@ from hisekt.synth import planted_csv
 
 from prompt_reference import (HistoryRow, PeerInfo, ReferenceBundle, parse_prompt, reference_build_prompt,
                               reference_mock_reply)
-from support import CutPromptBundle, Interaction, dataset_of, interactions, scripted_client, split_labels
+from support import (CutPromptBundle, Interaction, dataset_of, interactions, reference_parse_reply, scripted_client,
+                     split_labels)
 
 GOLDEN = Path(__file__).parent / "golden"
 MOCK = LlmClient(backend="mock")
@@ -320,6 +323,13 @@ class TestPredictClient:
             predict(golden_bundle(), scripted_client(["no block"] * 3, max_retries=3))
         assert "no block" in err.value.transcript
 
+    def test_retrying_is_logged_only_before_a_resend(self, caplog):
+        with caplog.at_level("WARNING"), pytest.raises(PredictionError) as err:
+            predict(golden_bundle(), scripted_client(["no block", "still no block"], max_retries=2))
+        assert err.value.transcript == "no block\n---\nstill no block"
+        assert [r.getMessage() for r in caplog.records] == [
+            "malformed prediction reply (no prediction block in reply); retrying"]
+
     def test_out_of_range_confidence_clamped(self, caplog):
         reply = "\n".join(
             ["<<<PREDICTION", "outcome: correct", "confidence: 1.7",
@@ -334,6 +344,50 @@ class TestPredictClient:
         reply = mock_prediction_reply(golden_bundle().text)
         assert reply.startswith("<<<PREDICTION")
         assert reply.rstrip().endswith("PREDICTION>>>")
+
+
+# -- the reply reader against the regex it replaces ----------------------------
+
+# pieces of a reply: markers whole, cut and run together; field lines valid and not; ASCII and Unicode whitespace
+markers = st.sampled_from([REPLY_OPEN, REPLY_CLOSE, "<<<PREDICTION>>>", "<<<PREDICTIONPREDICTION>>>", "<<<PRED",
+                           "ICTION>>>", "PREDICTION", "<<<", ">>>"])
+field_lines = st.sampled_from([
+    "outcome: correct", "outcome: wrong", "outcome:wrong ", "outcome: maybe", "confidence: 0.75", "confidence: 1.5",
+    "confidence: -0.25", "confidence:1e-3", "confidence: 1.2.3", "confidence: .", "report: One. Two. Three.",
+    "report: A. B.", "report: x! y? z.", "report:", "Report: A. B. C."])
+spaces = st.sampled_from(["\n", " ", "\t", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028",
+                          "\u3000"])
+noise = st.lists(st.one_of(markers, field_lines, spaces, st.text(alphabet="ab .!?:\n\xa0", max_size=6)),
+                 max_size=6).map("".join)
+# a block's lines: the three a reply needs in any order, or any field lines
+bodies = st.builds(str.join, spaces, st.permutations(["outcome: wrong", "confidence: 0.25", "report: A. B. C."])
+                   | st.lists(field_lines, max_size=5))
+replies = st.tuples(noise, st.just(REPLY_OPEN) | st.just("") | markers, st.lists(spaces, max_size=2).map("".join),
+                    bodies, st.lists(spaces, max_size=2).map("".join), st.just(REPLY_CLOSE) | st.just("") | markers,
+                    noise).map("".join)
+
+
+def read_or_error(parse, reply):
+    try:
+        return parse(reply)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class TestReplyReader:
+    @settings(max_examples=3000, deadline=None)
+    @given(replies)
+    def test_equals_the_regex_reader(self, reply):
+        assert read_or_error(predict_mod._parse_reply, reply) == read_or_error(reference_parse_reply, reply)
+
+    @pytest.mark.parametrize("reply", [
+        f"{REPLY_OPEN}\x1c\noutcome: correct\nconfidence: 0.5\nreport: A. B. C.\u2003{REPLY_CLOSE}",
+        f"{REPLY_OPEN}outcome: wrong\nconfidence: 1\nreport: A. B. C.{REPLY_CLOSE} {REPLY_CLOSE}",
+        f"{REPLY_OPEN}>>> {REPLY_OPEN}\noutcome: wrong\nconfidence: 0\nreport: A. B. C.\n{REPLY_CLOSE}",
+        "<<<PREDICTION>>>\noutcome: wrong\nconfidence: 0\nreport: A. B. C.\n",
+    ])
+    def test_markers_that_overlap_or_repeat(self, reply):
+        assert read_or_error(predict_mod._parse_reply, reply) == read_or_error(reference_parse_reply, reply)
 
 
 # -- prompts from per-student tables ------------------------------------------
@@ -569,3 +623,35 @@ def test_planted_prompts_equal_the_row_scan(planted_prompts, seed):
 def test_planted_mock_replies_equal_the_full_parse(planted_prompts, seed):
     for _, bundle in planted_prompts[seed]:
         assert_lean_read_matches(bundle.text)
+
+
+def test_each_question_block_is_rendered_once_per_model(tmp_path, monkeypatch):
+    """Over the five variants of the planted-ablation config, each (student, question, IRT shown)
+    question block is rendered once, every prompt equals an unmemoized render, and another model on
+    the same dataset renders its question blocks anew."""
+    path = tmp_path / "seed1.csv"
+    path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+    rendered, calls = [], []
+    render, build = predict_mod._question_block, build_prompt
+
+    def counted(u, q, target_kc, irt, m, d):
+        rendered.append((u, q, irt))
+        return render(u, q, target_kc, irt, m, d)
+
+    def recorded(*args):
+        bundle = build(*args)
+        calls.append((args, bundle))
+        return bundle
+
+    monkeypatch.setattr(predict_mod, "_question_block", counted)
+    monkeypatch.setattr(predict_mod, "build_prompt", recorded)
+    run_experiment(RunConfig(data=str(path), **PLANTED_ABLATION))
+    assert len(calls) == 5 * len(set(rendered)) == 5 * len(rendered)  # 900 prompts, 180 question blocks
+    for args, bundle in calls:
+        assert bundle.text == reference_build_prompt(*args).text
+
+    (u, q, peers, m, d, mask, window), _ = calls[0]
+    other = dataclasses.replace(m)
+    rendered.clear()
+    assert build_prompt(u, q, peers, other, d, mask, window).text == calls[0][1].text
+    assert rendered == [(u, q, True)]
