@@ -6,8 +6,9 @@ from .errors import HisektError
 from .evaluation import EvalReport, PipelineContext, accuracy, auc, run_experiment
 from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
-from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, WalkGroup, sample_instances, sample_walks
-from .pathscore import ScoredGroup, graph_distance, score_all, score_groups, select_top_k, select_top_k_many
+from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, WalkGroup, WalkTable, sample_instances, sample_walks
+from .pathscore import (ScoredGroup, graph_distance, score_all, score_groups, select_top_k, select_top_k_many,
+                        select_top_k_positions)
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
 # package attribute `predict` keeps naming the module.
@@ -43,6 +44,7 @@ __all__ = [
     "SimilarityModel",
     "TEMPLATES",
     "WalkGroup",
+    "WalkTable",
     "accuracy",
     "auc",
     "build_prompt",
@@ -64,6 +66,7 @@ __all__ = [
     "score_groups",
     "select_top_k",
     "select_top_k_many",
+    "select_top_k_positions",
     "split",
     "top_s",
     "top_s_packed",

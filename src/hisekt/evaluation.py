@@ -29,7 +29,7 @@ from . import pathscore, predict, retrieval
 from .config import ABLATIONS, RunConfig, check_choices, computed_fields, fingerprint
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
-from .mrhin import TEMPLATES, Mrhin, WalkGroup, sample_walks
+from .mrhin import TEMPLATES, Mrhin, WalkGroup, sample_walks, stacked_rows
 from .seeding import derive_seed
 
 # Not called here: the benchmark's tracer patches this name on this module.
@@ -218,25 +218,32 @@ def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | 
 
 def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
     """{target question: ``(rows, counts)``}: the ascending ``retrieval.student_tables`` rows of
-    the students on the question's kept walks, and how often each stands on them.  Every group of
-    the stage is ranked in one ``pathscore.select_top_k_many`` pass, and the students of all kept
-    rows are counted at once, through a node-int -> student-row table (-1 off students, and at
-    ``PAD``), as (question, row) keys; raises ValueError if a student of the graph is not one of
-    the dataset."""
+    the students on the question's kept walks, and how often each stands on them.  The groups of
+    each template are ranked in one ``pathscore.select_top_k_positions`` pass, which reads a walk
+    table's tie keys and totals as slices of it, and their kept rows are one gather from their
+    stacked rows (``mrhin.stacked_rows``: the table's).  The students of all kept rows are counted
+    at once, through a node-int -> student-row table (-1 off students, and at ``PAD``), as
+    (question, row) keys; raises ValueError if a student of the graph is not one of the dataset."""
     g, scored, mode = ctx.get("graph", cfg), ctx.scored(run_seed, cfg), ABLATIONS[variant][0]
     t = retrieval.student_tables(ctx.get("dataset", cfg))
     students = [x for x, kind in enumerate(g.kinds) if kind == "U"]
     row_of = np.full(len(g.node_ids) + 1, -1, dtype=np.intp)
     row_of[students] = t.positions(g.node_ids[x][1] for x in students)
     questions = sorted(scored)
-    owners = [(i, qid, name) for i, qid in enumerate(questions) for name in TEMPLATES if name in scored[qid]]
-    groups = [scored[qid][name] for _, qid, name in owners]
-    # only a random draw reads the seeds
-    seeds = [derive_seed(run_seed, "topk", qid, name) for _, qid, name in owners] if mode == "random" else ()
-    kept = pathscore.select_top_k_many(groups, cfg.top_k, mode, seeds)
-    nodes = [group.walks.rows[index].ravel() for group, index in zip(groups, kept)]
-    question = np.repeat(np.array([i for i, _, _ in owners], dtype=np.intp), [part.size for part in nodes])
-    rows = row_of[np.concatenate([np.zeros(0, dtype=np.intp), *nodes])]
+    question, rows = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]  # per node of a kept row
+    for name in TEMPLATES:
+        owners = [i for i, qid in enumerate(questions) if name in scored[qid]]
+        if not owners:
+            continue
+        groups = [scored[questions[i]][name] for i in owners]
+        # only a random draw reads the seeds
+        seeds = [derive_seed(run_seed, "topk", questions[i], name) for i in owners] if mode == "random" else ()
+        nodes = stacked_rows([group.walks for group in groups])[
+            pathscore.select_top_k_positions(groups, cfg.top_k, mode, seeds)]
+        kept = np.minimum([len(group) for group in groups], cfg.top_k)
+        question.append(np.repeat(owners, kept * nodes.shape[1]))
+        rows.append(row_of[nodes.ravel()])
+    question, rows = np.concatenate(question), np.concatenate(rows)
     on = rows >= 0
     keys, counts = np.unique(question[on] * len(t.students) + rows[on], return_counts=True)
     owner, rows = np.divmod(keys, len(t.students))

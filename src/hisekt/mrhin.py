@@ -15,24 +15,33 @@ Walk draws are counter-based: each step's draw is a SplitMix64 hash of the
 key (seed, template, question, attempt, step), so a walk depends on its own
 key only.  :func:`sample_walks` therefore advances every attempt of a
 template, from every listed question, in lockstep as numpy arrays, and
-gives the same rows as sampling each question alone.
+gives the same rows as sampling each question alone.  While no walk has
+ended, a step fills a whole row of a step x attempt buffer, its draws made
+in place; after that, it goes on over the walks still going.
 
 Equal Top-K totals are ordered by a walk's tie key, which mixes the same
 way: each node has a sha256 key, and a walk's key sums ``mix`` of each
 node's key plus its position times γ.  That term depends only on the
 (position, node) pair, so each graph memoizes one table of it, a row per
-position up to its widest walks (:func:`tie_terms`), and a group's keys are
-one gather from the table and one row sum (:attr:`WalkGroup.tie_keys`): the
-sum wraps modulo 2**64, so its order does not change the bits.
+position up to its widest walks (:func:`tie_terms`), and the keys of a
+table of walks are one gather per column from that table's row, added into
+one uint64 sum (:func:`walk_tie_keys`): the sum wraps modulo 2**64, so its
+order does not change the bits.
 
 The graph interns its nodes as ints in sorted ``(kind, id)`` order, so int
 order is node order, and holds its edges once, as one CSR over all edge
-kinds (:class:`Mrhin`).  The walks of one (target question, template) pair
-are a :class:`WalkGroup`: one int array with a row per walk, padded with
-``PAD`` after a truncated walk's last node.  The walk file (``paths.jsonl``)
+kinds (:class:`Mrhin`).  The walks of one template, from every target
+question, are a :class:`WalkTable`: one int array with a row per walk,
+question after question, padded with ``PAD`` after a truncated walk's last
+node, and the walks' tie keys, computed once for the table.  The walks of
+one (target question, template) pair are a :class:`WalkGroup`, whose rows
+and tie keys are slices of its table's, so scoring and Top-K read the
+consecutive groups of a table as slices of it (:func:`table_span`,
+:func:`stacked_rows`) instead of copying each group.  The walk file (``paths.jsonl``)
 is written from groups and read back into groups, one JSON line per walk, in
 each group's row order, which is the order :func:`sample_walks` drew them in:
-a group read back holds the sampled walks in the sampled order.
+a group read back holds the sampled walks in the sampled order, and the
+groups of a template read back are one table again.
 ``scored.jsonl`` (:mod:`hisekt.pathscore`) holds each walk's scores and tie
 key, line for line in the same order.
 """
@@ -263,19 +272,24 @@ class WalkGroup:
     """Walks of one template from one target question toward one target KC.
 
     ``rows`` holds one walk per row as graph node ints (``n x walk_len``),
-    padded with ``PAD`` after the last node of a truncated walk;
-    :attr:`tie_keys` holds each walk's Top-K tie key, gathered once per group
-    from the graph's :func:`tie_terms`.
+    padded with ``PAD`` after the last node of a truncated walk, and
+    ``tie_keys`` each walk's Top-K tie key (:func:`walk_tie_keys`), computed
+    with the group unless given.  A group of a :class:`WalkTable` has that
+    ``table`` and the first table row it holds, ``start``; its rows and tie
+    keys are views of the table's.
     """
 
     def __init__(self, graph: Mrhin, template: MetaPathTemplate, target_question: str, target_kc: str,
-                 rows: np.ndarray):
+                 rows: np.ndarray, tie_keys: np.ndarray | None = None, table: "WalkTable | None" = None,
+                 start: int = 0):
         self.graph = graph
         self.template = template
         self.target_question = target_question
         self.target_kc = target_kc
         self.rows = rows
-        self._tie_keys: np.ndarray | None = None
+        self.tie_keys = walk_tie_keys(graph, rows) if tie_keys is None else tie_keys
+        self.table = table
+        self.start = start
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -289,38 +303,88 @@ class WalkGroup:
         return [_unpadded(row) for row in self.rows.tolist()]
 
     def take(self, index: np.ndarray) -> "WalkGroup":
-        """The group of the rows at ``index``, in that order, with their tie keys if computed."""
-        part = WalkGroup(self.graph, self.template, self.target_question, self.target_kc, self.rows[index])
-        if self._tie_keys is not None:
-            part._tie_keys = self._tie_keys[index]
-        return part
+        """The group of the rows at ``index``, in that order, with their tie keys."""
+        return WalkGroup(self.graph, self.template, self.target_question, self.target_kc, self.rows[index],
+                         self.tie_keys[index])
 
-    @property
-    def tie_keys(self) -> np.ndarray:
-        """Each walk's tie key ``(Σ_{t=1..len} mix(node_keys[x_t] + t·γ) mod 2**64) >> 1``, over its
-        nodes ``x_1 .. x_len``, as int64: one sha256 per graph node, none per walk, and one gather
-        of :func:`tie_terms` per group."""
-        keys = self._tie_keys
-        if keys is None:
-            width = self.rows.shape[1]
-            terms = tie_terms(self.graph, width)
-            # row t - 1 of the flat table starts at (t - 1)(nodes + 1), and node x (PAD too) is column x + 1
-            at = self.rows + np.arange(1, width * terms.shape[1], terms.shape[1])
-            keys = (np.take(terms, at).sum(axis=1, dtype=np.uint64) >> _ONE).astype(np.int64)
-            self._tie_keys = keys
-        return keys
+
+class WalkTable:
+    """The walks of one template from many target questions, in one table.
+
+    ``rows`` holds a row per walk, question after question, each question's
+    walks in their order, and ``tie_keys`` each row's tie key, computed for
+    the whole table in one :func:`walk_tie_keys` pass.  :meth:`groups` gives
+    each question's :class:`WalkGroup`, whose rows and tie keys are views of
+    the table's.  The groups refer to the table and the table does not hold
+    them, so no reference cycle keeps a table's arrays alive until the
+    garbage collector runs.
+    """
+
+    def __init__(self, graph: Mrhin, template: MetaPathTemplate, rows: np.ndarray):
+        self.graph = graph
+        self.template = template
+        self.rows = rows
+        self.tie_keys = walk_tie_keys(graph, rows)
+
+    def groups(self, target_kcs: Mapping[str, str], counts: Sequence[int]) -> dict[str, WalkGroup]:
+        """{question: its group} for ``target_kcs`` {question: its target KC} in table order, the
+        questions holding ``counts`` rows each, one after another."""
+        bounds = [0, *itertools.accumulate(counts)]
+        return {q0: WalkGroup(self.graph, self.template, q0, kc, self.rows[lo:hi], self.tie_keys[lo:hi], self, lo)
+                for (q0, kc), lo, hi in zip(target_kcs.items(), bounds, bounds[1:])}
+
+
+def table_span(groups: Sequence[WalkGroup]) -> tuple[WalkTable, int, int] | None:
+    """The table whose rows ``lo:hi`` the groups fill, one after another, as ``(table, lo, hi)``; None
+    unless they are consecutive groups of one :class:`WalkTable`."""
+    table = groups[0].table if groups else None
+    if table is None:
+        return None
+    lo = end = groups[0].start
+    for group in groups:
+        if group.table is not table or group.start != end:
+            return None
+        end += len(group.rows)
+    return table, lo, end
+
+
+def stacked_rows(groups: Sequence[WalkGroup]) -> np.ndarray:
+    """The groups' rows one after another, as wide as the widest, narrower ones padded with ``PAD``:
+    a view of their table's rows if :func:`table_span` finds one, else a copy.  At least one group."""
+    span = table_span(groups)
+    if span is not None:
+        table, lo, hi = span
+        return table.rows[lo:hi]
+    width = max(group.rows.shape[1] for group in groups)
+    return np.concatenate([group.rows if group.rows.shape[1] == width else
+                           np.pad(group.rows, ((0, 0), (0, width - group.rows.shape[1])), constant_values=PAD)
+                           for group in groups])
+
+
+def walk_tie_keys(g: Mrhin, rows: np.ndarray) -> np.ndarray:
+    """Each row's tie key ``(Σ_{t=1..len} mix(node_keys[x_t] + t·γ) mod 2**64) >> 1``, over its nodes
+    ``x_1 .. x_len``, as int64: one sha256 per graph node, none per walk, and per column one gather
+    from its row of :func:`tie_terms`, added into one uint64 sum (which wraps, so the order of the
+    terms does not change the bits)."""
+    terms = tie_terms(g, rows.shape[1])
+    keys = np.zeros(len(rows), dtype=np.uint64)
+    for column, row in zip(rows.T, terms):
+        keys += np.take(row, column)
+    keys >>= _ONE
+    return keys.view(np.int64)
 
 
 def tie_terms(g: Mrhin, width: int) -> np.ndarray:
-    """The tie-key terms of walks up to ``width`` nodes on ``g``: ``terms[t - 1, x + 1]`` is
-    ``mix(node_keys[x] + t·γ)`` of node int ``x`` at walk position ``t``, and the ``PAD`` column
-    (column 0) is 0, so a padded position adds nothing.  Read-only; a row per position, ``width``
-    rows or more: the graph's widest table yet, built in full before it is stored."""
+    """The tie-key terms of walks up to ``width`` nodes on ``g``: ``terms[t - 1, x]`` is
+    ``mix(node_keys[x] + t·γ)`` of node int ``x`` at walk position ``t``, and the last column,
+    which ``PAD`` (-1) reaches, is 0, so a padded position adds nothing.  Read-only; a row per
+    position, ``width`` rows or more: the graph's widest table yet, built in full before it is
+    stored."""
     terms = g._memo.get("tie_terms")
     if terms is None or len(terms) < width:
         steps = np.arange(1, width + 1, dtype=np.uint64)[:, None] * GAMMA
         terms = np.zeros((width, len(g.node_keys) + 1), dtype=np.uint64)
-        terms[:, 1:] = mix(g.node_keys + steps)
+        terms[:, :-1] = mix(g.node_keys + steps)
         terms.flags.writeable = False
         g._memo["tie_terms"] = terms
     return terms
@@ -336,12 +400,20 @@ def _unpadded(row: list[int]) -> list[int]:
     return row[: row.index(PAD)] if PAD in row else row
 
 
+def _mix_in_place(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``z`` with each element replaced by its SplitMix64 finalizer; ``scratch`` is a uint64 buffer of
+    its shape."""
+    (s1, s2, s3), (m1, m2) = _MIX_SHIFTS, _MIX_MULTIPLIERS
+    for shift, multiplier in ((s1, m1), (s2, m2)):
+        np.bitwise_xor(z, np.right_shift(z, shift, out=scratch), out=z)
+        np.multiply(z, multiplier, out=z)
+    return np.bitwise_xor(z, np.right_shift(z, s3, out=scratch), out=z)
+
+
 def mix(z: np.ndarray) -> np.ndarray:
     """The SplitMix64 finalizer of each element of a uint64 array."""
-    (s1, s2, s3), (m1, m2) = _MIX_SHIFTS, _MIX_MULTIPLIERS
-    z = (z ^ (z >> s1)) * m1
-    z = (z ^ (z >> s2)) * m2
-    return z ^ (z >> s3)
+    z = np.array(z, dtype=np.uint64)
+    return _mix_in_place(z, np.empty_like(z))
 
 
 def _target_kc(g: Mrhin, q0: str, target_kc: str | None = None) -> str:
@@ -359,16 +431,57 @@ def _target_kc(g: Mrhin, q0: str, target_kc: str | None = None) -> str:
     return target_kc
 
 
+def _walk_columns(g: Mrhin, steps: Sequence[tuple[np.ndarray, np.ndarray]], start: np.ndarray,
+                  keys: np.ndarray) -> np.ndarray:
+    """The walk of each attempt, by its key and start node, as a column of a ``len(steps) + 1`` x
+    attempts int32 buffer, ``PAD`` after a walk's last node: see :func:`sample_instances`.
+
+    Each step fills a whole row of the buffer, the draws made in place in two preallocated uint64
+    buffers; once a walk ends at a node with no neighbor of the next kind, the steps after it go on
+    over the attempts still going (``live``) only."""
+    columns = np.full((len(steps) + 1, len(keys)), PAD, dtype=np.int32)
+    columns[0] = node = start
+    draws, scratch = np.empty(len(keys), dtype=np.uint64), np.empty(len(keys), dtype=np.uint64)
+    step_offsets = np.arange(1, len(steps) + 1, dtype=np.uint64) * GAMMA
+    live = None  # every attempt goes on, until one ends
+    for position, (degree, offsets) in enumerate(steps, start=1):
+        deg = np.take(degree, node)
+        if not deg.all():
+            going = np.flatnonzero(deg)
+            if not len(going):
+                break
+            live = going if live is None else live[going]
+            node, deg = np.take(node, going), np.take(deg, going)
+            draws, scratch = draws[:len(live)], scratch[:len(live)]
+        np.add(keys if live is None else np.take(keys, live), step_offsets[position - 1], out=draws)
+        _mix_in_place(draws, scratch)
+        # multiply-shift: the high 32 bits of the draw scaled to [0, deg)
+        np.right_shift(draws, _HALF, out=draws)
+        np.multiply(draws, deg.view(np.uint64), out=draws)
+        np.right_shift(draws, _HALF, out=draws)
+        node = np.take(g.flat, np.take(offsets, node) + draws.view(np.int64))
+        if live is None:
+            columns[position] = node
+        else:
+            columns[position, live] = node
+    return columns
+
+
 def _lockstep_rows(g: Mrhin, template: MetaPathTemplate, questions: Sequence[str], n: int,
-                   walk_len: int, seed: int) -> list[np.ndarray]:
-    """Each question's walk rows, in the order of ``questions``: see :func:`sample_instances`."""
+                   walk_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One table of the listed questions' walk rows, question after question, each question's in
+    attempt order, and each question's row count: see :func:`sample_instances`.
+
+    A round runs each question's next missing attempts in lockstep (:func:`_walk_columns`), by
+    question, then attempt, so its kept rows are in question order: when one round gives every
+    question its walks, its rows are the table, and the rows of several rounds are merged by one
+    stable sort on their questions."""
     steps = [g.csr[template.kind_at(position)] for position in range(1, walk_len)]
-    width = len(steps) + 1
-    min_length = min(width, len(template.kinds))
-    step_offsets = np.arange(1, width, dtype=np.uint64) * GAMMA
+    min_length = min(len(steps) + 1, len(template.kinds))
     starts = np.array([g.index(("Q", q0)) for q0 in questions], dtype=np.int32)
     bases = np.array([derive_seed(seed, template.name, q0) for q0 in questions], dtype=np.uint64)
-    kept: list[list[np.ndarray]] = [[] for _ in questions]
+    rows: list[np.ndarray] = []
+    owners: list[np.ndarray] = []
     missing = np.full(len(questions), n, dtype=np.int64)
     tried = np.zeros(len(questions), dtype=np.int64)
     while True:
@@ -376,36 +489,38 @@ def _lockstep_rows(g: Mrhin, template: MetaPathTemplate, questions: Sequence[str
         total = int(counts.sum())
         if total <= 0:
             break
-        # one row per attempt, by question, then attempt index
+        # one attempt per column, by question, then attempt index
         owner = np.repeat(np.arange(len(questions)), counts)
         attempt = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts) + tried[owner]
-        keys = mix(bases[owner] + attempt.astype(np.uint64) * GAMMA)
-        rows = np.full((total, width), PAD, dtype=np.int32)
-        rows[:, 0] = starts[owner]
-        length = np.ones(total, dtype=np.int64)
-        live = np.arange(total)
-        node = rows[:, 0]
-        for position, (degree, offsets) in enumerate(steps, start=1):
-            deg = degree[node]
-            if not deg.all():  # a walk ends at a node with no neighbor of the next kind
-                going = deg > 0
-                live, node, deg = live[going], node[going], deg[going]
-                if not len(live):
-                    break
-            draws = mix(keys[live] + step_offsets[position - 1])
-            # multiply-shift: the high 32 bits of the draw scaled to [0, deg)
-            pick = (((draws >> _HALF) * deg.astype(np.uint64)) >> _HALF).astype(np.int64)
-            node = g.flat[offsets[node] + pick]
-            rows[live, position] = node
-            length[live] = position + 1
-        good = length >= min_length
-        per_question = np.bincount(owner[good], minlength=len(questions))
-        for i, chunk in enumerate(np.split(rows[good], np.cumsum(per_question)[:-1])):
-            if len(chunk):
-                kept[i].append(chunk)
-        missing -= per_question
+        columns = _walk_columns(g, steps, starts[owner], mix(bases[owner] + attempt.astype(np.uint64) * GAMMA))
+        good = columns[min_length - 1] != PAD  # the walks of at least one template cycle
+        if good.all():
+            rows.append(columns.T.copy())
+        else:
+            rows.append(columns.T[good])
+            owner = owner[good]
+        owners.append(owner)
+        missing -= np.bincount(owner, minlength=len(questions))
         tried += counts
-    return [np.concatenate(chunks) if chunks else np.empty((0, width), dtype=np.int32) for chunks in kept]
+    if len(rows) == 1:
+        table, owner = rows[0], owners[0]
+    elif rows:
+        order = np.argsort(np.concatenate(owners), kind="stable")
+        table, owner = np.concatenate(rows)[order], np.concatenate(owners)
+    else:
+        table, owner = np.empty((0, len(steps) + 1), dtype=np.int32), np.zeros(0, dtype=np.intp)
+    return table, np.bincount(owner, minlength=len(questions))
+
+
+def _sampled_groups(g: Mrhin, template: MetaPathTemplate, target_kcs: Mapping[str, str], n: int, walk_len: int,
+                    seed: int) -> dict[str, WalkGroup]:
+    """The groups of the :class:`WalkTable` of the questions' walks: see :func:`sample_walks`."""
+    rows, counts = _lockstep_rows(g, template, list(target_kcs), n, walk_len, seed)
+    groups = WalkTable(g, template, rows).groups(target_kcs, counts.tolist())
+    for q0, group in groups.items():
+        if not len(group):
+            logger.info("no conformant walk for template %s from %s", template.name, q0)
+    return groups
 
 
 def sample_walks(
@@ -417,10 +532,10 @@ def sample_walks(
     seed: int = 0,
 ) -> dict[str, WalkGroup]:
     """{question: the group ``sample_instances(g, template, question, n, walk_len, seed)``} for
-    every listed question, sampled in one lockstep pass over all their attempts."""
+    every listed question, sampled in one lockstep pass over all their attempts into one
+    :class:`WalkTable`, whose groups these are."""
     kcs = {q0: _target_kc(g, q0) for q0 in questions}
-    rows = _lockstep_rows(g, template, list(kcs), n, walk_len, seed)
-    return {q0: _group(g, template, q0, kc, walks) for (q0, kc), walks in zip(kcs.items(), rows)}
+    return _sampled_groups(g, template, kcs, n, walk_len, seed)
 
 
 def sample_instances(
@@ -452,16 +567,11 @@ def sample_instances(
 
     A walk depends only on its own key, so :func:`sample_walks`, which runs
     the attempts of many questions in lockstep, gives the same rows, and
-    reruns are byte-identical.  This is the same pass for one question.
+    reruns are byte-identical.  This is the same pass for one question: the
+    group is the one group of its own :class:`WalkTable`.
     """
-    target_kc = _target_kc(g, q0, target_kc)
-    return _group(g, template, q0, target_kc, _lockstep_rows(g, template, [q0], n, walk_len, seed)[0])
-
-
-def _group(g: Mrhin, template: MetaPathTemplate, q0: str, target_kc: str, rows: np.ndarray) -> WalkGroup:
-    if not len(rows):
-        logger.info("no conformant walk for template %s from %s", template.name, q0)
-    return WalkGroup(g, template, q0, target_kc, rows)
+    kcs = {q0: _target_kc(g, q0, target_kc)}
+    return _sampled_groups(g, template, kcs, n, walk_len, seed)[q0]
 
 
 # -- graph store -------------------------------------------------------------
@@ -557,7 +667,8 @@ def read_json_lines(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
 
 def read_walks(path: str | Path, g: Mrhin) -> dict[str, dict[str, WalkGroup]]:
     """{target question: {template: group}} from a :func:`write_walks` file on graph ``g``, each
-    group's rows in file order, which is the order they were written in.
+    group's rows in file order, which is the order they were written in.  The groups of one
+    template are one :class:`WalkTable`, in file order, padded to the template's longest walk.
 
     Raises IngestError naming the file and line of a record whose template is unknown, whose
     node is not in ``g``, that does not start at its target question or breaks its template
@@ -588,11 +699,16 @@ def read_walks(path: str | Path, g: Mrhin) -> dict[str, dict[str, WalkGroup]]:
                              f"but template {name} has kind {wanted[position]} at position {position}")
         return qid, name, walk
 
-    buckets: dict[str, dict[str, list[list[int]]]] = {}
+    buckets: dict[str, dict[str, list[list[int]]]] = {}  # template -> question -> walks, in file order
     for qid, name, walk in read_json_lines(path, decode):
-        buckets.setdefault(qid, {}).setdefault(name, []).append(walk)
-    return {
-        qid: {name: WalkGroup(g, TEMPLATES[name], qid, kc_of[qid, name], _padded(walks))
-              for name, walks in per_template.items()}
-        for qid, per_template in buckets.items()
-    }
+        buckets.setdefault(name, {}).setdefault(qid, []).append(walk)
+    groups: dict[tuple[str, str], WalkGroup] = {}
+    for name, per_question in buckets.items():
+        table = WalkTable(g, TEMPLATES[name], _padded([walk for walks in per_question.values() for walk in walks]))
+        kcs = {qid: kc_of[qid, name] for qid in per_question}
+        for qid, group in table.groups(kcs, list(map(len, per_question.values()))).items():
+            groups[qid, name] = group
+    out: dict[str, dict[str, WalkGroup]] = {}
+    for qid, name in kc_of:
+        out.setdefault(qid, {})[name] = groups[qid, name]
+    return out

@@ -17,9 +17,11 @@ Both backends run the formulas in one form, :func:`_score_rows`: numpy column
 operations over rows of node numbers with per-node tables, each dimension
 reading only the columns that hold a node kind it reads.  The formula backend
 (:func:`score_groups`; :func:`score_all` for one group) fills the tables from
-the graph and stacks the groups' int rows; a template puts each kind in fixed
-columns, so the pipeline makes one pass per template: the 65,800 walks of the
-acceptance fixture's criterion-6 run score in about 40 ms.
+the graph and stacks the groups' int rows, which for the groups of one
+:class:`~hisekt.mrhin.WalkTable` is a slice of the table; a template puts each
+kind in fixed columns, so the pipeline makes one pass per template: the
+65,800 walks of the acceptance fixture's criterion-6 run score in about 45 ms
+of CPU time with the hop memo filled (2-vCPU VM, Python 3.11, numpy 2.4).
 
 The LLM backend (:func:`score_llm`) renders each walk's prompt from its int
 row and a table of path lines per graph, target question and hop cap, and
@@ -46,13 +48,19 @@ hold 65,800 scores but 633 distinct values.
 
 Top-K selection keeps each group's best (or lowest, or randomly drawn)
 rows by total, equal totals ordered by the walks' tie keys
-(:attr:`~hisekt.mrhin.WalkGroup.tie_keys`, one gather per group from the
-graph's term table).  :func:`select_top_k_many` ranks every group of a stage
-in one pass over a padded groups x rows matrix: one ``np.partition`` finds
-each group's k-th total, and one lexsort orders only the rows at or past it
-(``random`` mode: one row-wise stable argsort of the tie keys, then each
-group's seeded draw).  :func:`select_top_k` is its one-group call, and
-returns the kept rows as a :class:`ScoredGroup`.
+(:func:`~hisekt.mrhin.walk_tie_keys`, computed once per walk table).
+:func:`select_top_k_positions` ranks the groups it is given in one pass over
+a padded groups x rows matrix: one ``np.partition`` finds each group's k-th
+total, and one lexsort orders only the rows at or past it (``random`` mode:
+one row-wise stable argsort of the tie keys, then each group's seeded draw).
+It returns the kept rows as positions in the groups' stacked rows; given the
+groups of one walk table in table order, as the pipeline's Top-K stage gives
+each template's groups, it reads their tie keys, and the totals that
+:func:`score_groups` computed for the whole table, as slices of the table,
+and the stage gathers every kept row of the template from it at once.
+:func:`select_top_k_many` splits the positions by group, and
+:func:`select_top_k` is its one-group call, which returns the kept rows as a
+:class:`ScoredGroup`.
 """
 
 from __future__ import annotations
@@ -70,7 +78,8 @@ import numpy as np
 
 from .errors import IngestError, ScoringError, TransportError
 from .llm import LlmClient
-from .mrhin import DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, read_json_lines
+from .mrhin import (DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, read_json_lines, stacked_rows,
+                    table_span)
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -84,12 +93,18 @@ _REPLY_RE = re.compile(r"\{" + ",".join([r"\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
 
 class ScoredGroup:
     """A walk group with its scores: one row per walk of (centrality,
-    kc_relevance, informativeness, diversity, total), all from one backend."""
+    kc_relevance, informativeness, diversity, total), all from one backend.
 
-    def __init__(self, walks: WalkGroup, scores: np.ndarray, backend: str):
+    ``table_scores``, if given, holds the scores of every row of the walks'
+    :class:`~hisekt.mrhin.WalkTable`, by table row, scored in one pass
+    (:func:`score_groups` of a whole table): ``scores`` is its rows
+    ``walks.start:walks.start + len(walks)``."""
+
+    def __init__(self, walks: WalkGroup, scores: np.ndarray, backend: str, table_scores: np.ndarray | None = None):
         self.walks = walks
         self.scores = scores
         self.backend = backend
+        self.table_scores = table_scores
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -117,7 +132,9 @@ class _GraphTables:
     KC, a row per node and per KC.  For :func:`render_scoring_prompt`, built on first use: each
     node's path line without its ``"  N. "`` number, ``kind:id`` plus the fixed annotations (KCs
     and difficulty level of a question, ability level of a student), and per target question and
-    hop cap the lines with each question's hop count added (:meth:`lines`)."""
+    hop cap the lines with each question's hop count added (:meth:`lines`).  A question's line
+    with a hop count is built once per (question, shown count) and shared by every key that shows
+    it, so the lines' strings number at most nodes + questions x (largest cap + 1)."""
 
     def __init__(self, g: Mrhin):
         self.kind = np.array([_KIND_BITS[kind] for kind in g.kinds] + [0], dtype=np.uint8)
@@ -127,6 +144,7 @@ class _GraphTables:
         self._covers: dict[str, np.ndarray] = {}
         self._entries: tuple[str, ...] | None = None
         self._lines: dict[tuple[str, int], tuple[str, ...]] = {}
+        self._hop_lines: dict[tuple[int, int], str] = {}  # by (question node int, shown hop count)
 
     def hops(self, g: Mrhin, sources: Sequence[int]) -> list[np.ndarray]:
         """Each node's hop count from each source node int, a row per source, as
@@ -155,10 +173,15 @@ class _GraphTables:
         if found is None:
             if self._entries is None:
                 self._entries = tuple(map(functools.partial(_entry, g), g.node_ids))
-            hops = self.hops(g, [g.index(("Q", question_id))])[0].tolist()
-            found = tuple(f"{entry} | hops_from_target: {min(hop, cap)}" if kind == "Q" else entry
-                          for entry, kind, hop in zip(self._entries, g.kinds, hops))
-            self._lines[key] = found
+            lo, hi = g._spans["Q"]  # the question node ints
+            shown = np.minimum(self.hops(g, [g.index(("Q", question_id))])[0][lo:hi], cap).tolist()
+            lines, hop_lines = list(self._entries), self._hop_lines
+            for x, hop in zip(range(lo, hi), shown):
+                line = hop_lines.get((x, hop))
+                if line is None:
+                    line = hop_lines[x, hop] = f"{lines[x]} | hops_from_target: {hop}"
+                lines[x] = line
+            found = self._lines[key] = tuple(lines)
         return found
 
 
@@ -237,19 +260,18 @@ def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
     :func:`_score_rows` on the graph's tables.
 
     The groups may differ in template, target question, target KC and width.  Their rows are
-    stacked, narrower ones padded with ``PAD``.  Hop counts come from the hop memo, a row per distinct
-    target question, and whether a question covers the target KC from a table per distinct
-    target KC.  Each score has the bits ``tests/support.reference_score_walk`` gives the row's
-    walk, whatever the other groups.
+    stacked (:func:`~hisekt.mrhin.stacked_rows`): the consecutive groups of one walk table are read
+    as a slice of it, other groups are copied, narrower ones padded with ``PAD``.  Hop counts come
+    from the hop memo, a row per distinct target question, and whether a question covers the
+    target KC from a table per distinct target KC.  Each score has the bits
+    ``tests/support.reference_score_walk`` gives the row's walk, whatever the other groups.  The
+    groups of a whole walk table share its scores as their ``table_scores``.
     """
     sizes = [len(group) for group in groups]
     if not sum(sizes):
         return [ScoredGroup(group, np.empty((0, 5)), "formula") for group in groups]
     tables = graph_tables(g)
-    width = max(group.rows.shape[1] for group in groups)
-    rows = np.concatenate([group.rows if group.rows.shape[1] == width else
-                           np.pad(group.rows, ((0, 0), (0, width - group.rows.shape[1])), constant_values=PAD)
-                           for group in groups])
+    rows = stacked_rows(groups)
     # each row's target question and target KC, by position among the distinct ones
     owner = np.repeat(np.arange(len(groups)), sizes)
     questions = {q: i for i, q in enumerate(dict.fromkeys(group.target_question for group in groups))}
@@ -260,8 +282,11 @@ def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
     hops = np.stack(tables.hops(g, [g.index(("Q", q)) for q in questions]))
     covers = np.stack([tables.covers(g, kc) for kc in kcs])
     scores = _score_rows(rows, tables.kind, tables.level, hops, question_of, covers, kc_of, kstar)
+    span = table_span(groups)
+    table_scores = scores if span is not None and span[1:] == (0, len(span[0].rows)) else None
     ends = np.cumsum(sizes)
-    return [ScoredGroup(group, scores[end - size:end], "formula") for group, size, end in zip(groups, sizes, ends)]
+    return [ScoredGroup(group, scores[end - size:end], "formula", table_scores)
+            for group, size, end in zip(groups, sizes, ends)]
 
 
 def _score_rows(rows: np.ndarray, kind: np.ndarray, level: np.ndarray, hops: np.ndarray, question_of: np.ndarray,
@@ -630,12 +655,28 @@ def select_top_k(scored: ScoredGroup, k: int, mode: str = "top", seed: int = 0) 
 
 def select_top_k_many(groups: Sequence[ScoredGroup], k: int, mode: str = "top",
                       seeds: Sequence[int] = ()) -> list[np.ndarray]:
-    """The row indices :func:`select_top_k` keeps of each group, in selection order, ranked in one
-    pass over all groups; ``random`` mode draws group ``i`` under ``seeds[i]``.
+    """The row indices :func:`select_top_k` keeps of each group, in selection order: the positions
+    :func:`select_top_k_positions` gives, split by group and less each group's first position."""
+    kept = select_top_k_positions(groups, k, mode, seeds)
+    if not groups:
+        return []
+    sizes = np.array([len(group) for group in groups], dtype=np.intp)
+    counts = np.minimum(sizes, k)
+    return np.split(kept - np.repeat(np.cumsum(sizes) - sizes, counts), np.cumsum(counts)[:-1])
 
-    ``random`` mode pads the groups' tie keys into one groups x longest-group matrix, argsorts its
-    rows stably and draws ``k`` positions of a longer group's order.  ``top`` and ``lowest`` pad
-    the totals (negated for ``top``) into such a matrix, find each group's k-th value with one
+
+def select_top_k_positions(groups: Sequence[ScoredGroup], k: int, mode: str = "top",
+                           seeds: Sequence[int] = ()) -> np.ndarray:
+    """The rows :func:`select_top_k` keeps of each group, ranked in one pass over all groups, as
+    positions in the groups' stacked rows (:func:`~hisekt.mrhin.stacked_rows`): group after group,
+    ``min(k, len(group))`` of each, in selection order.  ``random`` mode draws group ``i`` under
+    ``seeds[i]``.
+
+    The tie keys and totals are stacked too: the consecutive groups of one walk table read its tie
+    keys, and its scores if they share them (``ScoredGroup.table_scores``), as slices; other groups
+    are copied.  ``random`` mode pads the tie keys into one groups x longest-group matrix, argsorts
+    its rows stably and draws ``k`` positions of a longer group's order.  ``top`` and ``lowest``
+    pad the totals (negated for ``top``) into such a matrix, find each group's k-th value with one
     ``np.partition`` and lexsort only the rows at or past it (NaN included) by (group, value, tie
     key), each group keeping its first ``k``.  A row past its group's k-th value has ``k`` rows
     before it, so each group keeps what its own lexsort of ``(tie keys, values)`` would.
@@ -649,23 +690,33 @@ def select_top_k_many(groups: Sequence[ScoredGroup], k: int, mode: str = "top",
     sizes = np.array([len(group) for group in groups], dtype=np.intp)
     cell = np.arange(sizes.max(initial=0)) < sizes[:, None]
     if not cell.size:
-        return [np.zeros(0, dtype=np.intp) for _ in groups]
-    keys = np.concatenate([group.walks.tie_keys for group in groups])
+        return np.zeros(0, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    walks = [group.walks for group in groups]
+    span = table_span(walks)
+    keys = np.concatenate([group.tie_keys for group in walks]) if span is None else span[0].tie_keys[span[1]:span[2]]
     if mode == "random":
         # a pad sorts after every row of its group: a stable sort keeps a real key equal to the pad first
         padded = np.full(cell.shape, np.iinfo(np.int64).max)
         padded[cell] = keys
         order = np.argsort(padded, axis=1, kind="stable")
-        return [order[i, :n] if n <= k else order[i, derive_rng(seed, "select_top_k").sample(range(n), k)]
+        kept = [order[i, :n] if n <= k else order[i, derive_rng(seed, "select_top_k").sample(range(n), k)]
                 for i, (n, seed) in enumerate(zip(sizes.tolist(), seeds))]
+        return np.concatenate(kept) + np.repeat(starts, np.minimum(sizes, k))
+    table_scores = groups[0].table_scores
+    if span is not None and table_scores is not None and all(group.table_scores is table_scores for group in groups):
+        totals = table_scores[span[1]:span[2], 4]
+    else:
+        totals = np.concatenate([group.scores[:, 4] for group in groups])
     values = np.full(cell.shape, np.inf)
-    values[cell] = np.concatenate([group.scores[:, 4] for group in groups])
+    values[cell] = totals
     if mode == "top":
         np.negative(values, out=values, where=cell)
     last = min(k, cell.shape[1]) - 1
     kth = np.partition(values, last, axis=1)[:, last:last + 1]
     group, row = np.nonzero(cell & ~(values > kth))
-    order = np.lexsort((keys[np.cumsum(sizes)[group] - sizes[group] + row], values[group, row], group))
-    group, row = group[order], row[order]
+    position = starts[group] + row
+    order = np.lexsort((keys[position], values[group, row], group))
+    group, position = group[order], position[order]
     rank = np.arange(len(group)) - np.searchsorted(group, group)
-    return np.split(row[rank < k], np.cumsum(np.minimum(sizes, k))[:-1])
+    return position[rank < k]

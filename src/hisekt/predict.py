@@ -371,7 +371,11 @@ def mock_reply(fields: dict) -> str:
         peer_values.append(peer["overall_accuracy"] if acc is None else acc)
     p, peer_mean = base, None
     if peer_values:
-        peer_mean = sum(peer_values) / len(peer_values)
+        # added left to right, which built-in sum() does not do from Python 3.12 on
+        peer_mean = 0.0
+        for value in peer_values:
+            peer_mean += value
+        peer_mean /= len(peer_values)
         p = (1.0 - PEER_WEIGHT) * base + PEER_WEIGHT * peer_mean
 
     student, question, kc = fields["target_student"], fields["question_id"], fields["target_kc"]

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import io
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hisekt import evaluation, irt, pathscore, predict, retrieval
-from hisekt.config import RunConfig, fingerprint
+from hisekt import evaluation, irt, mrhin, pathscore, predict, retrieval
+from hisekt.config import ABLATIONS, RunConfig, fingerprint
 from hisekt.errors import HisektError, UndefinedMetricError
 from hisekt.evaluation import (
     PipelineContext,
@@ -25,8 +27,9 @@ from hisekt.seeding import derive_seed
 from hisekt.synth import planted_csv
 
 from conftest import rows_to_csv
-from graph_fixture import build_fixture_graph, walk_nodes
-from support import decode_rows, reference_auc, retained_rows, scored_group, unimodal_or_plateau
+from graph_fixture import build_fixture_graph, make_dataset, make_model, walk_nodes
+from support import (decode_rows, reference_auc, reference_select_top_k, retained_ids, retained_rows, scored_group,
+                     unimodal_or_plateau)
 
 
 def pairwise_auc(labels, scores):
@@ -344,3 +347,106 @@ def test_an_empty_path_pair_pool_falls_back_to_random_pairs(tmp_path, caplog):
     assert sm.pair_sample_size == expected.pair_sample_size == 5
     assert sm.mu.tobytes() == expected.mu.tobytes() and sm.sigma.tobytes() == expected.sigma.tobytes()
     assert sm.shrinkage_lambda == expected.shrinkage_lambda
+
+
+def reference_pool(scored, k, mode, run_seed):
+    """``{question: {student id: count}}`` of the students on the walks each group keeps alone, by
+    ``reference_select_top_k`` under the stage's seed for the group."""
+    pool = {}
+    for qid in sorted(scored):
+        counts = Counter()
+        for name, group in scored[qid].items():
+            kept = reference_select_top_k(group, k, mode, derive_seed(run_seed, "topk", qid, name))
+            for nodes in walk_nodes(group.walks.take(kept)):
+                counts.update(node_id for kind, node_id in nodes if kind == "U")
+        pool[qid] = dict(counts)
+    return pool
+
+
+def dead_end_context():
+    """A context on the dead-end graph whose test targets are Q1, Q3 and QDEAD: QDEAD has no train
+    answerer, so its Q-U-Q group is empty and walks through it are truncated."""
+    pairs = [(s, q) for s in ("S1", "S2", "S3") for q in ("Q1", "Q2", "Q3")]
+    d = make_dataset(pairs, {"Q1": "K1", "Q2": "K1;K2", "Q3": "K2", "QDEAD": "K1"},
+                     extra=[("S1", "QDEAD", "test"), ("S2", "Q1", "test"), ("S3", "Q3", "test")])
+    m = make_model({"S1": irt.Level.LOW, "S2": irt.Level.MEDIUM, "S3": irt.Level.MEDIUM},
+                   {"Q1": irt.Level.LOW, "Q2": irt.Level.MEDIUM, "Q3": irt.Level.HIGH, "QDEAD": irt.Level.MEDIUM})
+    g = Mrhin.build(d, m)
+    return PipelineContext(RunConfig(data="unused.csv", n_walks=12, walk_len=13, top_k=3),
+                           readers={"dataset": lambda _: d, "irt": lambda _: m, "graph": lambda _: g})
+
+
+class TestWalkTables:
+    @pytest.fixture(scope="class", params=[1, 2, 3, "dead-end"])
+    def context(self, request, tmp_path_factory):
+        if request.param == "dead-end":
+            return dead_end_context()
+        path = tmp_path_factory.mktemp("data") / "planted.csv"
+        path.write_text(planted_csv(seed=request.param)[0], encoding="utf-8")
+        return PipelineContext(RunConfig(data=str(path), seed=7))
+
+    def test_a_stage_keys_each_template_table_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "planted.csv"
+        path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+        ctx = PipelineContext(RunConfig(data=str(path), seed=7, n_walks=20, walk_len=12))
+        ctx.graph
+        calls = Counter()
+        walk_tie_keys = mrhin.walk_tie_keys
+
+        def counted(g, rows):
+            calls[rows.shape] += 1
+            return walk_tie_keys(g, rows)
+
+        monkeypatch.setattr(mrhin, "walk_tie_keys", counted)
+        walks = ctx.instances(run_seed_of(ctx.cfg, 0))
+        assert sum(calls.values()) == len(TEMPLATES)
+        for name in TEMPLATES:
+            groups = [walks[qid][name] for qid in sorted(walks)]
+            # the groups of one template are views of one table, their rows and their tie keys
+            assert len({id(group.table) for group in groups}) == 1
+            table = groups[0].table
+            assert all(group.rows.base is table.rows for group in groups)
+            assert all(np.shares_memory(group.tie_keys, table.tie_keys) for group in groups)
+            assert np.array_equal(np.concatenate([group.rows for group in groups]), table.rows)
+        for variant in (None, "msr", "msl"):
+            ctx.get("retained", variant=variant)
+        assert sum(calls.values()) == len(TEMPLATES)  # scoring and Top-K read the tables' keys
+
+    @pytest.mark.parametrize("variant", [None, "msr", "msl"], ids=["top", "random", "lowest"])
+    def test_top_k_over_table_slices_equals_each_group_alone(self, context, variant):
+        ctx, mode = context, ABLATIONS[variant][0]
+        cfg, run_seed = ctx.cfg, run_seed_of(ctx.cfg, 0)
+        scored = ctx.scored(run_seed)
+        for name in TEMPLATES:
+            qids = [qid for qid in sorted(scored) if name in scored[qid]]
+            groups = [scored[qid][name] for qid in qids]
+            assert mrhin.table_span([group.walks for group in groups]) is not None
+            seeds = [derive_seed(run_seed, "topk", qid, name) for qid in qids]
+            got = pathscore.select_top_k_many(groups, cfg.top_k, mode, seeds)
+            want = [reference_select_top_k(group, cfg.top_k, mode, seed) for group, seed in zip(groups, seeds)]
+            assert [index.tolist() for index in got] == [index.tolist() for index in want]
+        retained = evaluation._retained(ctx, cfg, run_seed, variant)
+        assert retained_ids(retained, ctx.dataset) == reference_pool(scored, cfg.top_k, mode, run_seed)
+
+    def test_a_dropped_context_frees_its_tables_without_the_cycle_collector(self, tmp_path):
+        # a group refers to its table and the table does not hold its groups: with no reference
+        # cycle, a context's tables and scores go with it, as each group's own rows did
+        path = tmp_path / "planted.csv"
+        path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+        gc.disable()
+        try:
+            ctx = PipelineContext(RunConfig(data=str(path), seed=7, n_walks=20, walk_len=12))
+            scored = ctx.scored(run_seed_of(ctx.cfg, 0))
+            ctx.get("retained")
+            arrays = [weakref.ref(array) for per_template in scored.values() for group in per_template.values()
+                      for array in (group.walks.table.rows, group.walks.table.tie_keys, group.table_scores)]
+            del ctx, scored
+            assert [ref for ref in arrays if ref() is not None] == []
+        finally:
+            gc.enable()
+
+    def test_the_dead_end_stage_has_an_empty_group_and_truncated_rows(self):
+        walks = dead_end_context().instances(run_seed_of(dead_end_context().cfg, 0))
+        assert len(walks["QDEAD"]["Q-U-Q"]) == 0
+        assert any((group.rows == mrhin.PAD).any() for per_template in walks.values()
+                   for group in per_template.values())

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, chisquare
 
+from hisekt import mrhin
 from hisekt.dataset import ingest, split
 from hisekt.mrhin import (
     PAD,
@@ -490,6 +491,10 @@ def dead_end_graph():
 
 
 DEAD_END_QUESTIONS = ("Q1", "Q2", "Q3", "QDEAD")
+# one round whose first walk to end stops at position 5 while the others go on
+LATE_DEAD_END = dict(name="Q-U-Q-K-Q", questions=["Q1", "Q2"], n=5, walk_len=9, seed=0)
+# walks through QDEAD end before one template cycle, so their questions need more rounds
+RESAMPLED = dict(name="Q-D-Q-U-Q", questions=["Q1", "Q2"], n=12, walk_len=13, seed=2)
 
 
 class TestLockstep:
@@ -502,6 +507,8 @@ class TestLockstep:
     )
     @example(name="Q-U-Q", questions=["QDEAD", "Q2"], n=5, walk_len=9, seed=0)  # QDEAD: no conformant walk
     @example(name="Q-K-Q-U-Q", questions=["Q3", "Q1"], n=12, walk_len=13, seed=2)  # truncated rows
+    @example(**LATE_DEAD_END)
+    @example(**RESAMPLED)
     @settings(max_examples=60, deadline=None)
     def test_batched_groups_equal_one_question_calls_and_the_reference(self, name, questions, n, walk_len, seed):
         g, template = dead_end_graph(), TEMPLATES[name]
@@ -514,6 +521,24 @@ class TestLockstep:
             assert got.rows.dtype == alone.rows.dtype and got.rows.shape == alone.rows.shape
             assert np.array_equal(got.rows, alone.rows)
             assert walk_nodes(alone) == reference_walks(g, template, q0, n, walk_len, seed)
+
+    def test_the_examples_end_a_walk_late_and_resample(self, monkeypatch):
+        rounds = []
+        walk_columns = mrhin._walk_columns
+
+        def recorded(*args):
+            rounds.append(walk_columns(*args))
+            return rounds[-1]
+
+        monkeypatch.setattr(mrhin, "_walk_columns", recorded)
+        g = dead_end_graph()
+        for spec, first_end, count in ((LATE_DEAD_END, 5, 1), (RESAMPLED, 3, 5)):
+            rounds.clear()
+            sample_walks(g, TEMPLATES[spec["name"]], spec["questions"], n=spec["n"], walk_len=spec["walk_len"],
+                         seed=spec["seed"])
+            ended = rounds[0] == PAD
+            assert len(rounds) == count
+            assert np.flatnonzero(ended.any(axis=1))[0] == first_end and not ended[first_end].all()
 
     def test_dead_end_graph_gives_truncated_rows_and_an_empty_group(self):
         g = dead_end_graph()

@@ -1182,6 +1182,20 @@ class TestScoringPrompt:
         finally:
             sys.setswitchinterval(old_interval)
 
+    def test_question_lines_are_shared_across_targets_and_caps(self, tmp_path):
+        # the path lines of every target question under eleven hop caps: each question's line with a
+        # hop count is one string, built once and shared by every key that shows that count
+        path = tmp_path / "planted.csv"
+        path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+        g = PipelineContext(RunConfig(data=str(path), seed=7)).graph
+        tables, questions, caps = pathscore.graph_tables(g), [q for _, q in g.nodes("Q")], range(1, 12)
+        for q in questions:
+            for cap in caps:
+                tables.lines(g, q, cap)
+        assert len(tables._lines) == len(questions) * len(caps)
+        strings = {id(line) for lines in tables._lines.values() for line in lines}
+        assert len(strings) <= len(g.node_ids) + len(questions) * (max(caps) + 1)
+
     def test_node_annotations_are_built_once_per_graph(self, monkeypatch):
         g = build_fixture_graph()
         walks = sample_instances(g, TEMPLATES["Q-U-A-U-Q"], "Q1", n=20, walk_len=20, seed=5)

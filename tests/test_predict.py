@@ -23,6 +23,7 @@ from hisekt.predict import (
     build_prompt,
     count_sentences,
     mock_prediction_reply,
+    mock_reply,
     predict,
 )
 from hisekt.retrieval import student_tables
@@ -344,6 +345,15 @@ class TestPredictClient:
         reply = mock_prediction_reply(golden_bundle().text)
         assert reply.startswith("<<<PREDICTION")
         assert reply.rstrip().endswith("PREDICTION>>>")
+
+    def test_mock_peer_mean_adds_left_to_right(self):
+        # these accuracies add to 2.166666666666667 left to right, but to 2.1666666666666665 in the
+        # compensated built-in sum() of Python 3.12 on, which would give confidence 0.6083333333333334
+        peers = [{"target_kc_accuracy": acc, "overall_accuracy": 0.5}
+                 for acc in (0.8333333333333334, 1.0, 0.3333333333333333)]
+        fields = {"target_student": "S1", "question_id": "Q1", "target_kc": "K1", "student_kc_accuracy": 0.25,
+                  "peers": peers}
+        assert "confidence: 0.6083333333333333" in mock_reply(fields).splitlines()
 
 
 # -- the reply reader against the regex it replaces ----------------------------
