@@ -7,8 +7,7 @@ from .evaluation import EvalReport, PipelineContext, accuracy, auc, run_experime
 from .irt import IrtModel, Level, discretize, fit, probability
 from .llm import LlmClient
 from .mrhin import TEMPLATES, MetaPathTemplate, Mrhin, WalkGroup, WalkTable, sample_instances, sample_walks
-from .pathscore import (ScoredGroup, graph_distance, score_all, score_groups, select_top_k, select_top_k_many,
-                        select_top_k_positions)
+from .pathscore import ScoredGroup, graph_distance, score_all, score_groups, select_top_k, select_top_k_positions
 
 # NB: the prediction op itself stays at hisekt.predict.predict so the
 # package attribute `predict` keeps naming the module.
@@ -65,7 +64,6 @@ __all__ = [
     "score_all",
     "score_groups",
     "select_top_k",
-    "select_top_k_many",
     "select_top_k_positions",
     "split",
     "top_s",

@@ -29,7 +29,7 @@ from . import pathscore, predict, retrieval
 from .config import ABLATIONS, RunConfig, check_choices, computed_fields, fingerprint
 from .errors import UndefinedMetricError
 from .llm import LlmClient, map_bounded
-from .mrhin import TEMPLATES, Mrhin, WalkGroup, sample_walks, stacked_rows
+from .mrhin import TEMPLATES, Mrhin, WalkGroup, sample_walks, table_span
 from .seeding import derive_seed
 
 # Not called here: the benchmark's tracer patches this name on this module.
@@ -219,9 +219,9 @@ def _scored(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | 
 def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str | None):
     """{target question: ``(rows, counts)``}: the ascending ``retrieval.student_tables`` rows of
     the students on the question's kept walks, and how often each stands on them.  The groups of
-    each template are ranked in one ``pathscore.select_top_k_positions`` pass, which reads a walk
-    table's tie keys and totals as slices of it, and their kept rows are one gather from their
-    stacked rows (``mrhin.stacked_rows``: the table's).  The students of all kept rows are counted
+    each template, the consecutive groups of its walk table, are ranked in one
+    ``pathscore.select_top_k_positions`` pass, and their kept rows are one gather from their slice
+    of the table (``mrhin.table_span``).  The students of all kept rows are counted
     at once, through a node-int -> student-row table (-1 off students, and at ``PAD``), as
     (question, row) keys; raises ValueError if a student of the graph is not one of the dataset."""
     g, scored, mode = ctx.get("graph", cfg), ctx.scored(run_seed, cfg), ABLATIONS[variant][0]
@@ -238,8 +238,8 @@ def _retained(ctx: PipelineContext, cfg: RunConfig, run_seed: int, variant: str 
         groups = [scored[questions[i]][name] for i in owners]
         # only a random draw reads the seeds
         seeds = [derive_seed(run_seed, "topk", questions[i], name) for i in owners] if mode == "random" else ()
-        nodes = stacked_rows([group.walks for group in groups])[
-            pathscore.select_top_k_positions(groups, cfg.top_k, mode, seeds)]
+        table, lo, hi = table_span([group.walks for group in groups])
+        nodes = table.rows[lo:hi][pathscore.select_top_k_positions(groups, cfg.top_k, mode, seeds)]
         kept = np.minimum([len(group) for group in groups], cfg.top_k)
         question.append(np.repeat(owners, kept * nodes.shape[1]))
         rows.append(row_of[nodes.ravel()])

@@ -34,14 +34,17 @@ kinds (:class:`Mrhin`).  The walks of one template, from every target
 question, are a :class:`WalkTable`: one int array with a row per walk,
 question after question, padded with ``PAD`` after a truncated walk's last
 node, and the walks' tie keys, computed once for the table.  The walks of
-one (target question, template) pair are a :class:`WalkGroup`, whose rows
-and tie keys are slices of its table's, so scoring and Top-K read the
-consecutive groups of a table as slices of it (:func:`table_span`,
-:func:`stacked_rows`) instead of copying each group.  The walk file (``paths.jsonl``)
+one (target question, template) pair are a :class:`WalkGroup`, and a group
+is always rows ``start:start + n`` of a table: its rows and tie keys are
+views of the table's, and a group made without one (by hand, or by
+:meth:`WalkGroup.take`) is the one group of a table of its own rows.  So
+scoring and Top-K take the consecutive groups of one table and read them as
+one slice of it (:func:`table_span`).  The walk file (``paths.jsonl``)
 is written from groups and read back into groups, one JSON line per walk, in
 each group's row order, which is the order :func:`sample_walks` drew them in:
 a group read back holds the sampled walks in the sampled order, and the
-groups of a template read back are one table again.
+groups of a template read back are one table again, in ascending question
+order.
 ``scored.jsonl`` (:mod:`hisekt.pathscore`) holds each walk's scores and tie
 key, line for line in the same order.
 """
@@ -269,27 +272,29 @@ class Mrhin:
 
 
 class WalkGroup:
-    """Walks of one template from one target question toward one target KC.
+    """Walks of one template from one target question toward one target KC: rows
+    ``start:start + n`` of a :class:`WalkTable`.
 
-    ``rows`` holds one walk per row as graph node ints (``n x walk_len``),
+    ``rows`` holds one walk per row as graph node ints (``n x width``),
     padded with ``PAD`` after the last node of a truncated walk, and
-    ``tie_keys`` each walk's Top-K tie key (:func:`walk_tie_keys`), computed
-    with the group unless given.  A group of a :class:`WalkTable` has that
-    ``table`` and the first table row it holds, ``start``; its rows and tie
-    keys are views of the table's.
+    ``tie_keys`` each walk's Top-K tie key (:func:`walk_tie_keys`); both are
+    views of ``table``'s.  Given no table, the group is the one group of a
+    table of its own ``rows``; given one, it is the ``len(rows)`` table rows
+    from ``start`` on, which ``rows`` must be.
     """
 
     def __init__(self, graph: Mrhin, template: MetaPathTemplate, target_question: str, target_kc: str,
-                 rows: np.ndarray, tie_keys: np.ndarray | None = None, table: "WalkTable | None" = None,
-                 start: int = 0):
+                 rows: np.ndarray, table: "WalkTable | None" = None, start: int = 0):
+        if table is None:
+            table, start = WalkTable(graph, template, rows), 0
         self.graph = graph
         self.template = template
         self.target_question = target_question
         self.target_kc = target_kc
-        self.rows = rows
-        self.tie_keys = walk_tie_keys(graph, rows) if tie_keys is None else tie_keys
         self.table = table
         self.start = start
+        self.rows = table.rows[start:start + len(rows)]
+        self.tie_keys = table.tie_keys[start:start + len(rows)]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -303,9 +308,8 @@ class WalkGroup:
         return [_unpadded(row) for row in self.rows.tolist()]
 
     def take(self, index: np.ndarray) -> "WalkGroup":
-        """The group of the rows at ``index``, in that order, with their tie keys."""
-        return WalkGroup(self.graph, self.template, self.target_question, self.target_kc, self.rows[index],
-                         self.tie_keys[index])
+        """The group of the rows at ``index``, in that order: the one group of a table of them."""
+        return WalkGroup(self.graph, self.template, self.target_question, self.target_kc, self.rows[index])
 
 
 class WalkTable:
@@ -330,35 +334,22 @@ class WalkTable:
         """{question: its group} for ``target_kcs`` {question: its target KC} in table order, the
         questions holding ``counts`` rows each, one after another."""
         bounds = [0, *itertools.accumulate(counts)]
-        return {q0: WalkGroup(self.graph, self.template, q0, kc, self.rows[lo:hi], self.tie_keys[lo:hi], self, lo)
+        return {q0: WalkGroup(self.graph, self.template, q0, kc, self.rows[lo:hi], self, lo)
                 for (q0, kc), lo, hi in zip(target_kcs.items(), bounds, bounds[1:])}
 
 
-def table_span(groups: Sequence[WalkGroup]) -> tuple[WalkTable, int, int] | None:
-    """The table whose rows ``lo:hi`` the groups fill, one after another, as ``(table, lo, hi)``; None
-    unless they are consecutive groups of one :class:`WalkTable`."""
-    table = groups[0].table if groups else None
-    if table is None:
-        return None
-    lo = end = groups[0].start
+def table_span(groups: Sequence[WalkGroup]) -> tuple[WalkTable, int, int]:
+    """The table whose rows ``lo:hi`` the groups fill, one after another, as ``(table, lo, hi)``.
+    Raises ValueError unless they are consecutive groups of one :class:`WalkTable`, at least one."""
+    if not groups:
+        raise ValueError("no walk groups")
+    table, lo = groups[0].table, groups[0].start
+    end = lo
     for group in groups:
         if group.table is not table or group.start != end:
-            return None
+            raise ValueError("the walk groups are not consecutive groups of one walk table")
         end += len(group.rows)
     return table, lo, end
-
-
-def stacked_rows(groups: Sequence[WalkGroup]) -> np.ndarray:
-    """The groups' rows one after another, as wide as the widest, narrower ones padded with ``PAD``:
-    a view of their table's rows if :func:`table_span` finds one, else a copy.  At least one group."""
-    span = table_span(groups)
-    if span is not None:
-        table, lo, hi = span
-        return table.rows[lo:hi]
-    width = max(group.rows.shape[1] for group in groups)
-    return np.concatenate([group.rows if group.rows.shape[1] == width else
-                           np.pad(group.rows, ((0, 0), (0, width - group.rows.shape[1])), constant_values=PAD)
-                           for group in groups])
 
 
 def walk_tie_keys(g: Mrhin, rows: np.ndarray) -> np.ndarray:
@@ -666,14 +657,16 @@ def read_json_lines(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
 
 
 def read_walks(path: str | Path, g: Mrhin) -> dict[str, dict[str, WalkGroup]]:
-    """{target question: {template: group}} from a :func:`write_walks` file on graph ``g``, each
-    group's rows in file order, which is the order they were written in.  The groups of one
-    template are one :class:`WalkTable`, in file order, padded to the template's longest walk.
+    """{target question: {template: group}} from a :func:`write_walks` file on graph ``g``, in
+    ascending question and template order whatever the order of the file's blocks, each group's
+    rows in file order, which is the order they were written in.  The groups of one template are
+    one :class:`WalkTable`, in ascending question order, padded to the template's longest walk.
 
     Raises IngestError naming the file and line of a record whose template is unknown, whose
     node is not in ``g``, that does not start at its target question or breaks its template
-    (naming the position of the first node whose kind is not ``template.kind_at(position)``), or
-    whose target KC differs from that of earlier walks of its group.
+    (naming the position of the first node whose kind is not ``template.kind_at(position)``),
+    whose target KC is not one of its target question's, or whose target KC differs from that of
+    earlier walks of its group.
     """
     index, kinds = g._index, g.kinds
     kc_of: dict[tuple[str, str], str] = {}
@@ -683,13 +676,17 @@ def read_walks(path: str | Path, g: Mrhin) -> dict[str, dict[str, WalkGroup]]:
         qid, name, kc, nodes = rec["target_q"], rec["template"], rec["target_kc"], rec["nodes"]
         if name not in TEMPLATES:
             raise ValueError(f"unknown template {name!r}")
-        if kc_of.setdefault((qid, name), kc) != kc:
-            raise ValueError(f"target KC {kc!r}, but earlier {name} walks from {qid} have {kc_of[qid, name]!r}")
         walk = [index.get(tuple(node), PAD) for node in nodes]
         if PAD in walk:
             raise ValueError(f"{nodes[walk.index(PAD)]} is not a graph node")
         if walk[:1] != [index.get(("Q", qid))]:
             raise ValueError(f"the walk does not start at its target question {qid}")
+        if (qid, name) not in kc_of:  # a group's first walk: the KC must be one of its question's
+            if type(kc) is not str:
+                raise ValueError(f"target KC {json.dumps(kc)} is not a string")
+            kc_of[qid, name] = _target_kc(g, qid, kc)
+        elif kc_of[qid, name] != kc:
+            raise ValueError(f"target KC {kc!r}, but earlier {name} walks from {qid} have {kc_of[qid, name]!r}")
         found, wanted = tuple(map(kinds.__getitem__, walk)), kinds_of.get((name, len(walk)))
         if wanted is None:
             wanted = kinds_of[name, len(walk)] = tuple(map(TEMPLATES[name].kind_at, range(len(walk))))
@@ -699,16 +696,14 @@ def read_walks(path: str | Path, g: Mrhin) -> dict[str, dict[str, WalkGroup]]:
                              f"but template {name} has kind {wanted[position]} at position {position}")
         return qid, name, walk
 
-    buckets: dict[str, dict[str, list[list[int]]]] = {}  # template -> question -> walks, in file order
+    buckets: dict[tuple[str, str], list[list[int]]] = {}  # (template, question) -> its walks, in file order
     for qid, name, walk in read_json_lines(path, decode):
-        buckets.setdefault(name, {}).setdefault(qid, []).append(walk)
-    groups: dict[tuple[str, str], WalkGroup] = {}
-    for name, per_question in buckets.items():
-        table = WalkTable(g, TEMPLATES[name], _padded([walk for walks in per_question.values() for walk in walks]))
-        kcs = {qid: kc_of[qid, name] for qid in per_question}
-        for qid, group in table.groups(kcs, list(map(len, per_question.values()))).items():
-            groups[qid, name] = group
+        buckets.setdefault((name, qid), []).append(walk)
     out: dict[str, dict[str, WalkGroup]] = {}
-    for qid, name in kc_of:
-        out.setdefault(qid, {})[name] = groups[qid, name]
-    return out
+    for name, keys in itertools.groupby(sorted(buckets), key=lambda key: key[0]):
+        qids = [qid for _, qid in keys]
+        table = WalkTable(g, TEMPLATES[name], _padded([walk for qid in qids for walk in buckets[name, qid]]))
+        kcs = {qid: kc_of[qid, name] for qid in qids}
+        for qid, group in table.groups(kcs, [len(buckets[name, qid]) for qid in qids]).items():
+            out.setdefault(qid, {})[name] = group
+    return {qid: out[qid] for qid in sorted(out)}

@@ -17,9 +17,9 @@ Both backends run the formulas in one form, :func:`_score_rows`: numpy column
 operations over rows of node numbers with per-node tables, each dimension
 reading only the columns that hold a node kind it reads.  The formula backend
 (:func:`score_groups`; :func:`score_all` for one group) fills the tables from
-the graph and stacks the groups' int rows, which for the groups of one
-:class:`~hisekt.mrhin.WalkTable` is a slice of the table; a template puts each
-kind in fixed columns, so the pipeline makes one pass per template: the
+the graph and scores the consecutive groups of one
+:class:`~hisekt.mrhin.WalkTable` as one slice of its int rows; a template puts
+each kind in fixed columns, so the pipeline makes one pass per template: the
 65,800 walks of the acceptance fixture's criterion-6 run score in about 45 ms
 of CPU time with the hop memo filled (2-vCPU VM, Python 3.11, numpy 2.4).
 
@@ -49,17 +49,15 @@ hold 65,800 scores but 633 distinct values.
 Top-K selection keeps each group's best (or lowest, or randomly drawn)
 rows by total, equal totals ordered by the walks' tie keys
 (:func:`~hisekt.mrhin.walk_tie_keys`, computed once per walk table).
-:func:`select_top_k_positions` ranks the groups it is given in one pass over
-a padded groups x rows matrix: one ``np.partition`` finds each group's k-th
-total, and one lexsort orders only the rows at or past it (``random`` mode:
-one row-wise stable argsort of the tie keys, then each group's seeded draw).
-It returns the kept rows as positions in the groups' stacked rows; given the
-groups of one walk table in table order, as the pipeline's Top-K stage gives
-each template's groups, it reads their tie keys, and the totals that
-:func:`score_groups` computed for the whole table, as slices of the table,
-and the stage gathers every kept row of the template from it at once.
-:func:`select_top_k_many` splits the positions by group, and
-:func:`select_top_k` is its one-group call, which returns the kept rows as a
+:func:`select_top_k_positions` ranks the consecutive groups of one walk
+table in one pass over a padded groups x rows matrix: one ``np.partition``
+finds each group's k-th total, and one lexsort orders only the rows at or
+past it (``random`` mode: one row-wise stable argsort of the tie keys, then
+each group's seeded draw).  It reads the tie keys as a slice of the table
+and the totals as one concatenation of the groups' scores, and returns the
+kept rows as positions in that slice, so the pipeline's Top-K stage gathers
+every kept row of a template from the table at once.  :func:`select_top_k`
+is its one-group call, which returns the kept rows as a
 :class:`ScoredGroup`.
 """
 
@@ -78,8 +76,7 @@ import numpy as np
 
 from .errors import IngestError, ScoringError, TransportError
 from .llm import LlmClient
-from .mrhin import (DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, read_json_lines, stacked_rows,
-                    table_span)
+from .mrhin import DEFAULT_WALK_LEN, PAD, Mrhin, Node, WalkGroup, read_json_lines, table_span
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -93,18 +90,12 @@ _REPLY_RE = re.compile(r"\{" + ",".join([r"\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
 
 class ScoredGroup:
     """A walk group with its scores: one row per walk of (centrality,
-    kc_relevance, informativeness, diversity, total), all from one backend.
+    kc_relevance, informativeness, diversity, total), all from one backend."""
 
-    ``table_scores``, if given, holds the scores of every row of the walks'
-    :class:`~hisekt.mrhin.WalkTable`, by table row, scored in one pass
-    (:func:`score_groups` of a whole table): ``scores`` is its rows
-    ``walks.start:walks.start + len(walks)``."""
-
-    def __init__(self, walks: WalkGroup, scores: np.ndarray, backend: str, table_scores: np.ndarray | None = None):
+    def __init__(self, walks: WalkGroup, scores: np.ndarray, backend: str):
         self.walks = walks
         self.scores = scores
         self.backend = backend
-        self.table_scores = table_scores
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -256,37 +247,27 @@ def score_all(walks: WalkGroup, g: Mrhin) -> ScoredGroup:
 
 
 def score_groups(groups: Sequence[WalkGroup], g: Mrhin) -> list[ScoredGroup]:
-    """Formula scores of walk groups on graph ``g``, all their rows in one pass of
-    :func:`_score_rows` on the graph's tables.
+    """Formula scores of the consecutive groups of one walk table on graph ``g``: their rows, one
+    slice of the table (:func:`~hisekt.mrhin.table_span`, which raises ValueError on other groups),
+    in one pass of :func:`_score_rows` on the graph's tables.
 
-    The groups may differ in template, target question, target KC and width.  Their rows are
-    stacked (:func:`~hisekt.mrhin.stacked_rows`): the consecutive groups of one walk table are read
-    as a slice of it, other groups are copied, narrower ones padded with ``PAD``.  Hop counts come
-    from the hop memo, a row per distinct target question, and whether a question covers the
-    target KC from a table per distinct target KC.  Each score has the bits
-    ``tests/support.reference_score_walk`` gives the row's walk, whatever the other groups.  The
-    groups of a whole walk table share its scores as their ``table_scores``.
+    The groups may differ in target question and target KC.  Hop counts come from the hop memo,
+    a row per group's target question, and whether a question covers the target KC from a table
+    per group's target KC.  Each score has the bits ``tests/support.reference_score_walk`` gives
+    the row's walk, whatever the other groups.
     """
     sizes = [len(group) for group in groups]
     if not sum(sizes):
         return [ScoredGroup(group, np.empty((0, 5)), "formula") for group in groups]
+    table, lo, hi = table_span(groups)
     tables = graph_tables(g)
-    rows = stacked_rows(groups)
-    # each row's target question and target KC, by position among the distinct ones
-    owner = np.repeat(np.arange(len(groups)), sizes)
-    questions = {q: i for i, q in enumerate(dict.fromkeys(group.target_question for group in groups))}
-    kcs = {kc: i for i, kc in enumerate(dict.fromkeys(group.target_kc for group in groups))}
-    question_of = np.array([questions[group.target_question] for group in groups])[owner]
-    kc_of = np.array([kcs[group.target_kc] for group in groups])[owner]
-    kstar = np.array([g.index(("K", kc)) for kc in kcs])[kc_of]
-    hops = np.stack(tables.hops(g, [g.index(("Q", q)) for q in questions]))
-    covers = np.stack([tables.covers(g, kc) for kc in kcs])
-    scores = _score_rows(rows, tables.kind, tables.level, hops, question_of, covers, kc_of, kstar)
-    span = table_span(groups)
-    table_scores = scores if span is not None and span[1:] == (0, len(span[0].rows)) else None
+    owner = np.repeat(np.arange(len(groups)), sizes)  # each row's group
+    kstar = np.array([g.index(("K", group.target_kc)) for group in groups])[owner]
+    hops = np.stack(tables.hops(g, [g.index(("Q", group.target_question)) for group in groups]))
+    covers = np.stack([tables.covers(g, group.target_kc) for group in groups])
+    scores = _score_rows(table.rows[lo:hi], tables.kind, tables.level, hops, owner, covers, owner, kstar)
     ends = np.cumsum(sizes)
-    return [ScoredGroup(group, scores[end - size:end], "formula", table_scores)
-            for group, size, end in zip(groups, sizes, ends)]
+    return [ScoredGroup(group, scores[end - size:end], "formula") for group, size, end in zip(groups, sizes, ends)]
 
 
 def _score_rows(rows: np.ndarray, kind: np.ndarray, level: np.ndarray, hops: np.ndarray, question_of: np.ndarray,
@@ -648,33 +629,21 @@ def select_top_k(scored: ScoredGroup, k: int, mode: str = "top", seed: int = 0) 
     uniform sample without replacement under ``seed``.  Equal totals are
     ordered by the walks' tie keys, so reruns agree.  The kept rows are
     returned as a :class:`ScoredGroup` with their tie keys: the one-group call
-    of :func:`select_top_k_many`.
+    of :func:`select_top_k_positions`.
     """
-    return scored.take(select_top_k_many([scored], k, mode, [seed])[0])
-
-
-def select_top_k_many(groups: Sequence[ScoredGroup], k: int, mode: str = "top",
-                      seeds: Sequence[int] = ()) -> list[np.ndarray]:
-    """The row indices :func:`select_top_k` keeps of each group, in selection order: the positions
-    :func:`select_top_k_positions` gives, split by group and less each group's first position."""
-    kept = select_top_k_positions(groups, k, mode, seeds)
-    if not groups:
-        return []
-    sizes = np.array([len(group) for group in groups], dtype=np.intp)
-    counts = np.minimum(sizes, k)
-    return np.split(kept - np.repeat(np.cumsum(sizes) - sizes, counts), np.cumsum(counts)[:-1])
+    return scored.take(select_top_k_positions([scored], k, mode, [seed]))
 
 
 def select_top_k_positions(groups: Sequence[ScoredGroup], k: int, mode: str = "top",
                            seeds: Sequence[int] = ()) -> np.ndarray:
-    """The rows :func:`select_top_k` keeps of each group, ranked in one pass over all groups, as
-    positions in the groups' stacked rows (:func:`~hisekt.mrhin.stacked_rows`): group after group,
+    """The rows :func:`select_top_k` keeps of each of the consecutive groups of one walk table,
+    ranked in one pass over all groups, as positions in their rows of the table
+    (:func:`~hisekt.mrhin.table_span`, which raises ValueError on other groups): group after group,
     ``min(k, len(group))`` of each, in selection order.  ``random`` mode draws group ``i`` under
     ``seeds[i]``.
 
-    The tie keys and totals are stacked too: the consecutive groups of one walk table read its tie
-    keys, and its scores if they share them (``ScoredGroup.table_scores``), as slices; other groups
-    are copied.  ``random`` mode pads the tie keys into one groups x longest-group matrix, argsorts
+    The tie keys are that slice of the table's, and the totals one concatenation of the groups'
+    scores.  ``random`` mode pads the tie keys into one groups x longest-group matrix, argsorts
     its rows stably and draws ``k`` positions of a longer group's order.  ``top`` and ``lowest``
     pad the totals (negated for ``top``) into such a matrix, find each group's k-th value with one
     ``np.partition`` and lexsort only the rows at or past it (NaN included) by (group, value, tie
@@ -692,9 +661,8 @@ def select_top_k_positions(groups: Sequence[ScoredGroup], k: int, mode: str = "t
     if not cell.size:
         return np.zeros(0, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    walks = [group.walks for group in groups]
-    span = table_span(walks)
-    keys = np.concatenate([group.tie_keys for group in walks]) if span is None else span[0].tie_keys[span[1]:span[2]]
+    table, lo, hi = table_span([group.walks for group in groups])
+    keys = table.tie_keys[lo:hi]
     if mode == "random":
         # a pad sorts after every row of its group: a stable sort keeps a real key equal to the pad first
         padded = np.full(cell.shape, np.iinfo(np.int64).max)
@@ -703,13 +671,8 @@ def select_top_k_positions(groups: Sequence[ScoredGroup], k: int, mode: str = "t
         kept = [order[i, :n] if n <= k else order[i, derive_rng(seed, "select_top_k").sample(range(n), k)]
                 for i, (n, seed) in enumerate(zip(sizes.tolist(), seeds))]
         return np.concatenate(kept) + np.repeat(starts, np.minimum(sizes, k))
-    table_scores = groups[0].table_scores
-    if span is not None and table_scores is not None and all(group.table_scores is table_scores for group in groups):
-        totals = table_scores[span[1]:span[2], 4]
-    else:
-        totals = np.concatenate([group.scores[:, 4] for group in groups])
     values = np.full(cell.shape, np.inf)
-    values[cell] = totals
+    values[cell] = np.concatenate([group.scores[:, 4] for group in groups])
     if mode == "top":
         np.negative(values, out=values, where=cell)
     last = min(k, cell.shape[1]) - 1

@@ -634,6 +634,27 @@ class TestCliStages:
                 f"{['K', record['target_kc']]}, is of kind K, but template Q-D-Q has kind D at position 1") in err
         assert not paths.with_name("scored.jsonl").exists()
 
+    @pytest.mark.parametrize("kc", ["NOPE", "K0_1"], ids=["no-kc", "another-questions-kc"])
+    def test_a_target_kc_not_of_its_question_is_a_stage_failure(self, staged, capsys, kc):
+        # Q000 covers K0_0 only: K0_1 is a KC of the graph, but Q001's
+        flags, root = staged
+        for name in ("scored.jsonl", "retrieval.json"):
+            (root / name).unlink()
+        paths = root / "paths.jsonl"
+        lines = paths.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        line_no = next(n for n, rec in enumerate(records, start=1) if rec["target_q"] == "Q000")
+        assert records[line_no - 1]["target_kc"] == "K0_0"
+        for n, rec in enumerate(records):
+            if (rec["target_q"], rec["template"]) == ("Q000", records[line_no - 1]["template"]):
+                lines[n] = json.dumps({**rec, "target_kc": kc}, sort_keys=True)
+        paths.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["score-paths", *flags]) == 1
+        err = capsys.readouterr().err
+        assert (f"error in stage score-paths: {paths} line {line_no}: ValueError: target KC {kc!r} does not belong "
+                f"to question 'Q000'") in err
+        assert not (root / "scored.jsonl").exists()
+
     @pytest.mark.parametrize("backend", ["formula", "llm"])
     def test_both_walk_files_hold_one_line_per_walk(self, config_file, capsys, backend):
         assert main(["pipeline", "--config", str(config_file), "--score-backend", backend]) == 0

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import io
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hisekt import evaluation, irt, mrhin, pathscore, predict, retrieval
+from hisekt import cli, evaluation, irt, mrhin, pathscore, predict, retrieval
 from hisekt.config import ABLATIONS, RunConfig, fingerprint
 from hisekt.errors import HisektError, UndefinedMetricError
 from hisekt.evaluation import (
@@ -376,6 +377,13 @@ def dead_end_context():
                            readers={"dataset": lambda _: d, "irt": lambda _: m, "graph": lambda _: g})
 
 
+def owner(array):
+    """The array that owns an array's memory: the array itself, or the last of its bases."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
 class TestWalkTables:
     @pytest.fixture(scope="class", params=[1, 2, 3, "dead-end"])
     def context(self, request, tmp_path_factory):
@@ -420,26 +428,38 @@ class TestWalkTables:
         for name in TEMPLATES:
             qids = [qid for qid in sorted(scored) if name in scored[qid]]
             groups = [scored[qid][name] for qid in qids]
-            assert mrhin.table_span([group.walks for group in groups]) is not None
+            table, lo, hi = mrhin.table_span([group.walks for group in groups])
+            assert (lo, hi) == (0, len(table.rows))
             seeds = [derive_seed(run_seed, "topk", qid, name) for qid in qids]
-            got = pathscore.select_top_k_many(groups, cfg.top_k, mode, seeds)
-            want = [reference_select_top_k(group, cfg.top_k, mode, seed) for group, seed in zip(groups, seeds)]
-            assert [index.tolist() for index in got] == [index.tolist() for index in want]
+            got = pathscore.select_top_k_positions(groups, cfg.top_k, mode, seeds)
+            want = [group.walks.start + reference_select_top_k(group, cfg.top_k, mode, seed)
+                    for group, seed in zip(groups, seeds)]
+            assert got.tolist() == np.concatenate(want).tolist()
         retained = evaluation._retained(ctx, cfg, run_seed, variant)
         assert retained_ids(retained, ctx.dataset) == reference_pool(scored, cfg.top_k, mode, run_seed)
 
-    def test_a_dropped_context_frees_its_tables_without_the_cycle_collector(self, tmp_path):
+    @pytest.mark.parametrize("source", ["formula", "llm", "cli"])
+    def test_a_dropped_context_frees_its_tables_without_the_cycle_collector(self, tmp_path, source):
         # a group refers to its table and the table does not hold its groups: with no reference
-        # cycle, a context's tables and scores go with it, as each group's own rows did
+        # cycle, a context's tables and scores go with it, as each group's own rows did, whether
+        # the stages ran on the formula or the llm backend or the CLI read them from its cache
         path = tmp_path / "planted.csv"
         path.write_text(planted_csv(seed=1)[0], encoding="utf-8")
+        cfg = RunConfig(data=str(path), seed=7, n_walks=20, walk_len=12, cache_dir=str(tmp_path / "cache"),
+                        score_backend="formula" if source == "formula" else "llm", llm_backend="mock")
+        if source == "cli":
+            flags = ["--data", str(path), "--seed", "7", "--n-walks", "20", "--walk-len", "12", "--cache-dir",
+                     cfg.cache_dir, "--score-backend", "llm", "--llm-backend", "mock"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                for stage in ("ingest", "fit-irt", "build-hin", "sample-paths", "score-paths"):
+                    assert cli.main([stage, *flags]) == 0
         gc.disable()
         try:
-            ctx = PipelineContext(RunConfig(data=str(path), seed=7, n_walks=20, walk_len=12))
+            ctx = cli._context(cfg, cli._cache_dir(cfg)) if source == "cli" else PipelineContext(cfg)
             scored = ctx.scored(run_seed_of(ctx.cfg, 0))
             ctx.get("retained")
             arrays = [weakref.ref(array) for per_template in scored.values() for group in per_template.values()
-                      for array in (group.walks.table.rows, group.walks.table.tie_keys, group.table_scores)]
+                      for array in (group.walks.table.rows, group.walks.table.tie_keys, owner(group.scores))]
             del ctx, scored
             assert [ref for ref in arrays if ref() is not None] == []
         finally:

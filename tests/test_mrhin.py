@@ -22,10 +22,13 @@ from hisekt.mrhin import (
     NODE_KINDS,
     MetaPathTemplate,
     Mrhin,
+    WalkGroup,
+    WalkTable,
     read_graph,
     read_walks,
     sample_instances,
     sample_walks,
+    table_span,
     write_graph,
     write_walks,
 )
@@ -596,6 +599,50 @@ class TestTieKeys:
         assert digest.hexdigest() == "033a2144b69285ddf9cc8ff3aa75dd77eccd4782d9828770cbba789504855f79"
 
 
+def is_table_slice(group):
+    """Whether a group's rows and tie keys are its table's rows ``start:start + len(group)``, as views."""
+    table, span = group.table, slice(group.start, group.start + len(group))
+    views = not len(group) or (np.shares_memory(group.rows, table.rows)
+                               and np.shares_memory(group.tie_keys, table.tie_keys))
+    return (isinstance(table, WalkTable) and views and np.array_equal(group.rows, table.rows[span])
+            and np.array_equal(group.tie_keys, table.tie_keys[span]))
+
+
+class TestGroupsAreTableSlices:
+    def test_hand_built_taken_and_sampled_groups_have_a_table(self, fixture_graph):
+        sampled = sample_instances(fixture_graph, TEMPLATES["Q-K-Q-U-Q"], "Q1", n=8, walk_len=9, seed=2)
+        rows = sampled.rows.copy()
+        by_hand = WalkGroup(fixture_graph, sampled.template, "Q1", sampled.target_kc, rows)
+        taken = sampled.take(np.array([5, 0, 5, 2]))
+        for group in (sampled, by_hand, taken):
+            assert is_table_slice(group)
+            assert table_span([group]) == (group.table, group.start, group.start + len(group))
+            assert group.tie_keys.tolist() == [reference_tie_key(nodes) for nodes in walk_nodes(group)]
+        # a group made without a table is the one group of a table of its own rows
+        assert (by_hand.start, taken.start) == (0, 0) and by_hand.table.rows is rows
+        assert walk_nodes(taken) == [walk_nodes(sampled)[i] for i in (5, 0, 5, 2)]
+
+    def test_the_groups_of_a_sampled_table_span_it(self, fixture_graph):
+        groups = list(sample_walks(fixture_graph, TEMPLATES["Q-U-Q"], ["Q1", "Q2", "Q3"], n=4, walk_len=5,
+                                   seed=1).values())
+        assert all(map(is_table_slice, groups)) and len({id(group.table) for group in groups}) == 1
+        table = groups[0].table
+        assert table_span(groups) == (table, 0, len(table.rows))
+        assert table_span(groups[1:]) == (table, groups[1].start, len(table.rows))
+
+    def test_table_span_refuses_groups_of_two_tables_and_groups_out_of_table_order(self, fixture_graph):
+        template = TEMPLATES["Q-U-Q"]
+        groups = list(sample_walks(fixture_graph, template, ["Q1", "Q2", "Q3"], n=4, walk_len=5, seed=1).values())
+        other = sample_instances(fixture_graph, template, "Q4", n=4, walk_len=5, seed=1)
+        assert all(len(group) for group in groups)
+        for refused in ([*groups, other], [groups[0], groups[0].take(np.arange(2))], groups[::-1], groups[::2],
+                        [groups[0], groups[0]]):
+            with pytest.raises(ValueError, match="not consecutive groups of one walk table"):
+                table_span(refused)
+        with pytest.raises(ValueError, match="no walk groups"):
+            table_span([])
+
+
 class TestStores:
     @pytest.fixture
     def grouped(self, fixture_graph):
@@ -617,6 +664,29 @@ class TestStores:
                 assert got.walks() == group.walks()
                 assert walk_nodes(got) == walk_nodes(group)
 
+    def test_a_file_with_its_question_blocks_reversed_reads_back_in_question_order(self, fixture_graph, tmp_path):
+        grouped = {q: {name: sample_instances(fixture_graph, TEMPLATES[name], q, n=6, walk_len=9, seed=4)
+                       for name in ("Q-K-Q", "Q-U-A-U-Q")} for q in ("Q1", "Q2", "Q3", "Q5")}
+        path, reversed_path = tmp_path / "paths.jsonl", tmp_path / "reversed.jsonl"
+        write_walks(grouped, path)
+        blocks = {}
+        for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+            blocks.setdefault(json.loads(line)["target_q"], []).append(line)
+        reversed_path.write_text("".join(line for q in reversed(blocks) for line in blocks[q]), encoding="utf-8")
+        assert list(blocks) == sorted(grouped)
+        loaded, again = read_walks(path, fixture_graph), read_walks(reversed_path, fixture_graph)
+        assert list(again) == list(loaded) == sorted(grouped)
+        for q, per_template in loaded.items():
+            assert list(again[q]) == list(per_template) == sorted(grouped[q])
+            for name, group in per_template.items():
+                got = again[q][name]
+                assert (got.target_question, got.target_kc, got.start) == (q, group.target_kc, group.start)
+                assert np.array_equal(got.rows, group.rows) and np.array_equal(got.tie_keys, group.tie_keys)
+                assert is_table_slice(got) and got.walks() == grouped[q][name].walks()
+        for name in ("Q-K-Q", "Q-U-A-U-Q"):
+            groups = [again[q][name] for q in sorted(again)]
+            assert table_span(groups) == (groups[0].table, 0, len(groups[0].table.rows))
+
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(target_kc="K9"), "target KC"),
         (lambda r: r["nodes"].append(["U", "NOPE"]), "not a graph node"),
@@ -635,6 +705,22 @@ class TestStores:
         lines[3] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(IngestError, match=f"paths.jsonl line 4: .*{message}"):
+            read_walks(path, fixture_graph)
+
+    @pytest.mark.parametrize("kc, message", [
+        ("K9", "target KC 'K9' does not belong to question 'Q1'"),  # no KC of the graph
+        ("K3", "target KC 'K3' does not belong to question 'Q1'"),  # a KC of the graph, not of Q1
+        (None, "target KC null is not a string"),  # which would have picked Q1's smallest KC
+    ])
+    def test_a_groups_first_walk_names_a_kc_of_its_question(self, fixture_graph, grouped, tmp_path, kc, message):
+        path = tmp_path / "paths.jsonl"
+        write_walks(grouped, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        assert (record["target_q"], record["target_kc"]) == ("Q1", "K1")
+        lines[0] = json.dumps({**record, "target_kc": kc})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=f"paths.jsonl line 1: ValueError: {message}"):
             read_walks(path, fixture_graph)
 
     @pytest.mark.parametrize("make_graph", [build_fixture_graph, two_component_graph, ring_graph,

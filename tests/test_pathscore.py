@@ -18,7 +18,7 @@ from hisekt.config import RunConfig
 from hisekt.errors import IngestError, ScoringError, TransportError
 from hisekt.evaluation import PipelineContext, run_seed_of
 from hisekt.llm import LlmClient, MockTransport, map_bounded
-from hisekt.mrhin import PAD, TEMPLATES, WalkGroup, read_walks, sample_instances, write_walks
+from hisekt.mrhin import PAD, TEMPLATES, WalkGroup, WalkTable, read_walks, sample_instances, write_walks
 from hisekt import mrhin, pathscore
 from hisekt.pathscore import (
     LEVEL_CATEGORIES,
@@ -30,7 +30,7 @@ from hisekt.pathscore import (
     score_all,
     score_llm,
     select_top_k,
-    select_top_k_many,
+    select_top_k_positions,
     write_scored,
 )
 
@@ -379,7 +379,7 @@ def scored_with_totals(g, totals):
 
 
 def reversed_rows(scored):
-    """The group with its rows in reverse order, tie keys included if computed."""
+    """The group with its rows in reverse order, with their scores: the one group of a table of them."""
     return scored.take(np.arange(len(scored))[::-1])
 
 
@@ -498,11 +498,10 @@ class TestSelectTopKOnGroups:
     def test_group_path_equals_the_reference_on_the_decoded_rows(self, groups, mode, k, monkeypatch):
         expected = {(i, seed): reference_top_k(group, k, mode, seed)
                     for i, group in enumerate(groups) for seed in (0, 3)}
-        for group in groups:
-            group.walks.tie_keys  # each group's keys, computed once
-
+        # each group's keys were computed with its table, and the kept rows' table gathers its keys
+        # from the graph's memoized terms: no node key is mixed again
         def rehash(z):
-            raise AssertionError("a tie key was computed again")
+            raise AssertionError("a tie-key term was mixed again")
 
         monkeypatch.setattr(mrhin, "mix", rehash)
         for (i, seed), want in expected.items():
@@ -516,50 +515,68 @@ class TestSelectTopKOnGroups:
 @st.composite
 def top_k_stages(draw):
     """A Top-K ``k`` and a stage of groups for it: each group a width, its walks as node-int rows of
-    up to that width (``PAD``-padded; nodes from three ints, so walks, and so tie keys, repeat) and
-    its totals from a small grid, so totals tie.  Group sizes are drawn from 0, k - 1, k, k + 1 and
-    k + 3."""
+    up to that width (nodes from three ints, so walks, and so tie keys, repeat) and its totals from
+    a small grid, so totals tie.  Group sizes are drawn from 0, k - 1, k, k + 1 and k + 3."""
     k = draw(st.integers(1, 5))
     specs = []
     for _ in range(draw(st.integers(0, 6))):
         width, size = draw(st.integers(1, 4)), draw(st.sampled_from([0, k - 1, k, k + 1, k + 3]))
         walks = draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=width), min_size=size, max_size=size))
         totals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.25, 2.5, 20.0]), min_size=size, max_size=size))
-        specs.append((width, walks, totals))
+        specs.append((walks, totals))
     return k, specs
+
+
+def table_groups(g, template, target_kcs, walks_per_group):
+    """The groups of one walk table on ``g``, one per entry of ``target_kcs`` {target question: its
+    target KC}, in that order, group ``i`` holding the node-int walks ``walks_per_group[i]``, every
+    row ``PAD``-padded to the longest walk."""
+    walks = [walk for group in walks_per_group for walk in group]
+    rows = np.full((len(walks), max(map(len, walks), default=1)), PAD, dtype=np.int32)
+    for row, walk in zip(rows, walks):
+        row[:len(walk)] = walk
+    table = WalkTable(g, TEMPLATES[template], rows)
+    return list(table.groups(target_kcs, list(map(len, walks_per_group))).values())
 
 
 class TestSelectTopKStage:
     @settings(max_examples=300, deadline=None)
-    @given(top_k_stages(), st.sampled_from(["top", "lowest", "random"]), st.integers(0, 3))
-    def test_one_pass_equals_each_group_alone(self, g, stage, mode, seed):
+    @given(top_k_stages(), st.sampled_from(["top", "lowest", "random"]), st.integers(0, 3), st.integers(0, 6))
+    def test_one_pass_equals_each_group_alone(self, g, stage, mode, seed, skip):
+        # the consecutive groups of one table, of walks of mixed lengths, less its first ``skip``
+        # groups, so their slice of the table need not start at row 0
         k, specs = stage
+        walks = table_groups(g, "Q-K-Q", {f"Q{i}": "K1" for i in range(len(specs))}, [walks for walks, _ in specs])
         groups = []
-        for width, walks, totals in specs:
-            rows = np.full((len(walks), width), PAD, dtype=np.int32)
-            for row, walk in zip(rows, walks):
-                row[:len(walk)] = walk
+        for group, (_, totals) in list(zip(walks, specs))[skip:]:
             scores = np.zeros((len(totals), 5))
             scores[:, 4] = totals
-            groups.append(ScoredGroup(WalkGroup(g, TEMPLATES["Q-K-Q"], "Q1", "K1", rows), scores, "formula"))
+            groups.append(ScoredGroup(group, scores, "formula"))
         seeds = [seed + i for i in range(len(groups))]
+        starts = np.cumsum([0] + [len(group) for group in groups])
         # the drawn k, and a k larger than every group
-        for kk in (k, 1 + max((len(walks) for _, walks, _ in specs), default=0)):
-            got = select_top_k_many(groups, kk, mode, seeds)
+        for kk in (k, 1 + max((len(walks) for walks, _ in specs), default=0)):
+            got = select_top_k_positions(groups, kk, mode, seeds)
             want = [reference_select_top_k(group, kk, mode, s) for group, s in zip(groups, seeds)]
-            assert [index.tolist() for index in got] == [index.tolist() for index in want]
+            assert got.tolist() == [start + i for start, index in zip(starts.tolist(), want) for i in index.tolist()]
             assert [select_top_k(group, kk, mode, s).walks.rows.tolist() for group, s in zip(groups, seeds)] == \
                 [group.walks.rows[index].tolist() for group, index in zip(groups, want)]
 
-    def test_refuses_a_missing_seed_a_bad_k_and_an_unknown_mode(self, g):
+    def test_refuses_a_missing_seed_a_bad_k_an_unknown_mode_and_other_groups(self, g):
         group = scored_group(sample_instances(g, TEMPLATES["Q-K-Q"], "Q2", n=4, walk_len=5, seed=1), [[1.0] * 4] * 4)
         with pytest.raises(ValueError, match="one seed per group"):
-            select_top_k_many([group], 2, "random")
+            select_top_k_positions([group], 2, "random")
         with pytest.raises(ValueError, match="k must be"):
-            select_top_k_many([group], 0, "top")
+            select_top_k_positions([group], 0, "top")
         with pytest.raises(ValueError, match="unknown selection mode"):
-            select_top_k_many([group], 1, "best")
-        assert select_top_k_many([], 3, "top") == []
+            select_top_k_positions([group], 1, "best")
+        assert select_top_k_positions([], 3, "top").tolist() == []
+        # groups of two tables, and groups of one table out of order or with a gap
+        three = [scored_group(walks, [[1.0] * 4] * len(walks))
+                 for walks in table_groups(g, "Q-K-Q", {"Q1": "K1", "Q2": "K1", "Q3": "K1"}, [[[0, 1]], [[1, 2]], [[2, 0]]])]
+        for groups in ([group, three[0]], three[::-1], three[::2]):
+            with pytest.raises(ValueError, match="not consecutive groups of one walk table"):
+                select_top_k_positions(groups, 1, "top")
 
 
 def reference_walk_file(grouped):
@@ -952,29 +969,28 @@ class TestGroupScorer:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_groups_scored_together_equal_the_walk_scorer_bit_for_bit(self, data):
-        # mixed groups in one call: templates, target questions and KCs, widths (walk lengths),
-        # empty groups, edgeless rows, and rows with nodes of kinds their template does not
-        # have there, which put questions, KCs or levels in columns of other kinds
+        # the groups of one drawn table in one call: target questions and KCs, walks of mixed
+        # lengths and templates, empty groups, edgeless rows, and rows with nodes of kinds their
+        # template does not have there, which put questions, KCs or levels in columns of other kinds
         g = DEAD_END_GRAPH
-        questions = [q for _, q in g.nodes("Q")]
-        groups = []
-        for _ in range(data.draw(st.integers(0, 6), label="groups")):
+        questions = data.draw(st.lists(st.sampled_from([q for _, q in g.nodes("Q")]), max_size=6, unique=True),
+                              label="target questions")
+        walks, kcs = [], []
+        for q0 in questions:
             name = data.draw(st.sampled_from(sorted(TEMPLATES)), label="template")
-            q0 = data.draw(st.sampled_from(questions), label="q0")
             walk_len = data.draw(st.integers(1, 20), label="walk_len")
             rows = sample_instances(g, TEMPLATES[name], q0, n=data.draw(st.integers(0, 8), label="n"),
-                                    walk_len=walk_len, seed=data.draw(st.integers(0, 2**16), label="seed")).rows
+                                    walk_len=walk_len, seed=data.draw(st.integers(0, 2**16), label="seed")).walks()
             if data.draw(st.booleans(), label="edgeless"):
-                rows = np.vstack([rows, [[g.index(("Q", q0))] + [PAD] * (walk_len - 1)]])
-            rows = rows.astype(np.int32)
-            lengths = (rows != PAD).sum(axis=1)
-            for i in data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=4 if len(rows) else 0),
+                rows.append([g.index(("Q", q0))])
+            for i in data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=4 if rows else 0),
                                label="broken rows"):
-                if lengths[i] > 1:
-                    position = data.draw(st.integers(1, lengths[i] - 1), label="position")
-                    rows[i, position] = data.draw(st.integers(0, len(g.node_ids) - 1), label="node")
-            kc = data.draw(st.sampled_from([k for _, k in g.nodes("K")]), label="target KC")
-            groups.append(WalkGroup(g, TEMPLATES[name], q0, kc, rows))
+                if len(rows[i]) > 1:
+                    position = data.draw(st.integers(1, len(rows[i]) - 1), label="position")
+                    rows[i][position] = data.draw(st.integers(0, len(g.node_ids) - 1), label="node")
+            walks.append(rows)
+            kcs.append(data.draw(st.sampled_from([k for _, k in g.nodes("K")]), label="target KC"))
+        groups = table_groups(g, "Q-U-Q", dict(zip(questions, kcs)), walks)
         got = pathscore.score_groups(groups, g)
         assert len(got) == len(groups)
         for group, scored in zip(groups, got):
@@ -983,6 +999,12 @@ class TestGroupScorer:
             assert [[x.hex() for x in row] for row in scored.scores.tolist()] == \
                 [[x.hex() for x in row] for row in walk_scores(group, g)]
             assert score_all(group, g).scores.tobytes() == scored.scores.tobytes()
+
+    def test_groups_of_two_tables_are_refused(self):
+        g = DEAD_END_GRAPH
+        one, other = (sample_instances(g, TEMPLATES["Q-U-Q"], q0, n=2, walk_len=5, seed=1) for q0 in ("Q1", "Q3"))
+        with pytest.raises(ValueError, match="not consecutive groups of one walk table"):
+            pathscore.score_groups([one, other], g)
 
     def test_every_planted_walk_matches_reference(self, tmp_path):
         # criterion-6 configuration on the acceptance fixture, first run
@@ -1449,6 +1471,11 @@ def stage_prompts(tmp_path_factory):
     return groups, prompts, [MockTransport()(prompt) for prompt in prompts]
 
 
+def formula_scores(groups):
+    """The formula scores of walk groups of any tables, each group's rows one after another."""
+    return np.concatenate([score_all(group, group.graph).scores for group in groups])
+
+
 class RecordingMock(MockTransport):
     """The mock transport, recording the size of each block it is asked to answer."""
 
@@ -1491,10 +1518,8 @@ class TestMockBlocks:
         mock = MockTransport()
         assert [reply for start in range(0, len(prompts), 1000) for reply in mock.many(prompts[start:start + 1000])] \
             == alone
-        by_formula = pathscore.score_groups(groups, groups[0].graph)
         by_llm = score_llm(groups, LlmClient(backend="mock"))
-        assert np.concatenate([s.scores for s in by_llm]).tobytes() == \
-            np.concatenate([s.scores for s in by_formula]).tobytes()
+        assert np.concatenate([s.scores for s in by_llm]).tobytes() == formula_scores(groups).tobytes()
 
     def test_the_stage_makes_one_hop_search(self, monkeypatch):
         """Every target question's hop row comes from one ``Mrhin.hops`` call, and the prompts are those
@@ -1544,8 +1569,7 @@ class TestMockBlocks:
         by_llm = score_llm(groups, LlmClient(backend="mock", transport=mock))
         size = pathscore.SCORE_BLOCK
         assert mock.blocks == [size] * (len(prompts) // size) + [len(prompts) % size] * bool(len(prompts) % size)
-        assert np.concatenate([s.scores for s in by_llm]).tobytes() == \
-            np.concatenate([s.scores for s in pathscore.score_groups(groups, groups[0].graph)]).tobytes()
+        assert np.concatenate([s.scores for s in by_llm]).tobytes() == formula_scores(groups).tobytes()
 
     @pytest.mark.parametrize("with_many", [False, True])
     def test_an_unreadable_reply_is_sent_again_for_its_walk_only(self, stage_prompts, with_many):
@@ -1570,5 +1594,4 @@ class TestMockBlocks:
         by_llm = score_llm(groups, LlmClient(backend="mock", transport=(ScriptedMany if with_many else Scripted)()))
         end = min(len(prompts), 2 * pathscore.SCORE_BLOCK)  # sent again before the next block
         assert asked == prompts[:end] + [garbled] + prompts[end:]
-        assert np.concatenate([s.scores for s in by_llm]).tobytes() == \
-            np.concatenate([s.scores for s in pathscore.score_groups(groups, groups[0].graph)]).tobytes()
+        assert np.concatenate([s.scores for s in by_llm]).tobytes() == formula_scores(groups).tobytes()
